@@ -1205,7 +1205,7 @@ fn e13_wire(o: &Opts) {
 /// E14 — sharded engine with batched token drain, on the persistent
 /// queue. The seed drain pulled one token per pass (a full queue-table
 /// scan each) and acknowledged it alone; the batched drain pulls K tokens
-/// per scan, probes them sort-merged, and folds all their acks into one
+/// per scan, probes them as one run, and folds all their acks into one
 /// group-commit barrier. Shards bound cross-driver contention; on a
 /// single-CPU host they cannot add core-scaling, so the speedup shown is
 /// the per-token overhead the batch amortizes away (on a multi-core host

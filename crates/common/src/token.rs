@@ -118,22 +118,22 @@ impl fmt::Display for EventKind {
     }
 }
 
-/// Per-token claim set for *tagged execution* of indexed disjunctions
-/// (Kim & Madden). An OR-trigger registers one predicate-index entry per
+/// Shared claim set for *tagged execution* of indexed disjunctions (Kim &
+/// Madden). An OR-trigger registers one predicate-index entry per
 /// selectable disjunct; all of its entries carry the same tag. Whichever
 /// entry's probe reaches the token first *claims* the tag; later hits on
 /// the same tag for the same token are duplicates of the same logical
 /// match and must not fire again.
 ///
-/// The set is shared by `Arc`, so every task cloned from the token —
-/// partition fan-out tasks included — claims against the same set and the
-/// dedup is exactly-once across shards. The inert form ([`none`]) carries
-/// no allocation and lets every claim succeed; the engine only arms a
-/// token ([`fresh`]) while tagged entries exist, so untagged workloads pay
-/// nothing.
+/// The tag travels with the token. A token processed whole claims against
+/// a set local to its replay and carries the inert form ([`none`]): no
+/// allocation, no lock. Only a token that is split across tasks
+/// (partition fan-out) is given the shared form ([`shared_from`], seeded
+/// with what the replay had already claimed), so every task cloned from it
+/// claims against one set and the dedup stays exactly-once across shards.
 ///
 /// [`none`]: Self::none
-/// [`fresh`]: Self::fresh
+/// [`shared_from`]: Self::shared_from
 #[derive(Debug, Clone, Default)]
 pub struct TagClaims(Option<Arc<Mutex<FxHashSet<u64>>>>);
 
@@ -143,12 +143,12 @@ impl TagClaims {
         TagClaims(None)
     }
 
-    /// A fresh shared claim set for one token.
-    pub fn fresh() -> TagClaims {
-        TagClaims(Some(Arc::new(Mutex::new(FxHashSet::default()))))
+    /// A shared claim set holding `claimed` already.
+    pub fn shared_from(claimed: impl IntoIterator<Item = u64>) -> TagClaims {
+        TagClaims(Some(Arc::new(Mutex::new(claimed.into_iter().collect()))))
     }
 
-    /// Is a claim set armed on this token?
+    /// Is a shared claim set armed on this token?
     pub fn is_active(&self) -> bool {
         self.0.is_some()
     }
@@ -196,7 +196,7 @@ pub struct UpdateDescriptor {
     pub ingest_unix_ns: u64,
     /// Tagged-execution claim set (see [`TagClaims`]). Execution metadata
     /// like `trace`: ignored by equality, not serialized; the engine arms
-    /// it on ingest while tagged disjunction entries exist.
+    /// it when it splits the token across tasks.
     pub claims: TagClaims,
 }
 
@@ -429,7 +429,7 @@ mod tests {
         assert!(inert.claim(7));
         assert!(inert.claim(7)); // inert: always true
 
-        let armed = TagClaims::fresh();
+        let armed = TagClaims::shared_from([]);
         assert!(armed.is_active());
         assert!(armed.claim(7));
         assert!(!armed.claim(7)); // second hit on the same tag is a dup
@@ -439,13 +439,17 @@ mod tests {
         assert!(!cloned.claim(7));
         assert!(cloned.claim(9));
         assert!(!armed.claim(9));
+        // A split token inherits what its replay had claimed locally.
+        let split = TagClaims::shared_from([3, 4]);
+        assert!(!split.claim(3));
+        assert!(split.claim(5));
     }
 
     #[test]
     fn token_claims_are_execution_metadata() {
         let plain = UpdateDescriptor::insert(DataSourceId(1), tup(&[1]));
         let mut armed = plain.clone();
-        armed.claims = TagClaims::fresh();
+        armed.claims = TagClaims::shared_from([]);
         assert_eq!(plain, armed); // equality ignores claims
         let decoded = UpdateDescriptor::decode(&armed.encode()).unwrap();
         assert!(!decoded.claims.is_active()); // codec drops them

@@ -10,6 +10,8 @@ use crate::compile::{CompiledAction, CompiledTrigger};
 use crate::events::EventNotification;
 use crate::metrics::{ACTION_EXEC_SQL, ACTION_NOTIFY, ACTION_RAISE_EVENT};
 use crate::TriggerMan;
+use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 use tman_common::{Result, TmanError, TokenOp, Tuple, UpdateDescriptor, Value};
 use tman_expr::scalar::Env;
 use tman_lang::ast::{Expr, Literal, SelectCols, SqlStmt};
@@ -31,74 +33,80 @@ pub fn run_action(
 ) -> Result<()> {
     let mut span = token.trace.span(SpanKind::Action, parent_span);
     span.set_args(trigger.id.raw(), 0);
+    // Timed by hand: a `Timer` guard would clone the histogram's `Arc`,
+    // a shared cache line every driver writes on every fire.
+    let latency = &system.telemetry.action_ns;
+    let started = latency.is_enabled().then(Instant::now);
+    let result = act(system, trigger, bindings, token, span.id());
+    if let Some(t) = started {
+        latency.record(t.elapsed().as_nanos() as u64);
+    }
+    result
+}
+
+fn act(
+    system: &TriggerMan,
+    trigger: &CompiledTrigger,
+    bindings: &[Tuple],
+    token: &UpdateDescriptor,
+    action_span: u32,
+) -> Result<()> {
     let old_of_event_var = match token.op {
-        TokenOp::Update | TokenOp::Delete => token.old.clone(),
+        TokenOp::Update | TokenOp::Delete => token.old.as_ref(),
         TokenOp::Insert => None,
     };
-    let _latency = system.telemetry.action_ns.start();
-    match &trigger.action {
+    let (key, event, values, message) = match &trigger.action {
         CompiledAction::ExecSql(stmt) => {
             system.telemetry.actions_by_kind[ACTION_EXEC_SQL].bump();
-            let substituted = substitute_stmt(stmt, trigger, bindings, old_of_event_var.as_ref())?;
+            let substituted = substitute_stmt(stmt, trigger, bindings, old_of_event_var)?;
             system.run_stmt(&substituted)?;
-            Ok(())
+            return Ok(());
         }
-        CompiledAction::RaiseEvent { name, args } => {
+        CompiledAction::RaiseEvent { name, key, args } => {
             system.telemetry.actions_by_kind[ACTION_RAISE_EVENT].bump();
             // Action environment: NEW images in slots 0..n, OLD images in
-            // slots n..2n (only the event variable has one).
+            // slots n..2n (only the event variable has one). On the stack:
+            // a trigger has at most 16 variables (`compile_trigger`).
             let n = trigger.vars.len();
-            let mut slots: Vec<Option<&Tuple>> = Vec::with_capacity(2 * n);
-            for b in bindings {
-                slots.push(Some(b));
+            let mut slots: [Option<&Tuple>; 32] = [None; 32];
+            for (slot, b) in slots.iter_mut().zip(bindings) {
+                *slot = Some(b);
             }
-            for v in 0..n {
-                if v == trigger.event_var {
-                    slots.push(old_of_event_var.as_ref());
-                } else {
-                    slots.push(None);
-                }
-            }
+            slots[n + trigger.event_var] = old_of_event_var;
             let env = Env {
-                tuples: &slots,
+                tuples: &slots[..2 * n],
                 consts: &[],
             };
             let values = args
                 .iter()
                 .map(|a| a.eval(&env))
                 .collect::<Result<Vec<_>>>()?;
-            let mut notify = token.trace.span(SpanKind::Notify, span.id());
-            let fanout = system.events().publish(EventNotification {
-                event: name.clone(),
-                trigger: trigger.name.clone(),
-                values,
-                message: None,
-                token_seq: token.origin,
-                trace: token.trace.clone(),
-                ingest_unix_ns: token.ingest_unix_ns,
-            });
-            notify.set_arg_b(fanout as u64);
-            system.telemetry.notify_fanout.record(fanout as u64);
-            Ok(())
+            (&**key, name.clone(), values, None)
         }
         CompiledAction::Notify(template) => {
             system.telemetry.actions_by_kind[ACTION_NOTIFY].bump();
-            let msg = substitute_text(template, trigger, bindings, old_of_event_var.as_ref());
-            let mut notify = token.trace.span(SpanKind::Notify, span.id());
-            let fanout = system.events().publish(EventNotification {
-                event: "notify".into(),
-                trigger: trigger.name.clone(),
-                values: Vec::new(),
-                message: Some(msg),
-                token_seq: token.origin,
-                trace: token.trace.clone(),
-                ingest_unix_ns: token.ingest_unix_ns,
-            });
-            notify.set_arg_b(fanout as u64);
-            system.telemetry.notify_fanout.record(fanout as u64);
-            Ok(())
+            let msg = substitute_text(template, trigger, bindings, old_of_event_var);
+            static NOTIFY: OnceLock<Arc<str>> = OnceLock::new();
+            let event = NOTIFY.get_or_init(|| "notify".into());
+            (&**event, event.clone(), Vec::new(), Some(msg))
         }
-    }
+    };
+    let mut notify = token.trace.span(SpanKind::Notify, action_span);
+    let fanout = system.events().publish_keyed(
+        key,
+        EventNotification {
+            event,
+            trigger: trigger.name.clone(),
+            values,
+            message,
+            token_seq: token.origin,
+            trace: token.trace.clone(),
+            ingest_unix_ns: token.ingest_unix_ns,
+        },
+    );
+    notify.set_arg_b(fanout as u64);
+    system.telemetry.notify_fanout.record(fanout as u64);
+    Ok(())
 }
 
 /// Resolve a transition reference to a concrete value.

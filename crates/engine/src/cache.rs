@@ -209,8 +209,9 @@ mod tests {
         let graph = ConditionGraph::build(tman_expr::Cnf::truth(), 1);
         Arc::new(CompiledTrigger {
             id: TriggerId(id),
-            name: format!("t{id}"),
+            name: format!("t{id}").into(),
             set: TriggerSetId(1),
+            set_enabled: Arc::new(AtomicBool::new(true)),
             text: String::new(),
             vars: Vec::new(),
             event_var: 0,
@@ -241,7 +242,7 @@ mod tests {
                     Ok(dummy_trigger(1))
                 })
                 .unwrap();
-            assert_eq!(p.name, "t1");
+            assert_eq!(&*p.name, "t1");
         }
         let _p = cache
             .pin(TriggerId(1), || panic!("should not reload"))

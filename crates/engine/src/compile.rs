@@ -34,8 +34,10 @@ pub enum CompiledAction {
     /// `raise event` — name plus argument scalars resolved against the
     /// action environment (`num_vars` NEW slots then `num_vars` OLD slots).
     RaiseEvent {
-        /// Event name.
-        name: String,
+        /// Event name, shared into every notification the action raises.
+        name: Arc<str>,
+        /// `name` lower-cased once: the event bus's routing key.
+        key: Arc<str>,
         /// Argument expressions.
         args: Vec<Scalar>,
     },
@@ -51,10 +53,14 @@ pub enum CompiledAction {
 pub struct CompiledTrigger {
     /// Trigger id.
     pub id: TriggerId,
-    /// Trigger name.
-    pub name: String,
+    /// Trigger name, shared into every notification the trigger raises.
+    pub name: Arc<str>,
     /// Owning set.
     pub set: TriggerSetId,
+    /// The owning set's enabled flag. [`compile_trigger`] leaves a
+    /// detached flag that is always on; the engine swaps in the set's own,
+    /// so `disable trigger set` reaches every cached trigger at once.
+    pub set_enabled: Arc<AtomicBool>,
     /// Source text (the catalog's `trigger_text`).
     pub text: String,
     /// Tuple variables, in `from` order.
@@ -273,8 +279,9 @@ pub fn compile_trigger(
     Ok(Compiled {
         trigger: CompiledTrigger {
             id,
-            name: stmt.name.clone(),
+            name: stmt.name.as_str().into(),
             set,
+            set_enabled: Arc::new(AtomicBool::new(true)),
             text: text.to_string(),
             vars,
             event_var,
@@ -311,7 +318,8 @@ fn compile_action(action: &Action, vars: &[VarBinding]) -> Result<CompiledAction
                 .map(|a| ctx.scalar(a))
                 .collect::<Result<Vec<_>>>()?;
             Ok(CompiledAction::RaiseEvent {
-                name: name.clone(),
+                name: name.as_str().into(),
+                key: name.to_lowercase().into(),
                 args,
             })
         }

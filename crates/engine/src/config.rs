@@ -153,9 +153,10 @@ pub struct Config {
     /// deployment below the machine width.
     pub shards: Option<usize>,
     /// Maximum tokens one drain pass dequeues and processes as a batch:
-    /// root-hash lookups, trigger-cache pins, and the persistent queue's
-    /// ack/watermark durability barrier are amortized across the batch.
-    /// 1 restores strictly per-token draining.
+    /// the match-plan load, one constant-set lock hold per signature, and
+    /// the persistent queue's ack/watermark durability barrier are
+    /// amortized across the batch. 1 drains a run of one through the same
+    /// pipeline.
     pub drain_batch: usize,
 }
 

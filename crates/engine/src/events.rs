@@ -18,7 +18,7 @@
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use tman_common::fxhash::FxHashMap;
 use tman_common::Value;
 use tman_telemetry::{CounterHandle, Registry, TraceHandle};
@@ -32,10 +32,10 @@ use tman_telemetry::{CounterHandle, Registry, TraceHandle};
 #[derive(Debug, Clone)]
 pub struct EventNotification {
     /// Event name (`raise event Name(...)`), or `"notify"` for `do notify`
-    /// messages.
-    pub event: String,
-    /// Name of the trigger whose action raised it.
-    pub trigger: String,
+    /// messages. Shared with the compiled trigger: a fire copies no name.
+    pub event: Arc<str>,
+    /// Name of the trigger whose action raised it (shared likewise).
+    pub trigger: Arc<str>,
     /// Evaluated event arguments.
     pub values: Vec<Value>,
     /// Message text (for `notify` actions).
@@ -69,7 +69,8 @@ impl PartialEq for EventNotification {
 /// channel fanout — a sink that persists the notification therefore
 /// completes *before* the token that produced it can be acknowledged to
 /// the update queue, which is what makes at-least-once delivery compose
-/// end-to-end.
+/// end-to-end. A sink runs under the bus's routing read lock and must not
+/// subscribe or register on the bus it observes.
 pub trait NotificationSink: Send + Sync {
     /// Observe one notification at publish time.
     fn on_publish(&self, n: &EventNotification);
@@ -81,18 +82,29 @@ pub trait NotificationSink: Send + Sync {
 /// memory growth.
 pub const SLOW_CHANNEL_DEPTH: usize = 65_536;
 
-/// One subscription: a stable id (for labeled drop accounting) plus its
-/// channel.
+/// One subscription: a stable id (for labeled drop accounting), its
+/// channel, and its `subscriber`-labeled drop counter, resolved in the
+/// registry by the first drop and kept — a subscriber 65 536 behind is
+/// dropped to by every driver on every fire.
 struct Sub {
     id: u64,
     tx: Sender<EventNotification>,
+    dropped: OnceLock<CounterHandle>,
+}
+
+/// Who receives what: one lock, read once per publish.
+#[derive(Default)]
+struct Routes {
+    /// Subscribers per lower-cased event name.
+    by_event: FxHashMap<String, Vec<Sub>>,
+    /// Subscribers to every event.
+    all: Vec<Sub>,
+    sinks: Vec<Arc<dyn NotificationSink>>,
 }
 
 /// Pub/sub hub connecting rule actions to client applications.
 pub struct EventBus {
-    by_event: RwLock<FxHashMap<String, Vec<Sub>>>,
-    all: RwLock<Vec<Sub>>,
-    sinks: RwLock<Vec<Arc<dyn NotificationSink>>>,
+    routes: RwLock<Routes>,
     next_sub: AtomicU64,
     registry: Option<Arc<Registry>>,
     delivered: CounterHandle,
@@ -111,9 +123,7 @@ impl EventBus {
     /// registry.
     pub fn new() -> EventBus {
         EventBus {
-            by_event: RwLock::default(),
-            all: RwLock::default(),
-            sinks: RwLock::default(),
+            routes: RwLock::default(),
             next_sub: AtomicU64::new(1),
             registry: None,
             delivered: CounterHandle::noop(),
@@ -132,42 +142,50 @@ impl EventBus {
         self.registry = Some(registry.clone());
     }
 
-    /// Register for one named event.
-    pub fn subscribe(&self, event: &str) -> Receiver<EventNotification> {
+    fn new_sub(&self) -> (Sub, Receiver<EventNotification>) {
         let (tx, rx) = unbounded();
         let id = self.next_sub.fetch_add(1, Ordering::Relaxed);
-        self.by_event
-            .write()
+        let dropped = OnceLock::new();
+        (Sub { id, tx, dropped }, rx)
+    }
+
+    /// Register for one named event.
+    pub fn subscribe(&self, event: &str) -> Receiver<EventNotification> {
+        let (sub, rx) = self.new_sub();
+        let mut routes = self.routes.write();
+        routes
+            .by_event
             .entry(event.to_lowercase())
             .or_default()
-            .push(Sub { id, tx });
+            .push(sub);
         rx
     }
 
     /// Register for every event (console use).
     pub fn subscribe_all(&self) -> Receiver<EventNotification> {
-        let (tx, rx) = unbounded();
-        let id = self.next_sub.fetch_add(1, Ordering::Relaxed);
-        self.all.write().push(Sub { id, tx });
+        let (sub, rx) = self.new_sub();
+        self.routes.write().all.push(sub);
         rx
     }
 
     /// Attach a synchronous sink observing every published notification.
     pub fn register_sink(&self, sink: Arc<dyn NotificationSink>) {
-        self.sinks.write().push(sink);
+        self.routes.write().sinks.push(sink);
     }
 
-    /// Count one drop against subscriber `id`: the aggregate series plus
-    /// the `subscriber`-labeled child of the same family.
-    fn count_drop(&self, id: u64) {
+    /// Count one drop against `sub`: the aggregate series plus the
+    /// `subscriber`-labeled child of the same family.
+    fn count_drop(&self, sub: &Sub) {
         self.dropped.bump();
         if let Some(r) = &self.registry {
-            let id_s = id.to_string();
-            r.counter(
-                "tman_notifications_dropped_total",
-                &[("subscriber", id_s.as_str())],
-            )
-            .bump();
+            sub.dropped
+                .get_or_init(|| {
+                    r.counter(
+                        "tman_notifications_dropped_total",
+                        &[("subscriber", sub.id.to_string().as_str())],
+                    )
+                })
+                .bump();
         }
     }
 
@@ -178,62 +196,63 @@ impl EventBus {
     /// dropped for that subscriber and counted under its id. Disconnected
     /// receivers are counted the same way and pruned eagerly — out of
     /// every routing table before this call returns.
+    pub fn publish(&self, n: EventNotification) -> usize {
+        self.publish_keyed(&n.event.to_lowercase(), n)
+    }
+
+    /// [`publish`](Self::publish) for a caller that already holds the
+    /// routing key, `n.event` lower-cased — rule actions take it from the
+    /// compiled trigger.
     ///
     /// Hot path note: rule actions publish from every driver thread
-    /// concurrently, so delivery runs under *read* locks; the write lock is
-    /// only taken to prune when a send actually failed.
-    pub fn publish(&self, n: EventNotification) -> usize {
-        {
-            let sinks = self.sinks.read();
-            for s in sinks.iter() {
-                s.on_publish(&n);
-            }
-        }
-        let key = n.event.to_lowercase();
+    /// concurrently, so delivery runs under one *read* lock; the write
+    /// lock is only taken to prune when a send actually failed. The
+    /// notification is cloned for every receiver but the last, which gets
+    /// the original.
+    pub fn publish_keyed(&self, key: &str, n: EventNotification) -> usize {
         let mut fanout = 0usize;
         let mut dead: Vec<u64> = Vec::new();
         {
-            let by_event = self.by_event.read();
-            if let Some(subs) = by_event.get(&key) {
-                for sub in subs {
-                    self.send_one(sub, &n, &mut fanout, &mut dead);
+            let routes = self.routes.read();
+            for s in &routes.sinks {
+                s.on_publish(&n);
+            }
+            let named = routes.by_event.get(key).map_or(&[][..], Vec::as_slice);
+            let mut subs = named.iter().chain(&routes.all).peekable();
+            let mut n = Some(n);
+            while let Some(sub) = subs.next() {
+                if sub.tx.len() >= SLOW_CHANNEL_DEPTH {
+                    // Stalled subscriber: mailbox is "full" under the
+                    // backlog policy. Drop for this subscriber only; it
+                    // stays registered.
+                    self.count_drop(sub);
+                    continue;
+                }
+                let note = match subs.peek() {
+                    Some(_) => n.clone(),
+                    None => n.take(),
+                };
+                match sub.tx.send(note.expect("taken by the last receiver only")) {
+                    Ok(()) => {
+                        self.delivered.bump();
+                        fanout += 1;
+                    }
+                    Err(_) => {
+                        self.count_drop(sub);
+                        dead.push(sub.id);
+                    }
                 }
             }
         }
-        {
-            let all = self.all.read();
-            for sub in all.iter() {
-                self.send_one(sub, &n, &mut fanout, &mut dead);
-            }
-        }
         if !dead.is_empty() {
-            let mut by_event = self.by_event.write();
-            for subs in by_event.values_mut() {
+            let mut routes = self.routes.write();
+            for subs in routes.by_event.values_mut() {
                 subs.retain(|s| !dead.contains(&s.id));
             }
-            by_event.retain(|_, subs| !subs.is_empty());
-            self.all.write().retain(|s| !dead.contains(&s.id));
+            routes.by_event.retain(|_, subs| !subs.is_empty());
+            routes.all.retain(|s| !dead.contains(&s.id));
         }
         fanout
-    }
-
-    fn send_one(&self, sub: &Sub, n: &EventNotification, fanout: &mut usize, dead: &mut Vec<u64>) {
-        if sub.tx.len() >= SLOW_CHANNEL_DEPTH {
-            // Stalled subscriber: mailbox is "full" under the backlog
-            // policy. Drop for this subscriber only; it stays registered.
-            self.count_drop(sub.id);
-            return;
-        }
-        match sub.tx.send(n.clone()) {
-            Ok(()) => {
-                self.delivered.bump();
-                *fanout += 1;
-            }
-            Err(_) => {
-                self.count_drop(sub.id);
-                dead.push(sub.id);
-            }
-        }
     }
 
     /// Notifications successfully delivered (0 until a registry is
@@ -271,7 +290,7 @@ mod tests {
         let rx_a = bus.subscribe("NewHouse");
         let rx_b = bus.subscribe("other");
         bus.publish(note("newhouse"));
-        assert_eq!(rx_a.try_recv().unwrap().event, "newhouse");
+        assert_eq!(&*rx_a.try_recv().unwrap().event, "newhouse");
         assert!(rx_b.try_recv().is_err());
     }
 
@@ -285,7 +304,7 @@ mod tests {
         bus.publish(note("b"));
         assert_eq!(
             rx.iter().take(2).map(|n| n.event).collect::<Vec<_>>(),
-            vec!["a", "b"]
+            vec!["a".into(), "b".into()]
         );
         // The handles resolve into the registry, so both the bus getter and
         // the exposition see the deliveries.
@@ -304,9 +323,9 @@ mod tests {
         drop(bus.subscribe("x"));
         let live = bus.subscribe("x");
         bus.publish(note("x"));
-        assert_eq!(live.try_recv().unwrap().event, "x");
+        assert_eq!(&*live.try_recv().unwrap().event, "x");
         bus.publish(note("x"));
-        assert_eq!(bus.by_event.read().get("x").unwrap().len(), 1);
+        assert_eq!(bus.routes.read().by_event.get("x").unwrap().len(), 1);
     }
 
     #[test]
@@ -319,8 +338,8 @@ mod tests {
         let _live = bus.subscribe("x");
         bus.publish(note("x"));
         // The first (and only) publish already swept both routing tables.
-        assert_eq!(bus.by_event.read().get("x").unwrap().len(), 1);
-        assert!(bus.all.read().is_empty());
+        assert_eq!(bus.routes.read().by_event.get("x").unwrap().len(), 1);
+        assert!(bus.routes.read().all.is_empty());
         assert_eq!(bus.dropped(), 2);
     }
 
@@ -330,7 +349,7 @@ mod tests {
         let mut bus = EventBus::new();
         bus.attach_telemetry(&registry);
         let dead_rx = bus.subscribe("x");
-        let id = bus.by_event.read().get("x").unwrap()[0].id;
+        let id = bus.routes.read().by_event.get("x").unwrap()[0].id;
         drop(dead_rx);
         let _live = bus.subscribe("x");
         bus.publish(note("x"));
@@ -361,7 +380,7 @@ mod tests {
         // the subscriber stayed registered (it is slow, not dead).
         assert_eq!(rx.len(), SLOW_CHANNEL_DEPTH);
         assert_eq!(bus.dropped(), 5);
-        assert_eq!(bus.by_event.read().get("x").unwrap().len(), 1);
+        assert_eq!(bus.routes.read().by_event.get("x").unwrap().len(), 1);
         // Draining restores delivery.
         for _ in rx.try_iter() {}
         bus.publish(note("x"));
@@ -373,7 +392,7 @@ mod tests {
         struct Probe(AtomicU64);
         impl NotificationSink for Probe {
             fn on_publish(&self, n: &EventNotification) {
-                assert_eq!(n.event, "x");
+                assert_eq!(&*n.event, "x");
                 self.0.fetch_add(1, Ordering::Relaxed);
             }
         }

@@ -81,7 +81,7 @@ use source::{SourceInfo, TableAlphaSource};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use tman_common::fxhash::FxHashMap;
+use tman_common::fxhash::{FxHashMap, FxHashSet};
 use tman_common::stats::Counter;
 use tman_common::{
     DataSourceId, EventKind, ExprId, NodeId, Result, Schema, SignatureId, TagClaims, TmanError,
@@ -91,26 +91,10 @@ use tman_expr::signature::analyze_selection;
 use tman_expr::{decompose_disjunction, IndexPlan};
 use tman_lang::ast::Command;
 use tman_network::Polarity;
-use tman_predindex::{PredicateIndex, SignatureRuntime};
+use tman_predindex::{MatchPlan, PredicateIndex, Probe, SignatureRuntime};
 use tman_sql::{Database, ExecResult};
-use tman_telemetry::trace::{now_ns, ROOT_SPAN};
+use tman_telemetry::trace::{now_ns, SpanGuard, ROOT_SPAN};
 use tman_telemetry::{HttpResponse, HttpServer, TraceHandle};
-
-/// An [`tman_network::AlphaSource`] with no data, for networks that never
-/// scan (single-variable triggers).
-struct NullAlphaSource;
-
-impl tman_network::AlphaSource for NullAlphaSource {
-    fn scan_source(
-        &self,
-        _data_src: DataSourceId,
-        _visit: &mut dyn FnMut(&Tuple) -> Result<()>,
-    ) -> Result<()> {
-        Ok(())
-    }
-}
-
-static NULL_ALPHA: NullAlphaSource = NullAlphaSource;
 
 /// Outcome of a TriggerMan command.
 #[derive(Debug, Clone, PartialEq)]
@@ -149,19 +133,83 @@ pub struct EngineStats {
     pub errors: Arc<Counter>,
 }
 
-/// Execution metadata the engine keeps per predicate-index entry, keyed by
-/// [`ExprId`]. It lives engine-side (not on [`tman_predindex::Entry`])
-/// because DB-backed organizations round-trip entries through table rows,
-/// and because the `ExprId` survives governor migrations unchanged.
-struct PredMeta {
-    /// Tagged execution: the disjunct entries a trigger variable
-    /// registered share one tag; a token's first matching entry claims it
-    /// and the rest are duplicates (Kim & Madden's tagged execution).
-    tag: Option<u64>,
-    /// The trigger's windowed-threshold state, shared by every one of its
-    /// entries: a claimed match *observes* the window and fires only at
-    /// or over the threshold.
-    window: Option<Arc<WindowState>>,
+/// Execution facts of one predicate-index entry ride in the top bits of
+/// its [`ExprId`] — the engine allocates the ids, the id survives
+/// governor migrations and the DB-backed organizations' row round trip
+/// unchanged, and the match itself hands it back — so an entry with
+/// neither fact costs the drain one branch ([`TriggerMan::admit`]).
+///
+/// Tagged execution: the disjunct entries a trigger variable registered
+/// share one tag ([`tag_of`]); a token's first matching entry claims it
+/// and the rest are duplicates (Kim & Madden's tagged execution).
+const EXPR_TAGGED: u64 = 1 << 63;
+/// The entry's trigger carries a windowed threshold
+/// ([`TriggerMan::windows`]): a claimed match *observes* the window and
+/// fires only at or over the threshold.
+const EXPR_WINDOWED: u64 = 1 << 62;
+
+/// The tag shared by the disjunct entries of one trigger variable,
+/// derived from the match so nothing is stored for it: `node` is the
+/// variable's ordinal, below 16 ([`compile_trigger`]).
+fn tag_of(trigger: TriggerId, node: NodeId) -> u64 {
+    (trigger.raw() << 4) | u64::from(node.raw())
+}
+
+/// A trigger set as the engine holds it.
+struct SetEntry {
+    id: TriggerSetId,
+    /// Shared by every trigger compiled into the set
+    /// ([`CompiledTrigger::set_enabled`]).
+    enabled: Arc<AtomicBool>,
+}
+
+/// A flagged index entry with the source and signature it landed in.
+type FlaggedEntry = (ExprId, DataSourceId, SignatureId);
+
+/// One token of a run, with the deferred ack of its persistent-queue row.
+type RunToken = (UpdateDescriptor, Option<Arc<AckState>>);
+
+/// One deferred step of a token's replay ([`TriggerMan::replay`]).
+struct Step {
+    /// Index of the token in its run.
+    tok: u32,
+    kind: StepKind,
+}
+
+enum StepKind {
+    /// An index match to admit, pin and activate.
+    Match {
+        expr: ExprId,
+        trigger: TriggerId,
+        node: NodeId,
+        /// The probe's `SigProbe` span: parent of the pin and action spans.
+        span: u32,
+    },
+    /// A Figure-5 fan-out to push: signature `sig` of the run's match
+    /// plan, split `parts` ways.
+    Split { sig: u32, parts: u32 },
+}
+
+impl Step {
+    fn matched(tok: usize, e: &tman_predindex::Entry, span: u32) -> Step {
+        Step {
+            tok: tok as u32,
+            kind: StepKind::Match {
+                expr: e.expr_id,
+                trigger: e.trigger_id,
+                node: e.next_node,
+                span,
+            },
+        }
+    }
+}
+
+/// Stamp an ingest time on a token whose producer left it unset (windowed
+/// thresholds read it).
+fn stamp_ingest(tok: &mut UpdateDescriptor) {
+    if tok.ingest_unix_ns == 0 {
+        tok.ingest_unix_ns = tman_telemetry::unix_now_ns();
+    }
 }
 
 /// The TriggerMan system (Figure 1).
@@ -182,26 +230,20 @@ pub struct TriggerMan {
     sources_by_name: RwLock<FxHashMap<String, Arc<SourceInfo>>>,
     sources_by_id: RwLock<FxHashMap<DataSourceId, Arc<SourceInfo>>>,
     table_to_source: RwLock<FxHashMap<String, Arc<SourceInfo>>>,
-    sets: RwLock<FxHashMap<String, TriggerSetRow>>,
+    sets: RwLock<FxHashMap<String, SetEntry>>,
     connections: RwLock<FxHashMap<String, ConnectionRow>>,
     trigger_names: RwLock<FxHashMap<String, TriggerId>>,
-    /// Tagged-execution / windowed-threshold metadata per index entry.
-    pred_meta: RwLock<FxHashMap<ExprId, PredMeta>>,
-    /// Entries carrying metadata, per trigger (with the signature each
-    /// landed in) — the drop-trigger cleanup walk.
-    trigger_exprs: RwLock<FxHashMap<TriggerId, Vec<(ExprId, SignatureId)>>>,
-    /// Windowed-threshold state per windowed trigger.
+    /// Tagged or windowed entries per trigger, with the source and
+    /// signature each landed in — the drop-trigger cleanup walk. DDL only.
+    trigger_exprs: RwLock<FxHashMap<TriggerId, Vec<FlaggedEntry>>>,
+    /// Windowed-threshold state per windowed trigger. It outlives the
+    /// trigger's cache residency, so it hangs here rather than on the
+    /// compiled description; the drain reads it only for a match whose
+    /// entry is flagged [`EXPR_WINDOWED`].
     windows: RwLock<FxHashMap<TriggerId, Arc<WindowState>>>,
-    /// Signatures hosting at least one windowed trigger's entries
-    /// (refcounted): they never take the Figure-5 fan-out, whose partition
-    /// tasks run after the current drain position and would feed windows
-    /// out of token order.
-    window_sigs: RwLock<FxHashMap<SignatureId, usize>>,
-    /// Next tagged-execution tag.
-    next_tag: AtomicU64,
     /// Live tagged entries across the index (`Arc` so the registry can
-    /// read it as the `tman_tagged_entries` instrument): tokens arm a
-    /// claim set only while this is nonzero.
+    /// read it as the `tman_tagged_entries` instrument): a token split
+    /// across tasks is given a shared claim set only while this is nonzero.
     tagged_count: Arc<AtomicU64>,
     /// Matches suppressed because another entry already claimed the tag.
     tag_dedup_hits: Arc<Counter>,
@@ -318,11 +360,8 @@ impl TriggerMan {
             sets: RwLock::new(FxHashMap::default()),
             connections: RwLock::new(FxHashMap::default()),
             trigger_names: RwLock::new(FxHashMap::default()),
-            pred_meta: RwLock::new(FxHashMap::default()),
             trigger_exprs: RwLock::new(FxHashMap::default()),
             windows: RwLock::new(FxHashMap::default()),
-            window_sigs: RwLock::new(FxHashMap::default()),
-            next_tag: AtomicU64::new(1),
             tagged_count: Arc::new(AtomicU64::new(0)),
             tag_dedup_hits: Arc::new(Counter::default()),
             window_fires: Arc::new(Counter::default()),
@@ -486,7 +525,13 @@ impl TriggerMan {
             let mut sets = self.sets.write();
             for row in self.catalog.sets()? {
                 self.next_set.fetch_max(row.id.raw() + 1, Ordering::Relaxed);
-                sets.insert(row.name.to_lowercase(), row);
+                sets.insert(
+                    row.name.to_lowercase(),
+                    SetEntry {
+                        id: row.id,
+                        enabled: Arc::new(AtomicBool::new(row.enabled)),
+                    },
+                );
             }
         }
         // Data sources.
@@ -1016,7 +1061,7 @@ impl TriggerMan {
                 row.id
             )));
         };
-        let compiled = compile_trigger(
+        let mut compiled = compile_trigger(
             &stmt,
             row.id,
             row.set,
@@ -1024,44 +1069,43 @@ impl TriggerMan {
             self.config.network,
             &|name| self.source(name),
         )?;
-        compiled
-            .trigger
-            .enabled
-            .store(row.enabled, Ordering::Relaxed);
+        compiled.trigger.enabled = AtomicBool::new(row.enabled);
+        if let Some(set) = self.sets.read().values().find(|s| s.id == row.set) {
+            compiled.trigger.set_enabled = set.enabled.clone();
+        }
         Ok(compiled)
     }
 
     /// §5.1: register a compiled trigger's selection predicates in the
     /// predicate index and refresh the `expression_signature` catalog.
     ///
-    /// Two execution-metadata extensions ride on registration:
+    /// Two execution facts ride on registration, each as a flag bit of
+    /// the entry's [`ExprId`]:
     ///
     /// * **Indexed disjunctions (tagged execution).** When a variable's
     ///   signature has no index plan — an OR across selectable atoms
     ///   survives CNF only as a residual test — the concrete CNF is
     ///   decomposed into per-disjunct branches, each individually
-    ///   indexable, registered as separate entries sharing one *tag*. A
-    ///   token claims the tag at its first matching entry
-    ///   ([`Self::admit_match`]), so the trigger still fires at most once
-    ///   per token even when several disjuncts match. The governor
-    ///   accounts the multi-set membership automatically: each branch is
-    ///   an ordinary entry in whatever constant set it lands in.
+    ///   indexable, registered as separate entries flagged
+    ///   [`EXPR_TAGGED`]. A token claims their common tag at its first
+    ///   matching entry ([`Self::admit`]), so the trigger still fires at
+    ///   most once per token even when several disjuncts match. The
+    ///   governor accounts the multi-set membership automatically: each
+    ///   branch is an ordinary entry in whatever constant set it lands in.
     /// * **Windowed thresholds.** A `count >= K within W` trigger gets one
-    ///   shared [`WindowState`]; every entry's metadata references it, and
-    ///   the signatures its entries land in are excluded from Figure-5
-    ///   fan-out ([`Self::is_window_sig`]) to keep window advances in
-    ///   token order.
+    ///   shared [`WindowState`]; its entries are flagged
+    ///   [`EXPR_WINDOWED`], and the signatures they land in are marked in
+    ///   the source's match plan, which excludes them from Figure-5
+    ///   fan-out to keep window advances in token order.
     fn register_predicates(&self, compiled: &compile::Compiled) -> Result<()> {
         let tid = compiled.trigger.id;
-        let win = compiled
-            .trigger
-            .window
-            .as_ref()
-            .map(|w| Arc::new(WindowState::new(w.count, w.within_ns)));
-        if let Some(w) = &win {
-            self.windows.write().insert(tid, w.clone());
+        let mut window_flag = 0;
+        if let Some(w) = &compiled.trigger.window {
+            let state = Arc::new(WindowState::new(w.count, w.within_ns));
+            self.windows.write().insert(tid, state);
+            window_flag = EXPR_WINDOWED;
         }
-        let mut tracked: Vec<(ExprId, SignatureId)> = Vec::new();
+        let mut tracked = Vec::new();
         let mut tagged_added = 0u64;
         for reg in &compiled.predicates {
             let branches = if self.config.index.tagged_disjunctions
@@ -1071,78 +1115,51 @@ impl TriggerMan {
             } else {
                 None
             };
-            let node = NodeId(reg.var as u32);
-            match branches {
-                Some(branches) => {
-                    let tag = self.next_tag.fetch_add(1, Ordering::Relaxed);
-                    for branch in &branches {
-                        let (sig, consts) = analyze_selection(
-                            branch,
-                            reg.source.id,
-                            reg.sig.key.event.clone(),
-                            reg.sig.update_cols.clone(),
-                        );
-                        let expr_id = ExprId(self.next_expr.fetch_add(1, Ordering::Relaxed));
-                        let (rt, _is_new) = self.predindex.add_predicate(
-                            reg.source.id,
-                            &reg.source.schema,
-                            sig,
-                            consts,
-                            expr_id,
-                            tid,
-                            node,
-                        )?;
-                        self.catalog.upsert_signature(
-                            rt.id,
-                            reg.source.id,
-                            &rt.sig.key.desc,
-                            &rt.const_table_name(),
-                            rt.len(),
-                            rt.org_kind().as_str(),
-                        )?;
-                        self.pred_meta.write().insert(
-                            expr_id,
-                            PredMeta {
-                                tag: Some(tag),
-                                window: win.clone(),
-                            },
-                        );
-                        if win.is_some() {
-                            *self.window_sigs.write().entry(rt.id).or_insert(0) += 1;
-                        }
-                        tracked.push((expr_id, rt.id));
-                        tagged_added += 1;
-                    }
+            // One (signature, constants) per index entry: the predicate
+            // itself, or one per disjunct.
+            let (flags, entries) = match branches {
+                Some(branches) => (
+                    EXPR_TAGGED | window_flag,
+                    branches
+                        .iter()
+                        .map(|branch| {
+                            analyze_selection(
+                                branch,
+                                reg.source.id,
+                                reg.sig.key.event.clone(),
+                                reg.sig.update_cols.clone(),
+                            )
+                        })
+                        .collect(),
+                ),
+                None => (window_flag, vec![(reg.sig.clone(), reg.consts.clone())]),
+            };
+            for (sig, consts) in entries {
+                let expr_id = ExprId(self.next_expr.fetch_add(1, Ordering::Relaxed) | flags);
+                let (rt, _is_new) = self.predindex.add_predicate(
+                    reg.source.id,
+                    &reg.source.schema,
+                    sig,
+                    consts,
+                    expr_id,
+                    tid,
+                    NodeId(reg.var as u32),
+                )?;
+                self.catalog.upsert_signature(
+                    rt.id,
+                    reg.source.id,
+                    &rt.sig.key.desc,
+                    &rt.const_table_name(),
+                    rt.len(),
+                    rt.org_kind().as_str(),
+                )?;
+                if flags != 0 {
+                    tracked.push((expr_id, reg.source.id, rt.id));
+                    tagged_added += u64::from(flags & EXPR_TAGGED != 0);
                 }
-                None => {
-                    let expr_id = ExprId(self.next_expr.fetch_add(1, Ordering::Relaxed));
-                    let (rt, _is_new) = self.predindex.add_predicate(
-                        reg.source.id,
-                        &reg.source.schema,
-                        reg.sig.clone(),
-                        reg.consts.clone(),
-                        expr_id,
-                        tid,
-                        node,
-                    )?;
-                    self.catalog.upsert_signature(
-                        rt.id,
-                        reg.source.id,
-                        &rt.sig.key.desc,
-                        &rt.const_table_name(),
-                        rt.len(),
-                        rt.org_kind().as_str(),
-                    )?;
-                    if let Some(w) = &win {
-                        self.pred_meta.write().insert(
-                            expr_id,
-                            PredMeta {
-                                tag: None,
-                                window: Some(w.clone()),
-                            },
-                        );
-                        *self.window_sigs.write().entry(rt.id).or_insert(0) += 1;
-                        tracked.push((expr_id, rt.id));
+                if window_flag != 0 {
+                    if let Some(src) = self.predindex.source(reg.source.id) {
+                        src.add_windowed(rt.id, 1);
                     }
                 }
             }
@@ -1168,19 +1185,18 @@ impl TriggerMan {
         {
             return Err(TmanError::AlreadyExists(format!("trigger '{}'", stmt.name)));
         }
-        let set = match &stmt.set {
-            None => TriggerSetId(1),
-            Some(name) => self
-                .sets
-                .read()
-                .get(&name.to_lowercase())
-                .map(|s| s.id)
-                .ok_or_else(|| TmanError::NotFound(format!("trigger set '{name}'")))?,
-        };
+        let set_name = stmt.set.as_deref().unwrap_or("default");
+        let (set, set_enabled) = self
+            .sets
+            .read()
+            .get(&set_name.to_lowercase())
+            .map(|s| (s.id, s.enabled.clone()))
+            .ok_or_else(|| TmanError::NotFound(format!("trigger set '{set_name}'")))?;
         let id = TriggerId(self.next_trigger.fetch_add(1, Ordering::Relaxed));
-        let compiled = compile_trigger(stmt, id, set, text, self.config.network, &|name| {
+        let mut compiled = compile_trigger(stmt, id, set, text, self.config.network, &|name| {
             self.source(name)
         })?;
+        compiled.trigger.set_enabled = set_enabled;
         self.register_predicates(&compiled)?;
         let trigger = Arc::new(compiled.trigger);
         // "Prime" the trigger (§5.1) so stored memories see existing rows.
@@ -1188,7 +1204,7 @@ impl TriggerMan {
         self.catalog.insert_trigger(&TriggerRow {
             id,
             set,
-            name: trigger.name.clone(),
+            name: trigger.name.to_string(),
             text: text.to_string(),
             created: 0,
             enabled: true,
@@ -1211,21 +1227,12 @@ impl TriggerMan {
         self.cache.remove(id);
         // Tagged/windowed execution metadata.
         if let Some(exprs) = self.trigger_exprs.write().remove(&id) {
-            let mut meta = self.pred_meta.write();
-            let mut wsigs = self.window_sigs.write();
             let mut tagged_removed = 0u64;
-            for (eid, sig) in exprs {
-                if let Some(m) = meta.remove(&eid) {
-                    if m.tag.is_some() {
-                        tagged_removed += 1;
-                    }
-                    if m.window.is_some() {
-                        if let Some(n) = wsigs.get_mut(&sig) {
-                            *n -= 1;
-                            if *n == 0 {
-                                wsigs.remove(&sig);
-                            }
-                        }
+            for (eid, src, sig) in exprs {
+                tagged_removed += u64::from(eid.raw() & EXPR_TAGGED != 0);
+                if eid.raw() & EXPR_WINDOWED != 0 {
+                    if let Some(src) = self.predindex.source(src) {
+                        src.add_windowed(sig, -1);
                     }
                 }
             }
@@ -1246,13 +1253,13 @@ impl TriggerMan {
             return Err(TmanError::AlreadyExists(format!("trigger set '{name}'")));
         }
         let id = TriggerSetId(self.next_set.fetch_add(1, Ordering::Relaxed));
-        let row = TriggerSetRow {
+        self.catalog.insert_set(&TriggerSetRow {
             id,
             name: name.to_string(),
             enabled: true,
-        };
-        self.catalog.insert_set(&row)?;
-        sets.insert(name.to_lowercase(), row);
+        })?;
+        let enabled = Arc::new(AtomicBool::new(true));
+        sets.insert(name.to_lowercase(), SetEntry { id, enabled });
         Ok(CommandOutput::SetCreated(id))
     }
 
@@ -1263,11 +1270,11 @@ impl TriggerMan {
             ));
         }
         let mut sets = self.sets.write();
-        let row = sets
+        let set = sets
             .get(&name.to_lowercase())
-            .cloned()
+            .map(|s| s.id)
             .ok_or_else(|| TmanError::NotFound(format!("trigger set '{name}'")))?;
-        let in_use = self.catalog.triggers()?.iter().any(|t| t.set == row.id);
+        let in_use = self.catalog.triggers()?.iter().any(|t| t.set == set);
         if in_use {
             return Err(TmanError::Invalid(format!(
                 "trigger set '{name}' still contains triggers"
@@ -1292,22 +1299,13 @@ impl TriggerMan {
     }
 
     fn set_trigger_set_enabled(&self, name: &str, enabled: bool) -> Result<CommandOutput> {
-        let mut sets = self.sets.write();
-        let row = sets
-            .get_mut(&name.to_lowercase())
+        let sets = self.sets.read();
+        let set = sets
+            .get(&name.to_lowercase())
             .ok_or_else(|| TmanError::NotFound(format!("trigger set '{name}'")))?;
-        row.enabled = enabled;
         self.catalog.set_set_enabled(name, enabled)?;
+        set.enabled.store(enabled, Ordering::Relaxed);
         Ok(CommandOutput::EnabledChanged)
-    }
-
-    fn set_is_enabled(&self, id: TriggerSetId) -> bool {
-        self.sets
-            .read()
-            .values()
-            .find(|s| s.id == id)
-            .map(|s| s.enabled)
-            .unwrap_or(true)
     }
 
     /// Trigger names currently defined.
@@ -1348,7 +1346,7 @@ impl TriggerMan {
                 new: c.new,
                 trace: self.begin_trace(),
                 origin: None,
-                claims: TagClaims::none(), // armed at drain, not capture
+                claims: TagClaims::none(),
                 ingest_unix_ns: tman_telemetry::unix_now_ns(),
             };
             self.queue.enqueue(token)?;
@@ -1386,9 +1384,7 @@ impl TriggerMan {
         if !token.trace.is_active() {
             token.trace = self.begin_trace();
         }
-        if token.ingest_unix_ns == 0 {
-            token.ingest_unix_ns = tman_telemetry::unix_now_ns();
-        }
+        stamp_ingest(&mut token);
         self.queue.enqueue(token)
     }
 
@@ -1404,105 +1400,257 @@ impl TriggerMan {
             if !token.trace.is_active() {
                 token.trace = self.begin_trace();
             }
-            if token.ingest_unix_ns == 0 {
-                token.ingest_unix_ns = tman_telemetry::unix_now_ns();
-            }
+            stamp_ingest(token);
         }
         self.queue.enqueue_batch(&batch).map(|_| ())
     }
 
     // ----- token processing (§5.4) ------------------------------------------------
 
-    /// Stamp and arm a token for processing: an ingest timestamp when the
-    /// producer left it unset (windowed thresholds read it), and — only
-    /// while tagged entries exist, one relaxed load otherwise — a live
-    /// claim set for tag dedup. Idempotent; clones of an armed token (fan
-    /// out, async actions) share the claim set.
-    fn arm_token(&self, tok: &mut UpdateDescriptor) {
-        if tok.ingest_unix_ns == 0 {
-            tok.ingest_unix_ns = tman_telemetry::unix_now_ns();
-        }
-        if !tok.claims.is_active() && self.tagged_count.load(Ordering::Relaxed) > 0 {
-            tok.claims = TagClaims::fresh();
-        }
-    }
-
-    /// Process one token synchronously (tests and the driver path).
+    /// Process one token synchronously: the pipeline with a batch of one.
+    /// A failure is recorded like any drain's
+    /// ([`last_error`](Self::last_error)) and also returned.
     pub fn process_token(self: &Arc<Self>, token: &UpdateDescriptor) -> Result<()> {
-        if token.ingest_unix_ns == 0
-            || (!token.claims.is_active() && self.tagged_count.load(Ordering::Relaxed) > 0)
-        {
-            let mut tok = token.clone();
-            self.arm_token(&mut tok);
-            return self.process_token_on(0, &tok, None);
-        }
-        self.process_token_on(0, token, None)
+        let mut tok = token.clone();
+        stamp_ingest(&mut tok);
+        self.process_run(0, &[(tok, None)])
     }
 
-    /// Process one token as shard `home`'s work: fan-out and async-action
-    /// tasks it spawns route through [`ShardSet::push`], each carrying a
-    /// clone of `ack` so the originating persistent-queue row is
-    /// acknowledged only after every descendant task has run.
-    fn process_token_on(
-        self: &Arc<Self>,
-        home: usize,
-        token: &UpdateDescriptor,
-        ack: Option<&Arc<AckState>>,
-    ) -> Result<()> {
-        self.stats.tokens.bump();
-        // The engine drives the index root inline (signature walk + probes
-        // below) rather than through `PredicateIndex::match_token`, so the
-        // index's token counter must be fed here to keep
-        // `tman_index_tokens_total` meaning "tokens submitted to the root"
-        // on both paths.
-        self.predindex.stats().tokens.bump();
-        let mut process = token.trace.span(SpanKind::Process, ROOT_SPAN);
-        process.set_args(home as u64, 0);
-        // Updates first retract the old image from stored-memory networks
-        // (see DESIGN.md: the index is probed with the new image, so a
-        // synthetic delete probe routes the retraction).
-        if token.op == TokenOp::Update {
-            let _maint = token.trace.span(SpanKind::Maintenance, process.id());
-            self.maintenance_retract(token)?;
-        }
-        let Some(src) = self.predindex.source(token.data_src) else {
+    /// The one token-processing pipeline (§5.4, §6), as shard `home`'s
+    /// work. Every token reaches the engine's index through here — a
+    /// drained batch, a [`Task::Token`],
+    /// [`process_token`](Self::process_token), traced or not — as a run of
+    /// tokens of one data source.
+    ///
+    /// **Probe.** The source's published [`MatchPlan`] is loaded once; from
+    /// here on the run asks the catalog nothing. Signature by signature,
+    /// every token the signature's event code and update columns accept is
+    /// probed in one [`SignatureRuntime::probe_batch`] call — or, where the
+    /// signature takes the Figure-5 fan-out, noted as a split — into one
+    /// flat buffer of [`Step`]s, which a stable sort then puts in token
+    /// order (signature order, then entry order, within a token). Probes
+    /// are pure reads of the constant sets (DDL is the only writer), so all
+    /// of them may run before any network is touched.
+    ///
+    /// **Replay** ([`replay`](Self::replay)) then does everything that
+    /// mutates, in strict token order.
+    ///
+    /// Every failure is recorded as it happens; the first is also returned.
+    fn process_run(self: &Arc<Self>, home: usize, run: &[RunToken]) -> Result<()> {
+        let n = run.len() as u64;
+        self.stats.tokens.add(n);
+        // The engine drives the index root inline rather than through
+        // `PredicateIndex::match_token`, so the index's token counter is
+        // fed here to keep `tman_index_tokens_total` meaning "tokens
+        // submitted to the root".
+        let istats = self.predindex.stats();
+        istats.tokens.add(n);
+        let Some(src) = self.predindex.source(run[0].0.data_src) else {
             return Ok(());
         };
-        for sig in src.signatures() {
-            if !sig.sig.key.event.accepts(token.op) {
-                continue;
-            }
-            if !token.touches_columns(&sig.sig.update_cols) {
-                continue;
-            }
-            self.predindex.stats().signatures_probed.bump();
-            let parts = self.effective_partitions(&sig);
-            if parts > 1 && sig.len() >= self.config.partition_min && !self.is_window_sig(sig.id) {
-                // Condition-level concurrency (Figure 5): split this
-                // signature's constant/triggerID sets into tasks. The
-                // fan-out span parents every partition's probe span, so the
-                // tree reassembles across driver threads.
-                sig.partition_activity().record_fanout();
-                let mut fanout = token.trace.span(SpanKind::Fanout, process.id());
-                fanout.set_args(sig.id.raw() as u64, parts as u64);
-                for part in 0..parts {
-                    self.shards.push(
-                        home,
-                        Task::SigPartition {
-                            token: token.clone(),
-                            sig: sig.clone(),
-                            part,
-                            nparts: parts,
-                            parent_span: fanout.id(),
-                            ack: ack.cloned(),
-                        },
-                    );
+        let plan = src.plan();
+        // A traced token's `Process` span covers its stay in the run,
+        // probe phase through its own replay; its probe, pin and action
+        // spans below carry the time that is the token's alone.
+        let mut process: Vec<SpanGuard> = Vec::new();
+        if self.tracer.is_some() {
+            process.extend(run.iter().map(|(tok, _)| {
+                let mut span = tok.trace.span(SpanKind::Process, ROOT_SPAN);
+                span.set_args(home as u64, 0);
+                span
+            }));
+        }
+        let process_id = |idx: usize| process.get(idx).map_or(ROOT_SPAN, SpanGuard::id);
+        let mut first_err = None;
+        let mut steps: Vec<Step> = Vec::new();
+        let mut probes: Vec<Probe<'_>> = Vec::with_capacity(run.len());
+        for (s, psig) in plan.sigs.iter().enumerate() {
+            let sig = &psig.rt;
+            // Condition-level concurrency (Figure 5): split this
+            // signature's constant/triggerID sets into tasks.
+            let parts = self.effective_partitions(sig);
+            let fan = parts > 1 && !psig.windowed() && sig.len() >= self.config.partition_min;
+            probes.clear();
+            let mut accepted = 0u64;
+            for (idx, (tok, _)) in run.iter().enumerate() {
+                if !sig.sig.key.event.accepts(tok.op) || !tok.touches_columns(&sig.sig.update_cols)
+                {
+                    continue;
                 }
-            } else {
-                self.probe_signature(&sig, token, 0, 1, process.id(), home, ack)?;
+                accepted += 1;
+                if fan {
+                    let (sig, parts) = (s as u32, parts as u32);
+                    steps.push(Step {
+                        tok: idx as u32,
+                        kind: StepKind::Split { sig, parts },
+                    });
+                } else {
+                    probes.push(Probe {
+                        tag: idx,
+                        tuple: tok.probe_tuple(),
+                        trace: &tok.trace,
+                        parent_span: process_id(idx),
+                    });
+                }
+            }
+            istats.signatures_probed.add(accepted);
+            let probed = sig.probe_batch(&probes, 0, 1, istats, &mut |idx, e, span| {
+                steps.push(Step::matched(idx, e, span))
+            });
+            if let Err(e) = probed {
+                self.record_error(&e);
+                first_err.get_or_insert(e);
             }
         }
-        Ok(())
+        if run.len() > 1 {
+            steps.sort_by_key(|s| s.tok);
+        }
+        let replayed = self.replay(home, run, &plan, &mut process, &steps, true);
+        first_err.map_or(replayed, Err)
+    }
+
+    /// One [`Task::SigPartition`]: the pipeline for one token against
+    /// partition `part` of `nparts` of one signature — the same probe
+    /// routine, the same replay.
+    fn process_partition(
+        self: &Arc<Self>,
+        home: usize,
+        item: RunToken,
+        sig: &SignatureRuntime,
+        part: usize,
+        nparts: usize,
+        parent_span: u32,
+    ) -> Result<()> {
+        let token = &item.0;
+        let probe = Probe {
+            tag: 0,
+            tuple: token.probe_tuple(),
+            trace: &token.trace,
+            parent_span,
+        };
+        let mut steps = Vec::new();
+        let istats = self.predindex.stats();
+        let probed = sig.probe_batch(&[probe], part, nparts, istats, &mut |idx, e, span| {
+            steps.push(Step::matched(idx, e, span))
+        });
+        if let Err(e) = &probed {
+            self.record_error(e);
+        }
+        let run = std::slice::from_ref(&item);
+        let replayed = self.replay(home, run, &MatchPlan::default(), &mut [], &steps, false);
+        probed.and(replayed)
+    }
+
+    /// Replay `steps` (sorted by token) over `run` in **strict token
+    /// order**. The order within a token is an invariant every oracle
+    /// holds the engine to, whatever the batch size, shard count or
+    /// fan-out:
+    ///
+    /// 1. an update token first retracts its old image from stored-memory
+    ///    networks (whole tokens only — a partition's token already has);
+    /// 2. then its steps run in signature order, entry order within a
+    ///    signature;
+    /// 3. a match claims its tag *before* its window is observed, so a
+    ///    multi-disjunct windowed trigger counts a matching token once;
+    /// 4. it is admitted (tag, window) *before* the trigger is pinned, so
+    ///    a duplicate or under-threshold match never touches the cache;
+    /// 5. every task a step spawns (partition, async action) carries a
+    ///    clone of the token's [`AckState`], so the persistent-queue row is
+    ///    acknowledged only after every descendant task has run.
+    ///
+    /// Tag claims live in a set on this stack, cleared per token. Only a
+    /// token that a split sends to other tasks gets the shared
+    /// [`TagClaims`] form, seeded with what it had claimed here.
+    fn replay(
+        self: &Arc<Self>,
+        home: usize,
+        run: &[RunToken],
+        plan: &MatchPlan,
+        process: &mut [SpanGuard],
+        steps: &[Step],
+        whole: bool,
+    ) -> Result<()> {
+        let mut first_err = None;
+        let mut claimed: FxHashSet<u64> = FxHashSet::default();
+        let mut at = 0;
+        for (idx, (tok, ack)) in run.iter().enumerate() {
+            let mine = steps[at..]
+                .iter()
+                .take_while(|s| s.tok as usize == idx)
+                .count();
+            let mine = &steps[at..at + mine];
+            at += mine.len();
+            let process_id = process.get(idx).map_or(ROOT_SPAN, SpanGuard::id);
+            if !claimed.is_empty() {
+                claimed.clear();
+            }
+            // Armed already when this token is itself one part of a split.
+            let mut shared = tok.claims.clone();
+            let result = (|| -> Result<()> {
+                if whole && tok.op == TokenOp::Update {
+                    let _maint = tok.trace.span(SpanKind::Maintenance, process_id);
+                    self.retract_old_image(tok, plan)?;
+                }
+                for step in mine {
+                    match step.kind {
+                        StepKind::Split { sig, parts } => {
+                            let sig = &plan.sigs[sig as usize].rt;
+                            sig.partition_activity().record_fanout();
+                            // The fan-out span parents every partition's
+                            // probe span, so the tree reassembles across
+                            // driver threads.
+                            let mut fanout = tok.trace.span(SpanKind::Fanout, process_id);
+                            fanout.set_args(sig.id.raw() as u64, u64::from(parts));
+                            if !shared.is_active() && self.tagged_count.load(Ordering::Relaxed) > 0
+                            {
+                                shared = TagClaims::shared_from(claimed.drain());
+                            }
+                            let mut token = tok.clone();
+                            token.claims = shared.clone();
+                            for part in 0..parts as usize {
+                                self.shards.push(
+                                    home,
+                                    Task::SigPartition {
+                                        token: token.clone(),
+                                        sig: sig.clone(),
+                                        part,
+                                        nparts: parts as usize,
+                                        parent_span: fanout.id(),
+                                        ack: ack.clone(),
+                                    },
+                                );
+                            }
+                        }
+                        StepKind::Match {
+                            expr,
+                            trigger,
+                            node,
+                            span,
+                        } => {
+                            let admitted = self.admit(expr, trigger, node, tok, &mut |tag| {
+                                if shared.is_active() {
+                                    shared.claim(tag)
+                                } else {
+                                    claimed.insert(tag)
+                                }
+                            });
+                            if admitted {
+                                self.handle_match(trigger, node, tok, span, home, ack.as_ref())?;
+                            }
+                        }
+                    }
+                }
+                Ok(())
+            })();
+            if let Err(e) = result {
+                self.record_error(&e);
+                first_err.get_or_insert(e);
+            }
+            if let Some(span) = process.get_mut(idx) {
+                *span = SpanGuard::inert(); // closes the token's Process span
+            }
+        }
+        first_err.map_or(Ok(()), Err)
     }
 
     /// Figure-5 fan-out width for one signature probe: the static config
@@ -1510,79 +1658,45 @@ impl TriggerMan {
     /// published per-signature decision under [`Partitioning::Adaptive`]
     /// (read even when no controller instance runs, so tests can force a
     /// fan-out through [`tman_predindex::PartitionActivity::set_fanout`]).
-    fn effective_partitions(&self, sig: &Arc<SignatureRuntime>) -> usize {
+    fn effective_partitions(&self, sig: &SignatureRuntime) -> usize {
         match self.config.partitioning {
             Partitioning::Static => self.config.condition_partitions,
             Partitioning::Adaptive => sig.partition_activity().fanout(),
         }
     }
 
-    fn probe_signature(
-        self: &Arc<Self>,
-        sig: &Arc<SignatureRuntime>,
-        token: &UpdateDescriptor,
-        part: usize,
-        nparts: usize,
-        parent_span: u32,
-        home: usize,
-        ack: Option<&Arc<AckState>>,
-    ) -> Result<()> {
-        let mut probe = token.trace.span(SpanKind::SigProbe, parent_span);
-        probe.set_args(
-            sig.id.raw() as u64,
-            ((part as u64) << 32) | (nparts as u64 & 0xffff_ffff),
-        );
-        let tuple = token.probe_tuple();
-        let mut matches = Vec::new();
-        sig.probe_partition_traced(
-            tuple,
-            part,
-            nparts,
-            self.predindex.stats(),
-            Some(&probe),
-            &mut |e| matches.push((e.expr_id, e.trigger_id, e.next_node)),
-        )?;
-        // Close the probe span here: downstream pin/action spans are its
-        // children by id, but their time is not probe time.
-        let probe_id = probe.id();
-        drop(probe);
-        for (eid, tid, node) in matches {
-            if !self.admit_match(eid, token) {
-                continue;
-            }
-            self.handle_match(tid, node, token, probe_id, home, ack)?;
-        }
-        Ok(())
-    }
-
-    /// Is this signature excluded from Figure-5 fan-out because a
-    /// windowed trigger's entries live in it?
-    fn is_window_sig(&self, id: SignatureId) -> bool {
-        self.window_sigs.read().contains_key(&id)
-    }
-
     /// The tagged-execution / windowed-threshold gate for one index match,
-    /// applied before the trigger pin on every probe path (per-token,
-    /// partitioned fan-out, batched sort-merge replay, and maintenance
-    /// retraction). A single read-locked map probe for entries with no
-    /// metadata.
+    /// applied before the trigger pin: one branch for an entry flagged
+    /// neither ([`EXPR_TAGGED`], [`EXPR_WINDOWED`]). `claim` records a tag
+    /// against the token, true the first time only.
     ///
     /// Order matters: the tag is claimed *first*, so a multi-disjunct
     /// windowed trigger observes its window exactly once per matching
     /// token; duplicate disjunct matches are suppressed before they can
     /// double-count.
-    fn admit_match(&self, expr: ExprId, token: &UpdateDescriptor) -> bool {
-        let meta = self.pred_meta.read();
-        let Some(m) = meta.get(&expr) else {
+    fn admit(
+        &self,
+        expr: ExprId,
+        trigger: TriggerId,
+        node: NodeId,
+        token: &UpdateDescriptor,
+        claim: &mut dyn FnMut(u64) -> bool,
+    ) -> bool {
+        let flags = expr.raw() & (EXPR_TAGGED | EXPR_WINDOWED);
+        if flags == 0 {
             return true;
-        };
-        if let Some(tag) = m.tag {
-            if !token.claims.claim(tag) {
-                self.tag_dedup_hits.bump();
-                return false;
-            }
         }
-        if let Some(w) = &m.window {
+        if flags & EXPR_TAGGED != 0 && !claim(tag_of(trigger, node)) {
+            self.tag_dedup_hits.bump();
+            return false;
+        }
+        if flags & EXPR_WINDOWED != 0 {
+            // No window: a concurrent `drop trigger` retired it, and the
+            // pin would find the trigger gone as well.
+            let windows = self.windows.read();
+            let Some(w) = windows.get(&trigger) else {
+                return false;
+            };
             if !w.observe(token.ingest_unix_ns) {
                 return false;
             }
@@ -1620,6 +1734,9 @@ impl TriggerMan {
         Ok(pinned)
     }
 
+    /// §5.4 for one admitted match: pin the trigger in the trigger cache,
+    /// pass the token to the network node the matched expression names,
+    /// and run (or enqueue) the action of every firing.
     fn handle_match(
         self: &Arc<Self>,
         tid: TriggerId,
@@ -1629,32 +1746,17 @@ impl TriggerMan {
         home: usize,
         ack: Option<&Arc<AckState>>,
     ) -> Result<()> {
-        // §5.4: pin the trigger in the trigger cache, then pass the token
-        // to the network node the matched expression names. A concurrent
-        // `drop trigger` can win the race between the index probe (which
-        // saw the entry) and this pin — the trigger is gone from the
-        // catalog by design, not broken, so skip instead of erroring.
+        // A concurrent `drop trigger` can win the race between the index
+        // probe (which saw the entry) and this pin — the trigger is gone
+        // from the catalog by design, not broken, so skip instead of
+        // erroring.
         let trigger = match self.pin_traced(tid, &token.trace, parent_span) {
             Ok(t) => t,
             Err(TmanError::NotFound(_)) => return Ok(()),
             Err(e) => return Err(e),
         };
-        self.handle_match_pinned(&trigger, node, token, parent_span, home, ack)
-    }
-
-    /// The post-pin half of [`handle_match`]; the batched drain path calls
-    /// it directly with a memoized pin (one cache pin per trigger per
-    /// batch instead of one per match).
-    fn handle_match_pinned(
-        self: &Arc<Self>,
-        trigger: &PinnedTrigger,
-        node: NodeId,
-        token: &UpdateDescriptor,
-        parent_span: u32,
-        home: usize,
-        ack: Option<&Arc<AckState>>,
-    ) -> Result<()> {
-        if !trigger.enabled.load(Ordering::Relaxed) || !self.set_is_enabled(trigger.set) {
+        if !trigger.enabled.load(Ordering::Relaxed) || !trigger.set_enabled.load(Ordering::Relaxed)
+        {
             return Ok(());
         }
         let var = node.raw() as usize;
@@ -1664,29 +1766,11 @@ impl TriggerMan {
             }
             TokenOp::Delete => (Polarity::Minus, token.old.as_ref().expect("old image")),
         };
-        let mut firings = Vec::new();
-        if trigger.vars.len() == 1 {
-            // Single-variable triggers never scan base data: skip the
-            // alpha-source snapshot (a per-match allocation on a hot path).
-            trigger
-                .network
-                .activate(var, polarity, tuple, &NULL_ALPHA, &mut |f| firings.push(f))?;
-        } else {
-            let alpha = self.alpha_source();
-            trigger
-                .network
-                .activate(var, polarity, tuple, &alpha, &mut |f| firings.push(f))?;
-        }
         let run = trigger.runs_action(var, token);
-        let action_polarity = if token.op == TokenOp::Delete {
-            Polarity::Minus
-        } else {
-            Polarity::Plus
-        };
-        for f in firings {
+        let fire = |bindings: &[Tuple]| -> Result<()> {
             self.stats.firings.bump();
-            if !run || f.polarity != action_polarity {
-                continue;
+            if !run {
+                return Ok(());
             }
             if self.config.async_actions {
                 // Rule-action concurrency (§6 task type 2).
@@ -1694,59 +1778,79 @@ impl TriggerMan {
                     home,
                     Task::Action {
                         trigger: trigger.id,
-                        bindings: f.bindings,
+                        bindings: bindings.to_vec(),
                         token: token.clone(),
                         parent_span,
                         ack: ack.cloned(),
                     },
                 );
+                return Ok(());
+            }
+            self.stats.actions.bump();
+            action::run_action(self, &trigger, bindings, token, parent_span)
+        };
+        if trigger.vars.len() == 1 {
+            // Straight to the P-node: no base-data scan, and the token's
+            // own tuple is the binding — no firing record to build.
+            if trigger.network.single_var_fires(tuple)? {
+                fire(std::slice::from_ref(tuple))?;
+            }
+            return Ok(());
+        }
+        let alpha = self.alpha_source();
+        let mut firings = Vec::new();
+        trigger
+            .network
+            .activate(var, polarity, tuple, &alpha, &mut |f| firings.push(f))?;
+        for f in firings {
+            // A firing of the other polarity is memory maintenance.
+            if f.polarity == polarity {
+                fire(&f.bindings)?;
             } else {
-                self.stats.actions.bump();
-                action::run_action(self, trigger, &f.bindings, token, parent_span)?;
+                self.stats.firings.bump();
             }
         }
         Ok(())
     }
 
     /// Retract the old image of an update token from triggers with
-    /// stored-memory networks (registered under the `any` opcode).
-    fn maintenance_retract(self: &Arc<Self>, token: &UpdateDescriptor) -> Result<()> {
-        let old = token.old.clone().expect("update token has old image");
-        let mut synth = UpdateDescriptor::delete(token.data_src, old.clone());
-        // The synthetic probe gets its own claim set: a multi-variable
-        // trigger whose selection was decomposed into tagged disjuncts
-        // must retract the old image exactly once, not once per matching
-        // branch entry.
-        self.arm_token(&mut synth);
-        let Some(src) = self.predindex.source(token.data_src) else {
-            return Ok(());
-        };
-        for sig in src.signatures() {
-            if sig.sig.key.event != EventKind::Any {
+    /// stored-memory networks (registered under the `any` opcode): a
+    /// synthetic delete probe of the plan's `any` signatures with its own
+    /// claim set — a multi-variable trigger whose selection was decomposed
+    /// into tagged disjuncts must retract the old image exactly once, not
+    /// once per matching branch entry.
+    fn retract_old_image(
+        self: &Arc<Self>,
+        token: &UpdateDescriptor,
+        plan: &MatchPlan,
+    ) -> Result<()> {
+        let old = token.old.as_ref().expect("update token has old image");
+        let mut matches = Vec::new();
+        for sig in plan.sigs.iter().map(|s| &s.rt) {
+            if sig.sig.key.event == EventKind::Any {
+                sig.probe(old, self.predindex.stats(), &mut |e| {
+                    matches.push((e.expr_id, e.trigger_id, e.next_node))
+                })?;
+            }
+        }
+        let mut claimed: FxHashSet<u64> = FxHashSet::default();
+        for (eid, tid, node) in matches {
+            if !self.admit(eid, tid, node, token, &mut |tag| claimed.insert(tag)) {
                 continue;
             }
-            let mut matches = Vec::new();
-            sig.probe(synth.probe_tuple(), self.predindex.stats(), &mut |e| {
-                matches.push((e.expr_id, e.trigger_id, e.next_node))
-            })?;
-            for (eid, tid, node) in matches {
-                if !self.admit_match(eid, &synth) {
-                    continue;
-                }
-                let trigger = self.pin(tid)?;
-                if trigger.vars.len() <= 1 {
-                    continue;
-                }
-                let alpha = self.alpha_source();
-                // Maintenance only: retraction firings do not run actions.
-                trigger.network.activate(
-                    node.raw() as usize,
-                    Polarity::Minus,
-                    &old,
-                    &alpha,
-                    &mut |_| {},
-                )?;
+            let trigger = self.pin(tid)?;
+            if trigger.vars.len() <= 1 {
+                continue;
             }
+            let alpha = self.alpha_source();
+            // Maintenance only: retraction firings do not run actions.
+            trigger.network.activate(
+                node.raw() as usize,
+                Polarity::Minus,
+                old,
+                &alpha,
+                &mut |_| {},
+            )?;
         }
         Ok(())
     }
@@ -1758,11 +1862,13 @@ impl TriggerMan {
         // the end of its match arm — after the work ran (or failed), never
         // before — so the originating token's ack fires only once every
         // task spawned for it has completed.
+        // The pipeline records its own failures.
         let result = match task {
             Task::Token(mut tok) => {
                 self.telemetry.tasks_executed[metrics::TASK_TOKEN].bump();
-                self.arm_token(&mut tok);
-                self.process_token_on(home, &tok, None)
+                stamp_ingest(&mut tok);
+                let _ = self.process_run(home, &[(tok, None)]);
+                Ok(())
             }
             Task::SigPartition {
                 token,
@@ -1770,10 +1876,11 @@ impl TriggerMan {
                 part,
                 nparts,
                 parent_span,
-                ref ack,
+                ack,
             } => {
                 self.telemetry.tasks_executed[metrics::TASK_SIG_PARTITION].bump();
-                self.probe_signature(&sig, &token, part, nparts, parent_span, home, ack.as_ref())
+                let _ = self.process_partition(home, (token, ack), &sig, part, nparts, parent_span);
+                Ok(())
             }
             Task::Action {
                 trigger,
@@ -1810,9 +1917,9 @@ impl TriggerMan {
     /// `TmanTest()` as shard `shard`'s driver: drain that shard's task
     /// queue first (stealing from the other shards when it runs dry), then
     /// pull tokens from the update queue [`Config::drain_batch`] at a time.
-    /// A batch is processed with the root lookup, trigger-cache pins, and
-    /// the persistent queue's ack/watermark barrier amortized across it
-    /// (see [`drain_batch_on`](Self::drain_batch_on)).
+    /// A batch is processed with the match-plan load, the constant-set lock
+    /// holds and the persistent queue's ack/watermark barrier amortized
+    /// across it (see [`drain_batch_on`](Self::drain_batch_on)).
     pub fn tman_test_on(
         self: &Arc<Self>,
         shard: usize,
@@ -1883,14 +1990,11 @@ impl TriggerMan {
 
     /// Process one dequeued batch as shard `home`'s work. Stamps each
     /// token's durable origin and trace lineage, ties an [`AckState`] to
-    /// each tracked sequence number, then splits the batch into contiguous
-    /// same-data-source runs (global token order preserved): runs longer
-    /// than one token with no live trace take the batched probe path
-    /// ([`process_batch_run`](Self::process_batch_run)); everything else
-    /// falls back to the per-token path, which keeps span trees intact.
+    /// each tracked sequence number, then hands the batch to the pipeline
+    /// ([`process_run`](Self::process_run)) in contiguous same-data-source
+    /// runs, global token order preserved.
     fn drain_batch_on(self: &Arc<Self>, home: usize, batch: Vec<queue::QueueItem>) {
-        let mut items: Vec<(UpdateDescriptor, Option<Arc<AckState>>)> =
-            Vec::with_capacity(batch.len());
+        let mut items: Vec<RunToken> = Vec::with_capacity(batch.len());
         for item in batch {
             let mut tok = item.token;
             // Stamp the durable origin so notifications raised by this
@@ -1915,155 +2019,19 @@ impl TriggerMan {
                 // still covers everything from here on.
                 tok.trace = self.begin_trace();
             }
-            // Arm tag-dedup claims here, at drain: the claim set is
-            // execution metadata the persistent queue never serializes, so
-            // capture-time arming would be lost on a round trip.
-            self.arm_token(&mut tok);
+            stamp_ingest(&mut tok);
             let ack = item
                 .seq
                 .map(|seq| AckState::new(seq, self.pending_acks.clone()));
             items.push((tok, ack));
         }
-        let mut i = 0;
-        while i < items.len() {
-            let mut j = i + 1;
-            while j < items.len() && items[j].0.data_src == items[i].0.data_src {
-                j += 1;
-            }
-            let run = &items[i..j];
-            if run.len() == 1 || run.iter().any(|(t, _)| t.trace.is_active()) {
-                for (tok, ack) in run {
-                    self.telemetry.tasks_executed[metrics::TASK_TOKEN].bump();
-                    if let Err(e) = self.process_token_on(home, tok, ack.as_ref()) {
-                        self.record_error(&e);
-                    }
-                }
-            } else {
-                self.process_batch_run(home, run);
-            }
-            i = j;
+        self.telemetry.tasks_executed[metrics::TASK_TOKEN].add(items.len() as u64);
+        for run in items.chunk_by(|a, b| a.0.data_src == b.0.data_src) {
+            let _ = self.process_run(home, run); // failures are recorded there
         }
         // `items` drops here: AckState clones not captured by spawned
         // tasks release, queuing their sequence numbers for the caller's
         // `flush_acks`.
-    }
-
-    /// The batched probe path for one same-data-source run of untraced
-    /// tokens. Probes are pure reads of the constant sets (DDL is the only
-    /// writer), so all `(token, signature)` probes of the run execute
-    /// first — signature-major, through [`SignatureRuntime::probe_batch`],
-    /// which sort-merges the batch into each equality organization — and
-    /// buffer their matches. Network mutations then **replay in strict
-    /// token order**: for each token, the update retraction (if any)
-    /// followed by its buffered matches in signature/entry order — exactly
-    /// the order the per-token path produces. Trigger-cache pins are
-    /// memoized across the run.
-    fn process_batch_run(
-        self: &Arc<Self>,
-        home: usize,
-        run: &[(UpdateDescriptor, Option<Arc<AckState>>)],
-    ) {
-        /// One deferred per-token step, in signature order.
-        enum RunStep {
-            /// A buffered probe match to hand to the network (gated
-            /// through [`TriggerMan::admit_match`] at replay time, so tag
-            /// claims and window advances happen in token order).
-            Match(ExprId, TriggerId, NodeId),
-            /// A Figure-5 fan-out to push (sig, nparts).
-            Fanout(Arc<SignatureRuntime>, usize),
-        }
-        let istats = self.predindex.stats();
-        self.stats.tokens.add(run.len() as u64);
-        istats.tokens.add(run.len() as u64);
-        let mut steps: Vec<Vec<RunStep>> = (0..run.len()).map(|_| Vec::new()).collect();
-        if let Some(src) = self.predindex.source(run[0].0.data_src) {
-            for sig in src.signatures() {
-                let parts = self.effective_partitions(&sig);
-                let fan = parts > 1
-                    && sig.len() >= self.config.partition_min
-                    && !self.is_window_sig(sig.id);
-                let mut probes: Vec<(usize, &Tuple)> = Vec::new();
-                for (idx, (tok, _)) in run.iter().enumerate() {
-                    if !sig.sig.key.event.accepts(tok.op) {
-                        continue;
-                    }
-                    if !tok.touches_columns(&sig.sig.update_cols) {
-                        continue;
-                    }
-                    istats.signatures_probed.bump();
-                    if fan {
-                        steps[idx].push(RunStep::Fanout(sig.clone(), parts));
-                    } else {
-                        probes.push((idx, tok.probe_tuple()));
-                    }
-                }
-                if !probes.is_empty() {
-                    if let Err(e) = sig.probe_batch(&probes, istats, &mut |idx, e| {
-                        steps[idx].push(RunStep::Match(e.expr_id, e.trigger_id, e.next_node))
-                    }) {
-                        self.record_error(&e);
-                    }
-                }
-            }
-        }
-        // Token-order replay. One pin per trigger per run (`None` memoizes
-        // "dropped concurrently" so later matches skip the catalog miss).
-        let mut pins: FxHashMap<TriggerId, Option<PinnedTrigger>> = FxHashMap::default();
-        for (idx, (tok, ack)) in run.iter().enumerate() {
-            self.telemetry.tasks_executed[metrics::TASK_TOKEN].bump();
-            let result = (|| -> Result<()> {
-                if tok.op == TokenOp::Update {
-                    self.maintenance_retract(tok)?;
-                }
-                for step in &steps[idx] {
-                    match step {
-                        RunStep::Fanout(sig, parts) => {
-                            sig.partition_activity().record_fanout();
-                            for part in 0..*parts {
-                                self.shards.push(
-                                    home,
-                                    Task::SigPartition {
-                                        token: tok.clone(),
-                                        sig: sig.clone(),
-                                        part,
-                                        nparts: *parts,
-                                        parent_span: ROOT_SPAN,
-                                        ack: ack.clone(),
-                                    },
-                                );
-                            }
-                        }
-                        RunStep::Match(eid, tid, node) => {
-                            if !self.admit_match(*eid, tok) {
-                                continue;
-                            }
-                            if !pins.contains_key(tid) {
-                                let pin = match self.pin(*tid) {
-                                    Ok(p) => Some(p),
-                                    Err(TmanError::NotFound(_)) => None,
-                                    Err(e) => return Err(e),
-                                };
-                                pins.insert(*tid, pin);
-                            }
-                            if let Some(Some(trigger)) = pins.get(tid) {
-                                self.handle_match_pinned(
-                                    trigger,
-                                    *node,
-                                    tok,
-                                    ROOT_SPAN,
-                                    home,
-                                    ack.as_ref(),
-                                )?;
-                            }
-                        }
-                    }
-                }
-                Ok(())
-            })();
-            if let Err(e) = result {
-                self.record_error(&e);
-            }
-        }
     }
 
     /// Fold every completed ack (sequence numbers whose last [`AckState`]

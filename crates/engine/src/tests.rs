@@ -104,7 +104,7 @@ fn paper_example_iris_house_alert() {
     assert!(tman.last_error().is_none(), "{:?}", tman.last_error());
 
     let n = rx.try_recv().unwrap();
-    assert_eq!(n.trigger, "IrisHouseAlert");
+    assert_eq!(&*n.trigger, "IrisHouseAlert");
     assert_eq!(n.values, vec![Value::Int(100), Value::str("12 Oak St")]);
     assert!(rx.try_recv().is_err(), "Bob's house must not fire");
 
@@ -1018,6 +1018,100 @@ fn trace_tree_covers_partitioned_async_fanout() {
     let json = tman.render_chrome_trace();
     let n = tman_telemetry::trace::validate_chrome_trace(&json).unwrap();
     assert_eq!(n, tree.events.len());
+}
+
+/// Tracing does not change which code runs: a sampled token inside a
+/// 64-token drained run gets its span tree from the one pipeline —
+/// `process → sig_probe → {cache_pin, action → notify}` — and the index
+/// counts exactly the probes and matches it counts for the same run with
+/// tracing off.
+#[test]
+fn traced_token_in_a_batched_run_stays_on_the_pipeline() {
+    let run = |tracing: TracingMode| {
+        let tman = TriggerMan::open_memory(Config {
+            tracing,
+            drain_batch: 64,
+            // Retention by sampling alone: no token counts as slow.
+            slow_token_threshold: Duration::from_secs(3600),
+            ..Default::default()
+        })
+        .unwrap();
+        tman.execute_command("define data source q (sym varchar(12), price float, vol int)")
+            .unwrap();
+        for i in 0..8 {
+            tman.execute_command(&format!(
+                "create trigger p{i} from q when q.sym = 'S{i}' and q.price > 10 \
+                 do raise event Hit(q.sym)"
+            ))
+            .unwrap();
+        }
+        tman.execute_command("create trigger v from q when q.vol = 1000 do raise event Vol(q.vol)")
+            .unwrap();
+        let src = tman.source("q").unwrap().id;
+        let rx = tman.subscribe("Hit");
+        let batch: Vec<UpdateDescriptor> = (0..64)
+            .map(|i| {
+                let row = vec![
+                    Value::str(format!("S{}", i % 16)),
+                    Value::Float(50.0),
+                    Value::Int(i),
+                ];
+                UpdateDescriptor::insert(src, Tuple::new(row))
+            })
+            .collect();
+        // One dequeue takes all 64 (`drain_batch`): one run of the pipeline.
+        tman.push_tokens(batch).unwrap();
+        tman.run_until_quiescent().unwrap();
+        assert!(tman.last_error().is_none(), "{:?}", tman.last_error());
+        assert_eq!(rx.try_iter().count(), 32, "S0..S7 of 16 syms, four each");
+        tman
+    };
+    let counted = |tman: &TriggerMan| {
+        let stats = tman.predicate_index().stats();
+        (stats.probes.get(), stats.matches.get())
+    };
+    let tman = run(TracingMode::Sampled(64));
+    assert_eq!(counted(&tman), counted(&run(TracingMode::Off)));
+    assert_eq!(counted(&tman), (2 * 64, 32), "two signatures a token");
+
+    let snap = tman.trace_snapshot();
+    assert_eq!(snap.stats.started, 64, "every token of the run is traced");
+    assert_eq!(snap.traces.len(), 1, "one of 64 is sampled in");
+    let tree = &snap.traces[0];
+    let of =
+        |k: SpanKind| -> Vec<&TraceEvent> { tree.events.iter().filter(|e| e.kind == k).collect() };
+    let one = |k: SpanKind| -> &TraceEvent {
+        let spans = of(k);
+        assert_eq!(spans.len(), 1, "{k:?} in\n{}", tree.render());
+        spans[0]
+    };
+    let process = one(SpanKind::Process);
+    assert_eq!(process.parent_id, tman_telemetry::trace::ROOT_SPAN);
+    let probes = of(SpanKind::SigProbe);
+    assert_eq!(
+        probes.len(),
+        2,
+        "one probe per signature:\n{}",
+        tree.render()
+    );
+    assert!(probes.iter().all(|p| p.parent_id == process.span_id));
+    // The sampled token is the run's first: `S0`, price 50 — one match.
+    let (pin, action, notify) = (
+        one(SpanKind::CachePin),
+        one(SpanKind::Action),
+        one(SpanKind::Notify),
+    );
+    assert_eq!(
+        pin.parent_id, action.parent_id,
+        "pin and action under one probe"
+    );
+    assert!(probes.iter().any(|p| p.span_id == pin.parent_id));
+    assert_eq!(notify.parent_id, action.span_id);
+    assert_eq!(
+        of(SpanKind::RestTest).len(),
+        1,
+        "`price > 10` is a residual test"
+    );
 }
 
 #[test]

@@ -596,6 +596,17 @@ impl Network {
         Ok(true)
     }
 
+    /// Does a token reach the P-node of this *single-variable* network?
+    /// Such a network has no memories and no joins: a token that passed
+    /// the variable's selection predicate fires iff the catch-all
+    /// conjuncts hold, with its own tuple as the only binding — so a caller
+    /// can fire from the tuple it holds instead of receiving a [`Firing`]
+    /// that clones it.
+    pub fn single_var_fires(&self, tuple: &Tuple) -> Result<bool> {
+        debug_assert_eq!(self.graph.num_vars, 1);
+        self.catch_all_ok(&[Some(tuple)])
+    }
+
     /// Feed a token for variable `var` through the network. The token must
     /// already satisfy `var`'s selection predicate (the predicate index
     /// guarantees this in the engine; [`Network::selection_matches`] is
@@ -615,8 +626,7 @@ impl Network {
         }
         // Single-variable triggers: straight to the P-node.
         if self.graph.num_vars == 1 {
-            let binds = [Some(tuple)];
-            if self.catch_all_ok(&binds)? {
+            if self.single_var_fires(tuple)? {
                 fire(Firing {
                     polarity,
                     bindings: vec![tuple.clone()],

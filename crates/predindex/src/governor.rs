@@ -69,16 +69,16 @@ impl SigActivity {
         SigActivity::default()
     }
 
-    /// Hot path: one constant-set probe happened.
+    /// Hot path: `n` constant-set probes happened (one add per batch).
     #[inline]
-    pub fn record_probe(&self) {
-        self.probes.fetch_add(1, Ordering::Relaxed);
+    pub fn record_probes(&self, n: u64) {
+        self.probes.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Hot path: one full match was produced.
+    /// Hot path: `n` full matches were produced.
     #[inline]
-    pub fn record_match(&self) {
-        self.matches.fetch_add(1, Ordering::Relaxed);
+    pub fn record_matches(&self, n: u64) {
+        self.matches.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Cumulative probes.
@@ -584,9 +584,7 @@ mod tests {
     #[test]
     fn activity_rates_decay() {
         let a = SigActivity::new();
-        for _ in 0..100 {
-            a.record_probe();
-        }
+        a.record_probes(100);
         let (p1, _) = a.tick(0.5);
         assert!((p1 - 50.0).abs() < 1e-9, "0.5 * 100 = {p1}");
         // No new probes: rate halves again.

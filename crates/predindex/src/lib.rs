@@ -40,7 +40,7 @@ pub use org::{Entry, Org, OrgKind, ProbeValues};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use tman_common::fxhash::FxHashMap;
+use tman_common::fxhash::{hash_one, FxHashMap};
 use tman_common::stats::IndexStats;
 use tman_common::{
     DataSourceId, ExprId, NodeId, Result, Schema, SignatureId, TriggerId, Tuple, UpdateDescriptor,
@@ -49,7 +49,8 @@ use tman_common::{
 use tman_expr::scalar::Env;
 use tman_expr::{IndexPlan, SelectionSignature};
 use tman_sql::Database;
-use tman_telemetry::{CounterHandle, HistogramHandle, Registry};
+use tman_telemetry::trace::{now_ns, ROOT_SPAN};
+use tman_telemetry::{CounterHandle, HistogramHandle, Registry, SpanKind, TraceHandle};
 
 /// Per-organization probe/match counters (`tman_index_probes_total{org=..}`
 /// / `tman_index_matches_total{org=..}`): one pre-resolved handle pair per
@@ -107,13 +108,13 @@ impl OrgCounters {
     }
 
     #[inline]
-    fn probe(&self, kind: OrgKind) {
-        self.probes[org_slot(kind)].bump();
+    fn probes(&self, kind: OrgKind, n: u64) {
+        self.probes[org_slot(kind)].add(n);
     }
 
     #[inline]
-    fn matched(&self, kind: OrgKind) {
-        self.matches[org_slot(kind)].bump();
+    fn matches(&self, kind: OrgKind, n: u64) {
+        self.matches[org_slot(kind)].add(n);
     }
 }
 
@@ -168,6 +169,32 @@ pub struct PredMatch {
     pub trigger_id: TriggerId,
     /// Where the token goes next.
     pub next_node: NodeId,
+}
+
+/// One probe of a [`SignatureRuntime::probe_batch`] call.
+pub struct Probe<'a> {
+    /// The caller's handle for this probe, passed back with every match.
+    pub tag: usize,
+    /// The tuple to match: the token's probe image.
+    pub tuple: &'a Tuple,
+    /// The token's trace (inert unless the token is traced).
+    pub trace: &'a TraceHandle,
+    /// Span the probe's `SigProbe` span is opened under.
+    pub parent_span: u32,
+}
+
+/// The probe key of `tuple` under an equality plan on `cols`: borrowed
+/// from the tuple when the key columns are adjacent (always, for a
+/// one-column key), gathered into `buf` otherwise.
+fn key_of<'a>(cols: &[usize], tuple: &'a Tuple, buf: &'a mut Vec<Value>) -> &'a [Value] {
+    let first = cols[0];
+    if cols.iter().enumerate().all(|(i, &c)| c == first + i) {
+        &tuple.values()[first..first + cols.len()]
+    } else {
+        buf.clear();
+        buf.extend(cols.iter().map(|&c| tuple.get(c).clone()));
+        buf
+    }
 }
 
 /// One unique expression signature and its equivalence class.
@@ -356,126 +383,187 @@ impl SignatureRuntime {
         stats: &IndexStats,
         visit: &mut dyn FnMut(&Entry),
     ) -> Result<()> {
-        self.probe_partition_traced(tuple, part, nparts, stats, None, visit)
+        let probe = Probe {
+            tag: 0,
+            tuple,
+            trace: &TraceHandle::none(),
+            parent_span: ROOT_SPAN,
+        };
+        self.probe_batch(&[probe], part, nparts, stats, &mut |_, e, _| visit(e))
     }
 
-    /// [`probe_partition`](Self::probe_partition) that additionally records
-    /// rest-of-predicate testing into a trace. When `trace` is an active
-    /// span (the engine's per-probe `SigProbe` span), all residual
-    /// predicate evaluations in this probe are aggregated into one
-    /// [`SpanKind::RestTest`](tman_telemetry::SpanKind::RestTest) child
-    /// span — span-per-candidate would drown the ring — whose duration is
-    /// the summed test time and whose `arg_b` is the test count. The clock
-    /// is read only around residual tests, and only when tracing.
-    pub fn probe_partition_traced(
+    /// The one probe routine: match every probe of `probes` against
+    /// partition `part` of `nparts` of the constant set under a **single**
+    /// organization read-lock hold, delivering `(tag, entry, span)` for
+    /// every full match — `span` being the id of the probe's `SigProbe`
+    /// trace span ([`ROOT_SPAN`] for an untraced token), which the caller
+    /// parents its pin and action spans to.
+    ///
+    /// Keys are borrowed from the tuples. Under an equality plan, probes
+    /// whose keys repeat inside the batch share one organization lookup;
+    /// repeats are found by sorting the keys' hashes, so a batch of
+    /// distinct keys pays a hash and a `u64` sort and nothing else. Range
+    /// and scan plans loop per probe, still amortizing the lock hold and
+    /// the counter updates, which are added once per call.
+    ///
+    /// For any one tag the delivered entries and their order are identical
+    /// to `probe_partition(tuple, part, nparts, ...)`; tags are delivered
+    /// in no particular order. A traced probe always runs alone, so its
+    /// `SigProbe` span (and the aggregated
+    /// [`RestTest`](SpanKind::RestTest) child: summed residual-test time,
+    /// `arg_b` the test count) measures that token's lookup only; the
+    /// clock is read only then.
+    pub fn probe_batch(
         &self,
-        tuple: &Tuple,
+        probes: &[Probe<'_>],
         part: usize,
         nparts: usize,
         stats: &IndexStats,
-        trace: Option<&tman_telemetry::SpanGuard>,
-        visit: &mut dyn FnMut(&Entry),
+        visit: &mut dyn FnMut(usize, &Entry, u32),
     ) -> Result<()> {
-        let trace = trace.filter(|s| s.is_active());
+        if probes.is_empty() {
+            return Ok(());
+        }
         let org = self.org.read();
         let org_kind = org.kind();
-        stats.probes.bump();
-        self.org_counters.probe(org_kind);
-        self.activity.record_probe();
-        // Build the probe values from the token per the index plan.
-        let key_vals: Vec<Value>;
-        let probe = match &self.sig.index_plan {
-            IndexPlan::Equality { cols, .. } => {
-                key_vals = cols.iter().map(|&c| tuple.get(c).clone()).collect();
-                if key_vals.iter().any(Value::is_null) {
-                    return Ok(()); // NULL never satisfies equality
+        let n = probes.len() as u64;
+        stats.probes.add(n);
+        self.org_counters.probes(org_kind, n);
+        self.activity.record_probes(n);
+        let plan = &self.sig.index_plan;
+        let needs_full = matches!(plan, IndexPlan::None);
+        let (mut residual_tests, mut matched) = (0u64, 0u64);
+        // One organization lookup shared by every probe in `members`
+        // (indices into `probes`; several only for an untraced repeat key).
+        let mut run = |vals: &ProbeValues<'_>, members: &[u32]| -> Result<()> {
+            let lead = &probes[members[0] as usize];
+            let mut span = lead.trace.span(SpanKind::SigProbe, lead.parent_span);
+            span.set_args(
+                self.id.raw() as u64,
+                ((part as u64) << 32) | (nparts as u64 & 0xffff_ffff),
+            );
+            let timed = span.is_active();
+            let (mut rest_count, mut rest_ns, mut rest_start) = (0u64, 0u64, 0u64);
+            let mut err: Option<tman_common::TmanError> = None;
+            org.probe(plan, vals, &mut |e| {
+                if err.is_some() || (nparts > 1 && e.expr_id.raw() % nparts as u64 != part as u64) {
+                    return;
                 }
-                ProbeValues::Key(&key_vals)
-            }
-            IndexPlan::Range { col, .. } => {
-                let v = tuple.get(*col);
-                if v.is_null() {
-                    return Ok(());
-                }
-                key_vals = vec![v.clone()];
-                ProbeValues::Stab(&key_vals[0])
-            }
-            IndexPlan::None => ProbeValues::All,
-        };
-
-        let bind = Some(tuple);
-        let tuples = std::slice::from_ref(&bind);
-        let needs_full = matches!(self.sig.index_plan, IndexPlan::None);
-        let mut err: Option<tman_common::TmanError> = None;
-        // Aggregated rest-test accounting (only touched when tracing).
-        let mut rest_count = 0u64;
-        let mut rest_ns = 0u64;
-        let mut rest_start = 0u64;
-        org.probe(&self.sig.index_plan, &probe, &mut |e| {
-            if nparts > 1 && e.expr_id.raw() % nparts as u64 != part as u64 {
-                return;
-            }
-            if err.is_some() {
-                return;
-            }
-            let env = Env {
-                tuples,
-                consts: &e.consts,
-            };
-            let t0 = trace.map(|_| tman_telemetry::trace::now_ns());
-            let passed = if needs_full {
-                stats.residual_tests.bump();
-                match self.sig.generalized.matches(&env) {
-                    Ok(b) => b,
-                    Err(e2) => {
-                        err = Some(e2);
-                        return;
-                    }
-                }
-            } else {
-                match &self.sig.residual {
-                    None => true,
-                    Some(resid) => {
-                        stats.residual_tests.bump();
-                        match resid.matches(&env) {
-                            Ok(b) => b,
-                            Err(e2) => {
-                                err = Some(e2);
-                                return;
+                let resid = if needs_full {
+                    Some(&self.sig.generalized)
+                } else {
+                    self.sig.residual.as_ref()
+                };
+                for &m in members {
+                    let p = &probes[m as usize];
+                    let passed = match resid {
+                        None => true,
+                        Some(resid) => {
+                            residual_tests += 1;
+                            let bind = Some(p.tuple);
+                            let env = Env {
+                                tuples: std::slice::from_ref(&bind),
+                                consts: &e.consts,
+                            };
+                            let t0 = if timed { now_ns() } else { 0 };
+                            let verdict = resid.matches(&env);
+                            if timed {
+                                if rest_count == 0 {
+                                    rest_start = t0;
+                                }
+                                rest_count += 1;
+                                rest_ns += now_ns().saturating_sub(t0);
+                            }
+                            match verdict {
+                                Ok(b) => b,
+                                Err(e2) => {
+                                    err = Some(e2);
+                                    return;
+                                }
                             }
                         }
+                    };
+                    if passed {
+                        matched += 1;
+                        visit(p.tag, e, span.id());
                     }
                 }
-            };
-            if let Some(t0) = t0 {
-                if rest_count == 0 {
-                    rest_start = t0;
+            })?;
+            if rest_count > 0 {
+                span.child_complete(SpanKind::RestTest, rest_start, rest_ns, 0, rest_count);
+            }
+            err.map_or(Ok(()), Err)
+        };
+        let result = (|| -> Result<()> {
+            match plan {
+                IndexPlan::Equality { cols, .. } => {
+                    let (mut buf, mut lead_buf) = (Vec::new(), Vec::new());
+                    // (key hash, probe index) of every probe that may share a
+                    // lookup; equal keys end up adjacent, in arrival order.
+                    let mut order: Vec<(u64, u32)> = Vec::new();
+                    for (i, p) in probes.iter().enumerate() {
+                        let key = key_of(cols, p.tuple, &mut buf);
+                        if key.iter().any(Value::is_null) {
+                            continue; // NULL never satisfies equality
+                        }
+                        if probes.len() == 1 || p.trace.is_active() {
+                            run(&ProbeValues::Key(key), &[i as u32])?;
+                        } else {
+                            order.push((hash_one(&key), i as u32));
+                        }
+                    }
+                    order.sort_unstable();
+                    let mut members: Vec<u32> = Vec::new();
+                    let mut i = 0;
+                    while i < order.len() {
+                        let mut j = i + 1;
+                        while j < order.len() && order[j].0 == order[i].0 {
+                            j += 1;
+                        }
+                        let lead_key =
+                            key_of(cols, probes[order[i].1 as usize].tuple, &mut lead_buf);
+                        members.clear();
+                        members.push(order[i].1);
+                        for &(_, m) in &order[i + 1..j] {
+                            let key = key_of(cols, probes[m as usize].tuple, &mut buf);
+                            if key == lead_key {
+                                members.push(m);
+                            } else {
+                                // A different key under the same hash.
+                                run(&ProbeValues::Key(key), &[m])?;
+                            }
+                        }
+                        run(&ProbeValues::Key(lead_key), &members)?;
+                        i = j;
+                    }
+                    Ok(())
                 }
-                rest_count += 1;
-                rest_ns += tman_telemetry::trace::now_ns().saturating_sub(t0);
+                IndexPlan::Range { col, .. } => {
+                    for (i, p) in probes.iter().enumerate() {
+                        let v = p.tuple.get(*col);
+                        if !v.is_null() {
+                            run(&ProbeValues::Stab(v), &[i as u32])?;
+                        }
+                    }
+                    Ok(())
+                }
+                IndexPlan::None => {
+                    for i in 0..probes.len() {
+                        run(&ProbeValues::All, &[i as u32])?;
+                    }
+                    Ok(())
+                }
             }
-            if passed {
-                stats.matches.bump();
-                self.org_counters.matched(org_kind);
-                self.activity.record_match();
-                visit(e);
-            }
-        })?;
-        if rest_count > 0 {
-            if let Some(span) = trace {
-                span.child_complete(
-                    tman_telemetry::SpanKind::RestTest,
-                    rest_start,
-                    rest_ns,
-                    0,
-                    rest_count,
-                );
-            }
+        })();
+        if residual_tests > 0 {
+            stats.residual_tests.add(residual_tests);
         }
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
+        if matched > 0 {
+            stats.matches.add(matched);
+            self.org_counters.matches(org_kind, matched);
+            self.activity.record_matches(matched);
         }
+        result
     }
 
     /// Stable shard assignment: which engine shard owns this signature's
@@ -489,140 +577,6 @@ impl SignatureRuntime {
         } else {
             self.id.raw() as usize % nshards
         }
-    }
-
-    /// Batched probe: match several tagged tokens against the constant set
-    /// under a **single** organization read-lock hold, delivering
-    /// `(tag, entry)` for every full match. Equality plans sort the tokens
-    /// by their extracted key and merge the sorted run into the
-    /// organization — duplicate keys share one index lookup (the
-    /// sort-merge into MemIndex constant sets) — while range/scan plans
-    /// loop per token, still amortizing the lock hold and plan dispatch.
-    /// Per-token accounting (probe counters, residual tests, matches,
-    /// governor activity) is recorded exactly as `tokens.len()` calls to
-    /// [`probe`](Self::probe) would record it.
-    ///
-    /// For any one tag the delivered entries and their order are identical
-    /// to `probe(tuple, ...)`: the organization enumerates candidates for
-    /// a key the same way on both paths, and the batch never partitions.
-    /// A caller that buffers matches per tag and replays them in token
-    /// order therefore reproduces the per-token path exactly.
-    pub fn probe_batch(
-        &self,
-        tokens: &[(usize, &Tuple)],
-        stats: &IndexStats,
-        visit: &mut dyn FnMut(usize, &Entry),
-    ) -> Result<()> {
-        if tokens.is_empty() {
-            return Ok(());
-        }
-        let org = self.org.read();
-        let org_kind = org.kind();
-        stats.probes.add(tokens.len() as u64);
-        for _ in tokens {
-            self.org_counters.probe(org_kind);
-            self.activity.record_probe();
-        }
-        let needs_full = matches!(self.sig.index_plan, IndexPlan::None);
-        // Residual (or full generalized) test for one (token, entry) pair —
-        // the same evaluation the per-token path performs.
-        let test = |tuple: &Tuple, e: &Entry| -> Result<bool> {
-            let bind = Some(tuple);
-            let env = Env {
-                tuples: std::slice::from_ref(&bind),
-                consts: &e.consts,
-            };
-            if needs_full {
-                stats.residual_tests.bump();
-                self.sig.generalized.matches(&env)
-            } else {
-                match &self.sig.residual {
-                    None => Ok(true),
-                    Some(resid) => {
-                        stats.residual_tests.bump();
-                        resid.matches(&env)
-                    }
-                }
-            }
-        };
-        // One organization lookup shared by every token in `group`.
-        let mut run_group = |probe: &ProbeValues, group: &[(usize, &Tuple)]| -> Result<()> {
-            let mut err: Option<tman_common::TmanError> = None;
-            org.probe(&self.sig.index_plan, probe, &mut |e| {
-                if err.is_some() {
-                    return;
-                }
-                for &(tag, tuple) in group {
-                    match test(tuple, e) {
-                        Ok(true) => {
-                            stats.matches.bump();
-                            self.org_counters.matched(org_kind);
-                            self.activity.record_match();
-                            visit(tag, e);
-                        }
-                        Ok(false) => {}
-                        Err(e2) => {
-                            err = Some(e2);
-                            return;
-                        }
-                    }
-                }
-            })?;
-            match err {
-                Some(e) => Err(e),
-                None => Ok(()),
-            }
-        };
-        match &self.sig.index_plan {
-            IndexPlan::Equality { cols, .. } => {
-                // Sort-merge: order tokens by extracted key, probe once per
-                // distinct key. The sort is stable, so equal-key tokens keep
-                // their arrival order (moot for callers that bucket by tag,
-                // but cheap to guarantee).
-                let mut keyed: Vec<(Vec<Value>, usize, &Tuple)> = Vec::with_capacity(tokens.len());
-                for &(tag, tuple) in tokens {
-                    let key: Vec<Value> = cols.iter().map(|&c| tuple.get(c).clone()).collect();
-                    if key.iter().any(Value::is_null) {
-                        continue; // NULL never satisfies equality
-                    }
-                    keyed.push((key, tag, tuple));
-                }
-                keyed.sort_by(|a, b| {
-                    a.0.iter()
-                        .zip(&b.0)
-                        .map(|(x, y)| x.total_cmp(y))
-                        .find(|o| *o != std::cmp::Ordering::Equal)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                });
-                let mut i = 0;
-                while i < keyed.len() {
-                    let mut j = i + 1;
-                    while j < keyed.len() && keyed[j].0 == keyed[i].0 {
-                        j += 1;
-                    }
-                    let members: Vec<(usize, &Tuple)> =
-                        keyed[i..j].iter().map(|(_, tag, t)| (*tag, *t)).collect();
-                    run_group(&ProbeValues::Key(&keyed[i].0), &members)?;
-                    i = j;
-                }
-            }
-            IndexPlan::Range { col, .. } => {
-                for &(tag, tuple) in tokens {
-                    let v = tuple.get(*col);
-                    if v.is_null() {
-                        continue;
-                    }
-                    let stab = v.clone();
-                    run_group(&ProbeValues::Stab(&stab), &[(tag, tuple)])?;
-                }
-            }
-            IndexPlan::None => {
-                for &(tag, tuple) in tokens {
-                    run_group(&ProbeValues::All, &[(tag, tuple)])?;
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Remove all entries of a trigger.
@@ -788,22 +742,71 @@ impl SignatureRuntime {
     }
 }
 
+/// One signature of a source's [`MatchPlan`].
+#[derive(Clone)]
+pub struct PlanSig {
+    /// The signature: event code, update columns and index plan are
+    /// immutable fields of `rt.sig`, read without a lock.
+    pub rt: Arc<SignatureRuntime>,
+    /// Windowed-threshold entries the engine registered in this signature
+    /// (see [`DataSourceIndex::add_windowed`]).
+    windowed_entries: usize,
+}
+
+impl PlanSig {
+    /// Does a windowed trigger's entry live in this signature? Such a
+    /// signature never takes the Figure-5 fan-out, whose partition tasks
+    /// run after the drain position and would feed windows out of token
+    /// order.
+    pub fn windowed(&self) -> bool {
+        self.windowed_entries > 0
+    }
+}
+
+/// What a drain needs to know about one data source, decided by DDL and
+/// immutable once published: the signature list of Figure 3, in
+/// registration order. A drain loads it once per batch
+/// ([`DataSourceIndex::plan`]) and walks it without a lock. It is
+/// republished — a copy of this list, never of anything population-sized
+/// — only when a signature is added or a signature-level fact changes;
+/// adding or dropping a trigger inside existing signatures touches the
+/// constant sets alone.
+#[derive(Default)]
+pub struct MatchPlan {
+    /// The source's signatures.
+    pub sigs: Vec<PlanSig>,
+}
+
 /// The per-data-source index: the expression signature list of Figure 3.
 pub struct DataSourceIndex {
     /// The source this index serves.
     pub data_src: DataSourceId,
     /// The source's schema (update-column resolution, probe typing).
     pub schema: Schema,
-    sigs: RwLock<Vec<Arc<SignatureRuntime>>>,
-    /// Resolved `update(col,...)` ordinals per signature, parallel to
-    /// `sigs` (empty = any column).
-    update_cols: RwLock<Vec<Vec<usize>>>,
+    plan: RwLock<Arc<MatchPlan>>,
 }
 
 impl DataSourceIndex {
-    /// Signatures registered on this source.
+    /// The published match plan.
+    pub fn plan(&self) -> Arc<MatchPlan> {
+        self.plan.read().clone()
+    }
+
+    /// Signatures registered on this source (DDL and diagnostics; a drain
+    /// reads [`plan`](Self::plan)).
     pub fn signatures(&self) -> Vec<Arc<SignatureRuntime>> {
-        self.sigs.read().clone()
+        self.plan().sigs.iter().map(|s| s.rt.clone()).collect()
+    }
+
+    /// Note `delta` more (or fewer) windowed-threshold entries in
+    /// signature `sig` and republish the plan.
+    pub fn add_windowed(&self, sig: SignatureId, delta: isize) {
+        let mut plan = self.plan.write();
+        let mut sigs = plan.sigs.clone();
+        if let Some(s) = sigs.iter_mut().find(|s| s.rt.id == sig) {
+            s.windowed_entries = s.windowed_entries.saturating_add_signed(delta);
+        }
+        *plan = Arc::new(MatchPlan { sigs });
     }
 }
 
@@ -919,8 +922,7 @@ impl PredicateIndex {
                 Arc::new(DataSourceIndex {
                     data_src,
                     schema: schema.clone(),
-                    sigs: RwLock::new(Vec::new()),
-                    update_cols: RwLock::new(Vec::new()),
+                    plan: RwLock::default(),
                 })
             })
             .clone()
@@ -947,10 +949,12 @@ impl PredicateIndex {
         next_node: NodeId,
     ) -> Result<(Arc<SignatureRuntime>, bool)> {
         let src = self.register_source(data_src, schema);
-        let mut sigs = src.sigs.write();
-        let existing = sigs.iter().position(|s| s.sig.key == sig.key);
+        // The write lock serializes registrations; drains hold the plan
+        // they loaded, not the lock.
+        let mut plan = src.plan.write();
+        let existing = plan.sigs.iter().find(|s| s.rt.sig.key == sig.key);
         let (rt, is_new) = match existing {
-            Some(i) => (sigs[i].clone(), false),
+            Some(s) => (s.rt.clone(), false),
             None => {
                 let id = SignatureId(self.next_sig.fetch_add(1, Ordering::Relaxed));
                 let initial = if self.config.normalized {
@@ -958,7 +962,6 @@ impl PredicateIndex {
                 } else {
                     OrgKind::MemListDenorm
                 };
-                let update_cols = sig.update_cols.clone();
                 let rt = Arc::new(SignatureRuntime {
                     id,
                     org: RwLock::new(Org::new(
@@ -975,12 +978,16 @@ impl PredicateIndex {
                     activity: SigActivity::new(),
                     partition: PartitionActivity::new(),
                 });
-                sigs.push(rt.clone());
-                src.update_cols.write().push(update_cols);
+                let mut sigs = plan.sigs.clone();
+                sigs.push(PlanSig {
+                    rt: rt.clone(),
+                    windowed_entries: 0,
+                });
+                *plan = Arc::new(MatchPlan { sigs });
                 (rt, true)
             }
         };
-        drop(sigs);
+        drop(plan);
         rt.insert(Entry {
             expr_id,
             trigger_id,
@@ -996,8 +1003,8 @@ impl PredicateIndex {
     pub fn remove_trigger(&self, trigger_id: TriggerId) -> Result<usize> {
         let mut n = 0;
         for src in self.sources.read().values() {
-            for sig in src.sigs.read().iter() {
-                n += sig.remove_trigger(trigger_id)?;
+            for sig in &src.plan().sigs {
+                n += sig.rt.remove_trigger(trigger_id)?;
             }
         }
         Ok(n)
@@ -1014,14 +1021,12 @@ impl PredicateIndex {
         let Some(src) = self.source(token.data_src) else {
             return Ok(());
         };
-        let sigs = src.sigs.read().clone();
-        let update_cols = src.update_cols.read().clone();
         let tuple = token.probe_tuple();
-        for (i, sig) in sigs.iter().enumerate() {
+        for sig in src.plan().sigs.iter().map(|s| &s.rt) {
             if !sig.sig.key.event.accepts(token.op) {
                 continue;
             }
-            if !token.touches_columns(&update_cols[i]) {
+            if !token.touches_columns(&sig.sig.update_cols) {
                 continue;
             }
             self.stats.signatures_probed.bump();
@@ -1048,7 +1053,7 @@ impl PredicateIndex {
         self.sources
             .read()
             .values()
-            .map(|s| s.sigs.read().len())
+            .map(|s| s.plan().sigs.len())
             .sum()
     }
 
@@ -1057,7 +1062,7 @@ impl PredicateIndex {
         self.sources
             .read()
             .values()
-            .map(|s| s.sigs.read().iter().map(|g| g.len()).sum::<usize>())
+            .map(|s| s.plan().sigs.iter().map(|g| g.rt.len()).sum::<usize>())
             .sum()
     }
 
@@ -1067,10 +1072,10 @@ impl PredicateIndex {
             .read()
             .values()
             .map(|s| {
-                s.sigs
-                    .read()
+                s.plan()
+                    .sigs
                     .iter()
-                    .map(|g| g.memory_bytes())
+                    .map(|g| g.rt.memory_bytes())
                     .sum::<usize>()
             })
             .sum()
@@ -1081,7 +1086,7 @@ impl PredicateIndex {
         self.sources
             .read()
             .values()
-            .flat_map(|s| s.sigs.read().clone())
+            .flat_map(|s| s.signatures())
             .collect()
     }
 

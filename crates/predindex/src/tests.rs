@@ -374,12 +374,14 @@ fn partitioned_probe_covers_all_entries_exactly_once() {
 
 #[test]
 fn batched_probe_equals_per_token_probes() {
-    // Mixed predicate shapes: equality + residual (sort-merge path), a
-    // range plan, and an unindexable full-test signature. Batched probing
-    // must deliver, per token, exactly the entries (in the same order) as
-    // one probe() per token.
+    // Mixed predicate shapes: equality + residual (a one-column key,
+    // borrowed from the tuple), a two-column key over non-adjacent columns
+    // (gathered), a range plan, and an unindexable full-test signature.
+    // Batched probing must deliver, per token, exactly the entries (in the
+    // same order) as one probe() per token, and count as many probes.
     for cond in [
         "emp.dept = 7 and emp.salary > 10",
+        "emp.name = 'x' and emp.dept = 7",
         "emp.salary > 25.0",
         "emp.name <> 'q'",
     ] {
@@ -410,13 +412,27 @@ fn batched_probe_equals_per_token_probes() {
                 .unwrap();
             reference.push(one);
         }
-        let tagged: Vec<(usize, &Tuple)> = tuples.iter().enumerate().collect();
+        let untraced = tman_telemetry::TraceHandle::none();
+        let probes: Vec<Probe<'_>> = tuples
+            .iter()
+            .enumerate()
+            .map(|(tag, tuple)| Probe {
+                tag,
+                tuple,
+                trace: &untraced,
+                parent_span: 0,
+            })
+            .collect();
         let mut batched: Vec<Vec<u64>> = vec![Vec::new(); tuples.len()];
-        rt.probe_batch(&tagged, ix.stats(), &mut |tag, e| {
+        let before = (ix.stats().probes.get(), ix.stats().matches.get());
+        rt.probe_batch(&probes, 0, 1, ix.stats(), &mut |tag, e, _| {
             batched[tag].push(e.trigger_id.raw())
         })
         .unwrap();
         assert_eq!(batched, reference, "cond: {cond}");
+        assert_eq!(ix.stats().probes.get() - before.0, tuples.len() as u64);
+        let matches: usize = reference.iter().map(Vec::len).sum();
+        assert_eq!(ix.stats().matches.get() - before.1, matches as u64);
     }
 }
 

@@ -145,13 +145,28 @@ impl BufferPool {
     /// Write all dirty resident pages back: to the log (sealed by one
     /// commit frame, so the whole set becomes durable atomically) when a
     /// WAL is attached, else straight to the page file.
+    ///
+    /// Lock order: the pool mutex is released before any page lock is
+    /// taken. A writer holds its page's lock while it asks the pool for
+    /// another page (`HeapFile::insert_framed` growing the chain), so
+    /// flushing under the pool mutex deadlocks the two. The dirty frames
+    /// are pinned for the flush instead, which keeps eviction off them.
     pub fn flush_all(&self) -> Result<()> {
-        {
+        let dirty: Vec<PageGuard> = {
             let inner = self.inner.lock();
-            for slot in inner.frames.iter().flatten() {
-                self.flush_cell(&slot.cell)?;
-            }
+            let cells = inner.frames.iter().flatten().map(|slot| &slot.cell);
+            cells
+                .filter(|cell| cell.dirty.load(Ordering::Acquire))
+                .map(|cell| {
+                    cell.pin.fetch_add(1, Ordering::Relaxed);
+                    PageGuard { cell: cell.clone() }
+                })
+                .collect()
+        };
+        for page in &dirty {
+            self.flush_cell(&page.cell)?;
         }
+        drop(dirty);
         if let Some(wal) = &self.wal {
             wal.commit_stage()?;
         }

@@ -242,7 +242,12 @@ impl Histogram {
     pub fn record(&self, value: u64) {
         self.buckets[stripe_id()].0[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
         self.sum.add(value);
-        self.max.fetch_max(value, Ordering::Relaxed);
+        // `max` is the one word every thread shares: write it only for a
+        // new maximum, so the common case is a load of a line that stays
+        // shared instead of a read-modify-write that takes it exclusive.
+        if value > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(value, Ordering::Relaxed);
+        }
     }
 
     /// Samples recorded so far.

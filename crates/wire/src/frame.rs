@@ -609,8 +609,8 @@ pub fn decode_notification_body(buf: &[u8]) -> Result<EventNotification> {
         ));
     }
     Ok(EventNotification {
-        event,
-        trigger,
+        event: event.into(),
+        trigger: trigger.into(),
         values: tuple.values().to_vec(),
         message,
         token_seq,

@@ -80,7 +80,7 @@ fn drain(sub: &mut RemoteSubscriber) -> Vec<(u64, String)> {
     loop {
         match sub.next(Duration::from_millis(400)).unwrap() {
             Some((seq, note)) => {
-                assert_eq!(note.event, "Fired");
+                assert_eq!(&*note.event, "Fired");
                 got.push((seq, format!("{:?}", note.values[1])));
                 assert!(Instant::now() < deadline, "subscriber never went idle");
             }

@@ -31,7 +31,7 @@ fn collect(sub: &mut RemoteSubscriber, n: usize) -> Vec<(u64, f64)> {
             got.len()
         );
         if let Some((seq, note)) = sub.next(Duration::from_millis(500)).unwrap() {
-            assert_eq!(note.event, "Spike");
+            assert_eq!(&*note.event, "Spike");
             let price = match note.values[1] {
                 Value::Float(f) => f,
                 ref v => panic!("unexpected value {v:?}"),

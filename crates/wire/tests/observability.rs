@@ -70,7 +70,7 @@ fn one_token_reassembles_into_one_span_tree_with_slis_and_http() {
             break r;
         }
     };
-    assert_eq!(got.note.event, "Spike");
+    assert_eq!(&*got.note.event, "Spike");
     assert_eq!(got.trace_id, trace_id, "notification names the origin");
     assert!(got.fire_unix_ns > 0, "fire carries a wall-clock stamp");
 

@@ -162,3 +162,72 @@ fn join_triggers_reprime_after_restart() {
     }
     let _ = std::fs::remove_file(&path);
 }
+
+/// `BufferPool::flush_all` used to hold the pool mutex while it took each
+/// dirty page's lock, and `HeapFile::insert_framed` holds the tail page's
+/// lock while it asks the pool for a page: a producer on the persistent
+/// queue beside drivers acking it hung within a second (three runs of this
+/// test in four, before the fix). Runs that shape for two seconds under a
+/// watchdog, which fails the test where the deadlock would hang it.
+#[test]
+fn concurrent_enqueue_and_ack_on_a_wal_backed_store_do_not_deadlock() {
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
+    use tman_common::{Tuple, UpdateDescriptor};
+
+    let path = tmpfile("flushorder");
+    let _ = std::fs::remove_file(&path);
+    let (done_tx, done_rx) = mpsc::channel();
+    let worker_path = path.clone();
+    let worker = std::thread::spawn(move || {
+        let cfg = Config {
+            queue_mode: QueueMode::Persistent,
+            driver_period: Duration::from_millis(1),
+            ..Default::default()
+        };
+        let tman = TriggerMan::open_file(&worker_path, cfg).unwrap();
+        tman.execute_command("define data source q (k int, pad varchar(64))")
+            .unwrap();
+        tman.execute_command("create trigger every from q when q.k >= 0 do raise event Seen(q.k)")
+            .unwrap();
+        let src = tman.source("q").unwrap().id;
+        let rx = tman.subscribe("Seen");
+        let drivers = tman.start_drivers();
+        let (mut pushed, mut seen) = (0u64, 0u64);
+        let started = Instant::now();
+        while started.elapsed() < Duration::from_secs(2) {
+            // Closed loop: the queue table is scanned on every dequeue, so
+            // an unbounded backlog would only make the drain slow.
+            if tman.queue_len() > 4_096 {
+                std::thread::sleep(Duration::from_micros(200));
+                continue;
+            }
+            let batch = (pushed..pushed + 256)
+                .map(|k| {
+                    let row = vec![Value::Int(k as i64), Value::str("x".repeat(48))];
+                    UpdateDescriptor::insert(src, Tuple::new(row))
+                })
+                .collect();
+            tman.push_tokens(batch).unwrap();
+            pushed += 256;
+            seen += rx.try_iter().count() as u64;
+        }
+        while seen < pushed {
+            rx.recv_timeout(Duration::from_secs(30))
+                .expect("drivers stopped draining");
+            seen += 1;
+        }
+        drivers.stop();
+        assert!(tman.last_error().is_none(), "{:?}", tman.last_error());
+        println!("{pushed} tokens pushed beside the drivers, all fired");
+        done_tx.send(pushed).unwrap();
+    });
+    // At-least-once: a fire may repeat, none may be missing — the worker
+    // returns only once every token pushed has fired.
+    let pushed = done_rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("producer and drivers hung (or the worker panicked): see flush_all's lock order");
+    assert!(pushed > 0);
+    worker.join().unwrap();
+    let _ = std::fs::remove_file(&path);
+}

@@ -17,7 +17,7 @@ use proptest::prelude::*;
 use proptest::test_runner::{Config as PtConfig, RngAlgorithm, TestRng, TestRunner};
 use std::sync::Arc;
 use tman_common::{Tuple, UpdateDescriptor, Value};
-use triggerman::{Config, Partitioning, TriggerMan};
+use triggerman::{Config, Partitioning, TracingMode, TriggerMan};
 
 /// Build a deterministic proptest runner: pinned ChaCha seed, no failure
 /// persistence (CI replays by seed, not by regression file).
@@ -134,6 +134,15 @@ impl Harness {
     /// engine pulls it as one batch — and return the sorted firing
     /// multiset.
     pub fn fire_chunk(&self, toks: &[UpdateDescriptor]) -> Vec<String> {
+        let mut fired = self.fire_chunk_in_order(toks);
+        fired.sort();
+        fired
+    }
+
+    /// [`fire_chunk`](Self::fire_chunk), in delivery order: the drain runs
+    /// on the calling thread, so two engines that differ only in what they
+    /// observe (tracing) must deliver the same sequence.
+    pub fn fire_chunk_in_order(&self, toks: &[UpdateDescriptor]) -> Vec<String> {
         for tok in toks {
             let mut tok = tok.clone();
             tok.data_src = self.src;
@@ -146,15 +155,13 @@ impl Harness {
             self.label,
             self.tman.last_error()
         );
-        let mut fired: Vec<String> = self.rx.try_iter().map(|n| n.event).collect();
-        fired.sort();
-        fired
+        self.rx.try_iter().map(|n| n.event.to_string()).collect()
     }
 }
 
-/// Unpartitioned probes: batched runs go through the sort-merge
-/// `probe_batch` path, the one a lost or double-visited key group would
-/// corrupt.
+/// Unpartitioned probes: a drained batch is one run of the pipeline, its
+/// probes grouped by repeated key — the path a lost or double-visited key
+/// group would corrupt. `batch = 1` is the same pipeline on a run of one.
 pub fn shard_cfg(shards: usize, batch: usize) -> Config {
     Config {
         shards: Some(shards),
@@ -171,6 +178,15 @@ pub fn partitioned_cfg(shards: usize, batch: usize) -> Config {
         condition_partitions: 2,
         partition_min: 1,
         ..shard_cfg(shards, batch)
+    }
+}
+
+/// `cfg` with every token traced (`TracingMode::Full`): spans attach to
+/// the pipeline, they must not change what it does.
+pub fn traced(cfg: Config) -> Config {
+    Config {
+        tracing: TracingMode::Full,
+        ..cfg
     }
 }
 

@@ -12,12 +12,20 @@
 //! mis-built) diverges the multisets.
 //!
 //! Each case sweeps the tagged engines across shard counts and drain
-//! batches (per-token and sort-merge batched probe paths), a partitioned
-//! fan-out column, forced constant-set organization transitions
+//! batches (`drain_batch = 1` is the one pipeline on a run of one, not
+//! separate code: it has its own columns, partitioned and not), a
+//! partitioned fan-out column, forced constant-set organization transitions
 //! mid-stream (mem list → denorm → mem index → db table → db indexed —
 //! the governor's §5.2 migrations, forced deterministically), forced
 //! active-shard transitions, and OR-trigger create/drop churn (tagged
 //! entry cleanup).
+//!
+//! A second property (`run_update_oracle`) streams `Update` and `Delete`
+//! tokens of evolving rows past OR-selections that feed stored-memory
+//! (TREAT) joins: an update first retracts its old image through the
+//! synthetic delete probe — under that probe's own claim set — and then
+//! claims its tags afresh for the new image, and a later token on the
+//! joined source reads the memory both must have left exact.
 //!
 //! Deterministic: pinned 32-byte seed; `DISJUNCTION_CASES` bounds the
 //! case count (CI keeps it small; the `--ignored` variant runs more).
@@ -28,7 +36,7 @@
 //! against the pinned-seed case stream, and diverges from the residual
 //! reference within the bounded case budget.
 //!
-//! * `TriggerMan::admit_match`: drop the tag-claim check (always admit) —
+//! * `TriggerMan::admit`: drop the tag-claim check (always admit) —
 //!   any token satisfying two overlapping disjuncts (`q.price > a or
 //!   q.price > b` fires both arms for prices above `max(a, b)`) fires the
 //!   trigger twice; the multiset gains a duplicate event name.
@@ -45,12 +53,23 @@
 //!   collide in the per-signature maps; single-arm matches lost.
 //! * `register_predicates`: fresh tag per *branch* instead of per trigger
 //!   — claims no longer dedupe across arms; duplicate firings.
-//! * `drop_trigger`: skip the `pred_meta`/`trigger_exprs` cleanup — the
-//!   churn phase re-creates triggers while stale metadata maps tags for
-//!   dead `ExprId`s; the live-entry gauge (`tman_tagged_entries`) pinned
-//!   by the unit test drifts from zero after the drop.
-//! * `arm_token`: skip arming (claims stay inert) — inert claim sets
-//!   admit every match; duplicates as in the first mutant.
+//! * `register_predicates`: leave `EXPR_TAGGED` off the branch `ExprId`s
+//!   — `admit` takes its one-branch exit; duplicates as in the first
+//!   mutant.
+//! * `drop_trigger`: skip the `trigger_exprs` cleanup — the live-entry
+//!   gauge (`tman_tagged_entries`) pinned by the unit test drifts from
+//!   zero after the drop.
+//! * `replay`: give a split token no shared claim set (or an empty one
+//!   instead of the replay's own claims) — partition tasks admit what the
+//!   replay or a sibling partition already claimed; duplicates in the
+//!   partitioned columns.
+//! * `retract_old_image`: claim in the token's set instead of its own —
+//!   the new image's match on the same tag reads as a duplicate and an
+//!   update token that still satisfies the OR loses its fire
+//!   (`run_update_oracle`); admit every retraction match instead — a row
+//!   matching two disjuncts is retracted twice and the stored memory
+//!   loses a second copy, which the next token on the joined source
+//!   shows.
 //! ---------------------------------------------------------------------
 
 mod oracle_common;
@@ -140,7 +159,7 @@ fn run_oracle(num_cases: u32) {
                 &conds,
             ));
         }
-        for (s, b) in [(2usize, 16usize), (4, 1)] {
+        for (s, b) in [(2usize, 16usize), (4, 1), (1, 1)] {
             tagged.push(Harness::new(
                 &format!("tagged partitioned s={s} b={b}"),
                 partitioned_cfg(s, b),
@@ -210,6 +229,122 @@ fn run_oracle(num_cases: u32) {
     if let Err(e) = result {
         panic!("disjunction oracle failed: {e}");
     }
+}
+
+/// One engine of the update oracle: stored-memory (TREAT) networks, the
+/// single-variable OR triggers of `conds`, a second source `r`, and one
+/// join trigger per `joins` whose `q` selection is the OR condition.
+fn join_harness(label: &str, cfg: Config, conds: &[Cond], joins: &[Cond]) -> Harness {
+    let cfg = Config {
+        network: NetworkKind::Treat,
+        ..cfg
+    };
+    let h = Harness::new(label, cfg, conds);
+    h.tman
+        .execute_command("define data source r (sym varchar(12))")
+        .unwrap();
+    for (i, c) in joins.iter().enumerate() {
+        h.tman
+            .execute_command(&format!(
+                "create trigger j{i} from q, r when ({}) and q.sym = r.sym \
+                 do raise event J{i}(q.sym)",
+                c.0
+            ))
+            .unwrap();
+    }
+    h
+}
+
+fn run_update_oracle(num_cases: u32) {
+    let mut runner = seeded_runner(&SEED, num_cases);
+    let strategy = (
+        proptest::collection::vec(arb_or_cond(), 1..6),
+        proptest::collection::vec(arb_or_cond(), 1..4),
+        proptest::collection::vec(arb_token(), 1..24),
+    );
+    let result = runner.run(&strategy, |(conds, joins, toks)| {
+        let reference = join_harness(
+            "residual s=1 b=1",
+            residual_cfg(shard_cfg(1, 1)),
+            &conds,
+            &joins,
+        );
+        // No partitioned column: a partition task activates the network
+        // after later tokens of its drain were replayed, so an update of
+        // a row inserted in the same drain would retract before the
+        // insert — fan-out over stored memories has never ordered those.
+        let tagged: Vec<Harness> = [(1usize, 1usize), (2, 16), (4, 256), (8, 1)]
+            .iter()
+            .map(|&(s, b)| {
+                join_harness(
+                    &format!("tagged s={s} b={b}"),
+                    shard_cfg(s, b),
+                    &conds,
+                    &joins,
+                )
+            })
+            .collect();
+        // Fire one drain's worth: the chunk on `q`, then one `r` row per
+        // symbol, which joins whatever the chunk left in the stored `q`
+        // memories.
+        let fire = |h: &Harness, chunk: &[UpdateDescriptor]| {
+            for tok in chunk {
+                h.tman.push_token(tok.clone()).unwrap();
+            }
+            let r = h.tman.source("r").unwrap().id;
+            for sym in 0..8 {
+                let row = Tuple::new(vec![Value::str(format!("S{sym}"))]);
+                h.tman.push_token(UpdateDescriptor::insert(r, row)).unwrap();
+            }
+            h.fire_chunk(&[])
+        };
+        // One row of `q` evolving — insert, update, ..., delete, insert
+        // again — beside a static copy of every image it takes, so that a
+        // retraction always has two equal tuples before it and must take
+        // exactly one.
+        let src = reference.src;
+        let mut row: Option<Tuple> = None;
+        let mut pos = 0usize;
+        let mut chunk_no = 0usize;
+        while pos < toks.len() {
+            let size = CHUNK_SIZES[chunk_no % CHUNK_SIZES.len()].min(toks.len() - pos);
+            let mut chunk = Vec::with_capacity(3 * size);
+            for (i, (s, p, v)) in toks[pos..pos + size].iter().enumerate() {
+                let new = q_tuple(*s, *p, *v);
+                chunk.push(UpdateDescriptor::insert(src, new.clone()));
+                if (pos + i) % 5 == 4 {
+                    chunk.extend(row.take().map(|old| UpdateDescriptor::delete(src, old)));
+                }
+                chunk.push(match row.replace(new.clone()) {
+                    Some(old) => UpdateDescriptor::update(src, old, new),
+                    None => UpdateDescriptor::insert(src, new),
+                });
+            }
+            let expected = fire(&reference, &chunk);
+            for h in &tagged {
+                let fired = fire(h, &chunk);
+                prop_assert_eq!(
+                    &fired,
+                    &expected,
+                    "{} diverged from residual reference on chunk {} ({} tokens)",
+                    h.label,
+                    chunk_no,
+                    size
+                );
+            }
+            pos += size;
+            chunk_no += 1;
+        }
+        Ok(())
+    });
+    if let Err(e) = result {
+        panic!("disjunction update oracle failed: {e}");
+    }
+}
+
+#[test]
+fn update_tokens_retract_and_reclaim_like_the_residual_reference() {
+    run_update_oracle(env_cases("DISJUNCTION_CASES", 24));
 }
 
 #[test]

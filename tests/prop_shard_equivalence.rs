@@ -3,11 +3,19 @@
 //! be identical whether the engine runs with 1, 2, 4, or 8 shards and a
 //! drain batch of 1, 16, or 256 tokens. The reference is the seed
 //! configuration — one shard, one token per drain pass — so the oracle
-//! catches every way batching can go wrong (sort-merge probes visiting an
+//! catches every way batching can go wrong (grouped probes visiting an
 //! entry twice or not at all, replay reordering maintenance against
 //! matches, deferred acks dropping work) and every way sharding can
 //! (fan-out tasks routed to a deactivated shard, steal scans skipping a
 //! slot).
+//!
+//! A tracing axis rides along: a few columns are run twice, untraced and
+//! with `TracingMode::Full`. Tracing attaches spans to the one pipeline
+//! instead of diverting traced tokens to another, so a traced engine must
+//! deliver not just the same multiset but the same *sequence* of fires as
+//! its untraced twin (the drain runs on the test thread, so the sequence
+//! is a function of the configuration alone) — same fires, same order per
+//! token.
 //!
 //! Each case also forces active-shard-width transitions *mid-stream* and
 //! interleaves trigger create/drop churn at fixed stream positions —
@@ -21,7 +29,8 @@
 mod oracle_common;
 
 use oracle_common::{
-    arb_cond, arb_token, env_cases, partitioned_cfg, q_tuple, seeded_runner, shard_cfg, Harness,
+    arb_cond, arb_token, env_cases, partitioned_cfg, q_tuple, seeded_runner, shard_cfg, traced,
+    Harness,
 };
 use proptest::prelude::*;
 use tman_common::UpdateDescriptor;
@@ -64,6 +73,26 @@ fn run_equivalence(num_cases: u32) {
                 &conds,
             ));
         }
+        // The tracing axis: (untraced column, its traced twin).
+        let mut twins: Vec<(usize, usize)> = Vec::new();
+        for (label, cfg) in [
+            ("s=1 b=1", shard_cfg(1, 1)),
+            ("s=2 b=16", shard_cfg(2, 16)),
+            ("s=4 b=256", shard_cfg(4, 256)),
+            ("partitioned s=2 b=16", partitioned_cfg(2, 16)),
+        ] {
+            let untraced = if label == "s=1 b=1" {
+                0
+            } else {
+                harnesses.iter().position(|h| h.label == label).unwrap()
+            };
+            twins.push((untraced, harnesses.len()));
+            harnesses.push(Harness::new(
+                &format!("traced {label}"),
+                traced(cfg),
+                &conds,
+            ));
+        }
         let mut names: Vec<String> = (0..conds.len()).map(|i| format!("p{i}")).collect();
         let mut next_churn = 0usize;
         let mut pos = 0usize;
@@ -100,14 +129,33 @@ fn run_equivalence(num_cases: u32) {
                 .iter()
                 .map(|(s, p, v)| UpdateDescriptor::insert(harnesses[0].src, q_tuple(*s, *p, *v)))
                 .collect();
-            let expected = harnesses[0].fire_chunk(&chunk);
-            for h in &harnesses[1..] {
-                let fired = h.fire_chunk(&chunk);
+            let in_order: Vec<Vec<String>> = harnesses
+                .iter()
+                .map(|h| h.fire_chunk_in_order(&chunk))
+                .collect();
+            let sorted = |fired: &Vec<String>| {
+                let mut fired = fired.clone();
+                fired.sort();
+                fired
+            };
+            let expected = sorted(&in_order[0]);
+            for (h, fired) in harnesses.iter().zip(&in_order).skip(1) {
                 prop_assert_eq!(
-                    &fired,
+                    &sorted(fired),
                     &expected,
                     "{} diverged from reference on chunk {} ({} tokens)",
                     h.label,
+                    chunk_no,
+                    size
+                );
+            }
+            for &(untraced, traced) in &twins {
+                prop_assert_eq!(
+                    &in_order[traced],
+                    &in_order[untraced],
+                    "{} fired in another order than {} on chunk {} ({} tokens)",
+                    harnesses[traced].label,
+                    harnesses[untraced].label,
                     chunk_no,
                     size
                 );

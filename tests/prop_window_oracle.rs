@@ -6,9 +6,12 @@
 //! monotone clamp (`eff = max(ts, last_ts)`), half-open eviction
 //! (`<= eff − W`), fire iff at least K events remain after admission.
 //! Every engine configuration under test (shard counts 1/2/4/8, drain
-//! batches 1/16/256, a partitioned fan-out column that exercises the
-//! window fan-out exclusion gate) must produce the model's exact firing
-//! multiset on the same token stream, with constant-set organizations
+//! batches 1/16/256 — `drain_batch = 1` being the one pipeline on a run of
+//! one, partitioned and not — and a partitioned fan-out column that
+//! exercises the window fan-out exclusion gate) must produce the model's
+//! exact firing multiset on the same token stream, a third of it `Update`
+//! tokens (an update counts by its new image, after its old image went
+//! through the retraction probe), with constant-set organizations
 //! forced through all five §5.2 kinds and active-shard width transitions
 //! forced mid-stream.
 //!
@@ -36,14 +39,14 @@
 //! * `WindowState::observe`: test the threshold *before* admitting the
 //!   event — every gate opens one event late and `count >= 1` windows
 //!   never fire on their first event; any case with k = 1 diverges.
-//! * `TriggerMan::admit_match`: observe the window before claiming the
+//! * `TriggerMan::admit`: observe the window before claiming the
 //!   tag — a disjunctive windowed trigger (the `SymOr` predicate) whose
 //!   arms both match one token double-counts that token; the model
 //!   counts it once.
-//! * `TriggerMan::admit_match`: ignore the observe verdict (fire on every
+//! * `TriggerMan::admit`: ignore the observe verdict (fire on every
 //!   matching event) — any k >= 2 case diverges on the pre-threshold
 //!   prefix.
-//! * `TriggerMan::process_token_on`: drop the `is_window_sig` fan-out
+//! * `TriggerMan::process_run`: drop the `PlanSig::windowed` fan-out
 //!   exclusion — the partitioned engines route window probes through
 //!   `SigPartition` tasks, which run after directly-probed later tokens;
 //!   with out-of-order timestamps the observation order shift changes
@@ -202,7 +205,7 @@ fn run_oracle(num_cases: u32) {
         for (s, b) in [(2usize, 16usize), (4, 256), (8, 1)] {
             engines.push(build(&format!("windows s={s} b={b}"), shard_cfg(s, b)));
         }
-        for (s, b) in [(2usize, 16usize), (4, 1)] {
+        for (s, b) in [(2usize, 16usize), (4, 1), (1, 1)] {
             engines.push(build(
                 &format!("windows partitioned s={s} b={b}"),
                 partitioned_cfg(s, b),
@@ -213,6 +216,7 @@ fn run_oracle(num_cases: u32) {
         // deltas stay positive, and every stamp is nonzero so the engine
         // never re-stamps with the wall clock.
         let mut cursor_ms: i64 = 1_000;
+        let mut prev: Option<Tuple> = None;
         let mut pos = 0usize;
         let mut chunk_no = 0usize;
         while pos < toks.len() {
@@ -225,10 +229,17 @@ fn run_oracle(num_cases: u32) {
             }
             let mut chunk = Vec::with_capacity(size);
             let mut expected = Vec::new();
-            for &(s, p, delta) in &toks[pos..pos + size] {
+            for (i, &(s, p, delta)) in toks[pos..pos + size].iter().enumerate() {
                 cursor_ms += delta;
                 let ts_ns = cursor_ms.max(1) as u64 * 1_000_000;
-                let mut tok = UpdateDescriptor::insert(engines[0].src, q_tuple(s, p, 0));
+                let new = q_tuple(s, p, 0);
+                // Every third token updates the row before it.
+                let mut tok = match prev.replace(new.clone()) {
+                    Some(old) if (pos + i) % 3 == 2 => {
+                        UpdateDescriptor::update(engines[0].src, old, new)
+                    }
+                    _ => UpdateDescriptor::insert(engines[0].src, new),
+                };
                 tok.ingest_unix_ns = ts_ns;
                 chunk.push(tok);
                 for (i, def) in defs.iter().enumerate() {
