@@ -550,7 +550,7 @@ fn e6_driver(o: &Opts) {
     let mut tq = Table::new(&["queue mode", "enqueue+drain tok/s"]);
     for (label, mode) in [
         ("volatile (memory)", QueueMode::Volatile),
-        ("persistent (table)", QueueMode::Persistent),
+        ("persistent (log)", QueueMode::Persistent),
     ] {
         let cfg = Config {
             queue_mode: mode,
@@ -566,7 +566,7 @@ fn e6_driver(o: &Opts) {
         metrics_json = tman.render_metrics_json();
         dump_trace("e6", &tman);
     }
-    println!("\nqueue modes (§3: persistent table vs main-memory queue)");
+    println!("\nqueue modes (§3: persistent queue vs main-memory queue)");
     tq.print();
     dump_metrics("e6", &metrics_json);
 }

@@ -275,9 +275,15 @@ impl UpdateDescriptor {
         cols.iter().any(|&c| old.get(c) != new.get(c))
     }
 
-    /// Serialize (for the persistent update-descriptor queue table).
+    /// Serialize (for the persistent update-descriptor queue).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Serialize onto the end of `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.data_src.raw().to_le_bytes());
         out.push(self.op.code());
         let mut flags = 0u8;
@@ -292,15 +298,14 @@ impl UpdateDescriptor {
         }
         out.push(flags);
         if let Some(t) = &self.old {
-            t.encode_into(&mut out);
+            t.encode_into(out);
         }
         if let Some(t) = &self.new {
-            t.encode_into(&mut out);
+            t.encode_into(out);
         }
         if self.ingest_unix_ns != 0 {
             out.extend_from_slice(&self.ingest_unix_ns.to_le_bytes());
         }
-        out
     }
 
     /// Deserialize (inverse of [`encode`](Self::encode)).

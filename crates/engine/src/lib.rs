@@ -479,11 +479,6 @@ impl TriggerMan {
             &[],
             self.queue.corrupt_rows().clone(),
         );
-        r.register_counter(
-            "tman_queue_dedup_dropped_total",
-            &[],
-            self.queue.dedup_dropped().clone(),
-        );
         // Event-bus delivery counters are registry CounterHandles resolved
         // in `EventBus::attach_telemetry` — nothing to register here.
         //

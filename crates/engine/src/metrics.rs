@@ -163,10 +163,8 @@ pub struct QueueMetrics {
     pub dequeued: u64,
     /// Enqueue→dequeue wait (volatile mode).
     pub wait_ns: HistogramSummary,
-    /// Persistent rows whose body failed validation (deleted, skipped).
+    /// Persistent records that failed validation (skipped, watermarked).
     pub corrupt_rows: u64,
-    /// Already-delivered rows dropped by the open-time dedup pass.
-    pub dedup_dropped: u64,
     /// Durable delivery watermark (`None` in volatile mode).
     pub watermark: Option<i64>,
 }
@@ -554,7 +552,6 @@ impl MetricsSnapshot {
                 dequeued: t.queue.dequeued.get(),
                 wait_ns: t.queue.wait_ns.summary(),
                 corrupt_rows: tman.queue.corrupt_rows().get(),
-                dedup_dropped: tman.queue.dedup_dropped().get(),
                 watermark: tman.queue.watermark(),
             },
             driver: DriverMetrics {
@@ -778,10 +775,6 @@ impl MetricsSnapshot {
             out.push_str(&format!(
                 "  corrupt rows       {}\n",
                 self.queue.corrupt_rows
-            ));
-            out.push_str(&format!(
-                "  dedup dropped      {}\n",
-                self.queue.dedup_dropped
             ));
             if let Some(wm) = self.queue.watermark {
                 out.push_str(&format!("  watermark          {wm}\n"));

@@ -3,9 +3,11 @@
 //! Captured updates are parked here until a driver's `tman_test` call
 //! consumes them. Two modes:
 //!
-//! * **Persistent** — "a table acting as a queue": descriptors are rows of
-//!   `update_queue(qid, body)` and survive restarts (the paper's "safety of
-//!   persistent update queuing").
+//! * **Persistent** — the paper's "table acting as a queue", kept as a
+//!   sequence-addressed record log ([`tman_storage::SeqLog`]) in the
+//!   engine's store, so descriptors survive restarts (the paper's "safety
+//!   of persistent update queuing"). A descriptor's qid *is* its log
+//!   sequence number.
 //! * **Volatile** — the planned "main-memory queue ... faster, but the
 //!   safety ... will be lost": a lock-free in-memory queue.
 //!
@@ -13,47 +15,45 @@
 //! an enqueue→dequeue wait-time histogram ([`QueueTelemetry`]). Wait time
 //! is measured on the volatile backend by stamping each descriptor with its
 //! enqueue instant (skipped entirely when telemetry is disabled). The
-//! persistent backend prefixes each row body with the enqueue wall-clock
+//! persistent backend prefixes each record with the enqueue wall-clock
 //! time (8 bytes, UNIX-epoch nanoseconds, little-endian) so the wait
-//! histogram survives the database round trip — and even a restart, since
-//! wall-clock stamps stay meaningful across processes. Rows written before
-//! this format (no stamp) still decode.
+//! histogram survives the store round trip — and even a restart, since
+//! wall-clock stamps stay meaningful across processes.
 //!
 //! # Crash tolerance
 //!
-//! The persistent backend keeps a *delivery watermark* in a reserved row
-//! (`qid == -1`): the highest qid below which every descriptor has been
-//! fully processed. Consumers use [`UpdateQueue::dequeue_tracked`] to read
-//! descriptors *without* deleting them and [`UpdateQueue::ack`] after the
-//! rule actions have run; ack advances the watermark over the contiguous
-//! acknowledged prefix and only then deletes the row. After a crash, any
-//! row at or below the durable watermark is a duplicate from the
-//! ack-then-delete window and is dropped at open (counted in
-//! `dedup_dropped`); rows above it are redelivered — the at-least-once /
-//! no-double-fire contract of §3. Rows whose bodies fail validation (torn
-//! pages can surface as garbage hex) are classified as
-//! [`TmanError::Corrupt`], deleted and counted instead of wedging the
-//! queue.
+//! Nothing is scanned and nothing is deleted. Consumers use
+//! [`UpdateQueue::dequeue_tracked`], which advances an in-memory cursor
+//! over the log and reads only the records it hands out, and
+//! [`UpdateQueue::ack_batch`] after the rule actions have run. Acks fold
+//! into an in-memory set; the *delivery watermark* — the highest qid with
+//! every descriptor at or below it fully processed — advances over the
+//! set's contiguous prefix and is the log's truncation point, written once
+//! per batch into the log's meta page. The watermark is the **only**
+//! durable ack state: after a crash every record above it is redelivered,
+//! including one that was acked above a gap the crash left open
+//! (at-least-once; each record still at most once per restart). A record
+//! that fails validation is classified as [`TmanError::Corrupt`], counted,
+//! skipped and covered by the watermark instead of wedging the cursor.
 
 use crossbeam::queue::SegQueue;
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use tman_common::fxhash::FxHashMap;
-use tman_common::hex::{hex_decode, hex_encode};
 use tman_common::stats::Counter;
-use tman_common::{Result, TmanError, UpdateDescriptor, Value};
-use tman_sql::{Database, Table};
-use tman_storage::{BufferPool, RecordId};
+use tman_common::{Result, TmanError, UpdateDescriptor};
+use tman_sql::Database;
+use tman_storage::{BufferPool, SeqLog};
 use tman_telemetry::{CounterHandle, GaugeHandle, HistogramHandle, Registry};
 
-/// Name of the persistent queue table.
+/// Name of the persistent queue. Its log is the store object
+/// `log_update_queue`; a store from before the log kept a table of this
+/// name instead, which [`UpdateQueue::persistent`] refuses to open.
 pub const QUEUE_TABLE: &str = "update_queue";
 
-/// Reserved qid of the watermark row (never a descriptor).
-const WATERMARK_QID: i64 = -1;
+/// Bytes of enqueue stamp in front of each persistent record.
+const STAMP: usize = 8;
 
 /// Wall-clock now in UNIX-epoch nanoseconds (persistent-queue wait stamps).
 fn unix_now_ns() -> u64 {
@@ -61,18 +61,6 @@ fn unix_now_ns() -> u64 {
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_nanos() as u64)
         .unwrap_or(0)
-}
-
-/// Split a persistent row body into (enqueue stamp, descriptor). `None`
-/// means the body predates the stamp format.
-fn decode_stamped(bytes: &[u8]) -> Option<(u64, UpdateDescriptor)> {
-    if bytes.len() < 8 {
-        return None;
-    }
-    let stamp = u64::from_le_bytes(bytes[..8].try_into().expect("8-byte prefix"));
-    UpdateDescriptor::decode(&bytes[8..])
-        .ok()
-        .map(|d| (stamp, d))
 }
 
 /// Pre-resolved queue instruments.
@@ -100,37 +88,32 @@ impl QueueTelemetry {
     }
 }
 
-/// Mutable persistent-backend state, all under one lock so a tracked
-/// dequeue cannot race another into handing out the same row.
-struct PersistState {
-    /// Highest qid with every descriptor at or below it fully processed.
-    watermark: i64,
-    /// Current record id of the watermark row (moves on update).
-    wm_rid: RecordId,
-    /// Rows handed out by `dequeue_tracked` awaiting `ack`.
-    in_flight: FxHashMap<i64, RecordId>,
+/// Consumer-side state of the persistent backend, under one lock so two
+/// tracked dequeues cannot hand out the same record.
+struct Consumer {
+    /// Qid the next dequeue starts at. Everything between the log's
+    /// watermark and the cursor has been handed out and not yet covered.
+    cursor: u64,
     /// Acked qids above the watermark, waiting for the prefix to close.
-    acked: BTreeSet<i64>,
+    acked: BTreeSet<u64>,
 }
 
 #[allow(clippy::large_enum_variant)] // one queue per engine; size is moot
 enum Backend {
     Volatile(SegQueue<(Option<Instant>, UpdateDescriptor)>),
     Persistent {
-        table: Arc<Table>,
-        next_qid: AtomicI64,
-        state: Mutex<PersistState>,
-        /// Buffer pool backing the queue table, kept so
-        /// [`UpdateQueue::enqueue_batch`] can group-commit: one
-        /// flush-and-sync covering every row in a batch.
+        log: SeqLog,
+        consumer: Mutex<Consumer>,
+        /// Buffer pool backing the log, for the durability barriers of
+        /// [`UpdateQueue::enqueue_batch`] and [`UpdateQueue::ack_batch`].
         pool: Arc<BufferPool>,
     },
 }
 
 /// A descriptor handed out by [`UpdateQueue::dequeue_tracked`]: the token
-/// plus the persistent sequence number to [`UpdateQueue::ack`] once its
-/// rule actions have completed (`None` on the volatile backend, where
-/// delivery is not tracked).
+/// plus the persistent sequence number to pass to
+/// [`UpdateQueue::ack_batch`] once its rule actions have completed (`None`
+/// on the volatile backend, where delivery is not tracked).
 #[derive(Debug)]
 pub struct QueueItem {
     /// Persistent sequence number (qid), if tracked.
@@ -143,116 +126,68 @@ pub struct QueueItem {
 pub struct UpdateQueue {
     backend: Backend,
     telemetry: QueueTelemetry,
-    /// Rows whose body failed hex/descriptor validation (deleted, skipped).
+    /// Records that failed descriptor validation (skipped, watermarked).
     corrupt_rows: Arc<Counter>,
-    /// Already-delivered rows dropped by the open-time dedup pass.
-    dedup_dropped: Arc<Counter>,
     /// Watermark durability barriers paid by [`ack_batch`](Self::ack_batch)
     /// — one per drained batch, not one per token.
     wm_flushes: Arc<Counter>,
 }
 
 impl UpdateQueue {
-    /// In-memory queue.
-    pub fn volatile() -> UpdateQueue {
+    fn with_backend(backend: Backend) -> UpdateQueue {
         UpdateQueue {
-            backend: Backend::Volatile(SegQueue::new()),
+            backend,
             telemetry: QueueTelemetry::default(),
             corrupt_rows: Arc::new(Counter::default()),
-            dedup_dropped: Arc::new(Counter::default()),
             wm_flushes: Arc::new(Counter::default()),
         }
     }
 
-    /// Table-backed queue; creates (or reopens) `update_queue`, resumes
-    /// after the highest existing qid, and drops any row at or below the
-    /// durable watermark — a descriptor that was fully processed before a
-    /// crash but whose deletion never reached disk.
+    /// In-memory queue.
+    pub fn volatile() -> UpdateQueue {
+        Self::with_backend(Backend::Volatile(SegQueue::new()))
+    }
+
+    /// Log-backed queue; creates (or reopens) the queue's log in `db`'s
+    /// store and resumes delivery just above the durable watermark.
     pub fn persistent(db: &Database) -> Result<UpdateQueue> {
-        use tman_common::{Column, DataType, Schema};
-        let table = if db.has_table(QUEUE_TABLE) {
-            db.table(QUEUE_TABLE)?
-        } else {
-            db.create_table(
-                QUEUE_TABLE,
-                Schema::new(vec![
-                    Column::new("qid", DataType::Int),
-                    Column::new("body", DataType::Varchar(65535)),
-                ])?,
-            )?
-        };
-        let dedup_dropped = Arc::new(Counter::default());
-        let mut max_qid = 0i64;
-        let mut wm_row: Option<(RecordId, i64)> = None;
-        let mut rows: Vec<(i64, RecordId)> = Vec::new();
-        table.scan(|rid, row| {
-            let qid = row.get(0).as_i64().unwrap_or(0);
-            if qid == WATERMARK_QID {
-                let wm = row
-                    .get(1)
-                    .as_str()
-                    .and_then(|s| hex_decode(s).ok())
-                    .and_then(|b| b.get(..8).map(|p| p.try_into().unwrap()))
-                    .map(i64::from_le_bytes)
-                    .unwrap_or(0);
-                wm_row = Some((rid, wm));
-            } else {
-                max_qid = max_qid.max(qid);
-                rows.push((qid, rid));
-            }
-            Ok(true)
-        })?;
-        let (wm_rid, watermark) = match wm_row {
-            Some(found) => found,
-            None => {
-                let rid = table.insert(vec![
-                    Value::Int(WATERMARK_QID),
-                    Value::str(hex_encode(&0i64.to_le_bytes())),
-                ])?;
-                (rid, 0)
-            }
-        };
-        for (_, rid) in rows.iter().filter(|(qid, _)| *qid <= watermark) {
-            table.delete(*rid)?;
-            dedup_dropped.bump();
+        if db.has_table(QUEUE_TABLE) {
+            return Err(TmanError::Storage(format!(
+                "this store keeps its update queue in a '{QUEUE_TABLE}' table, \
+                 a format this build no longer reads"
+            )));
         }
-        Ok(UpdateQueue {
-            backend: Backend::Persistent {
-                table,
-                next_qid: AtomicI64::new(max_qid.max(watermark) + 1),
-                pool: db.storage().pool().clone(),
-                state: Mutex::new(PersistState {
-                    watermark,
-                    wm_rid,
-                    in_flight: FxHashMap::default(),
-                    acked: BTreeSet::new(),
-                }),
-            },
-            telemetry: QueueTelemetry::default(),
-            corrupt_rows: Arc::new(Counter::default()),
-            dedup_dropped,
-            wm_flushes: Arc::new(Counter::default()),
-        })
+        let storage = db.storage();
+        let name = format!("log_{QUEUE_TABLE}");
+        let log = if storage.dir().exists(&name)? {
+            storage.open_seqlog(&name)?
+        } else {
+            storage.create_seqlog(&name)?
+        };
+        let consumer = Consumer {
+            cursor: log.watermark() + 1,
+            acked: BTreeSet::new(),
+        };
+        Ok(Self::with_backend(Backend::Persistent {
+            log,
+            consumer: Mutex::new(consumer),
+            pool: storage.pool().clone(),
+        }))
     }
 
     /// The durable delivery watermark (`None` on the volatile backend):
-    /// every qid at or below it has been fully processed, and any copy
-    /// found on disk after a crash is dropped rather than redelivered.
+    /// every qid at or below it has been fully processed and will not be
+    /// delivered again, whatever happens.
     pub fn watermark(&self) -> Option<i64> {
         match &self.backend {
             Backend::Volatile(_) => None,
-            Backend::Persistent { state, .. } => Some(state.lock().watermark),
+            Backend::Persistent { log, .. } => Some(log.watermark() as i64),
         }
     }
 
-    /// Rows whose body failed validation at dequeue (deleted and skipped).
+    /// Records that failed validation at dequeue (skipped, watermarked).
     pub fn corrupt_rows(&self) -> &Arc<Counter> {
         &self.corrupt_rows
-    }
-
-    /// Already-delivered rows dropped by the open-time dedup pass.
-    pub fn dedup_dropped(&self) -> &Arc<Counter> {
-        &self.dedup_dropped
     }
 
     /// Watermark durability barriers paid by [`ack_batch`](Self::ack_batch).
@@ -261,35 +196,39 @@ impl UpdateQueue {
     }
 
     /// Wire instruments in. Initializes the depth gauge from the current
-    /// length, so a persistent queue recovered with rows already in it
+    /// length, so a persistent queue recovered with records already in it
     /// reports them.
     pub fn attach_telemetry(&mut self, telemetry: QueueTelemetry) {
         telemetry.depth.add(self.len() as i64);
         self.telemetry = telemetry;
     }
 
+    fn volatile_stamp(&self) -> Option<Instant> {
+        self.telemetry.wait_ns.is_enabled().then(Instant::now)
+    }
+
+    /// Append `batch` to the log, each record as `stamp u64 | descriptor`.
+    /// Stamps unconditionally: the record format must not depend on
+    /// whether telemetry happens to be attached. Returns the last qid.
+    fn append_all(log: &SeqLog, batch: &[UpdateDescriptor]) -> Result<Option<i64>> {
+        let stamp = unix_now_ns().to_le_bytes();
+        let mut rec = Vec::with_capacity(128);
+        let mut last = None;
+        for d in batch {
+            rec.clear();
+            rec.extend_from_slice(&stamp);
+            d.encode_into(&mut rec);
+            last = Some(log.append(&rec)? as i64);
+        }
+        Ok(last)
+    }
+
     /// Append a descriptor.
     pub fn enqueue(&self, d: UpdateDescriptor) -> Result<()> {
         match &self.backend {
-            Backend::Volatile(q) => {
-                let stamp = if self.telemetry.wait_ns.is_enabled() {
-                    Some(Instant::now())
-                } else {
-                    None
-                };
-                q.push((stamp, d));
-            }
-            Backend::Persistent {
-                table, next_qid, ..
-            } => {
-                let qid = next_qid.fetch_add(1, Ordering::Relaxed);
-                // Stamp unconditionally: the row format must not depend on
-                // whether telemetry happens to be attached.
-                let payload = d.encode();
-                let mut body = Vec::with_capacity(8 + payload.len());
-                body.extend_from_slice(&unix_now_ns().to_le_bytes());
-                body.extend_from_slice(&payload);
-                table.insert(vec![Value::Int(qid), Value::str(hex_encode(&body))])?;
+            Backend::Volatile(q) => q.push((self.volatile_stamp(), d)),
+            Backend::Persistent { log, .. } => {
+                Self::append_all(log, std::slice::from_ref(&d))?;
             }
         }
         self.telemetry.enqueued.bump();
@@ -299,9 +238,9 @@ impl UpdateQueue {
 
     /// Append a batch of descriptors under one durability barrier (group
     /// commit, §3's "safety of persistent update queuing" at wire-tier
-    /// rates). On the persistent backend every row is inserted first, then
-    /// a single [`BufferPool::sync`] makes the whole batch durable — one
-    /// fsync amortized over `batch.len()` descriptors, where per-token
+    /// rates). On the persistent backend every record is appended first,
+    /// then a single [`BufferPool::sync`] makes the whole batch durable —
+    /// one fsync amortized over `batch.len()` descriptors, where per-token
     /// [`enqueue`](Self::enqueue) relies on the next checkpoint instead.
     /// On a WAL-backed store that barrier is a log group commit: dirty
     /// pages become redo records, one `fsync` of the log covers the batch,
@@ -314,88 +253,33 @@ impl UpdateQueue {
         if batch.is_empty() {
             return Ok(None);
         }
-        match &self.backend {
+        let last = match &self.backend {
             Backend::Volatile(q) => {
-                let stamp = if self.telemetry.wait_ns.is_enabled() {
-                    Some(Instant::now())
-                } else {
-                    None
-                };
+                let stamp = self.volatile_stamp();
                 for d in batch {
                     q.push((stamp, d.clone()));
                 }
-                self.telemetry.enqueued.add(batch.len() as u64);
-                self.telemetry.depth.add(batch.len() as i64);
-                Ok(None)
+                None
             }
-            Backend::Persistent {
-                table,
-                next_qid,
-                pool,
-                ..
-            } => {
-                let now = unix_now_ns();
-                let mut last = 0i64;
-                for d in batch {
-                    let qid = next_qid.fetch_add(1, Ordering::Relaxed);
-                    let payload = d.encode();
-                    let mut body = Vec::with_capacity(8 + payload.len());
-                    body.extend_from_slice(&now.to_le_bytes());
-                    body.extend_from_slice(&payload);
-                    table.insert(vec![Value::Int(qid), Value::str(hex_encode(&body))])?;
-                    last = qid;
-                }
+            Backend::Persistent { log, pool, .. } => {
+                let last = Self::append_all(log, batch)?;
                 pool.sync()?;
-                self.telemetry.enqueued.add(batch.len() as u64);
-                self.telemetry.depth.add(batch.len() as i64);
-                Ok(Some(last))
+                last
             }
-        }
+        };
+        self.telemetry.enqueued.add(batch.len() as u64);
+        self.telemetry.depth.add(batch.len() as i64);
+        Ok(last)
     }
 
-    /// Decode a persistent row body, classifying any validation failure as
-    /// [`TmanError::Corrupt`] (a torn page can surface here as garbage).
-    fn decode_row(&self, body: &str, now: u64) -> Result<UpdateDescriptor> {
-        let bytes = hex_decode(body)
-            .map_err(|e| TmanError::Corrupt(format!("queue row body is not hex: {e}")))?;
-        if let Some((stamp, d)) = decode_stamped(&bytes) {
-            self.telemetry.wait_ns.record(now.saturating_sub(stamp));
-            return Ok(d);
-        }
-        // Pre-stamp row format (or a qid written by an older build): the
-        // whole body is the descriptor.
-        UpdateDescriptor::decode(&bytes)
-            .map_err(|e| TmanError::Corrupt(format!("queue row descriptor invalid: {e}")))
-    }
-
-    /// Advance the watermark over the contiguous acked prefix and persist
-    /// it. Called with `state` locked.
-    fn advance_watermark(table: &Table, st: &mut PersistState, qid: i64) -> Result<()> {
-        st.acked.insert(qid);
-        let before = st.watermark;
-        while st.acked.remove(&(st.watermark + 1)) {
-            st.watermark += 1;
-        }
-        if st.watermark != before {
-            let (_, new_rid) = table.update(
-                st.wm_rid,
-                vec![
-                    Value::Int(WATERMARK_QID),
-                    Value::str(hex_encode(&st.watermark.to_le_bytes())),
-                ],
-            )?;
-            st.wm_rid = new_rid;
-        }
-        Ok(())
-    }
-
-    /// Return up to `max` descriptors in FIFO order *without* deleting
-    /// their persistent rows. Each item carries its sequence number; the
-    /// caller must [`ack`](Self::ack) it after the descriptor has been
-    /// fully processed, at which point the row is deleted and the delivery
-    /// watermark may advance. Un-acked items are redelivered after a
-    /// restart (at-least-once). Rows that fail validation are deleted,
-    /// counted in `corrupt_rows` and skipped — they never abort the batch.
+    /// Return up to `max` descriptors in FIFO order, advancing the cursor
+    /// past them; their records stay in the log. Each item carries its
+    /// sequence number; the caller must pass it to
+    /// [`ack_batch`](Self::ack_batch) after the descriptor has been fully
+    /// processed, at which point the delivery watermark may advance.
+    /// Un-acked items are redelivered after a restart (at-least-once).
+    /// Records that fail validation are counted in `corrupt_rows`, skipped
+    /// and acked on the spot — they never abort the batch.
     pub fn dequeue_tracked(&self, max: usize) -> Result<Vec<QueueItem>> {
         match &self.backend {
             Backend::Volatile(q) => {
@@ -421,123 +305,87 @@ impl UpdateQueue {
                 self.telemetry.depth.add(-(out.len() as i64));
                 Ok(out)
             }
-            Backend::Persistent { table, state, .. } => {
-                let mut st = state.lock();
-                // One scan collects (qid, rid, body); take the lowest qids
-                // not already handed out.
-                let mut rows: Vec<(i64, RecordId, String)> = Vec::new();
-                table.scan(|rid, row| {
-                    let qid = row.get(0).as_i64().unwrap_or(0);
-                    if qid != WATERMARK_QID && !st.in_flight.contains_key(&qid) {
-                        rows.push((qid, rid, row.get(1).as_str().unwrap_or("").to_string()));
-                    }
-                    Ok(true)
-                })?;
-                rows.sort_by_key(|(qid, _, _)| *qid);
-                rows.truncate(max);
+            Backend::Persistent { log, consumer, .. } => {
+                let mut c = consumer.lock();
                 let now = unix_now_ns();
-                let mut out = Vec::with_capacity(rows.len());
-                for (qid, rid, body) in rows {
-                    match self.decode_row(&body, now) {
-                        Ok(d) => {
-                            st.in_flight.insert(qid, rid);
+                let pending = log.next_seq().saturating_sub(c.cursor);
+                let mut out = Vec::with_capacity(pending.min(max as u64) as usize);
+                let mut corrupt = Vec::new();
+                c.cursor = log.read_from(c.cursor, max, |seq, rec| {
+                    let decoded = rec.split_first_chunk::<STAMP>().and_then(|(stamp, body)| {
+                        let token = UpdateDescriptor::decode(body).ok()?;
+                        Some((u64::from_le_bytes(*stamp), token))
+                    });
+                    match decoded {
+                        Some((stamp, token)) => {
+                            self.telemetry.wait_ns.record(now.saturating_sub(stamp));
                             out.push(QueueItem {
-                                seq: Some(qid),
-                                token: d,
+                                seq: Some(seq as i64),
+                                token,
                             });
                         }
-                        Err(TmanError::Corrupt(_)) => {
-                            // Damaged row: consume it so the queue cannot
-                            // wedge, but deliver nothing.
-                            table.delete(rid)?;
-                            self.corrupt_rows.bump();
-                            self.telemetry.depth.dec();
-                            Self::advance_watermark(table, &mut st, qid)?;
-                        }
-                        Err(e) => return Err(e),
+                        None => corrupt.push(seq),
                     }
+                })?;
+                if !corrupt.is_empty() {
+                    // Damaged records deliver nothing; ack them so the
+                    // watermark can pass.
+                    self.corrupt_rows.add(corrupt.len() as u64);
+                    self.telemetry.depth.add(-(corrupt.len() as i64));
+                    c.acked.extend(corrupt);
+                    Self::advance_watermark(log, &mut c)?;
                 }
                 Ok(out)
             }
         }
     }
 
-    /// Acknowledge a tracked descriptor by its sequence number: its rule
-    /// actions have run, so the watermark is advanced (over the contiguous
-    /// acked prefix) and the persistent row deleted — in that order, so
-    /// the crash window leaves a duplicate row behind the watermark, never
-    /// a lost one. Idempotent; a no-op on the volatile backend.
-    pub fn ack(&self, seq: i64) -> Result<()> {
-        let Backend::Persistent { table, state, .. } = &self.backend else {
-            return Ok(());
-        };
-        let mut st = state.lock();
-        let Some(rid) = st.in_flight.remove(&seq) else {
-            return Ok(()); // already acked
-        };
-        Self::advance_watermark(table, &mut st, seq)?;
-        table.delete(rid)?;
-        self.telemetry.dequeued.bump();
-        self.telemetry.depth.dec();
+    /// Advance the log's watermark over the contiguous acked prefix. The
+    /// acked set only lets go of what the log has taken.
+    fn advance_watermark(log: &SeqLog, c: &mut Consumer) -> Result<()> {
+        let before = log.watermark();
+        let mut wm = before;
+        while c.acked.contains(&(wm + 1)) {
+            wm += 1;
+        }
+        if wm != before {
+            log.truncate_through(wm)?;
+            c.acked = c.acked.split_off(&(wm + 1));
+        }
         Ok(())
     }
 
-    /// Acknowledge a whole drained batch under one state lock and one
-    /// durability barrier: every row is deleted and folded into the acked
-    /// set first, the watermark row is rewritten at most once over the
-    /// contiguous prefix, and a single [`BufferPool::sync`] covers the lot
-    /// (on a WAL store that is one group-commit fsync). Per-token
-    /// [`ack`](Self::ack) deletes-after-advance without a barrier, so each
-    /// token's durability waited for the next checkpoint; here a batched
-    /// drain pays one explicit barrier per K tokens instead.
+    /// Acknowledge a drained batch under one lock and one durability
+    /// barrier: every seq is folded into the acked set, the watermark
+    /// advances at most once over the contiguous prefix — one write of the
+    /// log's meta page, which also releases head pages wholly below it for
+    /// reuse — and a single [`BufferPool::sync`] covers the lot (on a WAL
+    /// store that is one group-commit fsync).
     ///
-    /// Ordering note: deleting a row before its watermark advance is
-    /// durable is safe — the token already fired, so losing the row keeps
-    /// at-least-once intact, and a watermark that outruns a surviving copy
-    /// is exactly the open-time dedup window `ack` already has.
-    ///
-    /// Unknown or already-acked seqs are skipped (idempotent). Returns the
-    /// number of seqs newly acknowledged; a no-op returning 0 on the
-    /// volatile backend.
+    /// Seqs not handed out, already covered by the watermark or already
+    /// acked are skipped (idempotent). Returns the number of seqs newly
+    /// acknowledged; a no-op returning 0 on the volatile backend.
     pub fn ack_batch(&self, seqs: &[i64]) -> Result<usize> {
         let Backend::Persistent {
-            table, state, pool, ..
+            log,
+            consumer,
+            pool,
         } = &self.backend
         else {
             return Ok(0);
         };
-        if seqs.is_empty() {
-            return Ok(0);
-        }
-        let mut st = state.lock();
-        let st = &mut *st; // plain &mut so field borrows split
+        let mut c = consumer.lock();
+        let handed_out = log.watermark() + 1..c.cursor;
         let mut acked = 0usize;
-        for &seq in seqs {
-            let Some(rid) = st.in_flight.remove(&seq) else {
-                continue; // already acked
-            };
-            st.acked.insert(seq);
-            table.delete(rid)?;
-            acked += 1;
+        for seq in seqs.iter().filter_map(|s| u64::try_from(*s).ok()) {
+            if handed_out.contains(&seq) && c.acked.insert(seq) {
+                acked += 1;
+            }
         }
         if acked == 0 {
             return Ok(0);
         }
-        // Advance over the contiguous prefix once, one watermark-row write.
-        let before = st.watermark;
-        while st.acked.remove(&(st.watermark + 1)) {
-            st.watermark += 1;
-        }
-        if st.watermark != before {
-            let (_, new_rid) = table.update(
-                st.wm_rid,
-                vec![
-                    Value::Int(WATERMARK_QID),
-                    Value::str(hex_encode(&st.watermark.to_le_bytes())),
-                ],
-            )?;
-            st.wm_rid = new_rid;
-        }
+        Self::advance_watermark(log, &mut c)?;
         pool.sync()?;
         self.wm_flushes.bump();
         self.telemetry.dequeued.add(acked as u64);
@@ -545,36 +393,23 @@ impl UpdateQueue {
         Ok(acked)
     }
 
-    /// Remove and return up to `max` descriptors in FIFO order,
-    /// acknowledging each immediately (no redelivery tracking).
-    pub fn dequeue_batch(&self, max: usize) -> Result<Vec<UpdateDescriptor>> {
+    /// Remove and return up to `max` descriptors in FIFO order, acking
+    /// them immediately (no redelivery tracking).
+    #[cfg(test)]
+    fn dequeue_batch(&self, max: usize) -> Result<Vec<UpdateDescriptor>> {
         let items = self.dequeue_tracked(max)?;
-        let mut out = Vec::with_capacity(items.len());
-        for item in items {
-            if let Some(seq) = item.seq {
-                self.ack(seq)?;
-            }
-            out.push(item.token);
-        }
-        Ok(out)
+        let seqs: Vec<i64> = items.iter().filter_map(|it| it.seq).collect();
+        self.ack_batch(&seqs)?;
+        Ok(items.into_iter().map(|it| it.token).collect())
     }
 
-    /// Number of queued descriptors (excluding the watermark row and any
-    /// tracked in-flight descriptors).
+    /// Number of queued descriptors not yet handed out.
     pub fn len(&self) -> usize {
         match &self.backend {
             Backend::Volatile(q) => q.len(),
-            Backend::Persistent { table, state, .. } => {
-                let st = state.lock();
-                let mut n = 0usize;
-                let _ = table.scan(|_, row| {
-                    let qid = row.get(0).as_i64().unwrap_or(0);
-                    if qid != WATERMARK_QID && !st.in_flight.contains_key(&qid) {
-                        n += 1;
-                    }
-                    Ok(true)
-                });
-                n
+            Backend::Persistent { log, consumer, .. } => {
+                let cursor = consumer.lock().cursor;
+                log.next_seq().saturating_sub(cursor) as usize
             }
         }
     }
@@ -588,10 +423,23 @@ impl UpdateQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tman_common::{DataSourceId, Tuple};
+    use tman_common::{DataSourceId, Tuple, Value};
 
     fn tok(i: i64) -> UpdateDescriptor {
         UpdateDescriptor::insert(DataSourceId(1), Tuple::new(vec![Value::Int(i)]))
+    }
+
+    fn log_of(q: &UpdateQueue) -> &SeqLog {
+        match &q.backend {
+            Backend::Persistent { log, .. } => log,
+            Backend::Volatile(_) => panic!("volatile queue has no log"),
+        }
+    }
+
+    /// Pages fetched from the pool so far, resident or not.
+    fn fetches(db: &Database) -> u64 {
+        let s = db.storage().pool().stats();
+        s.pool_hits.get() + s.pool_misses.get()
     }
 
     #[test]
@@ -658,55 +506,25 @@ mod tests {
         q.enqueue(tok(2)).unwrap();
         let batch = q.dequeue_batch(10).unwrap();
         assert_eq!(batch, vec![tok(1), tok(2)]);
-        // The wall-clock stamp in the row body survives the database round
+        // The wall-clock stamp in the record survives the store round
         // trip, so persistent mode populates the wait histogram too.
         assert_eq!(t.wait_ns.summary().count, 2);
     }
 
     #[test]
-    fn prestamp_rows_still_decode() {
-        let db = Database::open_memory(128);
-        let q = UpdateQueue::persistent(&db).unwrap();
-        // A row in the pre-stamp format: body is the bare descriptor.
-        if let Backend::Persistent {
-            table, next_qid, ..
-        } = &q.backend
-        {
-            let qid = next_qid.fetch_add(1, Ordering::Relaxed);
-            table
-                .insert(vec![
-                    Value::Int(qid),
-                    Value::str(hex_encode(&tok(7).encode())),
-                ])
-                .unwrap();
-        }
-        assert_eq!(q.dequeue_batch(10).unwrap(), vec![tok(7)]);
-    }
-
-    #[test]
-    fn corrupt_rows_are_skipped_not_fatal() {
+    fn corrupt_records_are_skipped_not_fatal() {
         let db = Database::open_memory(128);
         let q = UpdateQueue::persistent(&db).unwrap();
         q.enqueue(tok(1)).unwrap();
-        // Hand-plant damaged rows between two good ones: a truncated
-        // descriptor body and a body that is not even hex.
-        if let Backend::Persistent {
-            table, next_qid, ..
-        } = &q.backend
-        {
-            let truncated = &tok(2).encode()[..3];
-            let qid = next_qid.fetch_add(1, Ordering::Relaxed);
-            table
-                .insert(vec![Value::Int(qid), Value::str(hex_encode(truncated))])
-                .unwrap();
-            let qid = next_qid.fetch_add(1, Ordering::Relaxed);
-            table
-                .insert(vec![Value::Int(qid), Value::str("zz-not-hex")])
-                .unwrap();
-        }
+        // Hand-plant damaged records between two good ones: a stamped but
+        // truncated descriptor, and one too short to hold even the stamp.
+        let mut truncated = 0u64.to_le_bytes().to_vec();
+        truncated.extend_from_slice(&tok(2).encode()[..3]);
+        log_of(&q).append(&truncated).unwrap();
+        log_of(&q).append(b"zz").unwrap();
         q.enqueue(tok(4)).unwrap();
-        // Both damaged rows are consumed and counted; the good rows come
-        // through and the batch never errors.
+        // Both damaged records are consumed and counted; the good ones
+        // come through and the batch never errors.
         let batch = q.dequeue_batch(10).unwrap();
         assert_eq!(batch, vec![tok(1), tok(4)]);
         assert_eq!(q.corrupt_rows().get(), 2);
@@ -720,6 +538,24 @@ mod tests {
     }
 
     #[test]
+    fn corrupt_record_at_the_head_does_not_wedge_the_cursor() {
+        let db = Database::open_memory(128);
+        let q = UpdateQueue::persistent(&db).unwrap();
+        log_of(&q)
+            .append(b"garbage, and no good record behind it")
+            .unwrap();
+        // Nothing to deliver, nothing left to do: the record is counted,
+        // the cursor and the watermark are both past it.
+        assert!(q.dequeue_tracked(10).unwrap().is_empty());
+        assert_eq!(q.corrupt_rows().get(), 1);
+        assert_eq!(q.watermark(), Some(1));
+        assert!(q.is_empty());
+        q.enqueue(tok(2)).unwrap();
+        assert_eq!(q.dequeue_batch(10).unwrap(), vec![tok(2)]);
+        assert_eq!(q.watermark(), Some(2));
+    }
+
+    #[test]
     fn tracked_dequeue_redelivers_unacked_items() {
         let db = Database::open_memory(128);
         let q = UpdateQueue::persistent(&db).unwrap();
@@ -729,13 +565,13 @@ mod tests {
         let items = q.dequeue_tracked(2).unwrap();
         assert_eq!(items.len(), 2);
         assert_eq!(items[0].seq, Some(1));
-        // In-flight rows are not handed out twice.
+        // Records behind the cursor are not handed out twice.
         let more = q.dequeue_tracked(10).unwrap();
         assert_eq!(more.len(), 1);
         assert_eq!(more[0].token, tok(2));
-        // Ack only the first; the others stay on disk.
-        q.ack(items[0].seq.unwrap()).unwrap();
-        q.ack(items[0].seq.unwrap()).unwrap(); // idempotent
+        // Ack only the first; the others stay above the watermark.
+        assert_eq!(q.ack_batch(&[1]).unwrap(), 1);
+        assert_eq!(q.ack_batch(&[1]).unwrap(), 0); // idempotent
         assert_eq!(q.watermark(), Some(1));
         // "Crash" without acking the rest: a fresh queue over the same
         // database redelivers exactly the unacked descriptors.
@@ -788,7 +624,7 @@ mod tests {
     }
 
     #[test]
-    fn ack_batch_crash_mid_gap_redelivers_only_unacked() {
+    fn ack_batch_crash_mid_gap_redelivers_everything_above_the_gap() {
         let db = Database::open_memory(128);
         {
             let q = UpdateQueue::persistent(&db).unwrap();
@@ -798,13 +634,16 @@ mod tests {
             q.dequeue_tracked(4).unwrap();
             q.ack_batch(&[1, 3, 4]).unwrap();
         }
-        // "Crash" without acking 2: the reopened queue redelivers exactly
-        // the unacked descriptor. Qids 3 and 4 were deleted before their
-        // watermark advance — safe, because they already fired.
+        // "Crash" without acking 2. The watermark is the only durable ack
+        // state, so the acks of 3 and 4 died with the process: the
+        // reopened queue redelivers everything above the gap, in order,
+        // once.
         let q2 = UpdateQueue::persistent(&db).unwrap();
         assert_eq!(q2.watermark(), Some(1));
-        assert_eq!(q2.dequeue_batch(10).unwrap(), vec![tok(1)]);
+        assert_eq!(q2.len(), 3);
+        assert_eq!(q2.dequeue_batch(10).unwrap(), vec![tok(1), tok(2), tok(3)]);
         assert!(q2.is_empty());
+        assert_eq!(q2.watermark(), Some(4));
     }
 
     #[test]
@@ -816,37 +655,87 @@ mod tests {
     }
 
     #[test]
-    fn watermark_dedups_resurrected_rows_at_open() {
+    fn a_store_with_a_queue_table_is_refused_by_name() {
+        use tman_common::{Column, DataType, Schema};
+        let db = Database::open_memory(128);
+        let schema = Schema::new(vec![Column::new("qid", DataType::Int)]).unwrap();
+        db.create_table(QUEUE_TABLE, schema).unwrap();
+        match UpdateQueue::persistent(&db) {
+            Err(TmanError::Storage(msg)) => assert!(msg.contains("'update_queue'"), "{msg}"),
+            Err(e) => panic!("wrong error class: {e}"),
+            Ok(_) => panic!("queued rows in the old table would be silently ignored"),
+        }
+    }
+
+    #[test]
+    fn a_tuple_larger_than_a_page_round_trips() {
         let db = Database::open_memory(128);
         let q = UpdateQueue::persistent(&db).unwrap();
-        for i in 0..3 {
-            q.enqueue(tok(i)).unwrap();
-        }
-        let items = q.dequeue_tracked(3).unwrap();
-        for item in &items {
-            q.ack(item.seq.unwrap()).unwrap();
-        }
-        assert_eq!(q.watermark(), Some(3));
-        // Simulate the crash window where acked rows resurrect: re-insert
-        // copies of already-delivered qids 2 and 3 behind the watermark.
-        if let Backend::Persistent { table, .. } = &q.backend {
-            for qid in [2i64, 3] {
-                let mut body = Vec::new();
-                body.extend_from_slice(&0u64.to_le_bytes());
-                body.extend_from_slice(&tok(qid - 1).encode());
-                table
-                    .insert(vec![Value::Int(qid), Value::str(hex_encode(&body))])
-                    .unwrap();
+        let big = UpdateDescriptor::insert(
+            DataSourceId(1),
+            Tuple::new(vec![Value::Int(7), Value::str("x".repeat(10 * 1024))]),
+        );
+        q.enqueue_batch(&[tok(1), big.clone(), tok(3)]).unwrap();
+        // Across a reopen too: the record spans three pages of the log.
+        let q2 = UpdateQueue::persistent(&db).unwrap();
+        assert_eq!(q2.dequeue_batch(10).unwrap(), vec![tok(1), big, tok(3)]);
+        assert_eq!(q2.watermark(), Some(3));
+    }
+
+    /// The cost of a dequeue and the size of the store depend on the
+    /// backlog, not on how many tokens the store has ever held.
+    #[test]
+    fn cost_and_size_are_independent_of_history() {
+        const BACKLOG: i64 = 4_096;
+        /// Push 256, drain 256 in four acked batches of 64.
+        fn cycle(q: &UpdateQueue, next: &mut i64) {
+            let batch: Vec<UpdateDescriptor> = (*next..*next + 256).map(tok).collect();
+            q.enqueue_batch(&batch).unwrap();
+            *next += 256;
+            for _ in 0..4 {
+                let items = q.dequeue_tracked(64).unwrap();
+                assert_eq!(items.len(), 64);
+                let seqs: Vec<i64> = items.iter().filter_map(|it| it.seq).collect();
+                assert_eq!(q.ack_batch(&seqs).unwrap(), 64);
             }
         }
-        // Reopen: the dedup pass drops both copies instead of redelivering.
-        let q2 = UpdateQueue::persistent(&db).unwrap();
-        assert_eq!(q2.dedup_dropped().get(), 2);
-        assert!(q2.is_empty());
-        assert_eq!(q2.dequeue_batch(10).unwrap(), vec![]);
-        // And new traffic resumes above the old qid space.
-        q2.enqueue(tok(9)).unwrap();
-        assert_eq!(q2.dequeue_batch(10).unwrap(), vec![tok(9)]);
+        let fill = |q: &UpdateQueue| {
+            let backlog: Vec<UpdateDescriptor> = (0..BACKLOG).map(tok).collect();
+            q.enqueue_batch(&backlog).unwrap();
+        };
+        // Worst of eight 64-token dequeues, so that where a batch happens
+        // to straddle a page boundary does not decide the comparison.
+        let dequeue_fetches = |db: &Database, q: &UpdateQueue| {
+            let worst = (0..8).map(|_| {
+                let before = fetches(db);
+                assert_eq!(q.dequeue_tracked(64).unwrap().len(), 64);
+                fetches(db) - before
+            });
+            worst.max().expect("eight dequeues")
+        };
+
+        let fresh_db = Database::open_memory(256);
+        let fresh = UpdateQueue::persistent(&fresh_db).unwrap();
+        fill(&fresh);
+        let fresh_fetches = dequeue_fetches(&fresh_db, &fresh);
+
+        let db = Database::open_memory(256);
+        let q = UpdateQueue::persistent(&db).unwrap();
+        fill(&q);
+        let mut next = BACKLOG;
+        while next < BACKLOG + 10_000 {
+            cycle(&q, &mut next);
+        }
+        let pages_early = db.storage().pool().disk().num_pages();
+        while next < BACKLOG + 300_000 {
+            cycle(&q, &mut next);
+        }
+        assert_eq!(q.len(), BACKLOG as usize);
+        assert_eq!(db.storage().pool().disk().num_pages(), pages_early);
+        assert!(dequeue_fetches(&db, &q) <= fresh_fetches);
+        // And it is the batch's own pages that a dequeue fetches: 64 small
+        // tokens lie on one or two.
+        assert!(fresh_fetches <= 2, "{fresh_fetches} pages for 64 tokens");
     }
 
     #[test]

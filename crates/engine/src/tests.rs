@@ -737,7 +737,6 @@ fn metrics_snapshot_invariants_after_quiescence() {
     assert_eq!(m.storage.checksum_failures, 0);
     assert_eq!(m.storage.quarantined_pages, 0);
     assert_eq!(m.queue.corrupt_rows, 0);
-    assert_eq!(m.queue.dedup_dropped, 0);
     // Volatile queue mode: no delivery watermark.
     assert_eq!(m.queue.watermark, None);
 
@@ -769,7 +768,6 @@ fn render_text_exposes_all_subsystems() {
         "tman_checksum_failures_total 0",
         "tman_quarantined_pages_total 0",
         "tman_queue_corrupt_rows_total 0",
-        "tman_queue_dedup_dropped_total 0",
         // Wire-tier series are pre-registered so scrapers see the family
         // (at zero) before the first remote connection.
         "tman_wire_tokens_total 0",
@@ -1547,6 +1545,55 @@ fn batched_drain_pays_one_ack_barrier_per_batch() {
     assert_eq!(tman.queue.watermark(), Some(32));
     drop(tman);
     let _ = std::fs::remove_file(&path);
+}
+
+/// One `tman_test` over a deep persistent backlog costs the batch it
+/// drains, not the backlog: a 64-token dequeue, the ack's one meta-page
+/// write and the O(1) pending-work check together fetch a handful of
+/// pages, where a scanned queue table fetched every page of the backlog
+/// twice per call. Counted on the pool's own fetch counters, which repeat
+/// exactly from run to run.
+#[test]
+fn tman_test_on_a_deep_backlog_touches_only_its_batch() {
+    let cfg = Config {
+        queue_mode: QueueMode::Persistent,
+        drain_batch: 64,
+        ..Default::default()
+    };
+    let tman = TriggerMan::open_memory(cfg).unwrap();
+    tman.execute_command("define data source q (sym varchar(12), price float, vol int)")
+        .unwrap();
+    tman.execute_command("create trigger v from q when q.vol = 7 do raise event Vol(q.vol)")
+        .unwrap();
+    let src = tman.source("q").unwrap().id;
+    let rx = tman.subscribe("Vol");
+    let backlog: Vec<UpdateDescriptor> = (0..4_096)
+        .map(|i| {
+            let row = vec![Value::str("S"), Value::Float(1.0), Value::Int(i % 64)];
+            UpdateDescriptor::insert(src, Tuple::new(row))
+        })
+        .collect();
+    tman.push_tokens(backlog).unwrap();
+    assert_eq!(tman.queue_len(), 4_096);
+
+    let stats = tman.database().storage().pool().stats().clone();
+    let fetches = || stats.pool_hits.get() + stats.pool_misses.get();
+    let before = fetches();
+    // A zero threshold expires after the first batch: one dequeue, one
+    // run, one ack barrier, one look at what is left.
+    let result = tman.tman_test(Duration::ZERO);
+    let touched = fetches() - before;
+    assert_eq!(result, TmanTestResult::TasksRemaining);
+    assert!(tman.last_error().is_none(), "{:?}", tman.last_error());
+    assert_eq!(rx.try_iter().count(), 1);
+    assert_eq!(tman.queue_len(), 4_096 - 64);
+    assert_eq!(tman.queue.watermark(), Some(64));
+    // The backlog lies on some forty pages of the log. The batch lies on
+    // one or two; the ack fetches the log's meta page.
+    assert!(
+        touched <= 3,
+        "{touched} page fetches for one 64-token batch"
+    );
 }
 
 /// With fan-out and async actions, a token's ack is deferred until every

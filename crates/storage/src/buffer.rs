@@ -200,37 +200,54 @@ impl BufferPool {
 
     fn flush_cell(&self, cell: &FrameCell) -> Result<()> {
         if cell.dirty.swap(false, Ordering::AcqRel) {
-            let data = cell.data.read();
-            let mut last = None;
-            for attempt in 0..Self::FLUSH_ATTEMPTS {
-                let res = match &self.wal {
-                    Some(wal) => wal.append_page(cell.pid, &data),
-                    None => self.disk.write_page(cell.pid, &data),
-                };
-                match res {
-                    Ok(()) => return Ok(()),
-                    Err(e @ TmanError::Io(_)) => {
-                        last = Some(e);
-                        if attempt + 1 < Self::FLUSH_ATTEMPTS {
-                            self.stats.io_retries.bump();
-                            std::thread::sleep(std::time::Duration::from_micros(50 << attempt));
-                        }
-                    }
-                    Err(e) => {
-                        // Non-I/O failures are not transient: re-mark dirty
-                        // so a later flush retries, and propagate.
-                        cell.dirty.store(true, Ordering::Release);
-                        return Err(e);
-                    }
-                }
-            }
-            // Out of attempts: the page is still only in memory. Keep it
-            // dirty so checkpoints keep trying rather than silently losing
-            // the data.
-            cell.dirty.store(true, Ordering::Release);
-            return Err(last.expect("loop ran at least once"));
+            self.write_cell(cell)?;
         }
         Ok(())
+    }
+
+    /// Send a pinned page's current image to the log (to the page file,
+    /// without one) now, dirty or not. A caller that must order two pages
+    /// in the log — the second may only ever be sealed by a commit that
+    /// also seals the first — writes the first through before it touches
+    /// the second; the dirty flag alone cannot promise that, because a
+    /// concurrent flush clears it before its own append has happened.
+    pub fn write_through(&self, page: &PageGuard) -> Result<()> {
+        page.cell.dirty.store(false, Ordering::Release);
+        self.write_cell(&page.cell)
+    }
+
+    /// Write one page out, retrying transient I/O errors. On failure the
+    /// page is left marked dirty.
+    fn write_cell(&self, cell: &FrameCell) -> Result<()> {
+        let data = cell.data.read();
+        let mut last = None;
+        for attempt in 0..Self::FLUSH_ATTEMPTS {
+            let res = match &self.wal {
+                Some(wal) => wal.append_page(cell.pid, &data),
+                None => self.disk.write_page(cell.pid, &data),
+            };
+            match res {
+                Ok(()) => return Ok(()),
+                Err(e @ TmanError::Io(_)) => {
+                    last = Some(e);
+                    if attempt + 1 < Self::FLUSH_ATTEMPTS {
+                        self.stats.io_retries.bump();
+                        std::thread::sleep(std::time::Duration::from_micros(50 << attempt));
+                    }
+                }
+                Err(e) => {
+                    // Non-I/O failures are not transient: re-mark dirty
+                    // so a later flush retries, and propagate.
+                    cell.dirty.store(true, Ordering::Release);
+                    return Err(e);
+                }
+            }
+        }
+        // Out of attempts: the page is still only in memory. Keep it
+        // dirty so checkpoints keep trying rather than silently losing
+        // the data.
+        cell.dirty.store(true, Ordering::Release);
+        Err(last.expect("loop ran at least once"))
     }
 
     /// Pick a frame index to (re)use: an empty slot, else the unpinned LRU

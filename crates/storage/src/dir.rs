@@ -1,8 +1,8 @@
 //! Persistent object directory.
 //!
 //! Maps object names to their meta pages, rooted at page 0 (the
-//! superblock), spilling onto chained pages when full. Both heaps and
-//! B+trees are addressed by an immutable *meta page*, so directory entries
+//! superblock), spilling onto chained pages when full. Heaps, B+trees and
+//! sequence logs are addressed by an immutable *meta page*, so directory entries
 //! never need updating after creation.
 //!
 //! Record layout: `[kind u8][root u32][name utf8...]`.
@@ -21,6 +21,8 @@ pub enum ObjectKind {
     Heap,
     /// A [`crate::btree::BTree`] meta page.
     BTree,
+    /// A [`crate::seqlog::SeqLog`] meta page.
+    SeqLog,
 }
 
 impl ObjectKind {
@@ -28,6 +30,7 @@ impl ObjectKind {
         match self {
             ObjectKind::Heap => 0,
             ObjectKind::BTree => 1,
+            ObjectKind::SeqLog => 2,
         }
     }
 
@@ -35,6 +38,7 @@ impl ObjectKind {
         match c {
             0 => Ok(ObjectKind::Heap),
             1 => Ok(ObjectKind::BTree),
+            2 => Ok(ObjectKind::SeqLog),
             _ => Err(TmanError::Storage(format!("bad object kind {c}"))),
         }
     }

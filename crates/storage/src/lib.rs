@@ -12,6 +12,8 @@
 //! * [`heap::HeapFile`]s for table rows,
 //! * a [`btree::BTree`] over memcmp-comparable encoded keys ([`keyenc`]) —
 //!   the "clustered index on \[const1, ... constK\]" of §5.1,
+//! * [`seqlog::SeqLog`]s — append-only records addressed by sequence number
+//!   (the update-descriptor queue of §3),
 //! * a persistent object [`dir::Directory`] mapping names to roots.
 //!
 //! Everything above this crate (SQL executor, catalogs, constant tables)
@@ -26,6 +28,7 @@ pub mod fault;
 pub mod heap;
 pub mod keyenc;
 pub mod page;
+pub mod seqlog;
 pub mod wal;
 
 pub use btree::BTree;
@@ -34,6 +37,7 @@ pub use dir::{Directory, ObjectKind};
 pub use disk::{DiskManager, PageId, RecoveryReport, PAGE_SIZE};
 pub use fault::{FaultConfig, FaultKind, FaultPlan};
 pub use heap::{HeapFile, RecordId};
+pub use seqlog::SeqLog;
 pub use wal::{Snapshot, Wal, WalConfig};
 
 use std::path::Path;
@@ -131,6 +135,8 @@ impl Storage {
                 ObjectKind::BTree => {
                     BTree::repair(&self.pool, entry.root)?;
                 }
+                // Every `SeqLog::open` revalidates its chain.
+                ObjectKind::SeqLog => {}
             }
         }
         Ok(())
@@ -196,6 +202,24 @@ impl Storage {
             )));
         }
         BTree::open(self.pool.clone(), entry.root)
+    }
+
+    /// Create a new sequence log registered under `name`.
+    pub fn create_seqlog(&self, name: &str) -> Result<SeqLog> {
+        let log = SeqLog::create(self.pool.clone())?;
+        self.dir.create(name, ObjectKind::SeqLog, log.meta_page())?;
+        Ok(log)
+    }
+
+    /// Open an existing sequence log by name.
+    pub fn open_seqlog(&self, name: &str) -> Result<SeqLog> {
+        let entry = self.dir.get(name)?;
+        if entry.kind != ObjectKind::SeqLog {
+            return Err(tman_common::TmanError::Storage(format!(
+                "'{name}' is not a sequence log"
+            )));
+        }
+        SeqLog::open(self.pool.clone(), entry.root)
     }
 
     /// Remove a directory entry (pages are leaked — no free-space reuse in
