@@ -41,8 +41,6 @@ fn main() {
         ("e8", e8_networks),
         ("e9", e9_ranges),
         ("e10", e10_design),
-        ("e11", e11_governor),
-        ("e12", e12_partitions),
         ("e13", e13_wire),
         ("e14", e14_sharding),
         ("e15", e15_disjunctions),
@@ -853,212 +851,6 @@ fn e10_design(o: &Opts) {
     dump_metrics("e10", &metrics_json);
 }
 
-/// E11 — the adaptive organization governor vs hand-tuned static
-/// configurations on the E1 scale workload. The governor starts every
-/// class as a list (no insert-time promotion), then converges during a
-/// warmup of probe traffic interleaved with governor passes; the measured
-/// phase should match the best static choice.
-fn e11_governor(o: &Opts) {
-    let sizes: &[usize] = if o.quick {
-        &[1_000, 10_000]
-    } else {
-        &[1_000, 10_000, 100_000]
-    };
-    let n_syms = 200;
-    let mut table = Table::new(&["triggers", "config", "tok/s", "memory", "moves"]);
-    let mut metrics_json = String::new();
-    for &n in sizes {
-        let static_cfgs = [
-            (
-                "static lists",
-                IndexConfig {
-                    list_to_index: usize::MAX,
-                    ..Default::default()
-                },
-            ),
-            (
-                "static index-all",
-                IndexConfig {
-                    list_to_index: 0,
-                    ..Default::default()
-                },
-            ),
-            ("static default", IndexConfig::default()),
-            (
-                "adaptive",
-                IndexConfig {
-                    adaptive: true,
-                    ..Default::default()
-                },
-            ),
-        ];
-        for (name, cfg) in static_cfgs {
-            let adaptive = cfg.adaptive;
-            let policy = tman_predindex::GovernorPolicy::from_config(&cfg);
-            let registry = Arc::new(Registry::new());
-            let db = Arc::new(Database::open_memory(1024));
-            let mut ix = PredicateIndex::with_database(cfg, db);
-            ix.attach_telemetry(&registry);
-            build_index(&ix, n, Template::all(), n_syms, 1);
-            let probes = if o.quick { 2_000 } else { 5_000 };
-            let tokens = quote_tokens(probes, n_syms, 2);
-            let mut moves = 0usize;
-            // Every config gets the same warmup probe traffic; the
-            // adaptive one additionally interleaves governor passes, as
-            // the engine's driver maintenance path would run them.
-            let warm = quote_tokens(probes / 2, n_syms, 3);
-            for chunk in warm.chunks((warm.len() / 4).max(1)) {
-                for t in chunk {
-                    ix.match_token(t, &mut |_| {}).unwrap();
-                }
-                if adaptive {
-                    moves += ix.governor_pass(&policy).migrations.len();
-                }
-            }
-            let (_, d) = time_it(|| {
-                for t in &tokens {
-                    ix.match_token(t, &mut |_| {}).unwrap();
-                }
-            });
-            table.row(vec![
-                n.to_string(),
-                name.into(),
-                human(rate(probes, d)),
-                human_bytes(ix.memory_bytes()),
-                moves.to_string(),
-            ]);
-            metrics_json = registry.render_json();
-        }
-    }
-    table.print();
-    dump_metrics("e11", &metrics_json);
-}
-
-/// E12 — adaptive vs static condition-partition fan-out on a skewed
-/// hot-signature workload: one equivalence class of M same-condition
-/// triggers takes every token (§6's partitioning example). Static rows
-/// force the Figure-5 fan-out unconditionally; the adaptive row lets the
-/// partition controller pick a per-signature fan-out from observed driver
-/// utilization (and disengage when fanning out is pure overhead — on a
-/// single-CPU host the right answer is fan-out 1, so adaptive should track
-/// the best static row while the widest static row pays task overhead).
-/// Paper anchor: §6, Figure 5.
-fn e12_partitions(o: &Opts) {
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!("host parallelism: {cpus} CPU(s).");
-    let m = if o.quick { 10_000 } else { 30_000 };
-    let n_tokens = 200;
-    let statics: &[usize] = &[1, 2, 4, 8];
-
-    let mut table = Table::new(&["config", "tokens/s", "speedup"]);
-    let mut metrics_json = String::new();
-    let mut rates: Vec<(String, f64)> = Vec::new();
-    let mut base = 0.0;
-    let mut partition_report = String::new();
-
-    let labels_cfgs: Vec<(String, Config)> = statics
-        .iter()
-        .map(|&p| {
-            (
-                format!("static p={p}"),
-                Config {
-                    condition_partitions: p,
-                    partition_min: Config::default().partition_min,
-                    driver_period: Duration::from_micros(200),
-                    threshold: Duration::from_millis(20),
-                    ..Default::default()
-                },
-            )
-        })
-        .chain(std::iter::once((
-            "adaptive".to_string(),
-            Config {
-                partitioning: triggerman::Partitioning::Adaptive,
-                partition_min: Config::default().partition_min,
-                driver_period: Duration::from_micros(200),
-                threshold: Duration::from_millis(20),
-                // Let controller passes run every maintenance visit.
-                governor_period: Duration::from_millis(1),
-                ..Default::default()
-            },
-        )))
-        .collect();
-
-    for (label, cfg) in labels_cfgs {
-        let adaptive = label == "adaptive";
-        let tman = TriggerMan::open_memory(traced(cfg)).unwrap();
-        tman.execute_command("define data source q (sym varchar(12), price float, vol int)")
-            .unwrap();
-        let src = tman.source("q").unwrap().id;
-        for i in 0..m {
-            tman.execute_command(&format!(
-                "create trigger c{i} from q when q.sym = 'HOT' and q.price > {} \
-                 do raise event E{i}(q.price)",
-                i % 997
-            ))
-            .unwrap();
-        }
-        let tokens: Vec<UpdateDescriptor> = (0..n_tokens)
-            .map(|i| {
-                UpdateDescriptor::insert(
-                    src,
-                    tman_common::Tuple::new(vec![
-                        Value::str("HOT"),
-                        Value::Float((i % 1000) as f64),
-                        Value::Int(0),
-                    ]),
-                )
-            })
-            .collect();
-        push_all(&tman, src, &tokens);
-        let pool = tman.start_drivers();
-        let t0 = Instant::now();
-        while tman.queue_len() > 0 {
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        let d = t0.elapsed();
-        if adaptive {
-            // Give the drained drivers a few maintenance visits so the
-            // partition controller demonstrably ran.
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        pool.stop();
-        let r = rate(n_tokens, d);
-        if base == 0.0 {
-            base = r;
-        }
-        table.row(vec![label.clone(), human(r), format!("{:.2}x", r / base)]);
-        rates.push((label, r));
-        if adaptive {
-            partition_report = tman
-                .metrics_snapshot()
-                .format(Some("drivers"))
-                .unwrap_or_default();
-            metrics_json = tman.render_metrics_json();
-        }
-    }
-    table.print();
-
-    let static_rates: Vec<f64> = rates
-        .iter()
-        .filter(|(l, _)| l.starts_with("static"))
-        .map(|&(_, r)| r)
-        .collect();
-    let adaptive_rate = rates.last().map(|&(_, r)| r).unwrap_or(0.0);
-    let best = static_rates.iter().cloned().fold(0.0_f64, f64::max);
-    let worst = static_rates.iter().cloned().fold(f64::INFINITY, f64::min);
-    println!(
-        "adaptive = {:.2}x best static, {:.2}x worst static",
-        adaptive_rate / best.max(1e-9),
-        adaptive_rate / worst.max(1e-9)
-    );
-    println!("\nadaptive run, `show stats drivers`:");
-    print!("{partition_report}");
-    dump_metrics("e12", &metrics_json);
-}
-
 /// E13 — wire-tier ingestion: many loopback TCP source connections stream
 /// tokens through `tman-wire` into the update queue. The server
 /// group-commits each poll pass (one durability barrier amortized across
@@ -1126,7 +918,7 @@ fn e13_wire(o: &Opts) {
                     Some((seq, _)) => {
                         idle = 0;
                         seen += 1;
-                        if seen % 256 == 0 {
+                        if seen.is_multiple_of(256) {
                             sub.ack(seq).unwrap();
                         }
                     }

@@ -37,7 +37,7 @@ pub struct StorageStats {
     /// Pages zeroed and quarantined by the open-time recovery pass because
     /// neither physical slot held a valid copy.
     pub quarantined_pages: Arc<Counter>,
-    /// Faults injected by an attached [`FaultPlan`] (test builds only).
+    /// Faults injected by an attached `FaultPlan` (test builds only).
     pub faults_injected: Arc<Counter>,
     /// Explicit durability syncs (`fdatasync` on the file backend; a
     /// counted no-op on the memory backend). Group commit amortizes these:

@@ -1,6 +1,5 @@
 //! Engine configuration.
 
-use crate::partition_ctl::PartitionPolicy;
 use std::time::Duration;
 use tman_network::NetworkKind;
 use tman_predindex::IndexConfig;
@@ -34,22 +33,6 @@ pub enum TracingMode {
     Full,
 }
 
-/// How the Figure-5 condition-level fan-out is chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Partitioning {
-    /// Fan out into exactly [`Config::condition_partitions`] tasks
-    /// whenever a signature's class has at least
-    /// [`Config::partition_min`] entries.
-    Static,
-    /// Let the [`partition_ctl`](crate::partition_ctl) controller pick a
-    /// per-signature fan-out from observed driver utilization: engage
-    /// only when drivers are idle and token latency is queue-dominated,
-    /// widen/narrow with hysteresis, disengage under saturation.
-    /// [`Config::condition_partitions`] is ignored;
-    /// [`Config::partition_min`] still gates eligibility.
-    Adaptive,
-}
-
 /// TriggerMan configuration.
 #[derive(Debug, Clone)]
 pub struct Config {
@@ -79,11 +62,6 @@ pub struct Config {
     pub condition_partitions: usize,
     /// Minimum triggerID-set size before partitioned probing kicks in.
     pub partition_min: usize,
-    /// Static (config-driven) vs adaptive (controller-driven) fan-out.
-    pub partitioning: Partitioning,
-    /// Tuning for the adaptive partition controller (ignored under
-    /// [`Partitioning::Static`]).
-    pub partition_policy: PartitionPolicy,
     /// Run each rule action as its own task (rule-action concurrency, §6)
     /// instead of inline with token processing.
     pub async_actions: bool,
@@ -100,21 +78,6 @@ pub struct Config {
     /// A token whose end-to-end latency reaches this threshold has its
     /// trace retained even when `TracingMode::Sampled(n)` would discard it.
     pub slow_token_threshold: Duration,
-    /// Capacity (in events) of the bounded trace ring buffer; oldest
-    /// retained events are overwritten once it fills.
-    pub trace_buffer_events: usize,
-    /// Global cap on the predicate index's memory-resident constant sets.
-    /// When the resident bytes exceed it, the organization governor
-    /// force-spills the coldest large equivalence classes to the
-    /// database until they fit (requires a database-backed engine, which
-    /// [`TriggerMan::open_memory`](crate::TriggerMan) always is). `None`
-    /// disables budget enforcement. Setting a budget enables governor
-    /// passes even when [`IndexConfig::adaptive`] is off.
-    pub index_memory_budget: Option<usize>,
-    /// Minimum interval between organization-governor passes. Drivers
-    /// run the governor opportunistically when the task queue goes
-    /// empty, at most once per period across all threads.
-    pub governor_period: Duration,
     /// Fault-injection plan attached to the disk manager (test builds
     /// only; `None` in production). See [`tman_storage::FaultPlan`] — the
     /// plan starts disarmed, so merely attaching it costs nothing until a
@@ -126,18 +89,6 @@ pub struct Config {
     /// replay time; larger ones amortize checkpoint write-back further.
     /// Ignored by `open_memory` (no WAL).
     pub wal_checkpoint_bytes: u64,
-    /// Wire tier: maximum decoded descriptors accumulated per poll pass
-    /// before a group commit (one batched enqueue + one sync) is forced.
-    pub wire_batch_max: usize,
-    /// Wire tier: ingestion credits granted to a source connection at
-    /// hello time and replenished on batch acknowledgement (one credit =
-    /// one update descriptor the client may send).
-    pub wire_credits: u32,
-    /// Wire tier: persistent-queue depth above which credit replenishment
-    /// is withheld (backpressure). Clients stall on zero credits instead
-    /// of being dropped; grants resume once the drivers drain the queue
-    /// below the high-water mark.
-    pub wire_queue_high_water: usize,
     /// HTTP exposition endpoint (`GET /metrics`, `/metrics.json`,
     /// `/healthz`, `/tracez`), e.g. `"127.0.0.1:9100"` (port 0 for
     /// ephemeral). `None` (the default) serves nothing; an address starts
@@ -173,21 +124,13 @@ impl Default for Config {
             threshold: Duration::from_millis(250),
             condition_partitions: 1,
             partition_min: 1024,
-            partitioning: Partitioning::Static,
-            partition_policy: PartitionPolicy::default(),
             async_actions: false,
             pool_pages: 4096,
             telemetry: true,
             tracing: TracingMode::Off,
             slow_token_threshold: Duration::from_millis(10),
-            trace_buffer_events: 65_536,
-            index_memory_budget: None,
-            governor_period: Duration::from_millis(250),
             faults: None,
             wal_checkpoint_bytes: 1 << 20,
-            wire_batch_max: 4096,
-            wire_credits: 1024,
-            wire_queue_high_water: 65_536,
             http_addr: None,
             shards: None,
             drain_batch: 64,

@@ -48,7 +48,6 @@ pub mod config;
 pub mod driver;
 pub mod events;
 pub mod metrics;
-pub mod partition_ctl;
 pub mod queue;
 pub mod shard;
 pub mod source;
@@ -57,16 +56,13 @@ pub mod window;
 pub use cache::{PinnedTrigger, TriggerCache};
 pub use client::{Client, DataSourceClient};
 pub use compile::{CompiledAction, CompiledTrigger};
-pub use config::{Config, Partitioning, QueueMode, TracingMode};
+pub use config::{Config, QueueMode, TracingMode};
 pub use driver::{AckState, DriverPool, Task, TmanTestResult};
 pub use events::{EventBus, EventNotification, NotificationSink};
 pub use metrics::MetricsSnapshot;
-pub use partition_ctl::{
-    DriverLoad, PartitionController, PartitionPolicy, PartitionReport, PassInputs,
-};
 pub use shard::{EngineShard, ShardSet};
 pub use tman_network::NetworkKind;
-pub use tman_predindex::{GovernorPolicy, GovernorReport, OrgKind};
+pub use tman_predindex::OrgKind;
 pub use tman_telemetry::{
     Registry, SpanKind, TraceEvent, TraceSnapshot, TraceTree, Tracer, TracerStats,
 };
@@ -95,6 +91,15 @@ use tman_predindex::{MatchPlan, PredicateIndex, Probe, SignatureRuntime};
 use tman_sql::{Database, ExecResult};
 use tman_telemetry::trace::{now_ns, SpanGuard, ROOT_SPAN};
 use tman_telemetry::{HttpResponse, HttpServer, TraceHandle};
+
+/// Capacity, in events, of the bounded trace ring buffer; the oldest
+/// retained events are overwritten once it fills.
+const TRACE_BUFFER_EVENTS: usize = 65_536;
+
+/// Update-queue depth at which `/healthz` reports `overloaded` and the
+/// wire tier withholds ingestion credits (backpressure) until the drivers
+/// drain the queue below it.
+pub const QUEUE_HIGH_WATER: usize = 65_536;
 
 /// Outcome of a TriggerMan command.
 #[derive(Debug, Clone, PartialEq)]
@@ -135,7 +140,7 @@ pub struct EngineStats {
 
 /// Execution facts of one predicate-index entry ride in the top bits of
 /// its [`ExprId`] — the engine allocates the ids, the id survives
-/// governor migrations and the DB-backed organizations' row round trip
+/// organization switches and the DB-backed organizations' row round trip
 /// unchanged, and the match itself hands it back — so an entry with
 /// neither fact costs the drain one branch ([`TriggerMan::admit`]).
 ///
@@ -259,17 +264,6 @@ pub struct TriggerMan {
     pub(crate) telemetry: metrics::EngineTelemetry,
     tracer: Option<Arc<Tracer>>,
     last_error: Mutex<Option<String>>,
-    /// `now_ns()` of the last organization-governor pass (0 = never); the
-    /// driver that wins the CAS on this runs the next pass.
-    governor_last_ns: AtomicU64,
-    /// The adaptive condition-partition controller
-    /// ([`Partitioning::Adaptive`] with telemetry on). `None` means no
-    /// passes run and published per-signature fan-outs are left alone.
-    partition_ctl: Option<PartitionController>,
-    /// `now_ns()` of the last partition-controller pass. Its own stamp,
-    /// so the controller and the governor never steal each other's
-    /// maintenance turn.
-    partition_last_ns: AtomicU64,
     /// The HTTP exposition endpoint ([`Config::http_addr`] or
     /// [`serve_http`](Self::serve_http)); stopped at shutdown.
     http: Mutex<Option<HttpServer>>,
@@ -322,28 +316,15 @@ impl TriggerMan {
         let tracer = match config.tracing {
             TracingMode::Off => None,
             TracingMode::Sampled(n) => Some(Arc::new(Tracer::new(
-                config.trace_buffer_events,
+                TRACE_BUFFER_EVENTS,
                 n,
                 config.slow_token_threshold,
             ))),
             TracingMode::Full => Some(Arc::new(Tracer::new(
-                config.trace_buffer_events,
+                TRACE_BUFFER_EVENTS,
                 1,
                 config.slow_token_threshold,
             ))),
-        };
-        // The controller reads its load signals (busy ns, queue waits,
-        // expirations) from the metrics registry: with telemetry off those
-        // all read zero, so adaptive passes would be blind — leave the
-        // controller out and published fan-outs untouched.
-        let partition_ctl = match config.partitioning {
-            Partitioning::Adaptive if config.telemetry => {
-                let mut ctl =
-                    PartitionController::new(config.partition_policy.clone(), config.partition_min);
-                ctl.attach_telemetry(&telemetry.registry);
-                Some(ctl)
-            }
-            _ => None,
         };
         let system = Arc::new(TriggerMan {
             cache,
@@ -372,9 +353,6 @@ impl TriggerMan {
             next_expr: AtomicU64::new(1),
             stats: EngineStats::default(),
             last_error: Mutex::new(None),
-            governor_last_ns: AtomicU64::new(0),
-            partition_ctl,
-            partition_last_ns: AtomicU64::new(0),
             http: Mutex::new(None),
             shutdown: AtomicBool::new(false),
             catalog,
@@ -490,7 +468,8 @@ impl TriggerMan {
         // see a no-op (type mismatch by design); typed access goes through
         // `Tracer::stats` as before.
         if let Some(tracer) = &self.tracer {
-            let series: [(&str, fn(&TracerStats) -> u64); 6] = [
+            type Read = fn(&TracerStats) -> u64;
+            let series: [(&str, Read); 6] = [
                 ("tman_trace_tokens_started_total", |s| s.started),
                 ("tman_trace_tokens_retained_total", |s| s.retained),
                 ("tman_trace_tokens_discarded_total", |s| s.discarded),
@@ -710,7 +689,7 @@ impl TriggerMan {
     /// crash damage. 503 when shutting down or overloaded, else 200.
     fn render_healthz(&self) -> HttpResponse {
         let depth = self.queue_len();
-        let high = self.config.wire_queue_high_water;
+        let high = QUEUE_HIGH_WATER;
         let shutdown = self.is_shutdown();
         let overloaded = depth >= high;
         let status = if shutdown {
@@ -796,9 +775,8 @@ impl TriggerMan {
     }
 
     /// Steer task placement to `n` shards (clamped to `[1, num_shards]`);
-    /// returns the applied value. Under [`Partitioning::Adaptive`] the
-    /// partition controller calls this each pass; public so operators and
-    /// the differential oracle can force mid-stream transitions.
+    /// returns the applied value. Public so operators and the differential
+    /// oracle can force mid-stream transitions.
     pub fn set_active_shards(&self, n: usize) -> usize {
         self.shards.set_active(n)
     }
@@ -1084,8 +1062,7 @@ impl TriggerMan {
     ///   indexable, registered as separate entries flagged
     ///   [`EXPR_TAGGED`]. A token claims their common tag at its first
     ///   matching entry ([`Self::admit`]), so the trigger still fires at
-    ///   most once per token even when several disjuncts match. The
-    ///   governor accounts the multi-set membership automatically: each
+    ///   most once per token even when several disjuncts match. Each
     ///   branch is an ordinary entry in whatever constant set it lands in.
     /// * **Windowed thresholds.** A `count >= K within W` trigger gets one
     ///   shared [`WindowState`]; its entries are flagged
@@ -1463,7 +1440,7 @@ impl TriggerMan {
             let sig = &psig.rt;
             // Condition-level concurrency (Figure 5): split this
             // signature's constant/triggerID sets into tasks.
-            let parts = self.effective_partitions(sig);
+            let parts = self.config.condition_partitions;
             let fan = parts > 1 && !psig.windowed() && sig.len() >= self.config.partition_min;
             probes.clear();
             let mut accepted = 0u64;
@@ -1590,7 +1567,6 @@ impl TriggerMan {
                     match step.kind {
                         StepKind::Split { sig, parts } => {
                             let sig = &plan.sigs[sig as usize].rt;
-                            sig.partition_activity().record_fanout();
                             // The fan-out span parents every partition's
                             // probe span, so the tree reassembles across
                             // driver threads.
@@ -1646,18 +1622,6 @@ impl TriggerMan {
             }
         }
         first_err.map_or(Ok(()), Err)
-    }
-
-    /// Figure-5 fan-out width for one signature probe: the static config
-    /// knob under [`Partitioning::Static`], or the partition controller's
-    /// published per-signature decision under [`Partitioning::Adaptive`]
-    /// (read even when no controller instance runs, so tests can force a
-    /// fan-out through [`tman_predindex::PartitionActivity::set_fanout`]).
-    fn effective_partitions(&self, sig: &SignatureRuntime) -> usize {
-        match self.config.partitioning {
-            Partitioning::Static => self.config.condition_partitions,
-            Partitioning::Adaptive => sig.partition_activity().fanout(),
-        }
     }
 
     /// The tagged-execution / windowed-threshold gate for one index match,
@@ -1914,7 +1878,7 @@ impl TriggerMan {
     /// pull tokens from the update queue [`Config::drain_batch`] at a time.
     /// A batch is processed with the match-plan load, the constant-set lock
     /// holds and the persistent queue's ack/watermark barrier amortized
-    /// across it (see [`drain_batch_on`](Self::drain_batch_on)).
+    /// across it (see `drain_batch_on`).
     pub fn tman_test_on(
         self: &Arc<Self>,
         shard: usize,
@@ -1946,12 +1910,7 @@ impl TriggerMan {
                         if let Err(e) = other {
                             self.record_error(&e);
                         }
-                        // Maintenance path: with nothing to process, this
-                        // driver may run an organization-governor pass (the
-                        // paper's reorganizations happen off the insert and
-                        // probe paths) and/or a partition-controller pass.
-                        self.maybe_run_governor();
-                        self.maybe_run_partition_pass();
+                        // Maintenance path: nothing to process.
                         self.expire_windows();
                         self.flush_acks();
                         // Tasks pushed concurrently must not be stranded
@@ -1969,13 +1928,10 @@ impl TriggerMan {
                 // A threshold expiry only means "come back immediately"
                 // when something is actually left — e.g. a `SigPartition`
                 // fan-out enqueued by the last token. An expiry with
-                // nothing pending is a clean drain, not saturation (the
-                // expiration counter feeds the partition controller's
-                // saturation signal, so false positives matter).
+                // nothing pending is a clean drain, not saturation.
                 self.flush_acks();
                 if self.has_pending_work() {
                     self.telemetry.threshold_expirations.bump();
-                    self.maybe_run_partition_pass();
                     return TmanTestResult::TasksRemaining;
                 }
                 return TmanTestResult::QueueEmpty;
@@ -2125,132 +2081,6 @@ impl TriggerMan {
         !self.shards.is_empty() || !self.queue.is_empty()
     }
 
-    /// Is the organization governor enabled by this configuration?
-    fn governor_enabled(&self) -> bool {
-        self.config.index.adaptive || self.config.index_memory_budget.is_some()
-    }
-
-    /// Opportunistic governor entry point, called from the drivers'
-    /// maintenance path (empty task queue). At most one pass per
-    /// [`Config::governor_period`] across all driver threads: the thread
-    /// that wins the CAS on the last-pass stamp runs it, everyone else
-    /// returns immediately.
-    fn maybe_run_governor(&self) {
-        if !self.governor_enabled() {
-            return;
-        }
-        let now = now_ns();
-        let last = self.governor_last_ns.load(Ordering::Relaxed);
-        if now.saturating_sub(last) < self.config.governor_period.as_nanos() as u64 {
-            return;
-        }
-        if self
-            .governor_last_ns
-            .compare_exchange(last, now, Ordering::Relaxed, Ordering::Relaxed)
-            .is_ok()
-        {
-            self.run_governor();
-        }
-    }
-
-    /// Run one organization-governor pass now (see
-    /// [`PredicateIndex::governor_pass`]): refresh per-signature activity
-    /// rates, apply hysteresis promotions/demotions, and enforce
-    /// [`Config::index_memory_budget`]. Normally invoked from the drivers'
-    /// maintenance path; public so tests and operators can force a pass.
-    pub fn run_governor(&self) -> GovernorReport {
-        let mut policy = GovernorPolicy::from_config(&self.config.index);
-        policy.memory_budget = self.config.index_memory_budget;
-        let report = self.predindex.governor_pass(&policy);
-        for msg in &report.errors {
-            self.record_error(&TmanError::Internal(msg.clone()));
-        }
-        if let Some(tracer) = self.tracer.as_ref() {
-            if !report.migrations.is_empty() {
-                let handle = tracer.begin();
-                let now = now_ns();
-                handle.record_complete(
-                    SpanKind::Governor,
-                    ROOT_SPAN,
-                    now.saturating_sub(report.pass_ns),
-                    report.pass_ns,
-                    report.migrations.len() as u64,
-                    report.mem_bytes as u64,
-                );
-            }
-        }
-        report
-    }
-
-    /// Opportunistic partition-controller entry point, called from the
-    /// drivers' maintenance path. Unlike the governor it also runs on the
-    /// threshold-expiry (saturated) exit — the controller must be able to
-    /// *disengage* fan-out while the drivers never see an empty queue. At
-    /// most one pass per [`Config::governor_period`] across all threads,
-    /// on its own CAS stamp.
-    fn maybe_run_partition_pass(&self) {
-        if self.partition_ctl.is_none() {
-            return;
-        }
-        let now = now_ns();
-        let last = self.partition_last_ns.load(Ordering::Relaxed);
-        if now.saturating_sub(last) < self.config.governor_period.as_nanos() as u64 {
-            return;
-        }
-        if self
-            .partition_last_ns
-            .compare_exchange(last, now, Ordering::Relaxed, Ordering::Relaxed)
-            .is_ok()
-        {
-            self.run_partition_pass();
-        }
-    }
-
-    /// Run one condition-partition controller pass now (see
-    /// [`PartitionController::pass`]): fold driver-utilization telemetry
-    /// into the decayed load signals and publish per-signature fan-out
-    /// decisions. Returns `None` when no controller is configured
-    /// ([`Partitioning::Static`], or telemetry off). Normally invoked from
-    /// the drivers' maintenance path; public so tests and operators can
-    /// force a pass.
-    pub fn run_partition_pass(&self) -> Option<PartitionReport> {
-        let ctl = self.partition_ctl.as_ref()?;
-        let inputs = PassInputs {
-            now_ns: now_ns(),
-            busy_ns: self.telemetry.tman_test_ns.summary().sum,
-            test_calls: self.telemetry.tman_test_calls.get(),
-            expirations: self.telemetry.threshold_expirations.get(),
-            queue_wait_ns: self.telemetry.queue.wait_ns.summary().sum,
-            queue_depth: self.queue_len(),
-            num_drivers: self.config.num_drivers(),
-            cur_shards: self.shards.active(),
-            max_shards: self.shards.num_shards(),
-        };
-        let sigs = self.predindex.all_signatures();
-        let report = ctl.pass(&sigs, inputs);
-        // Steer task placement width along the controller's decision
-        // (adaptive engines only — this method is a no-op under Static, so
-        // a forced `set_active_shards` is never fought).
-        if report.target_shards != self.shards.active() && report.target_shards >= 1 {
-            self.shards.set_active(report.target_shards);
-        }
-        if let Some(tracer) = self.tracer.as_ref() {
-            if report.transitions > 0 {
-                let handle = tracer.begin();
-                let now = now_ns();
-                handle.record_complete(
-                    SpanKind::PartitionCtl,
-                    ROOT_SPAN,
-                    now.saturating_sub(report.pass_ns),
-                    report.pass_ns,
-                    report.transitions as u64,
-                    report.target_fanout as u64,
-                );
-            }
-        }
-        Some(report)
-    }
-
     /// Drain everything synchronously (tests, examples). Equivalent to a
     /// driver loop with an unbounded THRESHOLD.
     pub fn run_until_quiescent(self: &Arc<Self>) -> Result<()> {
@@ -2263,8 +2093,7 @@ impl TriggerMan {
     /// Start `N = ceil(NUM_CPUS * TMAN_CONCURRENCY_LEVEL)` driver threads
     /// (§6). Stop them by dropping the returned pool (or `shutdown`).
     /// Placement width starts at `min(num_shards, N)` — fanning placement
-    /// wider than the driver pool only adds steal traffic; the adaptive
-    /// controller re-steers it from there.
+    /// wider than the driver pool only adds steal traffic.
     pub fn start_drivers(self: &Arc<Self>) -> DriverPool {
         self.shards
             .set_active(self.config.num_drivers().min(self.shards.num_shards()));

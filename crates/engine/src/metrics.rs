@@ -1,4 +1,4 @@
-//! Engine-wide observability: instrument wiring ([`EngineTelemetry`]) and
+//! Engine-wide observability: instrument wiring (`EngineTelemetry`) and
 //! the typed read surface ([`MetricsSnapshot`], `show stats`).
 //!
 //! Every subsystem's counters are registered into one
@@ -188,8 +188,6 @@ pub struct DriverMetrics {
     pub active_shards: i64,
     /// Per-shard activity, indexed by shard ordinal.
     pub shards: Vec<ShardMetrics>,
-    /// Adaptive condition-partition controller.
-    pub partition: PartitionMetrics,
 }
 
 /// One engine shard's activity ([`crate::shard::EngineShard`]).
@@ -205,27 +203,6 @@ pub struct ShardMetrics {
     pub steals: u64,
     /// Live queued-task depth.
     pub queue_depth: i64,
-}
-
-/// Condition-partition controller totals
-/// ([`crate::partition_ctl::PartitionController`]). All zero under
-/// [`Partitioning::Static`](crate::config::Partitioning).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PartitionMetrics {
-    /// Controller passes run.
-    pub passes: u64,
-    /// Signatures whose fan-out left 1 (partitioning engaged).
-    pub engagements: u64,
-    /// Signatures whose fan-out returned to 1 (partitioning disengaged).
-    pub disengagements: u64,
-    /// Fan-out increases applied (engagements included).
-    pub widenings: u64,
-    /// Fan-out decreases applied (disengagements included).
-    pub narrowings: u64,
-    /// Widest currently-published per-signature fan-out (gauge).
-    pub current_fanout: i64,
-    /// Controller pass duration.
-    pub pass_ns: HistogramSummary,
 }
 
 /// Predicate-index metrics.
@@ -256,8 +233,6 @@ pub struct IndexMetrics {
     pub tag_dedup_hits: u64,
     /// Probe/match totals per constant-set organization.
     pub per_org: Vec<OrgMetrics>,
-    /// Adaptive organization governor.
-    pub governor: GovernorMetrics,
 }
 
 /// Per-organization probe/match totals.
@@ -269,39 +244,6 @@ pub struct OrgMetrics {
     pub probes: u64,
     /// Matches produced by sets in this organization.
     pub matches: u64,
-}
-
-/// Adaptive organization-governor totals
-/// ([`tman_predindex::PredicateIndex::governor_pass`]).
-#[derive(Debug, Clone, Default)]
-pub struct GovernorMetrics {
-    /// Governor passes run.
-    pub passes: u64,
-    /// Organization promotions (toward a more indexed/persistent form).
-    pub promotions: u64,
-    /// Organization demotions (back toward a list).
-    pub demotions: u64,
-    /// Classes force-spilled to the database by the memory budget.
-    pub budget_spills: u64,
-    /// Migrations abandoned after repeated snapshot invalidation.
-    pub aborted_migrations: u64,
-    /// Governor pass duration.
-    pub pass_ns: HistogramSummary,
-    /// Per-`{from,to}` migration totals (non-zero pairs only).
-    pub transitions: Vec<OrgTransitionMetrics>,
-}
-
-/// Migration totals for one ordered organization pair.
-#[derive(Debug, Clone, Copy)]
-pub struct OrgTransitionMetrics {
-    /// Organization migrated from.
-    pub from: &'static str,
-    /// Organization migrated to.
-    pub to: &'static str,
-    /// Times this pair was a promotion.
-    pub promotions: u64,
-    /// Times this pair was a demotion.
-    pub demotions: u64,
 }
 
 /// Trigger-cache metrics.
@@ -503,40 +445,6 @@ impl MetricsSnapshot {
             })
             .filter(|o| o.probes > 0 || o.matches > 0)
             .collect();
-        let gs = tman.predicate_index().governor_stats();
-        let mut transitions = Vec::new();
-        for &from in tman_predindex::ORG_LABELS.iter() {
-            for &to in tman_predindex::ORG_LABELS.iter() {
-                if from == to {
-                    continue;
-                }
-                let labels = [("from", from), ("to", to)];
-                let row = OrgTransitionMetrics {
-                    from,
-                    to,
-                    promotions: t
-                        .registry
-                        .counter("tman_org_promotions_total", &labels)
-                        .get(),
-                    demotions: t
-                        .registry
-                        .counter("tman_org_demotions_total", &labels)
-                        .get(),
-                };
-                if row.promotions > 0 || row.demotions > 0 {
-                    transitions.push(row);
-                }
-            }
-        }
-        let governor = GovernorMetrics {
-            passes: gs.passes.get(),
-            promotions: gs.promotions.get(),
-            demotions: gs.demotions.get(),
-            budget_spills: gs.budget_spills.get(),
-            aborted_migrations: gs.aborted_migrations.get(),
-            pass_ns: t.registry.histogram("tman_governor_pass_ns", &[]).summary(),
-            transitions,
-        };
         MetricsSnapshot {
             engine: EngineMetrics {
                 tokens: es.tokens.get(),
@@ -574,30 +482,6 @@ impl MetricsSnapshot {
                         }
                     })
                     .collect(),
-                partition: PartitionMetrics {
-                    passes: t.registry.counter("tman_partition_passes_total", &[]).get(),
-                    engagements: t
-                        .registry
-                        .counter("tman_partition_engagements_total", &[])
-                        .get(),
-                    disengagements: t
-                        .registry
-                        .counter("tman_partition_disengagements_total", &[])
-                        .get(),
-                    widenings: t
-                        .registry
-                        .counter("tman_partition_widenings_total", &[])
-                        .get(),
-                    narrowings: t
-                        .registry
-                        .counter("tman_partition_narrowings_total", &[])
-                        .get(),
-                    current_fanout: t.registry.gauge("tman_partition_fanout", &[]).get(),
-                    pass_ns: t
-                        .registry
-                        .histogram("tman_partition_pass_ns", &[])
-                        .summary(),
-                },
             },
             index: IndexMetrics {
                 tokens: is.tokens.get(),
@@ -612,7 +496,6 @@ impl MetricsSnapshot {
                 tagged_entries: tman.tagged_entries(),
                 tag_dedup_hits: tman.tag_dedup_hits(),
                 per_org,
-                governor,
             },
             cache: CacheMetrics {
                 hits: cs.hits.get(),
@@ -809,16 +692,6 @@ impl MetricsSnapshot {
                     s.shard, s.tasks, s.tokens, s.steals, s.queue_depth
                 ));
             }
-            let p = &self.driver.partition;
-            out.push_str(&format!(
-                "  partition passes   {} (fanout {})\n",
-                p.passes, p.current_fanout
-            ));
-            out.push_str(&format!(
-                "  partition moves    engage={} disengage={} widen={} narrow={}\n",
-                p.engagements, p.disengagements, p.widenings, p.narrowings
-            ));
-            out.push_str(&format!("  partition pass     {}\n", hist(&p.pass_ns)));
         }
         if want("index") {
             out.push_str("index:\n");
@@ -845,20 +718,6 @@ impl MetricsSnapshot {
                 out.push_str(&format!(
                     "  org {:<16} probes={} matches={}\n",
                     o.org, o.probes, o.matches
-                ));
-            }
-            let g = &self.index.governor;
-            out.push_str(&format!(
-                "  governor           passes={} promotions={} demotions={} budget_spills={} aborted={}\n",
-                g.passes, g.promotions, g.demotions, g.budget_spills, g.aborted_migrations
-            ));
-            if g.pass_ns.count > 0 {
-                out.push_str(&format!("  governor pass      {}\n", hist(&g.pass_ns)));
-            }
-            for tr in &g.transitions {
-                out.push_str(&format!(
-                    "  move {:<16} -> {:<16} promotions={} demotions={}\n",
-                    tr.from, tr.to, tr.promotions, tr.demotions
                 ));
             }
         }

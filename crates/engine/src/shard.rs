@@ -2,14 +2,13 @@
 //!
 //! The seed engine kept one shared `SegQueue<Task>` that every driver
 //! thread popped; with many cores the queue head becomes the single point
-//! of contention and all per-signature activity counters ping-pong between
-//! sockets. A [`ShardSet`] partitions the task queue into
+//! of contention. A [`ShardSet`] partitions the task queue into
 //! `Config::num_shards()` slots. Placement is deterministic:
 //!
 //! - [`Task::SigPartition`] routes to `sig.shard_of(active)` — the same
 //!   stable `id % n` discipline the Figure-5 fan-out uses for partition
 //!   ordinals, so one signature's constant-set probes always land on one
-//!   shard and its activity block stays core-local.
+//!   shard.
 //! - [`Task::Action`] round-robins across active shards (rule actions are
 //!   independent of each other, §6's type-2 tasks).
 //! - [`Task::Token`] stays on the shard that would pop it next (tokens are

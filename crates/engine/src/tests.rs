@@ -1147,123 +1147,14 @@ fn tracing_off_is_inert() {
     assert!(!tman.metrics_snapshot().trace.enabled);
 }
 
-/// The organization governor runs from the drivers' maintenance path: an
-/// adaptive config leaves a 40-constant equality class on a list through
-/// all the inserts, then the first empty-queue `tman_test` promotes it.
-#[test]
-fn governor_runs_from_driver_maintenance_path() {
-    let cfg = Config {
-        index: tman_predindex::IndexConfig {
-            list_to_index: 8,
-            adaptive: true,
-            ..Default::default()
-        },
-        governor_period: Duration::ZERO,
-        ..Default::default()
-    };
-    let tman = TriggerMan::open_memory(cfg).unwrap();
-    setup_emp(&tman);
-    for i in 0..40 {
-        tman.execute_command(&format!(
-            "create trigger gov{i} on insert to emp from emp \
-             when emp.dept = {i} do raise event GovHit(emp.name)"
-        ))
-        .unwrap();
-    }
-    let rx = tman.subscribe("GovHit");
-    // With `adaptive` on, insert-time promotion is off: the class is still
-    // a list even though it is far past list_to_index.
-    let before = tman.metrics_snapshot();
-    assert!(before.signatures.iter().any(|s| s.org == "mem_list"));
-    assert_eq!(before.index.governor.passes, 0);
-
-    // Processing a token drains the queue; the empty-queue branch of
-    // `tman_test` then runs a governor pass (period is zero).
-    tman.run_sql("insert into emp values ('Ann', 10, 7)")
-        .unwrap();
-    tman.run_until_quiescent().unwrap();
-    assert!(tman.last_error().is_none(), "{:?}", tman.last_error());
-    assert_eq!(rx.try_iter().count(), 1);
-
-    let m = tman.metrics_snapshot();
-    assert!(m.index.governor.passes > 0);
-    assert!(m.index.governor.promotions > 0, "{:?}", m.index.governor);
-    assert!(m.signatures.iter().any(|s| s.org == "mem_index"));
-    assert!(m
-        .index
-        .governor
-        .transitions
-        .iter()
-        .any(|tr| tr.from == "mem_list" && tr.to == "mem_index" && tr.promotions > 0));
-
-    // Matching still works after the migration.
-    tman.run_sql("insert into emp values ('Bea', 20, 3)")
-        .unwrap();
-    tman.run_until_quiescent().unwrap();
-    assert_eq!(rx.try_iter().count(), 1);
-
-    // The console surfaces the governor counters.
-    let CommandOutput::Stats(s) = tman.execute_command("show stats index").unwrap() else {
-        panic!("expected stats output");
-    };
-    assert!(s.contains("governor"), "missing governor line in:\n{s}");
-    assert!(s.contains("promotions="), "missing counts in:\n{s}");
-    assert!(
-        s.contains("move mem_list"),
-        "missing transition row in:\n{s}"
-    );
-}
-
-/// `index_memory_budget` alone (adaptive off) enables governor passes,
-/// which force-spill the class to an indexed database table; probes keep
-/// matching through the database-resident organization.
-#[test]
-fn memory_budget_spills_class_via_maintenance_path() {
-    let cfg = Config {
-        index_memory_budget: Some(1),
-        governor_period: Duration::ZERO,
-        ..Default::default()
-    };
-    let tman = TriggerMan::open_memory(cfg).unwrap();
-    setup_emp(&tman);
-    // One 48-entry equality class: comfortably bigger than the governor's
-    // minimum spill size, and under the static list_to_index threshold
-    // is irrelevant since the budget pass spills any resident org.
-    for i in 0..48 {
-        tman.execute_command(&format!(
-            "create trigger spill{i} on insert to emp from emp \
-             when emp.dept = {i} do raise event SpillHit(emp.name)"
-        ))
-        .unwrap();
-    }
-    let rx = tman.subscribe("SpillHit");
-    tman.run_sql("insert into emp values ('Cal', 30, 5)")
-        .unwrap();
-    tman.run_until_quiescent().unwrap();
-    assert!(tman.last_error().is_none(), "{:?}", tman.last_error());
-    assert_eq!(rx.try_iter().count(), 1);
-
-    let m = tman.metrics_snapshot();
-    assert!(m.index.governor.passes > 0);
-    assert!(m.index.governor.budget_spills > 0, "{:?}", m.index.governor);
-    assert!(m.signatures.iter().any(|s| s.org == "db_indexed_table"));
-
-    // Probe-through-database still produces the match.
-    tman.run_sql("insert into emp values ('Dee', 40, 11)")
-        .unwrap();
-    tman.run_until_quiescent().unwrap();
-    assert_eq!(rx.try_iter().count(), 1);
-}
-
-// ----- condition-partition controller (adaptive Figure-5 fan-out) ------------
+// ----- Figure-5 condition-level fan-out ---------------------------------------
 
 /// Regression for the `TmanTestResult` threshold semantics: `SigPartition`
 /// tasks enqueued by the last token before THRESHOLD expires are pending
 /// work, so the call must report `TasksRemaining` — stranding them until
 /// the next driver period serializes exactly the fan-out that was supposed
 /// to add parallelism. Conversely, an expiry with nothing left is a clean
-/// drain and must *not* count as a threshold expiration (the expiration
-/// rate feeds the partition controller's saturation signal).
+/// drain and must *not* count as a threshold expiration.
 #[test]
 fn sig_partition_fanout_near_threshold_not_stranded() {
     let cfg = Config {
@@ -1295,130 +1186,26 @@ fn sig_partition_fanout_near_threshold_not_stranded() {
     assert_eq!(tman.telemetry.threshold_expirations.get(), 1);
 }
 
-/// The controller integration loop: a hot signature engages under idle +
-/// queue-dominated load, widens one doubling per pass up to the cap, and
-/// disengages immediately under saturation — all visible through the probe
-/// path, the metrics snapshot, and `show stats drivers`.
-#[test]
-fn adaptive_controller_engages_and_disengages() {
-    let cfg = Config {
-        partitioning: Partitioning::Adaptive,
-        partition_min: 1,
-        partition_policy: PartitionPolicy {
-            max_fanout: 4,
-            cooldown_passes: 1,
-            ..Default::default()
-        },
-        num_cpus: Some(4),
-        ..Default::default()
-    };
-    let tman = TriggerMan::open_memory(cfg).unwrap();
-    setup_emp(&tman);
-    let rx = tman.subscribe("notify");
-    tman.execute_command("create trigger hot from emp when emp.dept >= 0 do notify 'x'")
-        .unwrap();
-    // Warm the signature's probe counter so the controller sees it as hot.
-    for i in 0..8 {
-        tman.run_sql(&format!("insert into emp values ('p{i}', 1, {i})"))
-            .unwrap();
-    }
-    tman.run_until_quiescent().unwrap();
-    assert_eq!(rx.try_iter().count(), 8);
-
-    let ctl = tman.partition_ctl.as_ref().expect("adaptive controller");
-    let sigs = tman.predicate_index().all_signatures();
-    assert_eq!(sigs.len(), 1);
-    let idle = |pass: u64| PassInputs {
-        now_ns: pass * 1_000_000_000,
-        busy_ns: pass * 1_000,
-        test_calls: pass * 100,
-        expirations: 0,
-        queue_wait_ns: pass * 1_000_000, // wait >> busy: queue-dominated
-        queue_depth: 8,
-        num_drivers: 4,
-        ..PassInputs::default()
-    };
-
-    // Pass 1: idle and queue-dominated → engage at fan-out 2.
-    let r = ctl.pass(&sigs, idle(1));
-    assert_eq!(r.target_fanout, 2);
-    assert_eq!((r.engagements, r.transitions), (1, 1));
-    assert_eq!(sigs[0].partition_activity().fanout(), 2);
-    assert_eq!(tman.effective_partitions(&sigs[0]), 2);
-
-    // Pass 2: still idle → widen to the max_fanout cap.
-    let r = ctl.pass(&sigs, idle(2));
-    assert_eq!(r.target_fanout, 4);
-    assert_eq!(sigs[0].partition_activity().fanout(), 4);
-
-    // The probe path fans out with the published decision.
-    tman.run_sql("insert into emp values ('q', 1, 1)").unwrap();
-    tman.run_until_quiescent().unwrap();
-    assert_eq!(rx.try_iter().count(), 1);
-    let m = tman.metrics_snapshot();
-    assert_eq!(m.driver.tasks_sig_partition, 4);
-
-    // Pass 3: a burst of threshold expirations (saturation) → disengage.
-    let r = ctl.pass(
-        &sigs,
-        PassInputs {
-            now_ns: 3_000_000_000,
-            busy_ns: 3_000,
-            test_calls: 300,
-            expirations: 400,
-            queue_wait_ns: 3_000_000,
-            queue_depth: 8,
-            num_drivers: 4,
-            ..PassInputs::default()
-        },
-    );
-    assert_eq!(r.target_fanout, 1);
-    assert_eq!((r.disengagements, r.transitions), (1, 1));
-    assert_eq!(sigs[0].partition_activity().fanout(), 1);
-
-    // Counters reached the registry and the console report.
-    let m = tman.metrics_snapshot();
-    assert_eq!(m.driver.partition.passes, 3);
-    assert_eq!(m.driver.partition.engagements, 1);
-    assert_eq!(m.driver.partition.widenings, 2);
-    assert_eq!(m.driver.partition.disengagements, 1);
-    assert_eq!(m.driver.partition.current_fanout, 1);
-    let text = tman.render_text();
-    for series in [
-        "tman_partition_passes_total 3",
-        "tman_partition_engagements_total 1",
-        "tman_partition_fanout 1",
-    ] {
-        assert!(text.contains(series), "missing '{series}' in:\n{text}");
-    }
-    let CommandOutput::Stats(s) = tman.execute_command("show stats drivers").unwrap() else {
-        panic!("expected stats output");
-    };
-    assert!(s.contains("partition passes"), "missing row in:\n{s}");
-    assert!(s.contains("engage=1"), "missing transitions in:\n{s}");
-}
-
-/// Satellite stress: partitioned fan-out + async actions while triggers in
-/// the same signature class are created/dropped, the organization governor
-/// migrates the class, and the published fan-out is toggled mid-stream.
-/// Every matching token must fire the sentinel exactly once — no lost and
-/// no duplicated firings — and the run must not deadlock.
+/// Stress: partitioned fan-out + async actions while triggers in the same
+/// signature class are created/dropped (insert-time promotion included),
+/// the class is switched through all four organizations with `set_org`,
+/// and task placement is narrowed and widened mid-stream. Partitions are
+/// assigned by `expr_id % nparts`, so every matching token must fire the
+/// sentinel exactly once — no lost and no duplicated firings — and the run
+/// must not deadlock.
 fn partition_churn_stress(tokens: usize, churn_iters: usize) {
     let cfg = Config {
-        // Adaptive with telemetry off: no controller instance runs, so the
-        // test owns the published per-signature fan-out completely.
-        partitioning: Partitioning::Adaptive,
-        telemetry: false,
+        condition_partitions: 4,
         partition_min: 1,
         async_actions: true,
         index: tman_predindex::IndexConfig {
-            adaptive: true,
             list_to_index: 8,
             ..Default::default()
         },
         driver_period: Duration::from_millis(1),
         threshold: Duration::from_millis(5),
         num_cpus: Some(4),
+        shards: Some(4),
         ..Default::default()
     };
     let tman = TriggerMan::open_memory(cfg).unwrap();
@@ -1457,18 +1244,24 @@ fn partition_churn_stress(tokens: usize, churn_iters: usize) {
             }
         })
     };
-    // Governor + fan-out toggling: migrate the class's organization and
-    // flip the published fan-out through 1/2/4/8 mid-stream.
+    // Organization + placement toggling: switch the class through the
+    // four organizations and the active-shard count through 1..=4.
     let toggle = {
         let tman = tman.clone();
         let stop = stop.clone();
         std::thread::spawn(move || {
+            let kinds = [
+                OrgKind::MemIndex,
+                OrgKind::DbIndexed,
+                OrgKind::MemList,
+                OrgKind::DbTable,
+            ];
             let mut w = 0usize;
             while !stop.load(Ordering::Relaxed) {
-                tman.run_governor();
                 for sig in tman.predicate_index().all_signatures() {
-                    sig.partition_activity().set_fanout([1, 2, 4, 8][w % 4]);
+                    sig.set_org(kinds[w % 4]).unwrap();
                 }
+                tman.set_active_shards(1 + w % 4);
                 w += 1;
                 std::thread::yield_now();
             }
@@ -1503,7 +1296,7 @@ fn partition_churn_stress(tokens: usize, churn_iters: usize) {
 }
 
 #[test]
-fn partitioned_fanout_stress_with_churn_and_governor() {
+fn partitioned_fanout_stress_with_churn_and_org_switches() {
     partition_churn_stress(150, 40);
 }
 
@@ -1707,22 +1500,4 @@ fn show_stats_drivers_reports_shard_rows() {
         "{text}"
     );
     assert!(text.contains("tman_shards_active 2"), "{text}");
-}
-
-/// The adaptive controller steers the active-shard count: idle +
-/// queue-dominated load widens placement, saturation consolidates it.
-#[test]
-fn adaptive_pass_steers_active_shards() {
-    let cfg = Config {
-        partitioning: Partitioning::Adaptive,
-        shards: Some(8),
-        num_cpus: Some(8),
-        ..Default::default()
-    };
-    let tman = TriggerMan::open_memory(cfg).unwrap();
-    tman.set_active_shards(2);
-    let report = tman.run_partition_pass().expect("controller configured");
-    // Fresh EWMA on an idle engine with an empty queue: the controller
-    // holds (no queue dominance), so the active count is unchanged.
-    assert_eq!(report.target_shards, tman.active_shards());
 }

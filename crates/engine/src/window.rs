@@ -172,7 +172,7 @@ impl WindowState {
 
     /// If the state changed since the last snapshot, return
     /// `(last_ts, newest timestamps)` for persistence and clear the dirty
-    /// flag; `None` when clean. At most [`PERSIST_CAP`] newest entries are
+    /// flag; `None` when clean. At most `PERSIST_CAP` newest entries are
     /// returned — enough to re-arm any threshold up to that size exactly.
     pub fn snapshot(&self) -> Option<(u64, Vec<u64>)> {
         let mut g = self.inner.lock().expect("window poisoned");

@@ -7,7 +7,7 @@ use tman_lang::ast::{BinaryOp, Expr, Literal, UnaryOp};
 
 /// Scalar type classes used for bind-time checking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TypeClass {
+pub(crate) enum TypeClass {
     Num,
     Str,
     Unknown,
@@ -89,7 +89,7 @@ impl<'a> BindCtx<'a> {
         }
     }
 
-    fn class_of(&self, s: &Scalar) -> TypeClass {
+    pub(crate) fn class_of(&self, s: &Scalar) -> TypeClass {
         match s {
             Scalar::Const(Value::Int(_)) | Scalar::Const(Value::Float(_)) => TypeClass::Num,
             Scalar::Const(Value::Str(_)) => TypeClass::Str,

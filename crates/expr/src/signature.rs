@@ -12,14 +12,15 @@
 
 use crate::cnf::{Cnf, Conjunct};
 use crate::pred::{AtomKind, AtomicPred, CmpOp};
-use crate::scalar::Scalar;
+use crate::resolve::{BindCtx, TypeClass};
+use crate::scalar::{Func, Scalar};
 use std::fmt;
-use tman_common::{DataSourceId, EventKind, Value};
+use tman_common::{DataSourceId, DataType, EventKind, Schema, Value};
 
 /// Upper bound on the number of disjuncts tagged execution will split a
 /// predicate into. Beyond this, multi-set membership stops paying for
-/// itself (every branch is a physical entry the governor must account) and
-/// the residual scan is kept instead.
+/// itself (every branch is a physical entry in some constant set) and the
+/// residual scan is kept instead.
 pub const MAX_TAGGED_DISJUNCTS: usize = 8;
 
 /// Identity of a signature: `(data source, operation code, generalized
@@ -107,6 +108,62 @@ pub struct SelectionSignature {
     pub residual: Option<Cnf>,
     /// Column ordinals for `update(col, ...)` events (empty = any column).
     pub update_cols: Vec<usize>,
+}
+
+impl SelectionSignature {
+    /// Column types of the signature's constant table (§5.2 strategies 3
+    /// and 4), one per placeholder slot, read off the generalized
+    /// expression and the data source's `schema`: bind-time type checking
+    /// pins a placeholder to the type class of what it is compared with
+    /// or is an operand of, so every member of the equivalence class
+    /// stores that class in the slot. Numeric slots are `FLOAT` (an
+    /// integer constant coerces losslessly), the rest `VARCHAR`.
+    pub fn slot_types(&self, schema: &Schema) -> Vec<DataType> {
+        let ctx = BindCtx::new(vec![(String::new(), schema)]);
+        let mut numeric = vec![false; self.num_consts];
+        for atom in self.generalized.conjuncts.iter().flat_map(|c| &c.atoms) {
+            match &atom.kind {
+                AtomKind::Cmp { op, left, right } => {
+                    for (side, other) in [(left, right), (right, left)] {
+                        let num = *op != CmpOp::Like && ctx.class_of(other) == TypeClass::Num;
+                        type_placeholders(side, num, &mut numeric);
+                    }
+                }
+                AtomKind::IsNull(s) => type_placeholders(s, false, &mut numeric),
+                AtomKind::Const(_) => {}
+            }
+        }
+        numeric
+            .iter()
+            .map(|&num| {
+                if num {
+                    DataType::Float
+                } else {
+                    DataType::Varchar(65535)
+                }
+            })
+            .collect()
+    }
+}
+
+/// Record the type class of every placeholder in `s`, which stands where a
+/// numeric (`num`) or string value is expected.
+fn type_placeholders(s: &Scalar, num: bool, numeric: &mut [bool]) {
+    match s {
+        Scalar::Placeholder(slot) => numeric[*slot] = num,
+        Scalar::Neg(inner) => type_placeholders(inner, true, numeric),
+        Scalar::Arith { left, right, .. } => {
+            type_placeholders(left, true, numeric);
+            type_placeholders(right, true, numeric);
+        }
+        Scalar::Call { func, args } => {
+            let num = !matches!(func, Func::Length | Func::Lower | Func::Upper);
+            for a in args {
+                type_placeholders(a, num, numeric);
+            }
+        }
+        Scalar::Const(_) | Scalar::Col { .. } => {}
+    }
 }
 
 /// Estimated selectivity of a conjunct — lower is more selective. The
@@ -429,6 +486,25 @@ mod tests {
         // And a structurally different predicate has a different signature.
         let (sig_c, _) = analyze("emp.salary >= 80000");
         assert_ne!(sig_a.key, sig_c.key);
+    }
+
+    #[test]
+    fn slot_types_follow_what_each_placeholder_is_compared_with() {
+        let types = |cond: &str| analyze(cond).0.slot_types(&emp());
+        let (num, text) = (DataType::Float, DataType::Varchar(65535));
+        assert_eq!(types("emp.name = 'Bob' and emp.dept = 7"), vec![text, num]);
+        assert_eq!(types("80000 < emp.salary"), vec![num]);
+        assert_eq!(types("emp.salary * 2 > 100"), vec![num, num]);
+        assert_eq!(
+            types("emp.name like 'B%' or lower(emp.name) = 'bob'"),
+            vec![text, text]
+        );
+        assert_eq!(
+            types("length(emp.name) > 3 and mod(emp.dept, 2) = 1"),
+            vec![num, num, num]
+        );
+        // The constant's own value does not matter: NULL takes the column's.
+        assert_eq!(types("emp.dept = null"), vec![num]);
     }
 
     #[test]

@@ -26,31 +26,26 @@
 //! exposed through [`SignatureRuntime::probe_partition`].
 
 pub mod custom;
-pub mod governor;
 pub mod interval;
 pub mod org;
 
 pub use custom::{CustomConstantSet, OrderedVecOrg};
-pub use governor::{
-    decide, GovernorPolicy, GovernorReport, GovernorStats, MigrationOutcome, MigrationReason,
-    MigrationRecord, PartitionActivity, SigActivity, SigObservation,
-};
 pub use org::{Entry, Org, OrgKind, ProbeValues};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use tman_common::fxhash::{hash_one, FxHashMap};
 use tman_common::stats::IndexStats;
 use tman_common::{
-    DataSourceId, ExprId, NodeId, Result, Schema, SignatureId, TriggerId, Tuple, UpdateDescriptor,
-    Value,
+    DataSourceId, DataType, ExprId, NodeId, Result, Schema, SignatureId, TriggerId, Tuple,
+    UpdateDescriptor, Value,
 };
 use tman_expr::scalar::Env;
 use tman_expr::{IndexPlan, SelectionSignature};
 use tman_sql::Database;
 use tman_telemetry::trace::{now_ns, ROOT_SPAN};
-use tman_telemetry::{CounterHandle, HistogramHandle, Registry, SpanKind, TraceHandle};
+use tman_telemetry::{CounterHandle, Registry, SpanKind, TraceHandle};
 
 /// Per-organization probe/match counters (`tman_index_probes_total{org=..}`
 /// / `tman_index_matches_total{org=..}`): one pre-resolved handle pair per
@@ -130,13 +125,6 @@ pub struct IndexConfig {
     /// Use the normalized (common-sub-expression-eliminated) constant-set
     /// layout of Figure 4. Disable only for the E2 ablation.
     pub normalized: bool,
-    /// Hand organization choice to the adaptive governor
-    /// ([`governor`]): `insert()` stops promoting at the static
-    /// thresholds, and transitions (promotions *and* demotions) happen in
-    /// [`PredicateIndex::governor_pass`] — in the engine, on the drivers'
-    /// maintenance path. Off by default: the legacy insert-time promotion
-    /// stays in effect.
-    pub adaptive: bool,
     /// Tagged execution of disjunctions (Kim & Madden): when a selection
     /// predicate's only obstacle to indexing is an OR over individually
     /// selectable atoms, the engine registers one entry per disjunct —
@@ -152,7 +140,6 @@ impl Default for IndexConfig {
             list_to_index: 32,
             index_to_db: usize::MAX,
             normalized: true,
-            adaptive: false,
             tagged_disjunctions: true,
         }
     }
@@ -207,8 +194,8 @@ pub struct SignatureRuntime {
     config: IndexConfig,
     db: Option<Arc<Database>>,
     org_counters: OrgCounters,
-    activity: SigActivity,
-    partition: PartitionActivity,
+    /// Column type of each placeholder slot in the class's constant table.
+    slot_types: Vec<DataType>,
 }
 
 impl SignatureRuntime {
@@ -238,26 +225,9 @@ impl SignatureRuntime {
         format!("const_table_{}", self.id.raw())
     }
 
-    /// The live activity stats block (probe/match rates, mutation epoch).
-    pub fn activity(&self) -> &SigActivity {
-        &self.activity
-    }
-
-    /// The condition-partition controller's activity block (published
-    /// fan-out decision, controller-owned probe EWMA).
-    pub fn partition_activity(&self) -> &PartitionActivity {
-        &self.partition
-    }
-
     fn insert(&self, entry: Entry) -> Result<()> {
         let mut org = self.org.write();
         org.insert(&self.sig.index_plan, entry)?;
-        self.activity.bump_epoch();
-        // In adaptive mode the governor owns all transitions; nothing is
-        // promoted under the insert lock.
-        if self.config.adaptive {
-            return Ok(());
-        }
         // Promotion thresholds.
         let len = org.len();
         let kind = org.kind();
@@ -278,13 +248,7 @@ impl SignatureRuntime {
             _ => None,
         };
         if let Some(next) = next_kind {
-            Self::switch_locked(
-                &mut org,
-                &self.sig,
-                next,
-                &self.const_table_name(),
-                self.db.as_ref(),
-            )?;
+            self.switch_locked(&mut org, next)?;
         }
         Ok(())
     }
@@ -301,8 +265,6 @@ impl SignatureRuntime {
             custom.insert(&self.sig.index_plan, e)?;
         }
         *org = Org::Custom(custom);
-        self.activity.bump_epoch();
-        self.activity.clear_spill();
         Ok(())
     }
 
@@ -313,42 +275,30 @@ impl SignatureRuntime {
         if org.kind() == kind {
             return Ok(());
         }
-        Self::switch_locked(
-            &mut org,
-            &self.sig,
-            kind,
-            &self.const_table_name(),
-            self.db.as_ref(),
-        )?;
-        self.activity.bump_epoch();
-        self.activity.clear_spill();
-        Ok(())
+        self.switch_locked(&mut org, kind)
     }
 
-    fn switch_locked(
-        org: &mut Org,
-        sig: &SelectionSignature,
-        kind: OrgKind,
-        table_name: &str,
-        db: Option<&Arc<Database>>,
-    ) -> Result<()> {
+    fn switch_locked(&self, org: &mut Org, kind: OrgKind) -> Result<()> {
+        let table_name = self.const_table_name();
         let entries = org.drain_entries()?;
-        let slot_types = entries
-            .first()
-            .map(|e| org::infer_slot_types(&e.consts))
-            .unwrap_or_else(|| vec![tman_common::DataType::Varchar(65535); sig.num_consts]);
         // Reuse an existing constant table when switching between db
         // strategies repeatedly: drop it first if present.
         if matches!(kind, OrgKind::DbTable | OrgKind::DbIndexed) {
-            if let Some(db) = db {
-                if db.has_table(table_name) {
-                    db.drop_table(table_name)?;
+            if let Some(db) = &self.db {
+                if db.has_table(&table_name) {
+                    db.drop_table(&table_name)?;
                 }
             }
         }
-        let mut fresh = Org::new(kind, sig, &slot_types, table_name, db)?;
+        let mut fresh = Org::new(
+            kind,
+            &self.sig,
+            &self.slot_types,
+            &table_name,
+            self.db.as_ref(),
+        )?;
         for e in entries {
-            fresh.insert(&sig.index_plan, e)?;
+            fresh.insert(&self.sig.index_plan, e)?;
         }
         *org = fresh;
         Ok(())
@@ -369,7 +319,7 @@ impl SignatureRuntime {
     /// `nparts` are considered. Partition assignment hashes the entry's
     /// **stable** `expr_id` (`expr_id % nparts`), not its position in the
     /// candidate set: positions shift under concurrent inserts/removes and
-    /// governor migrations, which would let one fan-out's partition tasks
+    /// organization switches, which would let one fan-out's partition tasks
     /// visit an entry twice or not at all. By identity, the assignment is
     /// the same for every task of a fan-out regardless of interleaved
     /// mutations, and the union over all `nparts` partitions is exactly
@@ -429,7 +379,6 @@ impl SignatureRuntime {
         let n = probes.len() as u64;
         stats.probes.add(n);
         self.org_counters.probes(org_kind, n);
-        self.activity.record_probes(n);
         let plan = &self.sig.index_plan;
         let needs_full = matches!(plan, IndexPlan::None);
         let (mut residual_tests, mut matched) = (0u64, 0u64);
@@ -561,7 +510,6 @@ impl SignatureRuntime {
         if matched > 0 {
             stats.matches.add(matched);
             self.org_counters.matches(org_kind, matched);
-            self.activity.record_matches(matched);
         }
         result
     }
@@ -569,8 +517,8 @@ impl SignatureRuntime {
     /// Stable shard assignment: which engine shard owns this signature's
     /// async fan-out work. Hashes the dense signature id — the same
     /// stable-identity discipline as the `expr_id % nparts` partition
-    /// filter, so the owner never moves under inserts, drops, or governor
-    /// migrations.
+    /// filter, so the owner never moves under inserts, drops, or
+    /// organization switches.
     pub fn shard_of(&self, nshards: usize) -> usize {
         if nshards <= 1 {
             0
@@ -581,164 +529,12 @@ impl SignatureRuntime {
 
     /// Remove all entries of a trigger.
     pub fn remove_trigger(&self, trigger_id: TriggerId) -> Result<usize> {
-        let mut org = self.org.write();
-        let n = org.remove_trigger(trigger_id)?;
-        if n > 0 {
-            self.activity.bump_epoch();
-        }
-        Ok(n)
+        self.org.write().remove_trigger(trigger_id)
     }
 
     /// Visit all entries (diagnostics / tests).
     pub fn for_each_entry(&self, visit: &mut dyn FnMut(&Entry)) -> Result<()> {
         self.org.read().for_each_entry(visit)
-    }
-
-    /// What the governor sees this pass: organization, size, memory, and
-    /// the decayed activity rates (which this refreshes).
-    pub fn observe(&self, decay: f64) -> SigObservation {
-        let (probe_rate, match_rate) = self.activity.tick(decay);
-        let org = self.org.read();
-        SigObservation {
-            kind: org.kind(),
-            len: org.len(),
-            mem_bytes: org.memory_bytes(),
-            probe_rate,
-            match_rate,
-            indexable: !matches!(self.sig.index_plan, IndexPlan::None),
-            has_db: self.db.is_some(),
-            spill_bytes: self.activity.spill_bytes(),
-            budget_spilled: self.activity.budget_spilled(),
-        }
-    }
-
-    /// Migrate the constant set to `target` **off the probe critical
-    /// path**: snapshot the entries and mutation epoch under a read lock
-    /// (probes continue), build the new organization unlocked, then swap
-    /// it in under the write lock only if the epoch is unchanged — so the
-    /// lock is held for a pointer swap, not the rebuild. A concurrent
-    /// insert/remove invalidates the snapshot and the build is retried up
-    /// to `max_retries` times before giving up (`completed == false`; the
-    /// organization is left as it was).
-    pub fn migrate_to(&self, target: OrgKind, max_retries: u32) -> Result<MigrationOutcome> {
-        if matches!(target, OrgKind::Custom(_)) {
-            return Err(tman_common::TmanError::Invalid(
-                "custom organizations are installed via set_custom_org".into(),
-            ));
-        }
-        let name = self.const_table_name();
-        let to_db = matches!(target, OrgKind::DbTable | OrgKind::DbIndexed);
-        let mut retries = 0u32;
-        loop {
-            // Snapshot under the read lock: probes proceed concurrently.
-            let (from, entries, epoch0, mem_before) = {
-                let org = self.org.read();
-                let mut es: Vec<Entry> = Vec::new();
-                org.for_each_entry(&mut |e| es.push(e.clone()))?;
-                (org.kind(), es, self.activity.epoch(), org.memory_bytes())
-            };
-            let noop = MigrationOutcome {
-                from,
-                to: target,
-                entries: entries.len(),
-                build_ns: 0,
-                swap_ns: 0,
-                retries,
-                completed: true,
-                mem_bytes_before: mem_before,
-            };
-            if from == target {
-                return Ok(noop);
-            }
-            let from_db = matches!(from, OrgKind::DbTable | OrgKind::DbIndexed);
-            if from_db && to_db {
-                // Both organizations want the same backing table; rebuild
-                // under the lock (rare — the governor never does db→db).
-                self.set_org(target)?;
-                return Ok(noop);
-            }
-            let t_build = std::time::Instant::now();
-            let slot_types = entries
-                .first()
-                .map(|e| org::infer_slot_types(&e.consts))
-                .unwrap_or_else(|| {
-                    vec![tman_common::DataType::Varchar(65535); self.sig.num_consts]
-                });
-            if to_db {
-                // Drop any stale constant table left by an earlier
-                // demotion or aborted attempt (the live org is in memory,
-                // so nothing references it).
-                if let Some(db) = self.db.as_ref() {
-                    if db.has_table(&name) {
-                        db.drop_table(&name)?;
-                    }
-                }
-            }
-            let mut fresh = Org::new(target, &self.sig, &slot_types, &name, self.db.as_ref())?;
-            for e in &entries {
-                fresh.insert(&self.sig.index_plan, e.clone())?;
-            }
-            let build_ns = t_build.elapsed().as_nanos() as u64;
-            // The short swap window: epoch check + pointer swap.
-            let t_swap = std::time::Instant::now();
-            let mut fresh = Some(fresh);
-            let old = {
-                let mut org = self.org.write();
-                if self.activity.epoch() == epoch0 {
-                    self.activity.bump_epoch();
-                    Some(std::mem::replace(&mut *org, fresh.take().unwrap()))
-                } else {
-                    None
-                }
-            };
-            let swap_ns = t_swap.elapsed().as_nanos() as u64;
-            match old {
-                Some(old_org) => {
-                    drop(old_org);
-                    if from_db && !to_db {
-                        // The class left the database: retire its table.
-                        if let Some(db) = self.db.as_ref() {
-                            if db.has_table(&name) {
-                                db.drop_table(&name)?;
-                            }
-                        }
-                    }
-                    return Ok(MigrationOutcome {
-                        from,
-                        to: target,
-                        entries: entries.len(),
-                        build_ns,
-                        swap_ns,
-                        retries,
-                        completed: true,
-                        mem_bytes_before: mem_before,
-                    });
-                }
-                None => {
-                    // Concurrent mutation invalidated the snapshot: throw
-                    // the build away (and its table, if any) and retry.
-                    drop(fresh);
-                    if to_db {
-                        if let Some(db) = self.db.as_ref() {
-                            let _ = db.drop_table(&name);
-                        }
-                    }
-                    retries += 1;
-                    if retries > max_retries {
-                        return Ok(MigrationOutcome {
-                            from,
-                            to: target,
-                            entries: entries.len(),
-                            build_ns,
-                            swap_ns,
-                            retries,
-                            completed: false,
-                            mem_bytes_before: mem_before,
-                        });
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -818,11 +614,6 @@ pub struct PredicateIndex {
     next_sig: AtomicU32,
     stats: IndexStats,
     org_counters: OrgCounters,
-    registry: Option<Arc<Registry>>,
-    gov_stats: GovernorStats,
-    gov_pass_ns: HistogramHandle,
-    /// Serializes governor passes (migrations must not race each other).
-    governor_lock: Mutex<()>,
 }
 
 impl PredicateIndex {
@@ -835,10 +626,6 @@ impl PredicateIndex {
             next_sig: AtomicU32::new(1),
             stats: IndexStats::default(),
             org_counters: OrgCounters::default(),
-            registry: None,
-            gov_stats: GovernorStats::default(),
-            gov_pass_ns: HistogramHandle::noop(),
-            governor_lock: Mutex::new(()),
         }
     }
 
@@ -855,41 +642,11 @@ impl PredicateIndex {
     }
 
     /// Wire per-organization probe/match counters into `registry` and
-    /// register the aggregate [`IndexStats`] and [`GovernorStats`]
-    /// counters there too. Call before the first
-    /// [`PredicateIndex::add_predicate`] — signatures capture the handles
-    /// at creation time. The registry is retained so governor transitions
-    /// can record labeled `tman_org_promotions_total{from,to}` /
-    /// `tman_org_demotions_total{from,to}` series lazily.
+    /// register the aggregate [`IndexStats`] counters there too. Call
+    /// before the first [`PredicateIndex::add_predicate`] — signatures
+    /// capture the handles at creation time.
     pub fn attach_telemetry(&mut self, registry: &Arc<Registry>) {
-        self.registry = Some(registry.clone());
         self.org_counters = OrgCounters::from_registry(registry);
-        self.gov_pass_ns = registry.histogram("tman_governor_pass_ns", &[]);
-        registry.register_counter(
-            "tman_governor_passes_total",
-            &[],
-            self.gov_stats.passes.clone(),
-        );
-        registry.register_counter(
-            "tman_governor_promotions_total",
-            &[],
-            self.gov_stats.promotions.clone(),
-        );
-        registry.register_counter(
-            "tman_governor_demotions_total",
-            &[],
-            self.gov_stats.demotions.clone(),
-        );
-        registry.register_counter(
-            "tman_governor_budget_spills_total",
-            &[],
-            self.gov_stats.budget_spills.clone(),
-        );
-        registry.register_counter(
-            "tman_governor_aborted_migrations_total",
-            &[],
-            self.gov_stats.aborted_migrations.clone(),
-        );
         registry.register_counter("tman_index_tokens_total", &[], self.stats.tokens.clone());
         registry.register_counter(
             "tman_index_signatures_probed_total",
@@ -971,12 +728,11 @@ impl PredicateIndex {
                         &format!("const_table_{}", id.raw()),
                         self.db.as_ref(),
                     )?),
+                    slot_types: sig.slot_types(schema),
                     sig,
                     config: self.config.clone(),
                     db: self.db.clone(),
                     org_counters: self.org_counters.clone(),
-                    activity: SigActivity::new(),
-                    partition: PartitionActivity::new(),
                 });
                 let mut sigs = plan.sigs.clone();
                 sigs.push(PlanSig {
@@ -1088,154 +844,6 @@ impl PredicateIndex {
             .values()
             .flat_map(|s| s.signatures())
             .collect()
-    }
-
-    /// Aggregate governor counters.
-    pub fn governor_stats(&self) -> &GovernorStats {
-        &self.gov_stats
-    }
-
-    /// Count a completed transition: aggregate promotion/demotion counter
-    /// plus the labeled `{from,to}` series when telemetry is attached.
-    fn record_transition(&self, from: OrgKind, to: OrgKind) {
-        let promotion = governor::org_rank(to) > governor::org_rank(from);
-        if promotion {
-            self.gov_stats.promotions.bump();
-        } else {
-            self.gov_stats.demotions.bump();
-        }
-        if let Some(registry) = &self.registry {
-            let name = if promotion {
-                "tman_org_promotions_total"
-            } else {
-                "tman_org_demotions_total"
-            };
-            registry
-                .counter(name, &[("from", from.as_str()), ("to", to.as_str())])
-                .bump();
-        }
-    }
-
-    /// One adaptive governor pass (see [`governor`]):
-    ///
-    /// 1. refresh every signature's decayed probe/match rates,
-    /// 2. apply the hysteresis decisions ([`governor::decide`]) —
-    ///    promotions and demotions, each migrated off the probe path,
-    /// 3. enforce `policy.memory_budget` by force-spilling the coldest
-    ///    (lowest decayed probe rate), largest classes to the database
-    ///    until resident constant-set bytes fit.
-    ///
-    /// Passes are serialized internally; probes and inserts proceed
-    /// concurrently throughout (a migration holds the org write lock only
-    /// for its final pointer swap). Individual migration errors are
-    /// collected into the report; the pass continues past them.
-    pub fn governor_pass(&self, policy: &GovernorPolicy) -> GovernorReport {
-        let _serial = self.governor_lock.lock();
-        let t0 = std::time::Instant::now();
-        self.gov_stats.passes.bump();
-        let mut report = GovernorReport::default();
-        let sigs = self.all_signatures();
-        report.examined = sigs.len();
-        let mut observations: Vec<SigObservation> =
-            sigs.iter().map(|s| s.observe(policy.decay)).collect();
-        let mem_resident = |kind: OrgKind| !matches!(kind, OrgKind::DbTable | OrgKind::DbIndexed);
-        let mut mem_total: usize = observations
-            .iter()
-            .filter(|o| mem_resident(o.kind))
-            .map(|o| o.mem_bytes)
-            .sum();
-
-        // Phase 1: hysteresis promotions and demotions.
-        for (sig, obs) in sigs.iter().zip(observations.iter_mut()) {
-            let Some(target) = governor::decide(obs, policy, mem_total) else {
-                continue;
-            };
-            match sig.migrate_to(target, policy.max_swap_retries) {
-                Ok(outcome) => {
-                    if outcome.completed {
-                        self.record_transition(outcome.from, outcome.to);
-                        if mem_resident(outcome.from) && !mem_resident(outcome.to) {
-                            sig.activity().set_spill(outcome.mem_bytes_before, false);
-                            mem_total = mem_total.saturating_sub(outcome.mem_bytes_before);
-                        } else if !mem_resident(outcome.from) && mem_resident(outcome.to) {
-                            sig.activity().clear_spill();
-                            mem_total += sig.memory_bytes();
-                        }
-                        obs.kind = outcome.to;
-                        obs.mem_bytes = if mem_resident(outcome.to) {
-                            sig.memory_bytes()
-                        } else {
-                            0
-                        };
-                    } else {
-                        self.gov_stats.aborted_migrations.bump();
-                    }
-                    report.migrations.push(MigrationRecord {
-                        sig: sig.id,
-                        reason: MigrationReason::Hysteresis,
-                        outcome,
-                    });
-                }
-                Err(e) => report
-                    .errors
-                    .push(format!("governor: signature {}: {e}", sig.id.raw())),
-            }
-        }
-
-        // Phase 2: memory-budget enforcement — spill the coldest large
-        // classes until resident bytes fit.
-        if let Some(budget) = policy.memory_budget {
-            if mem_total > budget && self.db.is_some() {
-                let mut candidates: Vec<usize> = (0..sigs.len())
-                    .filter(|&i| {
-                        let o = &observations[i];
-                        matches!(
-                            o.kind,
-                            OrgKind::MemList | OrgKind::MemListDenorm | OrgKind::MemIndex
-                        ) && o.mem_bytes >= policy.min_spill_bytes
-                    })
-                    .collect();
-                // Coldest first; break rate ties by giving back the most
-                // memory per migration.
-                candidates.sort_by(|&a, &b| {
-                    let (oa, ob) = (&observations[a], &observations[b]);
-                    oa.probe_rate
-                        .total_cmp(&ob.probe_rate)
-                        .then(ob.mem_bytes.cmp(&oa.mem_bytes))
-                });
-                for i in candidates {
-                    if mem_total <= budget {
-                        break;
-                    }
-                    let sig = &sigs[i];
-                    match sig.migrate_to(OrgKind::DbIndexed, policy.max_swap_retries) {
-                        Ok(outcome) => {
-                            if outcome.completed {
-                                self.gov_stats.budget_spills.bump();
-                                self.record_transition(outcome.from, outcome.to);
-                                sig.activity().set_spill(outcome.mem_bytes_before, true);
-                                mem_total = mem_total.saturating_sub(outcome.mem_bytes_before);
-                            } else {
-                                self.gov_stats.aborted_migrations.bump();
-                            }
-                            report.migrations.push(MigrationRecord {
-                                sig: sig.id,
-                                reason: MigrationReason::BudgetSpill,
-                                outcome,
-                            });
-                        }
-                        Err(e) => report
-                            .errors
-                            .push(format!("governor: signature {}: {e}", sig.id.raw())),
-                    }
-                }
-            }
-        }
-
-        report.mem_bytes = mem_total;
-        report.pass_ns = t0.elapsed().as_nanos() as u64;
-        self.gov_pass_ns.record(report.pass_ns);
-        report
     }
 }
 

@@ -134,7 +134,7 @@ pub enum Org {
 impl Org {
     /// Fresh, empty organization of the given kind. `slot_types` describes
     /// the constant columns for database-backed strategies (see
-    /// [`infer_slot_types`]).
+    /// [`SelectionSignature::slot_types`]).
     pub fn new(
         kind: OrgKind,
         sig: &SelectionSignature,
@@ -664,23 +664,6 @@ fn entry_from_row(row: &tman_common::Tuple) -> Entry {
         next_node: NodeId(row.get(2).as_i64().unwrap_or(0) as u32),
         consts: consts.into(),
     }
-}
-
-/// Infer per-slot column types from sample constants. Bind-time type
-/// checking pins each placeholder to a column's type class, so the first
-/// member of an equivalence class is representative: numeric slots become
-/// FLOAT (integers coerce losslessly for catalog purposes), character
-/// slots VARCHAR. A slot whose sample is NULL defaults to VARCHAR
-/// (documented edge: a later numeric constant in that slot is rejected).
-pub fn infer_slot_types(sample: &[Value]) -> Vec<tman_common::DataType> {
-    use tman_common::DataType;
-    sample
-        .iter()
-        .map(|v| match v {
-            Value::Int(_) | Value::Float(_) => DataType::Float,
-            Value::Str(_) | Value::Null => DataType::Varchar(65535),
-        })
-        .collect()
 }
 
 /// Create the paper's `const_tableN` for a signature:

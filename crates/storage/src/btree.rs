@@ -4,7 +4,7 @@
 //! organization and the "clustered index on [const1, ... constK]" (§5.1).
 //!
 //! Entries are stored as `kv = key_bytes ++ value_be8` and compared as the
-//! `(key, value)` pair (see [`BTree::cmp_kv`] — plain byte comparison of
+//! `(key, value)` pair (see `BTree::cmp_kv` — plain byte comparison of
 //! the concatenation would mis-order keys that prefix each other).
 //! Embedding the value makes every entry unique (values are record ids),
 //! which gives clean duplicate-key support: `lookup` is a range scan.

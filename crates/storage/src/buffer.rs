@@ -45,7 +45,7 @@ struct PoolInner {
 /// redo records to the log instead of writing the page file; the page file
 /// is only written at checkpoint, from records that are already durable —
 /// the WAL invariant. Without one, flushes write the page file directly
-/// (memory-backed stores and legacy dual-slot files).
+/// (memory-backed stores).
 pub struct BufferPool {
     disk: Arc<DiskManager>,
     inner: Mutex<PoolInner>,

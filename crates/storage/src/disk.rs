@@ -7,9 +7,9 @@
 //!
 //! # On-disk format (file backend)
 //!
-//! The current **single-slot** format (v2) starts with a `PHYS_PAGE`-sized
-//! header block whose first bytes are the magic `TMANPG2\0`; each logical
-//! 4 KiB page then owns one physical slot:
+//! The file starts with a `PHYS_PAGE`-sized header block whose first bytes
+//! are the magic `TMANPG2\0`; each logical 4 KiB page then owns one
+//! physical slot:
 //!
 //! ```text
 //! slot = [ data: 4096 ][ version: u64 LE ][ fnv1a64(data ‖ version): u64 LE ]
@@ -20,13 +20,8 @@
 //! because every [`crate::Storage`] pairs this format with the write-ahead
 //! log ([`crate::wal`]): a page is only written back once its covering log
 //! records are durable, so recovery replays the log over any torn page.
-//! The freed partner slot is the WAL's budget — the old **dual-slot**
-//! ping-pong format (v1, no header; two slots per page at
-//! `offset(pid, s) = (pid*2 + s) * PHYS_PAGE`) wrote every page twice to
-//! survive tears without a log. v1 files are migrated to v2 at open time
-//! (copy to a temp file, fsync, atomic rename); the legacy read/write path
-//! is kept behind [`DiskManager::open_file_dual_slot`] as the migration
-//! source and for its regression tests.
+//! This is the only format: a non-empty file that does not lead with the
+//! magic is refused at open and left untouched.
 //!
 //! [`DiskManager::open_file_with`] runs a **scavenge pass**: it validates
 //! every page's checksum and *quarantines* invalid pages (rewriting them as
@@ -58,8 +53,8 @@ const TRAILER: usize = 16;
 /// Physical slot size in the backing file.
 pub const PHYS_PAGE: usize = PAGE_SIZE + TRAILER;
 
-/// Magic prefix of the v2 (single-slot) header block.
-const MAGIC_V2: [u8; 8] = *b"TMANPG2\0";
+/// Magic prefix of the header block.
+const MAGIC: [u8; 8] = *b"TMANPG2\0";
 
 /// Physical page number within a store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -80,47 +75,23 @@ impl PageId {
 /// What the open-time scavenge pass found and repaired.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryReport {
-    /// Pages with no valid copy, rewritten as zeroed (empty) pages.
+    /// Pages whose slot failed its checksum, rewritten as zeroed (empty)
+    /// pages.
     pub quarantined: Vec<PageId>,
-    /// Slots holding torn garbage (nonzero bytes, bad checksum) whose
-    /// partner slot was still valid — evidence of an interrupted write that
-    /// the dual-slot format absorbed. Only produced by v1 stores (and the
-    /// migration pass over them); the single-slot format has no partner.
-    pub salvaged_slots: u64,
-    /// The store was a dual-slot (v1) file rewritten into the single-slot
-    /// format at open. Not crash damage by itself.
-    pub migrated_dual_slot: bool,
 }
 
 impl RecoveryReport {
     /// True when the store did not shut down cleanly: derived state (heap
     /// chains, index trees) should be revalidated.
     pub fn recovered(&self) -> bool {
-        !self.quarantined.is_empty() || self.salvaged_slots > 0
+        !self.quarantined.is_empty()
     }
-}
-
-/// On-disk layout of the file backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Format {
-    /// v1: two ping-pong slots per page, no header.
-    DualSlot,
-    /// v2: header block + one slot per page (WAL-protected stores).
-    SingleSlot,
-}
-
-/// Which slot currently holds the live version of a page (`slot` is always
-/// 0 in the single-slot format).
-#[derive(Debug, Clone, Copy)]
-struct PageMeta {
-    version: u64,
-    slot: u8,
 }
 
 struct FileState {
     file: File,
-    meta: Vec<PageMeta>,
-    format: Format,
+    /// Version stamped on each page's slot by its last write.
+    versions: Vec<u64>,
 }
 
 enum Backend {
@@ -146,19 +117,8 @@ pub(crate) fn fnv1a64(data: &[u8], version: u64) -> u64 {
     h
 }
 
-fn slot_offset_v1(pid: PageId, slot: u8) -> u64 {
-    (pid.0 as u64 * 2 + slot as u64) * PHYS_PAGE as u64
-}
-
-fn page_offset_v2(pid: PageId) -> u64 {
+fn page_offset(pid: PageId) -> u64 {
     (pid.0 as u64 + 1) * PHYS_PAGE as u64
-}
-
-fn slot_offset(fmt: Format, pid: PageId, slot: u8) -> u64 {
-    match fmt {
-        Format::DualSlot => slot_offset_v1(pid, slot),
-        Format::SingleSlot => page_offset_v2(pid),
-    }
 }
 
 /// Build the physical image of a slot: data + version + checksum.
@@ -191,250 +151,94 @@ fn read_slot_at(file: &mut File, off: u64) -> Option<[u8; PHYS_PAGE]> {
     Some(buf)
 }
 
-/// The v2 header block: magic + zero padding out to one physical page, so
+/// The header block: magic + zero padding out to one physical page, so
 /// page offsets stay slot-aligned.
 fn header_block() -> [u8; PHYS_PAGE] {
     let mut h = [0u8; PHYS_PAGE];
-    h[..8].copy_from_slice(&MAGIC_V2);
+    h[..8].copy_from_slice(&MAGIC);
     h
 }
 
 impl DiskManager {
-    /// Open or create a file-backed store in the current (single-slot)
-    /// format, migrating dual-slot files in place. A fresh store gets page
-    /// 0 (zero-filled) allocated as the directory superblock.
+    /// Open or create a file-backed store. A fresh store gets page 0
+    /// (zero-filled) allocated as the directory superblock.
     pub fn open_file(path: &Path) -> Result<DiskManager> {
         Self::open_file_with(path, None)
     }
 
     /// Open a file-backed store with an optional fault-injection plan
-    /// (test builds). Detects the on-disk format: v2 files are scavenged
-    /// in place, v1 (dual-slot) files are first rewritten into v2 via a
-    /// temp file and atomic rename. Scavenge findings land in
-    /// [`recovery_report`](Self::recovery_report).
+    /// (test builds). An empty file is stamped with the header; a file
+    /// that leads with the magic is scavenged in place, the findings
+    /// landing in [`recovery_report`](Self::recovery_report); any other
+    /// file is refused with [`TmanError::Unsupported`] and not written to.
     pub fn open_file_with(path: &Path, plan: Option<FaultPlan>) -> Result<DiskManager> {
-        let mut file = Self::open_raw(path)?;
-        let stats = StorageStats::default();
-        let len = file.metadata()?.len();
-        let mut migrated = false;
-        let mut carried = RecoveryReport::default();
-        if len == 0 {
-            // Fresh store: stamp the v2 header before anything else.
-            file.seek(SeekFrom::Start(0))?;
-            file.write_all(&header_block())?;
-            file.sync_data()?;
-        } else if !Self::is_v2(&mut file) {
-            carried = Self::migrate_dual_slot(path, &mut file, &stats)?;
-            migrated = true;
-            file = Self::open_raw(path)?;
-        }
-        let (meta, mut recovery, num_pages) = Self::scavenge_v2(&mut file, &stats)?;
-        if migrated {
-            recovery.quarantined = carried.quarantined;
-            recovery.salvaged_slots = carried.salvaged_slots;
-            recovery.migrated_dual_slot = true;
-        }
-        let dm = DiskManager {
-            backend: Backend::File(Mutex::new(FileState {
-                file,
-                meta,
-                format: Format::SingleSlot,
-            })),
-            num_pages: Mutex::new(num_pages),
-            stats,
-            plan,
-            recovery,
-        };
-        dm.ensure_superblock()?;
-        Ok(dm)
-    }
-
-    /// Open a file-backed store in the legacy dual-slot format. Kept as
-    /// the migration source and for the ping-pong regression tests; new
-    /// stores should use [`open_file_with`](Self::open_file_with) (WAL +
-    /// single slot).
-    pub fn open_file_dual_slot(path: &Path, plan: Option<FaultPlan>) -> Result<DiskManager> {
-        let mut file = Self::open_raw(path)?;
-        let stats = StorageStats::default();
-        let (meta, recovery, num_pages) = Self::scavenge_v1(&mut file, &stats)?;
-        let dm = DiskManager {
-            backend: Backend::File(Mutex::new(FileState {
-                file,
-                meta,
-                format: Format::DualSlot,
-            })),
-            num_pages: Mutex::new(num_pages),
-            stats,
-            plan,
-            recovery,
-        };
-        dm.ensure_superblock()?;
-        Ok(dm)
-    }
-
-    fn open_raw(path: &Path) -> Result<File> {
-        Ok(OpenOptions::new()
+        let mut file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false) // reopening an existing store must keep it
-            .open(path)?)
-    }
-
-    /// A nonempty file is v2 iff it leads with the magic. (A v1 file leads
-    /// with page 0's raw data; the magic colliding with real page content
-    /// is a 2^-64 accident.)
-    fn is_v2(file: &mut File) -> bool {
-        let mut magic = [0u8; 8];
-        file.seek(SeekFrom::Start(0)).is_ok()
-            && file.read_exact(&mut magic).is_ok()
-            && magic == MAGIC_V2
-    }
-
-    /// Rewrite a v1 (dual-slot) file into v2 through a temp file + atomic
-    /// rename, carrying each page's live version across. Crash-safe: until
-    /// the rename lands the original v1 file is untouched (apart from v1
-    /// scavenge quarantine rewrites, which are idempotent).
-    fn migrate_dual_slot(
-        path: &Path,
-        file: &mut File,
-        stats: &StorageStats,
-    ) -> Result<RecoveryReport> {
-        let (meta, report, num_pages) = Self::scavenge_v1(file, stats)?;
-        let tmp = path.with_extension("migrate-tmp");
-        let mut out = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp)?;
-        out.write_all(&header_block())?;
-        let mut data = [0u8; PAGE_SIZE];
-        for p in 0..num_pages {
-            let pid = PageId(p);
-            let m = meta[p as usize];
-            let phys = read_slot_at(file, slot_offset_v1(pid, m.slot)).ok_or_else(|| {
-                TmanError::Io(format!("migration: short read of page {} live slot", p))
-            })?;
-            match decode_slot(&phys) {
-                Some((version, bytes)) => {
-                    data.copy_from_slice(bytes);
-                    out.write_all(&encode_slot(&data, version))?;
-                }
-                None => {
-                    // Scavenge already quarantined this page; keep it as a
-                    // valid zeroed page in the new file.
-                    out.write_all(&encode_slot(&[0u8; PAGE_SIZE], 1))?;
-                }
+            .open(path)?;
+        let stats = StorageStats::default();
+        if file.metadata()?.len() == 0 {
+            // Fresh store: stamp the header before anything else.
+            file.write_all(&header_block())?;
+            file.sync_data()?;
+        } else {
+            let mut lead = Vec::with_capacity(MAGIC.len());
+            (&file).take(MAGIC.len() as u64).read_to_end(&mut lead)?;
+            if lead != MAGIC {
+                return Err(TmanError::Unsupported(format!(
+                    "{} is not a TMANPG2 page file (it leads with {:02x?}): a store in the \
+                     headerless dual-slot format, or not a page file at all; left unchanged",
+                    path.display(),
+                    lead
+                )));
             }
         }
-        out.sync_data()?;
-        drop(out);
-        std::fs::rename(&tmp, path)?;
-        Ok(report)
+        let (versions, recovery) = Self::scavenge(&mut file, &stats)?;
+        let dm = DiskManager {
+            num_pages: Mutex::new(versions.len() as u32),
+            backend: Backend::File(Mutex::new(FileState { file, versions })),
+            stats,
+            plan,
+            recovery,
+        };
+        dm.ensure_superblock()?;
+        Ok(dm)
     }
 
-    /// v1 recovery/scavenge: rebuild the live-slot map, quarantine pages
-    /// with no valid copy. A page exists if any byte of its slot pair does
-    /// — a crash mid-extend still yields a (quarantined, empty) page.
-    fn scavenge_v1(
-        file: &mut File,
-        stats: &StorageStats,
-    ) -> Result<(Vec<PageMeta>, RecoveryReport, u32)> {
-        let len = file.metadata()?.len();
-        let pair = 2 * PHYS_PAGE as u64;
-        let num_pages = len.div_ceil(pair) as u32;
-        let mut meta = Vec::with_capacity(num_pages as usize);
-        let mut report = RecoveryReport::default();
-        for p in 0..num_pages {
-            let pid = PageId(p);
-            let slots = [
-                read_slot_at(file, slot_offset_v1(pid, 0)),
-                read_slot_at(file, slot_offset_v1(pid, 1)),
-            ];
-            let decoded = [
-                slots[0].as_ref().and_then(|s| decode_slot(s)),
-                slots[1].as_ref().and_then(|s| decode_slot(s)),
-            ];
-            let live = match (&decoded[0], &decoded[1]) {
-                (Some((v0, _)), Some((v1, _))) => Some(if v0 >= v1 { 0u8 } else { 1u8 }),
-                (Some(_), None) => Some(0),
-                (None, Some(_)) => Some(1),
-                (None, None) => None,
-            };
-            match live {
-                Some(s) => {
-                    let version = decoded[s as usize].as_ref().unwrap().0;
-                    meta.push(PageMeta { version, slot: s });
-                    // A dead partner slot containing nonzero bytes is a torn
-                    // write the format absorbed (never-written slots are
-                    // all zeros).
-                    let other = (1 - s) as usize;
-                    if decoded[other].is_none()
-                        && slots[other]
-                            .map(|b| b.iter().any(|&x| x != 0))
-                            .unwrap_or(false)
-                    {
-                        report.salvaged_slots += 1;
-                    }
-                }
-                None => {
-                    // Neither slot survived: quarantine as an empty page.
-                    // A zeroed slotted page reads as "no slots", so scans
-                    // above this layer safely see nothing.
-                    let phys = encode_slot(&[0u8; PAGE_SIZE], 1);
-                    file.seek(SeekFrom::Start(slot_offset_v1(pid, 0)))?;
-                    file.write_all(&phys)?;
-                    file.write_all(&[0u8; PHYS_PAGE])?;
-                    meta.push(PageMeta {
-                        version: 1,
-                        slot: 0,
-                    });
-                    report.quarantined.push(pid);
-                    stats.quarantined_pages.bump();
-                }
-            }
-        }
-        Ok((meta, report, num_pages))
-    }
-
-    /// v2 recovery/scavenge: validate every page's single slot, quarantine
-    /// invalid ones. Runs before WAL replay; a page the log still covers
-    /// gets rewritten by replay right after, so a quarantine here is only
-    /// *damage* when no committed redo record supersedes it.
-    fn scavenge_v2(
-        file: &mut File,
-        stats: &StorageStats,
-    ) -> Result<(Vec<PageMeta>, RecoveryReport, u32)> {
+    /// Recovery/scavenge: validate every page's slot, quarantine invalid
+    /// ones; returns each page's version. Runs before WAL replay; a page
+    /// the log still covers gets rewritten by replay right after, so a
+    /// quarantine here is only *damage* when no committed redo record
+    /// supersedes it.
+    fn scavenge(file: &mut File, stats: &StorageStats) -> Result<(Vec<u64>, RecoveryReport)> {
         let len = file.metadata()?.len();
         let body = len.saturating_sub(PHYS_PAGE as u64);
         let num_pages = body.div_ceil(PHYS_PAGE as u64) as u32;
         // Re-stamp the header: a partially created store (crash between
-        // create and first allocate) must still lead with the magic.
+        // create and first allocate) must still lead with the whole block.
         file.seek(SeekFrom::Start(0))?;
         file.write_all(&header_block())?;
-        let mut meta = Vec::with_capacity(num_pages as usize);
+        let mut versions = Vec::with_capacity(num_pages as usize);
         let mut report = RecoveryReport::default();
         for p in 0..num_pages {
             let pid = PageId(p);
             let decoded =
-                read_slot_at(file, page_offset_v2(pid)).and_then(|s| decode_slot(&s).map(|d| d.0));
+                read_slot_at(file, page_offset(pid)).and_then(|s| decode_slot(&s).map(|d| d.0));
             match decoded {
-                Some(version) => meta.push(PageMeta { version, slot: 0 }),
+                Some(version) => versions.push(version),
                 None => {
                     let phys = encode_slot(&[0u8; PAGE_SIZE], 1);
-                    file.seek(SeekFrom::Start(page_offset_v2(pid)))?;
+                    file.seek(SeekFrom::Start(page_offset(pid)))?;
                     file.write_all(&phys)?;
-                    meta.push(PageMeta {
-                        version: 1,
-                        slot: 0,
-                    });
+                    versions.push(1);
                     report.quarantined.push(pid);
                     stats.quarantined_pages.bump();
                 }
             }
         }
-        Ok((meta, report, num_pages))
+        Ok((versions, report))
     }
 
     /// Create an in-memory store.
@@ -529,19 +333,10 @@ impl DiskManager {
             }
             Backend::File(state) => {
                 let mut st = state.lock();
-                let fmt = st.format;
                 let phys = encode_slot(&[0u8; PAGE_SIZE], 1);
-                st.file.seek(SeekFrom::Start(slot_offset(fmt, pid, 0)))?;
+                st.file.seek(SeekFrom::Start(page_offset(pid)))?;
                 st.file.write_all(&phys)?;
-                if fmt == Format::DualSlot {
-                    // Dense (invalid) slot 1 so later slot reads never
-                    // cross EOF.
-                    st.file.write_all(&[0u8; PHYS_PAGE])?;
-                }
-                st.meta.push(PageMeta {
-                    version: 1,
-                    slot: 0,
-                });
+                st.versions.push(1);
             }
         }
         *n += 1;
@@ -549,9 +344,8 @@ impl DiskManager {
     }
 
     /// Read page `pid` into `buf`. On the file backend the slot's checksum
-    /// and version are verified; the dual-slot format falls back to the
-    /// partner slot, the single-slot format (whose safety net is the WAL)
-    /// reports [`TmanError::Corrupt`] directly.
+    /// and version are verified; a slot that fails (the safety net is the
+    /// WAL) reports [`TmanError::Corrupt`].
     pub fn read_page(&self, pid: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<()> {
         self.check_bounds(pid)?;
         self.frozen_check()?;
@@ -562,52 +356,26 @@ impl DiskManager {
             }
             Backend::File(state) => {
                 let mut st = state.lock();
-                let m = st.meta[pid.0 as usize];
-                let off = slot_offset(st.format, pid, m.slot);
-                if let Some(phys) = read_slot_at(&mut st.file, off) {
+                let expected = st.versions[pid.0 as usize];
+                if let Some(phys) = read_slot_at(&mut st.file, page_offset(pid)) {
                     if let Some((version, data)) = decode_slot(&phys) {
-                        if version == m.version {
+                        if version == expected {
                             buf.copy_from_slice(data);
                             return Ok(());
                         }
                     }
                 }
                 self.stats.checksum_failures.bump();
-                if st.format == Format::SingleSlot {
-                    return Err(TmanError::Corrupt(format!(
-                        "page {} lost: slot fails checksum",
-                        pid.0
-                    )));
-                }
-                // Dual slot: salvage from the partner.
-                let other = 1 - m.slot;
-                let fmt = st.format;
-                let salvage = read_slot_at(&mut st.file, slot_offset(fmt, pid, other))
-                    .as_ref()
-                    .and_then(|p| decode_slot(p).map(|(v, d)| (v, d.to_vec())));
-                match salvage {
-                    Some((version, data)) => {
-                        st.meta[pid.0 as usize] = PageMeta {
-                            version,
-                            slot: other,
-                        };
-                        buf.copy_from_slice(&data);
-                    }
-                    None => {
-                        return Err(TmanError::Corrupt(format!(
-                            "page {} lost: both slots fail checksum",
-                            pid.0
-                        )));
-                    }
-                }
+                return Err(TmanError::Corrupt(format!(
+                    "page {} lost: slot fails checksum",
+                    pid.0
+                )));
             }
         }
         Ok(())
     }
 
-    /// Write `buf` to page `pid`. The dual-slot format writes the inactive
-    /// slot and flips the map only once the full slot is on disk; the
-    /// single-slot format writes in place (the WAL holds the covering redo
+    /// Write `buf` to page `pid`, in place (the WAL holds the covering redo
     /// record, so a torn write is recoverable by replay).
     pub fn write_page(&self, pid: PageId, buf: &[u8; PAGE_SIZE]) -> Result<()> {
         self.check_bounds(pid)?;
@@ -619,14 +387,9 @@ impl DiskManager {
             }
             Backend::File(state) => {
                 let mut st = state.lock();
-                let m = st.meta[pid.0 as usize];
-                let target = match st.format {
-                    Format::DualSlot => 1 - m.slot,
-                    Format::SingleSlot => 0,
-                };
-                let version = m.version + 1;
+                let version = st.versions[pid.0 as usize] + 1;
                 let phys = encode_slot(buf, version);
-                let off = slot_offset(st.format, pid, target);
+                let off = page_offset(pid);
                 // Fault decision is drawn under the file lock so the RNG
                 // stream is deterministic for a given workload.
                 let fault = self.plan.as_ref().and_then(|p| p.decide_write(PHYS_PAGE));
@@ -634,17 +397,14 @@ impl DiskManager {
                     None => {
                         st.file.seek(SeekFrom::Start(off))?;
                         st.file.write_all(&phys)?;
-                        st.meta[pid.0 as usize] = PageMeta {
-                            version,
-                            slot: target,
-                        };
+                        st.versions[pid.0 as usize] = version;
                     }
                     Some(f) => {
                         self.stats.faults_injected.bump();
                         match f.kind {
                             FaultKind::DroppedSync => {
                                 // Lying success: nothing reaches disk, the
-                                // slot map stays on the previous version.
+                                // page stays on the previous version.
                             }
                             FaultKind::TransientError => {
                                 return Err(TmanError::Io("injected transient write error".into()));
@@ -746,7 +506,6 @@ mod tests {
             let dm = DiskManager::open_file(&path).unwrap();
             assert_eq!(dm.num_pages(), 2);
             assert!(!dm.recovery_report().recovered(), "clean reopen");
-            assert!(!dm.recovery_report().migrated_dual_slot);
             let mut buf = [0u8; PAGE_SIZE];
             dm.read_page(p, &mut buf).unwrap();
             assert_eq!(buf[7], 77);
@@ -755,7 +514,7 @@ mod tests {
     }
 
     #[test]
-    fn v2_file_leads_with_magic() {
+    fn file_leads_with_magic() {
         let path = tmp("magic");
         let _ = std::fs::remove_file(&path);
         {
@@ -793,33 +552,7 @@ mod tests {
     }
 
     #[test]
-    fn dual_slot_torn_write_preserves_previous_version() {
-        let path = tmp("torn");
-        let _ = std::fs::remove_file(&path);
-        let plan = FaultPlan::new(FaultConfig {
-            seed: 11,
-            torn_per_mille: 1000,
-            ..Default::default()
-        });
-        let dm = DiskManager::open_file_dual_slot(&path, Some(plan.clone())).unwrap();
-        let p = dm.allocate().unwrap();
-        let mut old = [0u8; PAGE_SIZE];
-        old[0] = 1;
-        dm.write_page(p, &old).unwrap(); // disarmed: clean
-        plan.arm();
-        let mut new = [0u8; PAGE_SIZE];
-        new[0] = 2;
-        let err = dm.write_page(p, &new).unwrap_err();
-        assert_eq!(err.kind(), "io");
-        let mut back = [0u8; PAGE_SIZE];
-        dm.read_page(p, &mut back).unwrap();
-        assert_eq!(back[0], 1, "previous version intact after torn write");
-        assert_eq!(dm.stats().faults_injected.get(), 1);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn single_slot_torn_write_is_detected_at_reopen() {
+    fn torn_write_is_detected_at_reopen() {
         // Without a partner slot a torn write loses the page — the WAL is
         // the safety net at the Storage level. What the format itself must
         // guarantee: the damage is *detected* (checksum), never served.
@@ -910,7 +643,7 @@ mod tests {
     }
 
     #[test]
-    fn dual_slot_crash_freezes_io_until_reopen() {
+    fn crash_freezes_io_until_reopen() {
         let path = tmp("crash");
         let _ = std::fs::remove_file(&path);
         let plan = FaultPlan::new(FaultConfig {
@@ -920,7 +653,7 @@ mod tests {
         });
         let p;
         {
-            let dm = DiskManager::open_file_dual_slot(&path, Some(plan.clone())).unwrap();
+            let dm = DiskManager::open_file_with(&path, Some(plan.clone())).unwrap();
             p = dm.allocate().unwrap();
             let mut buf = [0u8; PAGE_SIZE];
             buf[0] = 1;
@@ -939,16 +672,23 @@ mod tests {
         plan.reset_crash();
         plan.disarm();
         {
-            let dm = DiskManager::open_file_dual_slot(&path, Some(plan.clone())).unwrap();
+            let dm = DiskManager::open_file_with(&path, Some(plan.clone())).unwrap();
             let mut rb = [0u8; PAGE_SIZE];
             dm.read_page(p, &mut rb).unwrap();
-            assert_eq!(rb[0], 2, "last durable version recovered");
+            // The write that crashed tore the page in place: it reads as
+            // the last whole version or, quarantined, as zeros — never
+            // as the half-written one.
+            if dm.recovery_report().quarantined == vec![p] {
+                assert!(rb.iter().all(|&b| b == 0));
+            } else {
+                assert_eq!(rb[0], 2);
+            }
         }
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
-    fn scavenge_quarantines_torn_v2_page() {
+    fn scavenge_quarantines_torn_page() {
         let path = tmp("quarantine");
         let _ = std::fs::remove_file(&path);
         let p;
@@ -962,7 +702,7 @@ mod tests {
         // Corrupt the page's single slot on disk.
         {
             let mut f = OpenOptions::new().write(true).open(&path).unwrap();
-            f.seek(SeekFrom::Start(page_offset_v2(p) + 100)).unwrap();
+            f.seek(SeekFrom::Start(page_offset(p) + 100)).unwrap();
             f.write_all(&[0xFF; 8]).unwrap();
         }
         {
@@ -980,124 +720,25 @@ mod tests {
     }
 
     #[test]
-    fn dual_slot_scavenge_salvages_single_torn_slot() {
-        let path = tmp("salvage");
-        let _ = std::fs::remove_file(&path);
-        let p;
-        {
-            let dm = DiskManager::open_file_dual_slot(&path, None).unwrap();
-            p = dm.allocate().unwrap();
-            let mut buf = [0u8; PAGE_SIZE];
-            buf[0] = 0x42;
-            dm.write_page(p, &buf).unwrap();
-            buf[0] = 0x43;
-            dm.write_page(p, &buf).unwrap(); // live is now the newer slot
+    fn a_file_without_the_magic_is_refused_and_left_unchanged() {
+        // A headerless dual-slot store (page 0's slot leads: zeroed data),
+        // a foreign file, and a file shorter than the magic.
+        let mut headerless = encode_slot(&[0u8; PAGE_SIZE], 1).to_vec();
+        headerless.extend_from_slice(&[0u8; PHYS_PAGE]);
+        let cases: [(&str, &[u8]); 3] = [
+            ("headerless", &headerless),
+            ("foreign", b"SQLite format 3\0 and then some"),
+            ("short", b"TMA"),
+        ];
+        for (tag, bytes) in cases {
+            let path = tmp(&format!("refuse_{tag}"));
+            std::fs::write(&path, bytes).unwrap();
+            let err = DiskManager::open_file(&path).err().expect("refused");
+            assert_eq!(err.kind(), "unsupported", "{tag}: {err}");
+            assert!(err.to_string().contains("TMANPG2"), "{tag}: {err}");
+            assert!(err.to_string().contains("dual-slot"), "{tag}: {err}");
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "{tag}: rewritten");
+            let _ = std::fs::remove_file(&path);
         }
-        // Tear the *live* (higher-version) slot; the partner must win.
-        // (allocate seeds slot 0 v1, write1 -> slot 1 v2, write2 -> slot 0 v3)
-        {
-            let mut f = OpenOptions::new().write(true).open(&path).unwrap();
-            f.seek(SeekFrom::Start(slot_offset_v1(p, 0) + 50)).unwrap();
-            f.write_all(&[0xAA; 16]).unwrap();
-        }
-        {
-            let dm = DiskManager::open_file_dual_slot(&path, None).unwrap();
-            let report = dm.recovery_report();
-            assert!(report.quarantined.is_empty());
-            assert!(report.salvaged_slots >= 1);
-            assert!(report.recovered());
-            let mut rb = [0u8; PAGE_SIZE];
-            dm.read_page(p, &mut rb).unwrap();
-            assert_eq!(rb[0], 0x42, "previous version salvaged");
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn dual_slot_file_migrates_to_single_slot_on_open() {
-        let path = tmp("migrate");
-        let _ = std::fs::remove_file(&path);
-        let mut pids = vec![];
-        {
-            let dm = DiskManager::open_file_dual_slot(&path, None).unwrap();
-            for i in 0..6u8 {
-                let p = dm.allocate().unwrap();
-                let mut buf = [0u8; PAGE_SIZE];
-                buf[0] = 0xA0 + i;
-                buf[PAGE_SIZE - 1] = i;
-                dm.write_page(p, &buf).unwrap();
-                if i % 2 == 0 {
-                    buf[1] = 0x5C; // exercise the ping-pong before migrating
-                    dm.write_page(p, &buf).unwrap();
-                }
-                pids.push(p);
-            }
-        }
-        let v1_len = std::fs::metadata(&path).unwrap().len();
-        {
-            let dm = DiskManager::open_file(&path).unwrap();
-            let report = dm.recovery_report();
-            assert!(report.migrated_dual_slot, "open rewrote the v1 file");
-            assert!(!report.recovered(), "clean migration is not damage");
-            for (i, &p) in pids.iter().enumerate() {
-                let mut rb = [0u8; PAGE_SIZE];
-                dm.read_page(p, &mut rb).unwrap();
-                assert_eq!(rb[0], 0xA0 + i as u8);
-                assert_eq!(rb[PAGE_SIZE - 1], i as u8);
-                assert_eq!(rb[1], if i % 2 == 0 { 0x5C } else { 0 });
-            }
-            // And new writes land in the new format.
-            let mut buf = [0u8; PAGE_SIZE];
-            buf[9] = 9;
-            dm.write_page(pids[0], &buf).unwrap();
-        }
-        let v2_len = std::fs::metadata(&path).unwrap().len();
-        assert!(
-            v2_len < v1_len,
-            "single slot + header beats two slots: {v2_len} vs {v1_len}"
-        );
-        {
-            let dm = DiskManager::open_file(&path).unwrap();
-            assert!(!dm.recovery_report().migrated_dual_slot, "migrates once");
-            let mut rb = [0u8; PAGE_SIZE];
-            dm.read_page(pids[0], &mut rb).unwrap();
-            assert_eq!(rb[9], 9);
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn migration_carries_quarantine_over() {
-        let path = tmp("migrate_q");
-        let _ = std::fs::remove_file(&path);
-        let p;
-        {
-            let dm = DiskManager::open_file_dual_slot(&path, None).unwrap();
-            p = dm.allocate().unwrap();
-            let mut buf = [0u8; PAGE_SIZE];
-            buf[0] = 0xEE;
-            dm.write_page(p, &buf).unwrap();
-            dm.write_page(p, &buf).unwrap(); // both slots hold versions
-        }
-        // Corrupt both v1 slots, then open in the current format.
-        {
-            let mut f = OpenOptions::new().write(true).open(&path).unwrap();
-            for slot in 0..2u8 {
-                f.seek(SeekFrom::Start(slot_offset_v1(p, slot) + 100))
-                    .unwrap();
-                f.write_all(&[0xFF; 8]).unwrap();
-            }
-        }
-        {
-            let dm = DiskManager::open_file(&path).unwrap();
-            let report = dm.recovery_report();
-            assert!(report.migrated_dual_slot);
-            assert!(report.recovered());
-            assert_eq!(report.quarantined, vec![p]);
-            let mut rb = [0u8; PAGE_SIZE];
-            dm.read_page(p, &mut rb).unwrap();
-            assert!(rb.iter().all(|&b| b == 0));
-        }
-        let _ = std::fs::remove_file(&path);
     }
 }

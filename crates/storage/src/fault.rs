@@ -62,7 +62,7 @@ pub struct WriteFault {
 }
 
 /// Seeded fault schedule. Per-mille rates are per armed `write_page` call.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FaultConfig {
     /// RNG seed; the whole schedule is a pure function of it.
     pub seed: u64,
@@ -76,19 +76,6 @@ pub struct FaultConfig {
     pub dropped_sync_per_mille: u32,
     /// Transient-error probability.
     pub transient_per_mille: u32,
-}
-
-impl Default for FaultConfig {
-    fn default() -> Self {
-        FaultConfig {
-            seed: 0,
-            crash_after_writes: None,
-            torn_per_mille: 0,
-            short_per_mille: 0,
-            dropped_sync_per_mille: 0,
-            transient_per_mille: 0,
-        }
-    }
 }
 
 // SplitMix64: tiny, statistically fine for schedules, and keeps this crate

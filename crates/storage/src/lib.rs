@@ -71,9 +71,8 @@ impl Storage {
     }
 
     /// Open a file-backed store with a fault plan and WAL tuning. Recovery
-    /// order: the page file is scavenged (and migrated from the dual-slot
-    /// format if needed), then the log's committed tail is replayed over
-    /// it; if either pass changed anything, derived state (heap chains,
+    /// order: the page file is scavenged, then the log's committed tail is
+    /// replayed over it; if either pass changed anything, derived state (heap chains,
     /// index roots, directory links) is revalidated and repaired before
     /// the store is handed out.
     pub fn open_file_opts(
@@ -102,7 +101,7 @@ impl Storage {
     }
 
     /// True when opening required recovery work: the scavenge pass found
-    /// crash damage (torn slots or quarantined pages) or the WAL replayed
+    /// crash damage (quarantined pages) or the WAL replayed
     /// committed records the page file was missing. Higher layers use this
     /// to decide whether to rebuild derived structures such as SQL indexes.
     pub fn was_recovered(&self) -> bool {

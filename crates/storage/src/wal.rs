@@ -3,9 +3,9 @@
 //!
 //! # Why a log
 //!
-//! The dual-slot page format survived torn writes by writing every page
-//! twice and never overwriting the live copy. That buys crash safety per
-//! page but not *ordering* across pages: an evicted dirty page could reach
+//! A page format can survive torn writes by itself — write every page
+//! twice and never overwrite the live copy, as this store's first format
+//! did. That buys crash safety per page but not *ordering* across pages: an evicted dirty page could reach
 //! the file before a logically earlier page, so a crash could persist a
 //! queue-ack page whose covering delivery-log append was still in memory
 //! (the wire tier's old "lost fire" gap). The WAL inverts the discipline:
@@ -149,11 +149,14 @@ pub struct Wal {
     /// Active snapshot seqs → refcount; checkpoint pruning consults this.
     snaps: Mutex<BTreeMap<u64, usize>>,
     /// Committed images scanned at open, consumed by [`replay_into`](Self::replay_into).
-    recovered: Mutex<Option<(Vec<(PageId, Box<[u8; PAGE_SIZE]>)>, u64)>>,
+    recovered: Mutex<Option<(Vec<RecoveredPage>, u64)>>,
     stats: WalStats,
     plan: Option<FaultPlan>,
     cfg: WalConfig,
 }
+
+/// One page's committed image, as scanned at open.
+type RecoveredPage = (PageId, Box<[u8; PAGE_SIZE]>);
 
 fn chain_crc(prev: u64, len: u32, body: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ prev;
@@ -321,13 +324,11 @@ impl Wal {
         let mut records = 0u64;
         for f in &frames[..committed_upto] {
             match f.kind {
-                K_IMAGE => {
-                    if f.payload.len() == PAGE_SIZE {
-                        let mut img = Box::new([0u8; PAGE_SIZE]);
-                        img.copy_from_slice(&f.payload);
-                        working.insert(f.pid, img);
-                        records += 1;
-                    }
+                K_IMAGE if f.payload.len() == PAGE_SIZE => {
+                    let mut img = Box::new([0u8; PAGE_SIZE]);
+                    img.copy_from_slice(&f.payload);
+                    working.insert(f.pid, img);
+                    records += 1;
                 }
                 K_DELTA => {
                     // A delta without a base in this scan means its base
@@ -342,7 +343,7 @@ impl Wal {
                 _ => {}
             }
         }
-        let mut images: Vec<(PageId, Box<[u8; PAGE_SIZE]>)> = working
+        let mut images: Vec<RecoveredPage> = working
             .into_iter()
             .map(|(p, img)| (PageId(p), img))
             .collect();
@@ -699,7 +700,7 @@ impl Wal {
                 .find(|(_, k)| **k)
                 .map(|((s, _), _)| *s);
             let stash = match snaps.keys().next() {
-                Some(&min_s) if min_s < newest_seq && oldest_kept.map_or(true, |s| s > min_s) => {
+                Some(&min_s) if min_s < newest_seq && oldest_kept.is_none_or(|s| s > min_s) => {
                     // Some snapshot predates every retained version: it
                     // reads the page file, which this write-back is about
                     // to overwrite. Capture the pre-image at seq 0 (below

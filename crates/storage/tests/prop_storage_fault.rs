@@ -109,7 +109,7 @@ proptest! {
                     let indexed = tree.insert(&key(i), rid.to_u64()).is_ok();
                     committed.insert(rid.to_u64(), (i, indexed));
                 }
-                if i as usize % checkpoint_every == 0 {
+                if (i as usize).is_multiple_of(checkpoint_every) {
                     let _ = s.checkpoint();
                 }
             }

@@ -276,7 +276,7 @@ proptest! {
             let seq = commit_retry(&wal).expect("commit retries exhausted");
             let _ = wal.make_durable(seq);
             // Checkpoints may abort mid-write-back; that must be harmless.
-            if round as usize % checkpoint_every == 0 {
+            if (round as usize).is_multiple_of(checkpoint_every) {
                 let _ = wal.checkpoint_into(&disk);
             }
         }

@@ -103,14 +103,6 @@ pub enum SpanKind {
     Action,
     /// Event delivery from an action. `arg_b` = subscribers notified.
     Notify,
-    /// One predicate-index governor pass (adaptive constant-set
-    /// reorganization, run from driver maintenance). `arg_a` = migrations
-    /// performed, `arg_b` = resident constant-set bytes after the pass.
-    Governor,
-    /// One condition-partition controller pass (adaptive Figure-5 fan-out,
-    /// run from driver maintenance). `arg_a` = fan-out transitions
-    /// performed, `arg_b` = the pass's target fan-out.
-    PartitionCtl,
     /// One wire-tier group-commit batch (decode + batched enqueue + sync).
     /// `arg_a` = tokens in the batch, `arg_b` = connections contributing.
     Wire,
@@ -141,12 +133,10 @@ impl SpanKind {
             SpanKind::Fanout => 7,
             SpanKind::Action => 8,
             SpanKind::Notify => 9,
-            SpanKind::Governor => 10,
-            SpanKind::PartitionCtl => 11,
-            SpanKind::Wire => 12,
-            SpanKind::WireSend => 13,
-            SpanKind::WireDeliver => 14,
-            SpanKind::WireAck => 15,
+            SpanKind::Wire => 10,
+            SpanKind::WireSend => 11,
+            SpanKind::WireDeliver => 12,
+            SpanKind::WireAck => 13,
         }
     }
 
@@ -163,12 +153,10 @@ impl SpanKind {
             7 => SpanKind::Fanout,
             8 => SpanKind::Action,
             9 => SpanKind::Notify,
-            10 => SpanKind::Governor,
-            11 => SpanKind::PartitionCtl,
-            12 => SpanKind::Wire,
-            13 => SpanKind::WireSend,
-            14 => SpanKind::WireDeliver,
-            15 => SpanKind::WireAck,
+            10 => SpanKind::Wire,
+            11 => SpanKind::WireSend,
+            12 => SpanKind::WireDeliver,
+            13 => SpanKind::WireAck,
             _ => return None,
         })
     }
@@ -186,8 +174,6 @@ impl SpanKind {
             SpanKind::Fanout => "fanout",
             SpanKind::Action => "action",
             SpanKind::Notify => "notify",
-            SpanKind::Governor => "governor",
-            SpanKind::PartitionCtl => "partition_ctl",
             SpanKind::Wire => "wire",
             SpanKind::WireSend => "wire_send",
             SpanKind::WireDeliver => "wire_deliver",
@@ -885,10 +871,6 @@ fn kind_args(ev: &TraceEvent) -> String {
         SpanKind::Fanout => format!("  [sig={} parts={}]", ev.arg_a, ev.arg_b),
         SpanKind::Action => format!("  [trigger={}]", ev.arg_a),
         SpanKind::Notify => format!("  [subscribers={}]", ev.arg_b),
-        SpanKind::Governor => format!("  [migrations={} mem={}B]", ev.arg_a, ev.arg_b),
-        SpanKind::PartitionCtl => {
-            format!("  [transitions={} target_fanout={}]", ev.arg_a, ev.arg_b)
-        }
         SpanKind::Wire => format!("  [tokens={} conns={}]", ev.arg_a, ev.arg_b),
         SpanKind::WireSend => format!("  [batch_tokens={}]", ev.arg_a),
         SpanKind::WireDeliver => format!("  [seq={}]", ev.arg_a),

@@ -28,32 +28,29 @@ use tman_telemetry::unix_now_ns;
 use triggerman::EventNotification;
 
 use crate::frame::{
-    decode_frame, decode_notification_body, encode_frame_v, Frame, ROLE_SOURCE, ROLE_SUBSCRIBER,
-    VERSION, VERSION_1,
+    decode_frame, decode_notification_body, encode_frame, Frame, ROLE_SOURCE, ROLE_SUBSCRIBER,
 };
 
-/// One framed, blocking TCP connection, pinned to a protocol version.
+/// One framed, blocking TCP connection.
 struct FrameStream {
     stream: TcpStream,
     rbuf: Vec<u8>,
-    version: u8,
 }
 
 impl FrameStream {
-    fn connect(addr: &str, version: u8) -> Result<FrameStream> {
+    fn connect(addr: &str) -> Result<FrameStream> {
         let stream =
             TcpStream::connect(addr).map_err(|e| TmanError::Io(format!("connect {addr}: {e}")))?;
         let _ = stream.set_nodelay(true);
         Ok(FrameStream {
             stream,
             rbuf: Vec::new(),
-            version,
         })
     }
 
     fn send(&mut self, frame: &Frame<'_>) -> Result<()> {
         let mut out = Vec::with_capacity(64);
-        encode_frame_v(frame, &mut out, self.version)?;
+        encode_frame(frame, &mut out)?;
         self.stream
             .write_all(&out)
             .map_err(|e| TmanError::Io(format!("wire send: {e}")))
@@ -107,26 +104,13 @@ fn server_error(code: u16, message: &str) -> TmanError {
     TmanError::Io(format!("server error {code}: {message}"))
 }
 
-/// Open a connection and complete the hello handshake. The first attempt
-/// speaks the current [`VERSION`]; a server that rejects it by version
-/// (an older build names the version in its error message) gets one
-/// retry on a fresh connection pinned to [`VERSION_1`], so new clients
-/// keep working against old servers — minus the trace fields, which v1
-/// framing simply cannot carry.
+/// Open a connection and complete the hello handshake.
 fn connect_hello(addr: &str, hello: &Frame<'static>) -> Result<(FrameStream, Frame<'static>)> {
-    let mut version = VERSION;
-    loop {
-        let mut fs = FrameStream::connect(addr, version)?;
-        fs.send(hello)?;
-        match fs.recv_blocking()? {
-            Frame::Error { message, .. }
-                if version > VERSION_1 && message.contains("wire protocol version") =>
-            {
-                version = VERSION_1;
-            }
-            Frame::Error { code, message } => return Err(server_error(code, &message)),
-            ack => return Ok((fs, ack)),
-        }
+    let mut fs = FrameStream::connect(addr)?;
+    fs.send(hello)?;
+    match fs.recv_blocking()? {
+        Frame::Error { code, message } => Err(server_error(code, &message)),
+        ack => Ok((fs, ack)),
     }
 }
 
@@ -222,9 +206,9 @@ impl RemoteDataSource {
     }
 
     /// Buffer an arbitrary pre-built descriptor. Returns the trace id the
-    /// descriptor will carry on the wire (a v2 server with tracing enabled
+    /// descriptor will carry on the wire (a server with tracing enabled
     /// adopts it, so the client can correlate its sends with server-side
-    /// span trees; a v1 connection silently drops it).
+    /// span trees).
     pub fn push(&mut self, token: UpdateDescriptor) -> Result<u64> {
         self.next_trace = self.next_trace.wrapping_add(1);
         let trace_id = (1 << 63) | (self.next_trace & (u64::MAX >> 1));
@@ -305,12 +289,12 @@ impl RemoteDataSource {
 }
 
 /// One delivery as received by a subscriber, including the wire-level
-/// trace context a v2 server attaches (zeroes over a v1 connection).
+/// trace context the server attaches.
 #[derive(Debug, Clone)]
 pub struct ReceivedNotification {
     /// Per-subscriber sequence number; pass to [`RemoteSubscriber::ack`].
     pub seq: u64,
-    /// Trace id of the originating token (0 if untraced or v1 peer).
+    /// Trace id of the originating token (0 if untraced).
     pub trace_id: u64,
     /// Server wall clock (unix ns) when the fire was published.
     pub fire_unix_ns: u64,

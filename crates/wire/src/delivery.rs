@@ -92,7 +92,7 @@ pub const DELIVERY_LOG_TABLE: &str = "wire_delivery_log";
 /// Live-mailbox backlog past which a subscriber is considered stalled:
 /// the mailbox is dropped (deliveries stay durable in the log) and the
 /// connection is closed so the client reconnects and replays. Mirrors the
-/// in-process [`SLOW_CHANNEL_DEPTH`](triggerman::SLOW_CHANNEL_DEPTH)
+/// in-process [`SLOW_CHANNEL_DEPTH`](triggerman::events::SLOW_CHANNEL_DEPTH)
 /// policy: unbounded channels made bounded by convention.
 pub const MAILBOX_STALL_DEPTH: usize = 16_384;
 
@@ -403,9 +403,9 @@ impl DeliveryHub {
 
     /// Bind the hub to a metrics registry (SLI histograms, per-subscriber
     /// watermark-lag gauges) and optionally the engine's tracer (wire
-    /// delivery/ack spans). Called once by [`WireServer::start`]
-    /// (crate::WireServer::start); later calls are no-ops, and a hub that
-    /// is never bound records nothing extra.
+    /// delivery/ack spans). Called once by
+    /// [`WireServer::start`](crate::WireServer::start); later calls are
+    /// no-ops, and a hub that is never bound records nothing extra.
     pub fn bind_instruments(&self, registry: &Arc<Registry>, tracer: Option<Arc<Tracer>>) {
         let _ = self.wire.set(WireObs {
             registry: registry.clone(),
@@ -698,8 +698,8 @@ impl NotificationSink for DeliveryHub {
         let trace_id = n.trace.trace_id().unwrap_or(0);
         if let Some(w) = wire {
             // Ingest→fire SLI: wall-clock span from the source-side stamp
-            // (carried on v2 `UpdateBatch` frames, or stamped at server
-            // decode for v1 sources) to this delivery-log append. One
+            // (carried on `UpdateBatch` frames, or stamped at server
+            // decode when the client left it unset) to this delivery-log append. One
             // sample per published notification.
             if n.ingest_unix_ns != 0 {
                 w.ingest_to_fire

@@ -5,7 +5,7 @@
 //! ```text
 //! offset  size  field
 //! 0       2     magic  0x54 0x4D ("TM")
-//! 2       1     version (1 or 2)
+//! 2       1     version (2)
 //! 3       1     frame type
 //! 4       4     payload length, u32 LE (≤ MAX_PAYLOAD)
 //! 8       n     payload
@@ -14,15 +14,15 @@
 //!
 //! [`decode_frame`] is incremental: fed the front of a receive buffer it
 //! returns `Ok(None)` ("need more bytes"), `Ok(Some((frame, consumed)))`,
-//! or an error — bad magic, version skew, an oversized length prefix, a
+//! or an error — bad magic, a version other than [`VERSION`] (the error
+//! names the version found), an oversized length prefix, a
 //! CRC mismatch, an unknown type, or a malformed payload. Any error is a
 //! protocol error: the connection must send [`Frame::Error`] and close,
 //! because framing can no longer be trusted.
 //!
-//! # Version 2: trace context on the wire
+//! # Trace context on the wire
 //!
-//! Version 2 keeps every frame type and the envelope unchanged but widens
-//! two payloads so a token's trace survives the network hop:
+//! Two payloads carry a token's trace across the network hop:
 //!
 //! * [`Frame::UpdateBatch`] carries a per-descriptor `trace_id` (0 = not
 //!   traced) and one wall-clock `sent_unix_ns` send stamp for the batch.
@@ -30,17 +30,13 @@
 //!   and the wall-clock `fire_unix_ns` at which the delivery row was
 //!   appended.
 //!
-//! The extra fields sit *inside* the versioned payload: a v1 encoder
-//! simply omits them and a v1 decoder never sees them, so mixed-version
-//! peers interoperate — each connection is pinned to
-//! `min(client max, server max)` at hello time and the trace fields
-//! decode as zero/absent on v1 connections.
-//!
 //! The bulk payloads ([`Frame::UpdateBatch`] descriptor bodies and
 //! [`Frame::Notification`] bodies) are [`Cow`] slices: decoding borrows
 //! straight out of the receive buffer (zero-copy — the server hands the
 //! borrowed bytes to [`UpdateDescriptor::decode`] without an intermediate
 //! allocation), while senders build `'static` owned frames.
+//!
+//! [`UpdateDescriptor::decode`]: tman_common::UpdateDescriptor::decode
 
 use crate::crc::crc32;
 use std::borrow::Cow;
@@ -49,11 +45,9 @@ use triggerman::EventNotification;
 
 /// Frame magic: "TM".
 pub const MAGIC: [u8; 2] = [0x54, 0x4D];
-/// Highest protocol version this build speaks (and the default for
-/// [`encode_frame`]). [`decode_frame`] also accepts [`VERSION_1`] frames.
+/// The protocol version: [`encode_frame`] writes it and [`decode_frame`]
+/// refuses a frame that carries any other.
 pub const VERSION: u8 = 2;
-/// The original trace-less protocol version.
-pub const VERSION_1: u8 = 1;
 /// Envelope bytes before the payload.
 pub const HEADER_LEN: usize = 8;
 /// CRC trailer bytes.
@@ -96,11 +90,11 @@ pub enum Frame<'a> {
         resume_from: u64,
     },
     /// A batch of encoded update descriptors from a source connection.
-    /// Each element of `descriptors` is one [`UpdateDescriptor::encode`]
-    /// body. On v2 connections `trace_ids[i]` is descriptor `i`'s trace id
-    /// (0 = untraced) and `sent_unix_ns` is the client's wall clock when
-    /// the batch was flushed; on v1 connections both are absent on the
-    /// wire and decode to empty/0.
+    /// Each element of `descriptors` is one
+    /// [`UpdateDescriptor::encode`](tman_common::UpdateDescriptor::encode)
+    /// body; `trace_ids[i]` is descriptor `i`'s trace id (0 = untraced,
+    /// also what a missing tail encodes as) and `sent_unix_ns` is the
+    /// client's wall clock when the batch was flushed.
     UpdateBatch {
         descriptors: Vec<Cow<'a, [u8]>>,
         trace_ids: Vec<u64>,
@@ -113,10 +107,9 @@ pub enum Frame<'a> {
     BatchAck { through: u64, credits: u32 },
     /// One event notification pushed to a subscriber: per-subscriber
     /// sequence number plus an encoded body (see
-    /// [`encode_notification_body`]). On v2 connections `trace_id` is the
-    /// originating token's trace id (0 = untraced) and `fire_unix_ns` is
-    /// the server wall clock when the delivery row was appended; on v1
-    /// connections both are absent on the wire and decode to 0.
+    /// [`encode_notification_body`]). `trace_id` is the originating
+    /// token's trace id (0 = untraced) and `fire_unix_ns` is the server
+    /// wall clock when the delivery row was appended.
     Notification {
         seq: u64,
         body: Cow<'a, [u8]>,
@@ -306,24 +299,11 @@ impl<'a> Cursor<'a> {
 
 // ----- frame encode ------------------------------------------------------
 
-/// Append one encoded frame (envelope + payload + CRC) to `out`, speaking
-/// the current [`VERSION`].
+/// Append one encoded frame (envelope + payload + CRC) to `out`.
 pub fn encode_frame(frame: &Frame<'_>, out: &mut Vec<u8>) -> Result<()> {
-    encode_frame_v(frame, out, VERSION)
-}
-
-/// Append one encoded frame at an explicit protocol `version` (a
-/// connection pinned to a v1 peer keeps speaking v1; the trace fields are
-/// simply dropped from the encoding).
-pub fn encode_frame_v(frame: &Frame<'_>, out: &mut Vec<u8>, version: u8) -> Result<()> {
-    if version != VERSION_1 && version != VERSION {
-        return Err(TmanError::Invalid(format!(
-            "cannot encode wire protocol version {version}"
-        )));
-    }
     let start = out.len();
     out.extend_from_slice(&MAGIC);
-    out.push(version);
+    out.push(VERSION);
     out.push(frame.type_code());
     put_u32(out, 0); // length backpatched below
     let payload_start = out.len();
@@ -362,16 +342,12 @@ pub fn encode_frame_v(frame: &Frame<'_>, out: &mut Vec<u8>, version: u8) -> Resu
                 ));
             }
             put_u32(out, descriptors.len() as u32);
-            if version >= 2 {
-                put_u64(out, *sent_unix_ns);
-            }
+            put_u64(out, *sent_unix_ns);
             for (i, d) in descriptors.iter().enumerate() {
                 if d.len() > u32::MAX as usize {
                     return Err(TmanError::Invalid("descriptor too large".into()));
                 }
-                if version >= 2 {
-                    put_u64(out, trace_ids.get(i).copied().unwrap_or(0));
-                }
+                put_u64(out, trace_ids.get(i).copied().unwrap_or(0));
                 put_u32(out, d.len() as u32);
                 out.extend_from_slice(d);
             }
@@ -387,10 +363,8 @@ pub fn encode_frame_v(frame: &Frame<'_>, out: &mut Vec<u8>, version: u8) -> Resu
             fire_unix_ns,
         } => {
             put_u64(out, *seq);
-            if version >= 2 {
-                put_u64(out, *trace_id);
-                put_u64(out, *fire_unix_ns);
-            }
+            put_u64(out, *trace_id);
+            put_u64(out, *fire_unix_ns);
             out.extend_from_slice(body);
         }
         Frame::Ack { watermark } => put_u64(out, *watermark),
@@ -415,7 +389,7 @@ pub fn encode_frame_v(frame: &Frame<'_>, out: &mut Vec<u8>, version: u8) -> Resu
 }
 
 /// Encode a frame into a fresh buffer (tests, simple clients).
-pub fn encode_frame_vec(frame: &Frame<'_>) -> Result<Vec<u8>> {
+pub fn frame_to_vec(frame: &Frame<'_>) -> Result<Vec<u8>> {
     let mut out = Vec::with_capacity(64);
     encode_frame(frame, &mut out)?;
     Ok(out)
@@ -428,17 +402,10 @@ pub fn encode_frame_vec(frame: &Frame<'_>) -> Result<Vec<u8>> {
 /// * `Ok(None)` — `buf` holds only a prefix of a frame; read more bytes.
 /// * `Ok(Some((frame, consumed)))` — one complete frame; the caller drops
 ///   the first `consumed` bytes.
-/// * `Err(_)` — the stream is unrecoverable (bad magic, version skew,
-///   oversized length, CRC mismatch, unknown type, malformed payload);
-///   close the connection.
+/// * `Err(_)` — the stream is unrecoverable (bad magic, a version other
+///   than [`VERSION`], oversized length, CRC mismatch, unknown type,
+///   malformed payload); close the connection.
 pub fn decode_frame(buf: &[u8]) -> Result<Option<(Frame<'_>, usize)>> {
-    Ok(decode_frame_v(buf)?.map(|(frame, used, _version)| (frame, used)))
-}
-
-/// Like [`decode_frame`] but also reports the envelope version of the
-/// decoded frame, so a server can pin each connection to the version its
-/// peer's `Hello` arrived at.
-pub fn decode_frame_v(buf: &[u8]) -> Result<Option<(Frame<'_>, usize, u8)>> {
     if buf.len() < HEADER_LEN {
         return Ok(None);
     }
@@ -446,7 +413,7 @@ pub fn decode_frame_v(buf: &[u8]) -> Result<Option<(Frame<'_>, usize, u8)>> {
         return Err(TmanError::Corrupt("bad frame magic".into()));
     }
     let version = buf[2];
-    if version != VERSION_1 && version != VERSION {
+    if version != VERSION {
         return Err(TmanError::Unsupported(format!(
             "wire protocol version {version} (this build speaks {VERSION})"
         )));
@@ -494,22 +461,19 @@ pub fn decode_frame_v(buf: &[u8]) -> Result<Option<(Frame<'_>, usize, u8)>> {
         },
         FT_UPDATE_BATCH => {
             let n = c.u32()? as usize;
-            // Each descriptor needs at least its own length prefix (plus a
-            // trace id on v2), so a hostile count cannot force a huge
+            // Each descriptor needs at least its trace id and its own
+            // length prefix, so a hostile count cannot force a huge
             // allocation.
-            let per_desc = if version >= 2 { 12 } else { 4 };
-            if n > len / per_desc {
+            if n > len / 12 {
                 return Err(TmanError::Corrupt(
                     "descriptor count exceeds payload".into(),
                 ));
             }
-            let sent_unix_ns = if version >= 2 { c.u64()? } else { 0 };
+            let sent_unix_ns = c.u64()?;
             let mut descriptors = Vec::with_capacity(n);
-            let mut trace_ids = Vec::with_capacity(if version >= 2 { n } else { 0 });
+            let mut trace_ids = Vec::with_capacity(n);
             for _ in 0..n {
-                if version >= 2 {
-                    trace_ids.push(c.u64()?);
-                }
+                trace_ids.push(c.u64()?);
                 let dn = c.u32()? as usize;
                 descriptors.push(Cow::Borrowed(c.take(dn)?));
             }
@@ -525,11 +489,7 @@ pub fn decode_frame_v(buf: &[u8]) -> Result<Option<(Frame<'_>, usize, u8)>> {
         },
         FT_NOTIFICATION => {
             let seq = c.u64()?;
-            let (trace_id, fire_unix_ns) = if version >= 2 {
-                (c.u64()?, c.u64()?)
-            } else {
-                (0, 0)
-            };
+            let (trace_id, fire_unix_ns) = (c.u64()?, c.u64()?);
             let body = c.take(payload.len() - c.pos)?;
             Frame::Notification {
                 seq,
@@ -552,7 +512,7 @@ pub fn decode_frame_v(buf: &[u8]) -> Result<Option<(Frame<'_>, usize, u8)>> {
         }
     };
     c.done()?;
-    Ok(Some((frame, total, version)))
+    Ok(Some((frame, total)))
 }
 
 // ----- notification bodies ----------------------------------------------
@@ -614,7 +574,7 @@ pub fn decode_notification_body(buf: &[u8]) -> Result<EventNotification> {
         values: tuple.values().to_vec(),
         message,
         token_seq,
-        // Trace context rides the v2 `Notification` envelope, not the
+        // Trace context rides the `Notification` envelope, not the
         // durable body; a decoded notification starts trace-less.
         trace: tman_telemetry::TraceHandle::none(),
         ingest_unix_ns: 0,
@@ -634,7 +594,7 @@ mod tests {
             event: "Fired".into(),
             resume_from: 42,
         };
-        let bytes = encode_frame_vec(&f).unwrap();
+        let bytes = frame_to_vec(&f).unwrap();
         let (got, used) = decode_frame(&bytes).unwrap().unwrap();
         assert_eq!(used, bytes.len());
         assert_eq!(got, f);
@@ -645,7 +605,7 @@ mod tests {
     #[test]
     fn crc_flip_is_rejected() {
         let f = Frame::Ack { watermark: 7 };
-        let mut bytes = encode_frame_vec(&f).unwrap();
+        let mut bytes = frame_to_vec(&f).unwrap();
         let idx = bytes.len() - TRAILER_LEN - 1;
         bytes[idx] ^= 0x01;
         assert!(decode_frame(&bytes).is_err());
@@ -667,15 +627,15 @@ mod tests {
     }
 
     #[test]
-    fn v2_batch_and_notification_carry_trace_context() {
+    fn batch_and_notification_carry_trace_context() {
         let batch = Frame::UpdateBatch {
             descriptors: vec![Cow::Owned(vec![1, 2, 3]), Cow::Owned(vec![4])],
             trace_ids: vec![0x8000_0000_0000_0001, 0],
             sent_unix_ns: 1_700_000_000_000_000_000,
         };
-        let bytes = encode_frame_vec(&batch).unwrap();
-        let (got, used, ver) = decode_frame_v(&bytes).unwrap().unwrap();
-        assert_eq!((used, ver), (bytes.len(), VERSION));
+        let bytes = frame_to_vec(&batch).unwrap();
+        let (got, used) = decode_frame(&bytes).unwrap().unwrap();
+        assert_eq!(used, bytes.len());
         assert_eq!(got, batch);
 
         let note = Frame::Notification {
@@ -684,66 +644,21 @@ mod tests {
             trace_id: 42,
             fire_unix_ns: 1_700_000_000_000_000_123,
         };
-        let bytes = encode_frame_vec(&note).unwrap();
-        let (got, _, _) = decode_frame_v(&bytes).unwrap().unwrap();
+        let bytes = frame_to_vec(&note).unwrap();
+        let (got, _) = decode_frame(&bytes).unwrap().unwrap();
         assert_eq!(got, note);
     }
 
     #[test]
-    fn v1_encoding_drops_trace_context_and_still_decodes() {
-        let batch = Frame::UpdateBatch {
-            descriptors: vec![Cow::Owned(vec![1, 2, 3])],
-            trace_ids: vec![55],
-            sent_unix_ns: 99,
-        };
-        let mut bytes = Vec::new();
-        encode_frame_v(&batch, &mut bytes, VERSION_1).unwrap();
-        let (got, used, ver) = decode_frame_v(&bytes).unwrap().unwrap();
-        assert_eq!((used, ver), (bytes.len(), VERSION_1));
-        match got {
-            Frame::UpdateBatch {
-                descriptors,
-                trace_ids,
-                sent_unix_ns,
-            } => {
-                assert_eq!(descriptors, vec![Cow::Borrowed(&[1u8, 2, 3][..])]);
-                assert!(trace_ids.is_empty());
-                assert_eq!(sent_unix_ns, 0);
-            }
-            other => panic!("wrong frame {other:?}"),
-        }
-
-        let note = Frame::Notification {
-            seq: 3,
-            body: Cow::Owned(vec![9]),
-            trace_id: 77,
-            fire_unix_ns: 88,
-        };
-        let mut bytes = Vec::new();
-        encode_frame_v(&note, &mut bytes, VERSION_1).unwrap();
-        let (got, _, ver) = decode_frame_v(&bytes).unwrap().unwrap();
-        assert_eq!(ver, VERSION_1);
-        match got {
-            Frame::Notification {
-                seq,
-                body,
-                trace_id,
-                fire_unix_ns,
-            } => {
-                assert_eq!((seq, trace_id, fire_unix_ns), (3, 0, 0));
-                assert_eq!(&body[..], &[9]);
-            }
-            other => panic!("wrong frame {other:?}"),
-        }
-    }
-
-    #[test]
-    fn unknown_versions_are_rejected() {
+    fn other_versions_are_refused_by_name() {
         let f = Frame::Ack { watermark: 1 };
-        let mut bytes = encode_frame_vec(&f).unwrap();
-        bytes[2] = VERSION + 1;
-        assert!(decode_frame(&bytes).is_err());
-        let mut out = Vec::new();
-        assert!(encode_frame_v(&f, &mut out, VERSION + 1).is_err());
+        for version in [1, VERSION + 1] {
+            let mut bytes = frame_to_vec(&f).unwrap();
+            bytes[2] = version;
+            let err = decode_frame(&bytes).unwrap_err();
+            assert!(matches!(err, TmanError::Unsupported(_)), "{err}");
+            let named = format!("wire protocol version {version}");
+            assert!(err.to_string().contains(&named), "{err}");
+        }
     }
 }

@@ -35,7 +35,6 @@ pub mod server;
 pub use client::{ReceivedNotification, RemoteClient, RemoteDataSource, RemoteSubscriber};
 pub use delivery::{Delivery, DeliveryHub, Registration};
 pub use frame::{
-    decode_frame, decode_frame_v, decode_notification_body, encode_frame, encode_frame_v,
-    encode_notification_body, Frame, VERSION, VERSION_1,
+    decode_frame, decode_notification_body, encode_frame, encode_notification_body, Frame, VERSION,
 };
 pub use server::WireServer;

@@ -5,8 +5,8 @@
 //! accepted stream; each poll pass accepts new connections, reads and
 //! decodes whatever bytes arrived, **group-commits** all decoded update
 //! descriptors across all connections into the update queue (one
-//! [`enqueue_batch`](triggerman::UpdateQueue::enqueue_batch) durability
-//! barrier per [`Config::wire_batch_max`] tokens — the fsync amortization
+//! [`enqueue_batch`](triggerman::queue::UpdateQueue::enqueue_batch) durability
+//! barrier per `BATCH_MAX` tokens — the fsync amortization
 //! that lets ingestion scale past per-token durability), pushes pending
 //! notifications to subscribers, and flushes write buffers. No async
 //! runtime: readiness is discovered by attempting the I/O, which at
@@ -14,17 +14,18 @@
 //! between passes.
 //!
 //! **Flow control is credit-based, never drop-based.** A source connection
-//! is granted [`Config::wire_credits`] at hello (one credit = one
+//! is granted `CREDITS` at hello (one credit = one
 //! descriptor); every group commit returns a `BatchAck` that replenishes
 //! the window — unless the engine's queue is above
-//! [`Config::wire_queue_high_water`], in which case the grant is withheld
+//! [`QUEUE_HIGH_WATER`], in which case the grant is withheld
 //! (counted in `tman_wire_backpressure_total`) and the client stalls on
 //! zero credits until the drivers drain the backlog and a later ack (or
 //! standalone `Credit` frame) reopens the window. Exceeding the window is
 //! a protocol violation and closes the connection.
 //!
-//! Any decode failure (bad magic, CRC mismatch, oversized length, version
-//! skew, malformed payload) is unrecoverable for that connection: the
+//! Any decode failure (bad magic, CRC mismatch, oversized length, a
+//! protocol version other than [`VERSION`](crate::frame::VERSION),
+//! malformed payload) is unrecoverable for that connection: the
 //! server counts it in `tman_wire_protocol_errors_total`, sends a best-
 //! effort [`Frame::Error`], and closes — other connections are unaffected.
 
@@ -41,13 +42,18 @@ use tman_telemetry::trace::{now_ns, unix_now_ns, ROOT_SPAN};
 use tman_telemetry::{
     CounterHandle, GaugeHandle, HistogramHandle, Registry, SpanKind, TraceHandle,
 };
-use triggerman::TriggerMan;
+use triggerman::{TriggerMan, QUEUE_HIGH_WATER};
 
 use crate::delivery::{Delivery, DeliveryHub};
-use crate::frame::{
-    decode_frame_v, encode_frame_v, Frame, ROLE_SOURCE, ROLE_SUBSCRIBER, VERSION, VERSION_1,
-};
+use crate::frame::{decode_frame, encode_frame, Frame, ROLE_SOURCE, ROLE_SUBSCRIBER};
 
+/// Decoded descriptors accumulated per poll pass before a group commit
+/// (one batched enqueue + one sync) is forced.
+const BATCH_MAX: usize = 4096;
+/// Ingestion credits granted to a source connection at hello time and
+/// replenished on batch acknowledgement (one credit = one update
+/// descriptor the client may send).
+const CREDITS: u32 = 1024;
 /// Read chunk per connection per pass.
 const READ_CHUNK: usize = 16 * 1024;
 /// Notifications drained from a subscriber mailbox per pass (fairness cap).
@@ -108,6 +114,10 @@ impl WireMetrics {
     }
 }
 
+/// A token that arrived with a propagated trace id: the adopted handle
+/// and its decode stamp.
+type Traced = (TraceHandle, u64);
+
 #[derive(PartialEq)]
 enum Role {
     Pending,
@@ -121,10 +131,6 @@ struct Conn {
     rbuf: Vec<u8>,
     wbuf: Vec<u8>,
     role: Role,
-    /// Protocol version this connection is pinned to:
-    /// `min(server cap, peer hello envelope version)`. Every outbound
-    /// frame is encoded at this version.
-    version: u8,
     /// Remaining credit window (sources).
     credits: u32,
     /// Descriptors received over the connection's lifetime (sources).
@@ -155,7 +161,6 @@ impl Conn {
             rbuf: Vec::new(),
             wbuf: Vec::new(),
             role: Role::Pending,
-            version: VERSION,
             credits: 0,
             received: 0,
             pass_tokens: 0,
@@ -170,7 +175,7 @@ impl Conn {
 
     /// Queue a frame for writing (encode failures kill the connection).
     fn send(&mut self, frame: &Frame<'_>, metrics: &WireMetrics) {
-        match encode_frame_v(frame, &mut self.wbuf, self.version) {
+        match encode_frame(frame, &mut self.wbuf) {
             Ok(()) => metrics.frames_out.bump(),
             Err(_) => self.dead = true,
         }
@@ -198,19 +203,6 @@ impl WireServer {
     /// durable [`DeliveryHub`] in the engine's database, register it as a
     /// notification sink, and spawn the I/O thread.
     pub fn start(system: Arc<TriggerMan>, addr: &str) -> Result<WireServer> {
-        WireServer::start_capped(system, addr, VERSION)
-    }
-
-    /// [`start`](Self::start) with the spoken protocol capped at
-    /// `max_version`: a hello above the cap is rejected the way a genuine
-    /// old build rejects it (protocol error naming the version), which is
-    /// what drives clients down their v1 fallback. Interop tests use this
-    /// to stand in for a v1-era server.
-    pub fn start_capped(
-        system: Arc<TriggerMan>,
-        addr: &str,
-        max_version: u8,
-    ) -> Result<WireServer> {
         let listener =
             TcpListener::bind(addr).map_err(|e| TmanError::Io(format!("bind {addr}: {e}")))?;
         listener
@@ -246,13 +238,12 @@ impl WireServer {
         hub.bind_instruments(registry, system.tracer().cloned());
         let metrics = WireMetrics::resolve(registry);
         let stop = Arc::new(AtomicBool::new(false));
-        let max_version = max_version.clamp(VERSION_1, VERSION);
         let thread = {
             let stop = stop.clone();
             let hub = hub.clone();
             std::thread::Builder::new()
                 .name("tman-wire".into())
-                .spawn(move || run_loop(system, listener, hub, stop, metrics, max_version))
+                .spawn(move || run_loop(system, listener, hub, stop, metrics))
                 .map_err(|e| TmanError::Io(format!("spawn wire thread: {e}")))?
         };
         Ok(WireServer {
@@ -296,15 +287,13 @@ fn run_loop(
     hub: Arc<DeliveryHub>,
     stop: Arc<AtomicBool>,
     metrics: WireMetrics,
-    max_version: u8,
 ) {
     let mut conns: Vec<Conn> = Vec::new();
-    let batch_max = system.config().wire_batch_max.max(1);
     let mut passes: u64 = 0;
     while !stop.load(Ordering::Relaxed) && !system.is_shutdown() {
         let mut activity = false;
         passes += 1;
-        if passes % GC_PASS_INTERVAL == 0 {
+        if passes.is_multiple_of(GC_PASS_INTERVAL) {
             hub.gc(system.queue_watermark());
         }
 
@@ -327,8 +316,8 @@ fn run_loop(
         // (plus, for tokens that arrived with a propagated trace id, the
         // adopted handle and its decode stamp).
         let mut pass_batch: Vec<UpdateDescriptor> = Vec::new();
-        let mut pass_traced: Vec<(TraceHandle, u64)> = Vec::new();
-        let mut chunks: Vec<(Vec<UpdateDescriptor>, Vec<(TraceHandle, u64)>)> = Vec::new();
+        let mut pass_traced: Vec<Traced> = Vec::new();
+        let mut chunks: Vec<(Vec<UpdateDescriptor>, Vec<Traced>)> = Vec::new();
         for conn in conns.iter_mut() {
             if conn.dead || conn.close_after_flush {
                 continue;
@@ -362,27 +351,13 @@ fn run_loop(
             let rbuf = std::mem::take(&mut conn.rbuf);
             let mut off = 0usize;
             while off < rbuf.len() {
-                match decode_frame_v(&rbuf[off..]) {
-                    Ok(Some((frame, used, version))) => {
+                match decode_frame(&rbuf[off..]) {
+                    Ok(Some((frame, used))) => {
                         off += used;
                         metrics.frames_in.bump();
-                        if version > max_version {
-                            // Behave like a genuine old build: name the
-                            // version so the client falls back to v1.
-                            conn.version = max_version;
-                            conn.fail(
-                                error_code::PROTOCOL,
-                                format!(
-                                    "wire protocol version {version} (this build speaks {max_version})"
-                                ),
-                                &metrics,
-                            );
-                            break;
-                        }
                         handle_frame(
                             conn,
                             frame,
-                            version,
                             &system,
                             &hub,
                             &metrics,
@@ -404,7 +379,7 @@ fn run_loop(
             conn.rbuf.drain(..off);
             // Force a group commit mid-pass rather than letting one
             // firehose connection grow the batch without bound.
-            if pass_batch.len() >= batch_max {
+            if pass_batch.len() >= BATCH_MAX {
                 chunks.push((
                     std::mem::take(&mut pass_batch),
                     std::mem::take(&mut pass_traced),
@@ -465,8 +440,7 @@ fn run_loop(
         // Acknowledge every contributing source, replenishing credits
         // unless the engine queue is over the high-water mark.
         if contributors > 0 {
-            let full = system.queue_len() >= system.config().wire_queue_high_water;
-            let window = system.config().wire_credits;
+            let full = system.queue_len() >= QUEUE_HIGH_WATER;
             for conn in conns.iter_mut().filter(|c| c.pass_tokens > 0) {
                 conn.pass_tokens = 0;
                 if commit_failed {
@@ -479,7 +453,7 @@ fn run_loop(
                     conn.stall_since.get_or_insert_with(now_ns);
                     0
                 } else {
-                    window.saturating_sub(conn.credits)
+                    CREDITS.saturating_sub(conn.credits)
                 };
                 conn.credits += grant;
                 if grant > 0 {
@@ -498,17 +472,16 @@ fn run_loop(
         }
         // A source stalled on withheld credits gets them back as soon as
         // the queue drains, without needing to send anything first.
-        if system.queue_len() < system.config().wire_queue_high_water {
-            let window = system.config().wire_credits;
+        if system.queue_len() < QUEUE_HIGH_WATER {
             for conn in conns
                 .iter_mut()
                 .filter(|c| c.role == Role::Source && c.credits == 0 && !c.dead)
             {
-                conn.credits = window;
+                conn.credits = CREDITS;
                 if let Some(t0) = conn.stall_since.take() {
                     metrics.credit_stall.record(now_ns().saturating_sub(t0));
                 }
-                conn.send(&Frame::Credit { credits: window }, &metrics);
+                conn.send(&Frame::Credit { credits: CREDITS }, &metrics);
             }
         }
 
@@ -601,18 +574,15 @@ fn run_loop(
     metrics.connections.add(-(conns.len() as i64));
 }
 
-/// Handle one decoded frame on one connection. `version` is the frame's
-/// envelope version (a hello pins the connection to it).
-#[allow(clippy::too_many_arguments)]
+/// Handle one decoded frame on one connection.
 fn handle_frame(
     conn: &mut Conn,
     frame: Frame<'_>,
-    version: u8,
     system: &Arc<TriggerMan>,
     hub: &Arc<DeliveryHub>,
     metrics: &WireMetrics,
     pass_batch: &mut Vec<UpdateDescriptor>,
-    pass_traced: &mut Vec<(TraceHandle, u64)>,
+    pass_traced: &mut Vec<Traced>,
 ) {
     match frame {
         Frame::Hello {
@@ -625,14 +595,11 @@ fn handle_frame(
                 conn.fail(error_code::PROTOCOL, "duplicate hello".into(), metrics);
                 return;
             }
-            // Pin the connection to the peer's hello version; every
-            // outbound frame from here on is encoded at it.
-            conn.version = version.min(VERSION);
             if role == ROLE_SOURCE {
                 match system.source(&name) {
                     Ok(info) => {
                         conn.role = Role::Source;
-                        conn.credits = system.config().wire_credits;
+                        conn.credits = CREDITS;
                         conn.send(
                             &Frame::HelloAck {
                                 credits: conn.credits,
@@ -712,10 +679,9 @@ fn handle_frame(
                 );
                 return;
             }
-            // Wall-clock ingest stamp: the client's v2 send stamp when
-            // present, else now — either way every wire token gets one, so
-            // the ingest→fire SLI covers v1 sources too (minus the network
-            // hop).
+            // Wall-clock ingest stamp: the client's send stamp, else now for
+            // a client that left it unset — either way every wire token gets
+            // one, so the ingest→fire SLI covers it (minus the network hop).
             let ingest_unix = if sent_unix_ns != 0 {
                 sent_unix_ns
             } else {

@@ -6,8 +6,8 @@
 //! single-bit corruption is always rejected (or deferred for more bytes) —
 //! never decoded into a different frame, never a panic. The live-server
 //! suite then feeds truncated frames, CRC garbage, oversized length
-//! prefixes and version skew down real sockets and asserts the server
-//! closes that connection cleanly, counts the error in
+//! prefixes and frames of another protocol version down real sockets and
+//! asserts the server closes that connection cleanly, counts the error in
 //! `tman_wire_protocol_errors_total`, and keeps serving everyone else.
 
 use proptest::prelude::*;
@@ -20,9 +20,10 @@ use std::time::{Duration, Instant};
 use tman_common::Value;
 use tman_wire::crc::crc32;
 use tman_wire::frame::{
-    decode_frame, decode_frame_v, encode_frame_v, encode_frame_vec, Frame, HEADER_LEN, MAGIC,
-    MAX_PAYLOAD, ROLE_SOURCE, ROLE_SUBSCRIBER, VERSION, VERSION_1,
+    decode_frame, frame_to_vec, Frame, HEADER_LEN, MAGIC, MAX_PAYLOAD, ROLE_SOURCE,
+    ROLE_SUBSCRIBER, TRAILER_LEN, VERSION,
 };
+use tman_wire::server::error_code;
 use tman_wire::{RemoteClient, WireServer};
 use triggerman::{Config, TriggerMan};
 
@@ -86,10 +87,20 @@ fn arb_frame() -> impl Strategy<Value = Frame<'static>> {
     ]
 }
 
+/// Re-stamp an encoded frame with another protocol version, CRC re-sealed.
+fn at_version(frame: &[u8], version: u8) -> Vec<u8> {
+    let mut bytes = frame.to_vec();
+    bytes[2] = version;
+    let body = bytes.len() - TRAILER_LEN;
+    let crc = crc32(&bytes[2..body]);
+    bytes[body..].copy_from_slice(&crc.to_le_bytes());
+    bytes
+}
+
 proptest! {
     #[test]
     fn every_frame_roundtrips(frame in arb_frame()) {
-        let bytes = encode_frame_vec(&frame).unwrap();
+        let bytes = frame_to_vec(&frame).unwrap();
         let (decoded, used) = decode_frame(&bytes).unwrap().expect("complete frame");
         prop_assert_eq!(used, bytes.len());
         prop_assert_eq!(decoded, frame);
@@ -97,15 +108,15 @@ proptest! {
 
     #[test]
     fn any_prefix_asks_for_more(frame in arb_frame(), keep in any::<prop::sample::Index>()) {
-        let bytes = encode_frame_vec(&frame).unwrap();
+        let bytes = frame_to_vec(&frame).unwrap();
         let keep = keep.index(bytes.len()); // 0..len, strictly short of a full frame
         prop_assert!(decode_frame(&bytes[..keep]).unwrap().is_none());
     }
 
     #[test]
     fn frames_decode_back_to_back(a in arb_frame(), b in arb_frame()) {
-        let mut bytes = encode_frame_vec(&a).unwrap();
-        bytes.extend_from_slice(&encode_frame_vec(&b).unwrap());
+        let mut bytes = frame_to_vec(&a).unwrap();
+        bytes.extend_from_slice(&frame_to_vec(&b).unwrap());
         let (da, used) = decode_frame(&bytes).unwrap().expect("first frame");
         prop_assert_eq!(da, a);
         let (db, used2) = decode_frame(&bytes[used..]).unwrap().expect("second frame");
@@ -113,44 +124,20 @@ proptest! {
         prop_assert_eq!(used + used2, bytes.len());
     }
 
-    /// Every frame also encodes at v1 and stays decodable — the v2-only
-    /// trace fields are the whole loss (empty / zero after the v1 round
-    /// trip); everything else survives byte-exactly.
+    /// A well-formed frame of any other protocol version — valid CRC, as a
+    /// peer that really speaks that version would send — is refused with an
+    /// error naming the version, never decoded.
     #[test]
-    fn v1_interop_roundtrips_minus_trace_context(frame in arb_frame()) {
-        let mut bytes = Vec::new();
-        encode_frame_v(&frame, &mut bytes, VERSION_1).unwrap();
-        let (decoded, used, ver) = decode_frame_v(&bytes).unwrap().expect("complete frame");
-        prop_assert_eq!((used, ver), (bytes.len(), VERSION_1));
-        let expect = match frame {
-            Frame::UpdateBatch { descriptors, .. } => Frame::UpdateBatch {
-                descriptors,
-                trace_ids: Vec::new(),
-                sent_unix_ns: 0,
-            },
-            Frame::Notification { seq, body, .. } => Frame::Notification {
-                seq,
-                body,
-                trace_id: 0,
-                fire_unix_ns: 0,
-            },
-            other => other,
-        };
-        prop_assert_eq!(decoded, expect);
-    }
-
-    /// The version travels per frame, not per stream: v1 and v2 encodings
-    /// interleave on one buffer and each decodes at its own version.
-    #[test]
-    fn mixed_version_frames_share_a_stream(a in arb_frame(), b in arb_frame()) {
-        let mut bytes = Vec::new();
-        encode_frame_v(&a, &mut bytes, VERSION_1).unwrap();
-        encode_frame_v(&b, &mut bytes, VERSION).unwrap();
-        let (_, used, va) = decode_frame_v(&bytes).unwrap().expect("first frame");
-        let (db, used2, vb) = decode_frame_v(&bytes[used..]).unwrap().expect("second frame");
-        prop_assert_eq!((va, vb), (VERSION_1, VERSION));
-        prop_assert_eq!(db, b);
-        prop_assert_eq!(used + used2, bytes.len());
+    fn other_versions_are_refused_by_name(frame in arb_frame(), v in 0u8..255) {
+        let version = if v >= VERSION { v + 1 } else { v };
+        let bytes = at_version(&frame_to_vec(&frame).unwrap(), version);
+        match decode_frame(&bytes) {
+            Err(e) => prop_assert!(
+                e.to_string().contains(&format!("wire protocol version {version}")),
+                "error does not name the version: {}", e
+            ),
+            Ok(_) => prop_assert!(false, "version {} frame accepted", version),
+        }
     }
 
     /// A single flipped bit is never silently accepted: the decoder
@@ -162,7 +149,7 @@ proptest! {
         at in any::<prop::sample::Index>(),
         bit in 0u32..8,
     ) {
-        let mut bytes = encode_frame_vec(&frame).unwrap();
+        let mut bytes = frame_to_vec(&frame).unwrap();
         let at = at.index(bytes.len());
         bytes[at] ^= 1 << bit;
         match decode_frame(&bytes) {
@@ -251,8 +238,9 @@ fn malformed_input_fails_the_connection_not_the_server() {
     expected += 1;
     wait_for(&errors, expected);
 
-    // Version skew: a well-formed hello from a future protocol.
-    let hello = encode_frame_vec(&Frame::Hello {
+    // Another protocol version (here with a stale CRC; the sealed case is
+    // `a_peer_on_another_version_is_refused_by_name_and_alone`).
+    let hello = frame_to_vec(&Frame::Hello {
         role: ROLE_SOURCE,
         name: "s".into(),
         event: String::new(),
@@ -291,7 +279,7 @@ fn malformed_input_fails_the_connection_not_the_server() {
     // Out-of-order protocol: an update batch before any hello.
     expect_close(
         addr,
-        &encode_frame_vec(&Frame::UpdateBatch {
+        &frame_to_vec(&Frame::UpdateBatch {
             descriptors: vec![Cow::Owned(vec![1, 2, 3])],
             trace_ids: vec![0],
             sent_unix_ns: 0,
@@ -322,89 +310,89 @@ fn malformed_input_fails_the_connection_not_the_server() {
     tman.shutdown();
 }
 
-/// Read whole frames off a raw socket until one decodes.
-fn recv_raw(s: &mut TcpStream, got: &mut Vec<u8>) -> Frame<'static> {
+/// Read frames off a raw socket until the server closes it.
+fn frames_until_close(s: &mut TcpStream) -> Vec<Frame<'static>> {
+    let (mut got, mut frames) = (Vec::new(), Vec::new());
+    let mut buf = [0u8; 1024];
     loop {
-        if let Some((frame, used)) = decode_frame(got).unwrap() {
-            let owned = frame.into_owned();
-            got.drain(..used);
-            return owned;
+        match s.read(&mut buf) {
+            Ok(0) | Err(_) => return frames,
+            Ok(n) => got.extend_from_slice(&buf[..n]),
         }
-        let mut buf = [0u8; 1024];
-        let n = s.read(&mut buf).unwrap();
-        assert!(n > 0, "connection closed mid-handshake");
-        got.extend_from_slice(&buf[..n]);
+        while let Some((frame, used)) = decode_frame(&got).unwrap() {
+            frames.push(frame.into_owned());
+            got.drain(..used);
+        }
     }
 }
 
-/// Live interop in both directions.
-///
-/// * New client → old server: a server capped at v1 rejects the client's
-///   v2 hello by version; the client retries pinned to v1 and the feed
-///   works end to end (minus trace context).
-/// * Old client → new server: raw v1 frames against a v2 server complete
-///   the hello, ship a batch, and get a v1-decodable `BatchAck` back —
-///   the server pins the connection to the hello's version.
+/// A peer on any protocol version but [`VERSION`] — at hello, or on a
+/// later frame of an established connection — gets a protocol error that
+/// names its version and is disconnected. Connections opened before and
+/// after it keep being served.
 #[test]
-fn v1_and_v2_peers_interoperate_both_directions() {
-    // New client, old (v1-capped) server.
-    let tman = TriggerMan::open_memory(Config::default()).unwrap();
-    tman.execute_command("define data source s (k int, v varchar(16))")
-        .unwrap();
-    let server = WireServer::start_capped(tman.clone(), "127.0.0.1:0", VERSION_1).unwrap();
-    let client = RemoteClient::new(server.local_addr().to_string());
-    let mut src = client.data_source("s").unwrap();
-    src.insert(vec![Value::Int(1), Value::str("old server")])
-        .unwrap();
-    src.sync().unwrap();
-    assert_eq!(src.acked(), 1);
-    tman.shutdown();
-
-    // Old (v1-pinned) client, new server — raw frames, v1 envelope.
+fn a_peer_on_another_version_is_refused_by_name_and_alone() {
     let (tman, server) = serve();
-    let mut s = TcpStream::connect(server.local_addr()).unwrap();
-    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    let mut got = Vec::new();
-    let mut hello = Vec::new();
-    encode_frame_v(
-        &Frame::Hello {
-            role: ROLE_SOURCE,
-            name: "s".into(),
-            event: String::new(),
-            resume_from: 0,
-        },
-        &mut hello,
-        VERSION_1,
-    )
+    let addr = server.local_addr();
+    let errors = tman
+        .metrics_registry()
+        .counter("tman_wire_protocol_errors_total", &[]);
+    let client = RemoteClient::new(addr.to_string());
+    let mut bystander = client.data_source("s").unwrap();
+
+    let hello = frame_to_vec(&Frame::Hello {
+        role: ROLE_SOURCE,
+        name: "s".into(),
+        event: String::new(),
+        resume_from: 0,
+    })
     .unwrap();
-    s.write_all(&hello).unwrap();
-    let source_id = match recv_raw(&mut s, &mut got) {
-        Frame::HelloAck { source_id, .. } => source_id,
-        other => panic!("expected hello ack, got {}", other.kind_name()),
-    };
-    let token = tman_common::UpdateDescriptor::insert(
-        tman_common::DataSourceId(source_id),
-        tman_common::Tuple::new(vec![Value::Int(2), Value::str("old client")]),
-    );
-    let mut batch = Vec::new();
-    encode_frame_v(
-        &Frame::UpdateBatch {
-            descriptors: vec![Cow::Owned(token.encode())],
-            trace_ids: Vec::new(),
-            sent_unix_ns: 0,
-        },
-        &mut batch,
-        VERSION_1,
-    )
+    let batch = frame_to_vec(&Frame::UpdateBatch {
+        descriptors: Vec::new(),
+        trace_ids: Vec::new(),
+        sent_unix_ns: 0,
+    })
     .unwrap();
-    s.write_all(&batch).unwrap();
-    loop {
-        match recv_raw(&mut s, &mut got) {
-            Frame::BatchAck { through, .. } if through >= 1 => break,
-            Frame::BatchAck { .. } | Frame::Credit { .. } => continue,
-            other => panic!("expected batch ack, got {}", other.kind_name()),
+    // (bytes sent, version the refusal must name, frames served before it)
+    let cases = [
+        (at_version(&hello, 1), 1, 0),
+        (at_version(&hello, VERSION + 1), VERSION + 1, 0),
+        ([hello.clone(), at_version(&batch, 1)].concat(), 1, 1),
+    ];
+    for (i, (bytes, version, served)) in cases.iter().enumerate() {
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        s.write_all(bytes).unwrap();
+        let frames = frames_until_close(&mut s);
+        assert_eq!(frames.len(), served + 1, "case {i}: {frames:?}");
+        if *served == 1 {
+            assert!(matches!(frames[0], Frame::HelloAck { .. }), "{frames:?}");
         }
+        match frames.last().unwrap() {
+            Frame::Error { code, message } => {
+                assert_eq!(*code, error_code::PROTOCOL);
+                assert!(
+                    message.contains(&format!("wire protocol version {version}")),
+                    "case {i}: {message}"
+                );
+            }
+            other => panic!("case {i}: expected error, got {}", other.kind_name()),
+        }
+        wait_for(&errors, i as u64 + 1);
     }
+
+    // The connection opened before the refusals and a fresh one both work.
+    bystander
+        .insert(vec![Value::Int(1), Value::str("before")])
+        .unwrap();
+    bystander.sync().unwrap();
+    assert_eq!(bystander.acked(), 1);
+    let mut fresh = client.data_source("s").unwrap();
+    fresh
+        .insert(vec![Value::Int(2), Value::str("after")])
+        .unwrap();
+    fresh.sync().unwrap();
+    assert_eq!(fresh.acked(), 1);
     tman.shutdown();
 }
 
@@ -415,7 +403,7 @@ fn unknown_source_name_is_rejected_with_an_error_frame() {
     let mut s = TcpStream::connect(addr).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     s.write_all(
-        &encode_frame_vec(&Frame::Hello {
+        &frame_to_vec(&Frame::Hello {
             role: ROLE_SOURCE,
             name: "no_such_source".into(),
             event: String::new(),

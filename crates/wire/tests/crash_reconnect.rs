@@ -167,10 +167,10 @@ fn crash_case(case: u64) {
                 }
             }
             serial += 1;
-            if serial % 4 == 0 && tman.checkpoint().is_ok() {
+            if serial.is_multiple_of(4) && tman.checkpoint().is_ok() {
                 durable.append(&mut pending);
             }
-            if serial % 7 == 0 {
+            if serial.is_multiple_of(7) {
                 let _ = tman.run_until_quiescent();
             }
         }

@@ -55,7 +55,7 @@ fn main() -> tman_common::Result<()> {
                     idle = 0;
                     seen += 1;
                     last_seq = seq;
-                    if seen % 50 == 0 {
+                    if seen.is_multiple_of(50) {
                         // Ack every 50th spike; the watermark is durable,
                         // so a reconnect resumes exactly here.
                         sub.ack(seq).expect("ack");

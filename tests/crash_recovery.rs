@@ -149,7 +149,7 @@ fn crash_case_batched(case: u64) {
 /// between per-token and sharded/batched drain so the batch-replay path
 /// also proves it re-arms tag claims on redelivered tokens.
 fn crash_case_tagged(case: u64) {
-    let cfg = if case % 2 == 0 {
+    let cfg = if case.is_multiple_of(2) {
         Config::default()
     } else {
         Config {
@@ -212,13 +212,13 @@ fn crash_case_cfg(case: u64, base: Config, tag: &str, shape: &Shape) {
                 pending.push(serial);
             }
             serial += 1;
-            if serial % 4 == 0 && tman.checkpoint().is_ok() {
+            if serial.is_multiple_of(4) && tman.checkpoint().is_ok() {
                 durable.append(&mut pending);
             }
-            if serial % 7 == 0 {
+            if serial.is_multiple_of(7) {
                 let _ = tman.run_until_quiescent();
             }
-            if serial % 11 == 0 {
+            if serial.is_multiple_of(11) {
                 // DDL churn under fire: an ephemeral trigger that shares
                 // the phase-A signature comes and (usually) goes.
                 let name = format!("tmp{serial}");

@@ -17,7 +17,7 @@ use proptest::prelude::*;
 use proptest::test_runner::{Config as PtConfig, RngAlgorithm, TestRng, TestRunner};
 use std::sync::Arc;
 use tman_common::{Tuple, UpdateDescriptor, Value};
-use triggerman::{Config, Partitioning, TracingMode, TriggerMan};
+use triggerman::{Config, TracingMode, TriggerMan};
 
 /// Build a deterministic proptest runner: pinned ChaCha seed, no failure
 /// persistence (CI replays by seed, not by regression file).
@@ -190,21 +190,10 @@ pub fn traced(cfg: Config) -> Config {
     }
 }
 
-/// Static condition-level partitioning at a fixed fan-out.
+/// Condition-level partitioning at a fixed fan-out.
 pub fn static_cfg(parts: usize) -> Config {
     Config {
         condition_partitions: parts,
-        partition_min: 1,
-        ..Config::default()
-    }
-}
-
-/// Adaptive with telemetry off: no controller instance runs, so the test
-/// owns the published per-signature fan-out and can force transitions.
-pub fn adaptive_cfg() -> Config {
-    Config {
-        partitioning: Partitioning::Adaptive,
-        telemetry: false,
         partition_min: 1,
         ..Config::default()
     }

@@ -15,9 +15,8 @@
 //! batches (`drain_batch = 1` is the one pipeline on a run of one, not
 //! separate code: it has its own columns, partitioned and not), a
 //! partitioned fan-out column, forced constant-set organization transitions
-//! mid-stream (mem list → denorm → mem index → db table → db indexed —
-//! the governor's §5.2 migrations, forced deterministically), forced
-//! active-shard transitions, and OR-trigger create/drop churn (tagged
+//! mid-stream (mem list → denorm → mem index → db table → db indexed,
+//! each by `set_org`), forced active-shard transitions, and OR-trigger create/drop churn (tagged
 //! entry cleanup).
 //!
 //! A second property (`run_update_oracle`) streams `Update` and `Delete`
@@ -127,9 +126,8 @@ fn arb_or_cond() -> impl Strategy<Value = Cond> {
     ]
 }
 
-/// Force every signature of one engine into `kind` (the §5.2 migration
-/// the governor would perform, applied deterministically). Unindexable
-/// classes skip `MemIndex`, as the governor does.
+/// Force every signature of one engine into `kind` with `set_org`. A
+/// class with no index plan has no index to build and skips `MemIndex`.
 fn force_org(h: &Harness, kind: OrgKind) {
     for rt in h.tman.predicate_index().all_signatures() {
         if kind == OrgKind::MemIndex && matches!(rt.sig.index_plan, IndexPlan::None) {

@@ -9,8 +9,8 @@
 //! * under the organization each class happens to be in,
 //! * with every class **forced** into each of the §5.2 organizations
 //!   (mem list, denormalized list, mem index, db table, db indexed), and
-//! * across governor transitions (promotion, demotion, budget spill,
-//!   refill) driven by deliberately extreme policies.
+//! * across every transition between two of the four organizations, each
+//!   made with `set_org` on the populated class.
 //!
 //! The suite runs on a fixed RNG seed (`SEED`) so CI is deterministic;
 //! shrinking still works because the cases run under a regular proptest
@@ -31,7 +31,7 @@ use tman_expr::scalar::Env;
 use tman_expr::signature::IndexPlan;
 use tman_expr::BindCtx;
 use tman_lang::parse_expression;
-use tman_predindex::{GovernorPolicy, IndexConfig, OrgKind, PredicateIndex, SignatureRuntime};
+use tman_predindex::{IndexConfig, OrgKind, PredicateIndex, SignatureRuntime};
 use tman_sql::Database;
 
 const SRC: DataSourceId = DataSourceId(7);
@@ -198,25 +198,21 @@ fn check_all(
 fn force_org(sigs: &[Arc<SignatureRuntime>], kind: OrgKind) {
     for rt in sigs {
         if kind == OrgKind::MemIndex && matches!(rt.sig.index_plan, IndexPlan::None) {
-            continue; // the governor skips unindexable classes too
+            continue; // no index plan, no index to build
         }
         rt.set_org(kind).unwrap();
     }
 }
 
 /// The property: index == oracle through create/drop, every forced
-/// organization, and a gauntlet of governor transitions.
+/// organization, and a gauntlet of organization transitions.
 fn run_case(
     triggers: &[TriggerDef],
     drops: &[proptest::sample::Index],
     tokens: &[(u32, i64, Option<i64>, u8)],
 ) -> std::result::Result<(), TestCaseError> {
     let db = Arc::new(Database::open_memory(512));
-    let cfg = IndexConfig {
-        adaptive: true, // organizations move only when this test says so
-        ..Default::default()
-    };
-    let ix = PredicateIndex::with_database(cfg.clone(), db);
+    let ix = PredicateIndex::with_database(IndexConfig::default(), db);
     let mut oracle = Oracle::default();
     let tokens: Vec<UpdateDescriptor> = tokens
         .iter()
@@ -248,30 +244,15 @@ fn run_case(
         force_org(&sigs, kind);
         check_all(&ix, &oracle, &tokens, kind.as_str())?;
     }
-    force_org(&sigs, OrgKind::MemList);
 
-    // Governor gauntlet. Tiny thresholds: everything promotes.
-    let mut policy = GovernorPolicy::from_config(&cfg);
-    policy.list_to_index = 1;
-    policy.index_to_db = 4;
-    let report = ix.governor_pass(&policy);
-    prop_assert!(report.errors.is_empty(), "promote: {:?}", report.errors);
-    check_all(&ix, &oracle, &tokens, "governor promote")?;
-
-    // Budget zero: every memory-resident class spills.
-    policy.memory_budget = Some(0);
-    policy.min_spill_bytes = 1;
-    let report = ix.governor_pass(&policy);
-    prop_assert!(report.errors.is_empty(), "spill: {:?}", report.errors);
-    check_all(&ix, &oracle, &tokens, "budget spill")?;
-
-    // Huge thresholds, no budget: everything comes home.
-    policy.memory_budget = None;
-    policy.list_to_index = usize::MAX;
-    policy.index_to_db = usize::MAX;
-    let report = ix.governor_pass(&policy);
-    prop_assert!(report.errors.is_empty(), "refill: {:?}", report.errors);
-    check_all(&ix, &oracle, &tokens, "governor demote/refill")?;
+    // Transition gauntlet: every ordered pair of the four organizations
+    // (an Euler circuit of the complete digraph on them), checked after
+    // each switch.
+    use OrgKind::{DbIndexed as X, DbTable as T, MemIndex as I, MemList as L};
+    for kind in [L, I, L, T, L, X, I, T, I, X, T, X, L] {
+        force_org(&sigs, kind);
+        check_all(&ix, &oracle, &tokens, &format!("-> {}", kind.as_str()))?;
+    }
 
     Ok(())
 }

@@ -177,8 +177,8 @@ impl ModelWindow {
     }
 }
 
-/// Force every signature of one engine into `kind`; unindexable classes
-/// skip `MemIndex`, as the governor does.
+/// Force every signature of one engine into `kind`; a class with no index
+/// plan has no index to build and skips `MemIndex`.
 fn force_org(h: &Harness, kind: OrgKind) {
     for rt in h.tman.predicate_index().all_signatures() {
         if kind == OrgKind::MemIndex && matches!(rt.sig.index_plan, IndexPlan::None) {

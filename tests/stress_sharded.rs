@@ -1,12 +1,13 @@
 //! Concurrency stress for the sharded, batch-draining engine: live driver
 //! threads bound to different shards drain batches while other threads
 //! churn triggers (create/drop races against in-flight probes and pins),
-//! run governor and partition-controller passes, toggle the active-shard
-//! width, and async rule actions hop shards as `Task::Action`. The
-//! invariants: every token is processed, the sentinel fires exactly once
-//! per matching token (no duplicate and no lost firings), no task dies
-//! with an error, and the per-shard token counters account for the whole
-//! stream.
+//! switch the signature class through all four organizations with
+//! `set_org`, toggle the active-shard width, and async rule actions hop
+//! shards as `Task::Action`. Probes fan out two ways by `expr_id % nparts`
+//! throughout. The invariants: every token is processed, the sentinel
+//! fires exactly once per matching token (no entry visited twice or not at
+//! all), no task dies with an error, and the per-shard token counters
+//! account for the whole stream.
 //!
 //! The fast variant keeps CI under a few seconds; the `--ignored` soak
 //! runs the same schedule long enough to surface rare interleavings.
@@ -14,14 +15,14 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use triggerman::{Config, Partitioning, TriggerMan};
+use triggerman::{Config, OrgKind, TriggerMan};
 
 fn sharded_stress(tokens: usize, churn_iters: usize) {
     let cfg = Config {
         shards: Some(4),
         drain_batch: 16,
         num_cpus: Some(4),
-        partitioning: Partitioning::Adaptive,
+        condition_partitions: 2,
         partition_min: 1,
         async_actions: true,
         ..Default::default()
@@ -66,17 +67,23 @@ fn sharded_stress(tokens: usize, churn_iters: usize) {
             }
         })
     };
-    // Governor + controller passes + active-shard toggling, all racing the
-    // drain loop. The controller pass may itself re-steer the width the
-    // toggle just set — exactly the race the engine must tolerate.
+    // Organization switches + active-shard toggling, all racing the drain
+    // loop (and the churn thread's insert-time promotions).
     let toggle = {
         let tman = tman.clone();
         let stop = stop.clone();
         std::thread::spawn(move || {
+            let kinds = [
+                OrgKind::MemIndex,
+                OrgKind::DbIndexed,
+                OrgKind::MemList,
+                OrgKind::DbTable,
+            ];
             let mut w = 0usize;
             while !stop.load(Ordering::Relaxed) {
-                tman.run_governor();
-                let _ = tman.run_partition_pass();
+                for sig in tman.predicate_index().all_signatures() {
+                    sig.set_org(kinds[w % 4]).unwrap();
+                }
                 tman.set_active_shards([1, 4, 2, 3][w % 4]);
                 w += 1;
                 std::thread::yield_now();
@@ -122,7 +129,7 @@ fn sharded_stress(tokens: usize, churn_iters: usize) {
 }
 
 #[test]
-fn sharded_drain_survives_churn_governor_and_width_toggles() {
+fn sharded_drain_survives_churn_org_switches_and_width_toggles() {
     sharded_stress(200, 50);
 }
 
