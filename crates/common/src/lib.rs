@@ -11,13 +11,11 @@
 //! * Strongly-typed identifiers ([`ids`]).
 //! * [`fxhash`] — a fast, deterministic hasher for the hot predicate-index
 //!   paths (vendored so the workspace has no hashing dependency).
-//! * [`hex`] — hex encoding for binary payloads stored in varchar columns.
 //! * [`stats`] — per-subsystem operation-counter groups (the counter type
 //!   itself lives in `tman-telemetry` and is re-exported here).
 
 pub mod error;
 pub mod fxhash;
-pub mod hex;
 pub mod ids;
 pub mod schema;
 pub mod stats;

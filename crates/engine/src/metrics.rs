@@ -57,7 +57,7 @@ pub(crate) struct EngineTelemetry {
 /// `WireServer` starts. The wire crate resolves the same identities
 /// (get-or-create, or `register_counter` replace-at-identity), so both
 /// sides read and write one series.
-const WIRE_COUNTERS: [(&str, &[(&str, &str)]); 14] = [
+const WIRE_COUNTERS: [(&str, &[(&str, &str)]); 15] = [
     ("tman_wire_connections", &[]),
     ("tman_wire_frames_total", &[("dir", "in")]),
     ("tman_wire_frames_total", &[("dir", "out")]),
@@ -72,6 +72,7 @@ const WIRE_COUNTERS: [(&str, &[(&str, &str)]); 14] = [
     ("tman_wire_delivery_acked_total", &[]),
     ("tman_wire_acks_clamped_total", &[]),
     ("tman_wire_subscriber_stalls_total", &[]),
+    ("tman_wire_delivery_errors_total", &[]),
 ];
 
 /// Wire-tier end-to-end latency histograms (see [`WireMetrics`]).
@@ -380,6 +381,8 @@ pub struct WireMetrics {
     pub acks_clamped: u64,
     /// Deliveries dropped on stalled subscriber mailboxes.
     pub subscriber_stalls: u64,
+    /// Delivery-log encode, append and truncation failures.
+    pub delivery_errors: u64,
     /// Ingest stamp → trigger fire (delivery-log append), wall clock.
     pub ingest_to_fire_ns: HistogramSummary,
     /// Trigger fire → subscriber ack, monotonic server clock.
@@ -580,6 +583,7 @@ impl MetricsSnapshot {
                     delivery_acked: c("tman_wire_delivery_acked_total"),
                     acks_clamped: c("tman_wire_acks_clamped_total"),
                     subscriber_stalls: c("tman_wire_subscriber_stalls_total"),
+                    delivery_errors: c("tman_wire_delivery_errors_total"),
                     ingest_to_fire_ns: t
                         .registry
                         .histogram("tman_wire_ingest_to_fire_ns", &[])
@@ -822,8 +826,8 @@ impl MetricsSnapshot {
                 w.delivery_appends, w.notifications, w.acks, w.delivery_acked
             ));
             out.push_str(&format!(
-                "  anomalies          suppressed={} clamped={} stalls={}\n",
-                w.redelivery_suppressed, w.acks_clamped, w.subscriber_stalls
+                "  anomalies          suppressed={} clamped={} stalls={} log_errors={}\n",
+                w.redelivery_suppressed, w.acks_clamped, w.subscriber_stalls, w.delivery_errors
             ));
             out.push_str(&format!(
                 "  ingest->fire       {}\n",

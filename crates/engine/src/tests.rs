@@ -771,6 +771,7 @@ fn render_text_exposes_all_subsystems() {
         // Wire-tier series are pre-registered so scrapers see the family
         // (at zero) before the first remote connection.
         "tman_wire_tokens_total 0",
+        "tman_wire_delivery_errors_total 0",
         "tman_wire_frames_total{dir=\"in\"} 0",
         "# TYPE tman_wire_ingest_to_fire_ns summary",
         "tman_wire_fire_to_ack_ns_count 0",

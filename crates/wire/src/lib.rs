@@ -16,11 +16,11 @@
 //!   source connections are **group-committed** into the update queue (one
 //!   durability barrier per batch) and flow control is credit-based
 //!   against queue depth — backpressure, not drops.
-//! * [`delivery`] — [`DeliveryHub`]: durable per-subscriber delivery logs
-//!   and watermarks, extending the engine's PR-5 queue watermark protocol
-//!   end-to-end: a subscriber that reconnects after a crash (its own or
-//!   the server's) resumes from its durable ack watermark and receives
-//!   every fire above it exactly once.
+//! * [`delivery`] — [`DeliveryHub`]: one durable delivery log and one ack
+//!   watermark per subscriber, extending the update queue's watermark
+//!   protocol end-to-end: a subscriber that reconnects after a crash (its
+//!   own or the server's) resumes from its durable ack watermark and
+//!   receives every fire above it exactly once.
 //! * [`client`] — [`RemoteClient`] / [`RemoteDataSource`] /
 //!   [`RemoteSubscriber`]: blocking client wrappers for feeders and
 //!   dashboards.

@@ -63,8 +63,9 @@ const NOTIFY_PER_PASS: usize = 256;
 /// everything still in the mailbox is durable in the delivery log (it will
 /// replay on reconnect if the hub eventually drops the stalled mailbox).
 const SUB_WBUF_HIGH_WATER: usize = 256 * 1024;
-/// Passes between [`DeliveryHub::gc`] sweeps that retire delivery-log rows
-/// and dedup state for origins the update queue has fully processed.
+/// Passes between [`DeliveryHub::gc`] calls, each of which truncates the
+/// delivery logs and prunes dedup state up to the origins the update queue
+/// has fully processed.
 const GC_PASS_INTERVAL: u64 = 256;
 /// Idle park between passes when nothing moved.
 const IDLE_PARK: Duration = Duration::from_micros(200);
@@ -235,6 +236,7 @@ impl WireServer {
             &[],
             hub.stalled().clone(),
         );
+        registry.register_counter("tman_wire_delivery_errors_total", &[], hub.errors().clone());
         hub.bind_instruments(registry, system.tracer().cloned());
         let metrics = WireMetrics::resolve(registry);
         let stop = Arc::new(AtomicBool::new(false));

@@ -153,6 +153,17 @@ fn many_sources_share_group_commits() {
                 .get(),
         "sanity: batches bounded by inbound frames"
     );
+    // The delivery log took every fire and none of its writes failed,
+    // read where an operator would; and the error series is the hub's own
+    // counter, not the zero the engine pre-creates.
+    let wire = tman.metrics_snapshot().wire;
+    assert_eq!(wire.delivery_appends, total as u64);
+    assert_eq!(wire.delivery_errors, 0);
+    server.hub().errors().bump();
+    assert_eq!(tman.metrics_snapshot().wire.delivery_errors, 1);
+    assert!(tman
+        .render_text()
+        .contains("tman_wire_delivery_errors_total 1"));
     drivers.stop();
 }
 
