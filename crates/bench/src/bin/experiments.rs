@@ -41,8 +41,6 @@ fn main() {
         ("e8", e8_networks),
         ("e9", e9_ranges),
         ("e10", e10_design),
-        ("e13", e13_wire),
-        ("e14", e14_sharding),
         ("e15", e15_disjunctions),
     ];
     for (name, f) in all {
@@ -284,7 +282,7 @@ fn e3_orgs(o: &Opts) {
     dump_metrics("e3", &metrics_json);
 }
 
-/// E4 — §6 / Figure 5: token-, condition-, and action-level concurrency.
+/// E4 — §6 / Figure 5: token- and condition-level concurrency.
 fn e4_concurrency(o: &Opts) {
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -390,53 +388,11 @@ fn e4_concurrency(o: &Opts) {
             human(r),
             format!("{:.2}x", r / base_b),
         ]);
-    }
-    println!("\n(b) condition-level concurrency (M = {m} same-condition triggers)");
-    tb.print();
-
-    // (c) rule-action concurrency: inline vs async actions with P drivers.
-    let mut tc = Table::new(&["mode", "drivers", "actions/s"]);
-    for (label, async_actions, p) in [
-        ("inline", false, 1),
-        ("inline", false, 4),
-        ("async", true, 1),
-        ("async", true, 4),
-    ] {
-        let cfg = Config {
-            num_cpus: Some(p),
-            async_actions,
-            driver_period: Duration::from_micros(200),
-            threshold: Duration::from_millis(20),
-            ..Default::default()
-        };
-        let tman = TriggerMan::open_memory(traced(cfg)).unwrap();
-        tman.run_sql("create table sink (v float)").unwrap();
-        tman.execute_command("define data source q (sym varchar(12), price float, vol int)")
-            .unwrap();
-        let src = tman.source("q").unwrap().id;
-        for i in 0..50 {
-            tman.execute_command(&format!(
-                "create trigger act{i} from q when q.vol >= 0 \
-                 do execSQL 'insert into sink values (:NEW.q.price)'"
-            ))
-            .unwrap();
-        }
-        let tokens = quote_tokens(if o.quick { 200 } else { 500 }, 10, 5);
-        push_all(&tman, src, &tokens);
-        let n_actions = tokens.len() * 50;
-        let pool = tman.start_drivers();
-        let t0 = Instant::now();
-        while tman.queue_len() > 0 {
-            std::thread::sleep(Duration::from_micros(500));
-        }
-        let d = t0.elapsed();
-        pool.stop();
-        tc.row(vec![label.into(), p.to_string(), human(rate(n_actions, d))]);
         metrics_json = tman.render_metrics_json();
         dump_trace("e4", &tman);
     }
-    println!("\n(c) rule-action concurrency (50 actions per token, execSQL)");
-    tc.print();
+    println!("\n(b) condition-level concurrency (M = {m} same-condition triggers)");
+    tb.print();
     dump_metrics("e4", &metrics_json);
 }
 
@@ -849,246 +805,6 @@ fn e10_design(o: &Opts) {
     }
     table.print();
     dump_metrics("e10", &metrics_json);
-}
-
-/// E13 — wire-tier ingestion: many loopback TCP source connections stream
-/// tokens through `tman-wire` into the update queue. The server
-/// group-commits each poll pass (one durability barrier amortized across
-/// every connection that contributed), so the persistent queue pays far
-/// less than one fsync per token while a remote subscriber concurrently
-/// drains the resulting firings. Paper anchor: §3's process architecture.
-fn e13_wire(o: &Opts) {
-    use tman_wire::{RemoteClient, WireServer};
-
-    let conns = if o.quick { 16 } else { 64 };
-    let per_conn = if o.quick { 500 } else { 2_000 };
-    let total = conns * per_conn;
-    let mut table = Table::new(&[
-        "queue",
-        "conns",
-        "tokens/s",
-        "syncs/token",
-        "spikes",
-        "ingest→fire p50/p99",
-        "fire→ack p50/p99",
-    ]);
-    let mut metrics_json = String::new();
-
-    for persistent in [false, true] {
-        let path = std::env::temp_dir().join(format!("tman_e13_{}.db", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let cfg = traced(Config {
-            queue_mode: if persistent {
-                QueueMode::Persistent
-            } else {
-                QueueMode::Volatile
-            },
-            ..Default::default()
-        });
-        let tman = if persistent {
-            TriggerMan::open_file(&path, cfg).unwrap()
-        } else {
-            TriggerMan::open_memory(cfg).unwrap()
-        };
-        tman.execute_command("define data source quotes (symbol varchar(12), price float)")
-            .unwrap();
-        tman.execute_command(
-            "create trigger spike from quotes when quotes.price > 550 \
-             do raise event Spike(quotes.symbol, quotes.price)",
-        )
-        .unwrap();
-        let server = WireServer::start(tman.clone(), "127.0.0.1:0").unwrap();
-        let drivers = tman.start_drivers();
-        let addr = server.local_addr().to_string();
-        let syncs = tman
-            .metrics_registry()
-            .counter("tman_disk_syncs_total", &[]);
-        let sync_base = syncs.get();
-
-        // A dashboard drains firings (and acks) while ingestion runs.
-        let dash_addr = addr.clone();
-        let dashboard = std::thread::spawn(move || {
-            let mut sub = RemoteClient::new(dash_addr)
-                .subscribe("e13", "Spike", 0)
-                .unwrap();
-            let mut seen = 0u64;
-            let mut idle = 0u32;
-            while idle < 10 {
-                match sub.next(Duration::from_millis(100)).unwrap() {
-                    Some((seq, _)) => {
-                        idle = 0;
-                        seen += 1;
-                        if seen.is_multiple_of(256) {
-                            sub.ack(seq).unwrap();
-                        }
-                    }
-                    None => idle += 1,
-                }
-            }
-            seen
-        });
-
-        let t0 = Instant::now();
-        let feeders: Vec<_> = (0..conns)
-            .map(|c| {
-                let addr = addr.clone();
-                std::thread::spawn(move || {
-                    let client = RemoteClient::new(addr);
-                    let mut src = client.data_source("quotes").unwrap();
-                    for i in 0..per_conn {
-                        src.insert(vec![
-                            Value::str("HOT"),
-                            Value::Float(((c * per_conn + i) % 600) as f64),
-                        ])
-                        .unwrap();
-                        if i % 64 == 63 {
-                            src.flush().unwrap();
-                        }
-                    }
-                    src.sync().unwrap();
-                    src.close().unwrap();
-                })
-            })
-            .collect();
-        for f in feeders {
-            f.join().unwrap();
-        }
-        let d = t0.elapsed();
-
-        while tman.queue_len() > 0 {
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        let spikes = dashboard.join().unwrap();
-        drivers.stop();
-        let spent = syncs.get() - sync_base;
-        let label = if persistent { "persistent" } else { "volatile" };
-        // End-to-end SLIs measured from the v2 wire stamps: client flush
-        // wall clock → delivery-log append, and append → subscriber ack.
-        let wire = tman.metrics_snapshot().wire;
-        table.row(vec![
-            label.to_string(),
-            conns.to_string(),
-            human(rate(total, d)),
-            format!("{:.4}", spent as f64 / total as f64),
-            spikes.to_string(),
-            format!(
-                "{} / {}",
-                human_ns(wire.ingest_to_fire_ns.p50),
-                human_ns(wire.ingest_to_fire_ns.p99)
-            ),
-            format!(
-                "{} / {}",
-                human_ns(wire.fire_to_ack_ns.p50),
-                human_ns(wire.fire_to_ack_ns.p99)
-            ),
-        ]);
-        if persistent {
-            metrics_json = tman.render_metrics_json();
-            dump_trace("e13", &tman);
-        }
-        drop(server);
-        let _ = std::fs::remove_file(&path);
-    }
-    table.print();
-    println!("{total} tokens per row; group commit amortizes the durability barrier.");
-    dump_metrics("e13", &metrics_json);
-}
-
-/// E14 — sharded engine with batched token drain, on the persistent
-/// queue. The seed drain pulled one token per pass (a full queue-table
-/// scan each) and acknowledged it alone; the batched drain pulls K tokens
-/// per scan, probes them as one run, and folds all their acks into one
-/// group-commit barrier. Shards bound cross-driver contention; on a
-/// single-CPU host they cannot add core-scaling, so the speedup shown is
-/// the per-token overhead the batch amortizes away (on a multi-core host
-/// the shard dimension multiplies on top). Paper anchor: §6's concurrent
-/// processing architecture.
-fn e14_sharding(o: &Opts) {
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!("host parallelism: {cpus} CPU(s).");
-    let n_tokens = if o.quick { 2_000 } else { 8_000 };
-    let n_triggers = 500;
-    let mut table = Table::new(&[
-        "shards x batch",
-        "tokens/s",
-        "speedup",
-        "ack barriers",
-        "steals",
-    ]);
-    let mut base = 0.0;
-    let mut metrics_json = String::new();
-    let mut shard_report = String::new();
-    for (shards, batch) in [(1usize, 1usize), (1, 256), (8, 1), (8, 256)] {
-        let path = std::env::temp_dir().join(format!(
-            "tman_e14_{shards}_{batch}_{}.db",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        let cfg = Config {
-            queue_mode: QueueMode::Persistent,
-            shards: Some(shards),
-            drain_batch: batch,
-            num_cpus: Some(shards),
-            driver_period: Duration::from_micros(200),
-            threshold: Duration::from_millis(20),
-            ..Default::default()
-        };
-        let tman = TriggerMan::open_file(&path, cfg).unwrap();
-        tman.execute_command("define data source q (sym varchar(12), price float, vol int)")
-            .unwrap();
-        let src = tman.source("q").unwrap().id;
-        let mut r = rng(17);
-        for i in 0..n_triggers {
-            let t = Template::all()[i % Template::all().len()];
-            let cond = t.condition(&mut r, 100);
-            tman.execute_command(&format!(
-                "create trigger a{i} from q when {cond} do raise event Matched(q.sym)"
-            ))
-            .unwrap();
-        }
-        let tokens = quote_tokens(n_tokens, 100, 4);
-        push_all(&tman, src, &tokens);
-        let pool = tman.start_drivers();
-        let t0 = Instant::now();
-        while tman.queue_len() > 0 {
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        let d = t0.elapsed();
-        pool.stop();
-        let m = tman.metrics_snapshot();
-        let steals: u64 = m.driver.shards.iter().map(|s| s.steals).sum();
-        let rate_ = rate(n_tokens, d);
-        if base == 0.0 {
-            base = rate_;
-        }
-        table.row(vec![
-            format!("{shards}x{batch}"),
-            human(rate_),
-            format!("{:.2}x", rate_ / base),
-            tman.queue_wm_flushes().to_string(),
-            steals.to_string(),
-        ]);
-        if (shards, batch) == (8, 256) {
-            metrics_json = tman.render_metrics_json();
-            if let Ok(triggerman::CommandOutput::Stats(s)) =
-                tman.execute_command("show stats drivers")
-            {
-                shard_report = s;
-            }
-        }
-        drop(tman);
-        let _ = std::fs::remove_file(&path);
-        let mut wal = path.into_os_string();
-        wal.push(".wal");
-        let _ = std::fs::remove_file(std::path::PathBuf::from(wal));
-    }
-    println!("(a) persistent-queue drain: per-token (seed) vs sharded batch");
-    table.print();
-    println!("\n(b) `show stats drivers` for the 8x256 run:");
-    println!("{shard_report}");
-    dump_metrics("e14", &metrics_json);
 }
 
 /// E15 — indexed disjunctions (tagged execution) vs residual-scan OR

@@ -4,7 +4,7 @@
 //! TMAN_TRACE_DIR=target/traces cargo run -p tman-bench --bin experiments -- --quick e10
 //! cargo run -p tman-bench --bin tracecheck              # checks $TMAN_TRACE_DIR
 //! cargo run -p tman-bench --bin tracecheck -- a.json b.json
-//! cargo run -p tman-bench --bin tracecheck -- --expect wire_send e13.json
+//! cargo run -p tman-bench --bin tracecheck -- --expect action e10.json
 //! ```
 //!
 //! The validator is the serde-free recursive-descent parser in
@@ -14,10 +14,7 @@
 //! empty (tracing never engaged).
 //!
 //! `--expect NAME` (repeatable) additionally requires that a span with
-//! that name appears in at least one checked file. CI uses this over an
-//! E13 wire trace to prove that trace propagation crossed the wire —
-//! `wire_send` spans only exist when a client-minted trace id survived
-//! decode and was adopted by the engine-side tracer.
+//! that name appears in at least one checked file.
 
 use std::collections::BTreeSet;
 use tman_telemetry::trace::validate_chrome_trace_names;

@@ -1,6 +1,6 @@
-//! `tman-bench` — workload generators and measurement helpers shared by
-//! the Criterion benches and the `experiments` binary (see EXPERIMENTS.md
-//! for the experiment index E1–E15).
+//! `tman-bench` — workload generators and measurement helpers for the
+//! `experiments` binary (see EXPERIMENTS.md for the experiment index
+//! E1–E15).
 
 pub mod workload;
 
@@ -130,20 +130,6 @@ pub fn human(x: f64) -> String {
         format!("{x:.0}")
     } else {
         format!("{x:.2}")
-    }
-}
-
-/// Human-friendly durations from nanoseconds (`850ns`, `12.4µs`, `3.1ms`).
-pub fn human_ns(ns: u64) -> String {
-    let ns = ns as f64;
-    if ns >= 1e9 {
-        format!("{:.2}s", ns / 1e9)
-    } else if ns >= 1e6 {
-        format!("{:.1}ms", ns / 1e6)
-    } else if ns >= 1e3 {
-        format!("{:.1}µs", ns / 1e3)
-    } else {
-        format!("{ns:.0}ns")
     }
 }
 

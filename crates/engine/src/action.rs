@@ -22,8 +22,7 @@ use tman_telemetry::SpanKind;
 /// `bindings` holds the matched tuple per variable; the token supplies the
 /// `:OLD` image of the event variable for update/delete events.
 /// `parent_span` links the `Action` span into the token's trace — it is
-/// the span id of the probe that produced the firing (possibly recorded on
-/// a different driver thread when `async_actions` is on).
+/// the span id of the probe that produced the firing.
 pub fn run_action(
     system: &TriggerMan,
     trigger: &CompiledTrigger,

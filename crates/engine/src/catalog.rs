@@ -16,10 +16,8 @@
 
 use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
-use tman_common::{
-    DataSourceId, Result, Schema, SignatureId, TmanError, TriggerId, TriggerSetId, Value,
-};
-use tman_sql::{Database, Table};
+use tman_common::{DataSourceId, Result, Schema, SignatureId, TriggerId, TriggerSetId, Value};
+use tman_sql::{decode_schema, encode_schema, Database, Table};
 
 /// One `expression_signature` row: `(sigID, dataSrcID, signatureDesc,
 /// constTableName, constantSetSize, constantSetOrganization)`.
@@ -100,55 +98,6 @@ fn now_secs() -> i64 {
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_secs() as i64)
         .unwrap_or(0)
-}
-
-fn encode_schema(schema: &Schema) -> String {
-    schema
-        .columns()
-        .iter()
-        .map(|c| {
-            let ty = match c.ty {
-                tman_common::DataType::Int => "int".to_string(),
-                tman_common::DataType::Float => "float".to_string(),
-                tman_common::DataType::Char(n) => format!("char({n})"),
-                tman_common::DataType::Varchar(n) => format!("varchar({n})"),
-            };
-            format!("{} {}", c.name, ty)
-        })
-        .collect::<Vec<_>>()
-        .join(";")
-}
-
-fn decode_schema(s: &str) -> Result<Schema> {
-    use tman_common::{Column, DataType};
-    let mut cols = Vec::new();
-    for part in s.split(';').filter(|p| !p.is_empty()) {
-        let (name, ty) = part
-            .split_once(' ')
-            .ok_or_else(|| TmanError::Storage(format!("bad schema entry '{part}'")))?;
-        let ty = if ty == "int" {
-            DataType::Int
-        } else if ty == "float" {
-            DataType::Float
-        } else if let Some(n) = ty.strip_prefix("char(").and_then(|t| t.strip_suffix(')')) {
-            DataType::Char(
-                n.parse()
-                    .map_err(|_| TmanError::Storage("bad char len".into()))?,
-            )
-        } else if let Some(n) = ty
-            .strip_prefix("varchar(")
-            .and_then(|t| t.strip_suffix(')'))
-        {
-            DataType::Varchar(
-                n.parse()
-                    .map_err(|_| TmanError::Storage("bad varchar len".into()))?,
-            )
-        } else {
-            return Err(TmanError::Storage(format!("bad schema type '{ty}'")));
-        };
-        cols.push(Column::new(name, ty));
-    }
-    Schema::new(cols)
 }
 
 impl Catalog {

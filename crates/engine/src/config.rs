@@ -17,11 +17,10 @@ pub enum QueueMode {
     Volatile,
 }
 
-/// Per-token trace capture mode. Mirrors the [`Config::telemetry`]
-/// switch: `Off` reduces the hot path to a single branch (tokens carry an
-/// inert handle, no allocation); the other modes give every token a live
-/// trace whose retention is decided *after* it finishes (tail sampling),
-/// so a slow token is never lost to the sampler.
+/// Per-token trace capture mode. `Off` reduces the hot path to a single
+/// branch (tokens carry an inert handle, no allocation); the other modes
+/// give every token a live trace whose retention is decided *after* it
+/// finishes (tail sampling), so a slow token is never lost to the sampler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TracingMode {
     /// No tracing.
@@ -62,17 +61,8 @@ pub struct Config {
     pub condition_partitions: usize,
     /// Minimum triggerID-set size before partitioned probing kicks in.
     pub partition_min: usize,
-    /// Run each rule action as its own task (rule-action concurrency, §6)
-    /// instead of inline with token processing.
-    pub async_actions: bool,
     /// Buffer-pool pages for the backing database.
     pub pool_pages: usize,
-    /// Collect metrics (counters, gauges, latency histograms). On by
-    /// default; turning it off hands every subsystem no-op instrument
-    /// handles, reducing recording to a single branch per event — for
-    /// baseline/ablation runs where even relaxed-atomic traffic must not
-    /// show up in a profile.
-    pub telemetry: bool,
     /// Per-token trace capture (span trees across the §6 task fan-out).
     pub tracing: TracingMode,
     /// A token whose end-to-end latency reaches this threshold has its
@@ -97,8 +87,8 @@ pub struct Config {
     pub http_addr: Option<String>,
     /// Engine shard count: the task queue and per-shard activity blocks
     /// are split this many ways, each driver thread binds to one shard
-    /// (`driver_index % shards`), and async fan-out tasks route to their
-    /// owning shard by stable signature id. `None` (the default) derives
+    /// (`driver_index % shards`), and fan-out tasks route to their owning
+    /// shard by stable signature id. `None` (the default) derives
     /// the count from `std::thread::available_parallelism()` — the
     /// explicit override knob exists for tests and for pinning a
     /// deployment below the machine width.
@@ -124,9 +114,7 @@ impl Default for Config {
             threshold: Duration::from_millis(250),
             condition_partitions: 1,
             partition_min: 1024,
-            async_actions: false,
             pool_pages: 4096,
-            telemetry: true,
             tracing: TracingMode::Off,
             slow_token_threshold: Duration::from_millis(10),
             faults: None,

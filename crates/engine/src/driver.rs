@@ -11,22 +11,21 @@ use crossbeam::queue::SegQueue;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-use tman_common::{TriggerId, Tuple, UpdateDescriptor};
+use tman_common::UpdateDescriptor;
 use tman_predindex::SignatureRuntime;
 
 /// Deferred acknowledgement of one persistent-queue token.
 ///
-/// A token dequeued from the persistent queue may fan out into several
-/// tasks (signature partitions, async rule actions) that run on other
-/// shards. The token must not be acked — i.e. must survive a crash and be
-/// redelivered — until *all* of that work has run. Every task spawned for
-/// the token clones one `Arc<AckState>`; when the last clone drops (the
-/// originating drain pass included), the sequence number is pushed onto
-/// the engine's pending-ack queue, and the next drain-loop boundary folds
-/// it into one batched [`UpdateQueue::ack_batch`](crate::queue::UpdateQueue::ack_batch)
-/// durability barrier. Tasks that error still ack on drop — matching the
-/// pre-shard semantics where a failed task was acked after being recorded
-/// in `last_error`.
+/// A token dequeued from the persistent queue may fan out into signature
+/// partitions that run on other shards. The token must not be acked —
+/// i.e. must survive a crash and be redelivered — until *all* of that work
+/// has run. Every partition spawned for the token clones one
+/// `Arc<AckState>`; when the last clone drops (the originating drain pass
+/// included), the sequence number is pushed onto the engine's pending-ack
+/// queue, and the next drain-loop boundary folds it into one batched
+/// [`UpdateQueue::ack_batch`](crate::queue::UpdateQueue::ack_batch)
+/// durability barrier. A partition that errors still acks on drop: the
+/// failure is recorded in `last_error`, and the token is not redelivered.
 pub struct AckState {
     seq: i64,
     pending: Arc<SegQueue<i64>>,
@@ -46,48 +45,30 @@ impl Drop for AckState {
     }
 }
 
-/// A unit of work in the shared task queue. §6 names four task types:
-/// process one token (1), run one rule action (2), process a token against
-/// a set of conditions (3); type 4 (a token against a set of rule actions)
-/// is subsumed by enqueueing one [`Task::Action`] per firing.
+/// The one unit of work in the shared task queue: match one token against
+/// one partition of a signature's constant/triggerID sets (Figure 5, §6's
+/// task type 3). Whole tokens (type 1) are drained straight from the
+/// update queue and never re-queued, and a rule action (types 2 and 4)
+/// runs inline on the thread that matched it, in match order.
 ///
-/// Fan-out tasks carry the span id of the work that spawned them
-/// (`parent_span`), so the spans a task emits — possibly on a different
+/// A partition carries the span id of the fan-out that spawned it
+/// (`parent_span`), so the spans it emits — possibly on a different
 /// driver thread — link back into the originating token's trace tree. The
 /// trace id itself rides inside the token's `trace` handle.
-pub enum Task {
-    /// Type 1: match one token against the predicate index.
-    Token(UpdateDescriptor),
-    /// Type 3: match one token against one partition of a signature's
-    /// constant/triggerID sets (Figure 5).
-    SigPartition {
-        /// The token.
-        token: UpdateDescriptor,
-        /// The signature whose equivalence class is partitioned.
-        sig: Arc<SignatureRuntime>,
-        /// Partition ordinal.
-        part: usize,
-        /// Total partitions.
-        nparts: usize,
-        /// Trace span that fanned this partition out.
-        parent_span: u32,
-        /// Deferred persistent-queue ack shared by every task spawned for
-        /// the originating token; `None` for volatile tokens.
-        ack: Option<Arc<AckState>>,
-    },
-    /// Type 2: run one rule action for one condition match.
-    Action {
-        /// The trigger to run.
-        trigger: TriggerId,
-        /// The matched variable bindings.
-        bindings: Vec<Tuple>,
-        /// The token that caused the firing (supplies `:OLD`).
-        token: UpdateDescriptor,
-        /// Trace span of the probe that produced the firing.
-        parent_span: u32,
-        /// Deferred persistent-queue ack (see [`Task::SigPartition::ack`]).
-        ack: Option<Arc<AckState>>,
-    },
+pub struct Task {
+    /// The token.
+    pub token: UpdateDescriptor,
+    /// The signature whose equivalence class is partitioned.
+    pub sig: Arc<SignatureRuntime>,
+    /// Partition ordinal.
+    pub part: usize,
+    /// Total partitions.
+    pub nparts: usize,
+    /// Trace span that fanned this partition out.
+    pub parent_span: u32,
+    /// Deferred persistent-queue ack shared by the token and every
+    /// partition spawned for it; `None` for volatile tokens.
+    pub ack: Option<Arc<AckState>>,
 }
 
 /// Result of one `tman_test` invocation.

@@ -18,8 +18,8 @@
 //! * rule actions (`execSQL`, `raise event`, `notify`) with `:NEW`/`:OLD`
 //!   macro substitution ([`action`]);
 //! * drivers calling [`TriggerMan::tman_test`] on a shared task queue with
-//!   token-, condition-, and rule-action-level concurrency (§6,
-//!   [`driver`]).
+//!   token- and condition-level concurrency (§6, [`driver`]); a rule action
+//!   runs inline on the thread that matched it.
 //!
 //! ## Quick start
 //!
@@ -87,7 +87,7 @@ use tman_expr::signature::analyze_selection;
 use tman_expr::{decompose_disjunction, IndexPlan};
 use tman_lang::ast::Command;
 use tman_network::Polarity;
-use tman_predindex::{MatchPlan, PredicateIndex, Probe, SignatureRuntime};
+use tman_predindex::{MatchPlan, PredicateIndex, Probe};
 use tman_sql::{Database, ExecResult};
 use tman_telemetry::trace::{now_ns, SpanGuard, ROOT_SPAN};
 use tman_telemetry::{HttpResponse, HttpServer, TraceHandle};
@@ -294,12 +294,7 @@ impl TriggerMan {
     }
 
     fn with_database(db: Arc<Database>, config: Config) -> Result<Arc<TriggerMan>> {
-        let registry = Arc::new(if config.telemetry {
-            Registry::new()
-        } else {
-            tman_telemetry::disabled()
-        });
-        let telemetry = metrics::EngineTelemetry::new(registry);
+        let telemetry = metrics::EngineTelemetry::new(Arc::new(Registry::new()));
         let catalog = Catalog::open(&db)?;
         let mut queue = match config.queue_mode {
             QueueMode::Volatile => UpdateQueue::volatile(),
@@ -600,7 +595,7 @@ impl TriggerMan {
         &self.stats
     }
 
-    /// The metrics registry (disabled when `Config::telemetry` is false).
+    /// The metrics registry.
     pub fn metrics_registry(&self) -> &Arc<Registry> {
         &self.telemetry.registry
     }
@@ -966,6 +961,16 @@ impl TriggerMan {
         if local_table.is_some() && !conn_name.eq_ignore_ascii_case("local") {
             return Err(TmanError::Invalid(format!(
                 "update capture from a table requires the local connection,                  not '{conn_name}'"
+            )));
+        }
+        // Capture routes a table's changes to one source: a second source
+        // over the same table would take the first one's tokens.
+        if let Some(owner) = local_table.and_then(|t| {
+            let sources = self.table_to_source.read();
+            sources.get(&t.to_lowercase()).map(|s| s.name.clone())
+        }) {
+            return Err(TmanError::AlreadyExists(format!(
+                "data source '{owner}' already captures that table"
             )));
         }
         let table = match local_table {
@@ -1390,14 +1395,13 @@ impl TriggerMan {
 
     /// The one token-processing pipeline (§5.4, §6), as shard `home`'s
     /// work. Every token reaches the engine's index through here — a
-    /// drained batch, a [`Task::Token`],
-    /// [`process_token`](Self::process_token), traced or not — as a run of
-    /// tokens of one data source.
+    /// drained batch or [`process_token`](Self::process_token), traced or
+    /// not — as a run of tokens of one data source.
     ///
     /// **Probe.** The source's published [`MatchPlan`] is loaded once; from
     /// here on the run asks the catalog nothing. Signature by signature,
     /// every token the signature's event code and update columns accept is
-    /// probed in one [`SignatureRuntime::probe_batch`] call — or, where the
+    /// probed in one [`tman_predindex::SignatureRuntime::probe_batch`] call — or, where the
     /// signature takes the Figure-5 fan-out, noted as a split — into one
     /// flat buffer of [`Step`]s, which a stable sort then puts in token
     /// order (signature order, then entry order, within a token). Probes
@@ -1477,40 +1481,41 @@ impl TriggerMan {
         if run.len() > 1 {
             steps.sort_by_key(|s| s.tok);
         }
-        let replayed = self.replay(home, run, &plan, &mut process, &steps, true);
+        let replayed = self.replay(run, &plan, &mut process, &steps, true);
         first_err.map_or(replayed, Err)
     }
 
-    /// One [`Task::SigPartition`]: the pipeline for one token against
-    /// partition `part` of `nparts` of one signature — the same probe
-    /// routine, the same replay.
-    fn process_partition(
-        self: &Arc<Self>,
-        home: usize,
-        item: RunToken,
-        sig: &SignatureRuntime,
-        part: usize,
-        nparts: usize,
-        parent_span: u32,
-    ) -> Result<()> {
+    /// One [`Task`]: the pipeline for one token against partition `part`
+    /// of `nparts` of one signature — the same probe routine, the same
+    /// replay. Failures are recorded as they happen. The task's
+    /// [`AckState`] clone drops when this returns — after the work ran (or
+    /// failed), never before — so the originating token's ack fires only
+    /// once every partition spawned for it has completed.
+    fn execute_task(self: &Arc<Self>, task: Task) {
+        self.telemetry.tasks_executed[metrics::TASK_SIG_PARTITION].bump();
+        let item: RunToken = (task.token, task.ack);
         let token = &item.0;
         let probe = Probe {
             tag: 0,
             tuple: token.probe_tuple(),
             trace: &token.trace,
-            parent_span,
+            parent_span: task.parent_span,
         };
         let mut steps = Vec::new();
         let istats = self.predindex.stats();
-        let probed = sig.probe_batch(&[probe], part, nparts, istats, &mut |idx, e, span| {
-            steps.push(Step::matched(idx, e, span))
-        });
-        if let Err(e) = &probed {
-            self.record_error(e);
+        let probed = task.sig.probe_batch(
+            &[probe],
+            task.part,
+            task.nparts,
+            istats,
+            &mut |idx, e, span| steps.push(Step::matched(idx, e, span)),
+        );
+        if let Err(e) = probed {
+            self.record_error(&e);
         }
         let run = std::slice::from_ref(&item);
-        let replayed = self.replay(home, run, &MatchPlan::default(), &mut [], &steps, false);
-        probed.and(replayed)
+        // `replay` records its own failures.
+        let _ = self.replay(run, &MatchPlan::default(), &mut [], &steps, false);
     }
 
     /// Replay `steps` (sorted by token) over `run` in **strict token
@@ -1526,16 +1531,17 @@ impl TriggerMan {
     ///    multi-disjunct windowed trigger counts a matching token once;
     /// 4. it is admitted (tag, window) *before* the trigger is pinned, so
     ///    a duplicate or under-threshold match never touches the cache;
-    /// 5. every task a step spawns (partition, async action) carries a
-    ///    clone of the token's [`AckState`], so the persistent-queue row is
-    ///    acknowledged only after every descendant task has run.
+    /// 5. every partition a split spawns carries a clone of the token's
+    ///    [`AckState`], so the persistent-queue row is acknowledged only
+    ///    after every descendant task has run;
+    /// 6. an action runs on the thread that replayed its match, before
+    ///    the next step, so what a token publishes is in match order.
     ///
     /// Tag claims live in a set on this stack, cleared per token. Only a
     /// token that a split sends to other tasks gets the shared
     /// [`TagClaims`] form, seeded with what it had claimed here.
     fn replay(
         self: &Arc<Self>,
-        home: usize,
         run: &[RunToken],
         plan: &MatchPlan,
         process: &mut [SpanGuard],
@@ -1579,17 +1585,14 @@ impl TriggerMan {
                             let mut token = tok.clone();
                             token.claims = shared.clone();
                             for part in 0..parts as usize {
-                                self.shards.push(
-                                    home,
-                                    Task::SigPartition {
-                                        token: token.clone(),
-                                        sig: sig.clone(),
-                                        part,
-                                        nparts: parts as usize,
-                                        parent_span: fanout.id(),
-                                        ack: ack.clone(),
-                                    },
-                                );
+                                self.shards.push(Task {
+                                    token: token.clone(),
+                                    sig: sig.clone(),
+                                    part,
+                                    nparts: parts as usize,
+                                    parent_span: fanout.id(),
+                                    ack: ack.clone(),
+                                });
                             }
                         }
                         StepKind::Match {
@@ -1606,7 +1609,7 @@ impl TriggerMan {
                                 }
                             });
                             if admitted {
-                                self.handle_match(trigger, node, tok, span, home, ack.as_ref())?;
+                                self.handle_match(trigger, node, tok, span)?;
                             }
                         }
                     }
@@ -1695,15 +1698,13 @@ impl TriggerMan {
 
     /// §5.4 for one admitted match: pin the trigger in the trigger cache,
     /// pass the token to the network node the matched expression names,
-    /// and run (or enqueue) the action of every firing.
+    /// and run the action of every firing.
     fn handle_match(
         self: &Arc<Self>,
         tid: TriggerId,
         node: NodeId,
         token: &UpdateDescriptor,
         parent_span: u32,
-        home: usize,
-        ack: Option<&Arc<AckState>>,
     ) -> Result<()> {
         // A concurrent `drop trigger` can win the race between the index
         // probe (which saw the entry) and this pin — the trigger is gone
@@ -1729,20 +1730,6 @@ impl TriggerMan {
         let fire = |bindings: &[Tuple]| -> Result<()> {
             self.stats.firings.bump();
             if !run {
-                return Ok(());
-            }
-            if self.config.async_actions {
-                // Rule-action concurrency (§6 task type 2).
-                self.shards.push(
-                    home,
-                    Task::Action {
-                        trigger: trigger.id,
-                        bindings: bindings.to_vec(),
-                        token: token.clone(),
-                        parent_span,
-                        ack: ack.cloned(),
-                    },
-                );
                 return Ok(());
             }
             self.stats.actions.bump();
@@ -1816,55 +1803,6 @@ impl TriggerMan {
 
     // ----- task execution / drivers (§6) -------------------------------------------
 
-    fn execute_task(self: &Arc<Self>, home: usize, task: Task) {
-        // Each fan-out/action task holds one `AckState` clone; it drops at
-        // the end of its match arm — after the work ran (or failed), never
-        // before — so the originating token's ack fires only once every
-        // task spawned for it has completed.
-        // The pipeline records its own failures.
-        let result = match task {
-            Task::Token(mut tok) => {
-                self.telemetry.tasks_executed[metrics::TASK_TOKEN].bump();
-                stamp_ingest(&mut tok);
-                let _ = self.process_run(home, &[(tok, None)]);
-                Ok(())
-            }
-            Task::SigPartition {
-                token,
-                sig,
-                part,
-                nparts,
-                parent_span,
-                ack,
-            } => {
-                self.telemetry.tasks_executed[metrics::TASK_SIG_PARTITION].bump();
-                let _ = self.process_partition(home, (token, ack), &sig, part, nparts, parent_span);
-                Ok(())
-            }
-            Task::Action {
-                trigger,
-                bindings,
-                token,
-                parent_span,
-                ack: _ack,
-            } => (|| {
-                self.telemetry.tasks_executed[metrics::TASK_ACTION].bump();
-                // Same benign race as `handle_match`: the trigger may have
-                // been dropped between the firing and this async task.
-                let pinned = match self.pin_traced(trigger, &token.trace, parent_span) {
-                    Ok(p) => p,
-                    Err(TmanError::NotFound(_)) => return Ok(()),
-                    Err(e) => return Err(e),
-                };
-                self.stats.actions.bump();
-                action::run_action(self, &pinned, &bindings, &token, parent_span)
-            })(),
-        };
-        if let Err(e) = result {
-            self.record_error(&e);
-        }
-    }
-
     /// One bounded-time drain of the task queue — the paper's `TmanTest()`
     /// UDR (§6). Returns whether work remains. Runs as shard 0's work;
     /// driver threads call [`tman_test_on`](Self::tman_test_on) with their
@@ -1891,7 +1829,7 @@ impl TriggerMan {
         loop {
             if let Some((task, _slot)) = self.shards.pop(home) {
                 self.shards.shard(home).tasks.bump();
-                self.execute_task(home, task);
+                self.execute_task(task);
                 // Completed acks fold into one batched watermark barrier
                 // at every loop boundary instead of one sync per token.
                 self.flush_acks();
@@ -1926,7 +1864,7 @@ impl TriggerMan {
             }
             if start.elapsed() >= threshold {
                 // A threshold expiry only means "come back immediately"
-                // when something is actually left — e.g. a `SigPartition`
+                // when something is actually left — e.g. a Figure-5
                 // fan-out enqueued by the last token. An expiry with
                 // nothing pending is a clean drain, not saturation.
                 self.flush_acks();

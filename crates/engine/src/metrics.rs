@@ -5,9 +5,7 @@
 //! [`tman_telemetry::Registry`] at engine construction — shared `Arc`s, so
 //! exposition reads live values with zero extra hot-path cost — and the
 //! latency/fanout histograms plus labeled task/organization counters are
-//! pre-resolved here into handles the hot paths bump directly. With
-//! `Config::telemetry == false` the registry is disabled and every handle
-//! is a branch-only no-op.
+//! pre-resolved here into handles the hot paths bump directly.
 
 use crate::queue::QueueTelemetry;
 use crate::TriggerMan;
@@ -15,12 +13,11 @@ use std::sync::Arc;
 use tman_common::{Result, TmanError};
 use tman_telemetry::{CounterHandle, HistogramHandle, HistogramSummary, Registry};
 
-/// Task-type slots for `tman_tasks_executed_total{type=...}`, matching
-/// [`crate::driver::Task`]'s variants.
+/// Task-type slots for `tman_tasks_executed_total{type=...}`: whole
+/// tokens drained from the update queue, and [`crate::driver::Task`]s.
 pub(crate) const TASK_TOKEN: usize = 0;
 pub(crate) const TASK_SIG_PARTITION: usize = 1;
-pub(crate) const TASK_ACTION: usize = 2;
-const TASK_LABELS: [&str; 3] = ["token", "sig_partition", "action"];
+const TASK_LABELS: [&str; 2] = ["token", "sig_partition"];
 
 /// Action-kind slots for `tman_actions_total{kind=...}`.
 pub(crate) const ACTION_EXEC_SQL: usize = 0;
@@ -42,8 +39,8 @@ pub(crate) struct EngineTelemetry {
     /// `tman_test_threshold_expirations_total`: invocations that returned
     /// `TasksRemaining` because THRESHOLD expired.
     pub threshold_expirations: CounterHandle,
-    /// `tman_tasks_executed_total{type=...}`, by [`crate::driver::Task`] type.
-    pub tasks_executed: [CounterHandle; 3],
+    /// `tman_tasks_executed_total{type=...}`.
+    pub tasks_executed: [CounterHandle; 2],
     /// `tman_action_ns`: rule-action execution latency.
     pub action_ns: HistogramHandle,
     /// `tman_notify_fanout`: subscribers reached per notification.
@@ -156,7 +153,7 @@ pub struct EngineMetrics {
 /// Queue metrics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QueueMetrics {
-    /// Current depth (gauge; 0 when telemetry is disabled).
+    /// Current depth (gauge).
     pub depth: i64,
     /// Descriptors enqueued.
     pub enqueued: u64,
@@ -183,8 +180,6 @@ pub struct DriverMetrics {
     pub tasks_token: u64,
     /// Type-3 tasks (signature partition) executed.
     pub tasks_sig_partition: u64,
-    /// Type-2 tasks (rule action) executed.
-    pub tasks_action: u64,
     /// Shards currently active for task placement.
     pub active_shards: i64,
     /// Per-shard activity, indexed by shard ordinal.
@@ -471,7 +466,6 @@ impl MetricsSnapshot {
                 tman_test_ns: t.tman_test_ns.summary(),
                 tasks_token: t.tasks_executed[TASK_TOKEN].get(),
                 tasks_sig_partition: t.tasks_executed[TASK_SIG_PARTITION].get(),
-                tasks_action: t.tasks_executed[TASK_ACTION].get(),
                 active_shards: tman.active_shards() as i64,
                 shards: (0..tman.num_shards())
                     .map(|i| {
@@ -682,8 +676,8 @@ impl MetricsSnapshot {
                 hist(&self.driver.tman_test_ns)
             ));
             out.push_str(&format!(
-                "  tasks              token={} sig_partition={} action={}\n",
-                self.driver.tasks_token, self.driver.tasks_sig_partition, self.driver.tasks_action
+                "  tasks              token={} sig_partition={}\n",
+                self.driver.tasks_token, self.driver.tasks_sig_partition
             ));
             out.push_str(&format!(
                 "  shards active      {}/{}\n",

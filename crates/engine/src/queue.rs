@@ -14,7 +14,7 @@
 //! Telemetry: the queue owns a depth gauge, enqueue/dequeue counters, and
 //! an enqueue→dequeue wait-time histogram ([`QueueTelemetry`]). Wait time
 //! is measured on the volatile backend by stamping each descriptor with its
-//! enqueue instant (skipped entirely when telemetry is disabled). The
+//! enqueue instant (skipped entirely when no telemetry is attached). The
 //! persistent backend prefixes each record with the enqueue wall-clock
 //! time (8 bytes, UNIX-epoch nanoseconds, little-endian) so the wait
 //! histogram survives the store round trip — and even a restart, since

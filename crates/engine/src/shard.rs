@@ -1,18 +1,13 @@
 //! Engine shards: the §6 task queue split N ways for multi-core scaling.
 //!
-//! The seed engine kept one shared `SegQueue<Task>` that every driver
-//! thread popped; with many cores the queue head becomes the single point
-//! of contention. A [`ShardSet`] partitions the task queue into
-//! `Config::num_shards()` slots. Placement is deterministic:
-//!
-//! - [`Task::SigPartition`] routes to `sig.shard_of(active)` — the same
-//!   stable `id % n` discipline the Figure-5 fan-out uses for partition
-//!   ordinals, so one signature's constant-set probes always land on one
-//!   shard.
-//! - [`Task::Action`] round-robins across active shards (rule actions are
-//!   independent of each other, §6's type-2 tasks).
-//! - [`Task::Token`] stays on the shard that would pop it next (tokens are
-//!   normally drained straight from the update queue, not re-queued).
+//! One shared `SegQueue<Task>` that every driver thread pops makes the
+//! queue head the single point of contention on many cores. A
+//! [`ShardSet`] partitions the task queue into `Config::num_shards()`
+//! slots. Placement is deterministic and has one rule: a [`Task`] (a
+//! Figure-5 signature partition, the only kind of task there is) routes to
+//! `sig.shard_of(active)` — the same stable `id % n` discipline the
+//! fan-out uses for partition ordinals, so one signature's constant-set
+//! probes always land on one shard.
 //!
 //! Drivers bind to a home shard and *steal* from the others only when
 //! their own queue is empty. Stealing keeps the set work-conserving: a
@@ -27,9 +22,8 @@ use std::sync::Arc;
 use tman_telemetry::{Counter, Gauge, Registry};
 
 /// One shard: a task queue plus its per-shard instruments. The instrument
-/// cells live here (not in the registry) so recording works — and the
-/// differential oracle can observe placement — even with telemetry off;
-/// [`ShardSet::register_instruments`] shares the same cells into a
+/// cells live here, where the differential oracle reads placement from
+/// them; [`ShardSet::register_instruments`] shares the same cells into a
 /// [`Registry`] as `tman_shard_*{shard="i"}` series.
 pub struct EngineShard {
     queue: SegQueue<Task>,
@@ -61,8 +55,6 @@ impl EngineShard {
 pub struct ShardSet {
     shards: Vec<EngineShard>,
     active: AtomicUsize,
-    /// Round-robin cursor for [`Task::Action`] placement.
-    rr: AtomicUsize,
     /// `tman_shards_active` gauge cell (shared into the registry).
     active_gauge: Arc<Gauge>,
 }
@@ -76,7 +68,6 @@ impl ShardSet {
         ShardSet {
             shards: (0..n).map(|_| EngineShard::new()).collect(),
             active: AtomicUsize::new(n),
-            rr: AtomicUsize::new(0),
             active_gauge,
         }
     }
@@ -102,16 +93,10 @@ impl ShardSet {
         n
     }
 
-    /// Route `task` to its owning shard. Signature partitions go to the
-    /// signature's stable home (`sig.shard_of(active)`); actions
-    /// round-robin; bare tokens go to `home` (the pushing driver's shard).
-    pub fn push(&self, home: usize, task: Task) {
-        let active = self.active();
-        let slot = match &task {
-            Task::SigPartition { sig, .. } => sig.shard_of(active),
-            Task::Action { .. } => self.rr.fetch_add(1, Ordering::Relaxed) % active,
-            Task::Token(_) => home % self.shards.len(),
-        };
+    /// Route `task` to its owning shard: the signature's stable home,
+    /// `sig.shard_of(active)`.
+    pub fn push(&self, task: Task) {
+        let slot = task.sig.shard_of(self.active());
         self.shards[slot].depth.inc();
         self.shards[slot].queue.push(task);
     }
@@ -172,21 +157,50 @@ impl ShardSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Config, TriggerMan};
     use tman_common::{DataSourceId, Tuple, UpdateDescriptor};
+    use tman_predindex::SignatureRuntime;
 
-    fn token_task() -> Task {
-        Task::Token(UpdateDescriptor::insert(
-            DataSourceId(7),
-            Tuple::new(vec![]),
-        ))
+    /// Signatures with the dense ids `1..=n`, in id order: signature `i`
+    /// homes on shard `i % active`.
+    fn signatures(n: usize) -> Vec<Arc<SignatureRuntime>> {
+        let tman = TriggerMan::open_memory(Config::default()).unwrap();
+        let cols: Vec<String> = (0..n).map(|i| format!("c{i} int")).collect();
+        tman.execute_command(&format!("define data source q ({})", cols.join(", ")))
+            .unwrap();
+        for i in 0..n {
+            tman.execute_command(&format!(
+                "create trigger t{i} from q when q.c{i} = 1 do raise event E(q.c0)"
+            ))
+            .unwrap();
+        }
+        let mut sigs = tman.predicate_index().all_signatures();
+        sigs.sort_by_key(|s| s.id.raw());
+        assert_eq!(
+            sigs.iter().map(|s| s.id.raw() as usize).collect::<Vec<_>>(),
+            (1..=n).collect::<Vec<_>>()
+        );
+        sigs
+    }
+
+    fn task(sig: &Arc<SignatureRuntime>) -> Task {
+        Task {
+            token: UpdateDescriptor::insert(DataSourceId(7), Tuple::new(vec![])),
+            sig: sig.clone(),
+            part: 0,
+            nparts: 1,
+            parent_span: 0,
+            ack: None,
+        }
     }
 
     #[test]
     fn pop_drains_own_queue_before_stealing() {
+        let sigs = signatures(4);
         let set = ShardSet::new(4);
-        set.push(2, token_task()); // lands on shard 2
-        set.push(0, token_task()); // lands on shard 0
-                                   // Driver homed on 2 takes its own task first, then steals 0's.
+        set.push(task(&sigs[1])); // id 2 lands on shard 2
+        set.push(task(&sigs[3])); // id 4 lands on shard 0
+                                  // Driver homed on 2 takes its own task first, then steals 0's.
         let (_, slot) = set.pop(2).unwrap();
         assert_eq!(slot, 2);
         assert_eq!(set.shard(2).steals.get(), 0);
@@ -199,23 +213,29 @@ mod tests {
 
     #[test]
     fn set_active_clamps_and_narrowed_shards_still_drain() {
+        let sigs = signatures(3);
         let set = ShardSet::new(4);
         assert_eq!(set.set_active(0), 1);
         assert_eq!(set.set_active(99), 4);
         // Queue a task on shard 3, then narrow to 1: pops from shard 0
-        // must still reach it via the steal scan.
-        set.push(3, token_task());
+        // must still reach it via the steal scan, and new tasks of the
+        // same signature now land on shard 0.
+        set.push(task(&sigs[2]));
         set.set_active(1);
         assert_eq!(set.len(), 1);
         let (_, slot) = set.pop(0).unwrap();
         assert_eq!(slot, 3);
+        set.push(task(&sigs[2]));
+        let (_, slot) = set.pop(0).unwrap();
+        assert_eq!(slot, 0);
     }
 
     #[test]
     fn depth_gauge_tracks_push_pop() {
+        let sigs = signatures(1);
         let set = ShardSet::new(2);
-        set.push(1, token_task());
-        set.push(1, token_task());
+        set.push(task(&sigs[0]));
+        set.push(task(&sigs[0]));
         assert_eq!(set.shard(1).depth.get(), 2);
         set.pop(1).unwrap();
         assert_eq!(set.shard(1).depth.get(), 1);

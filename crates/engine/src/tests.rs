@@ -282,6 +282,30 @@ fn duplicate_names_and_bad_commands_error() {
         .is_ok());
 }
 
+/// Capture routes a table's changes to one data source, so a second
+/// source over an already-captured table is refused and the first keeps
+/// receiving tokens.
+#[test]
+fn second_source_over_a_captured_table_is_refused() {
+    let tman = system();
+    setup_emp(&tman);
+    let rx = tman.subscribe("notify");
+    tman.execute_command("create trigger t from emp when emp.dept = 1 do notify 'hit'")
+        .unwrap();
+    let second = tman.execute_command("define data source emp2 from table EMP");
+    assert!(
+        matches!(second, Err(TmanError::AlreadyExists(_))),
+        "{second:?}"
+    );
+    assert!(
+        tman.source("emp2").is_err(),
+        "a refused define leaves no residue"
+    );
+    tman.run_sql("insert into emp values ('a', 1, 1)").unwrap();
+    tman.run_until_quiescent().unwrap();
+    assert_eq!(rx.try_iter().count(), 1);
+}
+
 #[test]
 fn remote_data_source_via_push_token() {
     let tman = system();
@@ -503,25 +527,6 @@ fn condition_level_concurrency_partitions() {
     tman.run_until_quiescent().unwrap();
     assert!(tman.last_error().is_none(), "{:?}", tman.last_error());
     assert_eq!(rx.try_iter().count(), 40, "all partitions processed");
-}
-
-#[test]
-fn async_actions_run_as_tasks() {
-    let cfg = Config {
-        async_actions: true,
-        ..Default::default()
-    };
-    let tman = TriggerMan::open_memory(cfg).unwrap();
-    setup_emp(&tman);
-    let rx = tman.subscribe("notify");
-    tman.execute_command("create trigger t from emp when emp.dept = 1 do notify 'x'")
-        .unwrap();
-    for _ in 0..10 {
-        tman.run_sql("insert into emp values ('a', 1, 1)").unwrap();
-    }
-    tman.run_until_quiescent().unwrap();
-    assert_eq!(rx.try_iter().count(), 10);
-    assert_eq!(tman.stats().actions.get(), 10);
 }
 
 #[test]
@@ -888,46 +893,18 @@ fn http_endpoint_serves_metrics_health_and_traces() {
     );
 }
 
+/// A multi-conjunct trigger population run with condition partitioning
+/// yields one trace tree per token covering the queue wait, every
+/// partition probe, the cache pin, and the action — with parent links
+/// that survive the §6 task hand-offs — and the tree is reachable from the
+/// console and exports as valid Chrome trace JSON.
 #[test]
-fn telemetry_disabled_is_inert_but_engine_works() {
-    let cfg = Config {
-        telemetry: false,
-        ..Default::default()
-    };
-    let tman = TriggerMan::open_memory(cfg).unwrap();
-    run_observed_workload(&tman);
-    assert!(!tman.metrics_registry().is_enabled());
-    let m = tman.metrics_snapshot();
-    // Handle-backed instruments record nothing...
-    assert_eq!(m.queue.enqueued, 0);
-    assert_eq!(m.queue.depth, 0);
-    assert_eq!(m.driver.tasks_token, 0);
-    assert_eq!(m.actions.latency_ns.count, 0);
-    // ...while shared engine counters (plain Arc<Counter>s) still count.
-    assert_eq!(m.engine.tokens, 60);
-    assert_eq!(m.engine.actions, 69);
-    // Exposition still works; it just has nothing registered.
-    assert_eq!(tman.render_text(), "");
-    let CommandOutput::Stats(s) = tman.execute_command("show stats engine").unwrap() else {
-        panic!("expected stats output");
-    };
-    assert!(s.contains("tokens processed   60"));
-}
-
-/// The tentpole acceptance check: a multi-conjunct trigger population run
-/// with condition partitioning *and* async actions yields one trace tree
-/// per token covering the queue wait, every partition probe, the cache
-/// pin, and the action — with parent links that survive the §6 task
-/// hand-offs — and the tree is reachable from the console and exports as
-/// valid Chrome trace JSON.
-#[test]
-fn trace_tree_covers_partitioned_async_fanout() {
+fn trace_tree_covers_partitioned_fanout() {
     use tman_telemetry::trace::NO_PARENT;
     let cfg = Config {
         tracing: TracingMode::Full,
         condition_partitions: 2,
         partition_min: 1,
-        async_actions: true,
         ..Default::default()
     };
     let tman = TriggerMan::open_memory(cfg).unwrap();
@@ -969,7 +946,7 @@ fn trace_tree_covers_partitioned_async_fanout() {
     assert_eq!(count(SpanKind::Notify), 1);
 
     // Partition probes carry (part, nparts) and parent to the fan-out span
-    // even though the SigPartition tasks went back through the task queue.
+    // even though the partition tasks went back through the task queue.
     let fanout = tree
         .events
         .iter()
@@ -1150,7 +1127,7 @@ fn tracing_off_is_inert() {
 
 // ----- Figure-5 condition-level fan-out ---------------------------------------
 
-/// Regression for the `TmanTestResult` threshold semantics: `SigPartition`
+/// Regression for the `TmanTestResult` threshold semantics: partition
 /// tasks enqueued by the last token before THRESHOLD expires are pending
 /// work, so the call must report `TasksRemaining` — stranding them until
 /// the next driver period serializes exactly the fan-out that was supposed
@@ -1171,7 +1148,7 @@ fn sig_partition_fanout_near_threshold_not_stranded() {
     tman.run_sql("insert into emp values ('a', 1, 1)").unwrap();
 
     // A zero threshold expires right after the first task: the token's
-    // probe fans out into 4 SigPartition tasks that are still queued.
+    // probe fans out into 4 partition tasks that are still queued.
     assert_eq!(
         tman.tman_test(Duration::ZERO),
         TmanTestResult::TasksRemaining
@@ -1187,7 +1164,7 @@ fn sig_partition_fanout_near_threshold_not_stranded() {
     assert_eq!(tman.telemetry.threshold_expirations.get(), 1);
 }
 
-/// Stress: partitioned fan-out + async actions while triggers in the same
+/// Stress: partitioned fan-out while triggers in the same
 /// signature class are created/dropped (insert-time promotion included),
 /// the class is switched through all four organizations with `set_org`,
 /// and task placement is narrowed and widened mid-stream. Partitions are
@@ -1198,7 +1175,6 @@ fn partition_churn_stress(tokens: usize, churn_iters: usize) {
     let cfg = Config {
         condition_partitions: 4,
         partition_min: 1,
-        async_actions: true,
         index: tman_predindex::IndexConfig {
             list_to_index: 8,
             ..Default::default()
@@ -1390,12 +1366,12 @@ fn tman_test_on_a_deep_backlog_touches_only_its_batch() {
     );
 }
 
-/// With fan-out and async actions, a token's ack is deferred until every
-/// task spawned for it has run — and all of them do complete under
+/// With fan-out, a token's ack is deferred until every partition task
+/// spawned for it has run — and all of them do complete under
 /// `run_until_quiescent`, leaving the watermark fully advanced (no row is
 /// acked early, none is stranded in-flight).
 #[test]
-fn deferred_acks_complete_across_fanout_and_async_actions() {
+fn deferred_acks_complete_across_fanout() {
     let path = std::env::temp_dir().join(format!("tman_defer_ack_{}.db", std::process::id()));
     let _ = std::fs::remove_file(&path);
     let cfg = Config {
@@ -1404,7 +1380,6 @@ fn deferred_acks_complete_across_fanout_and_async_actions() {
         shards: Some(4),
         condition_partitions: 4,
         partition_min: 1,
-        async_actions: true,
         ..Default::default()
     };
     let tman = TriggerMan::open_file(&path, cfg).unwrap();

@@ -25,11 +25,9 @@
 //! Figure 5's partitioned probing for condition-level concurrency is
 //! exposed through [`SignatureRuntime::probe_partition`].
 
-pub mod custom;
 pub mod interval;
 pub mod org;
 
-pub use custom::{CustomConstantSet, OrderedVecOrg};
 pub use org::{Entry, Org, OrgKind, ProbeValues};
 
 use parking_lot::RwLock;
@@ -50,14 +48,14 @@ use tman_telemetry::{CounterHandle, Registry, SpanKind, TraceHandle};
 /// Per-organization probe/match counters (`tman_index_probes_total{org=..}`
 /// / `tman_index_matches_total{org=..}`): one pre-resolved handle pair per
 /// [`OrgKind`], so the hot probe path never touches the registry. Default
-/// (telemetry off or not attached) is all no-op handles.
+/// (telemetry not attached) is all no-op handles.
 #[derive(Clone)]
 pub struct OrgCounters {
-    probes: [CounterHandle; 6],
-    matches: [CounterHandle; 6],
+    probes: [CounterHandle; 5],
+    matches: [CounterHandle; 5],
 }
 
-/// Fixed slot per organization kind; `Custom` variants share one slot.
+/// Fixed slot per organization kind.
 fn org_slot(kind: OrgKind) -> usize {
     match kind {
         OrgKind::MemList => 0,
@@ -65,19 +63,17 @@ fn org_slot(kind: OrgKind) -> usize {
         OrgKind::MemIndex => 2,
         OrgKind::DbTable => 3,
         OrgKind::DbIndexed => 4,
-        OrgKind::Custom(_) => 5,
     }
 }
 
 /// Label values used for the `org` dimension, index-aligned with
 /// [`OrgCounters`]'s slots.
-pub const ORG_LABELS: [&str; 6] = [
+pub const ORG_LABELS: [&str; 5] = [
     "mem_list",
     "mem_list_denorm",
     "mem_index",
     "db_table",
     "db_indexed_table",
-    "custom",
 ];
 
 impl Default for OrgCounters {
@@ -232,8 +228,6 @@ impl SignatureRuntime {
         let len = org.len();
         let kind = org.kind();
         let next_kind = match kind {
-            // User-installed organizations are never auto-promoted.
-            OrgKind::Custom(_) => None,
             OrgKind::MemList | OrgKind::MemListDenorm if len > self.config.list_to_index => {
                 // A signature with no indexable part has no index to build.
                 if matches!(self.sig.index_plan, IndexPlan::None) {
@@ -250,21 +244,6 @@ impl SignatureRuntime {
         if let Some(next) = next_kind {
             self.switch_locked(&mut org, next)?;
         }
-        Ok(())
-    }
-
-    /// Install a user-supplied organization (§9 extensibility), migrating
-    /// the existing entries into it.
-    pub fn set_custom_org(
-        &self,
-        mut custom: Box<dyn crate::custom::CustomConstantSet>,
-    ) -> Result<()> {
-        let mut org = self.org.write();
-        let entries = org.drain_entries()?;
-        for e in entries {
-            custom.insert(&self.sig.index_plan, e)?;
-        }
-        *org = Org::Custom(custom);
         Ok(())
     }
 

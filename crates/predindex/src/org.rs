@@ -77,10 +77,6 @@ pub enum OrgKind {
     DbTable,
     /// Strategy 4.
     DbIndexed,
-    /// A user-supplied organization (§9 extensibility; see
-    /// [`crate::custom::CustomConstantSet`]). Carries the implementation's
-    /// reported name.
-    Custom(&'static str),
 }
 
 impl OrgKind {
@@ -92,7 +88,6 @@ impl OrgKind {
             OrgKind::MemIndex => "mem_index",
             OrgKind::DbTable => "db_table",
             OrgKind::DbIndexed => "db_indexed_table",
-            OrgKind::Custom(name) => name,
         }
     }
 }
@@ -127,8 +122,6 @@ pub enum Org {
     DbTable(DbOrg),
     /// Strategy 4.
     DbIndexed(DbOrg),
-    /// A user-supplied organization (§9 extensibility).
-    Custom(Box<dyn crate::custom::CustomConstantSet>),
 }
 
 impl Org {
@@ -143,11 +136,6 @@ impl Org {
         db: Option<&Arc<Database>>,
     ) -> Result<Org> {
         Ok(match kind {
-            OrgKind::Custom(_) => {
-                return Err(TmanError::Invalid(
-                    "custom organizations are installed via set_custom_org".into(),
-                ))
-            }
             OrgKind::MemList => Org::MemList(Vec::new()),
             OrgKind::MemListDenorm => Org::MemListDenorm(Vec::new()),
             OrgKind::MemIndex => match &sig.index_plan {
@@ -212,7 +200,6 @@ impl Org {
             Org::MemHash(_) | Org::MemInterval(_) => OrgKind::MemIndex,
             Org::DbTable(_) => OrgKind::DbTable,
             Org::DbIndexed(_) => OrgKind::DbIndexed,
-            Org::Custom(c) => OrgKind::Custom(c.name()),
         }
     }
 
@@ -256,7 +243,6 @@ impl Org {
                 row.extend(entry.consts.iter().cloned());
                 org.table.insert(row)?;
             }
-            Org::Custom(c) => c.insert(plan, entry)?,
         }
         Ok(())
     }
@@ -304,7 +290,6 @@ impl Org {
                     org.table.delete(rid)?;
                 }
             }
-            Org::Custom(c) => n = c.remove_trigger(trigger_id)?,
         }
         Ok(n)
     }
@@ -317,7 +302,6 @@ impl Org {
             Org::MemHash(map) => map.values().map(Vec::len).sum(),
             Org::MemInterval(ix) => ix.len(),
             Org::DbTable(org) | Org::DbIndexed(org) => org.table.count().unwrap_or(0),
-            Org::Custom(c) => c.len(),
         }
     }
 
@@ -352,7 +336,6 @@ impl Org {
             }
             Org::MemInterval(ix) => ix.memory_bytes(),
             Org::DbTable(_) | Org::DbIndexed(_) => std::mem::size_of::<DbOrg>(),
-            Org::Custom(c) => c.memory_bytes(),
         }
     }
 
@@ -375,9 +358,6 @@ impl Org {
                     org.table.delete(rid)?;
                 }
             }
-            // Custom organizations are replaced wholesale when switching;
-            // the collected entries are all the caller needs.
-            Org::Custom(_) => {}
         }
         Ok(out)
     }
@@ -419,7 +399,6 @@ impl Org {
                     Ok(true)
                 })?;
             }
-            Org::Custom(c) => c.for_each(visit)?,
         }
         Ok(())
     }
@@ -559,7 +538,6 @@ impl Org {
                     Ok(true)
                 })?;
             }
-            (Org::Custom(c), probe) => c.probe(plan, probe, visit)?,
             (org, probe) => {
                 return Err(TmanError::Internal(format!(
                     "organization {:?} cannot serve probe {:?}",
@@ -625,9 +603,8 @@ fn group_bytes_unshared(entries: &[Entry]) -> usize {
         .sum()
 }
 
-/// Does the entry's interval (per a Range plan) contain `v`? Exposed for
-/// custom organizations.
-pub fn interval_contains(plan: &IndexPlan, e: &Entry, v: &Value) -> bool {
+/// Does the entry's interval (per a Range plan) contain `v`?
+fn interval_contains(plan: &IndexPlan, e: &Entry, v: &Value) -> bool {
     let IndexPlan::Range { lo, hi, .. } = plan else {
         return false;
     };

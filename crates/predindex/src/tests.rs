@@ -562,61 +562,6 @@ fn token_op_is_distinct_from_event_kind() {
 }
 
 #[test]
-fn custom_organization_extensibility() {
-    // §9 future work: a user-supplied constant-set organization plugs in
-    // and behaves identically to the built-ins.
-    let ix = PredicateIndex::new(IndexConfig::default());
-    let mut rt = None;
-    for t in 0..60u64 {
-        rt = Some(add(
-            &ix,
-            &format!("emp.dept = {}", t % 12),
-            EventKind::Insert,
-            t,
-        ));
-    }
-    let rt = rt.unwrap();
-    let before = matched_ids(&ix, &ins("x", 0.0, 5));
-
-    rt.set_custom_org(Box::new(crate::custom::OrderedVecOrg::new()))
-        .unwrap();
-    assert_eq!(rt.org_kind(), OrgKind::Custom("ordered_vec"));
-    assert_eq!(rt.org_kind().as_str(), "ordered_vec");
-    assert_eq!(rt.len(), 60);
-
-    assert_eq!(matched_ids(&ix, &ins("x", 0.0, 5)), before);
-    // Removal flows through the custom org too.
-    ix.remove_trigger(TriggerId(5)).unwrap();
-    assert_eq!(rt.len(), 59);
-    assert!(!matched_ids(&ix, &ins("x", 0.0, 5)).contains(&5));
-    // Inserting more entries does not auto-promote away from the custom org.
-    add(&ix, "emp.dept = 99", EventKind::Insert, 999);
-    assert_eq!(rt.org_kind(), OrgKind::Custom("ordered_vec"));
-    // And switching back to a built-in works.
-    rt.set_org(OrgKind::MemIndex).unwrap();
-    assert_eq!(matched_ids(&ix, &ins("x", 0.0, 99)), vec![999]);
-}
-
-#[test]
-fn custom_organization_handles_ranges() {
-    let ix = PredicateIndex::new(IndexConfig::default());
-    let mut rt = None;
-    for t in 0..20u64 {
-        rt = Some(add(
-            &ix,
-            &format!("emp.salary > {} and emp.salary <= {}", t * 10, t * 10 + 25),
-            EventKind::Insert,
-            t,
-        ));
-    }
-    let rt = rt.unwrap();
-    let before = matched_ids(&ix, &ins("x", 57.0, 0));
-    rt.set_custom_org(Box::new(crate::custom::OrderedVecOrg::new()))
-        .unwrap();
-    assert_eq!(matched_ids(&ix, &ins("x", 57.0, 0)), before);
-}
-
-#[test]
 fn constant_table_slots_are_typed_from_the_signature() {
     // A class emptied before it is switched to a database organization has
     // no member to sample: the slot types come from the columns the

@@ -274,7 +274,8 @@ impl Database {
     }
 }
 
-fn encode_schema(schema: &Schema) -> String {
+/// A schema as catalog text: `name type;name type;…`.
+pub fn encode_schema(schema: &Schema) -> String {
     schema
         .columns()
         .iter()
@@ -291,7 +292,8 @@ fn encode_schema(schema: &Schema) -> String {
         .join(";")
 }
 
-fn decode_schema(s: &str) -> Result<Schema> {
+/// Parse [`encode_schema`]'s text back into a schema.
+pub fn decode_schema(s: &str) -> Result<Schema> {
     let mut cols = Vec::new();
     for part in s.split(';').filter(|p| !p.is_empty()) {
         let (name, ty) = part

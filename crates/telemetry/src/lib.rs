@@ -22,10 +22,9 @@
 //! stripe — the same discipline as the original `tman_common::stats`
 //! counters (which now live here). Subsystems hold pre-resolved
 //! [`CounterHandle`]/[`GaugeHandle`]/[`HistogramHandle`]s, so no name
-//! lookup or lock is ever taken per event. A registry created with
-//! [`disabled()`] hands out empty handles whose record calls are a single
-//! predictable branch — timers don't even read the clock — so a baseline
-//! run pays essentially nothing.
+//! lookup or lock is ever taken per event. A subsystem built without a
+//! registry holds empty handles whose record calls are a single
+//! predictable branch — timers don't even read the clock.
 //!
 //! This crate is dependency-free (std only) so every other crate in the
 //! workspace can use it.
@@ -44,10 +43,3 @@ pub use trace::{
     unix_now_ns, SpanGuard, SpanKind, TraceEvent, TraceHandle, TraceRing, TraceSnapshot, TraceTree,
     Tracer, TracerStats,
 };
-
-/// A registry whose handles are no-ops: recording calls reduce to one
-/// branch, and timers never read the clock. Use for baseline/ablation runs
-/// where even relaxed-atomic traffic must not appear in a profile.
-pub fn disabled() -> Registry {
-    Registry::disabled()
-}

@@ -5,8 +5,9 @@
 //! each instrument once into a [`CounterHandle`] / [`GaugeHandle`] /
 //! [`HistogramHandle`] and records through that handle forever after — no
 //! name lookup, no lock, no allocation per event. Handles are `Option`s
-//! around `Arc`s: a registry built with [`Registry::disabled`] hands out
-//! `None` handles whose recording methods are a single predictable branch.
+//! around `Arc`s: a subsystem built without a registry holds `None`
+//! handles (`noop()`), whose recording methods are a single predictable
+//! branch.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
@@ -50,7 +51,6 @@ pub enum Instrument {
 /// subsystem can resolve `("tman_probes_total", org="mem_index")` without
 /// coordinating about who creates it first.
 pub struct Registry {
-    enabled: bool,
     map: RwLock<BTreeMap<(String, LabelSet), Instrument>>,
 }
 
@@ -61,26 +61,11 @@ impl Default for Registry {
 }
 
 impl Registry {
-    /// A live registry: handles record for real.
+    /// An empty registry.
     pub fn new() -> Registry {
         Registry {
-            enabled: true,
             map: RwLock::new(BTreeMap::new()),
         }
-    }
-
-    /// A disabled registry: every handle it hands out is a no-op and
-    /// [`Registry::samples`] is always empty.
-    pub fn disabled() -> Registry {
-        Registry {
-            enabled: false,
-            map: RwLock::new(BTreeMap::new()),
-        }
-    }
-
-    /// Whether handles from this registry record anything.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     fn get_or_insert(
@@ -88,16 +73,13 @@ impl Registry {
         name: &str,
         labels: &[(&str, &str)],
         make: impl FnOnce() -> Instrument,
-    ) -> Option<Instrument> {
-        if !self.enabled {
-            return None;
-        }
+    ) -> Instrument {
         let key = (name.to_string(), label_set(labels));
         if let Some(existing) = self.map.read().unwrap().get(&key) {
-            return Some(existing.clone());
+            return existing.clone();
         }
         let mut map = self.map.write().unwrap();
-        Some(map.entry(key).or_insert_with(make).clone())
+        map.entry(key).or_insert_with(make).clone()
     }
 
     /// Resolve (creating if absent) a counter series.
@@ -109,7 +91,7 @@ impl Registry {
         match self.get_or_insert(name, labels, || {
             Instrument::Counter(Arc::new(Counter::new()))
         }) {
-            Some(Instrument::Counter(c)) => CounterHandle(Some(c)),
+            Instrument::Counter(c) => CounterHandle(Some(c)),
             _ => CounterHandle(None),
         }
     }
@@ -117,7 +99,7 @@ impl Registry {
     /// Resolve (creating if absent) a gauge series.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> GaugeHandle {
         match self.get_or_insert(name, labels, || Instrument::Gauge(Arc::new(Gauge::new()))) {
-            Some(Instrument::Gauge(g)) => GaugeHandle(Some(g)),
+            Instrument::Gauge(g) => GaugeHandle(Some(g)),
             _ => GaugeHandle(None),
         }
     }
@@ -127,7 +109,7 @@ impl Registry {
         match self.get_or_insert(name, labels, || {
             Instrument::Histogram(Arc::new(Histogram::new()))
         }) {
-            Some(Instrument::Histogram(h)) => HistogramHandle(Some(h)),
+            Instrument::Histogram(h) => HistogramHandle(Some(h)),
             _ => HistogramHandle(None),
         }
     }
@@ -137,9 +119,6 @@ impl Registry {
     /// the live value without a second instrument on the hot path.
     /// Replaces any previous instrument at the same identity.
     pub fn register_counter(&self, name: &str, labels: &[(&str, &str)], counter: Arc<Counter>) {
-        if !self.enabled {
-            return;
-        }
         let key = (name.to_string(), label_set(labels));
         self.map
             .write()
@@ -157,9 +136,6 @@ impl Registry {
         labels: &[(&str, &str)],
         histogram: Arc<Histogram>,
     ) {
-        if !self.enabled {
-            return;
-        }
         let key = (name.to_string(), label_set(labels));
         self.map
             .write()
@@ -178,9 +154,6 @@ impl Registry {
         labels: &[(&str, &str)],
         f: impl Fn() -> u64 + Send + Sync + 'static,
     ) {
-        if !self.enabled {
-            return;
-        }
         let key = (name.to_string(), label_set(labels));
         self.map
             .write()
@@ -190,9 +163,6 @@ impl Registry {
 
     /// Register an existing shared gauge (see [`Registry::register_counter`]).
     pub fn register_gauge(&self, name: &str, labels: &[(&str, &str)], gauge: Arc<Gauge>) {
-        if !self.enabled {
-            return;
-        }
         let key = (name.to_string(), label_set(labels));
         self.map
             .write()
@@ -232,12 +202,12 @@ impl Registry {
 impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let n = self.map.read().unwrap().len();
-        write!(f, "Registry(enabled={}, series={})", self.enabled, n)
+        write!(f, "Registry(series={n})")
     }
 }
 
-/// Cheap recording handle for a counter series. `None` (from a disabled
-/// registry) makes every method a single branch.
+/// Cheap recording handle for a counter series. `None` (no registry
+/// attached) makes every method a single branch.
 #[derive(Clone, Default)]
 pub struct CounterHandle(pub(crate) Option<Arc<Counter>>);
 
@@ -408,11 +378,10 @@ mod tests {
     }
 
     #[test]
-    fn disabled_registry_hands_out_noops() {
-        let r = Registry::disabled();
-        let c = r.counter("x", &[]);
-        let g = r.gauge("y", &[]);
-        let h = r.histogram("z", &[]);
+    fn noop_handles_record_nothing() {
+        let c = CounterHandle::noop();
+        let g = GaugeHandle::noop();
+        let h = HistogramHandle::noop();
         c.bump();
         g.inc();
         h.record(5);
@@ -423,8 +392,6 @@ mod tests {
         assert_eq!(c.get(), 0);
         assert_eq!(g.get(), 0);
         assert_eq!(h.summary().count, 0);
-        assert!(r.samples().is_empty());
-        assert!(r.render_text().is_empty());
     }
 
     #[test]
@@ -462,10 +429,6 @@ mod tests {
         assert!(r.render_text().contains("computed_total"));
         let samples = r.samples();
         assert!(matches!(samples[0].value, SampleValue::Counter(9)));
-        // A disabled registry ignores the registration entirely.
-        let d = Registry::disabled();
-        d.register_counter_fn("computed_total", &[], || 1);
-        assert!(d.samples().is_empty());
     }
 
     #[test]

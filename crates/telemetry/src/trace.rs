@@ -1,10 +1,10 @@
 //! Per-token trace spans: causal lineage through the §6 task fan-out.
 //!
 //! Aggregate counters (the rest of this crate) answer "how much work?";
-//! they cannot answer "why was *this* token slow?". §6 shreds one update
-//! descriptor into Token → SigPartition → Action tasks executed on
-//! different driver threads, and this module reassembles that execution
-//! into one tree per token:
+//! they cannot answer "why was *this* token slow?". §6 fans one update
+//! descriptor out into signature-partition tasks executed on different
+//! driver threads, each running the actions of its own matches, and this
+//! module reassembles that execution into one tree per token:
 //!
 //! * [`TraceEvent`] — one completed span: `(trace_id, span_id, parent_id,
 //!   kind, thread, start, duration, two kind-specific args)`, packed into

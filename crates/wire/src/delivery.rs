@@ -63,12 +63,13 @@
 //! Sequence numbers are reproducible across crash incarnations because
 //! per-subscriber appends are origin-ordered (tokens are processed in qid
 //! order on the redelivery path) and a token's action order is
-//! deterministic — which is what makes a client-side watermark meaningful
+//! deterministic (every firing is published by the thread that matched it,
+//! in match order) — which is what makes a client-side watermark meaningful
 //! against a recovered server. The hub issues no durability barrier of its
 //! own: its pages ride the update queue's group commits and the engine's
 //! checkpoints, in one buffer pool.
 //!
-//! Two ordering hazards shape the contract: (1) a token's queue ack must
+//! One ordering hazard shapes the contract: a token's queue ack must
 //! never become durable before the delivery-log append that preceded it,
 //! or the queue never redelivers and the fire is lost. The storage-layer
 //! write-ahead log closes this by construction — dirty pages become redo
@@ -76,10 +77,7 @@
 //! file is only written at checkpoint from already-durable records — so a
 //! crash either keeps both the ack and the append or neither (pinned by
 //! `wal_closes_ack_before_append_gap`, the once-failing
-//! `wire_crash_reconnect_full` case 12). (2) With `Config::async_actions`
-//! the engine may ack a token to the queue before its detached actions
-//! publish; the delivery tier then inherits that weaker contract, exactly
-//! as in-process subscribers do — this one is still open.
+//! `wire_crash_reconnect_full` case 12).
 
 use crossbeam::channel::Sender;
 use parking_lot::Mutex;

@@ -45,7 +45,6 @@ fn driver_pool_under_concurrent_load() {
         num_cpus: Some(4),
         driver_period: Duration::from_millis(1),
         threshold: Duration::from_millis(10),
-        async_actions: true,
         ..Default::default()
     };
     let tman = TriggerMan::open_memory(cfg).unwrap();

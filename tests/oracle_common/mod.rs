@@ -140,8 +140,8 @@ impl Harness {
     }
 
     /// [`fire_chunk`](Self::fire_chunk), in delivery order: the drain runs
-    /// on the calling thread, so two engines that differ only in what they
-    /// observe (tracing) must deliver the same sequence.
+    /// on the calling thread and actions run inline, so the sequence is a
+    /// function of the stream and of how matches are handed to tasks.
     pub fn fire_chunk_in_order(&self, toks: &[UpdateDescriptor]) -> Vec<String> {
         for tok in toks {
             let mut tok = tok.clone();
@@ -170,8 +170,8 @@ pub fn shard_cfg(shards: usize, batch: usize) -> Config {
     }
 }
 
-/// Partitioned probes: every eligible signature fans out as
-/// `SigPartition` tasks routed across the shards instead — the placement
+/// Partitioned probes: every eligible signature fans out as partition
+/// tasks routed across the shards instead — the placement
 /// and steal-scan path.
 pub fn partitioned_cfg(shards: usize, batch: usize) -> Config {
     Config {

@@ -1,7 +1,7 @@
 //! Differential property test for condition-level partitioning (Figure 5):
 //! for any trigger population and token stream, the multiset of firings
 //! must be identical whether a signature probe runs unpartitioned or
-//! partitioned into 2/4/8 `SigPartition` tasks. Partition assignment
+//! partitioned into 2/4/8 partition tasks. Partition assignment
 //! hashes stable expression ids, so the union over partitions must be
 //! exactly the unpartitioned candidate set — this harness catches
 //! double-visited entries (duplicate firings) and dropped entries (lost

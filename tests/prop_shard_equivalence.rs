@@ -1,21 +1,26 @@
 //! Differential property test for the sharded, batch-draining engine: for
-//! any trigger population and token stream, the multiset of firings must
-//! be identical whether the engine runs with 1, 2, 4, or 8 shards and a
-//! drain batch of 1, 16, or 256 tokens. The reference is the seed
-//! configuration — one shard, one token per drain pass — so the oracle
-//! catches every way batching can go wrong (grouped probes visiting an
-//! entry twice or not at all, replay reordering maintenance against
-//! matches, deferred acks dropping work) and every way sharding can
-//! (fan-out tasks routed to a deactivated shard, steal scans skipping a
-//! slot).
+//! any trigger population and token stream, the firings must be identical
+//! whether the engine runs with 1, 2, 4, or 8 shards and a drain batch of
+//! 1, 16, or 256 tokens. The reference is one shard, one token per drain
+//! pass, so the oracle catches every way batching can go wrong (grouped
+//! probes visiting an entry twice or not at all, replay reordering
+//! maintenance against matches, deferred acks dropping work) and every way
+//! sharding can (fan-out tasks routed to a deactivated shard, steal scans
+//! skipping a slot).
+//!
+//! Unpartitioned columns are held to the reference's *sequence* of fires,
+//! not only its multiset: the drain runs on the test thread and every
+//! action runs where its match was replayed, so the order — token order,
+//! then match order within a token — is a function of the stream alone,
+//! whatever the shard count or batch size. Partitioned columns hand a
+//! token's matches to tasks, whose interleaving depends on placement; they
+//! are compared as multisets.
 //!
 //! A tracing axis rides along: a few columns are run twice, untraced and
 //! with `TracingMode::Full`. Tracing attaches spans to the one pipeline
 //! instead of diverting traced tokens to another, so a traced engine must
-//! deliver not just the same multiset but the same *sequence* of fires as
-//! its untraced twin (the drain runs on the test thread, so the sequence
-//! is a function of the configuration alone) — same fires, same order per
-//! token.
+//! deliver the same sequence of fires as its untraced twin, partitioned or
+//! not.
 //!
 //! Each case also forces active-shard-width transitions *mid-stream* and
 //! interleaves trigger create/drop churn at fixed stream positions —
@@ -53,6 +58,9 @@ fn run_equivalence(num_cases: u32) {
     let result = runner.run(&strategy, |(conds, toks)| {
         // Index 0 is the reference: one shard, one token per drain pass.
         let mut harnesses = vec![Harness::new("reference s=1 b=1", shard_cfg(1, 1), &conds)];
+        // `same_order_as[i]`: the column whose sequence of fires column
+        // `i` must reproduce; `None` holds it to the reference's multiset.
+        let mut same_order_as: Vec<Option<usize>> = vec![None];
         for &s in &SHARD_COUNTS {
             for &b in &BATCHES {
                 if (s, b) == (1, 1) {
@@ -63,6 +71,7 @@ fn run_equivalence(num_cases: u32) {
                     shard_cfg(s, b),
                     &conds,
                 ));
+                same_order_as.push(Some(0));
             }
         }
         // A partitioned column: same widths, probes fanned out as tasks.
@@ -72,27 +81,27 @@ fn run_equivalence(num_cases: u32) {
                 partitioned_cfg(s, b),
                 &conds,
             ));
+            same_order_as.push(None);
         }
-        // The tracing axis: (untraced column, its traced twin).
-        let mut twins: Vec<(usize, usize)> = Vec::new();
-        for (label, cfg) in [
-            ("s=1 b=1", shard_cfg(1, 1)),
-            ("s=2 b=16", shard_cfg(2, 16)),
-            ("s=4 b=256", shard_cfg(4, 256)),
-            ("partitioned s=2 b=16", partitioned_cfg(2, 16)),
-        ] {
-            let untraced = if label == "s=1 b=1" {
-                0
-            } else {
-                harnesses.iter().position(|h| h.label == label).unwrap()
-            };
-            twins.push((untraced, harnesses.len()));
+        // The tracing axis: traced twins of a few columns.
+        for (s, b) in [(1, 1), (2, 16), (4, 256)] {
             harnesses.push(Harness::new(
-                &format!("traced {label}"),
-                traced(cfg),
+                &format!("traced s={s} b={b}"),
+                traced(shard_cfg(s, b)),
                 &conds,
             ));
+            same_order_as.push(Some(0));
         }
+        let untraced = harnesses
+            .iter()
+            .position(|h| h.label == "partitioned s=2 b=16")
+            .unwrap();
+        harnesses.push(Harness::new(
+            "traced partitioned s=2 b=16",
+            traced(partitioned_cfg(2, 16)),
+            &conds,
+        ));
+        same_order_as.push(Some(untraced));
         let mut names: Vec<String> = (0..conds.len()).map(|i| format!("p{i}")).collect();
         let mut next_churn = 0usize;
         let mut pos = 0usize;
@@ -139,26 +148,26 @@ fn run_equivalence(num_cases: u32) {
                 fired
             };
             let expected = sorted(&in_order[0]);
-            for (h, fired) in harnesses.iter().zip(&in_order).skip(1) {
-                prop_assert_eq!(
-                    &sorted(fired),
-                    &expected,
-                    "{} diverged from reference on chunk {} ({} tokens)",
-                    h.label,
-                    chunk_no,
-                    size
-                );
-            }
-            for &(untraced, traced) in &twins {
-                prop_assert_eq!(
-                    &in_order[traced],
-                    &in_order[untraced],
-                    "{} fired in another order than {} on chunk {} ({} tokens)",
-                    harnesses[traced].label,
-                    harnesses[untraced].label,
-                    chunk_no,
-                    size
-                );
+            for (i, (h, fired)) in harnesses.iter().zip(&in_order).enumerate().skip(1) {
+                match same_order_as[i] {
+                    Some(other) => prop_assert_eq!(
+                        fired,
+                        &in_order[other],
+                        "{} fired another sequence than {} on chunk {} ({} tokens)",
+                        h.label,
+                        harnesses[other].label,
+                        chunk_no,
+                        size
+                    ),
+                    None => prop_assert_eq!(
+                        &sorted(fired),
+                        &expected,
+                        "{} diverged from reference on chunk {} ({} tokens)",
+                        h.label,
+                        chunk_no,
+                        size
+                    ),
+                }
             }
             pos += size;
             chunk_no += 1;
@@ -171,12 +180,12 @@ fn run_equivalence(num_cases: u32) {
 }
 
 #[test]
-fn sharded_batched_firing_multisets_match_reference() {
+fn sharded_batched_firings_match_reference() {
     run_equivalence(env_cases("SHARD_CASES", 32));
 }
 
 #[test]
 #[ignore = "long shard/batch equivalence sweep; run with --ignored"]
-fn sharded_batched_firing_multisets_match_reference_long() {
+fn sharded_batched_firings_match_reference_long() {
     run_equivalence(env_cases("SHARD_CASES", 32).max(128));
 }

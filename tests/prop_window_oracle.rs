@@ -48,7 +48,7 @@
 //!   prefix.
 //! * `TriggerMan::process_run`: drop the `PlanSig::windowed` fan-out
 //!   exclusion — the partitioned engines route window probes through
-//!   `SigPartition` tasks, which run after directly-probed later tokens;
+//!   partition tasks, which run after directly-probed later tokens;
 //!   with out-of-order timestamps the observation order shift changes
 //!   clamp outcomes and the partitioned column diverges.
 //! * `TriggerMan::checkpoint`/`flush_acks`: skip `persist_windows` — the

@@ -2,9 +2,8 @@
 //! threads bound to different shards drain batches while other threads
 //! churn triggers (create/drop races against in-flight probes and pins),
 //! switch the signature class through all four organizations with
-//! `set_org`, toggle the active-shard width, and async rule actions hop
-//! shards as `Task::Action`. Probes fan out two ways by `expr_id % nparts`
-//! throughout. The invariants: every token is processed, the sentinel
+//! `set_org`, and toggle the active-shard width. Probes fan out two ways
+//! by `expr_id % nparts` throughout. The invariants: every token is processed, the sentinel
 //! fires exactly once per matching token (no entry visited twice or not at
 //! all), no task dies with an error, and the per-shard token counters
 //! account for the whole stream.
@@ -24,7 +23,6 @@ fn sharded_stress(tokens: usize, churn_iters: usize) {
         num_cpus: Some(4),
         condition_partitions: 2,
         partition_min: 1,
-        async_actions: true,
         ..Default::default()
     };
     let tman = TriggerMan::open_memory(cfg).unwrap();
