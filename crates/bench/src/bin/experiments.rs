@@ -169,9 +169,8 @@ fn e2_cse(o: &Opts) {
     let mut metrics_json = String::new();
     for &n in sizes {
         let registry = Arc::new(Registry::new());
-        let mk = |normalized: bool| {
+        let mk = |org: OrgKind| {
             let mut ix = PredicateIndex::new(IndexConfig {
-                normalized,
                 list_to_index: usize::MAX, // stay a list: the Figure-4 layouts
                 ..Default::default()
             });
@@ -179,10 +178,14 @@ fn e2_cse(o: &Opts) {
             for i in 0..n {
                 add_to_index(&ix, i as u64, "q.sym = 'HOT'", EventKind::Insert);
             }
+            // A class starts as the normalized list; the ablation forces
+            // the denormalized one.
+            let class = ix.source(QUOTES).unwrap().signatures()[0].clone();
+            class.set_org(org).unwrap();
             ix
         };
-        let norm = mk(true);
-        let denorm = mk(false);
+        let norm = mk(OrgKind::MemList);
+        let denorm = mk(OrgKind::MemListDenorm);
         let miss = UpdateDescriptor::insert(
             QUOTES,
             tman_common::Tuple::new(vec![Value::str("COLD"), Value::Float(1.0), Value::Int(1)]),

@@ -16,8 +16,11 @@
 
 use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
-use tman_common::{DataSourceId, Result, Schema, SignatureId, TriggerId, TriggerSetId, Value};
+use tman_common::{
+    DataSourceId, Result, Schema, SignatureId, TriggerId, TriggerSetId, Tuple, Value,
+};
 use tman_sql::{decode_schema, encode_schema, Database, Table};
+use tman_storage::RecordId;
 
 /// One `expression_signature` row: `(sigID, dataSrcID, signatureDesc,
 /// constTableName, constantSetSize, constantSetOrganization)`.
@@ -61,7 +64,8 @@ pub struct TriggerRow {
     pub name: String,
     /// Full `create trigger` text — the unit of recompilation.
     pub text: String,
-    /// Creation time (unix seconds).
+    /// Creation time (unix seconds), stamped by
+    /// [`Catalog::insert_trigger`]: what a caller passes there is ignored.
     pub created: i64,
     /// Eligibility to fire.
     pub enabled: bool,
@@ -98,6 +102,49 @@ fn now_secs() -> i64 {
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_secs() as i64)
         .unwrap_or(0)
+}
+
+/// The one lookup the catalogs have: a heap scan for the first row whose
+/// integer `column` holds `id`. Only DDL and a trigger-cache miss come
+/// here; names are resolved to ids before they do (`ddl.rs`).
+fn find(table: &Table, column: usize, id: u64) -> Result<Option<(RecordId, Tuple)>> {
+    let mut hit = None;
+    table.scan(|rid, row| {
+        let same = row.get(column).as_i64() == Some(id as i64);
+        if same {
+            hit = Some((rid, row.clone()));
+        }
+        Ok(!same)
+    })?;
+    Ok(hit)
+}
+
+/// Store `value` in `column` of the row [`find`] returns. False if missing.
+fn set_column(table: &Table, at: usize, id: u64, column: usize, value: Value) -> Result<bool> {
+    let Some((rid, row)) = find(table, at, id)? else {
+        return Ok(false);
+    };
+    let mut vals = row.values().to_vec();
+    vals[column] = value;
+    table.update(rid, vals)?;
+    Ok(true)
+}
+
+/// Delete the row whose column 0 holds `id`. False if missing.
+fn delete(table: &Table, id: u64) -> Result<bool> {
+    match find(table, 0, id)? {
+        Some((rid, _)) => table.delete(rid).map(|_| true),
+        None => Ok(false),
+    }
+}
+
+/// Replace the row whose column 0 holds `vals[0]` (an id), or insert one.
+fn upsert(table: &Table, vals: Vec<Value>) -> Result<()> {
+    let id = vals[0].as_i64().unwrap_or(0) as u64;
+    match find(table, 0, id)? {
+        Some((rid, _)) => table.update(rid, vals).map(|_| ()),
+        None => table.insert(vals).map(|_| ()),
+    }
 }
 
 impl Catalog {
@@ -191,7 +238,7 @@ impl Catalog {
                 is_default: true,
             })?;
         }
-        if cat.find_set_by_name("default")?.is_none() {
+        if find(&cat.trigger_set, 0, 1)?.is_none() {
             cat.insert_set(&TriggerSetRow {
                 id: TriggerSetId(1),
                 name: "default".into(),
@@ -217,67 +264,29 @@ impl Catalog {
 
     /// All trigger sets.
     pub fn sets(&self) -> Result<Vec<TriggerSetRow>> {
-        let mut out = Vec::new();
-        self.trigger_set.scan(|_, row| {
-            out.push(TriggerSetRow {
-                id: TriggerSetId(row.get(0).as_i64().unwrap_or(0) as u32),
-                name: row.get(1).as_str().unwrap_or("").to_string(),
-                enabled: row.get(4) == &Value::Int(1),
-            });
-            Ok(true)
-        })?;
-        Ok(out)
-    }
-
-    /// Find a set by name.
-    pub fn find_set_by_name(&self, name: &str) -> Result<Option<TriggerSetRow>> {
-        Ok(self
-            .sets()?
-            .into_iter()
-            .find(|s| s.name.eq_ignore_ascii_case(name)))
+        let rows = self.trigger_set.scan_all()?;
+        let set = |(_, row): &(RecordId, Tuple)| TriggerSetRow {
+            id: TriggerSetId(row.get(0).as_i64().unwrap_or(0) as u32),
+            name: row.get(1).as_str().unwrap_or("").to_string(),
+            enabled: row.get(4) == &Value::Int(1),
+        };
+        Ok(rows.iter().map(set).collect())
     }
 
     /// Flip a set's isEnabled flag. Returns false if missing.
-    pub fn set_set_enabled(&self, name: &str, enabled: bool) -> Result<bool> {
-        let mut hit = None;
-        self.trigger_set.scan(|rid, row| {
-            if row.get(1).as_str().map(|s| s.eq_ignore_ascii_case(name)) == Some(true) {
-                hit = Some((rid, row.clone()));
-                return Ok(false);
-            }
-            Ok(true)
-        })?;
-        let Some((rid, row)) = hit else {
-            return Ok(false);
-        };
-        let mut vals = row.values().to_vec();
-        vals[4] = Value::Int(enabled as i64);
-        self.trigger_set.update(rid, vals)?;
-        Ok(true)
+    pub fn set_set_enabled(&self, id: TriggerSetId, enabled: bool) -> Result<bool> {
+        let flag = Value::Int(enabled as i64);
+        set_column(&self.trigger_set, 0, id.raw().into(), 4, flag)
     }
 
     /// Remove a set row (callers ensure it is empty).
-    pub fn delete_set(&self, name: &str) -> Result<bool> {
-        let mut hit = None;
-        self.trigger_set.scan(|rid, row| {
-            if row.get(1).as_str().map(|s| s.eq_ignore_ascii_case(name)) == Some(true) {
-                hit = Some(rid);
-                return Ok(false);
-            }
-            Ok(true)
-        })?;
-        match hit {
-            Some(rid) => {
-                self.trigger_set.delete(rid)?;
-                Ok(true)
-            }
-            None => Ok(false),
-        }
+    pub fn delete_set(&self, id: TriggerSetId) -> Result<bool> {
+        delete(&self.trigger_set, id.raw().into())
     }
 
     // ----- triggers ---------------------------------------------------------
 
-    /// Insert a trigger row.
+    /// Insert a trigger row, created now.
     pub fn insert_trigger(&self, row: &TriggerRow) -> Result<()> {
         self.trigger.insert(vec![
             Value::Int(row.id.raw() as i64),
@@ -285,13 +294,13 @@ impl Catalog {
             Value::str(&*row.name),
             Value::str(""),
             Value::str(&*row.text),
-            Value::Int(row.created),
+            Value::Int(now_secs()),
             Value::Int(row.enabled as i64),
         ])?;
         Ok(())
     }
 
-    fn trigger_from_row(row: &tman_common::Tuple) -> TriggerRow {
+    fn trigger_from_row(row: &Tuple) -> TriggerRow {
         TriggerRow {
             id: TriggerId(row.get(0).as_i64().unwrap_or(0) as u64),
             set: TriggerSetId(row.get(1).as_i64().unwrap_or(0) as u32),
@@ -304,76 +313,28 @@ impl Catalog {
 
     /// All trigger rows.
     pub fn triggers(&self) -> Result<Vec<TriggerRow>> {
-        let mut out = Vec::new();
-        self.trigger.scan(|_, row| {
-            out.push(Self::trigger_from_row(row));
-            Ok(true)
-        })?;
-        Ok(out)
+        let rows = self.trigger.scan_all()?;
+        Ok(rows
+            .iter()
+            .map(|(_, r)| Self::trigger_from_row(r))
+            .collect())
     }
 
     /// Fetch one trigger row by id.
     pub fn trigger_by_id(&self, id: TriggerId) -> Result<Option<TriggerRow>> {
-        let mut hit = None;
-        self.trigger.scan(|_, row| {
-            if row.get(0) == &Value::Int(id.raw() as i64) {
-                hit = Some(Self::trigger_from_row(row));
-                return Ok(false);
-            }
-            Ok(true)
-        })?;
-        Ok(hit)
-    }
-
-    /// Fetch one trigger row by name.
-    pub fn trigger_by_name(&self, name: &str) -> Result<Option<TriggerRow>> {
-        let mut hit = None;
-        self.trigger.scan(|_, row| {
-            if row.get(2).as_str().map(|s| s.eq_ignore_ascii_case(name)) == Some(true) {
-                hit = Some(Self::trigger_from_row(row));
-                return Ok(false);
-            }
-            Ok(true)
-        })?;
-        Ok(hit)
+        let hit = find(&self.trigger, 0, id.raw())?;
+        Ok(hit.map(|(_, row)| Self::trigger_from_row(&row)))
     }
 
     /// Remove a trigger row. Returns false if missing.
     pub fn delete_trigger(&self, id: TriggerId) -> Result<bool> {
-        let mut hit = None;
-        self.trigger.scan(|rid, row| {
-            if row.get(0) == &Value::Int(id.raw() as i64) {
-                hit = Some(rid);
-                return Ok(false);
-            }
-            Ok(true)
-        })?;
-        match hit {
-            Some(rid) => {
-                self.trigger.delete(rid)?;
-                Ok(true)
-            }
-            None => Ok(false),
-        }
+        delete(&self.trigger, id.raw())
     }
 
     /// Flip a trigger's isEnabled flag. Returns false if missing.
     pub fn set_trigger_enabled(&self, id: TriggerId, enabled: bool) -> Result<bool> {
-        let mut hit = None;
-        self.trigger.scan(|rid, row| {
-            if row.get(0) == &Value::Int(id.raw() as i64) {
-                hit = Some((rid, row.clone()));
-                return Ok(false);
-            }
-            Ok(true)
-        })?;
-        let Some((rid, row)) = hit else {
-            return Ok(false);
-        };
-        let mut vals = row.values().to_vec();
-        vals[6] = Value::Int(enabled as i64);
-        self.trigger.update(rid, vals)?;
-        Ok(true)
+        let flag = Value::Int(enabled as i64);
+        set_column(&self.trigger, 0, id.raw(), 6, flag)
     }
 
     // ----- connections --------------------------------------------------------
@@ -382,18 +343,8 @@ impl Catalog {
     /// on the previous default.
     pub fn insert_connection(&self, row: &ConnectionRow) -> Result<()> {
         if row.is_default {
-            let mut updates = Vec::new();
-            self.connection.scan(|rid, r| {
-                if r.get(5) == &Value::Int(1) {
-                    updates.push((rid, r.clone()));
-                }
-                Ok(true)
-            })?;
-            for (rid, r) in updates {
-                let mut vals = r.values().to_vec();
-                vals[5] = Value::Int(0);
-                self.connection.update(rid, vals)?;
-            }
+            // Clear the flag wherever it is set: `find` by a flag of 1.
+            while set_column(&self.connection, 5, 1, 5, Value::Int(0))? {}
         }
         let opt = |o: &Option<String>| match o {
             Some(s) => Value::str(&**s),
@@ -412,19 +363,16 @@ impl Catalog {
 
     /// All connection rows.
     pub fn connections(&self) -> Result<Vec<ConnectionRow>> {
-        let mut out = Vec::new();
-        self.connection.scan(|_, row| {
-            out.push(ConnectionRow {
-                name: row.get(0).as_str().unwrap_or("").to_string(),
-                dbtype: row.get(1).as_str().unwrap_or("").to_string(),
-                host: row.get(2).as_str().map(|s| s.to_string()),
-                server: row.get(3).as_str().map(|s| s.to_string()),
-                user: row.get(4).as_str().map(|s| s.to_string()),
-                is_default: row.get(5) == &Value::Int(1),
-            });
-            Ok(true)
-        })?;
-        Ok(out)
+        let rows = self.connection.scan_all()?;
+        let connection = |(_, row): &(RecordId, Tuple)| ConnectionRow {
+            name: row.get(0).as_str().unwrap_or("").to_string(),
+            dbtype: row.get(1).as_str().unwrap_or("").to_string(),
+            host: row.get(2).as_str().map(|s| s.to_string()),
+            server: row.get(3).as_str().map(|s| s.to_string()),
+            user: row.get(4).as_str().map(|s| s.to_string()),
+            is_default: row.get(5) == &Value::Int(1),
+        };
+        Ok(rows.iter().map(connection).collect())
     }
 
     // ----- data sources -----------------------------------------------------
@@ -446,25 +394,17 @@ impl Catalog {
 
     /// All data-source rows.
     pub fn data_sources(&self) -> Result<Vec<DataSourceRow>> {
-        let mut out = Vec::new();
-        let mut err = None;
-        self.data_source.scan(|_, row| {
-            match decode_schema(row.get(2).as_str().unwrap_or("")) {
-                Ok(schema) => out.push(DataSourceRow {
-                    id: DataSourceId(row.get(0).as_i64().unwrap_or(0) as u32),
-                    name: row.get(1).as_str().unwrap_or("").to_string(),
-                    schema,
-                    local_table: row.get(3).as_str().map(|s| s.to_string()),
-                    connection: row.get(4).as_str().unwrap_or("local").to_string(),
-                }),
-                Err(e) => err = Some(e),
-            }
-            Ok(true)
-        })?;
-        match err {
-            Some(e) => Err(e),
-            None => Ok(out),
-        }
+        let rows = self.data_source.scan_all()?;
+        let source = |(_, row): &(RecordId, Tuple)| {
+            Ok(DataSourceRow {
+                id: DataSourceId(row.get(0).as_i64().unwrap_or(0) as u32),
+                name: row.get(1).as_str().unwrap_or("").to_string(),
+                schema: decode_schema(row.get(2).as_str().unwrap_or(""))?,
+                local_table: row.get(3).as_str().map(|s| s.to_string()),
+                connection: row.get(4).as_str().unwrap_or("local").to_string(),
+            })
+        };
+        rows.iter().map(source).collect()
     }
 
     // ----- expression signatures ---------------------------------------------
@@ -480,31 +420,17 @@ impl Catalog {
         size: usize,
         organization: &str,
     ) -> Result<()> {
-        let mut existing = None;
-        self.expression_signature.scan(|rid, row| {
-            if row.get(0) == &Value::Int(id.raw() as i64) {
-                existing = Some(rid);
-                return Ok(false);
-            }
-            Ok(true)
-        })?;
-        let vals = vec![
-            Value::Int(id.raw() as i64),
-            Value::Int(data_src.raw() as i64),
-            Value::str(desc),
-            Value::str(const_table),
-            Value::Int(size as i64),
-            Value::str(organization),
-        ];
-        match existing {
-            Some(rid) => {
-                self.expression_signature.update(rid, vals)?;
-            }
-            None => {
-                self.expression_signature.insert(vals)?;
-            }
-        }
-        Ok(())
+        upsert(
+            &self.expression_signature,
+            vec![
+                Value::Int(id.raw() as i64),
+                Value::Int(data_src.raw() as i64),
+                Value::str(desc),
+                Value::str(const_table),
+                Value::Int(size as i64),
+                Value::str(organization),
+            ],
+        )
     }
 
     // ----- windowed-threshold state -------------------------------------------
@@ -519,87 +445,50 @@ impl Catalog {
             .map(|t| t.to_string())
             .collect::<Vec<_>>()
             .join(",");
-        let vals = vec![
-            Value::Int(id.raw() as i64),
-            Value::Int(last_ts as i64),
-            Value::str(encoded),
-        ];
-        let mut existing = None;
-        self.window_state.scan(|rid, row| {
-            if row.get(0) == &Value::Int(id.raw() as i64) {
-                existing = Some(rid);
-                return Ok(false);
-            }
-            Ok(true)
-        })?;
-        match existing {
-            Some(rid) => {
-                self.window_state.update(rid, vals)?;
-            }
-            None => {
-                self.window_state.insert(vals)?;
-            }
-        }
-        Ok(())
+        upsert(
+            &self.window_state,
+            vec![
+                Value::Int(id.raw() as i64),
+                Value::Int(last_ts as i64),
+                Value::str(encoded),
+            ],
+        )
     }
 
     /// All persisted window states as `(triggerID, lastTs, timestamps)`.
     pub fn windows(&self) -> Result<Vec<(TriggerId, u64, Vec<u64>)>> {
-        let mut out = Vec::new();
-        self.window_state.scan(|_, row| {
-            let ring = row
-                .get(2)
-                .as_str()
-                .unwrap_or("")
-                .split(',')
-                .filter(|s| !s.is_empty())
-                .filter_map(|s| s.parse::<u64>().ok())
-                .collect();
-            out.push((
+        let rows = self.window_state.scan_all()?;
+        let window = |(_, row): &(RecordId, Tuple)| {
+            let ring = row.get(2).as_str().unwrap_or("").split(',');
+            (
                 TriggerId(row.get(0).as_i64().unwrap_or(0) as u64),
                 row.get(1).as_i64().unwrap_or(0) as u64,
-                ring,
-            ));
-            Ok(true)
-        })?;
-        Ok(out)
+                ring.filter_map(|s| s.parse::<u64>().ok()).collect(),
+            )
+        };
+        Ok(rows.iter().map(window).collect())
     }
 
     /// Remove a trigger's window state. Returns false if missing.
     pub fn delete_window(&self, id: TriggerId) -> Result<bool> {
-        let mut hit = None;
-        self.window_state.scan(|rid, row| {
-            if row.get(0) == &Value::Int(id.raw() as i64) {
-                hit = Some(rid);
-                return Ok(false);
-            }
-            Ok(true)
-        })?;
-        match hit {
-            Some(rid) => {
-                self.window_state.delete(rid)?;
-                Ok(true)
-            }
-            None => Ok(false),
-        }
+        delete(&self.window_state, id.raw())
     }
 
     /// All signature rows as `(sigID, dataSrcID, desc, constTable, size,
     /// organization)`.
     pub fn signatures(&self) -> Result<Vec<SignatureRow>> {
-        let mut out = Vec::new();
-        self.expression_signature.scan(|_, row| {
-            out.push((
+        let rows = self.expression_signature.scan_all()?;
+        let signature = |(_, row): &(RecordId, Tuple)| {
+            (
                 SignatureId(row.get(0).as_i64().unwrap_or(0) as u32),
                 DataSourceId(row.get(1).as_i64().unwrap_or(0) as u32),
                 row.get(2).as_str().unwrap_or("").to_string(),
                 row.get(3).as_str().unwrap_or("").to_string(),
                 row.get(4).as_i64().unwrap_or(0),
                 row.get(5).as_str().unwrap_or("").to_string(),
-            ));
-            Ok(true)
-        })?;
-        Ok(out)
+            )
+        };
+        Ok(rows.iter().map(signature).collect())
     }
 }
 
@@ -609,10 +498,12 @@ mod tests {
 
     #[test]
     fn catalog_roundtrips() {
-        let db = Database::open_memory(256);
+        let path = std::env::temp_dir().join(format!("tman_catalog_{}.db", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let db = Database::open_file(&path, 256).unwrap();
         let cat = Catalog::open(&db).unwrap();
         // Default set exists.
-        assert!(cat.find_set_by_name("default").unwrap().is_some());
+        assert_eq!(cat.sets().unwrap()[0].name, "default");
 
         cat.insert_set(&TriggerSetRow {
             id: TriggerSetId(2),
@@ -625,24 +516,32 @@ mod tests {
             set: TriggerSetId(2),
             name: "t10".into(),
             text: "create trigger t10 from emp do notify 'x'".into(),
-            created: 123,
+            created: 0,
             enabled: true,
         };
         cat.insert_trigger(&t).unwrap();
-        assert_eq!(
-            cat.trigger_by_id(TriggerId(10)).unwrap().unwrap().name,
-            "t10"
+        let stored = cat.trigger_by_id(TriggerId(10)).unwrap().unwrap();
+        assert_eq!(stored.name, "t10");
+        assert!(
+            stored.created > 0,
+            "insert_trigger stamps the creation date"
         );
-        assert_eq!(
-            cat.trigger_by_name("T10").unwrap().unwrap().id,
-            TriggerId(10)
-        );
+
+        // The date is the stored one, not the time of the read.
+        db.checkpoint().unwrap();
+        drop((cat, db));
+        let db = Database::open_file(&path, 256).unwrap();
+        let cat = Catalog::open(&db).unwrap();
+        assert_eq!(cat.trigger_by_id(TriggerId(10)).unwrap(), Some(stored));
 
         assert!(cat.set_trigger_enabled(TriggerId(10), false).unwrap());
         assert!(!cat.trigger_by_id(TriggerId(10)).unwrap().unwrap().enabled);
         assert!(cat.delete_trigger(TriggerId(10)).unwrap());
         assert!(cat.trigger_by_id(TriggerId(10)).unwrap().is_none());
         assert!(!cat.delete_trigger(TriggerId(10)).unwrap());
+        assert!(!cat.set_trigger_enabled(TriggerId(10), true).unwrap());
+        drop((cat, db));
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -21,6 +21,12 @@
 //!   token- and condition-level concurrency (§6, [`driver`]); a rule action
 //!   runs inline on the thread that matched it.
 //!
+//! [`TriggerMan`] is split where the paper splits it. DDL (`ddl.rs`) is
+//! one critical section over one private `Ddl` value; the drain and the
+//! push path (this file) never take that lock — they read the predicate
+//! index, the trigger cache, and an immutable `Published` value (sources,
+//! set flags) that DDL replaces by swap.
+//!
 //! ## Quick start
 //!
 //! ```
@@ -42,9 +48,9 @@
 pub mod action;
 pub mod cache;
 pub mod catalog;
-pub mod client;
 pub mod compile;
 pub mod config;
+mod ddl;
 pub mod driver;
 pub mod events;
 pub mod metrics;
@@ -54,7 +60,6 @@ pub mod source;
 pub mod window;
 
 pub use cache::{PinnedTrigger, TriggerCache};
-pub use client::{Client, DataSourceClient};
 pub use compile::{CompiledAction, CompiledTrigger};
 pub use config::{Config, QueueMode, TracingMode};
 pub use driver::{AckState, DriverPool, Task, TmanTestResult};
@@ -68,14 +73,15 @@ pub use tman_telemetry::{
 };
 pub use window::WindowState;
 
-use catalog::{Catalog, ConnectionRow, DataSourceRow, TriggerRow, TriggerSetRow};
+use catalog::{Catalog, TriggerRow};
 use compile::compile_trigger;
 use crossbeam::queue::SegQueue;
+use ddl::{Ddl, Published};
 use parking_lot::{Mutex, RwLock};
 use queue::UpdateQueue;
-use source::{SourceInfo, TableAlphaSource};
+use source::SourceInfo;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use tman_common::fxhash::{FxHashMap, FxHashSet};
 use tman_common::stats::Counter;
@@ -83,8 +89,6 @@ use tman_common::{
     DataSourceId, EventKind, ExprId, NodeId, Result, Schema, SignatureId, TagClaims, TmanError,
     TokenOp, TriggerId, TriggerSetId, Tuple, UpdateDescriptor,
 };
-use tman_expr::signature::analyze_selection;
-use tman_expr::{decompose_disjunction, IndexPlan};
 use tman_lang::ast::Command;
 use tman_network::Polarity;
 use tman_predindex::{MatchPlan, PredicateIndex, Probe};
@@ -160,14 +164,6 @@ fn tag_of(trigger: TriggerId, node: NodeId) -> u64 {
     (trigger.raw() << 4) | u64::from(node.raw())
 }
 
-/// A trigger set as the engine holds it.
-struct SetEntry {
-    id: TriggerSetId,
-    /// Shared by every trigger compiled into the set
-    /// ([`CompiledTrigger::set_enabled`]).
-    enabled: Arc<AtomicBool>,
-}
-
 /// A flagged index entry with the source and signature it landed in.
 type FlaggedEntry = (ExprId, DataSourceId, SignatureId);
 
@@ -217,6 +213,25 @@ fn stamp_ingest(tok: &mut UpdateDescriptor) {
     }
 }
 
+/// [`TriggerMan::validate_token`] against one load of the definitions.
+fn check_token(published: &Published, token: &UpdateDescriptor) -> Result<()> {
+    let info = published
+        .sources
+        .get(&token.data_src)
+        .ok_or_else(|| TmanError::NotFound(format!("data source {}", token.data_src)))?;
+    for t in [&token.old, &token.new].into_iter().flatten() {
+        if t.arity() != info.schema.arity() {
+            return Err(TmanError::Type(format!(
+                "token arity {} does not match '{}' ({} columns)",
+                t.arity(),
+                info.name,
+                info.schema.arity()
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// The TriggerMan system (Figure 1).
 pub struct TriggerMan {
     config: Config,
@@ -232,19 +247,17 @@ pub struct TriggerMan {
     /// [`UpdateQueue::ack_batch`] barrier (see [`Self::flush_acks`]).
     pending_acks: Arc<SegQueue<i64>>,
     events: EventBus,
-    sources_by_name: RwLock<FxHashMap<String, Arc<SourceInfo>>>,
-    sources_by_id: RwLock<FxHashMap<DataSourceId, Arc<SourceInfo>>>,
-    table_to_source: RwLock<FxHashMap<String, Arc<SourceInfo>>>,
-    sets: RwLock<FxHashMap<String, SetEntry>>,
-    connections: RwLock<FxHashMap<String, ConnectionRow>>,
-    trigger_names: RwLock<FxHashMap<String, TriggerId>>,
-    /// Tagged or windowed entries per trigger, with the source and
-    /// signature each landed in — the drop-trigger cleanup walk. DDL only.
-    trigger_exprs: RwLock<FxHashMap<TriggerId, Vec<FlaggedEntry>>>,
+    /// Everything only DDL reads, and the lock that makes each DDL command
+    /// one critical section (see [`ddl`]). The drain never takes it.
+    ddl: Mutex<Ddl>,
+    /// What the drain and the push path read of the definitions, replaced
+    /// by swap from inside the DDL critical section
+    /// ([`published`](Self::published)).
+    published: RwLock<Arc<Published>>,
     /// Windowed-threshold state per windowed trigger. It outlives the
     /// trigger's cache residency, so it hangs here rather than on the
-    /// compiled description; the drain reads it only for a match whose
-    /// entry is flagged [`EXPR_WINDOWED`].
+    /// compiled description; DDL is the only writer, and the drain reads
+    /// it only for a match whose entry is flagged [`EXPR_WINDOWED`].
     windows: RwLock<FxHashMap<TriggerId, Arc<WindowState>>>,
     /// Live tagged entries across the index (`Arc` so the registry can
     /// read it as the `tman_tagged_entries` instrument): a token split
@@ -256,10 +269,6 @@ pub struct TriggerMan {
     window_fires: Arc<Counter>,
     /// Timestamps aged out by the maintenance-path expiry.
     window_evictions: Arc<Counter>,
-    next_trigger: AtomicU64,
-    next_source: AtomicU32,
-    next_set: AtomicU32,
-    next_expr: AtomicU64,
     stats: EngineStats,
     pub(crate) telemetry: metrics::EngineTelemetry,
     tracer: Option<Arc<Tracer>>,
@@ -330,22 +339,13 @@ impl TriggerMan {
             shards: ShardSet::new(config.num_shards()),
             pending_acks: Arc::new(SegQueue::new()),
             events,
-            sources_by_name: RwLock::new(FxHashMap::default()),
-            sources_by_id: RwLock::new(FxHashMap::default()),
-            table_to_source: RwLock::new(FxHashMap::default()),
-            sets: RwLock::new(FxHashMap::default()),
-            connections: RwLock::new(FxHashMap::default()),
-            trigger_names: RwLock::new(FxHashMap::default()),
-            trigger_exprs: RwLock::new(FxHashMap::default()),
+            ddl: Mutex::default(),
+            published: RwLock::default(),
             windows: RwLock::new(FxHashMap::default()),
             tagged_count: Arc::new(AtomicU64::new(0)),
             tag_dedup_hits: Arc::new(Counter::default()),
             window_fires: Arc::new(Counter::default()),
             window_evictions: Arc::new(Counter::default()),
-            next_trigger: AtomicU64::new(1),
-            next_source: AtomicU32::new(1),
-            next_set: AtomicU32::new(2), // 1 = "default"
-            next_expr: AtomicU64::new(1),
             stats: EngineStats::default(),
             last_error: Mutex::new(None),
             http: Mutex::new(None),
@@ -477,74 +477,6 @@ impl TriggerMan {
                 r.register_counter_fn(name, &[], move || read(&t.stats()));
             }
         }
-    }
-
-    /// Rebuild in-memory state from the catalogs (system start, §5.1:
-    /// triggers live on disk as text; descriptions are cached on demand).
-    fn recover(&self) -> Result<()> {
-        // Connections (the catalog pre-creates the default `local` one).
-        {
-            let mut conns = self.connections.write();
-            for row in self.catalog.connections()? {
-                conns.insert(row.name.to_lowercase(), row);
-            }
-        }
-        // Trigger sets.
-        {
-            let mut sets = self.sets.write();
-            for row in self.catalog.sets()? {
-                self.next_set.fetch_max(row.id.raw() + 1, Ordering::Relaxed);
-                sets.insert(
-                    row.name.to_lowercase(),
-                    SetEntry {
-                        id: row.id,
-                        enabled: Arc::new(AtomicBool::new(row.enabled)),
-                    },
-                );
-            }
-        }
-        // Data sources.
-        for row in self.catalog.data_sources()? {
-            let local_table = match &row.local_table {
-                Some(t) => Some(self.db.table(t)?),
-                None => None,
-            };
-            let info = Arc::new(SourceInfo {
-                id: row.id,
-                name: row.name.clone(),
-                schema: row.schema.clone(),
-                local_table,
-                connection: row.connection.clone(),
-            });
-            self.install_source(info);
-            self.next_source
-                .fetch_max(row.id.raw() + 1, Ordering::Relaxed);
-        }
-        // Triggers: recompile each to re-register its predicates; cache
-        // descriptions up to capacity.
-        for row in self.catalog.triggers()? {
-            self.next_trigger
-                .fetch_max(row.id.raw() + 1, Ordering::Relaxed);
-            self.trigger_names
-                .write()
-                .insert(row.name.to_lowercase(), row.id);
-            let compiled = self.compile_row(&row)?;
-            self.register_predicates(&compiled)?;
-            let trigger = Arc::new(compiled.trigger);
-            self.prime_network(&trigger)?;
-            self.cache.insert(trigger);
-        }
-        // Windowed-threshold state: re-arm the coarsely persisted rings
-        // (at-least-once — a crash between an observe and the next
-        // durability barrier replays the token into an older window, so a
-        // fire may repeat but is never lost). Rows of dropped triggers are
-        // skipped.
-        for (tid, last_ts, ring) in self.catalog.windows()? {
-            if let Some(w) = self.windows.read().get(&tid) {
-                w.hydrate(last_ts, &ring);
-            }
-        }
-        Ok(())
     }
 
     // ----- accessors ---------------------------------------------------------
@@ -876,159 +808,28 @@ impl TriggerMan {
             })
     }
 
-    /// Register a connection (§2). The engine's own database is the
-    /// pre-defined `local` connection; remote connections exist as catalog
-    /// metadata whose sources ingest through the data-source API.
-    pub fn define_connection(&self, def: &tman_lang::ast::ConnectionDef) -> Result<()> {
-        let mut conns = self.connections.write();
-        if conns.contains_key(&def.name.to_lowercase()) {
-            return Err(TmanError::AlreadyExists(format!(
-                "connection '{}'",
-                def.name
-            )));
-        }
-        let row = ConnectionRow {
-            name: def.name.clone(),
-            dbtype: def.dbtype.clone(),
-            host: def.host.clone(),
-            server: def.server.clone(),
-            user: def.user.clone(),
-            is_default: def.is_default,
-        };
-        self.catalog.insert_connection(&row)?;
-        if def.is_default {
-            for c in conns.values_mut() {
-                c.is_default = false;
-            }
-        }
-        conns.insert(def.name.to_lowercase(), row);
-        Ok(())
-    }
-
-    /// All registered connections.
-    pub fn connections(&self) -> Vec<ConnectionRow> {
-        self.connections.read().values().cloned().collect()
-    }
-
-    /// The designated default connection (§2).
-    pub fn default_connection(&self) -> String {
-        self.connections
-            .read()
-            .values()
-            .find(|c| c.is_default)
-            .map(|c| c.name.clone())
-            .unwrap_or_else(|| "local".into())
-    }
-
-    /// Register a data source on the default connection. `local_table`
-    /// wires update capture to an existing table of the engine database.
-    pub fn define_data_source(
-        &self,
-        name: &str,
-        schema: Schema,
-        local_table: Option<&str>,
-    ) -> Result<DataSourceId> {
-        self.define_data_source_on(name, schema, local_table, None)
-    }
-
-    /// Register a data source on a named connection (`None` = default).
-    /// Captured local tables are only possible on the `local` connection;
-    /// sources on remote connections ingest via [`TriggerMan::push_token`].
-    pub fn define_data_source_on(
-        &self,
-        name: &str,
-        schema: Schema,
-        local_table: Option<&str>,
-        connection: Option<&str>,
-    ) -> Result<DataSourceId> {
-        if self
-            .sources_by_name
-            .read()
-            .contains_key(&name.to_lowercase())
-        {
-            return Err(TmanError::AlreadyExists(format!("data source '{name}'")));
-        }
-        let conn_name = match connection {
-            Some(c) => {
-                let conns = self.connections.read();
-                conns
-                    .get(&c.to_lowercase())
-                    .map(|r| r.name.clone())
-                    .ok_or_else(|| TmanError::NotFound(format!("connection '{c}'")))?
-            }
-            None => self.default_connection(),
-        };
-        if local_table.is_some() && !conn_name.eq_ignore_ascii_case("local") {
-            return Err(TmanError::Invalid(format!(
-                "update capture from a table requires the local connection,                  not '{conn_name}'"
-            )));
-        }
-        // Capture routes a table's changes to one source: a second source
-        // over the same table would take the first one's tokens.
-        if let Some(owner) = local_table.and_then(|t| {
-            let sources = self.table_to_source.read();
-            sources.get(&t.to_lowercase()).map(|s| s.name.clone())
-        }) {
-            return Err(TmanError::AlreadyExists(format!(
-                "data source '{owner}' already captures that table"
-            )));
-        }
-        let table = match local_table {
-            Some(t) => Some(source::ensure_local_table(&self.db, t, &schema)?),
-            None => None,
-        };
-        let id = DataSourceId(self.next_source.fetch_add(1, Ordering::Relaxed));
-        let info = Arc::new(SourceInfo {
-            id,
-            name: name.to_string(),
-            schema: schema.clone(),
-            local_table: table,
-            connection: conn_name.clone(),
-        });
-        self.catalog.insert_data_source(&DataSourceRow {
-            id,
-            name: name.to_string(),
-            schema,
-            local_table: local_table.map(|s| s.to_string()),
-            connection: conn_name,
-        })?;
-        self.install_source(info);
-        Ok(id)
-    }
-
-    fn install_source(&self, info: Arc<SourceInfo>) {
-        self.sources_by_name
-            .write()
-            .insert(info.name.to_lowercase(), info.clone());
-        self.sources_by_id.write().insert(info.id, info.clone());
-        if let Some(t) = &info.local_table {
-            self.table_to_source
-                .write()
-                .insert(t.name().to_lowercase(), info.clone());
-        }
+    /// The definitions as last published by DDL: a load, never a wait on
+    /// the DDL critical section.
+    fn published(&self) -> Arc<Published> {
+        self.published.read().clone()
     }
 
     /// Look up a data source by name.
     pub fn source(&self, name: &str) -> Result<Arc<SourceInfo>> {
-        self.sources_by_name
-            .read()
-            .get(&name.to_lowercase())
+        self.published()
+            .source_named(name)
             .cloned()
             .ok_or_else(|| TmanError::NotFound(format!("data source '{name}'")))
-    }
-
-    fn alpha_source(&self) -> TableAlphaSource {
-        TableAlphaSource::new(self.sources_by_id.read().values().cloned().collect())
     }
 
     /// Prime a trigger's network, scanning the memory nodes' base data in
     /// parallel for multi-variable triggers (§6 data-level concurrency).
     fn prime_network(&self, trigger: &CompiledTrigger) -> Result<()> {
-        let alpha = self.alpha_source();
+        let alpha = self.published();
         if trigger.vars.len() > 1 {
-            trigger.network.prime_parallel(&alpha)
+            trigger.network.prime_parallel(&*alpha)
         } else {
-            trigger.network.prime(&alpha)
+            trigger.network.prime(&*alpha)
         }
     }
 
@@ -1048,249 +849,10 @@ impl TriggerMan {
             &|name| self.source(name),
         )?;
         compiled.trigger.enabled = AtomicBool::new(row.enabled);
-        if let Some(set) = self.sets.read().values().find(|s| s.id == row.set) {
-            compiled.trigger.set_enabled = set.enabled.clone();
+        if let Some(flag) = self.published().set_enabled.get(&row.set) {
+            compiled.trigger.set_enabled = flag.clone();
         }
         Ok(compiled)
-    }
-
-    /// §5.1: register a compiled trigger's selection predicates in the
-    /// predicate index and refresh the `expression_signature` catalog.
-    ///
-    /// Two execution facts ride on registration, each as a flag bit of
-    /// the entry's [`ExprId`]:
-    ///
-    /// * **Indexed disjunctions (tagged execution).** When a variable's
-    ///   signature has no index plan — an OR across selectable atoms
-    ///   survives CNF only as a residual test — the concrete CNF is
-    ///   decomposed into per-disjunct branches, each individually
-    ///   indexable, registered as separate entries flagged
-    ///   [`EXPR_TAGGED`]. A token claims their common tag at its first
-    ///   matching entry ([`Self::admit`]), so the trigger still fires at
-    ///   most once per token even when several disjuncts match. Each
-    ///   branch is an ordinary entry in whatever constant set it lands in.
-    /// * **Windowed thresholds.** A `count >= K within W` trigger gets one
-    ///   shared [`WindowState`]; its entries are flagged
-    ///   [`EXPR_WINDOWED`], and the signatures they land in are marked in
-    ///   the source's match plan, which excludes them from Figure-5
-    ///   fan-out to keep window advances in token order.
-    fn register_predicates(&self, compiled: &compile::Compiled) -> Result<()> {
-        let tid = compiled.trigger.id;
-        let mut window_flag = 0;
-        if let Some(w) = &compiled.trigger.window {
-            let state = Arc::new(WindowState::new(w.count, w.within_ns));
-            self.windows.write().insert(tid, state);
-            window_flag = EXPR_WINDOWED;
-        }
-        let mut tracked = Vec::new();
-        let mut tagged_added = 0u64;
-        for reg in &compiled.predicates {
-            let branches = if self.config.index.tagged_disjunctions
-                && matches!(reg.sig.index_plan, IndexPlan::None)
-            {
-                decompose_disjunction(&reg.canon).filter(|b| b.len() > 1)
-            } else {
-                None
-            };
-            // One (signature, constants) per index entry: the predicate
-            // itself, or one per disjunct.
-            let (flags, entries) = match branches {
-                Some(branches) => (
-                    EXPR_TAGGED | window_flag,
-                    branches
-                        .iter()
-                        .map(|branch| {
-                            analyze_selection(
-                                branch,
-                                reg.source.id,
-                                reg.sig.key.event.clone(),
-                                reg.sig.update_cols.clone(),
-                            )
-                        })
-                        .collect(),
-                ),
-                None => (window_flag, vec![(reg.sig.clone(), reg.consts.clone())]),
-            };
-            for (sig, consts) in entries {
-                let expr_id = ExprId(self.next_expr.fetch_add(1, Ordering::Relaxed) | flags);
-                let (rt, _is_new) = self.predindex.add_predicate(
-                    reg.source.id,
-                    &reg.source.schema,
-                    sig,
-                    consts,
-                    expr_id,
-                    tid,
-                    NodeId(reg.var as u32),
-                )?;
-                self.catalog.upsert_signature(
-                    rt.id,
-                    reg.source.id,
-                    &rt.sig.key.desc,
-                    &rt.const_table_name(),
-                    rt.len(),
-                    rt.org_kind().as_str(),
-                )?;
-                if flags != 0 {
-                    tracked.push((expr_id, reg.source.id, rt.id));
-                    tagged_added += u64::from(flags & EXPR_TAGGED != 0);
-                }
-                if window_flag != 0 {
-                    if let Some(src) = self.predindex.source(reg.source.id) {
-                        src.add_windowed(rt.id, 1);
-                    }
-                }
-            }
-        }
-        if !tracked.is_empty() {
-            self.trigger_exprs.write().insert(tid, tracked);
-        }
-        if tagged_added > 0 {
-            self.tagged_count.fetch_add(tagged_added, Ordering::Relaxed);
-        }
-        Ok(())
-    }
-
-    fn create_trigger(
-        self: &Arc<Self>,
-        stmt: &tman_lang::ast::CreateTrigger,
-        text: &str,
-    ) -> Result<CommandOutput> {
-        if self
-            .trigger_names
-            .read()
-            .contains_key(&stmt.name.to_lowercase())
-        {
-            return Err(TmanError::AlreadyExists(format!("trigger '{}'", stmt.name)));
-        }
-        let set_name = stmt.set.as_deref().unwrap_or("default");
-        let (set, set_enabled) = self
-            .sets
-            .read()
-            .get(&set_name.to_lowercase())
-            .map(|s| (s.id, s.enabled.clone()))
-            .ok_or_else(|| TmanError::NotFound(format!("trigger set '{set_name}'")))?;
-        let id = TriggerId(self.next_trigger.fetch_add(1, Ordering::Relaxed));
-        let mut compiled = compile_trigger(stmt, id, set, text, self.config.network, &|name| {
-            self.source(name)
-        })?;
-        compiled.trigger.set_enabled = set_enabled;
-        self.register_predicates(&compiled)?;
-        let trigger = Arc::new(compiled.trigger);
-        // "Prime" the trigger (§5.1) so stored memories see existing rows.
-        self.prime_network(&trigger)?;
-        self.catalog.insert_trigger(&TriggerRow {
-            id,
-            set,
-            name: trigger.name.to_string(),
-            text: text.to_string(),
-            created: 0,
-            enabled: true,
-        })?;
-        self.trigger_names
-            .write()
-            .insert(trigger.name.to_lowercase(), id);
-        self.cache.insert(trigger);
-        Ok(CommandOutput::TriggerCreated(id))
-    }
-
-    fn drop_trigger(&self, name: &str) -> Result<CommandOutput> {
-        let id = self
-            .trigger_names
-            .write()
-            .remove(&name.to_lowercase())
-            .ok_or_else(|| TmanError::NotFound(format!("trigger '{name}'")))?;
-        self.predindex.remove_trigger(id)?;
-        self.catalog.delete_trigger(id)?;
-        self.cache.remove(id);
-        // Tagged/windowed execution metadata.
-        if let Some(exprs) = self.trigger_exprs.write().remove(&id) {
-            let mut tagged_removed = 0u64;
-            for (eid, src, sig) in exprs {
-                tagged_removed += u64::from(eid.raw() & EXPR_TAGGED != 0);
-                if eid.raw() & EXPR_WINDOWED != 0 {
-                    if let Some(src) = self.predindex.source(src) {
-                        src.add_windowed(sig, -1);
-                    }
-                }
-            }
-            if tagged_removed > 0 {
-                self.tagged_count
-                    .fetch_sub(tagged_removed, Ordering::Relaxed);
-            }
-        }
-        if self.windows.write().remove(&id).is_some() {
-            self.catalog.delete_window(id)?;
-        }
-        Ok(CommandOutput::TriggerDropped(id))
-    }
-
-    fn create_trigger_set(&self, name: &str) -> Result<CommandOutput> {
-        let mut sets = self.sets.write();
-        if sets.contains_key(&name.to_lowercase()) || name.eq_ignore_ascii_case("default") {
-            return Err(TmanError::AlreadyExists(format!("trigger set '{name}'")));
-        }
-        let id = TriggerSetId(self.next_set.fetch_add(1, Ordering::Relaxed));
-        self.catalog.insert_set(&TriggerSetRow {
-            id,
-            name: name.to_string(),
-            enabled: true,
-        })?;
-        let enabled = Arc::new(AtomicBool::new(true));
-        sets.insert(name.to_lowercase(), SetEntry { id, enabled });
-        Ok(CommandOutput::SetCreated(id))
-    }
-
-    fn drop_trigger_set(&self, name: &str) -> Result<CommandOutput> {
-        if name.eq_ignore_ascii_case("default") {
-            return Err(TmanError::Invalid(
-                "cannot drop the default trigger set".into(),
-            ));
-        }
-        let mut sets = self.sets.write();
-        let set = sets
-            .get(&name.to_lowercase())
-            .map(|s| s.id)
-            .ok_or_else(|| TmanError::NotFound(format!("trigger set '{name}'")))?;
-        let in_use = self.catalog.triggers()?.iter().any(|t| t.set == set);
-        if in_use {
-            return Err(TmanError::Invalid(format!(
-                "trigger set '{name}' still contains triggers"
-            )));
-        }
-        self.catalog.delete_set(name)?;
-        sets.remove(&name.to_lowercase());
-        Ok(CommandOutput::SetDropped)
-    }
-
-    fn set_trigger_enabled(self: &Arc<Self>, name: &str, enabled: bool) -> Result<CommandOutput> {
-        let id = *self
-            .trigger_names
-            .read()
-            .get(&name.to_lowercase())
-            .ok_or_else(|| TmanError::NotFound(format!("trigger '{name}'")))?;
-        self.catalog.set_trigger_enabled(id, enabled)?;
-        if let Some(t) = self.cache.peek(id) {
-            t.enabled.store(enabled, Ordering::Relaxed);
-        }
-        Ok(CommandOutput::EnabledChanged)
-    }
-
-    fn set_trigger_set_enabled(&self, name: &str, enabled: bool) -> Result<CommandOutput> {
-        let sets = self.sets.read();
-        let set = sets
-            .get(&name.to_lowercase())
-            .ok_or_else(|| TmanError::NotFound(format!("trigger set '{name}'")))?;
-        self.catalog.set_set_enabled(name, enabled)?;
-        set.enabled.store(enabled, Ordering::Relaxed);
-        Ok(CommandOutput::EnabledChanged)
-    }
-
-    /// Trigger names currently defined.
-    pub fn trigger_names(&self) -> Vec<String> {
-        let names = self.trigger_names.read();
-        let mut out: Vec<String> = names.keys().cloned().collect();
-        out.sort();
-        out
     }
 
     // ----- data ingestion -------------------------------------------------------
@@ -1307,13 +869,12 @@ impl TriggerMan {
     pub fn run_stmt(&self, stmt: &tman_lang::SqlStmt) -> Result<ExecResult> {
         let mut captured = Vec::new();
         let result = tman_sql::execute_with_capture(&self.db, stmt, &mut |c| captured.push(c))?;
+        if captured.is_empty() {
+            return Ok(result);
+        }
+        let published = self.published();
         for c in captured {
-            let Some(info) = self
-                .table_to_source
-                .read()
-                .get(&c.table.to_lowercase())
-                .cloned()
-            else {
+            let Some(info) = published.capturing(&c.table) else {
                 continue; // not a captured table
             };
             let token = UpdateDescriptor {
@@ -1337,21 +898,7 @@ impl TriggerMan {
     /// bad one is attributed to the connection that sent it instead of
     /// poisoning a whole group commit.
     pub fn validate_token(&self, token: &UpdateDescriptor) -> Result<()> {
-        let sources = self.sources_by_id.read();
-        let info = sources
-            .get(&token.data_src)
-            .ok_or_else(|| TmanError::NotFound(format!("data source {}", token.data_src)))?;
-        for t in [&token.old, &token.new].into_iter().flatten() {
-            if t.arity() != info.schema.arity() {
-                return Err(TmanError::Type(format!(
-                    "token arity {} does not match '{}' ({} columns)",
-                    t.arity(),
-                    info.name,
-                    info.schema.arity()
-                )));
-            }
-        }
-        Ok(())
+        check_token(&self.published(), token)
     }
 
     /// Data-source API (§3): deliver one update descriptor from a remote
@@ -1372,8 +919,9 @@ impl TriggerMan {
     /// caller never has to reason about partial acceptance.
     pub fn push_tokens(&self, tokens: Vec<UpdateDescriptor>) -> Result<()> {
         let mut batch = tokens;
+        let published = self.published();
         for token in &mut batch {
-            self.validate_token(token)?;
+            check_token(&published, token)?;
             if !token.trace.is_active() {
                 token.trace = self.begin_trace();
             }
@@ -1743,11 +1291,11 @@ impl TriggerMan {
             }
             return Ok(());
         }
-        let alpha = self.alpha_source();
+        let alpha = self.published();
         let mut firings = Vec::new();
         trigger
             .network
-            .activate(var, polarity, tuple, &alpha, &mut |f| firings.push(f))?;
+            .activate(var, polarity, tuple, &*alpha, &mut |f| firings.push(f))?;
         for f in firings {
             // A firing of the other polarity is memory maintenance.
             if f.polarity == polarity {
@@ -1788,13 +1336,12 @@ impl TriggerMan {
             if trigger.vars.len() <= 1 {
                 continue;
             }
-            let alpha = self.alpha_source();
             // Maintenance only: retraction firings do not run actions.
             trigger.network.activate(
                 node.raw() as usize,
                 Polarity::Minus,
                 old,
-                &alpha,
+                &*self.published(),
                 &mut |_| {},
             )?;
         }
@@ -2050,26 +1597,6 @@ impl TriggerMan {
     /// (driver threads, the wire server) poll this to stop their loops.
     pub fn is_shutdown(&self) -> bool {
         self.shutdown.load(Ordering::Relaxed)
-    }
-
-    /// Refresh `expression_signature` catalog rows (sizes/organizations
-    /// change as triggers come and go); called by checkpoints.
-    pub fn refresh_signature_catalog(&self) -> Result<()> {
-        for (_, src) in self.sources_by_id.read().iter() {
-            if let Some(ix) = self.predindex.source(src.id) {
-                for sig in ix.signatures() {
-                    self.catalog.upsert_signature(
-                        sig.id,
-                        src.id,
-                        &sig.sig.key.desc,
-                        &sig.const_table_name(),
-                        sig.len(),
-                        sig.org_kind().as_str(),
-                    )?;
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Flush dirty pages (catalogs, constant tables, queue) to disk.

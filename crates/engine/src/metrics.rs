@@ -413,7 +413,7 @@ impl MetricsSnapshot {
         let ps = pool.stats();
         let ds = pool.disk().stats();
         let mut signatures = Vec::new();
-        for (_, src) in tman.sources_by_id.read().iter() {
+        for src in tman.published().sources.values() {
             if let Some(ix) = tman.predicate_index().source(src.id) {
                 for sig in ix.signatures() {
                     signatures.push(SignatureMetrics {

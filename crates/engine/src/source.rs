@@ -7,6 +7,7 @@
 //! have only a schema; their programs push descriptors through the data
 //! source API ([`crate::TriggerMan::push_token`]).
 
+use crate::ddl::Published;
 use std::sync::Arc;
 use tman_common::{DataSourceId, Result, Schema, Tuple};
 use tman_network::AlphaSource;
@@ -27,25 +28,15 @@ pub struct SourceInfo {
 }
 
 /// [`AlphaSource`] over the engine's local tables: virtual alpha nodes
-/// (A-TREAT) and trigger priming scan base relations through this.
-pub struct TableAlphaSource {
-    sources: Vec<Arc<SourceInfo>>,
-}
-
-impl TableAlphaSource {
-    /// Snapshot the given sources.
-    pub fn new(sources: Vec<Arc<SourceInfo>>) -> TableAlphaSource {
-        TableAlphaSource { sources }
-    }
-}
-
-impl AlphaSource for TableAlphaSource {
+/// (A-TREAT) and trigger priming scan base relations through one load of
+/// the published sources.
+impl AlphaSource for Published {
     fn scan_source(
         &self,
         data_src: DataSourceId,
         visit: &mut dyn FnMut(&Tuple) -> Result<()>,
     ) -> Result<()> {
-        let Some(info) = self.sources.iter().find(|s| s.id == data_src) else {
+        let Some(info) = self.sources.get(&data_src) else {
             return Ok(()); // remote source with no local data: nothing to scan
         };
         let Some(table) = &info.local_table else {

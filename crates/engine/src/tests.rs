@@ -330,17 +330,41 @@ fn remote_data_source_via_push_token() {
             .unwrap(),
     ))
     .unwrap();
+    // An update descriptor (old → new images) that crosses the threshold.
+    let image = |px| {
+        tman.tuple_for("quotes", vec![Value::str("BIG"), Value::Float(px)])
+            .unwrap()
+    };
+    tman.push_token(UpdateDescriptor::update(src, image(500.0), image(2.0)))
+        .unwrap();
     tman.run_until_quiescent().unwrap();
-    let n = rx.try_recv().unwrap();
-    assert_eq!(n.values[0], Value::str("ACME"));
-    assert!(rx.try_recv().is_err());
-    // Arity validation.
-    assert!(tman
-        .push_token(UpdateDescriptor::insert(
-            src,
-            Tuple::new(vec![Value::Int(1)])
-        ))
-        .is_err());
+    let got: Vec<Value> = rx.try_iter().map(|n| n.values[0].clone()).collect();
+    assert_eq!(got, vec![Value::str("ACME"), Value::str("BIG")]);
+    // What a data-source program may not send: a row of the wrong arity or
+    // type, a row for a source that does not exist, a descriptor addressed
+    // to one; a batch with one such descriptor is refused whole.
+    let short = UpdateDescriptor::insert(src, Tuple::new(vec![Value::Int(1)]));
+    assert!(matches!(
+        tman.push_token(short.clone()),
+        Err(TmanError::Type(_))
+    ));
+    let refused = |source, row| tman.tuple_for(source, row).is_err();
+    assert!(refused("quotes", vec![Value::str("A"), Value::str("dear")]));
+    assert!(refused(
+        "quotes",
+        vec![Value::str("A"), 1.0.into(), 2.into()]
+    ));
+    assert!(refused("missing", vec![Value::Int(1)]));
+    let stray = UpdateDescriptor::insert(DataSourceId(999), image(1.0));
+    assert!(matches!(
+        tman.push_token(stray.clone()),
+        Err(TmanError::NotFound(_))
+    ));
+    let good = UpdateDescriptor::insert(src, image(1.0));
+    assert!(tman.push_tokens(vec![good.clone(), stray]).is_err());
+    assert!(tman.push_tokens(vec![good, short]).is_err());
+    tman.run_until_quiescent().unwrap();
+    assert_eq!(rx.try_iter().count(), 0, "nothing of a refused batch ran");
 }
 
 #[test]
@@ -554,6 +578,69 @@ fn trigger_cache_eviction_and_reload() {
     assert!(tman.trigger_cache().stats().misses.get() > 0);
 }
 
+/// The drain takes no DDL lock. With the `Ddl` mutex held here, another
+/// thread drains a resident trigger (cache hit), an evicted one (cache
+/// miss: row fetch, recompile against the published sources and set flags,
+/// re-prime), a join (alpha source), a captured `execSQL` and a windowed
+/// match, then validates a token and takes a metrics snapshot.
+#[test]
+fn drain_completes_while_the_ddl_mutex_is_held() {
+    let tman = TriggerMan::open_memory(Config {
+        trigger_cache_capacity: 1,
+        ..Config::default()
+    })
+    .unwrap();
+    setup_emp(&tman);
+    let rx = tman.subscribe("notify");
+    tman.run_sql("create table audit (name varchar(32))")
+        .unwrap();
+    for text in [
+        "define data source audit from table audit",
+        "create trigger set s",
+        "create trigger hit in s from emp when emp.dept = 1 do notify 'one'",
+        "create trigger miss from emp when emp.dept = 2 \
+         do execSQL 'insert into audit values (:NEW.emp.name)'",
+        "create trigger logged from audit do notify 'audited'",
+        "create trigger pair from emp e, audit a \
+         when e.name = a.name and e.dept = 3 do notify 'joined'",
+        "create trigger burst from emp when emp.dept = 4 count >= 2 within 1 hours \
+         do notify 'burst'",
+    ] {
+        tman.execute_command(text).unwrap();
+    }
+    let src = tman.source("emp").unwrap().id;
+    let tokens =
+        [("a", 1), ("b", 2), ("a", 1), ("b", 3), ("c", 4), ("d", 4)].map(|(name, dept)| {
+            let row = vec![Value::str(name), Value::Float(1.0), Value::Int(dept)];
+            UpdateDescriptor::insert(src, tman.tuple_for("emp", row).unwrap())
+        });
+
+    let held = tman.ddl.lock();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let drain = tman.clone();
+    let drain = std::thread::spawn(move || {
+        for tok in &tokens {
+            drain.process_token(tok).unwrap();
+        }
+        // The captured `audit` insert, through the queue and the
+        // maintenance path (window expiry, ack flush).
+        drain.run_until_quiescent().unwrap();
+        drain.validate_token(&tokens[0]).unwrap();
+        let _ = drain.metrics_snapshot();
+        done_tx.send(()).unwrap();
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the drain waited on the Ddl mutex");
+    drop(held);
+    drain.join().unwrap();
+    let misses = tman.trigger_cache().stats().misses.get();
+    assert!(misses >= 2, "capacity 1: the drain reloaded triggers");
+    let mut got: Vec<String> = rx.try_iter().filter_map(|n| n.message).collect();
+    got.sort();
+    assert_eq!(got, ["audited", "burst", "joined", "one", "one"]);
+}
+
 #[test]
 fn implicit_insert_or_update_event() {
     let tman = system();
@@ -604,16 +691,16 @@ fn tman_test_reports_threshold_expiry() {
 fn connections_catalog_and_defaults() {
     let tman = system();
     // The local connection pre-exists and is the default.
-    assert_eq!(tman.default_connection(), "local");
-    assert_eq!(tman.connections().len(), 1);
+    assert_eq!(tman.default_connection().unwrap(), "local");
+    assert_eq!(tman.connections().unwrap().len(), 1);
 
     tman.execute_command(
         "define connection wallst type 'informix' host 'nyse.example.com' \
          server 'quotes1' user 'feed'",
     )
     .unwrap();
-    assert_eq!(tman.connections().len(), 2);
-    assert_eq!(tman.default_connection(), "local");
+    assert_eq!(tman.connections().unwrap().len(), 2);
+    assert_eq!(tman.default_connection().unwrap(), "local");
     assert!(
         tman.execute_command("define connection wallst type 'oracle'")
             .is_err(),
@@ -636,7 +723,7 @@ fn connections_catalog_and_defaults() {
     // Changing the default connection affects subsequent sources.
     tman.execute_command("define connection lse type 'db2' default")
         .unwrap();
-    assert_eq!(tman.default_connection(), "lse");
+    assert_eq!(tman.default_connection().unwrap(), "lse");
     tman.execute_command("define data source lseticks (sym varchar(8), px float)")
         .unwrap();
     assert_eq!(tman.source("lseticks").unwrap().connection, "lse");
@@ -656,8 +743,8 @@ fn connections_survive_restart() {
     }
     {
         let tman = TriggerMan::open_file(&path, Config::default()).unwrap();
-        assert_eq!(tman.default_connection(), "feed");
-        assert_eq!(tman.connections().len(), 2);
+        assert_eq!(tman.default_connection().unwrap(), "feed");
+        assert_eq!(tman.connections().unwrap().len(), 2);
         assert_eq!(tman.source("s").unwrap().connection, "feed");
     }
     let _ = std::fs::remove_file(&path);

@@ -118,9 +118,6 @@ pub struct IndexConfig {
     /// Entries above which a memory index spills to an indexed database
     /// table (requires an attached database; `usize::MAX` disables).
     pub index_to_db: usize,
-    /// Use the normalized (common-sub-expression-eliminated) constant-set
-    /// layout of Figure 4. Disable only for the E2 ablation.
-    pub normalized: bool,
     /// Tagged execution of disjunctions (Kim & Madden): when a selection
     /// predicate's only obstacle to indexing is an OR over individually
     /// selectable atoms, the engine registers one entry per disjunct —
@@ -135,7 +132,6 @@ impl Default for IndexConfig {
         IndexConfig {
             list_to_index: 32,
             index_to_db: usize::MAX,
-            normalized: true,
             tagged_disjunctions: true,
         }
     }
@@ -693,15 +689,10 @@ impl PredicateIndex {
             Some(s) => (s.rt.clone(), false),
             None => {
                 let id = SignatureId(self.next_sig.fetch_add(1, Ordering::Relaxed));
-                let initial = if self.config.normalized {
-                    OrgKind::MemList
-                } else {
-                    OrgKind::MemListDenorm
-                };
                 let rt = Arc::new(SignatureRuntime {
                     id,
                     org: RwLock::new(Org::new(
-                        initial,
+                        OrgKind::MemList,
                         &sig,
                         &[],
                         &format!("const_table_{}", id.raw()),

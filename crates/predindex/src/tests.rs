@@ -327,20 +327,22 @@ fn remove_trigger_cleans_all_orgs() {
 
 #[test]
 fn normalized_vs_denormalized_share_matching_semantics() {
-    // Figure 4 ablation: same matches either way.
-    let mk = |normalized: bool| {
+    // Figure 4 ablation: same matches either way. A class starts as the
+    // normalized list; the denormalized one is forced.
+    let mk = |org: OrgKind| {
         let ix = PredicateIndex::new(IndexConfig {
-            normalized,
             list_to_index: usize::MAX,
             ..Default::default()
         });
         for t in 0..50u64 {
             add(&ix, "emp.dept = 7", EventKind::Insert, t); // identical constant
         }
+        let class = ix.source(EMP).unwrap().signatures()[0].clone();
+        class.set_org(org).unwrap();
         ix
     };
-    let norm = mk(true);
-    let denorm = mk(false);
+    let norm = mk(OrgKind::MemList);
+    let denorm = mk(OrgKind::MemListDenorm);
     let tok = ins("x", 0.0, 7);
     assert_eq!(matched_ids(&norm, &tok), matched_ids(&denorm, &tok));
     // The normalized layout stores the shared constant once.

@@ -3,10 +3,10 @@
 //!
 //! The paper's architecture captures updates from data sources into a
 //! queue and pushes trigger firings to interested clients. Inside one
-//! process that is [`DataSourceClient`](triggerman::DataSourceClient) and
-//! the [`EventBus`](triggerman::EventBus); this crate extends both ends
-//! over TCP without giving up the scalability story or the crash-safety
-//! story:
+//! process that is [`TriggerMan::push_tokens`](triggerman::TriggerMan::push_tokens)
+//! and the [`EventBus`](triggerman::EventBus); this crate extends both
+//! ends over TCP — it *is* §3's client and data-source libraries — without
+//! giving up the scalability story or the crash-safety story:
 //!
 //! * [`frame`] — a length-framed binary protocol (magic, version, type,
 //!   CRC-32 trailer) with a zero-copy incremental decoder. Malformed input

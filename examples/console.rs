@@ -114,14 +114,19 @@ fn main() {
                 continue;
             }
             ".connections" => {
-                for c in tman.connections() {
-                    println!(
-                        "  {} (type={}{}{})",
-                        c.name,
-                        c.dbtype,
-                        c.host.map(|h| format!(", host={h}")).unwrap_or_default(),
-                        if c.is_default { ", default" } else { "" }
-                    );
+                match tman.connections() {
+                    Ok(conns) => {
+                        for c in conns {
+                            println!(
+                                "  {} (type={}{}{})",
+                                c.name,
+                                c.dbtype,
+                                c.host.map(|h| format!(", host={h}")).unwrap_or_default(),
+                                if c.is_default { ", default" } else { "" }
+                            );
+                        }
+                    }
+                    Err(e) => println!("error: {e}"),
                 }
                 continue;
             }
