@@ -64,8 +64,10 @@ pub enum IndexPlan {
         const_slots: Vec<usize>,
     },
     /// A (possibly one-sided) range on a single column:
-    /// `lo <[=] attr <[=] hi` where lo/hi are constants. Probed with an
-    /// interval structure (interval skip list per \[Hans96b\]).
+    /// `lo <[=] attr <[=] hi` where lo/hi are constants. Probed by
+    /// stabbing an interval structure with the token's value of `col` (the
+    /// interface of \[Hans96b\]'s interval skip list; `tman-predindex`
+    /// keeps sorted runs with a max-upper-bound augmentation).
     Range {
         /// Column ordinal being ranged over.
         col: usize,

@@ -1,15 +1,76 @@
-//! Dynamic interval index for range-predicate signatures.
+//! Flat interval index for range-predicate signatures.
 //!
 //! The mem-index organization of a *range* signature (`lo <[=] attr <[=]
 //! hi`) needs stabbing queries: given a token's attribute value, find every
 //! expression whose interval contains it. \[Hans96b\] uses the interval
-//! skip list; we implement the same interface with an augmented randomized
-//! BST (treap ordered by interval low endpoint, subtree-max on the high
-//! endpoint), which has the same O(log n + answer) expected stabbing cost.
-//! The choice is called out in DESIGN.md.
+//! skip list; this is the same interface over flat storage, with no
+//! allocation per interval:
+//!
+//! * **sorted runs** — each a pair of parallel arrays ordered by low
+//!   endpoint. The first holds three integers per interval: order-
+//!   preserving 64-bit images (`rank`) of its two endpoints and of the
+//!   highest high endpoint in its subtree, the array being read as an
+//!   *implicit* balanced tree (the root of `[l, r)` is its midpoint). A
+//!   stab descends that array alone, pruning whole subtrees, for
+//!   O(log n + answers) integer comparisons per run; the second array —
+//!   the endpoints themselves and the item — is read only where the images
+//!   say the interval contains the value, to make sure.
+//! * an **unsorted tail** of the last few inserts, the same two arrays
+//!   scanned front to back.
+//!
+//! An insert goes to the tail. A tail of `FAN` (16) intervals is sorted
+//! into a new run, and a run is merged into the one before it while it
+//! holds more than `1/FAN` of it — so there are O(log_FAN n) runs, each
+//! older and at least `FAN` times larger than the next, and an interval is
+//! moved O(FAN · log_FAN n) times over its life. A removal from a run
+//! leaves a tombstone; a run that is more tombstones than intervals is
+//! rebuilt, and one with no interval left is dropped.
+//!
+//! Stabs deliver run by run, oldest first, each in low-endpoint order
+//! (insertion order among equal low endpoints), then the tail in insertion
+//! order.
 
+use crate::{tick, Work};
 use std::cmp::Ordering;
 use tman_common::Value;
+
+/// Tail capacity and run size ratio. One number for both because both
+/// trade the same two things — a stab pays one descent per run plus the
+/// tail scan, an insert pays `FAN` moves per level — and the trade has a
+/// flat bottom: over 11 250 narrow bands a stab costs 343, 266, 253, 220
+/// and 292 ns at 4, 8, 16, 32 and 64 while an insert rises from 0.8 to
+/// 3.6 µs (DESIGN.md, "Strategy 2 is flat"), so there is nothing for an
+/// operator to tune.
+const FAN: usize = 16;
+
+/// An order-preserving 64-bit image of a value: `a < b` under
+/// [`Value::total_cmp`] implies `rank(a) <= rank(b)`. Two bits of class
+/// (NULL, number, string) over 62 of payload — a number's `f64` image in
+/// total order, less its two lowest bits, or a string's first seven bytes
+/// — so distinct values may share a rank, and a comparison of ranks can
+/// only rule a value out, never in.
+fn rank(v: &Value) -> u64 {
+    let number = |f: f64| {
+        let bits = f.to_bits();
+        let ordered = if bits >> 63 == 1 {
+            !bits
+        } else {
+            bits | 1 << 63
+        };
+        1 << 62 | ordered >> 2
+    };
+    match v {
+        Value::Null => 0,
+        Value::Int(i) => number(*i as f64),
+        Value::Float(f) => number(*f),
+        Value::Str(s) => {
+            let mut head = [0u8; 8];
+            let n = s.len().min(7);
+            head[..n].copy_from_slice(&s.as_bytes()[..n]);
+            2 << 62 | u64::from_be_bytes(head) >> 2
+        }
+    }
+}
 
 /// An interval endpoint: a bound value plus inclusivity, or unbounded.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,13 +87,6 @@ pub enum Bound {
 }
 
 impl Bound {
-    fn lo_key(&self) -> (Option<&Value>, bool) {
-        match self {
-            Bound::Open => (None, true),
-            Bound::At { value, inclusive } => (Some(value), *inclusive),
-        }
-    }
-
     /// Does a lower bound admit `v`?
     fn lo_admits(&self, v: &Value) -> bool {
         match self {
@@ -56,86 +110,236 @@ impl Bound {
             },
         }
     }
+
+    /// The bound's [`rank`]: `open` if there is no bound.
+    fn rank_or(&self, open: u64) -> u64 {
+        match self {
+            Bound::Open => open,
+            Bound::At { value, .. } => rank(value),
+        }
+    }
+
+    /// Bytes the bound keeps on the heap (a string value's buffer).
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Bound::At {
+                value: Value::Str(s),
+                ..
+            } => s.capacity(),
+            _ => 0,
+        }
+    }
 }
 
 /// Order lower bounds: Open (= -inf) first, then by value; at equal values
 /// an inclusive bound starts earlier than an exclusive one.
 fn cmp_lo(a: &Bound, b: &Bound) -> Ordering {
-    match (a.lo_key(), b.lo_key()) {
-        ((None, _), (None, _)) => Ordering::Equal,
-        ((None, _), _) => Ordering::Less,
-        (_, (None, _)) => Ordering::Greater,
-        ((Some(x), xi), (Some(y), yi)) => x.total_cmp(y).then_with(|| yi.cmp(&xi)),
+    match (a, b) {
+        (Bound::Open, Bound::Open) => Ordering::Equal,
+        (Bound::Open, _) => Ordering::Less,
+        (_, Bound::Open) => Ordering::Greater,
+        (
+            Bound::At {
+                value: x,
+                inclusive: xi,
+            },
+            Bound::At {
+                value: y,
+                inclusive: yi,
+            },
+        ) => x.total_cmp(y).then_with(|| yi.cmp(xi)),
     }
 }
 
-struct Node<T> {
+/// What a stab reads of one interval: [`rank`]s, so the interval may
+/// contain `v` only if `lo <= rank(v) <= hi`.
+struct Key {
+    /// Of the low endpoint; 0 if there is none.
+    lo: u64,
+    /// Of the high endpoint; `u64::MAX` if there is none.
+    hi: u64,
+    /// In a sorted run, the highest `hi` among the intervals of the
+    /// implicit subtree this one roots (tombstones included, which only
+    /// costs a visit).
+    max_hi: u64,
+}
+
+/// The interval itself.
+struct Slot<T> {
     lo: Bound,
     hi: Bound,
-    item: T,
-    priority: u64,
-    /// Max upper bound in this subtree (None = unbounded/open present).
-    max_hi: MaxHi,
-    left: Option<Box<Node<T>>>,
-    right: Option<Box<Node<T>>>,
+    /// `None` once removed.
+    item: Option<T>,
 }
 
-/// Subtree maximum of upper bounds; `Unbounded` dominates everything.
-#[derive(Debug, Clone, PartialEq)]
-enum MaxHi {
-    Unbounded,
-    At(Value),
+impl<T> Slot<T> {
+    fn heap_bytes(&self) -> usize {
+        self.lo.heap_bytes() + self.hi.heap_bytes()
+    }
 }
 
-impl MaxHi {
-    fn of_bound(b: &Bound) -> MaxHi {
-        match b {
-            Bound::Open => MaxHi::Unbounded,
-            Bound::At { value, .. } => MaxHi::At(value.clone()),
+/// `keys[i]` and `slots[i]` are one interval; a sorted run, or the tail.
+struct Run<T> {
+    keys: Vec<Key>,
+    slots: Vec<Slot<T>>,
+    /// Slots that still hold an item.
+    live: usize,
+}
+
+impl<T> Run<T> {
+    /// An unsorted run with room for `n` intervals.
+    fn with_capacity(n: usize) -> Run<T> {
+        Run {
+            keys: Vec::with_capacity(n),
+            slots: Vec::with_capacity(n),
+            live: 0,
         }
     }
 
-    fn merge(a: &MaxHi, b: &MaxHi) -> MaxHi {
-        match (a, b) {
-            (MaxHi::Unbounded, _) | (_, MaxHi::Unbounded) => MaxHi::Unbounded,
-            (MaxHi::At(x), MaxHi::At(y)) => {
-                if x.total_cmp(y) == Ordering::Less {
-                    MaxHi::At(y.clone())
-                } else {
-                    MaxHi::At(x.clone())
-                }
+    fn push(&mut self, lo: Bound, hi: Bound, item: T) {
+        let (lo_rank, hi_rank) = (lo.rank_or(0), hi.rank_or(u64::MAX));
+        self.keys.push(Key {
+            lo: lo_rank,
+            hi: hi_rank,
+            max_hi: hi_rank,
+        });
+        self.slots.push(Slot {
+            lo,
+            hi,
+            item: Some(item),
+        });
+        self.live += 1;
+    }
+
+    /// A sorted run over the `n` `intervals`, which are in low-endpoint
+    /// order.
+    fn sorted(n: usize, intervals: impl Iterator<Item = (Bound, Bound, T)>) -> Run<T> {
+        let mut run = Run::with_capacity(n);
+        intervals.for_each(|(lo, hi, item)| run.push(lo, hi, item));
+        run.augment(0, run.keys.len());
+        run
+    }
+
+    /// Set `max_hi` throughout the implicit tree on `[l, r)`; returns the
+    /// subtree's maximum.
+    fn augment(&mut self, l: usize, r: usize) -> u64 {
+        if l >= r {
+            return 0;
+        }
+        let m = l + (r - l) / 2;
+        let below = self.augment(l, m).max(self.augment(m + 1, r));
+        self.keys[m].max_hi = self.keys[m].hi.max(below);
+        self.keys[m].max_hi
+    }
+
+    /// Deliver interval `i` if it holds an item and contains `v`.
+    fn check(&self, i: usize, v: &Value, visit: &mut dyn FnMut(&T)) {
+        let slot = &self.slots[i];
+        if let Some(item) = &slot.item {
+            if slot.lo.lo_admits(v) && slot.hi.hi_admits(v) {
+                visit(item);
             }
         }
     }
 
-    /// Could any interval in a subtree with this max still contain `v`?
-    /// (Conservative: equality admitted regardless of inclusivity.)
-    fn may_contain(&self, v: &Value) -> bool {
-        match self {
-            MaxHi::Unbounded => true,
-            MaxHi::At(x) => v.total_cmp(x) != Ordering::Greater,
+    /// Stab the implicit tree on `[l, r)` of a sorted run; `at` is
+    /// `rank(v)`.
+    fn stab(&self, mut l: usize, r: usize, v: &Value, at: u64, visit: &mut dyn FnMut(&T)) {
+        while l < r {
+            tick(Work::IntervalNode);
+            let m = l + (r - l) / 2;
+            let key = &self.keys[m];
+            if key.max_hi < at {
+                return; // nothing in this subtree reaches v
+            }
+            self.stab(l, m, v, at, visit);
+            if key.lo > at {
+                return; // m and everything right of it start after v
+            }
+            if key.hi >= at {
+                self.check(m, v, visit);
+            }
+            l = m + 1;
         }
     }
-}
 
-impl<T> Node<T> {
-    fn recompute(&mut self) {
-        let mut m = MaxHi::of_bound(&self.hi);
-        if let Some(l) = &self.left {
-            m = MaxHi::merge(&m, &l.max_hi);
+    /// Stab an unsorted run: every interval, in order.
+    fn scan(&self, v: &Value, at: u64, visit: &mut dyn FnMut(&T)) {
+        for (i, key) in self.keys.iter().enumerate() {
+            tick(Work::IntervalNode);
+            if key.lo <= at && at <= key.hi {
+                self.check(i, v, visit);
+            }
         }
-        if let Some(r) = &self.right {
-            m = MaxHi::merge(&m, &r.max_hi);
+    }
+
+    /// Tombstone the intervals among positions `among` whose low endpoint
+    /// is `lo` and whose item matches `pred`, handing the items to `out`.
+    /// Returns the bytes their bounds held on the heap.
+    fn take_matching(
+        &mut self,
+        among: std::ops::Range<usize>,
+        lo: &Bound,
+        pred: &mut impl FnMut(&T) -> bool,
+        out: &mut Vec<T>,
+    ) -> usize {
+        let (at, mut bytes) = (lo.rank_or(0), 0);
+        for i in among {
+            if self.keys[i].lo != at {
+                continue;
+            }
+            tick(Work::RemoveVisit);
+            let slot = &mut self.slots[i];
+            if slot.lo == *lo && slot.item.as_ref().is_some_and(&mut *pred) {
+                out.extend(slot.item.take());
+                bytes += slot.heap_bytes();
+                self.live -= 1;
+            }
         }
-        self.max_hi = m;
+        bytes
+    }
+
+    /// The run with its tombstones gone, leaving it empty.
+    fn take_live(&mut self) -> impl Iterator<Item = (Bound, Bound, T)> {
+        std::mem::replace(self, Run::with_capacity(0)).into_live()
+    }
+
+    /// The live intervals, in order.
+    fn into_live(self) -> impl Iterator<Item = (Bound, Bound, T)> {
+        self.slots
+            .into_iter()
+            .filter_map(|s| s.item.map(|item| (s.lo, s.hi, item)))
+    }
+
+    /// `older` and `newer` as one run, tombstones dropped; at equal low
+    /// endpoints `older`'s intervals come first.
+    fn merge(older: Run<T>, newer: Run<T>) -> Run<T> {
+        let n = older.live + newer.live;
+        let (mut a, mut b) = (older.into_live().peekable(), newer.into_live().peekable());
+        let merged = std::iter::from_fn(move || match (a.peek(), b.peek()) {
+            (Some(x), Some(y)) if cmp_lo(&y.0, &x.0) == Ordering::Less => b.next(),
+            (Some(_), _) => a.next(),
+            (None, _) => b.next(),
+        });
+        Run::sorted(n, merged)
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.keys.capacity() * std::mem::size_of::<Key>()
+            + self.slots.capacity() * std::mem::size_of::<Slot<T>>()
     }
 }
 
 /// A set of `(interval, item)` pairs supporting stabbing queries.
 pub struct IntervalIndex<T> {
-    root: Option<Box<Node<T>>>,
+    /// Sorted runs, oldest (and largest) first.
+    runs: Vec<Run<T>>,
+    /// The newest intervals, in insertion order, no tombstones.
+    tail: Run<T>,
     len: usize,
-    rng: u64,
+    /// Heap bytes of string-valued bounds (those of tombstones are
+    /// forgotten at once, freed at the run's next rebuild).
+    str_bytes: usize,
 }
 
 impl<T> Default for IntervalIndex<T> {
@@ -148,9 +352,10 @@ impl<T> IntervalIndex<T> {
     /// Empty index.
     pub fn new() -> IntervalIndex<T> {
         IntervalIndex {
-            root: None,
+            runs: Vec::new(),
+            tail: Run::with_capacity(0),
             len: 0,
-            rng: 0x9E37_79B9_7F4A_7C15,
+            str_bytes: 0,
         }
     }
 
@@ -164,194 +369,122 @@ impl<T> IntervalIndex<T> {
         self.len == 0
     }
 
-    fn next_priority(&mut self) -> u64 {
-        // xorshift64*: deterministic, dependency-free.
-        let mut x = self.rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
     /// Insert an interval.
     pub fn insert(&mut self, lo: Bound, hi: Bound, item: T) {
-        let pri = self.next_priority();
-        let node = Box::new(Node {
-            max_hi: MaxHi::of_bound(&hi),
-            lo,
-            hi,
-            item,
-            priority: pri,
-            left: None,
-            right: None,
-        });
-        self.root = Some(Self::insert_node(self.root.take(), node));
+        self.str_bytes += lo.heap_bytes() + hi.heap_bytes();
+        self.tail.push(lo, hi, item);
         self.len += 1;
-    }
-
-    fn insert_node(tree: Option<Box<Node<T>>>, node: Box<Node<T>>) -> Box<Node<T>> {
-        let Some(mut t) = tree else { return node };
-        if node.priority > t.priority {
-            // node becomes the root of this subtree: split t around node.lo.
-            let (l, r) = Self::split(Some(t), &node.lo);
-            let mut n = node;
-            n.left = l;
-            n.right = r;
-            n.recompute();
-            return n;
-        }
-        if cmp_lo(&node.lo, &t.lo) == Ordering::Less {
-            t.left = Some(Self::insert_node(t.left.take(), node));
-        } else {
-            t.right = Some(Self::insert_node(t.right.take(), node));
-        }
-        t.recompute();
-        t
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn split(
-        tree: Option<Box<Node<T>>>,
-        at: &Bound,
-    ) -> (Option<Box<Node<T>>>, Option<Box<Node<T>>>) {
-        let Some(mut t) = tree else {
-            return (None, None);
-        };
-        if cmp_lo(&t.lo, at) == Ordering::Less {
-            let (l, r) = Self::split(t.right.take(), at);
-            t.right = l;
-            t.recompute();
-            (Some(t), r)
-        } else {
-            let (l, r) = Self::split(t.left.take(), at);
-            t.left = r;
-            t.recompute();
-            (l, Some(t))
+        if self.tail.live >= FAN {
+            self.flush_tail();
         }
     }
 
-    /// Remove the first interval matching `pred`. Returns the removed item.
+    /// Sort the tail into a run, then restore the size ratio between
+    /// neighbouring runs from the young end.
+    fn flush_tail(&mut self) {
+        let mut tail: Vec<_> = self.tail.take_live().collect();
+        self.tail = Run::with_capacity(FAN);
+        tail.sort_by(|a, b| cmp_lo(&a.0, &b.0)); // stable: ties stay in insertion order
+        self.runs.push(Run::sorted(tail.len(), tail.into_iter()));
+        while let [.., older, newer] = self.runs.as_slice() {
+            if newer.live * FAN <= older.live {
+                break;
+            }
+            let (newer, older) = (self.runs.pop(), self.runs.pop());
+            let merged = Run::merge(older.expect("two runs"), newer.expect("two runs"));
+            self.runs.push(merged);
+        }
+    }
+
+    /// Remove the first interval (in delivery order) whose item matches
+    /// `pred`, looking at every interval. Returns the removed item.
     pub fn remove_where(&mut self, mut pred: impl FnMut(&T) -> bool) -> Option<T> {
-        let (root, removed) = Self::remove_node(self.root.take(), &mut pred);
-        self.root = root;
-        if removed.is_some() {
-            self.len -= 1;
+        let mut matches = |s: &&mut Slot<T>| s.item.as_ref().is_some_and(&mut pred);
+        let mut removed = None;
+        for run in self.runs.iter_mut().chain([&mut self.tail]) {
+            if let Some(slot) = run.slots.iter_mut().find(&mut matches) {
+                removed = slot.item.take();
+                self.str_bytes -= slot.heap_bytes();
+                self.len -= 1;
+                run.live -= 1;
+                break;
+            }
         }
+        self.settle();
         removed
     }
 
-    #[allow(clippy::type_complexity)]
-    fn remove_node(
-        tree: Option<Box<Node<T>>>,
-        pred: &mut impl FnMut(&T) -> bool,
-    ) -> (Option<Box<Node<T>>>, Option<T>) {
-        let Some(mut t) = tree else {
-            return (None, None);
-        };
-        if pred(&t.item) {
-            let merged = Self::merge(t.left.take(), t.right.take());
-            return (merged, Some(t.item));
+    /// Remove every interval whose low endpoint is `lo` and whose item
+    /// matches `pred`, looking only at the intervals whose low endpoint
+    /// has `lo`'s rank. Returns the removed items.
+    pub fn remove_at(&mut self, lo: &Bound, mut pred: impl FnMut(&T) -> bool) -> Vec<T> {
+        let at = lo.rank_or(0);
+        let (mut out, mut bytes) = (Vec::new(), 0);
+        for run in &mut self.runs {
+            let same_rank =
+                run.keys.partition_point(|k| k.lo < at)..run.keys.partition_point(|k| k.lo <= at);
+            bytes += run.take_matching(same_rank, lo, &mut pred, &mut out);
         }
-        let (l, removed) = Self::remove_node(t.left.take(), pred);
-        t.left = l;
-        if removed.is_some() {
-            t.recompute();
-            return (Some(t), removed);
-        }
-        let (r, removed) = Self::remove_node(t.right.take(), pred);
-        t.right = r;
-        t.recompute();
-        (Some(t), removed)
+        let tail = 0..self.tail.keys.len();
+        bytes += self.tail.take_matching(tail, lo, &mut pred, &mut out);
+        self.str_bytes -= bytes;
+        self.len -= out.len();
+        self.settle();
+        out
     }
 
-    fn merge(l: Option<Box<Node<T>>>, r: Option<Box<Node<T>>>) -> Option<Box<Node<T>>> {
-        match (l, r) {
-            (None, r) => r,
-            (l, None) => l,
-            (Some(mut a), Some(mut b)) => {
-                if a.priority > b.priority {
-                    a.right = Self::merge(a.right.take(), Some(b));
-                    a.recompute();
-                    Some(a)
-                } else {
-                    b.left = Self::merge(Some(a), b.left.take());
-                    b.recompute();
-                    Some(b)
-                }
+    /// After removals: drop the runs with no interval left, rebuild those
+    /// that are more tombstones than intervals, and keep the tail free of
+    /// tombstones.
+    fn settle(&mut self) {
+        self.runs.retain(|run| run.live > 0);
+        for run in &mut self.runs {
+            if run.live * 2 < run.keys.len() {
+                *run = Run::sorted(run.live, run.take_live());
             }
+        }
+        if self.tail.live < self.tail.keys.len() {
+            let live = self.tail.take_live();
+            self.tail = Run::with_capacity(FAN);
+            live.for_each(|(lo, hi, item)| self.tail.push(lo, hi, item));
         }
     }
 
     /// Visit every item whose interval contains `v`.
     pub fn stab(&self, v: &Value, visit: &mut dyn FnMut(&T)) {
-        Self::stab_node(&self.root, v, visit)
+        let at = rank(v);
+        for run in &self.runs {
+            run.stab(0, run.keys.len(), v, at, visit);
+        }
+        self.tail.scan(v, at, visit);
     }
 
-    fn stab_node(tree: &Option<Box<Node<T>>>, v: &Value, visit: &mut dyn FnMut(&T)) {
-        let Some(t) = tree else { return };
-        // Prune: nothing in this subtree can reach v.
-        if !t.max_hi.may_contain(v) {
-            return;
-        }
-        // Left subtree always has lower lows; recurse unconditionally (its
-        // max_hi pruning handles the rest).
-        Self::stab_node(&t.left, v, visit);
-        if t.lo.lo_admits(v) && t.hi.hi_admits(v) {
-            visit(&t.item);
-        }
-        // Right subtree has lows >= t.lo; only useful if some low <= v,
-        // i.e. if t.lo itself doesn't already exceed v... lows in the right
-        // subtree can still be <= v even if not equal to t.lo, so gate on
-        // whether v is above t.lo at all.
-        if t.lo.lo_admits(v)
-            || matches!(&t.lo, Bound::At { value, .. } if value.total_cmp(v) != Ordering::Greater)
-        {
-            Self::stab_node(&t.right, v, visit);
-        }
-    }
-
-    /// Collect (rather than visit) stabbing results — convenience for tests.
-    pub fn stab_collect(&self, v: &Value) -> Vec<&T> {
-        let mut refs = Vec::new();
-        self.collect_refs(v, &mut refs);
-        refs
-    }
-
-    fn collect_refs<'a>(&'a self, v: &Value, out: &mut Vec<&'a T>) {
-        fn rec<'a, T>(tree: &'a Option<Box<Node<T>>>, v: &Value, out: &mut Vec<&'a T>) {
-            let Some(t) = tree else { return };
-            if !t.max_hi.may_contain(v) {
-                return;
-            }
-            rec(&t.left, v, out);
-            if t.lo.lo_admits(v) && t.hi.hi_admits(v) {
-                out.push(&t.item);
-            }
-            if t.lo.lo_admits(v)
-                || matches!(&t.lo, Bound::At { value, .. } if value.total_cmp(v) != Ordering::Greater)
-            {
-                rec(&t.right, v, out);
-            }
-        }
-        rec(&self.root, v, out)
-    }
-
-    /// Visit every stored item (any order).
+    /// Visit every stored item, in delivery order.
     pub fn for_each(&self, visit: &mut dyn FnMut(&T)) {
-        fn rec<T>(tree: &Option<Box<Node<T>>>, visit: &mut dyn FnMut(&T)) {
-            if let Some(t) = tree {
-                rec(&t.left, visit);
-                visit(&t.item);
-                rec(&t.right, visit);
-            }
-        }
-        rec(&self.root, visit)
+        let runs = self.runs.iter().chain([&self.tail]);
+        let slots = runs.flat_map(|r| &r.slots);
+        slots.filter_map(|s| s.item.as_ref()).for_each(visit)
     }
 
-    /// Approximate heap usage in bytes (for the E3 memory report).
+    /// Take every item out, in delivery order, leaving the index empty.
+    pub fn drain(&mut self) -> Vec<T> {
+        let all = std::mem::take(self);
+        let runs = all.runs.into_iter().chain([all.tail]);
+        runs.flat_map(|r| r.slots).filter_map(|s| s.item).collect()
+    }
+
+    /// Heap bytes held: the capacity of every backing array, plus the
+    /// buffers of string-valued bounds.
     pub fn memory_bytes(&self) -> usize {
-        self.len * (std::mem::size_of::<Node<T>>() + 2 * std::mem::size_of::<Value>())
+        self.runs.capacity() * std::mem::size_of::<Run<T>>()
+            + self.runs.iter().map(Run::heap_bytes).sum::<usize>()
+            + self.tail.heap_bytes()
+            + self.str_bytes
+    }
+
+    /// How many sorted runs there are (tests).
+    pub fn num_runs(&self) -> usize {
+        self.runs.len()
     }
 }
 
@@ -486,5 +619,20 @@ mod tests {
         );
         assert_eq!(index_stab(&ix, &Value::Int(1)), vec![7]);
         assert_eq!(index_stab(&ix, &Value::Float(0.4)), Vec::<u32>::new());
+    }
+
+    #[test]
+    fn runs_stay_few_and_geometric() {
+        let mut ix = IntervalIndex::new();
+        for i in 0..50_000i64 {
+            ix.insert(at(i % 997, true), at(i % 997 + 3, true), i as u32);
+        }
+        // log_FAN(50 000 / FAN) + 1 < 4.
+        assert!(ix.num_runs() <= 4, "{} runs", ix.num_runs());
+        for pair in ix.runs.windows(2) {
+            assert!(pair[1].live * FAN <= pair[0].live);
+        }
+        assert_eq!(ix.len(), 50_000);
+        assert_eq!(index_stab(&ix, &Value::Int(0)).len(), 51);
     }
 }

@@ -25,15 +25,17 @@
 //! Figure 5's partitioned probing for condition-level concurrency is
 //! exposed through [`SignatureRuntime::probe_partition`].
 
+pub mod eqtable;
 pub mod interval;
 pub mod org;
 
-pub use org::{Entry, Org, OrgKind, ProbeValues};
+pub use org::{Entry, KeyRef, Org, OrgKind, ProbeValues};
 
-use parking_lot::RwLock;
-use std::sync::atomic::{AtomicU32, Ordering};
+use eqtable::key_hash;
+use parking_lot::{Mutex, RwLock};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
-use tman_common::fxhash::{hash_one, FxHashMap};
+use tman_common::fxhash::FxHashMap;
 use tman_common::stats::IndexStats;
 use tman_common::{
     DataSourceId, DataType, ExprId, NodeId, Result, Schema, SignatureId, TriggerId, Tuple,
@@ -44,6 +46,38 @@ use tman_expr::{IndexPlan, SelectionSignature};
 use tman_sql::Database;
 use tman_telemetry::trace::{now_ns, ROOT_SPAN};
 use tman_telemetry::{CounterHandle, Registry, SpanKind, TraceHandle};
+
+/// The units the cost tests count (`tests.rs`): they hold a probe's and a
+/// removal's work to what the operation touches, whatever the population.
+#[derive(Clone, Copy)]
+pub(crate) enum Work {
+    /// A key read and compared on a hash hit.
+    KeyCompare,
+    /// An interval looked at by a stab.
+    IntervalNode,
+    /// An entry looked at by a removal.
+    RemoveVisit,
+    /// A constant set write-locked by a removal.
+    WriteLock,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Work done on this thread, by [`Work`] kind.
+    pub(crate) static WORK: std::cell::Cell<[u64; 4]> = const { std::cell::Cell::new([0; 4]) };
+}
+
+/// Count one unit of `work` — in this crate's unit tests; it compiles to
+/// nothing anywhere else.
+#[inline(always)]
+pub(crate) fn tick(_work: Work) {
+    #[cfg(test)]
+    WORK.with(|w| {
+        let mut counts = w.get();
+        counts[_work as usize] += 1;
+        w.set(counts);
+    });
+}
 
 /// Per-organization probe/match counters (`tman_index_probes_total{org=..}`
 /// / `tman_index_matches_total{org=..}`): one pre-resolved handle pair per
@@ -162,20 +196,6 @@ pub struct Probe<'a> {
     pub parent_span: u32,
 }
 
-/// The probe key of `tuple` under an equality plan on `cols`: borrowed
-/// from the tuple when the key columns are adjacent (always, for a
-/// one-column key), gathered into `buf` otherwise.
-fn key_of<'a>(cols: &[usize], tuple: &'a Tuple, buf: &'a mut Vec<Value>) -> &'a [Value] {
-    let first = cols[0];
-    if cols.iter().enumerate().all(|(i, &c)| c == first + i) {
-        &tuple.values()[first..first + cols.len()]
-    } else {
-        buf.clear();
-        buf.extend(cols.iter().map(|&c| tuple.get(c).clone()));
-        buf
-    }
-}
-
 /// One unique expression signature and its equivalence class.
 pub struct SignatureRuntime {
     /// Dense id (order of first appearance).
@@ -183,6 +203,8 @@ pub struct SignatureRuntime {
     /// The analyzed signature (key, generalized expression, plan, residual).
     pub sig: SelectionSignature,
     org: RwLock<Org>,
+    /// Entries in `org`; written under its write lock, read without it.
+    len: AtomicUsize,
     config: IndexConfig,
     db: Option<Arc<Database>>,
     org_counters: OrgCounters,
@@ -194,7 +216,7 @@ impl SignatureRuntime {
     /// Current number of expressions in the equivalence class
     /// (`constantSetSize` in the catalog).
     pub fn len(&self) -> usize {
-        self.org.read().len()
+        self.len.load(Ordering::Relaxed)
     }
 
     /// Is the class empty?
@@ -207,7 +229,8 @@ impl SignatureRuntime {
         self.org.read().kind()
     }
 
-    /// Approximate main-memory bytes used by the constant set.
+    /// Main-memory bytes used by the constant set (see
+    /// [`Org::memory_bytes`]).
     pub fn memory_bytes(&self) -> usize {
         self.org.read().memory_bytes()
     }
@@ -217,11 +240,13 @@ impl SignatureRuntime {
         format!("const_table_{}", self.id.raw())
     }
 
-    fn insert(&self, entry: Entry) -> Result<()> {
+    /// Add `entry` to the class; returns the constant vector it holds
+    /// there.
+    fn insert(&self, entry: Entry) -> Result<Arc<[Value]>> {
         let mut org = self.org.write();
-        org.insert(&self.sig.index_plan, entry)?;
+        let consts = org.insert(&self.sig.index_plan, entry)?;
         // Promotion thresholds.
-        let len = org.len();
+        let len = self.len.fetch_add(1, Ordering::Relaxed) + 1;
         let kind = org.kind();
         let next_kind = match kind {
             OrgKind::MemList | OrgKind::MemListDenorm if len > self.config.list_to_index => {
@@ -240,7 +265,7 @@ impl SignatureRuntime {
         if let Some(next) = next_kind {
             self.switch_locked(&mut org, next)?;
         }
-        Ok(())
+        Ok(consts)
     }
 
     /// Force a specific organization (experiments; also used at recovery to
@@ -324,10 +349,12 @@ impl SignatureRuntime {
     /// trace span ([`ROOT_SPAN`] for an untraced token), which the caller
     /// parents its pin and action spans to.
     ///
-    /// Keys are borrowed from the tuples. Under an equality plan, probes
-    /// whose keys repeat inside the batch share one organization lookup;
-    /// repeats are found by sorting the keys' hashes, so a batch of
-    /// distinct keys pays a hash and a `u64` sort and nothing else. Range
+    /// Keys are read in place, never gathered. Under an equality plan a
+    /// probe's key columns are hashed once, here; the hash finds the
+    /// probes whose keys repeat inside the batch (by sorting — a batch of
+    /// distinct keys pays a hash and a `u64` sort and nothing else), which
+    /// then share one organization lookup, and goes down with the lookup,
+    /// so the table the key is filed in never hashes it again. Range
     /// and scan plans loop per probe, still amortizing the lock hold and
     /// the counter updates, which are added once per call.
     ///
@@ -421,44 +448,43 @@ impl SignatureRuntime {
         let result = (|| -> Result<()> {
             match plan {
                 IndexPlan::Equality { cols, .. } => {
-                    let (mut buf, mut lead_buf) = (Vec::new(), Vec::new());
+                    let key = |i: u32, hash: u64| KeyRef {
+                        hash,
+                        tuple: probes[i as usize].tuple,
+                        cols,
+                    };
                     // (key hash, probe index) of every probe that may share a
                     // lookup; equal keys end up adjacent, in arrival order.
                     let mut order: Vec<(u64, u32)> = Vec::new();
                     for (i, p) in probes.iter().enumerate() {
-                        let key = key_of(cols, p.tuple, &mut buf);
-                        if key.iter().any(Value::is_null) {
+                        let hash = key_hash(cols.iter().map(|&c| p.tuple.get(c)));
+                        let key = key(i as u32, hash);
+                        if key.values().any(Value::is_null) {
                             continue; // NULL never satisfies equality
                         }
                         if probes.len() == 1 || p.trace.is_active() {
                             run(&ProbeValues::Key(key), &[i as u32])?;
                         } else {
-                            order.push((hash_one(&key), i as u32));
+                            order.push((hash, i as u32));
                         }
                     }
                     order.sort_unstable();
                     let mut members: Vec<u32> = Vec::new();
-                    let mut i = 0;
-                    while i < order.len() {
-                        let mut j = i + 1;
-                        while j < order.len() && order[j].0 == order[i].0 {
-                            j += 1;
-                        }
-                        let lead_key =
-                            key_of(cols, probes[order[i].1 as usize].tuple, &mut lead_buf);
+                    for same_hash in order.chunk_by(|a, b| a.0 == b.0) {
+                        let (hash, first) = same_hash[0];
+                        let lead = key(first, hash);
                         members.clear();
-                        members.push(order[i].1);
-                        for &(_, m) in &order[i + 1..j] {
-                            let key = key_of(cols, probes[m as usize].tuple, &mut buf);
-                            if key == lead_key {
+                        members.push(first);
+                        for &(_, m) in &same_hash[1..] {
+                            let key = key(m, hash);
+                            if key.values().eq(lead.values()) {
                                 members.push(m);
                             } else {
                                 // A different key under the same hash.
                                 run(&ProbeValues::Key(key), &[m])?;
                             }
                         }
-                        run(&ProbeValues::Key(lead_key), &members)?;
-                        i = j;
+                        run(&ProbeValues::Key(lead), &members)?;
                     }
                     Ok(())
                 }
@@ -502,9 +528,14 @@ impl SignatureRuntime {
         }
     }
 
-    /// Remove all entries of a trigger.
-    pub fn remove_trigger(&self, trigger_id: TriggerId) -> Result<usize> {
-        self.org.write().remove_trigger(trigger_id)
+    /// Remove the entries `trigger_id` holds under `consts` (see
+    /// [`Org::remove`]).
+    fn remove(&self, trigger_id: TriggerId, consts: &[Value]) -> Result<usize> {
+        tick(Work::WriteLock);
+        let mut org = self.org.write();
+        let n = org.remove(&self.sig.index_plan, trigger_id, consts)?;
+        self.len.fetch_sub(n, Ordering::Relaxed);
+        Ok(n)
     }
 
     /// Visit all entries (diagnostics / tests).
@@ -581,11 +612,80 @@ impl DataSourceIndex {
     }
 }
 
+/// Where each trigger's entries are: what [`PredicateIndex::remove_trigger`]
+/// looks up instead of searching every constant set. One record per entry
+/// — the class it is in and the constant vector it holds there (the
+/// entry's own allocation, shared, not a copy) — chained per trigger
+/// through one arena.
+#[derive(Default)]
+struct Directory {
+    /// Trigger → its first record in `records`.
+    heads: FxHashMap<TriggerId, u32>,
+    records: Vec<Record>,
+    /// First record of the free chain.
+    free: Option<u32>,
+}
+
+struct Record {
+    /// `None` while the record is on the free chain.
+    entry: Option<(Arc<SignatureRuntime>, Arc<[Value]>)>,
+    /// Next record of the same trigger (or of the free chain).
+    next: Option<u32>,
+}
+
+impl Directory {
+    fn push(&mut self, trigger: TriggerId, class: Arc<SignatureRuntime>, consts: Arc<[Value]>) {
+        let record = Record {
+            entry: Some((class, consts)),
+            next: self.heads.get(&trigger).copied(),
+        };
+        let at = match self.free {
+            Some(at) => {
+                self.free = std::mem::replace(&mut self.records[at as usize], record).next;
+                at
+            }
+            None => {
+                self.records.push(record);
+                u32::try_from(self.records.len() - 1).expect("fewer than 4 Gi index entries")
+            }
+        };
+        self.heads.insert(trigger, at);
+    }
+
+    /// Take `trigger`'s records out, newest first.
+    fn take(&mut self, trigger: TriggerId) -> Vec<(Arc<SignatureRuntime>, Arc<[Value]>)> {
+        let mut out = Vec::new();
+        let mut next = self.heads.remove(&trigger);
+        while let Some(at) = next {
+            let freed = Record {
+                entry: None,
+                next: self.free,
+            };
+            let record = std::mem::replace(&mut self.records[at as usize], freed);
+            self.free = Some(at);
+            next = record.next;
+            out.extend(record.entry);
+        }
+        out
+    }
+
+    /// Heap bytes held: the capacity of the map and of the arena.
+    fn memory_bytes(&self) -> usize {
+        // A hashbrown table of capacity c has 8c/7 buckets of one pair and
+        // one control byte each.
+        self.heads.capacity() * 8 / 7 * (std::mem::size_of::<(TriggerId, u32)>() + 1)
+            + self.records.capacity() * std::mem::size_of::<Record>()
+    }
+}
+
 /// The root predicate index (Figure 3).
 pub struct PredicateIndex {
     config: IndexConfig,
     db: Option<Arc<Database>>,
     sources: RwLock<FxHashMap<DataSourceId, Arc<DataSourceIndex>>>,
+    /// Held across an entry's insertion or a trigger's removal, so it and
+    /// the constant sets always agree. Probes never take it.
+    directory: Mutex<Directory>,
     next_sig: AtomicU32,
     stats: IndexStats,
     org_counters: OrgCounters,
@@ -598,6 +698,7 @@ impl PredicateIndex {
             config,
             db: None,
             sources: RwLock::new(FxHashMap::default()),
+            directory: Mutex::default(),
             next_sig: AtomicU32::new(1),
             stats: IndexStats::default(),
             org_counters: OrgCounters::default(),
@@ -698,6 +799,7 @@ impl PredicateIndex {
                         &format!("const_table_{}", id.raw()),
                         self.db.as_ref(),
                     )?),
+                    len: AtomicUsize::new(0),
                     slot_types: sig.slot_types(schema),
                     sig,
                     config: self.config.clone(),
@@ -714,23 +816,36 @@ impl PredicateIndex {
             }
         };
         drop(plan);
-        rt.insert(Entry {
+        let mut directory = self.directory.lock();
+        let consts = rt.insert(Entry {
             expr_id,
             trigger_id,
             next_node,
             consts: consts.into(),
         })?;
+        directory.push(trigger_id, rt.clone(), consts);
         Ok((rt, is_new))
     }
 
     /// Remove all predicates of a trigger. Returns the number of entries
-    /// removed. Signatures whose equivalence class becomes empty are kept
-    /// (the paper keeps catalog rows too; re-creation is cheap either way).
+    /// removed. The directory says which classes hold them and under which
+    /// constants, so only those classes are write-locked, each for the
+    /// time it takes to reach the entry. Signatures whose equivalence
+    /// class becomes empty are kept (the paper keeps catalog rows too;
+    /// re-creation is cheap either way).
     pub fn remove_trigger(&self, trigger_id: TriggerId) -> Result<usize> {
+        let mut directory = self.directory.lock();
+        let mut records = directory.take(trigger_id).into_iter();
         let mut n = 0;
-        for src in self.sources.read().values() {
-            for sig in &src.plan().sigs {
-                n += sig.rt.remove_trigger(trigger_id)?;
+        while let Some((class, consts)) = records.next() {
+            match class.remove(trigger_id, &consts) {
+                Ok(removed) => n += removed,
+                Err(e) => {
+                    // What was not removed stays findable, for a retry.
+                    directory.push(trigger_id, class, consts);
+                    records.for_each(|(class, consts)| directory.push(trigger_id, class, consts));
+                    return Err(e);
+                }
             }
         }
         Ok(n)
@@ -785,26 +900,17 @@ impl PredicateIndex {
 
     /// Total number of predicate entries.
     pub fn num_entries(&self) -> usize {
-        self.sources
-            .read()
-            .values()
-            .map(|s| s.plan().sigs.iter().map(|g| g.rt.len()).sum::<usize>())
-            .sum()
+        self.all_signatures().into_iter().map(|rt| rt.len()).sum()
     }
 
-    /// Approximate main-memory footprint of all constant sets.
+    /// Main-memory footprint of all constant sets and of the removal
+    /// directory.
     pub fn memory_bytes(&self) -> usize {
-        self.sources
-            .read()
-            .values()
-            .map(|s| {
-                s.plan()
-                    .sigs
-                    .iter()
-                    .map(|g| g.rt.memory_bytes())
-                    .sum::<usize>()
-            })
-            .sum()
+        let sets = self
+            .all_signatures()
+            .into_iter()
+            .map(|rt| rt.memory_bytes());
+        sets.sum::<usize>() + self.directory.lock().memory_bytes()
     }
 
     /// Every signature runtime across all sources.

@@ -2,8 +2,9 @@
 //!
 //! 1. **main memory list** — [`Org::MemList`] (and a denormalized variant
 //!    used for the Figure-4 common-sub-expression-elimination ablation),
-//! 2. **main memory index** — [`Org::MemHash`] for equality signatures,
-//!    [`Org::MemInterval`] for range signatures,
+//! 2. **main memory index** — [`Org::MemHash`] (a flat [`EqTable`]) for
+//!    equality signatures, [`Org::MemInterval`] (a flat [`IntervalIndex`])
+//!    for range signatures,
 //! 3. **non-indexed database table** — [`Org::DbTable`],
 //! 4. **indexed database table** — [`Org::DbIndexed`] (the paper's
 //!    clustered index on `[const1, ... constK]`).
@@ -14,10 +15,10 @@
 //! `m` constants in the row (`const1..constm`), which is equivalent and
 //! normalizes the catalog.
 
+use crate::eqtable::{consts_heap, EqTable};
 use crate::interval::{Bound, IntervalIndex};
 use std::sync::Arc;
-use tman_common::fxhash::FxHashMap;
-use tman_common::{ExprId, NodeId, Result, TmanError, TriggerId, Value};
+use tman_common::{ExprId, NodeId, Result, TmanError, TriggerId, Tuple, Value};
 use tman_expr::{IndexPlan, SelectionSignature};
 use tman_sql::{Database, Index, Table};
 
@@ -36,30 +37,30 @@ pub struct Entry {
     pub consts: Arc<[Value]>,
 }
 
-impl Entry {
-    fn key(&self, plan: &IndexPlan) -> Vec<Value> {
-        match plan {
-            IndexPlan::Equality { const_slots, .. } => const_slots
-                .iter()
-                .map(|&s| self.consts[s].clone())
-                .collect(),
-            _ => Vec::new(),
-        }
+/// The slots of a constant vector that make its key: an equality plan's
+/// `const_slots`, none under any other plan.
+fn key_slots(plan: &IndexPlan) -> &[usize] {
+    match plan {
+        IndexPlan::Equality { const_slots, .. } => const_slots,
+        _ => &[],
     }
+}
 
-    fn interval(&self, plan: &IndexPlan) -> (Bound, Bound) {
-        let IndexPlan::Range { lo, hi, .. } = plan else {
-            return (Bound::Open, Bound::Open);
-        };
-        let b = |side: &Option<(usize, bool)>| match side {
-            None => Bound::Open,
-            Some((slot, inclusive)) => Bound::At {
-                value: self.consts[*slot].clone(),
-                inclusive: *inclusive,
-            },
-        };
-        (b(lo), b(hi))
-    }
+/// The key of `consts` under `plan`.
+fn key_of<'a>(plan: &'a IndexPlan, consts: &'a [Value]) -> impl Iterator<Item = &'a Value> + Clone {
+    key_slots(plan).iter().map(move |&s| &consts[s])
+}
+
+/// One side of the interval `consts` describes under a range plan.
+fn bound(plan: &IndexPlan, consts: &[Value], upper: bool) -> Bound {
+    let side = match plan {
+        IndexPlan::Range { lo, hi, .. } => *if upper { hi } else { lo },
+        _ => None,
+    };
+    side.map_or(Bound::Open, |(slot, inclusive)| Bound::At {
+        value: consts[slot].clone(),
+        inclusive,
+    })
 }
 
 /// Which strategy a constant set currently uses (reported in catalogs as
@@ -115,9 +116,14 @@ pub enum Org {
     /// Strategy 1, denormalized (no constant grouping).
     MemListDenorm(Vec<Entry>),
     /// Strategy 2, equality plans.
-    MemHash(FxHashMap<Vec<Value>, Vec<Entry>>),
+    MemHash(EqTable),
     /// Strategy 2, range plans.
-    MemInterval(IntervalIndex<Entry>),
+    MemInterval {
+        /// Entries by the interval their constants describe.
+        index: IntervalIndex<Entry>,
+        /// Heap bytes of the entries' constant vectors.
+        consts_bytes: usize,
+    },
     /// Strategy 3.
     DbTable(DbOrg),
     /// Strategy 4.
@@ -139,8 +145,11 @@ impl Org {
             OrgKind::MemList => Org::MemList(Vec::new()),
             OrgKind::MemListDenorm => Org::MemListDenorm(Vec::new()),
             OrgKind::MemIndex => match &sig.index_plan {
-                IndexPlan::Range { .. } => Org::MemInterval(IntervalIndex::new()),
-                _ => Org::MemHash(FxHashMap::default()),
+                IndexPlan::Range { .. } => Org::MemInterval {
+                    index: IntervalIndex::new(),
+                    consts_bytes: 0,
+                },
+                plan => Org::MemHash(EqTable::new(key_slots(plan).to_vec())),
             },
             OrgKind::DbTable | OrgKind::DbIndexed => {
                 let db = db.ok_or_else(|| {
@@ -197,42 +206,52 @@ impl Org {
         match self {
             Org::MemList(_) => OrgKind::MemList,
             Org::MemListDenorm(_) => OrgKind::MemListDenorm,
-            Org::MemHash(_) | Org::MemInterval(_) => OrgKind::MemIndex,
+            Org::MemHash(_) | Org::MemInterval { .. } => OrgKind::MemIndex,
             Org::DbTable(_) => OrgKind::DbTable,
             Org::DbIndexed(_) => OrgKind::DbIndexed,
         }
     }
 
-    /// Insert one predicate occurrence.
+    /// Insert one predicate occurrence. Returns the constant vector the
+    /// stored entry holds.
     ///
     /// In the normalized organizations (Figure 4), members of the same
     /// constant group whose *entire* constant vector is identical share one
     /// allocation — the common-sub-expression elimination the paper's
     /// normalization buys.
-    pub fn insert(&mut self, plan: &IndexPlan, mut entry: Entry) -> Result<()> {
+    pub fn insert(&mut self, plan: &IndexPlan, mut entry: Entry) -> Result<Arc<[Value]>> {
+        if let Org::MemList(groups) = self {
+            let group = groups
+                .iter()
+                .filter(|g| g.key.iter().eq(key_of(plan, &entry.consts)));
+            let mut members = group.flat_map(|g| &g.entries);
+            let owner = members.find(|e| e.consts == entry.consts);
+            if let Some(shared) = owner.map(|e| e.consts.clone()) {
+                entry.consts = shared;
+            }
+        }
+        let held = entry.consts.clone();
         match self {
             Org::MemList(groups) => {
-                let key = entry.key(plan);
-                match groups.iter_mut().find(|g| g.key == key) {
-                    Some(g) => {
-                        share_consts(&mut entry, &g.entries);
-                        g.entries.push(entry);
-                    }
+                let group = groups
+                    .iter_mut()
+                    .find(|g| g.key.iter().eq(key_of(plan, &held)));
+                match group {
+                    Some(g) => g.entries.push(entry),
                     None => groups.push(Group {
-                        key,
+                        key: key_of(plan, &held).cloned().collect(),
                         entries: vec![entry],
                     }),
                 }
             }
             Org::MemListDenorm(list) => list.push(entry),
-            Org::MemHash(map) => {
-                let group = map.entry(entry.key(plan)).or_default();
-                share_consts(&mut entry, group);
-                group.push(entry);
-            }
-            Org::MemInterval(ix) => {
-                let (lo, hi) = entry.interval(plan);
-                ix.insert(lo, hi, entry);
+            Org::MemHash(table) => return Ok(table.insert(entry)),
+            Org::MemInterval {
+                index,
+                consts_bytes,
+            } => {
+                *consts_bytes += consts_heap(&held);
+                index.insert(bound(plan, &held, false), bound(plan, &held, true), entry);
             }
             Org::DbTable(org) | Org::DbIndexed(org) => {
                 let mut row = vec![
@@ -244,11 +263,21 @@ impl Org {
                 org.table.insert(row)?;
             }
         }
-        Ok(())
+        Ok(held)
     }
 
-    /// Remove every entry of `trigger_id`. Returns how many were removed.
-    pub fn remove_trigger(&mut self, trigger_id: TriggerId) -> Result<usize> {
+    /// Remove `trigger_id`'s entries. The strategy-2 structures go straight
+    /// to the group (or the low endpoint) `consts` — the constant vector of
+    /// one of the trigger's entries — files under and look at nothing
+    /// else; the lists and tables are searched whole, so they also remove
+    /// entries the trigger holds under other constants. Returns how many
+    /// were removed.
+    pub fn remove(
+        &mut self,
+        plan: &IndexPlan,
+        trigger_id: TriggerId,
+        consts: &[Value],
+    ) -> Result<usize> {
         let mut n = 0;
         match self {
             Org::MemList(groups) => {
@@ -264,16 +293,14 @@ impl Org {
                 list.retain(|e| e.trigger_id != trigger_id);
                 n = before - list.len();
             }
-            Org::MemHash(map) => {
-                for v in map.values_mut() {
-                    let before = v.len();
-                    v.retain(|e| e.trigger_id != trigger_id);
-                    n += before - v.len();
-                }
-                map.retain(|_, v| !v.is_empty());
-            }
-            Org::MemInterval(ix) => {
-                while ix.remove_where(|e| e.trigger_id == trigger_id).is_some() {
+            Org::MemHash(table) => n = table.remove(consts, trigger_id),
+            Org::MemInterval {
+                index,
+                consts_bytes,
+            } => {
+                let lo = bound(plan, consts, false);
+                for e in index.remove_at(&lo, |e| e.trigger_id == trigger_id) {
+                    *consts_bytes -= consts_heap(&e.consts);
                     n += 1;
                 }
             }
@@ -294,25 +321,11 @@ impl Org {
         Ok(n)
     }
 
-    /// Number of stored entries.
-    pub fn len(&self) -> usize {
-        match self {
-            Org::MemList(groups) => groups.iter().map(|g| g.entries.len()).sum(),
-            Org::MemListDenorm(list) => list.len(),
-            Org::MemHash(map) => map.values().map(Vec::len).sum(),
-            Org::MemInterval(ix) => ix.len(),
-            Org::DbTable(org) | Org::DbIndexed(org) => org.table.count().unwrap_or(0),
-        }
-    }
-
-    /// Is the organization empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Approximate main-memory footprint in bytes (database organizations
-    /// report only their handle, which is the point of strategies 3/4).
-    /// Shared constant vectors (normalized layout) are counted once.
+    /// Main-memory footprint in bytes. The strategy-2 structures report
+    /// the capacity of their backing arrays plus their entries' constant
+    /// vectors, in constant time; the lists count what they hold, shared
+    /// constant vectors (normalized layout) once; database organizations
+    /// report only their handle, which is the point of strategies 3/4.
     pub fn memory_bytes(&self) -> usize {
         match self {
             Org::MemList(groups) => groups
@@ -324,75 +337,52 @@ impl Org {
                 })
                 .sum(),
             Org::MemListDenorm(list) => group_bytes_unshared(list),
-            Org::MemHash(map) => {
-                map.iter()
-                    .map(|(k, v)| {
-                        k.iter().map(Value::heap_size).sum::<usize>()
-                            + group_bytes(v)
-                            + std::mem::size_of::<Vec<Entry>>()
-                    })
-                    .sum::<usize>()
-                    + map.capacity() * std::mem::size_of::<u64>()
-            }
-            Org::MemInterval(ix) => ix.memory_bytes(),
+            Org::MemHash(table) => table.memory_bytes(),
+            Org::MemInterval {
+                index,
+                consts_bytes,
+            } => index.memory_bytes() + consts_bytes,
             Org::DbTable(_) | Org::DbIndexed(_) => std::mem::size_of::<DbOrg>(),
         }
     }
 
     /// Drain all entries (used when switching organization strategies).
     pub fn drain_entries(&mut self) -> Result<Vec<Entry>> {
-        let mut out = Vec::new();
-        self.for_each_entry(&mut |e| out.push(e.clone()))?;
-        match self {
-            Org::MemList(g) => g.clear(),
-            Org::MemListDenorm(l) => l.clear(),
-            Org::MemHash(m) => m.clear(),
-            Org::MemInterval(ix) => while ix.remove_where(|_| true).is_some() {},
+        Ok(match self {
+            Org::MemList(groups) => groups.drain(..).flat_map(|g| g.entries).collect(),
+            Org::MemListDenorm(list) => std::mem::take(list),
+            Org::MemHash(table) => table.drain(),
+            Org::MemInterval {
+                index,
+                consts_bytes,
+            } => {
+                *consts_bytes = 0;
+                index.drain()
+            }
             Org::DbTable(org) | Org::DbIndexed(org) => {
+                let mut out = Vec::new();
                 let mut rids = Vec::new();
-                org.table.scan(|rid, _| {
+                org.table.scan(|rid, row| {
+                    out.push(entry_from_row(row));
                     rids.push(rid);
                     Ok(true)
                 })?;
                 for rid in rids {
                     org.table.delete(rid)?;
                 }
+                out
             }
-        }
-        Ok(out)
+        })
     }
 
-    /// Visit every entry (diagnostics, org switching).
+    /// Visit every entry (diagnostics), in the order a probe that matches
+    /// them all would deliver them.
     pub fn for_each_entry(&self, visit: &mut dyn FnMut(&Entry)) -> Result<()> {
         match self {
-            Org::MemList(groups) => {
-                for g in groups {
-                    for e in &g.entries {
-                        visit(e);
-                    }
-                }
-            }
-            Org::MemListDenorm(list) => {
-                for e in list {
-                    visit(e);
-                }
-            }
-            Org::MemHash(map) => {
-                for v in map.values() {
-                    for e in v {
-                        visit(e);
-                    }
-                }
-            }
-            Org::MemInterval(ix) => {
-                // No iteration API on the interval index; use a full-range
-                // stab via collect on an unbounded probe is not possible,
-                // so walk by repeated removal on a clone-free path is
-                // avoided — instead we keep it simple: stab can't
-                // enumerate, so MemInterval stores nothing else; enumerate
-                // via internal visitor.
-                ix.for_each(&mut |e| visit(e));
-            }
+            Org::MemList(groups) => groups.iter().flat_map(|g| &g.entries).for_each(visit),
+            Org::MemListDenorm(list) => list.iter().for_each(visit),
+            Org::MemHash(table) => table.for_each(visit),
+            Org::MemInterval { index, .. } => index.for_each(visit),
             Org::DbTable(org) | Org::DbIndexed(org) => {
                 org.table.scan(|_, row| {
                     visit(&entry_from_row(row));
@@ -404,7 +394,7 @@ impl Org {
     }
 
     /// Probe for candidate entries matching `probe`:
-    /// * `Equality` plans get the token's key values,
+    /// * `Equality` plans get the token's key,
     /// * `Range` plans get the token's single attribute value,
     /// * `None` plans visit every entry (the caller evaluates the full
     ///   generalized predicate).
@@ -418,87 +408,32 @@ impl Org {
         probe: &ProbeValues<'_>,
         visit: &mut dyn FnMut(&Entry),
     ) -> Result<()> {
+        // Is `e` a candidate? (The organizations without an index ask this
+        // of every entry.)
+        let hit = |e: &Entry| match probe {
+            ProbeValues::Key(key) => key_of(plan, &e.consts).eq(key.values()),
+            ProbeValues::Stab(v) => interval_contains(plan, e, v),
+            ProbeValues::All => true,
+        };
         match (self, probe) {
             (Org::MemList(groups), ProbeValues::Key(key)) => {
-                for g in groups {
-                    if g.key.as_slice() == *key {
-                        for e in &g.entries {
-                            visit(e);
-                        }
-                    }
-                }
+                let group = groups.iter().filter(|g| g.key.iter().eq(key.values()));
+                group.flat_map(|g| &g.entries).for_each(visit);
             }
-            (Org::MemList(groups), ProbeValues::All) => {
-                for g in groups {
-                    for e in &g.entries {
-                        visit(e);
-                    }
-                }
+            (Org::MemList(groups), _) => {
+                let all = groups.iter().flat_map(|g| &g.entries);
+                all.filter(|e| hit(e)).for_each(visit);
             }
-            (Org::MemList(groups), ProbeValues::Stab(v)) => {
-                // List organization of a range signature: linear check.
-                for g in groups {
-                    for e in &g.entries {
-                        if interval_contains(plan, e, v) {
-                            visit(e);
-                        }
-                    }
-                }
+            (Org::MemListDenorm(list), _) => list.iter().filter(|e| hit(e)).for_each(visit),
+            (Org::MemHash(table), ProbeValues::Key(key)) => {
+                table.probe(key.hash, key.values(), visit)
             }
-            (Org::MemListDenorm(list), ProbeValues::Key(key)) => {
-                for e in list {
-                    if e.key(plan).as_slice() == *key {
-                        visit(e);
-                    }
-                }
-            }
-            (Org::MemListDenorm(list), ProbeValues::All) => {
-                for e in list {
-                    visit(e);
-                }
-            }
-            (Org::MemListDenorm(list), ProbeValues::Stab(v)) => {
-                for e in list {
-                    if interval_contains(plan, e, v) {
-                        visit(e);
-                    }
-                }
-            }
-            (Org::MemHash(map), ProbeValues::Key(key)) => {
-                if let Some(v) = map.get(*key) {
-                    for e in v {
-                        visit(e);
-                    }
-                }
-            }
-            (Org::MemHash(map), ProbeValues::All) => {
-                for v in map.values() {
-                    for e in v {
-                        visit(e);
-                    }
-                }
-            }
-            (Org::MemInterval(ix), ProbeValues::Stab(v)) => {
-                ix.stab(v, visit);
-            }
-            (Org::DbTable(org), _) => {
-                // Strategy 3: full scan, compare in the loop.
-                org.table.scan(|_, row| {
-                    let e = entry_from_row(row);
-                    let hit = match probe {
-                        ProbeValues::Key(key) => e.key(plan).as_slice() == *key,
-                        ProbeValues::Stab(v) => interval_contains(plan, &e, v),
-                        ProbeValues::All => true,
-                    };
-                    if hit {
-                        visit(&e);
-                    }
-                    Ok(true)
-                })?;
-            }
+            (Org::MemHash(table), ProbeValues::All) => table.for_each(visit),
+            (Org::MemInterval { index, .. }, ProbeValues::Stab(v)) => index.stab(v, visit),
             (Org::DbIndexed(org), ProbeValues::Key(key)) => match &org.index {
                 Some(idx) => {
-                    for (_, row) in org.table.index_prefix_lookup(idx, key)? {
+                    let key: Vec<Value> = key.values().cloned().collect();
+                    for (_, row) in org.table.index_prefix_lookup(idx, &key)? {
                         visit(&entry_from_row(&row));
                     }
                 }
@@ -508,33 +443,31 @@ impl Org {
                     ))
                 }
             },
-            (Org::DbIndexed(org), ProbeValues::Stab(v)) => {
-                match &org.range_index {
-                    Some(idx) => {
-                        // All rows whose lo bound <= v; hi re-checked below.
-                        let rows = org.table.index_range_lookup(idx, None, Some((v, true)))?;
-                        for (_, row) in rows {
-                            let e = entry_from_row(&row);
-                            if interval_contains(plan, &e, v) {
-                                visit(&e);
-                            }
-                        }
-                    }
-                    None => {
-                        // Open lower bounds everywhere: fall back to scan.
-                        org.table.scan(|_, row| {
-                            let e = entry_from_row(row);
-                            if interval_contains(plan, &e, v) {
-                                visit(&e);
-                            }
-                            Ok(true)
-                        })?;
+            (
+                Org::DbIndexed(DbOrg {
+                    table,
+                    range_index: Some(idx),
+                    ..
+                }),
+                ProbeValues::Stab(v),
+            ) => {
+                // All rows whose lo bound <= v; hi re-checked by `hit`.
+                for (_, row) in table.index_range_lookup(idx, None, Some((v, true)))? {
+                    let e = entry_from_row(&row);
+                    if hit(&e) {
+                        visit(&e);
                     }
                 }
             }
-            (Org::DbIndexed(org), ProbeValues::All) => {
+            // Strategy 3, and strategy 4 where no index serves the probe
+            // (open lower bounds everywhere, or no plan): full scan,
+            // compare in the loop.
+            (Org::DbTable(org) | Org::DbIndexed(org), _) => {
                 org.table.scan(|_, row| {
-                    visit(&entry_from_row(row));
+                    let e = entry_from_row(row);
+                    if hit(&e) {
+                        visit(&e);
+                    }
                     Ok(true)
                 })?;
             }
@@ -550,10 +483,30 @@ impl Org {
     }
 }
 
+/// A probe's equality key: the token's values at the plan's key columns,
+/// read in place, with the hash they file under.
+#[derive(Clone, Copy)]
+pub struct KeyRef<'a> {
+    /// [`key_hash`](crate::eqtable::key_hash) of [`values`](Self::values).
+    pub hash: u64,
+    /// The token's probe image.
+    pub tuple: &'a Tuple,
+    /// The plan's key columns.
+    pub cols: &'a [usize],
+}
+
+impl<'a> KeyRef<'a> {
+    /// The key's values, in plan column order.
+    pub fn values(&self) -> impl Iterator<Item = &'a Value> + Clone {
+        let tuple = self.tuple;
+        self.cols.iter().map(move |&c| tuple.get(c))
+    }
+}
+
 /// What a probe carries, derived from the token and the index plan.
 pub enum ProbeValues<'a> {
-    /// Equality key values (plan column order).
-    Key(&'a [Value]),
+    /// Equality key.
+    Key(KeyRef<'a>),
     /// Single attribute value for range stabbing.
     Stab(&'a Value),
     /// No indexable part: visit all.
@@ -567,14 +520,6 @@ impl ProbeValues<'_> {
             ProbeValues::Stab(_) => "stab",
             ProbeValues::All => "all",
         }
-    }
-}
-
-/// If an existing group member carries the same constant vector, share its
-/// allocation (Figure-4 normalization).
-fn share_consts(entry: &mut Entry, group: &[Entry]) {
-    if let Some(owner) = group.iter().find(|e| e.consts == entry.consts) {
-        entry.consts = owner.consts.clone();
     }
 }
 

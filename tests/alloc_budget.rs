@@ -7,9 +7,11 @@
 //! exactly from run to run.
 //!
 //! The budget: a `select_hot`-shaped population (2 000 triggers: `sym =`,
-//! `sym = and price >`, `vol =`, price bands, one tenth two-arm `or`),
-//! 4 096 tokens pushed 256 at a time and drained by `tman_test` on this
-//! thread, must cost at most [`BUDGET`] heap allocations per token inside
+//! `sym = and price >`, `vol =`, price bands, one tenth two-arm `or`, one
+//! tenth `sym = and vol =` — a composite key over columns that are not
+//! adjacent, which a probe must hash and compare where they lie), 4 096
+//! tokens pushed 256 at a time and drained by `tman_test` on this thread,
+//! must cost at most [`BUDGET`] heap allocations per token inside
 //! `tman_test` (52.3 before the drain became one pipeline over a published
 //! match plan). What remains is per fire: the notification's `values`
 //! vector and the channel's node.
@@ -72,7 +74,7 @@ fn allocations_in<R>(f: impl FnOnce() -> R) -> (R, u64) {
 }
 
 /// Allocations per token the drain may make.
-const BUDGET: f64 = 16.0;
+const BUDGET: f64 = 4.52;
 
 const TRIGGERS: u32 = 2_000;
 const TOKENS: u64 = 4_096;
@@ -82,6 +84,8 @@ const SEED: u64 = 7;
 /// about one trigger of each equality form.
 const DOMAIN: u32 = TRIGGERS / 4;
 const PRICES: u32 = 100_000;
+/// The `(sym, vol)` of every 128th token.
+const HOT_PAIR: (u32, u32) = (1, 2);
 
 /// SplitMix64.
 struct Rng(u64);
@@ -109,6 +113,7 @@ struct Reference {
     or_sym: HashMap<u32, u64>,
     or_vol: HashMap<u32, u64>,
     or_both: HashMap<(u32, u32), u64>,
+    sym_vol: HashMap<(u32, u32), u64>,
 }
 
 impl Reference {
@@ -123,6 +128,7 @@ impl Reference {
             + count(&self.or_sym, sym)
             + count(&self.or_vol, vol)
             - self.or_both.get(&(sym, vol)).copied().unwrap_or(0)
+            + self.sym_vol.get(&(sym, vol)).copied().unwrap_or(0)
     }
 }
 
@@ -140,6 +146,13 @@ fn population() -> (Vec<String>, Reference) {
                 *r.or_vol.entry(vol).or_default() += 1;
                 *r.or_both.entry((sym, vol)).or_default() += 1;
                 return format!("q.sym = 'S{sym}' or q.vol = {vol}");
+            }
+            if i % 10 == 4 {
+                // Some of these on the pair every 128th token carries, so
+                // that the key is met as well as missed.
+                let (sym, vol) = if i % 400 == 4 { HOT_PAIR } else { (sym, vol) };
+                *r.sym_vol.entry((sym, vol)).or_default() += 1;
+                return format!("q.sym = 'S{sym}' and q.vol = {vol}");
             }
             match i % 4 {
                 0 => {
@@ -192,7 +205,11 @@ fn drain_stays_within_the_allocation_budget() {
     for first in (0..TOKENS).step_by(BATCH as usize) {
         let batch: Vec<UpdateDescriptor> = (first..first + BATCH)
             .map(|seq| {
-                let (sym, price_k, vol) = (rng.below(DOMAIN), rng.below(PRICES), rng.below(DOMAIN));
+                let (mut sym, price_k, mut vol) =
+                    (rng.below(DOMAIN), rng.below(PRICES), rng.below(DOMAIN));
+                if seq % 128 == 0 {
+                    (sym, vol) = HOT_PAIR;
+                }
                 expected += reference.fires(sym, price_k, vol);
                 UpdateDescriptor::insert(
                     src,

@@ -10,7 +10,16 @@
 //! * with every class **forced** into each of the §5.2 organizations
 //!   (mem list, denormalized list, mem index, db table, db indexed), and
 //! * across every transition between two of the four organizations, each
-//!   made with `set_org` on the populated class.
+//!   made with `set_org` on the populated class,
+//!
+//! with triggers dropped (and some ids created again, under another
+//! condition) before the first forced organization and one more dropped
+//! after every switch, so `remove_trigger` meets every organization. The
+//! conditions cover what the flat strategy-2 structures must get right:
+//! composite keys over non-adjacent columns, the same constants under
+//! many triggers, string-valued ranges, float bounds stabbed by int
+//! values and the reverse, and one-sided and unbounded ranges around
+//! narrow ones.
 //!
 //! The suite runs on a fixed RNG seed (`SEED`) so CI is deterministic;
 //! shrinking still works because the cases run under a regular proptest
@@ -103,13 +112,29 @@ fn arb_trigger() -> impl Strategy<Value = TriggerDef> {
         // Equality signatures (shared classes: few distinct shapes).
         sym.clone().prop_map(|s| format!("q.sym = 'S{s}'")),
         (0i64..40).prop_map(|v| format!("q.vol = {v}")),
-        // Range signatures.
+        // A composite key over columns 0 and 2.
+        (sym.clone(), 0i64..6).prop_map(|(s, v)| format!("q.sym = 'S{s}' and q.vol = {v}")),
+        // Range signatures: int bounds on the float column...
         price.clone().prop_map(|p| format!("q.price > {p}")),
         (price.clone(), 1i64..30)
             .prop_map(|(p, w)| format!("q.price >= {p} and q.price < {}", p + w)),
-        // Composite: indexable equality + residual.
+        // ...one-sided from above, and narrow ones for the wide to nest,
+        price.clone().prop_map(|p| format!("q.price <= {p}")),
+        price
+            .clone()
+            .prop_map(|p| format!("q.price > {p} and q.price <= {}.5", p)),
+        // float bounds on the int column,
+        (0i64..40, 0i64..12).prop_map(|(v, w)| format!("q.vol >= {v}.5 and q.vol < {}.25", v + w)),
+        (0i64..40).prop_map(|v| format!("q.vol < {v}.5")),
+        // and string-valued bounds.
+        sym.clone().prop_map(|s| format!("q.sym > 'S{s}'")),
+        (sym.clone(), 1u32..4)
+            .prop_map(|(s, w)| format!("q.sym >= 'S{s}' and q.sym < 'S{}x'", s + w)),
+        // Composite: indexable equality + residual; the second arm is one
+        // constant vector under many triggers.
         (sym.clone(), price.clone())
             .prop_map(|(s, p)| format!("q.sym = 'S{s}' and q.price >= {p}")),
+        Just("q.sym = 'S1' and q.price >= 10".to_string()),
         // OR: no indexable part (IndexPlan::None, list organizations only).
         (sym.clone(), sym).prop_map(|(a, b)| format!("q.sym = 'S{a}' or q.sym = 'S{b}'")),
         // Negation.
@@ -118,11 +143,11 @@ fn arb_trigger() -> impl Strategy<Value = TriggerDef> {
     (cond, arb_event()).prop_map(|(cond, event)| TriggerDef { cond, event })
 }
 
-/// (sym, price, vol-or-null, op selector)
+/// (sym, price in quarters, vol-or-null, op selector)
 fn arb_token() -> impl Strategy<Value = (u32, i64, Option<i64>, u8)> {
     (
         0u32..6,
-        0i64..110,
+        0i64..440,
         proptest::option::weighted(0.9, 0i64..45),
         0u8..4,
     )
@@ -131,7 +156,7 @@ fn arb_token() -> impl Strategy<Value = (u32, i64, Option<i64>, u8)> {
 fn mk_token(s: u32, p: i64, v: Option<i64>, op: u8) -> UpdateDescriptor {
     let tuple = Tuple::new(vec![
         Value::str(format!("S{s}")),
-        Value::Float(p as f64),
+        Value::Float(p as f64 / 4.0),
         v.map(Value::Int).unwrap_or(Value::Null),
     ]);
     match op {
@@ -140,7 +165,7 @@ fn mk_token(s: u32, p: i64, v: Option<i64>, op: u8) -> UpdateDescriptor {
         _ => {
             let old = Tuple::new(vec![
                 Value::str(format!("S{}", (s + 1) % 6)),
-                Value::Float((p + 1) as f64),
+                Value::Float((p + 4) as f64 / 4.0),
                 Value::Int(-1),
             ]);
             UpdateDescriptor::update(SRC, old, tuple)
@@ -204,11 +229,13 @@ fn force_org(sigs: &[Arc<SignatureRuntime>], kind: OrgKind) {
     }
 }
 
-/// The property: index == oracle through create/drop, every forced
-/// organization, and a gauntlet of organization transitions.
+/// The property: index == oracle through create/drop/re-create, every
+/// forced organization, and a gauntlet of organization transitions with a
+/// drop after each.
 fn run_case(
     triggers: &[TriggerDef],
     drops: &[proptest::sample::Index],
+    recreated: &[TriggerDef],
     tokens: &[(u32, i64, Option<i64>, u8)],
 ) -> std::result::Result<(), TestCaseError> {
     let db = Arc::new(Database::open_memory(512));
@@ -225,15 +252,31 @@ fn run_case(
     check_all(&ix, &oracle, &tokens, "fresh")?;
 
     // Drop a random subset of triggers from both sides.
-    for d in drops {
-        let tid = d.index(triggers.len()) as u64;
+    let drop_both = |oracle: &mut Oracle, tid: u64| {
+        let held = oracle.preds.iter().filter(|(t, ..)| t.raw() == tid).count();
         oracle.remove(TriggerId(tid));
-        ix.remove_trigger(TriggerId(tid)).unwrap();
+        assert_eq!(ix.remove_trigger(TriggerId(tid)).unwrap(), held);
+    };
+    let dropped: Vec<u64> = drops
+        .iter()
+        .map(|d| d.index(triggers.len()) as u64)
+        .collect();
+    for &tid in &dropped {
+        drop_both(&mut oracle, tid);
     }
     check_all(&ix, &oracle, &tokens, "after drops")?;
 
-    // Every §5.2 organization, forced.
+    // Create some of the dropped ids again, under other conditions.
+    for (&tid, def) in dropped.iter().zip(recreated) {
+        drop_both(&mut oracle, tid); // the id may repeat among the drops
+        add_both(&ix, &mut oracle, def, tid);
+    }
+    check_all(&ix, &oracle, &tokens, "after re-creation")?;
+    prop_assert_eq!(ix.num_entries(), oracle.preds.len());
+
+    // Every §5.2 organization, forced; then one more trigger goes.
     let sigs = ix.all_signatures();
+    let mut next_drop = (0..triggers.len() as u64).rev();
     for kind in [
         OrgKind::MemList,
         OrgKind::MemListDenorm,
@@ -243,16 +286,30 @@ fn run_case(
     ] {
         force_org(&sigs, kind);
         check_all(&ix, &oracle, &tokens, kind.as_str())?;
+        if let Some(tid) = next_drop.next() {
+            drop_both(&mut oracle, tid);
+        }
+        check_all(&ix, &oracle, &tokens, &format!("{}, drop", kind.as_str()))?;
     }
 
     // Transition gauntlet: every ordered pair of the four organizations
     // (an Euler circuit of the complete digraph on them), checked after
-    // each switch.
+    // each switch and after a drop under it.
     use OrgKind::{DbIndexed as X, DbTable as T, MemIndex as I, MemList as L};
     for kind in [L, I, L, T, L, X, I, T, I, X, T, X, L] {
         force_org(&sigs, kind);
         check_all(&ix, &oracle, &tokens, &format!("-> {}", kind.as_str()))?;
+        if let Some(tid) = next_drop.next() {
+            drop_both(&mut oracle, tid);
+        }
+        check_all(
+            &ix,
+            &oracle,
+            &tokens,
+            &format!("-> {}, drop", kind.as_str()),
+        )?;
     }
+    prop_assert_eq!(ix.num_entries(), oracle.preds.len());
 
     Ok(())
 }
@@ -263,16 +320,17 @@ fn predicate_index_agrees_with_naive_oracle() {
     let strategy = (
         proptest::collection::vec(arb_trigger(), 1..32),
         proptest::collection::vec(any::<proptest::sample::Index>(), 0..8),
+        proptest::collection::vec(arb_trigger(), 0..4),
         proptest::collection::vec(arb_token(), 1..16),
     );
-    let result = runner.run(&strategy, |(triggers, drops, tokens)| {
-        run_case(&triggers, &drops, &tokens)
+    let result = runner.run(&strategy, |(triggers, drops, recreated, tokens)| {
+        run_case(&triggers, &drops, &recreated, &tokens)
     });
     match result {
         Ok(()) => {}
-        Err(TestError::Fail(why, (triggers, drops, tokens))) => panic!(
+        Err(TestError::Fail(why, (triggers, drops, recreated, tokens))) => panic!(
             "oracle divergence: {why}\nshrunken case:\n  triggers: {triggers:#?}\n  \
-             drops: {drops:?}\n  tokens: {tokens:?}"
+             drops: {drops:?}\n  recreated: {recreated:#?}\n  tokens: {tokens:?}"
         ),
         Err(e) => panic!("oracle run aborted: {e}"),
     }
@@ -286,10 +344,11 @@ fn predicate_index_oracle_long() {
     let strategy = (
         proptest::collection::vec(arb_trigger(), 1..64),
         proptest::collection::vec(any::<proptest::sample::Index>(), 0..24),
+        proptest::collection::vec(arb_trigger(), 0..12),
         proptest::collection::vec(arb_token(), 1..32),
     );
-    let result = runner.run(&strategy, |(triggers, drops, tokens)| {
-        run_case(&triggers, &drops, &tokens)
+    let result = runner.run(&strategy, |(triggers, drops, recreated, tokens)| {
+        run_case(&triggers, &drops, &recreated, &tokens)
     });
     if let Err(e) = result {
         panic!("oracle long run failed: {e}");
