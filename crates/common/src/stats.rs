@@ -118,7 +118,7 @@ pub struct CacheStats {
     pub hits: Arc<Counter>,
     /// Pin requests that loaded from the catalog.
     pub misses: Arc<Counter>,
-    /// Cached triggers discarded by LRU.
+    /// Cached triggers discarded by the clock hand.
     pub evictions: Arc<Counter>,
     /// Total pin calls (hits + misses, counted at the pin entry point so
     /// the invariant `pins == hits + misses` is testable).

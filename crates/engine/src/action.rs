@@ -7,7 +7,7 @@
 //! action."
 
 use crate::compile::{CompiledAction, CompiledTrigger};
-use crate::events::EventNotification;
+use crate::events::{EventNotification, Outbox};
 use crate::metrics::{ACTION_EXEC_SQL, ACTION_NOTIFY, ACTION_RAISE_EVENT};
 use crate::TriggerMan;
 use std::sync::{Arc, OnceLock};
@@ -23,33 +23,22 @@ use tman_telemetry::SpanKind;
 /// `:OLD` image of the event variable for update/delete events.
 /// `parent_span` links the `Action` span into the token's trace — it is
 /// the span id of the probe that produced the firing.
+///
+/// An `execSQL` statement runs here and now, under its own clock pair
+/// (`tman_action_ns`). `raise event` and `notify` *build* their
+/// notification here and leave it in `outbox`: the drain pass that owns the
+/// outbox delivers it, and times the delivery, with the rest of its run
+/// (`TriggerMan::replay`, invariant 6).
 pub fn run_action(
     system: &TriggerMan,
     trigger: &CompiledTrigger,
     bindings: &[Tuple],
     token: &UpdateDescriptor,
     parent_span: u32,
+    outbox: &mut Outbox,
 ) -> Result<()> {
     let mut span = token.trace.span(SpanKind::Action, parent_span);
     span.set_args(trigger.id.raw(), 0);
-    // Timed by hand: a `Timer` guard would clone the histogram's `Arc`,
-    // a shared cache line every driver writes on every fire.
-    let latency = &system.telemetry.action_ns;
-    let started = latency.is_enabled().then(Instant::now);
-    let result = act(system, trigger, bindings, token, span.id());
-    if let Some(t) = started {
-        latency.record(t.elapsed().as_nanos() as u64);
-    }
-    result
-}
-
-fn act(
-    system: &TriggerMan,
-    trigger: &CompiledTrigger,
-    bindings: &[Tuple],
-    token: &UpdateDescriptor,
-    action_span: u32,
-) -> Result<()> {
     let old_of_event_var = match token.op {
         TokenOp::Update | TokenOp::Delete => token.old.as_ref(),
         TokenOp::Insert => None,
@@ -57,9 +46,16 @@ fn act(
     let (key, event, values, message) = match &trigger.action {
         CompiledAction::ExecSql(stmt) => {
             system.telemetry.actions_by_kind[ACTION_EXEC_SQL].bump();
-            let substituted = substitute_stmt(stmt, trigger, bindings, old_of_event_var)?;
-            system.run_stmt(&substituted)?;
-            return Ok(());
+            // Timed by hand: a `Timer` guard would clone the histogram's
+            // `Arc`, a shared cache line every driver writes.
+            let latency = &system.telemetry.action_ns;
+            let started = latency.is_enabled().then(Instant::now);
+            let result = substitute_stmt(stmt, trigger, bindings, old_of_event_var)
+                .and_then(|substituted| system.run_stmt(&substituted));
+            if let Some(t) = started {
+                latency.record(t.elapsed().as_nanos() as u64);
+            }
+            return result.map(drop);
         }
         CompiledAction::RaiseEvent { name, key, args } => {
             system.telemetry.actions_by_kind[ACTION_RAISE_EVENT].bump();
@@ -80,19 +76,19 @@ fn act(
                 .iter()
                 .map(|a| a.eval(&env))
                 .collect::<Result<Vec<_>>>()?;
-            (&**key, name.clone(), values, None)
+            (key.clone(), name.clone(), values, None)
         }
         CompiledAction::Notify(template) => {
             system.telemetry.actions_by_kind[ACTION_NOTIFY].bump();
             let msg = substitute_text(template, trigger, bindings, old_of_event_var);
             static NOTIFY: OnceLock<Arc<str>> = OnceLock::new();
             let event = NOTIFY.get_or_init(|| "notify".into());
-            (&**event, event.clone(), Vec::new(), Some(msg))
+            (event.clone(), event.clone(), Vec::new(), Some(msg))
         }
     };
-    let mut notify = token.trace.span(SpanKind::Notify, action_span);
-    let fanout = system.events().publish_keyed(
+    outbox.push(
         key,
+        span.id(),
         EventNotification {
             event,
             trigger: trigger.name.clone(),
@@ -103,8 +99,6 @@ fn act(
             ingest_unix_ns: token.ingest_unix_ns,
         },
     );
-    notify.set_arg_b(fanout as u64);
-    system.telemetry.notify_fanout.record(fanout as u64);
     Ok(())
 }
 

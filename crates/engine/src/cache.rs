@@ -13,15 +13,23 @@
 //! are re-primed from base tables on reload.
 //!
 //! Concurrency: pinning happens once per predicate match, which §6 runs
-//! from many driver threads at once — so the hit path is a shared read
-//! lock plus two relaxed atomics (pin count, LRU timestamp). The write
-//! lock is taken only for misses and eviction, which scans for the
-//! least-recently-used unpinned slot (misses are already paying a
-//! recompilation, so the scan is noise).
+//! from many driver threads at once — so a hit writes nothing that two
+//! slots share. It is the map's read lock, the lookup, a clone of the
+//! slot's `Arc` and a store to the slot's reference mark when the mark is
+//! clear (a hot slot's mark is set, so its line stays shared). A slot is
+//! *pinned* while anyone but the cache holds its `Arc`: the pin is the
+//! clone, the unpin is its drop, and there is no second count to keep.
+//!
+//! Replacement is a clock: a hand walks the slots in a ring, passes a
+//! pinned slot, clears a set mark (the second chance a recent hit bought)
+//! and evicts the first slot it finds unpinned and unmarked. An insert
+//! over capacity therefore costs the slots the hand passes — evicted plus
+//! marks cleared plus pinned — not a scan of the cache. Both happen under
+//! the write lock, which only misses, inserts and removals take.
 
 use crate::compile::CompiledTrigger;
 use parking_lot::RwLock;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use tman_common::fxhash::FxHashMap;
 use tman_common::stats::CacheStats;
@@ -29,15 +37,63 @@ use tman_common::{Result, TriggerId};
 
 struct Slot {
     trigger: Arc<CompiledTrigger>,
-    pins: AtomicU32,
-    last_used: AtomicU64,
+    /// The clock's reference mark: set by a hit, cleared by the hand.
+    referenced: AtomicBool,
+}
+
+/// The resident slots, and the ring of their ids the clock hand walks.
+/// A slot's map entry carries its place in the ring, so a hit reads one
+/// map entry and nothing of the ring.
+#[derive(Default)]
+struct Resident {
+    slots: FxHashMap<TriggerId, (Arc<Slot>, usize)>,
+    ring: Vec<TriggerId>,
+    hand: usize,
+}
+
+impl Resident {
+    /// Take the slot at `pos` of the ring out of the cache; the ring's
+    /// last id moves into its place.
+    fn take(&mut self, pos: usize) {
+        let gone = self.ring.swap_remove(pos);
+        self.slots.remove(&gone);
+        if let Some(moved) = self.ring.get(pos) {
+            self.slots.get_mut(moved).expect("in the ring").1 = pos;
+        }
+    }
+}
+
+/// The units the cache's cost tests count.
+#[derive(Clone, Copy)]
+enum Work {
+    /// The map write-locked.
+    WriteLock,
+    /// A slot the clock hand looked at.
+    SlotPassed,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Work done on this thread, by [`Work`] kind.
+    static WORK: std::cell::Cell<[u64; 2]> = const { std::cell::Cell::new([0; 2]) };
+}
+
+/// Count one unit of `work` — in this crate's unit tests; it compiles to
+/// nothing anywhere else.
+#[inline(always)]
+fn tick(_work: Work) {
+    #[cfg(test)]
+    WORK.with(|w| {
+        let mut counts = w.get();
+        counts[_work as usize] += 1;
+        w.set(counts);
+    });
 }
 
 /// Buffer-pool-style cache of compiled trigger descriptions.
 pub struct TriggerCache {
     capacity: usize,
-    map: RwLock<FxHashMap<TriggerId, Arc<Slot>>>,
-    tick: AtomicU64,
+    resident: RwLock<Resident>,
     stats: CacheStats,
 }
 
@@ -61,19 +117,12 @@ impl std::ops::Deref for PinnedTrigger {
     }
 }
 
-impl Drop for PinnedTrigger {
-    fn drop(&mut self) {
-        self.slot.pins.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
 impl TriggerCache {
     /// Cache holding at most `capacity` descriptions.
     pub fn new(capacity: usize) -> TriggerCache {
         TriggerCache {
             capacity: capacity.max(1),
-            map: RwLock::new(FxHashMap::default()),
-            tick: AtomicU64::new(0),
+            resident: RwLock::default(),
             stats: CacheStats::default(),
         }
     }
@@ -85,21 +134,12 @@ impl TriggerCache {
 
     /// Number of resident descriptions.
     pub fn len(&self) -> usize {
-        self.map.read().len()
+        self.resident.read().ring.len()
     }
 
     /// Is the cache empty?
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    fn pin_slot(&self, slot: &Arc<Slot>) -> PinnedTrigger {
-        slot.pins.fetch_add(1, Ordering::Relaxed);
-        slot.last_used.store(
-            self.tick.fetch_add(1, Ordering::Relaxed) + 1,
-            Ordering::Relaxed,
-        );
-        PinnedTrigger { slot: slot.clone() }
     }
 
     /// Pin a trigger, loading (compiling) it via `load` on a miss. The
@@ -121,78 +161,95 @@ impl TriggerCache {
         load: impl FnOnce() -> Result<Arc<CompiledTrigger>>,
     ) -> Result<(PinnedTrigger, bool)> {
         self.stats.pins.bump();
-        if let Some(slot) = self.map.read().get(&id) {
-            self.stats.hits.bump();
-            return Ok((self.pin_slot(slot), true));
+        {
+            let resident = self.resident.read();
+            if let Some((slot, _)) = resident.slots.get(&id) {
+                self.stats.hits.bump();
+                let slot = slot.clone();
+                if !slot.referenced.load(Ordering::Relaxed) {
+                    slot.referenced.store(true, Ordering::Relaxed);
+                }
+                return Ok((PinnedTrigger { slot }, true));
+            }
         }
         self.stats.misses.bump();
         let trigger = load()?;
-        let mut map = self.map.write();
-        let slot = map
-            .entry(id)
-            .or_insert_with(|| {
-                Arc::new(Slot {
-                    trigger,
-                    pins: AtomicU32::new(0),
-                    last_used: AtomicU64::new(0),
-                })
-            })
-            .clone();
-        let pinned = self.pin_slot(&slot);
-        Self::evict_over_capacity(&mut map, self.capacity, &self.stats);
-        Ok((pinned, false))
+        Ok((self.install(trigger), false))
     }
 
     /// Insert without pinning (used at create-trigger time so the fresh
     /// description is warm).
     pub fn insert(self: &Arc<Self>, trigger: Arc<CompiledTrigger>) {
+        self.install(trigger);
+    }
+
+    /// Make `trigger` resident, unless a concurrent loader's install of
+    /// the same id got there first, and evict down to capacity. The
+    /// returned pin is taken before the hand moves, so the slot survives
+    /// its own install.
+    fn install(&self, trigger: Arc<CompiledTrigger>) -> PinnedTrigger {
+        tick(Work::WriteLock);
+        let mut resident = self.resident.write();
         let id = trigger.id;
-        let slot = Arc::new(Slot {
-            trigger,
-            pins: AtomicU32::new(0),
-            last_used: AtomicU64::new(self.tick.fetch_add(1, Ordering::Relaxed) + 1),
-        });
-        let mut map = self.map.write();
-        map.insert(id, slot);
-        Self::evict_over_capacity(&mut map, self.capacity, &self.stats);
+        let slot = match resident.slots.get(&id) {
+            Some((slot, _)) => slot.clone(),
+            None => {
+                let slot = Arc::new(Slot {
+                    trigger,
+                    referenced: AtomicBool::new(false),
+                });
+                let pos = resident.ring.len();
+                resident.ring.push(id);
+                resident.slots.insert(id, (slot.clone(), pos));
+                slot
+            }
+        };
+        self.evict_over_capacity(&mut resident);
+        PinnedTrigger { slot }
     }
 
     /// Look up without loading (tests / stats).
     pub fn peek(&self, id: TriggerId) -> Option<Arc<CompiledTrigger>> {
-        self.map.read().get(&id).map(|s| s.trigger.clone())
+        let resident = self.resident.read();
+        resident.slots.get(&id).map(|(s, _)| s.trigger.clone())
     }
 
     /// Drop a trigger from the cache (after `drop trigger`).
     pub fn remove(&self, id: TriggerId) {
-        self.map.write().remove(&id);
+        tick(Work::WriteLock);
+        let mut resident = self.resident.write();
+        if let Some(&(_, pos)) = resident.slots.get(&id) {
+            resident.take(pos);
+        }
     }
 
-    /// Evict in a batch down to ~7/8 of capacity: one O(n log n) sweep
-    /// amortized over capacity/8 subsequent inserts, so sustained trigger
-    /// creation past the cache size doesn't pay a full scan per insert.
-    fn evict_over_capacity(
-        map: &mut FxHashMap<TriggerId, Arc<Slot>>,
-        capacity: usize,
-        stats: &CacheStats,
-    ) {
-        if map.len() <= capacity {
-            return;
-        }
-        let target = capacity - capacity / 8;
-        let mut candidates: Vec<(u64, TriggerId)> = map
-            .iter()
-            .filter(|(_, s)| s.pins.load(Ordering::Relaxed) == 0)
-            .map(|(id, s)| (s.last_used.load(Ordering::Relaxed), *id))
-            .collect();
-        candidates.sort_unstable();
-        for (_, id) in candidates {
-            if map.len() <= target {
-                break;
+    /// Advance the clock hand until the cache is back at capacity. Two
+    /// laps find every slot that can go — the first clears the marks, the
+    /// second takes what is unpinned — so when the hand has gone round
+    /// twice without an eviction everything left is pinned, and the cache
+    /// stays over capacity until a later install finds a pin released.
+    fn evict_over_capacity(&self, resident: &mut Resident) {
+        let mut since_eviction = 0;
+        while resident.ring.len() > self.capacity && since_eviction < 2 * resident.ring.len() {
+            if resident.hand >= resident.ring.len() {
+                resident.hand = 0;
             }
-            map.remove(&id);
-            stats.evictions.bump();
+            tick(Work::SlotPassed);
+            let (slot, _) = &resident.slots[&resident.ring[resident.hand]];
+            // Nobody can pin under the write lock: a count of one is the
+            // cache's own and stays one.
+            let pinned = Arc::strong_count(slot) > 1;
+            if !pinned && !slot.referenced.swap(false, Ordering::Relaxed) {
+                // The ring's last slot — the one being installed — takes
+                // the victim's place, behind the hand: a full lap away.
+                resident.take(resident.hand);
+                self.stats.evictions.bump();
+                since_eviction = 0;
+            } else {
+                since_eviction += 1;
+            }
+            resident.hand += 1;
         }
-        // If everything is pinned we allow temporary overflow.
     }
 }
 
@@ -316,9 +373,100 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        // All pins released.
-        for (_, slot) in cache.map.read().iter() {
-            assert_eq!(slot.pins.load(Ordering::Relaxed), 0);
+        // All pins released: the cache's own is the only hold left.
+        let resident = cache.resident.read();
+        assert_eq!(resident.ring.len(), 32);
+        for (pos, id) in resident.ring.iter().enumerate() {
+            let (slot, at) = &resident.slots[id];
+            assert_eq!((slot.trigger.id, *at), (*id, pos));
+            assert_eq!(Arc::strong_count(slot), 1);
         }
+    }
+
+    /// Work this thread did, by [`Work`] kind, while `f` ran.
+    fn work_in<R>(f: impl FnOnce() -> R) -> (R, [u64; 2]) {
+        let before = WORK.with(|w| w.get());
+        let r = f();
+        let after = WORK.with(|w| w.get());
+        (r, std::array::from_fn(|i| after[i] - before[i]))
+    }
+
+    /// What a hit and an insert over capacity cost does not depend on how
+    /// many triggers are resident: a hit takes no write lock and moves no
+    /// hand — what it writes is its own slot's count and mark — and an
+    /// insert passes the slots it evicts and the marks it clears, at 1 k
+    /// and at 64 k alike.
+    #[test]
+    fn hit_and_eviction_cost_is_independent_of_capacity() {
+        let mut costs = Vec::new();
+        for capacity in [1_000u64, 64_000] {
+            let cache = Arc::new(TriggerCache::new(capacity as usize));
+            for id in 0..capacity {
+                cache.insert(dummy_trigger(id));
+            }
+            assert_eq!(cache.len(), capacity as usize);
+            assert_eq!(cache.stats().evictions.get(), 0);
+
+            // Hits on the ten slots the hand will come to first.
+            let marked = 10;
+            let (_, hits) = work_in(|| {
+                for id in 0..marked {
+                    for _ in 0..3 {
+                        let (p, hit) = cache.pin_report(TriggerId(id), || unreachable!()).unwrap();
+                        assert!(hit && p.id == TriggerId(id));
+                    }
+                }
+            });
+            assert_eq!(hits, [0, 0], "a hit write-locks nothing and passes no slot");
+            let marks = || {
+                let resident = cache.resident.read();
+                let set = |s: &&(Arc<Slot>, usize)| s.0.referenced.load(Ordering::Relaxed);
+                resident.slots.values().filter(set).count() as u64
+            };
+            assert_eq!(marks(), marked);
+
+            // Over capacity: the hand clears the ten marks and takes the
+            // eleventh slot; the slot that was hit survives.
+            let (_, first) = work_in(|| cache.insert(dummy_trigger(capacity)));
+            assert_eq!(first, [1, marked + 1]);
+            assert_eq!(marks(), 0);
+            assert!(cache.peek(TriggerId(marked)).is_none(), "the victim");
+            assert!(cache.peek(TriggerId(0)).is_some(), "recently used");
+            assert!(cache.peek(TriggerId(capacity)).is_some(), "just installed");
+            // No marks in the way: one slot passed for one evicted.
+            let (_, second) = work_in(|| cache.insert(dummy_trigger(capacity + 1)));
+            assert_eq!(second, [1, 1]);
+            // A miss installs the same way.
+            let (_, miss) = work_in(|| {
+                cache
+                    .pin(TriggerId(capacity + 2), || Ok(dummy_trigger(capacity + 2)))
+                    .map(drop)
+                    .unwrap()
+            });
+            assert_eq!(miss, [1, 1]);
+            assert_eq!(cache.len(), capacity as usize);
+            assert_eq!(cache.stats().evictions.get(), 3);
+            costs.push((hits, first, second, miss));
+        }
+        assert_eq!(costs[0], costs[1], "capacity 1 k against 64 k");
+    }
+
+    /// With every slot pinned the hand gives up after two laps, and the
+    /// next install after the pins are released evicts the overflow too.
+    #[test]
+    fn all_pinned_overflows_for_two_laps_then_recovers() {
+        let cache = Arc::new(TriggerCache::new(4));
+        let pins: Vec<_> = (0..6u64)
+            .map(|id| cache.pin(TriggerId(id), || Ok(dummy_trigger(id))).unwrap())
+            .collect();
+        assert_eq!(cache.len(), 6, "temporary overflow");
+        let (_, stuck) = work_in(|| cache.insert(dummy_trigger(6)));
+        assert_eq!(stuck[Work::SlotPassed as usize], 2 * 7);
+        assert_eq!(cache.stats().evictions.get(), 0);
+        drop(pins);
+        cache.insert(dummy_trigger(7));
+        assert_eq!(cache.len(), 4);
+        assert_eq!(cache.stats().evictions.get(), 4);
+        assert!(cache.peek(TriggerId(7)).is_some());
     }
 }

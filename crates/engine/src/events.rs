@@ -2,18 +2,28 @@
 //! communicates with the outside world; client applications "register for
 //! events, receive event notifications when triggers fire".
 //!
+//! Delivery is by the *run*. A rule action builds its notification and
+//! leaves it in the [`Outbox`] of the drain pass that fired it; the pass
+//! hands the outbox to [`EventBus::deliver`], the one routine that reaches
+//! subscribers, and what a run of notifications has in common is paid once
+//! for the run instead of once per notification: the routing lock, the
+//! route of a stretch of equal event keys, each subscriber's backlog, the
+//! receiver's wake-up, the counters. [`EventBus::publish`] is a run of one.
+//!
 //! Delivery accounting is per-subscriber: every subscription carries a
 //! stable id, and drops (dead or backlogged receivers) are counted both in
 //! the aggregate `tman_notifications_dropped_total` series and in a
 //! `subscriber`-labeled child of the same family, so one stalled client is
 //! attributable instead of vanishing into a global counter. Dead receivers
-//! are pruned *eagerly*: the publish that detects the failure sweeps the
-//! subscriber out of every routing table before returning.
+//! are pruned *eagerly*: the delivery that detects the failure sends the
+//! subscriber nothing more and sweeps it out of every routing table before
+//! returning.
 //!
 //! [`NotificationSink`]s are synchronous observers invoked inside
-//! [`EventBus::publish`] *before* channel fanout — the wire tier's durable
-//! delivery log hooks in here, so a notification is logged before the
-//! publishing driver can acknowledge the token that produced it.
+//! [`EventBus::deliver`] *before* any channel fanout of the run — the wire
+//! tier's durable delivery log hooks in here, so a notification is logged
+//! before the publishing driver can acknowledge the token that produced
+//! it.
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::RwLock;
@@ -21,7 +31,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use tman_common::fxhash::FxHashMap;
 use tman_common::Value;
-use tman_telemetry::{CounterHandle, Registry, TraceHandle};
+use tman_telemetry::trace::{now_ns, ROOT_SPAN};
+use tman_telemetry::{CounterHandle, HistogramHandle, Registry, SpanKind, TraceHandle};
 
 /// A notification delivered to registered clients.
 ///
@@ -65,12 +76,13 @@ impl PartialEq for EventNotification {
 }
 
 /// Synchronous observer of every published notification. Sinks run inside
-/// [`EventBus::publish`] on the publishing driver thread, before any
-/// channel fanout — a sink that persists the notification therefore
-/// completes *before* the token that produced it can be acknowledged to
-/// the update queue, which is what makes at-least-once delivery compose
-/// end-to-end. A sink runs under the bus's routing read lock and must not
-/// subscribe or register on the bus it observes.
+/// [`EventBus::deliver`] on the publishing driver thread, one notification
+/// at a time and in publication order, before any channel fanout of the
+/// run — a sink that persists the notification therefore completes
+/// *before* the token that produced it can be acknowledged to the update
+/// queue, which is what makes at-least-once delivery compose end-to-end. A
+/// sink runs under the bus's routing read lock and must not subscribe or
+/// register on the bus it observes.
 pub trait NotificationSink: Send + Sync {
     /// Observe one notification at publish time.
     fn on_publish(&self, n: &EventNotification);
@@ -82,17 +94,64 @@ pub trait NotificationSink: Send + Sync {
 /// memory growth.
 pub const SLOW_CHANNEL_DEPTH: usize = 65_536;
 
+/// One notification waiting for delivery.
+struct Pending {
+    /// The routing key: the event name lower-cased.
+    key: Arc<str>,
+    /// The `Action` span that built it, parent of its `Notify` span.
+    span: u32,
+    note: EventNotification,
+}
+
+/// Notifications built and not yet delivered, in publication order: what
+/// one drain pass fired since it last called [`EventBus::deliver`].
+#[derive(Default)]
+pub struct Outbox {
+    pending: Vec<Pending>,
+}
+
+impl Outbox {
+    /// An outbox with room for `n` notifications.
+    pub fn with_capacity(n: usize) -> Outbox {
+        Outbox {
+            pending: Vec::with_capacity(n),
+        }
+    }
+
+    /// Append `note`, to be routed by `key` — `note.event` lower-cased,
+    /// which a rule action takes from its compiled trigger. `action_span`
+    /// is the trace span of the action that built it ([`ROOT_SPAN`] when
+    /// there is none).
+    pub fn push(&mut self, key: Arc<str>, action_span: u32, note: EventNotification) {
+        self.pending.push(Pending {
+            key,
+            span: action_span,
+            note,
+        });
+    }
+
+    /// Notifications waiting.
+    pub fn len(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Is nothing waiting?
+    pub fn is_empty(&self) -> bool {
+        self.pending.is_empty()
+    }
+}
+
 /// One subscription: a stable id (for labeled drop accounting), its
 /// channel, and its `subscriber`-labeled drop counter, resolved in the
 /// registry by the first drop and kept — a subscriber 65 536 behind is
-/// dropped to by every driver on every fire.
+/// dropped to by every driver on every run.
 struct Sub {
     id: u64,
     tx: Sender<EventNotification>,
     dropped: OnceLock<CounterHandle>,
 }
 
-/// Who receives what: one lock, read once per publish.
+/// Who receives what: one lock, read once per delivered run.
 #[derive(Default)]
 struct Routes {
     /// Subscribers per lower-cased event name.
@@ -109,6 +168,8 @@ pub struct EventBus {
     registry: Option<Arc<Registry>>,
     delivered: CounterHandle,
     dropped: CounterHandle,
+    /// `tman_notify_fanout`: subscribers reached, per notification.
+    fanout: HistogramHandle,
 }
 
 impl Default for EventBus {
@@ -118,7 +179,7 @@ impl Default for EventBus {
 }
 
 impl EventBus {
-    /// Fresh bus. Delivery counters are no-ops until
+    /// Fresh bus. Delivery instruments are no-ops until
     /// [`attach_telemetry`](Self::attach_telemetry) resolves them against a
     /// registry.
     pub fn new() -> EventBus {
@@ -128,17 +189,20 @@ impl EventBus {
             registry: None,
             delivered: CounterHandle::noop(),
             dropped: CounterHandle::noop(),
+            fanout: HistogramHandle::noop(),
         }
     }
 
-    /// Resolve the delivery counters in `registry`, so
-    /// `tman_notifications_{delivered,dropped}_total` show up in
-    /// `show stats` / the text exposition. The registry is retained so
-    /// per-subscriber `subscriber`-labeled drop counters can be resolved
-    /// lazily, the first time a given subscriber actually drops.
+    /// Resolve the delivery instruments in `registry`, so
+    /// `tman_notifications_{delivered,dropped}_total` and
+    /// `tman_notify_fanout` show up in `show stats` / the text exposition.
+    /// The registry is retained so per-subscriber `subscriber`-labeled drop
+    /// counters can be resolved lazily, the first time a given subscriber
+    /// actually drops.
     pub fn attach_telemetry(&mut self, registry: &Arc<Registry>) {
         self.delivered = registry.counter("tman_notifications_delivered_total", &[]);
         self.dropped = registry.counter("tman_notifications_dropped_total", &[]);
+        self.fanout = registry.histogram("tman_notify_fanout", &[]);
         self.registry = Some(registry.clone());
     }
 
@@ -173,10 +237,10 @@ impl EventBus {
         self.routes.write().sinks.push(sink);
     }
 
-    /// Count one drop against `sub`: the aggregate series plus the
+    /// Count `n` drops against `sub`: the aggregate series plus the
     /// `subscriber`-labeled child of the same family.
-    fn count_drop(&self, sub: &Sub) {
-        self.dropped.bump();
+    fn count_drops(&self, sub: &Sub, n: u64) {
+        self.dropped.add(n);
         if let Some(r) = &self.registry {
             sub.dropped
                 .get_or_init(|| {
@@ -185,65 +249,142 @@ impl EventBus {
                         &[("subscriber", sub.id.to_string().as_str())],
                     )
                 })
-                .bump();
+                .add(n);
         }
     }
 
-    /// Deliver a notification to all matching subscribers, returning the
-    /// number actually delivered (the fanout). Sinks run first (see
-    /// [`NotificationSink`]). A subscriber whose mailbox has grown past
-    /// [`SLOW_CHANNEL_DEPTH`] is treated as full: the notification is
-    /// dropped for that subscriber and counted under its id. Disconnected
-    /// receivers are counted the same way and pruned eagerly — out of
-    /// every routing table before this call returns.
+    /// Deliver one notification to all matching subscribers, returning the
+    /// number actually delivered (the fanout): a run of one through
+    /// [`deliver`](Self::deliver).
     pub fn publish(&self, n: EventNotification) -> usize {
-        self.publish_keyed(&n.event.to_lowercase(), n)
+        let mut run = Outbox::with_capacity(1);
+        run.push(n.event.to_lowercase().into(), ROOT_SPAN, n);
+        self.deliver(&mut run)
     }
 
-    /// [`publish`](Self::publish) for a caller that already holds the
-    /// routing key, `n.event` lower-cased — rule actions take it from the
-    /// compiled trigger.
+    /// Deliver a run of notifications — everything in `outbox`, which is
+    /// left empty — in publication order, returning how many deliveries
+    /// were made (the sum of the fanouts).
     ///
-    /// Hot path note: rule actions publish from every driver thread
-    /// concurrently, so delivery runs under one *read* lock; the write
-    /// lock is only taken to prune when a send actually failed. The
-    /// notification is cloned for every receiver but the last, which gets
-    /// the original.
-    pub fn publish_keyed(&self, key: &str, n: EventNotification) -> usize {
-        let mut fanout = 0usize;
+    /// Sinks see the whole run first (see [`NotificationSink`]). The run
+    /// then goes out a *stretch* at a time, a stretch being consecutive
+    /// notifications with one event key: its route is resolved and each
+    /// subscriber's backlog read once, and the subscriber is sent as much
+    /// of the stretch as fits under [`SLOW_CHANNEL_DEPTH`], back to back —
+    /// a receiver asleep on its channel is woken by the first send and
+    /// finds the rest waiting. What does not fit is dropped for that
+    /// subscriber only and counted under its id; the subscriber stays
+    /// registered. A disconnected receiver is counted one drop, sent
+    /// nothing more, and pruned out of every routing table before this
+    /// call returns.
+    ///
+    /// Hot path note: drain passes deliver from every driver thread
+    /// concurrently, so a run goes out under one *read* lock; the write
+    /// lock is only taken to prune when a send actually failed. A
+    /// notification is cloned for every receiver but the last that has
+    /// room, which gets the original. Nothing here allocates per
+    /// notification: the scratch below is sized by the route and reused
+    /// from stretch to stretch.
+    pub fn deliver(&self, outbox: &mut Outbox) -> usize {
+        if outbox.is_empty() {
+            return 0;
+        }
+        let mut delivered = 0;
         let mut dead: Vec<u64> = Vec::new();
+        // How much of the current stretch each subscriber of its route got.
+        let mut takes: Vec<usize> = Vec::new();
+        // The traced notifications of the current stretch: position, trace
+        // and `Action` span, kept past the send that gives the note away.
+        let mut traced: Vec<(usize, TraceHandle, u32)> = Vec::new();
         {
             let routes = self.routes.read();
-            for s in &routes.sinks {
-                s.on_publish(&n);
+            for p in &outbox.pending {
+                for s in &routes.sinks {
+                    s.on_publish(&p.note);
+                }
             }
-            let named = routes.by_event.get(key).map_or(&[][..], Vec::as_slice);
-            let mut subs = named.iter().chain(&routes.all).peekable();
-            let mut n = Some(n);
-            while let Some(sub) = subs.next() {
-                if sub.tx.len() >= SLOW_CHANNEL_DEPTH {
-                    // Stalled subscriber: mailbox is "full" under the
-                    // backlog policy. Drop for this subscriber only; it
-                    // stays registered.
-                    self.count_drop(sub);
-                    continue;
-                }
-                let note = match subs.peek() {
-                    Some(_) => n.clone(),
-                    None => n.take(),
-                };
-                match sub.tx.send(note.expect("taken by the last receiver only")) {
-                    Ok(()) => {
-                        self.delivered.bump();
-                        fanout += 1;
+            let mut run = outbox.pending.drain(..);
+            loop {
+                let rest = run.as_slice();
+                let Some(first) = rest.first() else { break };
+                let k = rest.iter().take_while(|p| p.key == first.key).count();
+                let stretch = &rest[..k];
+                let named = routes.by_event.get(&*first.key);
+                let subs = || named.into_iter().flatten().chain(&routes.all);
+                traced.extend(
+                    stretch
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, p)| p.note.trace.is_active())
+                        .map(|(at, p)| (at, p.note.trace.clone(), p.span)),
+                );
+                let began = if traced.is_empty() { 0 } else { now_ns() };
+
+                takes.clear();
+                takes.extend(subs().map(|sub| {
+                    if dead.contains(&sub.id) {
+                        return 0;
                     }
-                    Err(_) => {
-                        self.count_drop(sub);
+                    let room = SLOW_CHANNEL_DEPTH.saturating_sub(sub.tx.len());
+                    if room < k {
+                        // Stalled subscriber: its mailbox is "full" under
+                        // the backlog policy from here on.
+                        self.count_drops(sub, (k - room) as u64);
+                    }
+                    room.min(k)
+                }));
+                // The last subscriber with room is given the originals,
+                // after every other one has had its clones.
+                let last = takes.iter().rposition(|&take| take > 0);
+                for (i, sub) in subs().enumerate() {
+                    if Some(i) == last {
+                        continue;
+                    }
+                    let sent = stretch[..takes[i]]
+                        .iter()
+                        .take_while(|p| sub.tx.send(p.note.clone()).is_ok())
+                        .count();
+                    if sent < takes[i] {
+                        self.count_drops(sub, 1);
                         dead.push(sub.id);
+                        takes[i] = sent;
                     }
                 }
+                let mut moved = 0;
+                if let Some(i) = last {
+                    let sub = subs().nth(i).expect("counted above");
+                    while moved < takes[i] {
+                        let p = run.next().expect("inside the stretch");
+                        moved += 1;
+                        if sub.tx.send(p.note).is_err() {
+                            self.count_drops(sub, 1);
+                            dead.push(sub.id);
+                            takes[i] = moved - 1;
+                            break;
+                        }
+                    }
+                }
+                run.by_ref().take(k - moved).for_each(drop);
+
+                // Notification `at` of the stretch reached every subscriber
+                // that took more than `at` of it: the fanout is constant
+                // between one subscriber's share and the next larger.
+                let fanout = |at: usize| takes.iter().filter(|&&take| take > at).count() as u64;
+                let mut at = 0;
+                while at < k {
+                    let until = takes.iter().copied().filter(|&take| take > at).min();
+                    let until = until.unwrap_or(k);
+                    self.fanout.record_n(fanout(at), (until - at) as u64);
+                    at = until;
+                }
+                for (at, trace, span) in traced.drain(..) {
+                    let dur = now_ns().saturating_sub(began);
+                    trace.record_complete(SpanKind::Notify, span, began, dur, 0, fanout(at));
+                }
+                delivered += takes.iter().sum::<usize>();
             }
         }
+        self.delivered.add(delivered as u64);
         if !dead.is_empty() {
             let mut routes = self.routes.write();
             for subs in routes.by_event.values_mut() {
@@ -252,7 +393,7 @@ impl EventBus {
             routes.by_event.retain(|_, subs| !subs.is_empty());
             routes.all.retain(|s| !dead.contains(&s.id));
         }
-        fanout
+        delivered
     }
 
     /// Notifications successfully delivered (0 until a registry is
@@ -385,6 +526,125 @@ mod tests {
         for _ in rx.try_iter() {}
         bus.publish(note("x"));
         assert_eq!(rx.len(), 1);
+    }
+
+    /// A run of `events`, each carrying its position in `values`.
+    fn run_of(events: &[&str]) -> Outbox {
+        let mut run = Outbox::default();
+        for (at, event) in events.iter().enumerate() {
+            let mut n = note(event);
+            n.values = vec![Value::Int(at as i64)];
+            run.push(event.to_lowercase().into(), ROOT_SPAN, n);
+        }
+        run
+    }
+
+    fn positions(rx: &Receiver<EventNotification>) -> Vec<i64> {
+        let at = |n: EventNotification| match n.values[0] {
+            Value::Int(at) => at,
+            ref other => panic!("{other:?}"),
+        };
+        rx.try_iter().map(at).collect()
+    }
+
+    /// A stretch that straddles the cap is delivered exactly up to it, per
+    /// subscriber, and the rest of it counted against that subscriber.
+    #[test]
+    fn a_stretch_that_straddles_the_cap_delivers_up_to_it() {
+        let registry = Arc::new(Registry::new());
+        let mut bus = EventBus::new();
+        bus.attach_telemetry(&registry);
+        let behind = bus.subscribe("x");
+        let behind_id = bus.routes.read().by_event.get("x").unwrap()[0].id;
+        for _ in 0..SLOW_CHANNEL_DEPTH - 3 {
+            bus.publish(note("x"));
+        }
+        let fresh = bus.subscribe("x");
+        let (delivered, fanouts) = (bus.delivered(), bus.fanout.summary());
+
+        // Ten of `x`, then two of `y` nobody listens to, then one more `x`:
+        // three stretches of one run.
+        let events = [["x"; 10].as_slice(), &["y", "y", "X"]].concat();
+        let mut run = run_of(&events);
+        assert_eq!(bus.deliver(&mut run), 3 + 10 + 1);
+        assert!(run.is_empty());
+        assert_eq!(behind.len(), SLOW_CHANNEL_DEPTH, "up to the cap, not past");
+        assert_eq!(positions(&fresh), [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12]);
+        let last_three: Vec<_> = behind.try_iter().skip(SLOW_CHANNEL_DEPTH - 3).collect();
+        assert_eq!(last_three.len(), 3);
+        assert_eq!(last_three[2].values, [Value::Int(2)]);
+
+        assert_eq!(bus.delivered() - delivered, 14);
+        assert_eq!(
+            bus.dropped(),
+            7 + 1,
+            "seven of the first stretch, the last x"
+        );
+        let labelled = |id: u64| {
+            let id = id.to_string();
+            let labels = [("subscriber", id.as_str())];
+            registry
+                .counter("tman_notifications_dropped_total", &labels)
+                .get()
+        };
+        assert_eq!(labelled(behind_id), 8);
+        assert_eq!(labelled(behind_id + 1), 0);
+        // One fanout sample per notification: 2 for the three both took, 1
+        // for the eight only `fresh` took, 0 for the two of `y`.
+        let f = bus.fanout.summary();
+        assert_eq!(f.count - fanouts.count, 13);
+        assert_eq!(f.sum - fanouts.sum, 3 * 2 + 8);
+    }
+
+    /// Two subscribers to one event and one to all events each receive a
+    /// run in publication order, whichever of them is given the originals.
+    #[test]
+    fn every_subscriber_receives_a_run_in_publication_order() {
+        let bus = EventBus::new();
+        let (a, b, all) = (bus.subscribe("x"), bus.subscribe("X"), bus.subscribe_all());
+        let mut run = run_of(&["x", "x", "y", "x", "y", "y", "x"]);
+        assert_eq!(bus.deliver(&mut run), 4 * 3 + 3);
+        assert_eq!(positions(&a), [0, 1, 3, 6]);
+        assert_eq!(positions(&b), [0, 1, 3, 6]);
+        assert_eq!(positions(&all), [0, 1, 2, 3, 4, 5, 6]);
+        // A receiver that goes away mid-run is sent nothing more, counted
+        // once and pruned by the call that found out.
+        drop(all);
+        let mut run = run_of(&["y", "x", "y"]);
+        assert_eq!(bus.deliver(&mut run), 2);
+        assert!(bus.routes.read().all.is_empty());
+        assert_eq!((positions(&a), positions(&b)), (vec![1], vec![1]));
+    }
+
+    /// Sinks see every notification of a run, in order, before the first
+    /// of them reaches a channel.
+    #[test]
+    fn sinks_observe_a_whole_run_before_its_fanout() {
+        struct Probe {
+            seen: parking_lot::Mutex<Vec<i64>>,
+            rx: Receiver<EventNotification>,
+        }
+        impl NotificationSink for Probe {
+            fn on_publish(&self, n: &EventNotification) {
+                assert!(
+                    self.rx.is_empty(),
+                    "fanout began before the sinks were done"
+                );
+                let Value::Int(at) = n.values[0] else {
+                    panic!("{:?}", n.values)
+                };
+                self.seen.lock().push(at);
+            }
+        }
+        let bus = EventBus::new();
+        let probe = Arc::new(Probe {
+            seen: Default::default(),
+            rx: bus.subscribe_all(),
+        });
+        bus.register_sink(probe.clone());
+        bus.deliver(&mut run_of(&["x", "y", "x"]));
+        assert_eq!(*probe.seen.lock(), [0, 1, 2]);
+        assert_eq!(positions(&probe.rx), [0, 1, 2]);
     }
 
     #[test]

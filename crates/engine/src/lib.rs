@@ -63,7 +63,7 @@ pub use cache::{PinnedTrigger, TriggerCache};
 pub use compile::{CompiledAction, CompiledTrigger};
 pub use config::{Config, QueueMode, TracingMode};
 pub use driver::{AckState, DriverPool, Task, TmanTestResult};
-pub use events::{EventBus, EventNotification, NotificationSink};
+pub use events::{EventBus, EventNotification, NotificationSink, Outbox};
 pub use metrics::MetricsSnapshot;
 pub use shard::{EngineShard, ShardSet};
 pub use tman_network::NetworkKind;
@@ -99,6 +99,14 @@ use tman_telemetry::{HttpResponse, HttpServer, TraceHandle};
 /// Capacity, in events, of the bounded trace ring buffer; the oldest
 /// retained events are overwritten once it fills.
 const TRACE_BUFFER_EVENTS: usize = 65_536;
+
+/// Notifications a drain pass lets wait in its outbox before it delivers
+/// at the next token boundary ([`TriggerMan::replay`], invariant 6). A
+/// constant, not a setting: all it does is bound what a pass holds — this
+/// many notifications, of about 140 bytes and their values each, plus the
+/// fires of one more token — and the common run, a batch of tokens with a
+/// handful of fires each, ends before it is reached.
+const OUTBOX_FLUSH: usize = 1024;
 
 /// Update-queue depth at which `/healthz` reports `overloaded` and the
 /// wire tier withholds ingestion credits (backpressure) until the drivers
@@ -1083,7 +1091,21 @@ impl TriggerMan {
     ///    [`AckState`], so the persistent-queue row is acknowledged only
     ///    after every descendant task has run;
     /// 6. an action runs on the thread that replayed its match, before
-    ///    the next step, so what a token publishes is in match order.
+    ///    the next step: an `execSQL` statement takes effect there and
+    ///    then, a `raise event` or `notify` builds its notification there
+    ///    and appends it to this call's [`Outbox`]. What the call
+    ///    publishes is therefore in match order — token order, then
+    ///    signature and entry order — and it is *delivered*
+    ///    ([`deliver`](Self::deliver)) in that order before the call
+    ///    returns, so before any [`AckState`] of the run can drop: sinks
+    ///    have logged every notification of a token before the token can
+    ///    be acknowledged. Delivery happens earlier, at a token boundary,
+    ///    once more than [`OUTBOX_FLUSH`] notifications wait; where the
+    ///    boundaries fall depends on nothing but the run.
+    ///
+    /// One step's failure is that step's alone: it is recorded, the
+    /// token's remaining steps — other triggers' matches — still run, and
+    /// the first failure of the call is what it returns.
     ///
     /// Tag claims live in a set on this stack, cleared per token. Only a
     /// token that a split sends to other tasks gets the shared
@@ -1097,7 +1119,14 @@ impl TriggerMan {
         whole: bool,
     ) -> Result<()> {
         let mut first_err = None;
+        let mut failed = |e: TmanError| {
+            self.record_error(&e);
+            first_err.get_or_insert(e);
+        };
         let mut claimed: FxHashSet<u64> = FxHashSet::default();
+        let mut outbox = Outbox::with_capacity(steps.len().min(OUTBOX_FLUSH));
+        // Tokens before this one have had their notifications delivered.
+        let mut delivered = 0;
         let mut at = 0;
         for (idx, (tok, ack)) in run.iter().enumerate() {
             let mine = steps[at..]
@@ -1112,67 +1141,88 @@ impl TriggerMan {
             }
             // Armed already when this token is itself one part of a split.
             let mut shared = tok.claims.clone();
-            let result = (|| -> Result<()> {
-                if whole && tok.op == TokenOp::Update {
-                    let _maint = tok.trace.span(SpanKind::Maintenance, process_id);
-                    self.retract_old_image(tok, plan)?;
+            if whole && tok.op == TokenOp::Update {
+                let _maint = tok.trace.span(SpanKind::Maintenance, process_id);
+                if let Err(e) = self.retract_old_image(tok, plan) {
+                    failed(e);
                 }
-                for step in mine {
-                    match step.kind {
-                        StepKind::Split { sig, parts } => {
-                            let sig = &plan.sigs[sig as usize].rt;
-                            // The fan-out span parents every partition's
-                            // probe span, so the tree reassembles across
-                            // driver threads.
-                            let mut fanout = tok.trace.span(SpanKind::Fanout, process_id);
-                            fanout.set_args(sig.id.raw() as u64, u64::from(parts));
-                            if !shared.is_active() && self.tagged_count.load(Ordering::Relaxed) > 0
-                            {
-                                shared = TagClaims::shared_from(claimed.drain());
-                            }
-                            let mut token = tok.clone();
-                            token.claims = shared.clone();
-                            for part in 0..parts as usize {
-                                self.shards.push(Task {
-                                    token: token.clone(),
-                                    sig: sig.clone(),
-                                    part,
-                                    nparts: parts as usize,
-                                    parent_span: fanout.id(),
-                                    ack: ack.clone(),
-                                });
-                            }
+            }
+            for step in mine {
+                match step.kind {
+                    StepKind::Split { sig, parts } => {
+                        let sig = &plan.sigs[sig as usize].rt;
+                        // The fan-out span parents every partition's
+                        // probe span, so the tree reassembles across
+                        // driver threads.
+                        let mut fanout = tok.trace.span(SpanKind::Fanout, process_id);
+                        fanout.set_args(sig.id.raw() as u64, u64::from(parts));
+                        if !shared.is_active() && self.tagged_count.load(Ordering::Relaxed) > 0 {
+                            shared = TagClaims::shared_from(claimed.drain());
                         }
-                        StepKind::Match {
-                            expr,
-                            trigger,
-                            node,
-                            span,
-                        } => {
-                            let admitted = self.admit(expr, trigger, node, tok, &mut |tag| {
-                                if shared.is_active() {
-                                    shared.claim(tag)
-                                } else {
-                                    claimed.insert(tag)
-                                }
+                        let mut token = tok.clone();
+                        token.claims = shared.clone();
+                        for part in 0..parts as usize {
+                            self.shards.push(Task {
+                                token: token.clone(),
+                                sig: sig.clone(),
+                                part,
+                                nparts: parts as usize,
+                                parent_span: fanout.id(),
+                                ack: ack.clone(),
                             });
-                            if admitted {
-                                self.handle_match(trigger, node, tok, span)?;
+                        }
+                    }
+                    StepKind::Match {
+                        expr,
+                        trigger,
+                        node,
+                        span,
+                    } => {
+                        let admitted = self.admit(expr, trigger, node, tok, &mut |tag| {
+                            if shared.is_active() {
+                                shared.claim(tag)
+                            } else {
+                                claimed.insert(tag)
+                            }
+                        });
+                        if admitted {
+                            if let Err(e) = self.handle_match(trigger, node, tok, span, &mut outbox)
+                            {
+                                failed(e);
                             }
                         }
                     }
                 }
-                Ok(())
-            })();
-            if let Err(e) = result {
-                self.record_error(&e);
-                first_err.get_or_insert(e);
             }
-            if let Some(span) = process.get_mut(idx) {
-                *span = SpanGuard::inert(); // closes the token's Process span
+            if outbox.len() > OUTBOX_FLUSH || idx + 1 == run.len() {
+                self.deliver(&mut outbox);
+                // A token's `Process` span closes once what it published
+                // has been delivered.
+                for span in process.iter_mut().take(idx + 1).skip(delivered) {
+                    *span = SpanGuard::inert();
+                }
+                delivered = idx + 1;
             }
         }
         first_err.map_or(Ok(()), Err)
+    }
+
+    /// Hand a drain pass's outbox to the event bus. `tman_action_ns` gets
+    /// the run's delivery time spread evenly over its notifications — one
+    /// clock pair for the run, its mean recorded once per notification —
+    /// so the histogram's count stays "actions run" and its sum "time
+    /// spent on them".
+    fn deliver(&self, outbox: &mut Outbox) {
+        let n = outbox.len() as u64;
+        if n == 0 {
+            return;
+        }
+        let latency = &self.telemetry.action_ns;
+        let started = latency.is_enabled().then(std::time::Instant::now);
+        self.events.deliver(outbox);
+        if let Some(t) = started {
+            latency.record_n(t.elapsed().as_nanos() as u64 / n, n);
+        }
     }
 
     /// The tagged-execution / windowed-threshold gate for one index match,
@@ -1246,13 +1296,14 @@ impl TriggerMan {
 
     /// §5.4 for one admitted match: pin the trigger in the trigger cache,
     /// pass the token to the network node the matched expression names,
-    /// and run the action of every firing.
+    /// and run the action of every firing (notifications go to `outbox`).
     fn handle_match(
         self: &Arc<Self>,
         tid: TriggerId,
         node: NodeId,
         token: &UpdateDescriptor,
         parent_span: u32,
+        outbox: &mut Outbox,
     ) -> Result<()> {
         // A concurrent `drop trigger` can win the race between the index
         // probe (which saw the entry) and this pin — the trigger is gone
@@ -1275,13 +1326,13 @@ impl TriggerMan {
             TokenOp::Delete => (Polarity::Minus, token.old.as_ref().expect("old image")),
         };
         let run = trigger.runs_action(var, token);
-        let fire = |bindings: &[Tuple]| -> Result<()> {
+        let mut fire = |bindings: &[Tuple]| -> Result<()> {
             self.stats.firings.bump();
             if !run {
                 return Ok(());
             }
             self.stats.actions.bump();
-            action::run_action(self, &trigger, bindings, token, parent_span)
+            action::run_action(self, &trigger, bindings, token, parent_span, outbox)
         };
         if trigger.vars.len() == 1 {
             // Straight to the P-node: no base-data scan, and the token's

@@ -41,9 +41,20 @@ pub(crate) struct EngineTelemetry {
     pub threshold_expirations: CounterHandle,
     /// `tman_tasks_executed_total{type=...}`.
     pub tasks_executed: [CounterHandle; 2],
-    /// `tman_action_ns`: rule-action execution latency.
+    /// `tman_action_ns`: time spent on rule actions, one sample per action
+    /// run. An `execSQL` action's sample is its own substitution and
+    /// statement, under its own clock pair. A `raise event` or `notify`
+    /// action's sample is its share of the delivery of the run it left
+    /// with — sinks, routing, sends, timed once for the run and divided
+    /// evenly (`record_n`) — so `count` is actions run and `sum` the time
+    /// spent on them, while the quantiles over those samples are
+    /// quantiles of per-run means, not of single deliveries. Building the
+    /// notification (evaluating its arguments) is not in it.
     pub action_ns: HistogramHandle,
-    /// `tman_notify_fanout`: subscribers reached per notification.
+    /// `tman_notify_fanout`: subscribers reached, one sample per
+    /// notification delivered through the event bus. Read here, recorded
+    /// by the bus: a stretch of a run that every subscriber of its route
+    /// took whole is one `record_n`.
     pub notify_fanout: HistogramHandle,
     /// `tman_actions_total{kind=...}`.
     pub actions_by_kind: [CounterHandle; 3],
@@ -311,9 +322,11 @@ pub struct ActionMetrics {
     pub raise_event: u64,
     /// `notify` actions run.
     pub notify: u64,
-    /// Action execution latency.
+    /// `tman_action_ns`: one sample per action run — an `execSQL`
+    /// statement's own time, a notification's even share of its run's
+    /// delivery.
     pub latency_ns: HistogramSummary,
-    /// Subscribers reached per notification.
+    /// `tman_notify_fanout`: subscribers reached per notification.
     pub notify_fanout: HistogramSummary,
     /// Notifications delivered to subscribers.
     pub delivered: u64,

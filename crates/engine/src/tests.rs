@@ -193,6 +193,106 @@ fn trigger_chaining_via_execsql() {
     assert_eq!(tman.run_sql("select * from audit").unwrap().rows().len(), 1);
 }
 
+/// One trigger's failing action is that trigger's alone: the other
+/// triggers the token matched still fire, the failure is recorded once and
+/// named, and the call returns it.
+#[test]
+fn a_failing_action_does_not_swallow_the_other_triggers_fires() {
+    let tman = system();
+    setup_emp(&tman);
+    tman.run_sql("create table audit (who varchar(32))")
+        .unwrap();
+    let rx = tman.subscribe("Seen");
+    // Matched in this order: the `execSQL` first.
+    tman.execute_command(
+        "create trigger logs from emp when emp.dept = 1 \
+         do execSQL 'insert into audit values (:NEW.emp.name)'",
+    )
+    .unwrap();
+    tman.execute_command(
+        "create trigger sees from emp when emp.dept = 1 do raise event Seen(emp.name)",
+    )
+    .unwrap();
+    tman.run_sql("drop table audit").unwrap();
+    let src = tman.source("emp").unwrap().id;
+    let row = vec![Value::str("Ann"), Value::Float(1.0), Value::Int(1)];
+    let token = UpdateDescriptor::insert(src, tman.tuple_for("emp", row).unwrap());
+    let err = tman.process_token(&token).unwrap_err();
+    assert_eq!(rx.try_recv().unwrap().values, vec![Value::str("Ann")]);
+    let recorded = tman.last_error().expect("the failure is recorded");
+    assert_eq!(recorded, err.to_string());
+    assert!(recorded.contains("audit"), "{recorded}");
+    assert_eq!(tman.stats().errors.get(), 1);
+    assert_eq!(tman.stats().actions.get(), 2, "both actions ran");
+}
+
+/// Logged before acked, by the run: every notification of a drained run
+/// reaches a registered sink before the first queue ack of that run —
+/// with the persistent queue's watermark still below every token of it —
+/// whether a run is one token or sixty-four.
+#[test]
+fn sinks_see_a_run_before_its_first_queue_ack() {
+    struct Log {
+        tman: std::sync::OnceLock<std::sync::Weak<TriggerMan>>,
+        /// (token sequence, watermark when the sink was called)
+        seen: Mutex<Vec<(i64, i64)>>,
+    }
+    impl NotificationSink for Log {
+        fn on_publish(&self, n: &EventNotification) {
+            let tman = self.tman.get().and_then(|t| t.upgrade()).expect("engine");
+            let watermark = tman.queue_watermark().expect("persistent queue");
+            let seq = n.token_seq.expect("durable origin");
+            self.seen.lock().push((seq, watermark));
+        }
+    }
+    for drain_batch in [1, 64] {
+        let tman = TriggerMan::open_memory(Config {
+            queue_mode: QueueMode::Persistent,
+            drain_batch,
+            ..Default::default()
+        })
+        .unwrap();
+        tman.execute_command("define data source q (k int)")
+            .unwrap();
+        for t in 0..3 {
+            tman.execute_command(&format!(
+                "create trigger t{t} from q when q.k >= 0 do raise event E{t}(q.k)"
+            ))
+            .unwrap();
+        }
+        let log = Arc::new(Log {
+            tman: Default::default(),
+            seen: Default::default(),
+        });
+        log.tman.set(Arc::downgrade(&tman)).unwrap();
+        tman.events().register_sink(log.clone());
+        let src = tman.source("q").unwrap().id;
+        let tokens = (0..64)
+            .map(|k| UpdateDescriptor::insert(src, Tuple::new(vec![Value::Int(k)])))
+            .collect();
+        tman.push_tokens(tokens).unwrap();
+        let before = tman.queue_watermark().unwrap();
+        tman.run_until_quiescent().unwrap();
+        assert!(tman.last_error().is_none(), "{:?}", tman.last_error());
+
+        let seen = log.seen.lock();
+        assert_eq!(seen.len(), 64 * 3);
+        for &(seq, watermark) in seen.iter() {
+            assert!(
+                watermark < seq,
+                "drain_batch {drain_batch}: token {seq} acked (watermark {watermark}) \
+                 before a sink saw what it fired"
+            );
+        }
+        if drain_batch == 64 {
+            // One run: no ack at all before its last notification.
+            assert!(seen.iter().all(|&(_, watermark)| watermark == before));
+        }
+        let last = seen.iter().map(|&(seq, _)| seq).max().unwrap();
+        assert_eq!(tman.queue_watermark(), Some(last), "and then acked");
+    }
+}
+
 #[test]
 fn enable_disable_trigger_and_set() {
     let tman = system();
@@ -1170,6 +1270,12 @@ fn traced_token_in_a_batched_run_stays_on_the_pipeline() {
     );
     assert!(probes.iter().any(|p| p.span_id == pin.parent_id));
     assert_eq!(notify.parent_id, action.span_id);
+    // The notification left with its run, after the action that built it,
+    // and the token's `Process` span stayed open until it had.
+    let end = |e: &TraceEvent| e.start_ns + e.dur_ns;
+    assert!(notify.start_ns >= end(action), "delivered at the flush");
+    assert!(end(process) >= end(notify));
+    assert_eq!(notify.arg_b, 1, "fanout: the one subscriber");
     assert_eq!(
         of(SpanKind::RestTest).len(),
         1,

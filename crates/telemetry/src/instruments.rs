@@ -240,8 +240,20 @@ impl Histogram {
     /// Record one sample.
     #[inline]
     pub fn record(&self, value: u64) {
-        self.buckets[stripe_id()].0[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
-        self.sum.add(value);
+        self.record_n(value, 1);
+    }
+
+    /// Record `n` samples of `value` at the cost of one: what `n` calls of
+    /// [`record`](Self::record) would leave, in count, sum, max and
+    /// quantiles. A caller that timed a run of `n` like operations with one
+    /// clock pair records their mean this way.
+    #[inline]
+    pub fn record_n(&self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[stripe_id()].0[bucket_of(value)].fetch_add(n, Ordering::Relaxed);
+        self.sum.add(value.wrapping_mul(n));
         // `max` is the one word every thread shares: write it only for a
         // new maximum, so the common case is a load of a line that stays
         // shared instead of a read-modify-write that takes it exclusive.
@@ -400,6 +412,21 @@ mod tests {
         let h = Histogram::new();
         assert_eq!(h.summary(), HistogramSummary::default());
         assert_eq!(h.summary().mean(), 0);
+    }
+
+    #[test]
+    fn record_n_equals_n_records() {
+        let (one, many) = (Histogram::new(), Histogram::new());
+        // Values across buckets, so the quantiles land on different ones.
+        for (value, n) in [(0u64, 3u64), (7, 1), (900, 40), (65_000, 5), (3, 0)] {
+            for _ in 0..n {
+                one.record(value);
+            }
+            many.record_n(value, n);
+        }
+        assert_eq!(many.summary(), one.summary());
+        assert_eq!(many.count(), 49);
+        assert_eq!(many.summary().max, 65_000);
     }
 
     /// Satellite requirement: N writer threads, totals exact after join.

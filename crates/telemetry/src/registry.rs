@@ -303,6 +303,14 @@ impl HistogramHandle {
         }
     }
 
+    /// Record `n` samples of `value` ([`Histogram::record_n`]).
+    #[inline]
+    pub fn record_n(&self, value: u64, n: u64) {
+        if let Some(h) = &self.0 {
+            h.record_n(value, n);
+        }
+    }
+
     /// Start a wall-clock timer whose elapsed nanoseconds are recorded when
     /// the guard drops. A no-op handle never reads the clock.
     #[inline]
