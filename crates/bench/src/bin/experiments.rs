@@ -314,7 +314,6 @@ fn e4_concurrency(o: &Opts) {
     for &p in threads {
         let cfg = Config {
             num_cpus: Some(p),
-            driver_period: Duration::from_micros(200),
             threshold: Duration::from_millis(20),
             ..Default::default()
         };
@@ -348,7 +347,6 @@ fn e4_concurrency(o: &Opts) {
             // Gate fan-out at the engine's default so the bench and
             // production agree on when Figure-5 partitioning kicks in.
             partition_min: Config::default().partition_min,
-            driver_period: Duration::from_micros(200),
             threshold: Duration::from_millis(20),
             ..Default::default()
         };

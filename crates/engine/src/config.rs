@@ -50,8 +50,12 @@ pub struct Config {
     pub concurrency_level: f64,
     /// Override for NUM_CPUS (tests); `None` = detect.
     pub num_cpus: Option<usize>,
-    /// Driver sleep period `T` when the task queue is empty (§6 proposes
-    /// 250 ms; tests use much less).
+    /// `T`: the longest an idle driver goes between two `TmanTest()` calls
+    /// (§6 proposes 250 ms). It is the timeout of the idle wait
+    /// ([`TriggerMan::idle_wait`](crate::TriggerMan::idle_wait)), not a
+    /// sleep: a push wakes a parked driver at once, so `T` is no floor
+    /// under fire latency. What it still sets is the maintenance tick of an
+    /// idle engine (window expiry) and the most a missed wake-up could cost.
     pub driver_period: Duration,
     /// `THRESHOLD`: maximum time one `tman_test` invocation may run (§6).
     pub threshold: Duration,

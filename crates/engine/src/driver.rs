@@ -5,14 +5,113 @@
 //! driver process will call TriggerMan's TmanTest() function every T time
 //! units. Each driver will also call back immediately after one execution
 //! of TmanTest() if work is still left to do."
+//!
+//! The paper's drivers are separate programs polling a DataBlade routine,
+//! so between two polls nothing can reach them. Ours are threads in the
+//! engine's own process, and a push can: a driver that finds the queue
+//! empty parks on the engine's idle gate ([`TriggerMan::idle_wait`]) and
+//! whoever publishes work wakes one. `T`
+//! ([`Config::driver_period`](crate::Config::driver_period)) keeps its
+//! paper meaning — the longest an idle driver goes between two `TmanTest()`
+//! calls — as the timeout of that wait: it is the maintenance tick, and the
+//! bound on the damage should a wake-up ever be missed. It is no longer a
+//! floor under fire latency.
 
 use crate::TriggerMan;
 use crossbeam::queue::SegQueue;
-use std::sync::Arc;
+use std::sync::atomic::{fence, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use tman_common::UpdateDescriptor;
 use tman_predindex::SignatureRuntime;
+use tman_telemetry::{Counter, Gauge};
+
+/// Where idle drivers wait and publishers of work wake them: an
+/// eventcount over `std`'s mutex and condition variable.
+///
+/// A **waiter** ([`wait`](Self::wait)) reads the epoch, *announces*
+/// itself (`parked + 1`), *re-checks* for work, and only then sleeps until
+/// the epoch moves. A **publisher** ([`wake_one`](Self::wake_one)) makes
+/// its work visible first, then loads `parked`, and only when it is
+/// non-zero moves the epoch and notifies. Both sides put a `SeqCst` fence
+/// between their write and their read, so of the announcement and the
+/// published work at least one is seen by the other side: either the
+/// publisher sees the waiter and moves the epoch — which the waiter
+/// compares with what it read *before* announcing, so a notification that
+/// arrives before the sleep is not lost — or the waiter's re-check sees
+/// the work. With anything weaker both could read the old value (store
+/// buffering) and the push would sit out a whole `driver_period`.
+///
+/// A publisher on an engine whose drivers are all busy, or that has none,
+/// pays the fence and one load.
+#[derive(Default)]
+pub(crate) struct IdleGate {
+    /// Drivers between their announcement and their return from the wait.
+    parked: AtomicUsize,
+    /// Moved by every wake-up.
+    epoch: Mutex<u64>,
+    moved: Condvar,
+    /// `tman_driver_parked`: drivers asleep in the wait now.
+    pub(crate) asleep: Arc<Gauge>,
+    /// `tman_driver_parks_total`: waits that went to sleep (the re-check
+    /// found nothing).
+    pub(crate) parks: Arc<Counter>,
+    /// `tman_driver_wakeups_total`: notifications sent.
+    pub(crate) wakeups: Arc<Counter>,
+}
+
+impl IdleGate {
+    /// The epoch is one integer, valid after any update: a poisoned lock
+    /// is taken over rather than passed on.
+    fn epoch(&self) -> MutexGuard<'_, u64> {
+        self.epoch.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Wait for a wake-up, `timeout` at most, unless `ready()` holds once
+    /// this thread has announced itself. True when there was something to
+    /// return for — `ready()` held or the epoch moved — false on timeout.
+    pub(crate) fn wait(&self, timeout: Duration, ready: impl FnOnce() -> bool) -> bool {
+        let seen = *self.epoch();
+        self.parked.fetch_add(1, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
+        let woken = ready() || {
+            self.parks.bump();
+            self.asleep.inc();
+            let (_epoch, wait) = self
+                .moved
+                .wait_timeout_while(self.epoch(), timeout, |epoch| *epoch == seen)
+                .unwrap_or_else(PoisonError::into_inner);
+            self.asleep.dec();
+            !wait.timed_out()
+        };
+        self.parked.fetch_sub(1, Ordering::SeqCst);
+        woken
+    }
+
+    /// Wake one waiter, if there is one and `more()` holds. The caller has
+    /// already published the work `more()` looks for.
+    pub(crate) fn wake_one_if(&self, more: impl FnOnce() -> bool) {
+        fence(Ordering::SeqCst);
+        if self.parked.load(Ordering::SeqCst) == 0 || !more() {
+            return;
+        }
+        *self.epoch() += 1;
+        self.moved.notify_one();
+        self.wakeups.bump();
+    }
+
+    /// Wake one waiter, if there is one: new work was just published.
+    pub(crate) fn wake_one(&self) {
+        self.wake_one_if(|| true);
+    }
+
+    /// Wake every waiter (shutdown).
+    pub(crate) fn wake_all(&self) {
+        *self.epoch() += 1;
+        self.moved.notify_all();
+    }
+}
 
 /// Deferred acknowledgement of one persistent-queue token.
 ///
@@ -77,7 +176,9 @@ pub enum TmanTestResult {
     /// The THRESHOLD expired with work still queued — call back
     /// immediately.
     TasksRemaining,
-    /// Nothing to do — wait `T` before calling again.
+    /// Nothing to do — call again after
+    /// [`idle_wait(T)`](TriggerMan::idle_wait), which returns as soon as
+    /// there is.
     QueueEmpty,
 }
 
@@ -142,17 +243,8 @@ pub fn start(system: Arc<TriggerMan>) -> DriverPool {
 
 fn driver_loop(system: Arc<TriggerMan>, shard: usize, threshold: Duration, period: Duration) {
     while !system.is_shutdown() {
-        match system.tman_test_on(shard, threshold) {
-            TmanTestResult::TasksRemaining => continue,
-            TmanTestResult::QueueEmpty => {
-                // Wait T, in small slices so shutdown is prompt.
-                let slice = period.min(Duration::from_millis(5));
-                let mut waited = Duration::ZERO;
-                while waited < period && !system.is_shutdown() {
-                    std::thread::sleep(slice);
-                    waited += slice;
-                }
-            }
+        if system.tman_test_on(shard, threshold) == TmanTestResult::QueueEmpty {
+            system.idle_wait(period);
         }
     }
 }

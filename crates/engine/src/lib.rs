@@ -18,8 +18,10 @@
 //! * rule actions (`execSQL`, `raise event`, `notify`) with `:NEW`/`:OLD`
 //!   macro substitution ([`action`]);
 //! * drivers calling [`TriggerMan::tman_test`] on a shared task queue with
-//!   token- and condition-level concurrency (§6, [`driver`]); a rule action
-//!   runs inline on the thread that matched it.
+//!   token- and condition-level concurrency (§6, [`driver`]), parked in
+//!   [`TriggerMan::idle_wait`] while there is nothing to do and woken by
+//!   the push that ends that; a rule action runs inline on the thread that
+//!   matched it.
 //!
 //! [`TriggerMan`] is split where the paper splits it. DDL (`ddl.rs`) is
 //! one critical section over one private `Ddl` value; the drain and the
@@ -77,6 +79,7 @@ use catalog::{Catalog, TriggerRow};
 use compile::compile_trigger;
 use crossbeam::queue::SegQueue;
 use ddl::{Ddl, Published};
+use driver::IdleGate;
 use parking_lot::{Mutex, RwLock};
 use queue::UpdateQueue;
 use source::SourceInfo;
@@ -250,6 +253,13 @@ pub struct TriggerMan {
     queue: UpdateQueue,
     /// The §6 task queue, split [`Config::num_shards`] ways (see [`shard`]).
     shards: ShardSet,
+    /// Where idle drivers wait ([`idle_wait`](Self::idle_wait)) and a push
+    /// wakes one. The task queue holds a clone: a fan-out wakes drivers too.
+    idle: Arc<IdleGate>,
+    /// The last dequeue failed. What such an update queue holds is not
+    /// work a driver can do, so an idle wait does not return for it: a
+    /// broken queue is retried once a `driver_period`, not in a spin.
+    dequeue_failed: AtomicBool,
     /// Sequence numbers whose token-level work has fully completed (every
     /// [`AckState`] clone dropped), awaiting the next batched
     /// [`UpdateQueue::ack_batch`] barrier (see [`Self::flush_acks`]).
@@ -338,13 +348,16 @@ impl TriggerMan {
                 config.slow_token_threshold,
             ))),
         };
+        let idle = Arc::new(IdleGate::default());
         let system = Arc::new(TriggerMan {
             cache,
             predindex,
             queue,
             telemetry,
             tracer,
-            shards: ShardSet::new(config.num_shards()),
+            shards: ShardSet::new(config.num_shards(), idle.clone()),
+            idle,
+            dequeue_failed: AtomicBool::new(false),
             pending_acks: Arc::new(SegQueue::new()),
             events,
             ddl: Mutex::default(),
@@ -407,6 +420,9 @@ impl TriggerMan {
             self.queue.wm_flushes().clone(),
         );
         self.shards.register_instruments(r);
+        r.register_gauge("tman_driver_parked", &[], self.idle.asleep.clone());
+        r.register_counter("tman_driver_parks_total", &[], self.idle.parks.clone());
+        r.register_counter("tman_driver_wakeups_total", &[], self.idle.wakeups.clone());
         let cs = self.cache.stats();
         r.register_counter("tman_cache_hits_total", &[], cs.hits.clone());
         r.register_counter("tman_cache_misses_total", &[], cs.misses.clone());
@@ -896,8 +912,17 @@ impl TriggerMan {
                 ingest_unix_ns: tman_telemetry::unix_now_ns(),
             };
             self.queue.enqueue(token)?;
+            self.work_published();
         }
         Ok(result)
+    }
+
+    /// Called after every enqueue: the update queue has work it may not
+    /// have had, so wake a driver if one is parked (at most one — a driver
+    /// that finds more than a batch passes the wake-up on, see
+    /// [`tman_test_on`](Self::tman_test_on)).
+    fn work_published(&self) {
+        self.idle.wake_one();
     }
 
     /// Check a descriptor against the source catalog: the source must
@@ -917,7 +942,9 @@ impl TriggerMan {
             token.trace = self.begin_trace();
         }
         stamp_ingest(&mut token);
-        self.queue.enqueue(token)
+        self.queue.enqueue(token)?;
+        self.work_published();
+        Ok(())
     }
 
     /// Batched data-source API: validate and enqueue many descriptors
@@ -935,7 +962,9 @@ impl TriggerMan {
             }
             stamp_ingest(token);
         }
-        self.queue.enqueue_batch(&batch).map(|_| ())
+        self.queue.enqueue_batch(&batch)?;
+        self.work_published();
+        Ok(())
     }
 
     // ----- token processing (§5.4) ------------------------------------------------
@@ -1414,7 +1443,10 @@ impl TriggerMan {
     /// pull tokens from the update queue [`Config::drain_batch`] at a time.
     /// A batch is processed with the match-plan load, the constant-set lock
     /// holds and the persistent queue's ack/watermark barrier amortized
-    /// across it (see `drain_batch_on`).
+    /// across it (see `drain_batch_on`). A full batch that leaves tokens
+    /// behind passes the pusher's one wake-up on to the next parked driver,
+    /// so a burst recruits the pool a driver at a time and the pusher pays
+    /// for one.
     pub fn tman_test_on(
         self: &Arc<Self>,
         shard: usize,
@@ -1435,8 +1467,17 @@ impl TriggerMan {
                 // it" — cooperative scheduling point.
                 std::thread::yield_now();
             } else {
-                match self.queue.dequeue_tracked(self.config.drain_batch.max(1)) {
+                let max = self.config.drain_batch.max(1);
+                let dequeued = self.queue.dequeue_tracked(max);
+                if dequeued.is_err() != self.dequeue_failed.load(Ordering::Relaxed) {
+                    self.dequeue_failed
+                        .store(dequeued.is_err(), Ordering::Relaxed);
+                }
+                match dequeued {
                     Ok(batch) if !batch.is_empty() => {
+                        if batch.len() == max {
+                            self.idle.wake_one_if(|| !self.queue.is_empty());
+                        }
                         self.shards.shard(home).tokens.add(batch.len() as u64);
                         self.drain_batch_on(home, batch);
                         self.flush_acks();
@@ -1449,10 +1490,9 @@ impl TriggerMan {
                         // Maintenance path: nothing to process.
                         self.expire_windows();
                         self.flush_acks();
-                        // Tasks pushed concurrently must not be stranded
-                        // for a full driver period: re-check before
-                        // reporting empty. (Only the task queue — a dequeue
-                        // error above must not turn into a spin on a broken
+                        // Re-check the task queue before reporting
+                        // empty. (Only the task queue — a dequeue error
+                        // above must not turn into a spin on a broken
                         // update queue.)
                         if self.shards.is_empty() {
                             return TmanTestResult::QueueEmpty;
@@ -1617,6 +1657,27 @@ impl TriggerMan {
         !self.shards.is_empty() || !self.queue.is_empty()
     }
 
+    /// What a driver does with [`TmanTestResult::QueueEmpty`]: wait until
+    /// there is work again, `timeout` at most — `T`,
+    /// [`Config::driver_period`], for the engine's own drivers, which is
+    /// then the longest an idle driver goes between two `tman_test` calls.
+    /// Returns at once when work arrived since that `tman_test` looked, or
+    /// the engine is shutting down; otherwise sleeps until a push, a
+    /// Figure-5 fan-out, a busy driver's hand-on or
+    /// [`shutdown`](Self::shutdown) wakes it. True unless the timeout ran
+    /// out. Either way the caller's next step is `tman_test` again.
+    ///
+    /// Public because `tman_test` is: the paper's drivers are programs
+    /// outside the engine, and an embedder that runs its own loop gets the
+    /// pool's latency by waiting here instead of sleeping `T`.
+    pub fn idle_wait(&self, timeout: std::time::Duration) -> bool {
+        self.idle.wait(timeout, || {
+            self.is_shutdown()
+                || !self.shards.is_empty()
+                || (!self.dequeue_failed.load(Ordering::Relaxed) && !self.queue.is_empty())
+        })
+    }
+
     /// Drain everything synchronously (tests, examples). Equivalent to a
     /// driver loop with an unbounded THRESHOLD.
     pub fn run_until_quiescent(self: &Arc<Self>) -> Result<()> {
@@ -1636,10 +1697,12 @@ impl TriggerMan {
         driver::start(self.clone())
     }
 
-    /// Ask driver threads to exit and stop the HTTP endpoint if one is
-    /// serving.
+    /// Ask driver threads to exit — parked ones are woken, so this is
+    /// prompt whatever `driver_period` is — and stop the HTTP endpoint if
+    /// one is serving.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::Relaxed);
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.idle.wake_all();
         // Dropping the server joins its thread.
         self.http.lock().take();
     }

@@ -195,6 +195,14 @@ pub struct DriverMetrics {
     pub active_shards: i64,
     /// Per-shard activity, indexed by shard ordinal.
     pub shards: Vec<ShardMetrics>,
+    /// `tman_driver_parked`: drivers asleep in
+    /// [`idle_wait`](TriggerMan::idle_wait) now.
+    pub parked: i64,
+    /// `tman_driver_parks_total`: idle waits that went to sleep.
+    pub parks: u64,
+    /// `tman_driver_wakeups_total`: wake-ups sent to parked drivers (by a
+    /// push, a fan-out, or a busy driver handing one on).
+    pub wakeups: u64,
 }
 
 /// One engine shard's activity ([`crate::shard::EngineShard`]).
@@ -492,6 +500,9 @@ impl MetricsSnapshot {
                         }
                     })
                     .collect(),
+                parked: tman.idle.asleep.get(),
+                parks: tman.idle.parks.get(),
+                wakeups: tman.idle.wakeups.get(),
             },
             index: IndexMetrics {
                 tokens: is.tokens.get(),
@@ -703,6 +714,10 @@ impl MetricsSnapshot {
                     s.shard, s.tasks, s.tokens, s.steals, s.queue_depth
                 ));
             }
+            out.push_str(&format!(
+                "  idle               parked={} parks={} wakeups={}\n",
+                self.driver.parked, self.driver.parks, self.driver.wakeups
+            ));
         }
         if want("index") {
             out.push_str("index:\n");

@@ -15,7 +15,7 @@
 //! the active count mid-stream never strands queued tasks on a
 //! deactivated shard — the remaining drivers steal them.
 
-use crate::driver::Task;
+use crate::driver::{IdleGate, Task};
 use crossbeam::queue::SegQueue;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -57,11 +57,14 @@ pub struct ShardSet {
     active: AtomicUsize,
     /// `tman_shards_active` gauge cell (shared into the registry).
     active_gauge: Arc<Gauge>,
+    /// The engine's idle gate: every task pushed wakes a parked driver.
+    idle: Arc<IdleGate>,
 }
 
 impl ShardSet {
-    /// A set of `n` shards (clamped to at least 1), all initially active.
-    pub fn new(n: usize) -> ShardSet {
+    /// A set of `n` shards (clamped to at least 1), all initially active,
+    /// whose pushes wake drivers parked on `idle`.
+    pub(crate) fn new(n: usize, idle: Arc<IdleGate>) -> ShardSet {
         let n = n.max(1);
         let active_gauge = Arc::new(Gauge::new());
         active_gauge.add(n as i64);
@@ -69,6 +72,7 @@ impl ShardSet {
             shards: (0..n).map(|_| EngineShard::new()).collect(),
             active: AtomicUsize::new(n),
             active_gauge,
+            idle,
         }
     }
 
@@ -94,11 +98,14 @@ impl ShardSet {
     }
 
     /// Route `task` to its owning shard: the signature's stable home,
-    /// `sig.shard_of(active)`.
+    /// `sig.shard_of(active)`. Wakes one parked driver, whatever its home:
+    /// it steals. One wake-up a task, so a fan-out of `k` partitions
+    /// recruits up to `k` drivers.
     pub fn push(&self, task: Task) {
         let slot = task.sig.shard_of(self.active());
         self.shards[slot].depth.inc();
         self.shards[slot].queue.push(task);
+        self.idle.wake_one();
     }
 
     /// Pop a task for a driver homed on `shard`: own queue first, then a
@@ -197,7 +204,7 @@ mod tests {
     #[test]
     fn pop_drains_own_queue_before_stealing() {
         let sigs = signatures(4);
-        let set = ShardSet::new(4);
+        let set = ShardSet::new(4, Arc::default());
         set.push(task(&sigs[1])); // id 2 lands on shard 2
         set.push(task(&sigs[3])); // id 4 lands on shard 0
                                   // Driver homed on 2 takes its own task first, then steals 0's.
@@ -214,7 +221,7 @@ mod tests {
     #[test]
     fn set_active_clamps_and_narrowed_shards_still_drain() {
         let sigs = signatures(3);
-        let set = ShardSet::new(4);
+        let set = ShardSet::new(4, Arc::default());
         assert_eq!(set.set_active(0), 1);
         assert_eq!(set.set_active(99), 4);
         // Queue a task on shard 3, then narrow to 1: pops from shard 0
@@ -233,7 +240,7 @@ mod tests {
     #[test]
     fn depth_gauge_tracks_push_pop() {
         let sigs = signatures(1);
-        let set = ShardSet::new(2);
+        let set = ShardSet::new(2, Arc::default());
         set.push(task(&sigs[0]));
         set.push(task(&sigs[0]));
         assert_eq!(set.shard(1).depth.get(), 2);

@@ -510,7 +510,6 @@ fn persistent_recovery_restores_triggers_and_queue() {
 fn drivers_process_in_background() {
     let cfg = Config {
         num_cpus: Some(2),
-        driver_period: Duration::from_millis(2),
         threshold: Duration::from_millis(5),
         ..Default::default()
     };
@@ -1372,7 +1371,6 @@ fn partition_churn_stress(tokens: usize, churn_iters: usize) {
             list_to_index: 8,
             ..Default::default()
         },
-        driver_period: Duration::from_millis(1),
         threshold: Duration::from_millis(5),
         num_cpus: Some(4),
         shards: Some(4),

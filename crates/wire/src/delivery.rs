@@ -335,6 +335,9 @@ pub struct DeliveryHub {
     /// server ([`bind_instruments`](Self::bind_instruments)), absent in
     /// bare unit-test hubs.
     wire: OnceLock<WireObs>,
+    /// Wakes whoever drains the live mailboxes
+    /// ([`set_waker`](Self::set_waker)).
+    waker: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
 }
 
 impl DeliveryHub {
@@ -392,6 +395,7 @@ impl DeliveryHub {
             stalled: Arc::new(Counter::default()),
             errors: Arc::new(Counter::default()),
             wire: OnceLock::new(),
+            waker: Mutex::new(None),
         }))
     }
 
@@ -418,6 +422,16 @@ impl DeliveryHub {
             ingest_to_fire: registry.histogram("tman_wire_ingest_to_fire_ns", &[]),
             fire_to_ack: registry.histogram("tman_wire_fire_to_ack_ns", &[]),
         });
+    }
+
+    /// Have `wake` called after every notification that went into at
+    /// least one live mailbox (never for one that only reached logs). The
+    /// wire server's I/O thread installs an unpark of itself when it
+    /// starts, so a delivery does not wait out the thread's idle park; an
+    /// unpark of a thread that is not parked is one atomic swap. A later
+    /// call replaces an earlier one.
+    pub fn set_waker(&self, wake: impl Fn() + Send + Sync + 'static) {
+        *self.waker.lock() = Some(Box::new(wake));
     }
 
     /// Push the subscriber's current watermark lag (assigned frontier
@@ -692,6 +706,7 @@ impl NotificationSink for DeliveryHub {
         let fire_mono = now_ns();
         let fire_unix = unix_now_ns();
         let trace_id = n.trace.trace_id().unwrap_or(0);
+        let mut any_live = false;
         if let Some(w) = wire {
             // Ingest→fire SLI: wall-clock span from the source-side stamp
             // (carried on `UpdateBatch` frames, or stamped at server
@@ -753,6 +768,7 @@ impl NotificationSink for DeliveryHub {
                     st.mailbox = None;
                 } else {
                     live = 1;
+                    any_live = true;
                 }
             }
             // Per-subscriber delivery span on the producing token's
@@ -767,6 +783,14 @@ impl NotificationSink for DeliveryHub {
                 live,
             );
             Self::update_lag(wire, name, st);
+        }
+        drop(state);
+        if any_live {
+            // Outside the state lock: the woken thread's next step may be
+            // an ack, which takes it.
+            if let Some(wake) = self.waker.lock().as_ref() {
+                wake();
+            }
         }
     }
 }
@@ -1077,6 +1101,52 @@ mod tests {
         let (tx2, _rx2) = unbounded();
         let reg = hub2.register("s", "*", 0, tx2).unwrap();
         assert_eq!((reg.watermark, reg.replay.len()), (2, 0));
+    }
+
+    #[test]
+    fn the_waker_is_called_for_live_deliveries_only_and_the_latest_one_wins() {
+        use std::sync::atomic::AtomicUsize;
+        let db = mem_db(256);
+        let hub = DeliveryHub::open(&db, None).unwrap();
+        let counting = |hits: &Arc<AtomicUsize>| {
+            let hits = hits.clone();
+            move || {
+                hits.fetch_add(1, Ordering::SeqCst);
+            }
+        };
+        let first = Arc::new(AtomicUsize::new(0));
+        hub.set_waker(counting(&first));
+        let (tx, rx) = unbounded();
+        let reg = hub.register("live", "Spike", 0, tx).unwrap();
+        // Known to the hub, nobody connected: deliveries go to its log.
+        let (tx_away, rx_away) = unbounded();
+        let away = hub.register("away", "Drift", 0, tx_away).unwrap();
+        hub.detach("away", away.epoch);
+        drop(rx_away);
+
+        for i in 0..3 {
+            hub.on_publish(&note("Spike", None, i));
+        }
+        assert_eq!((rx.len(), first.load(Ordering::SeqCst)), (3, 3));
+        hub.on_publish(&note("Drift", None, 9)); // logged, no mailbox
+        hub.on_publish(&note("Nobody", None, 9)); // no subscriber at all
+        assert_eq!(hub.resident_len("away"), Some(1));
+        assert_eq!(first.load(Ordering::SeqCst), 3);
+        hub.detach("live", reg.epoch);
+        hub.on_publish(&note("Spike", None, 4));
+        assert_eq!(first.load(Ordering::SeqCst), 3);
+
+        // The server that started last is the one that is woken.
+        let second = Arc::new(AtomicUsize::new(0));
+        hub.set_waker(counting(&second));
+        let (tx, rx) = unbounded();
+        hub.register("live", "Spike", 0, tx).unwrap();
+        hub.on_publish(&note("Spike", None, 5));
+        assert_eq!(rx.len(), 1);
+        assert_eq!(
+            (first.load(Ordering::SeqCst), second.load(Ordering::SeqCst)),
+            (3, 1)
+        );
     }
 
     #[test]

@@ -9,9 +9,16 @@
 //! barrier per `BATCH_MAX` tokens — the fsync amortization
 //! that lets ingestion scale past per-token durability), pushes pending
 //! notifications to subscribers, and flushes write buffers. No async
-//! runtime: readiness is discovered by attempting the I/O, which at
-//! ingestion rates keeps every pass busy; an idle server parks for ~200 µs
-//! between passes.
+//! runtime, and the two halves of the loop learn of work differently. The
+//! **read** side is timer-driven: `std` has no readiness wait over many
+//! sockets, so readiness is discovered by attempting the I/O, which at
+//! ingestion rates keeps every pass busy, and an idle server parks for
+//! `IDLE_PARK` (200 µs) between passes — the cadence at which bytes a
+//! client sent are noticed. The **delivery** side is event-driven: the
+//! thread hands its [`DeliveryHub`] an unpark of itself when it starts
+//! ([`DeliveryHub::set_waker`]), and the hub calls it after putting a
+//! delivery into a live mailbox, so a notification is framed and written
+//! when it is fired, not when the park next runs out.
 //!
 //! **Flow control is credit-based, never drop-based.** A source connection
 //! is granted `CREDITS` at hello (one credit = one
@@ -290,8 +297,11 @@ fn run_loop(
     stop: Arc<AtomicBool>,
     metrics: WireMetrics,
 ) {
+    let this = std::thread::current();
+    hub.set_waker(move || this.unpark());
     let mut conns: Vec<Conn> = Vec::new();
     let mut passes: u64 = 0;
+    let mut buf = [0u8; READ_CHUNK];
     while !stop.load(Ordering::Relaxed) && !system.is_shutdown() {
         let mut activity = false;
         passes += 1;
@@ -324,7 +334,6 @@ fn run_loop(
             if conn.dead || conn.close_after_flush {
                 continue;
             }
-            let mut buf = [0u8; READ_CHUNK];
             loop {
                 match conn.stream.read(&mut buf) {
                     Ok(0) => {
@@ -570,6 +579,7 @@ fn run_loop(
         });
 
         if !activity {
+            // Ended early by the hub's unpark when a delivery is waiting.
             std::thread::park_timeout(IDLE_PARK);
         }
     }

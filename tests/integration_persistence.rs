@@ -182,7 +182,6 @@ fn concurrent_enqueue_and_ack_on_a_wal_backed_store_do_not_deadlock() {
     let worker = std::thread::spawn(move || {
         let cfg = Config {
             queue_mode: QueueMode::Persistent,
-            driver_period: Duration::from_millis(1),
             ..Default::default()
         };
         let tman = TriggerMan::open_file(&worker_path, cfg).unwrap();

@@ -43,7 +43,6 @@ fn ten_thousand_triggers_constant_probe_work() {
 fn driver_pool_under_concurrent_load() {
     let cfg = Config {
         num_cpus: Some(4),
-        driver_period: Duration::from_millis(1),
         threshold: Duration::from_millis(10),
         ..Default::default()
     };
