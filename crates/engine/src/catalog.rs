@@ -286,14 +286,14 @@ impl Catalog {
 
     // ----- triggers ---------------------------------------------------------
 
-    /// Insert a trigger row, created now.
-    pub fn insert_trigger(&self, row: &TriggerRow) -> Result<()> {
+    /// Insert a trigger row, created now. The name and text move into it.
+    pub fn insert_trigger(&self, row: TriggerRow) -> Result<()> {
         self.trigger.insert(vec![
             Value::Int(row.id.raw() as i64),
             Value::Int(row.set.raw() as i64),
-            Value::str(&*row.name),
+            Value::Str(row.name),
             Value::str(""),
-            Value::str(&*row.text),
+            Value::Str(row.text),
             Value::Int(now_secs()),
             Value::Int(row.enabled as i64),
         ])?;
@@ -519,7 +519,7 @@ mod tests {
             created: 0,
             enabled: true,
         };
-        cat.insert_trigger(&t).unwrap();
+        cat.insert_trigger(t).unwrap();
         let stored = cat.trigger_by_id(TriggerId(10)).unwrap().unwrap();
         assert_eq!(stored.name, "t10");
         assert!(

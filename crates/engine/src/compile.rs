@@ -19,11 +19,10 @@
 use crate::source::SourceInfo;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use tman_common::{EventKind, Result, TmanError, TriggerId, TriggerSetId, Tuple, Value};
+use tman_common::{EventKind, Result, TmanError, TriggerId, TriggerSetId, Tuple};
 use tman_expr::cnf::{remap_var, to_cnf, Cnf, ConditionGraph, Conjunct};
 use tman_expr::scalar::{Env, Scalar};
-use tman_expr::signature::analyze_selection;
-use tman_expr::{BindCtx, SelectionSignature};
+use tman_expr::BindCtx;
 use tman_lang::ast::{Action, CreateTrigger, EventSpecKind, WindowSpec};
 use tman_lang::SqlStmt;
 use tman_network::{Network, NetworkKind};
@@ -117,20 +116,21 @@ pub struct CompiledTrigger {
 }
 
 /// A selection predicate to register in the predicate index (one per
-/// tuple variable; step 5 of §5.1).
+/// tuple variable; step 5 of §5.1). The system, not the compiler,
+/// generalizes and analyzes it: it owns the indexing policy (tagged
+/// execution splits a disjunction into branches), and only a predicate
+/// that founds a new equivalence class needs a signature of its own.
 pub struct PredicateReg {
     /// Which variable this predicate guards.
     pub var: usize,
     /// The variable's data source.
     pub source: Arc<SourceInfo>,
-    /// The analyzed signature.
-    pub sig: SelectionSignature,
-    /// The constant vector for the constant table.
-    pub consts: Vec<Value>,
-    /// The concrete (pre-generalization) selection CNF the signature was
-    /// analyzed from. The system needs it to re-analyze per-disjunct
-    /// branches for tagged execution (it, not the compiler, owns the
-    /// indexing policy).
+    /// The operation code it is registered under.
+    pub event: EventKind,
+    /// Column ordinals of an `update(col, ...)` event (empty = any column).
+    pub update_cols: Vec<usize>,
+    /// The concrete (pre-generalization) selection CNF, canonicalized
+    /// onto variable 0 (see [`remap_var`]).
     pub canon: Cnf,
 }
 
@@ -293,14 +293,23 @@ pub fn compile_trigger(
             Some(_) if vars.len() > 1 => continue,
             _ => (EventKind::InsertOrUpdate, Vec::new()),
         };
-        let canon = remap_var(&graph.selections[v], v, 0, &binding.source.name);
-        let (sig, consts) =
-            analyze_selection(&canon, binding.source.id, reg_event, reg_update_cols);
+        let canon = if v == 0 && binding.alias.is_none() {
+            // `BindCtx` names a column `<variable>.<column>`, and this
+            // variable's name is its source's: `remap_var` would copy it
+            // unchanged.
+            match vars.len() {
+                // A one-variable trigger's network is no network.
+                1 => std::mem::take(&mut graph.selections[0]),
+                _ => graph.selections[0].clone(),
+            }
+        } else {
+            remap_var(&graph.selections[v], v, 0, &binding.source.name)
+        };
         predicates.push(PredicateReg {
             var: v,
             source: binding.source.clone(),
-            sig,
-            consts,
+            event: reg_event,
+            update_cols: reg_update_cols,
             canon,
         });
     }
@@ -317,8 +326,8 @@ pub fn compile_trigger(
         Condition::Join(Box::new(network))
     };
 
-    // Action compilation.
-    let action = compile_action(&stmt.action, &vars)?;
+    // Action compilation, in the condition's binding context.
+    let action = compile_action(&stmt.action, &vars, ctx)?;
 
     Ok(Compiled {
         trigger: CompiledTrigger {
@@ -337,7 +346,7 @@ pub fn compile_trigger(
     })
 }
 
-fn compile_action(action: &Action, vars: &[VarBinding]) -> Result<CompiledAction> {
+fn compile_action(action: &Action, vars: &[VarBinding], ctx: BindCtx) -> Result<CompiledAction> {
     match action {
         Action::ExecSql(text) => {
             let stmt = tman_lang::parse_sql(text)?;
@@ -348,11 +357,7 @@ fn compile_action(action: &Action, vars: &[VarBinding]) -> Result<CompiledAction
             Ok(CompiledAction::ExecSql(Box::new(stmt)))
         }
         Action::RaiseEvent { name, args } => {
-            let schemas: Vec<(String, &tman_common::Schema)> = vars
-                .iter()
-                .map(|v| (v.name().to_string(), &v.source.schema))
-                .collect();
-            let ctx = BindCtx::for_actions(schemas);
+            let ctx = ctx.into_actions();
             let args = args.iter().map(|a| ctx.scalar(a)).collect::<Result<_>>()?;
             Ok(CompiledAction::RaiseEvent {
                 name: name.as_str().into(),

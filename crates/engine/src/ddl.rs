@@ -21,17 +21,18 @@
 //! trigger` that is priming a join network.
 
 use crate::catalog::{ConnectionRow, DataSourceRow, TriggerRow, TriggerSetRow};
-use crate::compile::{self, compile_trigger};
+use crate::compile::{compile_trigger, Compiled, PredicateReg};
 use crate::source::{self, SourceInfo};
 use crate::{CommandOutput, FlaggedEntry, TriggerMan, WindowState, EXPR_TAGGED, EXPR_WINDOWED};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use tman_common::fxhash::FxHashMap;
 use tman_common::{
-    DataSourceId, ExprId, NodeId, Result, Schema, TmanError, TriggerId, TriggerSetId,
+    DataSourceId, ExprId, NodeId, Result, Schema, TmanError, TriggerId, TriggerSetId, Value,
 };
-use tman_expr::signature::analyze_selection;
-use tman_expr::{decompose_disjunction, IndexPlan};
+use tman_expr::{decompose_disjunction, generalize_selection, Cnf, IndexPlan, SelectionSignature};
+use tman_lang::ast::WindowSpec;
 use tman_predindex::SignatureRuntime;
 
 /// A trigger set as DDL holds it.
@@ -49,6 +50,24 @@ struct SetEntry {
 struct TriggerEntry {
     id: TriggerId,
     set: TriggerSetId,
+}
+
+/// The equivalence class an index entry joins.
+enum Class {
+    /// The class exists; the entry's constants.
+    Found(Arc<SignatureRuntime>, Vec<Value>),
+    /// No class has the entry's signature yet: the whole signature, and
+    /// the entry's constants.
+    New(SelectionSignature, Vec<Value>),
+}
+
+impl Class {
+    fn index_plan(&self) -> &IndexPlan {
+        match self {
+            Class::Found(rt, _) => &rt.sig.index_plan,
+            Class::New(sig, _) => &sig.index_plan,
+        }
+    }
 }
 
 /// DDL-only state. One value per engine, behind `TriggerMan::ddl`.
@@ -165,12 +184,19 @@ impl TriggerMan {
             if let Some(set) = ddl.sets.values_mut().find(|s| s.id == row.set) {
                 set.members += 1;
             }
-            let compiled = self.compile_row(&row)?;
-            self.register_predicates(&mut ddl, &compiled)?;
-            let trigger = Arc::new(compiled.trigger);
+            let Compiled {
+                trigger,
+                predicates,
+                window,
+            } = self.compile_row(&row)?;
+            self.register_predicates(&mut ddl, row.id, predicates, window)?;
+            let trigger = Arc::new(trigger);
             self.prime_network(&trigger)?;
             self.cache.insert(trigger);
         }
+        // One `expression_signature` row per class, as the class stands
+        // now, under the id it has now.
+        self.write_signature_rows(&ddl)?;
         // Windowed-threshold state: re-arm the coarsely persisted rings
         // (at-least-once — a crash between an observe and the next
         // durability barrier replays the token into an older window, so a
@@ -282,7 +308,8 @@ impl TriggerMan {
     // ----- triggers and trigger sets ----------------------------------------------
 
     /// §5.1: register a compiled trigger's selection predicates in the
-    /// predicate index and refresh the `expression_signature` catalog.
+    /// predicate index. Returns the classes the trigger founded: the
+    /// caller writes their `expression_signature` rows.
     ///
     /// Two execution facts ride on registration, each as a flag bit of
     /// the entry's [`ExprId`]:
@@ -301,138 +328,112 @@ impl TriggerMan {
     ///   entries are flagged [`EXPR_WINDOWED`], and the signatures they
     ///   land in are marked in the source's match plan, which excludes them
     ///   from Figure-5 fan-out to keep window advances in token order.
-    fn register_predicates(&self, ddl: &mut Ddl, compiled: &compile::Compiled) -> Result<()> {
-        let tid = compiled.trigger.id;
+    ///
+    /// What a failure leaves registered, [`Self::unregister`] takes out.
+    fn register_predicates(
+        &self,
+        ddl: &mut Ddl,
+        tid: TriggerId,
+        predicates: Vec<PredicateReg>,
+        window: Option<WindowSpec>,
+    ) -> Result<Vec<Arc<SignatureRuntime>>> {
         let mut window_flag = 0;
-        if let Some(w) = &compiled.window {
+        if let Some(w) = window {
             let state = Arc::new(WindowState::new(w.count, w.within_ns));
             self.republish(ddl, |p| {
                 p.windows.insert(tid, state);
             });
             window_flag = EXPR_WINDOWED;
         }
-        let mut tracked = Vec::new();
-        let mut tagged_added = 0u64;
-        for reg in &compiled.predicates {
-            let branches = match reg.sig.index_plan {
+        let mut founded = Vec::new();
+        for reg in predicates {
+            let whole = self.class_of(&reg.canon, &reg);
+            let branches = match whole.index_plan() {
                 IndexPlan::None => decompose_disjunction(&reg.canon).filter(|b| b.len() > 1),
                 _ => None,
             };
-            // One (signature, constants) per index entry: the predicate
-            // itself, or one per disjunct.
-            let (flags, entries) = match branches {
-                Some(branches) => (
-                    EXPR_TAGGED | window_flag,
-                    branches
-                        .iter()
-                        .map(|branch| {
-                            analyze_selection(
-                                branch,
-                                reg.source.id,
-                                reg.sig.key.event.clone(),
-                                reg.sig.update_cols.clone(),
-                            )
-                        })
-                        .collect(),
-                ),
-                None => (window_flag, vec![(reg.sig.clone(), reg.consts.clone())]),
+            // One index entry: the predicate itself, or one per disjunct,
+            // each looked up after the one before may have founded its
+            // class.
+            let Some(branches) = branches else {
+                self.add_entry(ddl, tid, &reg, whole, window_flag, &mut founded)?;
+                continue;
             };
-            for (sig, consts) in entries {
-                ddl.last_expr += 1;
-                let expr_id = ExprId(ddl.last_expr | flags);
-                let (rt, _is_new) = self.predindex.add_predicate(
-                    reg.source.id,
-                    &reg.source.schema,
-                    sig,
-                    consts,
-                    expr_id,
-                    tid,
-                    NodeId(reg.var as u32),
-                )?;
-                self.catalog_signature(reg.source.id, &rt)?;
-                if flags != 0 {
-                    tracked.push((expr_id, reg.source.id, rt.id));
-                    tagged_added += u64::from(flags & EXPR_TAGGED != 0);
-                }
-                if window_flag != 0 {
-                    if let Some(src) = self.predindex.source(reg.source.id) {
-                        src.add_windowed(rt.id, 1);
-                    }
-                }
+            for branch in &branches {
+                let class = self.class_of(branch, &reg);
+                let flags = EXPR_TAGGED | window_flag;
+                self.add_entry(ddl, tid, &reg, class, flags, &mut founded)?;
             }
         }
-        if !tracked.is_empty() {
-            ddl.flagged.insert(tid, tracked);
+        Ok(founded)
+    }
+
+    /// The class `selection` (concrete, on variable 0) belongs to. Only a
+    /// selection whose class does not exist yet is analyzed in full.
+    fn class_of(&self, selection: &Cnf, reg: &PredicateReg) -> Class {
+        let generalized = generalize_selection(selection, reg.source.id, reg.event.clone());
+        match self.predindex.class(&generalized.key) {
+            Some(rt) => Class::Found(rt, generalized.consts),
+            None => {
+                let (sig, consts) = generalized.into_signature(reg.update_cols.clone());
+                Class::New(sig, consts)
+            }
         }
-        if tagged_added > 0 {
-            self.tagged_count.fetch_add(tagged_added, Ordering::Relaxed);
+    }
+
+    /// Add one entry of trigger `tid` to `class`, flagged `flags`, and
+    /// record what the flags require. A class the entry founds goes on
+    /// `founded`.
+    fn add_entry(
+        &self,
+        ddl: &mut Ddl,
+        tid: TriggerId,
+        reg: &PredicateReg,
+        class: Class,
+        flags: u64,
+        founded: &mut Vec<Arc<SignatureRuntime>>,
+    ) -> Result<()> {
+        ddl.last_expr += 1;
+        let expr_id = ExprId(ddl.last_expr | flags);
+        let node = NodeId(reg.var as u32);
+        let rt = match class {
+            Class::Found(rt, consts) => {
+                self.predindex
+                    .add_to_class(&rt, consts, expr_id, tid, node)?;
+                rt
+            }
+            Class::New(sig, consts) => {
+                let (src, schema) = (reg.source.id, &reg.source.schema);
+                let (rt, is_new) = self
+                    .predindex
+                    .add_predicate(src, schema, sig, consts, expr_id, tid, node)?;
+                if is_new {
+                    founded.push(rt.clone());
+                }
+                rt
+            }
+        };
+        if flags != 0 {
+            let tracked = ddl.flagged.entry(tid).or_default();
+            tracked.push((expr_id, reg.source.id, rt.id));
+        }
+        if flags & EXPR_TAGGED != 0 {
+            self.tagged_count.fetch_add(1, Ordering::Relaxed);
+        }
+        if flags & EXPR_WINDOWED != 0 {
+            if let Some(src) = self.predindex.source(reg.source.id) {
+                src.add_windowed(rt.id, 1);
+            }
         }
         Ok(())
     }
 
-    /// Write `rt`'s `expression_signature` row as the class stands now.
-    fn catalog_signature(&self, src: DataSourceId, rt: &SignatureRuntime) -> Result<()> {
-        let (table, org) = (rt.const_table_name(), rt.org_kind().as_str());
-        self.catalog
-            .upsert_signature(rt.id, src, &rt.sig.key.desc, &table, rt.len(), org)
-    }
-
-    pub(crate) fn create_trigger(
-        &self,
-        stmt: &tman_lang::ast::CreateTrigger,
-        text: &str,
-    ) -> Result<CommandOutput> {
-        let mut ddl = self.ddl.lock();
-        let name = stmt.name.to_lowercase();
-        if ddl.triggers.contains_key(&name) {
-            return Err(TmanError::AlreadyExists(format!("trigger '{}'", stmt.name)));
-        }
-        let set_name = stmt.set.as_deref().unwrap_or("default");
-        let set_key = set_name.to_lowercase();
-        let (set, set_enabled) = ddl
-            .sets
-            .get(&set_key)
-            .map(|s| (s.id, s.enabled.clone()))
-            .ok_or_else(|| TmanError::NotFound(format!("trigger set '{set_name}'")))?;
-        ddl.last_trigger += 1;
-        let id = TriggerId(ddl.last_trigger);
-        let mut compiled = compile_trigger(stmt, id, set, text, self.config.network, &|name| {
-            self.source(name)
-        })?;
-        compiled.trigger.set_enabled = set_enabled;
-        self.register_predicates(&mut ddl, &compiled)?;
-        let trigger = Arc::new(compiled.trigger);
-        // "Prime" the trigger (§5.1) so stored memories see existing rows.
-        self.prime_network(&trigger)?;
-        self.catalog.insert_trigger(&TriggerRow {
-            id,
-            set,
-            name: trigger.name.to_string(),
-            text: text.to_string(),
-            created: 0, // stamped by the catalog
-            enabled: true,
-        })?;
-        ddl.triggers.insert(name, TriggerEntry { id, set });
-        if let Some(set) = ddl.sets.get_mut(&set_key) {
-            set.members += 1;
-        }
-        self.cache.insert(trigger);
-        Ok(CommandOutput::TriggerCreated(id))
-    }
-
-    pub(crate) fn drop_trigger(&self, name: &str) -> Result<CommandOutput> {
-        let mut ddl = self.ddl.lock();
-        let TriggerEntry { id, set } = ddl
-            .triggers
-            .remove(&name.to_lowercase())
-            .ok_or_else(|| TmanError::NotFound(format!("trigger '{name}'")))?;
-        if let Some(set) = ddl.sets.values_mut().find(|s| s.id == set) {
-            set.members -= 1;
-        }
+    /// Take trigger `id` out of the predicate index, with the execution
+    /// metadata its entries' flags put elsewhere. Returns whether it had a
+    /// window. `drop trigger` does this, and so does a `create trigger`
+    /// that fails after registering.
+    fn unregister(&self, ddl: &mut Ddl, id: TriggerId) -> Result<bool> {
         self.predindex.remove_trigger(id)?;
-        self.catalog.delete_trigger(id)?;
-        self.cache.remove(id);
-        // Tagged/windowed execution metadata.
         if let Some(exprs) = ddl.flagged.remove(&id) {
             let mut tagged_removed = 0u64;
             for (eid, src, sig) in exprs {
@@ -448,10 +449,116 @@ impl TriggerMan {
                     .fetch_sub(tagged_removed, Ordering::Relaxed);
             }
         }
-        if self.published().windows.contains_key(&id) {
-            self.republish(&ddl, |p| {
+        let windowed = self.published().windows.contains_key(&id);
+        if windowed {
+            self.republish(ddl, |p| {
                 p.windows.remove(&id);
             });
+        }
+        Ok(windowed)
+    }
+
+    /// Write `rt`'s `expression_signature` row as the class stands now.
+    fn catalog_signature(&self, rt: &SignatureRuntime) -> Result<()> {
+        let (table, org) = (rt.const_table_name(), rt.org_kind().as_str());
+        let src = rt.sig.key.data_src;
+        self.catalog
+            .upsert_signature(rt.id, src, &rt.sig.key.desc, &table, rt.len(), org)
+    }
+
+    /// Every class's `expression_signature` row, as it stands now. A
+    /// catalog write, so inside the critical section (`ddl` is the proof):
+    /// beside a `create trigger` the same signature's row would be
+    /// inserted twice.
+    fn write_signature_rows(&self, _ddl: &Ddl) -> Result<()> {
+        for rt in self.predindex.all_signatures() {
+            self.catalog_signature(&rt)?;
+        }
+        Ok(())
+    }
+
+    /// `create trigger`: all or nothing. Registration changes only memory,
+    /// so every catalog write comes after it, and a failure anywhere
+    /// unregisters the trigger again: it leaves no index entry, no name
+    /// and no row.
+    pub(crate) fn create_trigger(
+        &self,
+        stmt: &tman_lang::ast::CreateTrigger,
+        text: &str,
+    ) -> Result<CommandOutput> {
+        let mut ddl = self.ddl.lock();
+        let name = stmt.name.to_lowercase();
+        if ddl.triggers.contains_key(&name) {
+            return Err(TmanError::AlreadyExists(format!("trigger '{}'", stmt.name)));
+        }
+        let set_name = stmt.set.as_deref().unwrap_or("default");
+        let set_key = match stmt.set {
+            Some(_) => Cow::Owned(set_name.to_lowercase()),
+            None => Cow::Borrowed(set_name),
+        };
+        let (set, set_enabled) = ddl
+            .sets
+            .get(&*set_key)
+            .map(|s| (s.id, s.enabled.clone()))
+            .ok_or_else(|| TmanError::NotFound(format!("trigger set '{set_name}'")))?;
+        ddl.last_trigger += 1;
+        let id = TriggerId(ddl.last_trigger);
+        let Compiled {
+            mut trigger,
+            predicates,
+            window,
+        } = compile_trigger(stmt, id, set, text, self.config.network, &|name| {
+            self.source(name)
+        })?;
+        trigger.set_enabled = set_enabled;
+        let trigger = Arc::new(trigger);
+        let created = self
+            .register_predicates(&mut ddl, id, predicates, window)
+            .and_then(|founded| {
+                // "Prime" the trigger (§5.1) so stored memories see
+                // existing rows.
+                self.prime_network(&trigger)?;
+                // A class's row is written once, by the create that founds
+                // it; `checkpoint` refreshes its size and organization.
+                for class in &founded {
+                    self.catalog_signature(class)?;
+                }
+                self.catalog.insert_trigger(TriggerRow {
+                    id,
+                    set,
+                    name: stmt.name.clone(),
+                    text: text.to_string(),
+                    created: 0, // stamped by the catalog
+                    enabled: true,
+                })
+            });
+        if let Err(e) = created {
+            if let Err(undo) = self.unregister(&mut ddl, id) {
+                self.record_error(&undo);
+            }
+            return Err(e);
+        }
+        ddl.triggers.insert(name, TriggerEntry { id, set });
+        if let Some(set) = ddl.sets.get_mut(&*set_key) {
+            set.members += 1;
+        }
+        self.cache.insert(trigger);
+        Ok(CommandOutput::TriggerCreated(id))
+    }
+
+    pub(crate) fn drop_trigger(&self, name: &str) -> Result<CommandOutput> {
+        let mut ddl = self.ddl.lock();
+        let TriggerEntry { id, set } = ddl
+            .triggers
+            .remove(&name.to_lowercase())
+            .ok_or_else(|| TmanError::NotFound(format!("trigger '{name}'")))?;
+        if let Some(set) = ddl.sets.values_mut().find(|s| s.id == set) {
+            set.members -= 1;
+        }
+        let windowed = self.unregister(&mut ddl, id)?;
+        self.catalog.delete_trigger(id)?;
+        self.cache.remove(id);
+        if windowed {
             self.catalog.delete_window(id)?;
         }
         Ok(CommandOutput::TriggerDropped(id))
@@ -545,19 +652,11 @@ impl TriggerMan {
         out
     }
 
-    /// Refresh `expression_signature` catalog rows (sizes/organizations
-    /// change as triggers come and go); called by checkpoints. A catalog
-    /// write, so inside the critical section: beside a `create trigger`
-    /// the same signature's row would be inserted twice.
+    /// Refresh `expression_signature` catalog rows (sizes and
+    /// organizations change as triggers come and go); called by
+    /// checkpoints.
     pub fn refresh_signature_catalog(&self) -> Result<()> {
-        let _ddl = self.ddl.lock();
-        for src in self.published().sources.values() {
-            if let Some(ix) = self.predindex.source(src.id) {
-                for sig in ix.signatures() {
-                    self.catalog_signature(src.id, &sig)?;
-                }
-            }
-        }
-        Ok(())
+        let ddl = self.ddl.lock();
+        self.write_signature_rows(&ddl)
     }
 }

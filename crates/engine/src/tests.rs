@@ -471,6 +471,108 @@ fn signatures_shared_and_catalogued() {
     assert!(sigs[0].2.contains("CONSTANT1")); // signatureDesc
 }
 
+/// `select * from expression_signature`, as `(signatureDesc,
+/// constantSetSize)` pairs in row order.
+fn signature_rows(tman: &Arc<TriggerMan>) -> Vec<(String, i64)> {
+    let rows = tman.run_sql("select * from expression_signature").unwrap();
+    let row = |r: &Tuple| {
+        let desc = r.get(2).as_str().unwrap().to_string();
+        (desc, r.get(4).as_i64().unwrap())
+    };
+    rows.rows().iter().map(row).collect()
+}
+
+fn setup_quotes(tman: &Arc<TriggerMan>) {
+    tman.execute_command("define data source q (sym varchar(12), price float, vol int, seq int)")
+        .unwrap();
+}
+
+#[test]
+fn a_class_row_is_written_once_and_refreshed_by_checkpoint() {
+    let tman = system();
+    setup_quotes(&tman);
+    let create = |i: usize| {
+        tman.execute_command(&format!(
+            "create trigger s{i} from q when q.sym = 'S{i}' do notify 'x'"
+        ))
+        .unwrap();
+    };
+    // The create that founds the class writes its row: visible at once.
+    create(0);
+    let founded = vec![("q.sym = CONSTANT1".to_string(), 1)];
+    assert_eq!(signature_rows(&tman), founded);
+    // Later members join the class without rewriting the row.
+    (1..5).for_each(create);
+    assert_eq!(tman.predicate_index().num_entries(), 5);
+    assert_eq!(signature_rows(&tman), founded);
+    // A checkpoint refreshes it.
+    tman.checkpoint().unwrap();
+    assert_eq!(signature_rows(&tman), [("q.sym = CONSTANT1".into(), 5)]);
+    // Drops do not rewrite it either; the next checkpoint does.
+    for i in 0..3 {
+        tman.execute_command(&format!("drop trigger s{i}")).unwrap();
+    }
+    assert_eq!(signature_rows(&tman)[0].1, 5);
+    tman.checkpoint().unwrap();
+    assert_eq!(signature_rows(&tman), [("q.sym = CONSTANT1".into(), 2)]);
+}
+
+#[test]
+fn select_hot_shapes_have_pinned_signatures() {
+    let tman = system();
+    setup_quotes(&tman);
+    let conds = [
+        "q.sym = 'S1'",
+        "q.sym = 'S1' and q.price > 10",
+        "q.vol = 3",
+        "q.price > 10 and q.price <= 20",
+        // Tagged execution: one entry per arm, in the arms' classes.
+        "q.sym = 'S2' or q.vol = 4",
+    ];
+    for (i, cond) in conds.iter().enumerate() {
+        tman.execute_command(&format!(
+            "create trigger t{i} from q when {cond} do raise event Matched(q.seq)"
+        ))
+        .unwrap();
+    }
+    tman.checkpoint().unwrap();
+    let rows = signature_rows(&tman);
+    let descs: Vec<&str> = rows.iter().map(|(d, _)| d.as_str()).collect();
+    assert_eq!(
+        descs,
+        [
+            "q.sym = CONSTANT1",
+            "q.sym = CONSTANT1 and q.price > CONSTANT2",
+            "q.vol = CONSTANT1",
+            "q.price > CONSTANT1 and q.price <= CONSTANT2",
+        ]
+    );
+    let sizes: Vec<i64> = rows.iter().map(|r| r.1).collect();
+    assert_eq!(sizes, [2, 1, 2, 1]);
+    assert_eq!(tman.tagged_entries(), 2);
+}
+
+#[test]
+fn a_variable_names_its_class_however_it_is_spelled() {
+    let tman = system();
+    setup_quotes(&tman);
+    let forms = [
+        "from q when q.sym = 'A'",
+        "from q x when x.sym = 'B'",
+        "from q when sym = 'C'",
+        "from q when Q.sym = 'D'",
+        "from Q when Q.sym = 'E'",
+        "from q x when sym = 'F'",
+    ];
+    for (i, form) in forms.iter().enumerate() {
+        tman.execute_command(&format!("create trigger t{i} {form} do notify 'x'"))
+            .unwrap();
+    }
+    assert_eq!(tman.predicate_index().num_signatures(), 1);
+    assert_eq!(tman.predicate_index().num_entries(), forms.len());
+    assert_eq!(signature_rows(&tman)[0].0, "q.sym = CONSTANT1");
+}
+
 #[test]
 fn duplicate_names_and_bad_commands_error() {
     let tman = system();

@@ -27,5 +27,6 @@ pub use pred::{AtomKind, AtomicPred, CmpOp, Pred};
 pub use resolve::BindCtx;
 pub use scalar::{Env, Func, Scalar};
 pub use signature::{
-    decompose_disjunction, IndexPlan, SelectionSignature, SignatureKey, MAX_TAGGED_DISJUNCTS,
+    decompose_disjunction, generalize_selection, Generalized, IndexPlan, SelectionSignature,
+    SignatureKey, MAX_TAGGED_DISJUNCTS,
 };

@@ -41,11 +41,13 @@ impl<'a> BindCtx<'a> {
         }
     }
 
-    /// Context for rule actions: `:NEW`/`:OLD` references resolve.
-    pub fn for_actions(vars: Vec<(String, &'a Schema)>) -> BindCtx<'a> {
+    /// The same variables as the context for rule actions, where
+    /// `:NEW`/`:OLD` references resolve: one context binds a trigger's
+    /// condition and then its action.
+    pub fn into_actions(self) -> BindCtx<'a> {
         BindCtx {
-            vars,
             allow_transitions: true,
+            ..self
         }
     }
 
@@ -356,7 +358,7 @@ mod tests {
         let e = parse_expression(":NEW.emp.salary").unwrap();
         assert!(cond_ctx.scalar(&e).is_err());
 
-        let act_ctx = BindCtx::for_actions(vec![("emp".into(), &schema)]);
+        let act_ctx = cond_ctx.into_actions();
         let s = act_ctx.scalar(&e).unwrap();
         assert_eq!(s.as_column(), Some((0, 1)));
         let s_old = act_ctx

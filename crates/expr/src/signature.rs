@@ -316,6 +316,54 @@ pub fn decompose_disjunction(selection: &Cnf) -> Option<Vec<Cnf>> {
     Some(branches)
 }
 
+/// A selection predicate generalized (§5): its signature's identity, the
+/// generalized expression, and the constants lifted out of it — what
+/// finds the equivalence class a predicate belongs to.
+/// [`Generalized::into_signature`] adds the index plan and the residual,
+/// which only a class being created needs.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Generalized {
+    /// Signature identity.
+    pub key: SignatureKey,
+    /// The full generalized expression (placeholders everywhere).
+    pub expr: Cnf,
+    /// The constant vector for the constant table.
+    pub consts: Vec<Value>,
+}
+
+impl Generalized {
+    /// The whole signature, and the constant vector.
+    pub fn into_signature(self, update_cols: Vec<usize>) -> (SelectionSignature, Vec<Value>) {
+        let (index_plan, residual) = split_indexable(&self.expr);
+        let sig = SelectionSignature {
+            key: self.key,
+            num_consts: self.consts.len(),
+            generalized: self.expr,
+            index_plan,
+            residual,
+            update_cols,
+        };
+        (sig, self.consts)
+    }
+}
+
+/// Generalize one selection predicate (already canonicalized onto variable
+/// 0; see [`crate::cnf::remap_var`]).
+pub fn generalize_selection(
+    selection: &Cnf,
+    data_src: DataSourceId,
+    event: EventKind,
+) -> Generalized {
+    let mut consts = Vec::new();
+    let expr = selection.generalize(&mut consts);
+    let key = SignatureKey {
+        data_src,
+        event,
+        desc: expr.to_string(),
+    };
+    Generalized { key, expr, consts }
+}
+
 /// Analyze one selection predicate (already canonicalized onto variable 0;
 /// see [`crate::cnf::remap_var`]). Returns the signature and the extracted
 /// constant vector (the row for the signature's constant table).
@@ -325,15 +373,13 @@ pub fn analyze_selection(
     event: EventKind,
     update_cols: Vec<usize>,
 ) -> (SelectionSignature, Vec<Value>) {
-    let mut consts = Vec::new();
-    let generalized = selection.generalize(&mut consts);
-    let desc = generalized.to_string();
-    let key = SignatureKey {
-        data_src,
-        event,
-        desc,
-    };
+    generalize_selection(selection, data_src, event).into_signature(update_cols)
+}
 
+/// The `E = E_I AND E_NI` split of a generalized expression: the index
+/// plan of its indexable part, chosen most-selective-conjunct first
+/// (\[Hans90\]), and the conjuncts the plan leaves over.
+fn split_indexable(generalized: &Cnf) -> (IndexPlan, Option<Cnf>) {
     // Classify conjuncts.
     let mut eqs: Vec<(usize, usize, usize)> = Vec::new(); // (col, slot, conjunct idx)
     let mut ranges: Vec<(usize, usize, CmpOp, usize)> = Vec::new();
@@ -428,17 +474,7 @@ pub fn analyze_selection(
         })
     };
 
-    (
-        SelectionSignature {
-            key,
-            num_consts: consts.len(),
-            generalized,
-            index_plan,
-            residual,
-            update_cols,
-        },
-        consts,
-    )
+    (index_plan, residual)
 }
 
 #[cfg(test)]

@@ -1,21 +1,27 @@
 //! Tokenizer shared by the TriggerMan command language and the SQL subset.
+//!
+//! Tokens borrow from the input: an identifier or keyword is a slice of
+//! it, and so is a string literal unless it holds a `''` escape. The
+//! parser copies only the names and literals its AST keeps.
 
+use std::borrow::Cow;
 use std::fmt;
 use tman_common::{Result, TmanError};
 
-/// One lexical token.
+/// One lexical token, borrowing from the text it was read from.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+pub(crate) enum Token<'a> {
     /// Identifier or keyword (keywords are recognized case-insensitively by
     /// the parser, not the lexer, since TriggerMan identifiers may collide
     /// with keywords in other positions).
-    Ident(String),
+    Ident(&'a str),
     /// Integer literal.
     Int(i64),
     /// Float literal.
     Float(f64),
-    /// String literal (`'...'`, with `''` escaping a quote).
-    Str(String),
+    /// String literal (`'...'`, with `''` escaping a quote): borrowed, or
+    /// owned when an escape had to be undone.
+    Str(Cow<'a, str>),
     /// `:NEW` / `:OLD` sigil (the following `.source.column` path is parsed
     /// by the parser).
     Colon,
@@ -37,14 +43,14 @@ pub enum Token {
     Semi,
 }
 
-impl Token {
+impl Token<'_> {
     /// Is this an identifier equal (case-insensitively) to `kw`?
-    pub fn is_kw(&self, kw: &str) -> bool {
+    pub(crate) fn is_kw(&self, kw: &str) -> bool {
         matches!(self, Token::Ident(s) if s.eq_ignore_ascii_case(kw))
     }
 }
 
-impl fmt::Display for Token {
+impl fmt::Display for Token<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Token::Ident(s) => write!(f, "{s}"),
@@ -72,9 +78,11 @@ impl fmt::Display for Token {
 }
 
 /// Tokenize `input`. Errors carry the byte offset of the offending char.
-pub fn tokenize(input: &str) -> Result<Vec<Token>> {
+pub(crate) fn tokenize(input: &str) -> Result<Vec<Token<'_>>> {
     let b = input.as_bytes();
-    let mut out = Vec::new();
+    // A token is at least one byte and most are two or more plus a
+    // separator: one allocation covers a command.
+    let mut out = Vec::with_capacity(input.len() / 2 + 1);
     let mut i = 0;
     while i < b.len() {
         let c = b[i];
@@ -156,30 +164,9 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                 }
             }
             b'\'' => {
-                let mut s: Vec<u8> = Vec::new();
-                i += 1;
-                loop {
-                    if i >= b.len() {
-                        return Err(TmanError::Parse(format!(
-                            "unterminated string literal at offset {i}"
-                        )));
-                    }
-                    if b[i] == b'\'' {
-                        if i + 1 < b.len() && b[i + 1] == b'\'' {
-                            s.push(b'\'');
-                            i += 2;
-                        } else {
-                            i += 1;
-                            break;
-                        }
-                    } else {
-                        s.push(b[i]);
-                        i += 1;
-                    }
-                }
-                out.push(Token::Str(String::from_utf8(s).map_err(|e| {
-                    TmanError::Parse(format!("invalid utf8 in string literal: {e}"))
-                })?));
+                let (literal, end) = string_literal(input, i)?;
+                out.push(Token::Str(literal));
+                i = end;
             }
             b'0'..=b'9' | b'.' => {
                 let start = i;
@@ -218,7 +205,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                 while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
                     i += 1;
                 }
-                out.push(Token::Ident(input[start..i].to_string()));
+                out.push(Token::Ident(&input[start..i]));
             }
             c => {
                 return Err(TmanError::Parse(format!(
@@ -231,6 +218,45 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
     Ok(out)
 }
 
+/// The string literal whose opening quote is at byte `open`, and the
+/// offset just past its closing quote. A slice of `input` unless it holds
+/// a `''`, which is undone in a copy. Quotes are ASCII, so every slice
+/// taken here starts and ends on a character boundary.
+fn string_literal(input: &str, open: usize) -> Result<(Cow<'_, str>, usize)> {
+    let b = input.as_bytes();
+    let start = open + 1;
+    let mut owned: Option<String> = None;
+    // The first byte not yet copied into `owned`.
+    let mut copied_to = start;
+    let mut i = start;
+    loop {
+        match b.get(i) {
+            None => {
+                return Err(TmanError::Parse(format!(
+                    "unterminated string literal at offset {i}"
+                )))
+            }
+            Some(b'\'') if b.get(i + 1) == Some(&b'\'') => {
+                // Copy through the first quote; the second is the escape.
+                let s = owned.get_or_insert_with(String::new);
+                s.push_str(&input[copied_to..=i]);
+                i += 2;
+                copied_to = i;
+            }
+            Some(b'\'') => break,
+            Some(_) => i += 1,
+        }
+    }
+    let literal = match owned {
+        None => Cow::Borrowed(&input[start..i]),
+        Some(mut s) => {
+            s.push_str(&input[copied_to..i]);
+            Cow::Owned(s)
+        }
+    };
+    Ok((literal, i + 1))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,7 +264,7 @@ mod tests {
     #[test]
     fn basic_tokens() {
         let toks = tokenize("create trigger t1 when emp.salary >= 80000.5 do x").unwrap();
-        assert_eq!(toks[0], Token::Ident("create".into()));
+        assert_eq!(toks[0], Token::Ident("create"));
         assert!(toks.contains(&Token::Ge));
         assert!(toks.contains(&Token::Float(80000.5)));
         assert!(toks.contains(&Token::Dot));
@@ -295,21 +321,73 @@ mod tests {
     #[test]
     fn comments_are_skipped() {
         let toks = tokenize("a -- comment here\n b").unwrap();
-        assert_eq!(
-            toks,
-            vec![Token::Ident("a".into()), Token::Ident("b".into())]
-        );
+        assert_eq!(toks, vec![Token::Ident("a"), Token::Ident("b")]);
     }
 
     #[test]
     fn keyword_check_is_case_insensitive() {
-        assert!(Token::Ident("CrEaTe".into()).is_kw("create"));
-        assert!(!Token::Ident("created".into()).is_kw("create"));
+        assert!(Token::Ident("CrEaTe").is_kw("create"));
+        assert!(!Token::Ident("created").is_kw("create"));
+    }
+
+    #[test]
+    fn literals_borrow_unless_escaped() {
+        let toks = tokenize("'two' 'it''s' '' ''''").unwrap();
+        assert_eq!(toks.len(), 4);
+        assert!(matches!(&toks[0], Token::Str(Cow::Borrowed("two"))));
+        assert!(matches!(&toks[1], Token::Str(Cow::Owned(s)) if s == "it's"));
+        assert!(matches!(&toks[2], Token::Str(Cow::Borrowed(""))));
+        assert!(matches!(&toks[3], Token::Str(Cow::Owned(s)) if s == "'"));
+        // Escapes anywhere: leading, trailing, repeated.
+        for (text, want) in [("'''a'", "'a"), ("'a'''", "a'"), ("'a''b''c'", "a'b'c")] {
+            assert_eq!(
+                tokenize(text).unwrap(),
+                vec![Token::Str(want.into())],
+                "{text}"
+            );
+        }
+    }
+
+    #[test]
+    fn literal_at_end_of_input() {
+        let toks = tokenize("q.sym = 'S1'").unwrap();
+        assert_eq!(toks.last(), Some(&Token::Str("S1".into())));
+        assert_eq!(toks.len(), 5);
+    }
+
+    #[test]
+    fn non_ascii_literals() {
+        let toks = tokenize("'héllo wörld' 'ü''ß' '日本'").unwrap();
+        assert!(matches!(&toks[0], Token::Str(Cow::Borrowed("héllo wörld"))));
+        assert!(matches!(&toks[1], Token::Str(Cow::Owned(s)) if s == "ü'ß"));
+        assert!(matches!(&toks[2], Token::Str(Cow::Borrowed("日本"))));
+    }
+
+    #[test]
+    fn identifiers_borrow_from_the_input() {
+        let input = String::from("create trigger t1");
+        let toks = tokenize(&input).unwrap();
+        let Token::Ident(name) = toks[2] else {
+            panic!("{toks:?}")
+        };
+        assert_eq!(name, "t1");
+        assert!(std::ptr::eq(name.as_ptr(), input[15..].as_ptr()));
     }
 
     #[test]
     fn bad_chars_error_with_offset() {
-        let err = tokenize("a ยง b").unwrap_err();
-        assert!(matches!(err, TmanError::Parse(_)));
+        let msg = |text: &str| tokenize(text).unwrap_err().to_string();
+        // An unterminated literal reports the end of input.
+        assert!(msg("'abc").contains("offset 4"), "{}", msg("'abc"));
+        assert!(
+            msg("x = 'it''s").contains("offset 10"),
+            "{}",
+            msg("x = 'it''s")
+        );
+        assert!(msg("'").contains("offset 1"));
+        // A bad character reports where it starts, in bytes.
+        assert!(msg("a ยง b").contains("offset 2"), "{}", msg("a ยง b"));
+        assert!(msg("'é' ?").contains("offset 5"), "{}", msg("'é' ?"));
+        assert!(matches!(tokenize("a ยง b"), Err(TmanError::Parse(_))));
     }
 }

@@ -3,8 +3,9 @@
 //! §2 of the paper: "Commands in TriggerMan have a keyword-delimited,
 //! SQL-like syntax." This crate provides:
 //!
-//! * [`lexer`] — a shared tokenizer (case-insensitive keywords, `'...'`
-//!   string literals with `''` escapes, `:NEW` / `:OLD` transition refs),
+//! * a shared tokenizer, private to the crate (case-insensitive keywords,
+//!   `'...'` string literals with `''` escapes, `:NEW` / `:OLD` transition
+//!   refs), whose tokens borrow from the command text,
 //! * [`ast`] — commands (`create trigger`, `drop trigger`, `define data
 //!   source`, ...), scalar/boolean expressions, and the SQL-subset
 //!   statements used by `execSQL` rule actions,
@@ -24,7 +25,7 @@
 //! ```
 
 pub mod ast;
-pub mod lexer;
+mod lexer;
 pub mod parser;
 
 pub use ast::{Action, Command, CreateTrigger, Expr, SqlStmt};

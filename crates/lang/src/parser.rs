@@ -31,35 +31,37 @@ pub fn parse_sql(input: &str) -> Result<SqlStmt> {
     Ok(s)
 }
 
-struct Parser {
-    toks: Vec<Token>,
+/// The parser never moves back, so a token it has consumed is never read
+/// again: [`Parser::next`] takes it out of `toks` rather than copying it.
+struct Parser<'a> {
+    toks: Vec<Token<'a>>,
     pos: usize,
 }
 
-impl Parser {
-    fn new(input: &str) -> Result<Parser> {
+impl<'a> Parser<'a> {
+    fn new(input: &'a str) -> Result<Parser<'a>> {
         Ok(Parser {
             toks: tokenize(input)?,
             pos: 0,
         })
     }
 
-    fn peek(&self) -> Option<&Token> {
+    fn peek(&self) -> Option<&Token<'a>> {
         self.toks.get(self.pos)
     }
 
-    fn peek2(&self) -> Option<&Token> {
+    fn peek2(&self) -> Option<&Token<'a>> {
         self.toks.get(self.pos + 1)
     }
 
-    fn next(&mut self) -> Result<Token> {
-        let t = self
+    fn next(&mut self) -> Result<Token<'a>> {
+        let slot = self
             .toks
-            .get(self.pos)
-            .cloned()
+            .get_mut(self.pos)
             .ok_or_else(|| TmanError::Parse("unexpected end of input".into()))?;
         self.pos += 1;
-        Ok(t)
+        // What is left behind is behind `pos`, where nothing looks.
+        Ok(std::mem::replace(slot, Token::Semi))
     }
 
     fn eat(&mut self, t: &Token) -> bool {
@@ -100,7 +102,9 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self) -> Result<String> {
+    /// An identifier, borrowed from the input: for one the AST does not
+    /// keep.
+    fn word(&mut self) -> Result<&'a str> {
         match self.next()? {
             Token::Ident(s) => Ok(s),
             t => Err(TmanError::Parse(format!(
@@ -109,9 +113,13 @@ impl Parser {
         }
     }
 
+    fn ident(&mut self) -> Result<String> {
+        self.word().map(str::to_string)
+    }
+
     fn string(&mut self) -> Result<String> {
         match self.next()? {
-            Token::Str(s) => Ok(s),
+            Token::Str(s) => Ok(s.into_owned()),
             t => Err(TmanError::Parse(format!(
                 "expected string literal, found '{t}'"
             ))),
@@ -359,7 +367,7 @@ impl Parser {
         if amount < 1 {
             return Err(TmanError::Parse("window duration must be positive".into()));
         }
-        let unit = self.ident()?;
+        let unit = self.word()?;
         let per_ns: u64 = match unit.to_ascii_lowercase().as_str() {
             "ms" | "millisecond" | "milliseconds" => 1_000_000,
             "s" | "sec" | "secs" | "second" | "seconds" => 1_000_000_000,
@@ -472,7 +480,7 @@ impl Parser {
     }
 
     fn data_type(&mut self) -> Result<DataType> {
-        let name = self.ident()?;
+        let name = self.word()?;
         let lower = name.to_ascii_lowercase();
         match lower.as_str() {
             "integer" | "int" | "bigint" => Ok(DataType::Int),
@@ -717,28 +725,25 @@ impl Parser {
     }
 
     fn primary(&mut self) -> Result<Expr> {
-        match self.peek().cloned() {
-            Some(Token::Int(i)) => {
-                self.pos += 1;
-                Ok(Expr::Literal(Literal::Int(i)))
-            }
-            Some(Token::Float(f)) => {
-                self.pos += 1;
-                Ok(Expr::Literal(Literal::Float(f)))
-            }
-            Some(Token::Str(s)) => {
-                self.pos += 1;
-                Ok(Expr::Literal(Literal::Str(s)))
-            }
-            Some(Token::LParen) => {
-                self.pos += 1;
+        // Checked before the token is taken, so the error can show it.
+        let starts_expr = |t: &Token| {
+            use Token::*;
+            matches!(t, Int(_) | Float(_) | Str(_) | LParen | Colon | Ident(_))
+        };
+        if !self.peek().is_some_and(starts_expr) {
+            return Err(self.err("expected expression"));
+        }
+        match self.next()? {
+            Token::Int(i) => Ok(Expr::Literal(Literal::Int(i))),
+            Token::Float(f) => Ok(Expr::Literal(Literal::Float(f))),
+            Token::Str(s) => Ok(Expr::Literal(Literal::Str(s.into_owned()))),
+            Token::LParen => {
                 let e = self.expr()?;
                 self.expect(&Token::RParen)?;
                 Ok(e)
             }
-            Some(Token::Colon) => {
-                self.pos += 1;
-                let which = self.ident()?;
+            Token::Colon => {
+                let which = self.word()?;
                 let new = if which.eq_ignore_ascii_case("new") {
                     true
                 } else if which.eq_ignore_ascii_case("old") {
@@ -758,18 +763,18 @@ impl Parser {
                     column,
                 })
             }
-            Some(Token::Ident(name)) => {
-                self.pos += 1;
+            Token::Ident(name) => {
                 if name.eq_ignore_ascii_case("null") {
                     return Ok(Expr::Literal(Literal::Null));
                 }
                 if self.eat(&Token::Dot) {
                     let column = self.ident()?;
                     return Ok(Expr::Column {
-                        qualifier: Some(name),
+                        qualifier: Some(name.to_string()),
                         column,
                     });
                 }
+                let name = name.to_string();
                 if self.eat(&Token::LParen) {
                     let mut args = Vec::new();
                     if !self.eat(&Token::RParen) {
@@ -788,7 +793,7 @@ impl Parser {
                     column: name,
                 })
             }
-            _ => Err(self.err("expected expression")),
+            _ => unreachable!("starts_expr admits no other token"),
         }
     }
 }

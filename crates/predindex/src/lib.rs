@@ -48,7 +48,7 @@ use tman_common::{
     UpdateDescriptor, Value,
 };
 use tman_expr::scalar::Env;
-use tman_expr::{IndexPlan, SelectionSignature};
+use tman_expr::{IndexPlan, SelectionSignature, SignatureKey};
 use tman_sql::Database;
 use tman_sync::{Mutex, RwLock};
 use tman_telemetry::trace::{now_ns, ROOT_SPAN};
@@ -787,15 +787,39 @@ impl PredicateIndex {
             }
         };
         drop(plan);
+        self.add_to_class(&rt, consts, expr_id, trigger_id, next_node)?;
+        Ok((rt, is_new))
+    }
+
+    /// The equivalence class `key` names, if it has been created. A
+    /// predicate whose class exists joins it through
+    /// [`add_to_class`](Self::add_to_class) and needs no
+    /// [`SelectionSignature`] of its own.
+    pub fn class(&self, key: &SignatureKey) -> Option<Arc<SignatureRuntime>> {
+        let plan = self.source(key.data_src)?.plan();
+        let found = plan.sigs.iter().find(|s| s.rt.sig.key == *key);
+        found.map(|s| s.rt.clone())
+    }
+
+    /// Add one entry to `class`, a class of this index: the second half of
+    /// [`add_predicate`](Self::add_predicate).
+    pub fn add_to_class(
+        &self,
+        class: &Arc<SignatureRuntime>,
+        consts: Vec<Value>,
+        expr_id: ExprId,
+        trigger_id: TriggerId,
+        next_node: NodeId,
+    ) -> Result<()> {
         let mut directory = self.directory.lock();
-        let consts = rt.insert(Entry {
+        let consts = class.insert(Entry {
             expr_id,
             trigger_id,
             next_node,
             consts: consts.into(),
         })?;
-        directory.push(trigger_id, rt.clone(), consts);
-        Ok((rt, is_new))
+        directory.push(trigger_id, class.clone(), consts);
+        Ok(())
     }
 
     /// Remove all predicates of a trigger. Returns the number of entries

@@ -1,4 +1,5 @@
-//! Allocation budget of the drain hot path, and of an event-bus drop storm.
+//! Allocation budgets of the drain hot path, of a `create trigger`, and of
+//! an event-bus drop storm.
 //!
 //! Its own test binary so that the counting `#[global_allocator]` touches
 //! nothing else. Counts are taken on the test thread only (a thread-local
@@ -19,6 +20,12 @@
 //! as many triggers a token, and each extra fire may cost [`PER_FIRE`]
 //! allocations. The outbox, the grouping of a run into stretches and the
 //! delivery routine allocate by the run.
+//!
+//! The same population, created one `create trigger` at a time, must cost
+//! at most [`CREATE_BUDGET`] allocations per create, of which parsing the
+//! command may take [`PARSE_BUDGET`]: a create pays for its own trigger —
+//! its AST, its description, its index entry and its catalog row — and not
+//! again for the class it joins.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -84,6 +91,13 @@ const BUDGET: f64 = 4.52;
 /// channel's share. `tman_sync`'s channel is a deque that grows by
 /// doubling, so a message adds well under one allocation.
 const PER_FIRE: f64 = 1.05;
+
+/// Allocations one `create trigger` of the population may make, on
+/// average (152.7 before a create stopped paying for its class).
+const CREATE_BUDGET: f64 = 76.3;
+/// Allocations `parse_command` may make on one of its texts (35.6 before
+/// the lexer borrowed from the command).
+const PARSE_BUDGET: f64 = 17.8;
 
 const TRIGGERS: u32 = 2_000;
 const TOKENS: u64 = 4_096;
@@ -186,6 +200,13 @@ fn population(fan: u32) -> (Vec<String>, Reference) {
     (conds, r)
 }
 
+/// The population's `create trigger` commands.
+fn create_texts(conds: &[String]) -> Vec<String> {
+    let create =
+        |(i, cond)| format!("create trigger t{i} from q when {cond} do raise event Matched(q.seq)");
+    conds.iter().enumerate().map(create).collect()
+}
+
 /// Drain [`TOKENS`] tokens through a population of fan-out `fan`, every
 /// fire checked against the closed-form count: (allocations inside
 /// `tman_test`, fires).
@@ -198,11 +219,8 @@ fn drain(fan: u32) -> (u64, u64) {
     tman.execute_command("define data source q (sym varchar(12), price float, vol int, seq int)")
         .unwrap();
     let (conds, reference) = population(fan);
-    for (i, cond) in conds.iter().enumerate() {
-        tman.execute_command(&format!(
-            "create trigger t{i} from q when {cond} do raise event Matched(q.seq)"
-        ))
-        .unwrap();
+    for text in create_texts(&conds) {
+        tman.execute_command(&text).unwrap();
     }
     let src = tman.source("q").unwrap().id;
     let rx = tman.subscribe("Matched");
@@ -275,6 +293,39 @@ fn drain_stays_within_the_allocation_budget() {
     assert!(
         per_fire <= PER_FIRE,
         "{per_fire:.3} allocations per extra fire, budget {PER_FIRE}"
+    );
+}
+
+#[test]
+fn create_stays_within_the_allocation_budget() {
+    let tman = TriggerMan::open_memory(Config {
+        trigger_cache_capacity: 4_096,
+        ..Config::default()
+    })
+    .unwrap();
+    tman.execute_command("define data source q (sym varchar(12), price float, vol int, seq int)")
+        .unwrap();
+    let texts = create_texts(&population(1).0);
+    let (mut parsing, mut creating) = (0u64, 0u64);
+    for text in &texts {
+        let (parsed, n) = allocations_in(|| tman_lang::parse_command(text));
+        parsing += n;
+        drop(parsed.unwrap());
+        let (created, n) = allocations_in(|| tman.execute_command(text));
+        creating += n;
+        created.unwrap();
+    }
+    assert_eq!(tman.trigger_names().len(), TRIGGERS as usize);
+    let per_parse = parsing as f64 / TRIGGERS as f64;
+    let per_create = creating as f64 / TRIGGERS as f64;
+    println!("{per_create:.1} allocations per create trigger, {per_parse:.1} per parse_command");
+    assert!(
+        per_parse <= PARSE_BUDGET,
+        "{per_parse:.1} allocations per parse_command, budget {PARSE_BUDGET}"
+    );
+    assert!(
+        per_create <= CREATE_BUDGET,
+        "{per_create:.1} allocations per create trigger, budget {CREATE_BUDGET}"
     );
 }
 
