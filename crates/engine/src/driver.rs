@@ -122,9 +122,10 @@ impl IdleGate {
 /// has run. Every partition spawned for the token clones one
 /// `Arc<AckState>`; when the last clone drops (the originating drain pass
 /// included), the sequence number is pushed onto the engine's pending-ack
-/// queue, and the next drain-loop boundary folds it into one batched
-/// [`UpdateQueue::ack_batch`](crate::queue::UpdateQueue::ack_batch)
-/// durability barrier. A partition that errors still acks on drop: the
+/// queue, and the next drain-loop boundary folds it into the queue's acked
+/// set ([`UpdateQueue::ack_batch`](crate::queue::UpdateQueue::ack_batch)),
+/// which the next durability barrier makes durable. A partition that
+/// errors still acks on drop: the
 /// failure is recorded in `last_error`, and the token is not redelivered.
 pub struct AckState {
     seq: i64,

@@ -25,16 +25,26 @@
 //! Nothing is scanned and nothing is deleted. Consumers use
 //! [`UpdateQueue::dequeue_tracked`], which advances an in-memory cursor
 //! over the log and reads only the records it hands out, and
-//! [`UpdateQueue::ack_batch`] after the rule actions have run. Acks fold
-//! into an in-memory set; the *delivery watermark* — the highest qid with
-//! every descriptor at or below it fully processed — advances over the
-//! set's contiguous prefix and is the log's truncation point, written once
-//! per batch into the log's meta page. The watermark is the **only**
-//! durable ack state: after a crash every record above it is redelivered,
-//! including one that was acked above a gap the crash left open
-//! (at-least-once; each record still at most once per restart). A record
-//! that fails validation is classified as [`TmanError::Corrupt`], counted,
-//! skipped and covered by the watermark instead of wedging the cursor.
+//! [`UpdateQueue::ack_batch`] after the rule actions have run. An ack only
+//! folds into an in-memory set: it writes nothing and syncs nothing. The
+//! *delivery watermark* — the highest qid with every descriptor at or
+//! below it fully processed — is the log's truncation point, and it moves
+//! at the next **durability barrier**: the next
+//! [`enqueue_batch`](UpdateQueue::enqueue_batch) group commit, or
+//! [`commit_acks`](UpdateQueue::commit_acks), which a driver calls before
+//! it reports an empty queue and a checkpoint calls first. The barrier
+//! reads the set's contiguous prefix, flushes every dirty page, and only
+//! then writes the watermark into the log's meta page, so the store's log
+//! holds whatever a fire appended (a delivery-log record, a window) ahead
+//! of the ack that retires its token, and one fsync covers the lot.
+//!
+//! The watermark is the **only** durable ack state. After a crash every
+//! record above it is redelivered: one acked above a gap the crash left
+//! open, and one acked since the last barrier — at most one push's worth
+//! under load, none once a driver has gone idle (at-least-once; each
+//! record still at most once per restart). A record that fails validation
+//! is classified as [`TmanError::Corrupt`], counted, skipped and acked
+//! like a processed one instead of wedging the cursor.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -105,7 +115,7 @@ enum Backend {
         log: SeqLog,
         consumer: Mutex<Consumer>,
         /// Buffer pool backing the log, for the durability barriers of
-        /// [`UpdateQueue::enqueue_batch`] and [`UpdateQueue::ack_batch`].
+        /// [`UpdateQueue::enqueue_batch`] and [`UpdateQueue::commit_acks`].
         pool: Arc<BufferPool>,
     },
 }
@@ -128,8 +138,8 @@ pub struct UpdateQueue {
     telemetry: QueueTelemetry,
     /// Records that failed descriptor validation (skipped, watermarked).
     corrupt_rows: Arc<Counter>,
-    /// Watermark durability barriers paid by [`ack_batch`](Self::ack_batch)
-    /// — one per drained batch, not one per token.
+    /// Barriers that moved the watermark — at most one per group commit,
+    /// however many batches were acked in between.
     wm_flushes: Arc<Counter>,
 }
 
@@ -175,9 +185,10 @@ impl UpdateQueue {
         }))
     }
 
-    /// The durable delivery watermark (`None` on the volatile backend):
-    /// every qid at or below it has been fully processed and will not be
-    /// delivered again, whatever happens.
+    /// The delivery watermark (`None` on the volatile backend): every qid
+    /// at or below it has been fully processed and, once the barrier that
+    /// moved it has synced, will not be delivered again, whatever happens.
+    /// Acks since the last barrier are not in it yet.
     pub fn watermark(&self) -> Option<i64> {
         match &self.backend {
             Backend::Volatile(_) => None,
@@ -190,7 +201,7 @@ impl UpdateQueue {
         &self.corrupt_rows
     }
 
-    /// Watermark durability barriers paid by [`ack_batch`](Self::ack_batch).
+    /// Barriers that moved the watermark.
     pub fn wm_flushes(&self) -> &Arc<Counter> {
         &self.wm_flushes
     }
@@ -239,9 +250,11 @@ impl UpdateQueue {
     /// Append a batch of descriptors under one durability barrier (group
     /// commit, §3's "safety of persistent update queuing" at wire-tier
     /// rates). On the persistent backend every record is appended first,
-    /// then a single [`BufferPool::sync`] makes the whole batch durable —
-    /// one fsync amortized over `batch.len()` descriptors, where per-token
-    /// [`enqueue`](Self::enqueue) relies on the next checkpoint instead.
+    /// the acks recorded since the last barrier move the watermark, and a
+    /// single [`BufferPool::sync`] makes the batch and the acks durable —
+    /// one fsync amortized over `batch.len()` descriptors and every drain
+    /// since the last push, where per-token [`enqueue`](Self::enqueue)
+    /// relies on the next checkpoint instead.
     /// On a WAL-backed store that barrier is a log group commit: dirty
     /// pages become redo records, one `fsync` of the log covers the batch,
     /// and concurrent `enqueue_batch` callers share the same fsync (the
@@ -261,8 +274,13 @@ impl UpdateQueue {
                 }
                 None
             }
-            Backend::Persistent { log, pool, .. } => {
+            Backend::Persistent {
+                log,
+                consumer,
+                pool,
+            } => {
                 let last = Self::append_all(log, batch)?;
+                self.apply_acks(log, consumer, pool)?;
                 pool.sync()?;
                 last
             }
@@ -333,45 +351,73 @@ impl UpdateQueue {
                     self.corrupt_rows.add(corrupt.len() as u64);
                     self.telemetry.depth.add(-(corrupt.len() as i64));
                     c.acked.extend(corrupt);
-                    Self::advance_watermark(log, &mut c)?;
                 }
                 Ok(out)
             }
         }
     }
 
-    /// Advance the log's watermark over the contiguous acked prefix. The
-    /// acked set only lets go of what the log has taken.
-    fn advance_watermark(log: &SeqLog, c: &mut Consumer) -> Result<()> {
-        let before = log.watermark();
-        let mut wm = before;
-        while c.acked.contains(&(wm + 1)) {
-            wm += 1;
+    /// Move the log's watermark over the contiguous acked prefix, ahead of
+    /// a sync. The prefix is read *before* the flush: every page a fire
+    /// dirtied before its token was acked is dirty (or already in the
+    /// store's log) by then, so the flush puts it in the log ahead of the
+    /// meta page that [`SeqLog::truncate_through`] writes through. Returns
+    /// whether the watermark moved.
+    fn apply_acks(
+        &self,
+        log: &SeqLog,
+        consumer: &Mutex<Consumer>,
+        pool: &BufferPool,
+    ) -> Result<bool> {
+        let wm = {
+            let c = consumer.lock();
+            let mut wm = log.watermark();
+            while c.acked.contains(&(wm + 1)) {
+                wm += 1;
+            }
+            wm
+        };
+        if wm <= log.watermark() {
+            return Ok(false);
         }
-        if wm != before {
-            log.truncate_through(wm)?;
-            c.acked = c.acked.split_off(&(wm + 1));
+        pool.flush_dirty()?;
+        log.truncate_through(wm)?;
+        let mut c = consumer.lock();
+        c.acked = c.acked.split_off(&(wm + 1));
+        self.wm_flushes.bump();
+        Ok(true)
+    }
+
+    /// The durability barrier for acks alone: move the watermark over
+    /// every ack recorded so far and sync, if it moves; free otherwise. A
+    /// driver calls it before reporting an empty queue, so an idle
+    /// engine's acks are durable. A no-op on the volatile backend.
+    pub fn commit_acks(&self) -> Result<()> {
+        if let Backend::Persistent {
+            log,
+            consumer,
+            pool,
+        } = &self.backend
+        {
+            if self.apply_acks(log, consumer, pool)? {
+                pool.sync()?;
+            }
         }
         Ok(())
     }
 
-    /// Acknowledge a drained batch under one lock and one durability
-    /// barrier: every seq is folded into the acked set, the watermark
-    /// advances at most once over the contiguous prefix — one write of the
-    /// log's meta page, which also releases head pages wholly below it for
-    /// reuse — and a single [`BufferPool::sync`] covers the lot (on a WAL
-    /// store that is one group-commit fsync).
+    /// Acknowledge a drained batch: every seq is folded into the acked set
+    /// under one lock, and nothing else — no page is written and nothing
+    /// syncs. The next durability barrier (the next
+    /// [`enqueue_batch`](Self::enqueue_batch), or
+    /// [`commit_acks`](Self::commit_acks)) moves the watermark over the
+    /// set's contiguous prefix and makes it durable.
     ///
     /// Seqs not handed out, already covered by the watermark or already
     /// acked are skipped (idempotent). Returns the number of seqs newly
     /// acknowledged; a no-op returning 0 on the volatile backend.
     pub fn ack_batch(&self, seqs: &[i64]) -> Result<usize> {
-        let Backend::Persistent {
-            log,
-            consumer,
-            pool,
-        } = &self.backend
-        else {
+        let Backend::Persistent { log, consumer, .. } = &self.backend else {
             return Ok(0);
         };
         let mut c = consumer.lock();
@@ -382,24 +428,19 @@ impl UpdateQueue {
                 acked += 1;
             }
         }
-        if acked == 0 {
-            return Ok(0);
-        }
-        Self::advance_watermark(log, &mut c)?;
-        pool.sync()?;
-        self.wm_flushes.bump();
         self.telemetry.dequeued.add(acked as u64);
         self.telemetry.depth.add(-(acked as i64));
         Ok(acked)
     }
 
     /// Remove and return up to `max` descriptors in FIFO order, acking
-    /// them immediately (no redelivery tracking).
+    /// them immediately and committing the acks (no redelivery tracking).
     #[cfg(test)]
     fn dequeue_batch(&self, max: usize) -> Result<Vec<UpdateDescriptor>> {
         let items = self.dequeue_tracked(max)?;
         let seqs: Vec<i64> = items.iter().filter_map(|it| it.seq).collect();
         self.ack_batch(&seqs)?;
+        self.commit_acks()?;
         Ok(items.into_iter().map(|it| it.token).collect())
     }
 
@@ -545,9 +586,11 @@ mod tests {
             .append(b"garbage, and no good record behind it")
             .unwrap();
         // Nothing to deliver, nothing left to do: the record is counted,
-        // the cursor and the watermark are both past it.
+        // the cursor is past it, and so is the watermark at the barrier.
         assert!(q.dequeue_tracked(10).unwrap().is_empty());
         assert_eq!(q.corrupt_rows().get(), 1);
+        assert_eq!(q.watermark(), Some(0));
+        q.commit_acks().unwrap();
         assert_eq!(q.watermark(), Some(1));
         assert!(q.is_empty());
         q.enqueue(tok(2)).unwrap();
@@ -572,6 +615,7 @@ mod tests {
         // Ack only the first; the others stay above the watermark.
         assert_eq!(q.ack_batch(&[1]).unwrap(), 1);
         assert_eq!(q.ack_batch(&[1]).unwrap(), 0); // idempotent
+        q.commit_acks().unwrap();
         assert_eq!(q.watermark(), Some(1));
         // "Crash" without acking the rest: a fresh queue over the same
         // database redelivers exactly the unacked descriptors.
@@ -588,21 +632,34 @@ mod tests {
         for i in 0..8 {
             q.enqueue(tok(i)).unwrap();
         }
-        let items = q.dequeue_tracked(8).unwrap();
-        let seqs: Vec<i64> = items.iter().map(|it| it.seq.unwrap()).collect();
         let before = syncs.get();
-        assert_eq!(q.ack_batch(&seqs).unwrap(), 8);
-        // 8 tokens, exactly one durability barrier and one watermark flush.
+        // Two drained batches: their acks write nothing and sync nothing.
+        for _ in 0..2 {
+            let items = q.dequeue_tracked(4).unwrap();
+            let seqs: Vec<i64> = items.iter().map(|it| it.seq.unwrap()).collect();
+            assert_eq!(q.ack_batch(&seqs).unwrap(), 4);
+            // Idempotent: re-acking (or acking unknown seqs) is a no-op.
+            assert_eq!(q.ack_batch(&seqs).unwrap(), 0);
+        }
+        assert_eq!(q.ack_batch(&[999]).unwrap(), 0);
+        assert_eq!(q.ack_batch(&[]).unwrap(), 0);
+        assert_eq!(syncs.get(), before);
+        assert_eq!(q.wm_flushes().get(), 0);
+        assert_eq!(q.watermark(), Some(0));
+        assert!(q.is_empty());
+        // The next push's group commit is the one barrier, for its records
+        // and for both batches' acks.
+        q.enqueue_batch(&[tok(8), tok(9)]).unwrap();
         assert_eq!(syncs.get(), before + 1);
         assert_eq!(q.wm_flushes().get(), 1);
         assert_eq!(q.watermark(), Some(8));
-        assert!(q.is_empty());
-        // Idempotent: re-acking (or acking unknown seqs) is a free no-op.
-        assert_eq!(q.ack_batch(&seqs).unwrap(), 0);
-        assert_eq!(q.ack_batch(&[999]).unwrap(), 0);
-        assert_eq!(q.ack_batch(&[]).unwrap(), 0);
-        assert_eq!(syncs.get(), before + 1);
+        // A barrier with no new ack leaves the watermark alone, and an ack
+        // barrier with nothing to move is free.
+        q.enqueue_batch(&[tok(10)]).unwrap();
+        assert_eq!(syncs.get(), before + 2);
         assert_eq!(q.wm_flushes().get(), 1);
+        q.commit_acks().unwrap();
+        assert_eq!(syncs.get(), before + 2);
     }
 
     #[test]
@@ -614,12 +671,17 @@ mod tests {
         }
         let items = q.dequeue_tracked(4).unwrap();
         assert_eq!(items.len(), 4);
-        // Ack 1, 3, 4 but not 2: the watermark stops at the gap.
+        // Ack 1, 3, 4 but not 2: the barrier stops the watermark at the gap.
         q.ack_batch(&[1, 3, 4]).unwrap();
+        q.commit_acks().unwrap();
         assert_eq!(q.watermark(), Some(1));
-        // Closing the gap advances over the out-of-order acks in one step.
+        // Closing the gap advances over the out-of-order acks in one step,
+        // at the next barrier.
         q.ack_batch(&[2]).unwrap();
+        assert_eq!(q.watermark(), Some(1));
+        q.commit_acks().unwrap();
         assert_eq!(q.watermark(), Some(4));
+        assert_eq!(q.wm_flushes().get(), 2);
         assert!(q.is_empty());
     }
 
@@ -633,6 +695,7 @@ mod tests {
             }
             q.dequeue_tracked(4).unwrap();
             q.ack_batch(&[1, 3, 4]).unwrap();
+            q.commit_acks().unwrap();
         }
         // "Crash" without acking 2. The watermark is the only durable ack
         // state, so the acks of 3 and 4 died with the process: the
@@ -644,6 +707,159 @@ mod tests {
         assert_eq!(q2.dequeue_batch(10).unwrap(), vec![tok(1), tok(2), tok(3)]);
         assert!(q2.is_empty());
         assert_eq!(q2.watermark(), Some(4));
+    }
+
+    /// Acked, and no barrier since: a crash redelivers those tokens, each
+    /// exactly once, and then they are gone.
+    #[test]
+    fn acks_since_the_last_barrier_are_redelivered_once() {
+        let db = Database::open_memory(128);
+        {
+            let q = UpdateQueue::persistent(&db).unwrap();
+            q.enqueue_batch(&(0..6).map(tok).collect::<Vec<_>>())
+                .unwrap();
+            assert_eq!(q.dequeue_batch(2).unwrap(), vec![tok(0), tok(1)]);
+            let items = q.dequeue_tracked(4).unwrap();
+            let seqs: Vec<i64> = items.iter().map(|it| it.seq.unwrap()).collect();
+            assert_eq!(q.ack_batch(&seqs).unwrap(), 4);
+            assert!(q.is_empty());
+        }
+        let q2 = UpdateQueue::persistent(&db).unwrap();
+        assert_eq!(q2.watermark(), Some(2));
+        assert_eq!(
+            q2.dequeue_batch(10).unwrap(),
+            (2..6).map(tok).collect::<Vec<_>>()
+        );
+        let q3 = UpdateQueue::persistent(&db).unwrap();
+        assert!(q3.is_empty());
+        assert_eq!(q3.dequeue_batch(10).unwrap(), vec![]);
+    }
+
+    /// A fresh file store's page file and log paths.
+    fn store_files(tag: &str) -> (std::path::PathBuf, std::path::PathBuf) {
+        let dir = std::env::temp_dir();
+        let path = dir.join(format!("tman_queue_{tag}_{}.db", std::process::id()));
+        let wal = dir.join(format!("tman_queue_{tag}_{}.db.wal", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&wal);
+        (path, wal)
+    }
+
+    /// `(pid, payload)` of every frame in the store's log from byte
+    /// `from` on, in log order. Frame layout: `len u32 | body | crc u64`,
+    /// body `kind u8 | pid u32 | seq u64 | payload`.
+    fn log_frames(wal: &std::path::Path, from: u64) -> Vec<(u32, Vec<u8>)> {
+        let bytes = std::fs::read(wal).unwrap();
+        let mut off = from as usize;
+        let mut out = Vec::new();
+        while off + 4 <= bytes.len() {
+            let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
+            if len < 13 || off + 4 + len + 8 > bytes.len() {
+                break;
+            }
+            let body = &bytes[off + 4..off + 4 + len];
+            out.push((
+                u32::from_le_bytes(body[1..5].try_into().unwrap()),
+                body[13..].to_vec(),
+            ));
+            off += 4 + len + 8;
+        }
+        out
+    }
+
+    /// What a fire of token `qid` writes to the stand-in delivery log.
+    fn fire(qid: u64) -> Vec<u8> {
+        format!("fire of qid {qid}").into_bytes()
+    }
+
+    /// The barrier puts a page a fire dirtied before its token was acked
+    /// into the store's log ahead of the queue's meta page that retires
+    /// the token. So every commit point of the log — whichever thread's
+    /// commit frame lands there — that holds the watermark holds the fire.
+    #[test]
+    fn a_barrier_logs_what_a_fire_wrote_ahead_of_the_ack() {
+        let (path, wal) = store_files("order");
+        {
+            let db = Database::open_file(&path, 128).unwrap();
+            let q = UpdateQueue::persistent(&db).unwrap();
+            let fired = db.storage().create_seqlog("log_fired").unwrap();
+            q.enqueue_batch(&[tok(1)]).unwrap();
+            let seq = q.dequeue_tracked(1).unwrap()[0].seq.unwrap();
+            fired.append(&fire(seq as u64)).unwrap();
+            // The log's header is 32 bytes.
+            let from = 32 + db.storage().pool().wal().unwrap().bytes();
+            q.ack_batch(&[seq]).unwrap();
+            q.commit_acks().unwrap();
+            assert_eq!(q.watermark(), Some(seq));
+            let frames = log_frames(&wal, from);
+            let meta = log_of(&q).meta_page().0;
+            let fire_at = frames
+                .iter()
+                .position(|(_, payload)| payload.windows(12).any(|w| w == &fire(1)[..12]));
+            let ack_at = frames.iter().position(|(pid, _)| *pid == meta);
+            let (fire_at, ack_at) = (fire_at.expect("fire logged"), ack_at.expect("ack logged"));
+            assert!(fire_at < ack_at, "ack at frame {ack_at}, fire at {fire_at}");
+        }
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&wal);
+    }
+
+    /// Crash at every write of (dirty a page → ack → barrier → next push):
+    /// after every reopen, each token under the watermark has its fire.
+    #[test]
+    fn a_crash_anywhere_around_the_barrier_keeps_every_acked_fire() {
+        use tman_storage::{FaultConfig, FaultPlan};
+        let mut advanced = 0;
+        for crash_at in 1..=7u64 {
+            let (path, wal) = store_files(&format!("sweep{crash_at}"));
+            let plan = FaultPlan::new(FaultConfig {
+                seed: crash_at,
+                crash_after_writes: Some(crash_at),
+                ..Default::default()
+            });
+            {
+                let db = Database::open_file_with(&path, 128, Some(plan.clone())).unwrap();
+                let q = UpdateQueue::persistent(&db).unwrap();
+                let fired = db.storage().create_seqlog("log_fired").unwrap();
+                q.enqueue_batch(&(0..4).map(tok).collect::<Vec<_>>())
+                    .unwrap();
+                plan.arm();
+                let items = q.dequeue_tracked(4).unwrap();
+                let seqs: Vec<i64> = items.iter().map(|it| it.seq.unwrap()).collect();
+                for &seq in &seqs {
+                    fired.append(&fire(seq as u64)).unwrap();
+                }
+                q.ack_batch(&seqs).unwrap();
+                let _ = q.commit_acks();
+                let _ = q.enqueue_batch(&[tok(9)]);
+                assert!(plan.crashed(), "crash point {crash_at} never reached");
+            }
+            plan.reset_crash();
+            plan.disarm();
+            let db = Database::open_file(&path, 128).unwrap();
+            let q = UpdateQueue::persistent(&db).unwrap();
+            let fired = db.storage().open_seqlog("log_fired").unwrap();
+            let mut logged = Vec::new();
+            fired
+                .read_from(1, usize::MAX, |_, r| logged.push(r.to_vec()))
+                .unwrap();
+            let wm = q.watermark().unwrap() as u64;
+            for qid in 1..=wm {
+                assert!(
+                    logged.contains(&fire(qid)),
+                    "crash point {crash_at}: qid {qid} under the watermark {wm}, its fire lost"
+                );
+            }
+            advanced += usize::from(wm > 0);
+            drop((q, fired, db));
+            let _ = std::fs::remove_file(&path);
+            let _ = std::fs::remove_file(&wal);
+        }
+        // The sweep reaches both sides of the barrier's commit.
+        assert!(
+            (1..7).contains(&advanced),
+            "{advanced} of 7 crash points advanced"
+        );
     }
 
     #[test]
@@ -766,14 +982,7 @@ mod tests {
 
     #[test]
     fn enqueue_batch_group_commits_through_the_wal() {
-        let path = std::env::temp_dir().join(format!("tman_queue_gc_{}.db", std::process::id()));
-        let wal = {
-            let mut w = path.as_os_str().to_owned();
-            w.push(".wal");
-            std::path::PathBuf::from(w)
-        };
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&wal);
+        let (path, wal) = store_files("gc");
         {
             let db = Database::open_file(&path, 128).unwrap();
             let pool = db.storage().pool();

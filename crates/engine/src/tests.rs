@@ -1614,9 +1614,10 @@ fn or_trigger_created_mid_split_fires_once() {
 
 // ----- batched token drain ----------------------------------------------------
 
-/// A K-token batch pays exactly one ack/watermark durability barrier
-/// (`UpdateQueue::ack_batch`), not one per token as the per-token drain
-/// did: the whole point of the batched drain on a persistent queue.
+/// A drain pays one ack/watermark durability barrier, not one per token as
+/// the per-token drain did, nor one per batch: acks only record, and the
+/// barrier a driver runs before it reports an empty queue makes them
+/// durable with one group commit.
 #[test]
 fn batched_drain_pays_one_ack_barrier_per_batch() {
     let path = std::env::temp_dir().join(format!("tman_batch_ack_{}.db", std::process::id()));
@@ -1636,20 +1637,23 @@ fn batched_drain_pays_one_ack_barrier_per_batch() {
             .unwrap();
     }
     let flushes_before = tman.queue.wm_flushes().get();
+    let wal = tman.database().storage().pool().wal().unwrap().stats();
+    let fsyncs_before = wal.fsyncs.get();
     tman.run_until_quiescent().unwrap();
     assert!(tman.last_error().is_none(), "{:?}", tman.last_error());
     assert_eq!(rx.try_iter().count(), 32);
-    // 32 tokens fit one drain batch: exactly one watermark barrier.
+    // 32 tokens fit one drain batch: exactly one watermark barrier, and
+    // it is the drain's one fsync.
     assert_eq!(tman.queue.wm_flushes().get() - flushes_before, 1);
+    assert_eq!(wal.fsyncs.get() - fsyncs_before, 1);
     assert_eq!(tman.queue.watermark(), Some(32));
     drop(tman);
     let _ = std::fs::remove_file(&path);
 }
 
 /// One `tman_test` over a deep persistent backlog costs the batch it
-/// drains, not the backlog: a 64-token dequeue, the ack's one meta-page
-/// write and the O(1) pending-work check together fetch a handful of
-/// pages, where a scanned queue table fetched every page of the backlog
+/// drains, not the backlog: a 64-token dequeue, the ack (which writes no
+/// page) and the O(1) pending-work check together fetch a page or two, where a scanned queue table fetched every page of the backlog
 /// twice per call. Counted on the pool's own fetch counters, which repeat
 /// exactly from run to run.
 #[test]
@@ -1679,20 +1683,28 @@ fn tman_test_on_a_deep_backlog_touches_only_its_batch() {
     let fetches = || stats.pool_hits.get() + stats.pool_misses.get();
     let before = fetches();
     // A zero threshold expires after the first batch: one dequeue, one
-    // run, one ack barrier, one look at what is left.
+    // run, one ack, one look at what is left.
     let result = tman.tman_test(Duration::ZERO);
     let touched = fetches() - before;
     assert_eq!(result, TmanTestResult::TasksRemaining);
     assert!(tman.last_error().is_none(), "{:?}", tman.last_error());
     assert_eq!(rx.try_iter().count(), 1);
     assert_eq!(tman.queue_len(), 4_096 - 64);
-    assert_eq!(tman.queue.watermark(), Some(64));
+    // The ack waits for the next barrier, and fetches no page.
+    assert_eq!(tman.queue.watermark(), Some(0));
     // The backlog lies on some forty pages of the log. The batch lies on
-    // one or two; the ack fetches the log's meta page.
+    // one or two.
     assert!(
-        touched <= 3,
+        touched <= 2,
         "{touched} page fetches for one 64-token batch"
     );
+    // The next push's group commit moves the watermark over the batch.
+    let src_token = UpdateDescriptor::insert(
+        src,
+        Tuple::new(vec![Value::str("S"), Value::Float(1.0), Value::Int(0)]),
+    );
+    tman.push_tokens(vec![src_token]).unwrap();
+    assert_eq!(tman.queue.watermark(), Some(64));
 }
 
 /// With fan-out, a token's ack is deferred until every partition task
@@ -1774,4 +1786,86 @@ fn show_stats_drivers_reports_driver_rows() {
         text.contains("tman_driver_tasks_total{driver=\"0\"} 12"),
         "{text}"
     );
+}
+
+/// An idle engine's acks are durable: a drain that ran to an empty queue
+/// leaves nothing to redeliver after a crash. A crash mid-stream, before
+/// any barrier covered the acks, redelivers the drained tokens, and each
+/// fires exactly once more.
+#[test]
+fn an_idle_engines_acks_survive_a_crash() {
+    use tman_storage::{FaultConfig, FaultPlan};
+    for mid_stream in [false, true] {
+        let path = std::env::temp_dir().join(format!(
+            "tman_idle_acks_{mid_stream}_{}.db",
+            std::process::id()
+        ));
+        let wal = path.with_extension("db.wal");
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&wal);
+        // The first write after arming freezes the disk: a crash.
+        let plan = FaultPlan::new(FaultConfig {
+            seed: 5,
+            crash_after_writes: Some(1),
+            ..Default::default()
+        });
+        let cfg = Config {
+            queue_mode: QueueMode::Persistent,
+            drain_batch: 16,
+            faults: Some(plan.clone()),
+            ..Default::default()
+        };
+        let fired = |tman: &Arc<TriggerMan>,
+                     rx: &tman_sync::channel::Receiver<EventNotification>| {
+            assert!(tman.last_error().is_none(), "{:?}", tman.last_error());
+            let mut seqs: Vec<i64> = rx.try_iter().filter_map(|n| n.token_seq).collect();
+            seqs.sort_unstable();
+            seqs
+        };
+        let before = {
+            let tman = TriggerMan::open_file(&path, cfg.clone()).unwrap();
+            tman.execute_command("define data source q (k int)")
+                .unwrap();
+            tman.execute_command("create trigger t from q when q.k >= 0 do raise event E(q.k)")
+                .unwrap();
+            let rx = tman.subscribe("E");
+            let src = tman.source("q").unwrap().id;
+            let tokens = (0..64)
+                .map(|k| UpdateDescriptor::insert(src, Tuple::new(vec![Value::Int(k)])))
+                .collect();
+            tman.push_tokens(tokens).unwrap();
+            if mid_stream {
+                for _ in 0..2 {
+                    assert_eq!(
+                        tman.tman_test(Duration::ZERO),
+                        TmanTestResult::TasksRemaining
+                    );
+                }
+            } else {
+                tman.run_until_quiescent().unwrap();
+            }
+            let before = fired(&tman, &rx);
+            plan.arm();
+            before
+        };
+        plan.reset_crash();
+        plan.disarm();
+        let tman = TriggerMan::open_file(&path, cfg).unwrap();
+        let rx = tman.subscribe("E");
+        tman.run_until_quiescent().unwrap();
+        let after = fired(&tman, &rx);
+        if mid_stream {
+            assert_eq!(before, (1..=32).collect::<Vec<i64>>());
+            // Every token comes back once: the 32 that fired, again, and
+            // the 32 that never ran.
+            assert_eq!(after, (1..=64).collect::<Vec<i64>>());
+        } else {
+            assert_eq!(before.len(), 64);
+            assert_eq!(after, Vec::<i64>::new(), "an idle engine redelivered");
+        }
+        assert_eq!(tman.queue_watermark(), Some(64));
+        drop(tman);
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&wal);
+    }
 }

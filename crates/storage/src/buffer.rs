@@ -152,13 +152,25 @@ impl BufferPool {
     /// Write all dirty resident pages back: to the log (sealed by one
     /// commit frame, so the whole set becomes durable atomically) when a
     /// WAL is attached, else straight to the page file.
+    pub fn flush_all(&self) -> Result<()> {
+        self.flush_dirty()?;
+        if let Some(wal) = &self.wal {
+            wal.commit_stage()?;
+        }
+        Ok(())
+    }
+
+    /// Write every page that is dirty now out — to the log, unsealed, when
+    /// a WAL is attached. A caller that writes a page through afterwards
+    /// ([`write_through`](Self::write_through)) puts it in the log behind
+    /// every page dirtied before this call.
     ///
     /// Lock order: the pool mutex is released before any page lock is
     /// taken. A writer holds its page's lock while it asks the pool for
     /// another page (`HeapFile::insert_framed` growing the chain), so
     /// flushing under the pool mutex deadlocks the two. The dirty frames
     /// are pinned for the flush instead, which keeps eviction off them.
-    pub fn flush_all(&self) -> Result<()> {
+    pub fn flush_dirty(&self) -> Result<()> {
         let dirty: Vec<PageGuard> = {
             let inner = self.inner.lock();
             let cells = inner.frames.iter().flatten().map(|slot| &slot.cell);
@@ -172,10 +184,6 @@ impl BufferPool {
         };
         for page in &dirty {
             self.flush_cell(&page.cell)?;
-        }
-        drop(dirty);
-        if let Some(wal) = &self.wal {
-            wal.commit_stage()?;
         }
         Ok(())
     }

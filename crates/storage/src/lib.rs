@@ -46,7 +46,7 @@ use tman_common::Result;
 
 /// A storage instance: one disk file (or memory region), one buffer pool,
 /// one object directory. File-backed stores also carry a write-ahead log
-/// (`<path>.wal`) that is replayed at open and truncated at checkpoint.
+/// (`<path>.wal`) that is replayed at open and reset in place at checkpoint.
 /// The unit the SQL layer builds a database on.
 pub struct Storage {
     pool: Arc<BufferPool>,
@@ -229,7 +229,7 @@ impl Storage {
 
     /// Durability barrier. On a WAL-backed store: flush dirty pages to the
     /// log, group-commit them durable, then checkpoint (write the sealed
-    /// images into the page file and truncate the log). On a memory store:
+    /// images into the page file and reset the log in place). On a memory store:
     /// flush dirty pages to the simulated disk.
     pub fn checkpoint(&self) -> Result<()> {
         match self.pool.wal() {
@@ -317,7 +317,7 @@ mod tests {
             assert!(s.wal_replayed() > 0);
             let h = s.open_heap("q").unwrap();
             assert_eq!(h.get(rid).unwrap(), b"committed".to_vec());
-            // Replay truncated the log; a third open is clean.
+            // Replay reset the log; a third open is clean.
         }
         {
             let s = Storage::open_file(&path, 16).unwrap();
@@ -345,7 +345,7 @@ mod tests {
             rid = h.insert(b"checkpointed").unwrap();
             s.checkpoint().unwrap();
             let wal = s.pool().wal().unwrap();
-            assert_eq!(wal.bytes(), 0, "checkpoint truncated the log");
+            assert_eq!(wal.bytes(), 0, "checkpoint reset the log");
             assert_eq!(wal.stats().checkpoints.get(), 1);
         }
         {

@@ -36,7 +36,7 @@
 //! # Frame format
 //!
 //! ```text
-//! header:  "TMANWAL1" ‖ page_size u32 LE ‖ zero padding      (32 bytes)
+//! header:  "TMANWAL1" ‖ page_size u32 LE ‖ salt u64 LE ‖ zero padding  (32 bytes)
 //! frame:   [ len u32 LE ][ body ][ crc u64 LE ]
 //! body:    kind u8 ‖ pid u32 LE ‖ seq u64 LE ‖ payload
 //!          kind 1 = full page image   (payload: PAGE_SIZE bytes)
@@ -45,9 +45,31 @@
 //! ```
 //!
 //! `crc` chains: it hashes the *previous* frame's crc along with `len` and
-//! `body`, so stale bytes left over from a torn append can never parse as
-//! a valid continuation. The scan stops at the first invalid frame; the
-//! committed range ends at the last valid commit frame before that.
+//! `body`, and the first frame's "previous crc" is the header's salt. So
+//! stale bytes left over from a torn append can never parse as a valid
+//! continuation. The scan stops at the first invalid frame; the committed
+//! range ends at the last valid commit frame before that.
+//!
+//! # Reset, not truncate
+//!
+//! A checkpoint (and a replay at open) empties the log by writing a new
+//! salt into the header — SQLite's WAL reset. The next generation's frames
+//! overwrite the last one's from the start of the file, and every frame
+//! left over from an earlier generation fails the chain under the new
+//! salt. The file keeps its high-water length, so a commit's `fdatasync`
+//! never has to journal a size change, and the reset itself pays no sync:
+//! the header write reaches the disk with the next commit's `fdatasync`.
+//! A log from before the salt has zeros there, which is salt 0: it scans
+//! and replays as it always did. An open that finds no committed frame
+//! under the header's salt writes nothing.
+//!
+//! Until that next `fdatasync`, a power loss may leave the old header on
+//! disk. The old generation then replays over a page file that the
+//! checkpoint already brought up to it, which changes nothing — unless
+//! the disk wrote back some of the new generation's blocks but not the
+//! earlier ones that follow the header, which can cut the old generation
+//! short of its end. SQLite's `synchronous=FULL` syncs the header at reset
+//! to close that window; this log does not (see DESIGN.md).
 //!
 //! The **first** record for a page in each log generation is always a full
 //! image — replay never reads the page file, so a torn checkpoint write
@@ -78,9 +100,12 @@ use tman_common::stats::WalStats;
 use tman_common::{Result, TmanError};
 use tman_sync::Mutex;
 
-/// Log header: magic + page size, padded so frames start aligned-ish.
+/// Log header: magic + page size + salt, padded so frames start
+/// aligned-ish.
 const WAL_HEADER: u64 = 32;
 const WAL_MAGIC: [u8; 8] = *b"TMANWAL1";
+/// Where the salt sits in the header.
+const SALT_AT: usize = 12;
 
 const K_IMAGE: u8 = 1;
 const K_DELTA: u8 = 2;
@@ -117,6 +142,11 @@ struct WalCore {
     file: File,
     append_off: u64,
     prev_crc: u64,
+    /// This generation's salt: the first frame's chain seed.
+    salt: u64,
+    /// The header on disk may not carry `salt` yet: a reset's header write
+    /// failed, so it is written again before the next frame.
+    header_pending: bool,
     /// Per-page version history, oldest first. Sealed entries carry their
     /// commit seq; at most one trailing [`PENDING`] entry per page.
     index: FxHashMap<u32, Vec<(u64, PageImage)>>,
@@ -125,7 +155,7 @@ struct WalCore {
     next_seq: u64,
     /// Highest commit seq sealed (commit frame written).
     sealed_seq: u64,
-    /// Bytes appended since the last checkpoint/truncation.
+    /// Bytes appended since the last checkpoint or reset.
     bytes: u64,
     /// Pages that already have a full image in this log generation —
     /// eligible for delta encoding.
@@ -148,7 +178,9 @@ pub struct Wal {
     sync_file: File,
     /// Active snapshot seqs → refcount; checkpoint pruning consults this.
     snaps: Mutex<BTreeMap<u64, usize>>,
-    /// Committed images scanned at open, consumed by [`replay_into`](Self::replay_into).
+    /// Committed images scanned at open and the number of records behind
+    /// them, consumed by [`replay_into`](Self::replay_into); `None` from
+    /// the start when the scan found no commit frame.
     recovered: Mutex<Option<(Vec<RecoveredPage>, u64)>>,
     stats: WalStats,
     plan: Option<FaultPlan>,
@@ -165,6 +197,25 @@ fn chain_crc(prev: u64, len: u32, body: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
+}
+
+/// The 32-byte log header for `salt`.
+fn header(salt: u64) -> [u8; WAL_HEADER as usize] {
+    let mut h = [0u8; WAL_HEADER as usize];
+    h[..8].copy_from_slice(&WAL_MAGIC);
+    h[8..12].copy_from_slice(&(PAGE_SIZE as u32).to_le_bytes());
+    h[SALT_AT..SALT_AT + 8].copy_from_slice(&salt.to_le_bytes());
+    h
+}
+
+/// A salt for the generation after one salted `prev`, mixed with the
+/// clock, so a generation lost with an unsynced header is not salted the
+/// same way again.
+fn next_salt(prev: u64) -> u64 {
+    let now = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_nanos() as u64);
+    tman_common::rng::SplitMix64::new(prev ^ now).next_u64()
 }
 
 fn encode_body(kind: u8, pid: PageId, seq: u64, payload: &[u8]) -> Vec<u8> {
@@ -247,11 +298,11 @@ struct ScanFrame {
 /// (frames up to and including the last valid commit), and the last commit
 /// seq. Stops at the first frame that fails the length or chained-crc
 /// check — everything after a torn append is unreachable garbage.
-fn scan_frames(buf: &[u8]) -> (Vec<ScanFrame>, usize, u64) {
+fn scan_frames(buf: &[u8], salt: u64) -> (Vec<ScanFrame>, usize, u64) {
     let mut frames = Vec::new();
     let mut committed_upto = 0usize;
     let mut last_seq = 0u64;
-    let mut prev_crc = 0u64;
+    let mut prev_crc = salt;
     let mut off = 0usize;
     loop {
         if off + 4 > buf.len() {
@@ -297,29 +348,28 @@ impl Wal {
             .truncate(false)
             .open(path)?;
         let len = file.metadata()?.len();
-        let mut header_ok = false;
+        let mut head = [0u8; WAL_HEADER as usize];
         if len >= WAL_HEADER {
-            let mut magic = [0u8; 8];
             file.seek(SeekFrom::Start(0))?;
-            file.read_exact(&mut magic)?;
-            header_ok = magic == WAL_MAGIC;
+            file.read_exact(&mut head)?;
         }
-        if !header_ok {
+        let salt = if head[..8] == WAL_MAGIC {
+            u64::from_le_bytes(head[SALT_AT..SALT_AT + 8].try_into().unwrap())
+        } else {
             // Fresh (or unrecognizable) log: stamp a clean header. An
             // unrecognizable header means there is no usable redo data.
+            let salt = next_salt(0);
             file.set_len(0)?;
-            let mut h = [0u8; WAL_HEADER as usize];
-            h[..8].copy_from_slice(&WAL_MAGIC);
-            h[8..12].copy_from_slice(&(PAGE_SIZE as u32).to_le_bytes());
             file.seek(SeekFrom::Start(0))?;
-            file.write_all(&h)?;
+            file.write_all(&header(salt))?;
             file.sync_data()?;
-        }
+            salt
+        };
         // Scan the tail for committed redo records.
         file.seek(SeekFrom::Start(WAL_HEADER))?;
         let mut buf = Vec::new();
         file.read_to_end(&mut buf)?;
-        let (frames, committed_upto, last_seq) = scan_frames(&buf);
+        let (frames, committed_upto, last_seq) = scan_frames(&buf, salt);
         let mut working: FxHashMap<u32, Box<[u8; PAGE_SIZE]>> = FxHashMap::default();
         let mut records = 0u64;
         for f in &frames[..committed_upto] {
@@ -353,7 +403,9 @@ impl Wal {
             core: Mutex::new(WalCore {
                 file,
                 append_off: WAL_HEADER,
-                prev_crc: 0,
+                prev_crc: salt,
+                salt,
+                header_pending: false,
                 index: FxHashMap::default(),
                 pending: Vec::new(),
                 next_seq: last_seq + 1,
@@ -368,7 +420,7 @@ impl Wal {
             sync_cond: Condvar::new(),
             sync_file,
             snaps: Mutex::new(BTreeMap::new()),
-            recovered: Mutex::new(Some((images, records))),
+            recovered: Mutex::new((committed_upto > 0).then_some((images, records))),
             stats: WalStats::default(),
             plan,
             cfg,
@@ -397,8 +449,9 @@ impl Wal {
     }
 
     /// Write the committed images found at open into the page file, sync
-    /// it, and truncate the log. Idempotent: replaying the same log twice
+    /// it, and reset the log. Idempotent: replaying the same log twice
     /// rewrites the same images. Returns the number of records applied.
+    /// A log with no committed frame is left as it is: nothing is written.
     pub fn replay_into(&self, disk: &DiskManager) -> Result<u64> {
         let Some((images, records)) = self.recovered.lock().take() else {
             return Ok(0);
@@ -425,8 +478,47 @@ impl Wal {
             disk.sync()?;
         }
         self.stats.replayed_records.add(records);
-        self.truncate_log(&mut self.core.lock())?;
+        self.reset_log(&mut self.core.lock());
         Ok(records)
+    }
+
+    /// Write `bytes` at `off`, drawing a fault decision. `Ok(true)` = on
+    /// disk; `Ok(false)` = a dropped-sync fault silently lost it; `Err` =
+    /// nothing usable was written (a torn prefix may exist).
+    fn write_at(&self, file: &mut File, off: u64, bytes: &[u8]) -> Result<bool> {
+        if self.plan.as_ref().is_some_and(|p| p.frozen()) {
+            return Err(TmanError::Io("simulated crash: disk frozen".into()));
+        }
+        let fault = self.plan.as_ref().and_then(|p| p.decide_write(bytes.len()));
+        let tear = match fault {
+            None => bytes.len(),
+            Some(f) => match f.kind {
+                FaultKind::DroppedSync => return Ok(false),
+                FaultKind::TransientError => {
+                    return Err(TmanError::Io("injected transient log write error".into()))
+                }
+                FaultKind::TornWrite | FaultKind::ShortWrite | FaultKind::Crash => {
+                    f.tear_at.min(bytes.len())
+                }
+            },
+        };
+        file.seek(SeekFrom::Start(off))?;
+        file.write_all(&bytes[..tear])?;
+        if tear < bytes.len() {
+            return Err(TmanError::Io(format!(
+                "injected torn log write at byte {tear}"
+            )));
+        }
+        Ok(true)
+    }
+
+    /// Write the header for the current salt if a reset left it unwritten.
+    fn write_pending_header(&self, core: &mut WalCore) -> Result<()> {
+        if core.header_pending {
+            self.write_at(&mut core.file, 0, &header(core.salt))?;
+            core.header_pending = false;
+        }
+        Ok(())
     }
 
     /// Write one frame at the append offset, drawing a fault decision.
@@ -436,41 +528,21 @@ impl Wal {
     /// exist, but the next append overwrites it and the chained crc keeps
     /// it unreachable).
     fn write_frame(&self, core: &mut WalCore, body: &[u8]) -> Result<bool> {
-        if self.plan.as_ref().is_some_and(|p| p.frozen()) {
-            return Err(TmanError::Io("simulated crash: disk frozen".into()));
-        }
+        self.write_pending_header(core)?;
         let len = body.len() as u32;
         let crc = chain_crc(core.prev_crc, len, body);
         let mut frame = Vec::with_capacity(body.len() + 12);
         frame.extend_from_slice(&len.to_le_bytes());
         frame.extend_from_slice(body);
         frame.extend_from_slice(&crc.to_le_bytes());
-        let fault = self.plan.as_ref().and_then(|p| p.decide_write(frame.len()));
-        match fault {
-            None => {
-                core.file.seek(SeekFrom::Start(core.append_off))?;
-                core.file.write_all(&frame)?;
-                core.append_off += frame.len() as u64;
-                core.prev_crc = crc;
-                core.bytes += frame.len() as u64;
-                self.stats.bytes.add(frame.len() as u64);
-                Ok(true)
-            }
-            Some(f) => match f.kind {
-                FaultKind::DroppedSync => Ok(false),
-                FaultKind::TransientError => {
-                    Err(TmanError::Io("injected transient log append error".into()))
-                }
-                FaultKind::TornWrite | FaultKind::ShortWrite | FaultKind::Crash => {
-                    let tear = f.tear_at.min(frame.len());
-                    core.file.seek(SeekFrom::Start(core.append_off))?;
-                    core.file.write_all(&frame[..tear])?;
-                    Err(TmanError::Io(format!(
-                        "injected torn log append at byte {tear}"
-                    )))
-                }
-            },
+        let written = self.write_at(&mut core.file, core.append_off, &frame)?;
+        if written {
+            core.append_off += frame.len() as u64;
+            core.prev_crc = crc;
+            core.bytes += frame.len() as u64;
+            self.stats.bytes.add(frame.len() as u64);
         }
+        Ok(written)
     }
 
     /// Append a redo record for `pid`. The image also becomes the page's
@@ -636,29 +708,36 @@ impl Wal {
         }
     }
 
-    fn truncate_log(&self, core: &mut WalCore) -> Result<()> {
-        if core.file.metadata()?.len() > WAL_HEADER {
-            core.file.set_len(WAL_HEADER)?;
-            core.file.sync_data()?;
-        }
+    /// Start a new generation in place: a new salt in the header, appends
+    /// from the top of the file again. No truncation and no sync — the
+    /// header reaches the disk with the next commit's `fdatasync`, and the
+    /// last generation's frames fail the chain under the new salt. A
+    /// failed header write is retried before the next frame
+    /// ([`write_pending_header`](Self::write_pending_header)); until then
+    /// the disk holds the old header or a torn one, and either replays no
+    /// more than what the page file already has.
+    fn reset_log(&self, core: &mut WalCore) {
+        core.salt = next_salt(core.salt);
+        core.header_pending = true;
+        // An error leaves the header pending; see above.
+        let _ = self.write_pending_header(core);
         core.append_off = WAL_HEADER;
-        core.prev_crc = 0;
+        core.prev_crc = core.salt;
         core.bytes = 0;
         core.logged_this_gen.clear();
-        Ok(())
     }
 
     /// Checkpoint: seal and fsync anything still pending, write each
     /// page's newest sealed image into the page file (stashing pre-images
-    /// active snapshots still need), sync it, and truncate the log. Holds
-    /// the core lock throughout, so no append can race the truncation.
+    /// active snapshots still need), sync it, and reset the log. Holds
+    /// the core lock throughout, so no append can race the reset.
     ///
     /// Page-file writes happen strictly after the covering log records are
     /// durable — the WAL invariant, enforced here and only here because
     /// this is the only place the pool's data reaches the page file.
     pub fn checkpoint_into(&self, disk: &DiskManager) -> Result<()> {
         let mut core = self.core.lock();
-        if core.bytes == 0 && core.pending.is_empty() {
+        if core.bytes == 0 && core.pending.is_empty() && !core.header_pending {
             return Ok(()); // nothing since the last checkpoint
         }
         self.commit_stage_locked(&mut core)?;
@@ -751,7 +830,7 @@ impl Wal {
         drop(snaps);
         core.index.retain(|_, v| !v.is_empty());
         disk.sync()?;
-        self.truncate_log(&mut core)?;
+        self.reset_log(&mut core);
         self.stats.checkpoints.bump();
         Ok(())
     }
@@ -896,7 +975,7 @@ mod tests {
         assert_eq!(buf, page(0x11));
         disk.read_page(p2, &mut buf).unwrap();
         assert_eq!(buf, page(0x22));
-        // Replay truncated the log: a second open replays nothing.
+        // Replay reset the log: a second open replays nothing.
         let wal2 = Wal::open(&wp, None, WalConfig::default()).unwrap();
         assert_eq!(wal2.replay_into(&disk).unwrap(), 0);
         let _ = std::fs::remove_file(&wp);
@@ -997,7 +1076,7 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_writes_back_and_truncates() {
+    fn checkpoint_writes_back_and_resets_in_place() {
         let (wp, dp) = (tmp("ckpt"), db_tmp("ckpt"));
         let _ = std::fs::remove_file(&wp);
         let _ = std::fs::remove_file(&dp);
@@ -1007,13 +1086,20 @@ mod tests {
         wal.append_page(p, &page(0x88)).unwrap();
         let seq = wal.commit_stage().unwrap();
         wal.make_durable(seq).unwrap();
+        let len = std::fs::metadata(&wp).unwrap().len();
+        let fsyncs = wal.stats().fsyncs.get();
         wal.checkpoint_into(&disk).unwrap();
         assert_eq!(wal.stats().checkpoints.get(), 1);
         assert_eq!(wal.bytes(), 0);
         assert_eq!(
             std::fs::metadata(&wp).unwrap().len(),
-            WAL_HEADER,
-            "log truncated to header"
+            len,
+            "the log keeps its length"
+        );
+        assert_eq!(
+            wal.stats().fsyncs.get(),
+            fsyncs,
+            "a durable log pays no sync"
         );
         let mut buf = [0u8; PAGE_SIZE];
         disk.read_page(p, &mut buf).unwrap();
@@ -1021,8 +1107,199 @@ mod tests {
         // Nothing new: a second checkpoint is a no-op.
         wal.checkpoint_into(&disk).unwrap();
         assert_eq!(wal.stats().checkpoints.get(), 1);
+        // The old generation's frames are still in the file, and none of
+        // them scans under the new salt.
+        drop(wal);
+        let fresh = DiskManager::open_memory();
+        let wal = Wal::open(&wp, None, WalConfig::default()).unwrap();
+        assert_eq!(wal.replay_into(&fresh).unwrap(), 0);
         let _ = std::fs::remove_file(&wp);
         let _ = std::fs::remove_file(&dp);
+    }
+
+    /// A hundred checkpoints: the log file never shrinks, never outgrows
+    /// the longest generation, and no checkpoint of a durable log syncs.
+    #[test]
+    fn reset_keeps_the_file_at_its_high_water_length() {
+        let (wp, dp) = (tmp("hiwater"), db_tmp("hiwater"));
+        let _ = std::fs::remove_file(&wp);
+        let _ = std::fs::remove_file(&dp);
+        let disk = DiskManager::open_file(&dp).unwrap();
+        let pids: Vec<PageId> = (0..4).map(|_| disk.allocate().unwrap()).collect();
+        let wal = open_wal(&wp, None);
+        let mut high_water = std::fs::metadata(&wp).unwrap().len();
+        for round in 0..100u32 {
+            // Generations of one to four pages, so some are shorter than
+            // the file already is.
+            for &p in &pids[..1 + round as usize % 4] {
+                wal.append_page(p, &page(round as u8)).unwrap();
+            }
+            let seq = wal.commit_stage().unwrap();
+            wal.make_durable(seq).unwrap();
+            let end = WAL_HEADER + wal.bytes();
+            high_water = high_water.max(end);
+            let fsyncs = wal.stats().fsyncs.get();
+            wal.checkpoint_into(&disk).unwrap();
+            assert_eq!(wal.stats().fsyncs.get(), fsyncs, "round {round}");
+            let len = std::fs::metadata(&wp).unwrap().len();
+            assert_eq!(len, high_water, "round {round}");
+        }
+        assert_eq!(wal.stats().checkpoints.get(), 100);
+        let _ = std::fs::remove_file(&wp);
+        let _ = std::fs::remove_file(&dp);
+    }
+
+    /// A long generation, a checkpoint, then a shorter committed one and a
+    /// crash: only the new generation replays, although the old one's
+    /// frames still lie beyond it in the file.
+    #[test]
+    fn only_the_newest_generation_replays() {
+        let (wp, dp) = (tmp("gens"), db_tmp("gens"));
+        let _ = std::fs::remove_file(&wp);
+        let _ = std::fs::remove_file(&dp);
+        let disk = DiskManager::open_file(&dp).unwrap();
+        let pids: Vec<PageId> = (0..10).map(|_| disk.allocate().unwrap()).collect();
+        {
+            let wal = open_wal(&wp, None);
+            for &p in &pids {
+                wal.append_page(p, &page(0xA0)).unwrap();
+                let seq = wal.commit_stage().unwrap();
+                wal.make_durable(seq).unwrap();
+            }
+            wal.checkpoint_into(&disk).unwrap();
+            wal.append_page(pids[0], &page(0xB0)).unwrap();
+            let seq = wal.commit_stage().unwrap();
+            wal.make_durable(seq).unwrap();
+        }
+        // Replay into an empty page file, so that anything the old
+        // generation put back would show.
+        let fresh = DiskManager::open_memory();
+        let wal = Wal::open(&wp, None, WalConfig::default()).unwrap();
+        assert_eq!(wal.replay_into(&fresh).unwrap(), 1);
+        let mut buf = [0u8; PAGE_SIZE];
+        fresh.read_page(pids[0], &mut buf).unwrap();
+        assert_eq!(buf, page(0xB0));
+        for &p in &pids[1..] {
+            if p.0 < fresh.num_pages() {
+                fresh.read_page(p, &mut buf).unwrap();
+                assert!(buf.iter().all(|&b| b == 0), "page {} replayed", p.0);
+            }
+        }
+        let _ = std::fs::remove_file(&wp);
+        let _ = std::fs::remove_file(&dp);
+    }
+
+    /// A log written before the header carried a salt has zeros there,
+    /// and its frames chain from zero: it replays as it always did.
+    #[test]
+    fn a_log_without_a_salt_replays() {
+        let (wp, dp) = (tmp("nosalt"), db_tmp("nosalt"));
+        let _ = std::fs::remove_file(&wp);
+        let _ = std::fs::remove_file(&dp);
+        let mut bytes = header(0).to_vec();
+        assert!(bytes[SALT_AT..].iter().all(|&b| b == 0), "no salt");
+        let mut prev = 0u64;
+        for body in [
+            encode_body(K_IMAGE, PageId(1), 0, &page(0x5A)),
+            encode_body(K_COMMIT, PageId(0), 1, &[]),
+        ] {
+            let len = body.len() as u32;
+            prev = chain_crc(prev, len, &body);
+            bytes.extend_from_slice(&len.to_le_bytes());
+            bytes.extend_from_slice(&body);
+            bytes.extend_from_slice(&prev.to_le_bytes());
+        }
+        std::fs::write(&wp, &bytes).unwrap();
+        let disk = DiskManager::open_file(&dp).unwrap();
+        disk.allocate().unwrap();
+        let wal = Wal::open(&wp, None, WalConfig::default()).unwrap();
+        assert_eq!(wal.replay_into(&disk).unwrap(), 1);
+        let mut buf = [0u8; PAGE_SIZE];
+        disk.read_page(PageId(1), &mut buf).unwrap();
+        assert_eq!(buf, page(0x5A));
+        assert_eq!(wal.sealed_seq(), 1);
+        let _ = std::fs::remove_file(&wp);
+        let _ = std::fs::remove_file(&dp);
+    }
+
+    /// An open that finds nothing committed writes nothing, not even a
+    /// new salt.
+    #[test]
+    fn an_open_with_nothing_to_replay_writes_nothing() {
+        let (wp, dp) = (tmp("quiet"), db_tmp("quiet"));
+        let _ = std::fs::remove_file(&wp);
+        let _ = std::fs::remove_file(&dp);
+        let disk = DiskManager::open_file(&dp).unwrap();
+        let p = disk.allocate().unwrap();
+        {
+            let wal = open_wal(&wp, None);
+            wal.append_page(p, &page(0x21)).unwrap();
+            let seq = wal.commit_stage().unwrap();
+            wal.make_durable(seq).unwrap();
+            wal.checkpoint_into(&disk).unwrap();
+            wal.append_page(p, &page(0x22)).unwrap(); // never committed
+        }
+        let before = std::fs::read(&wp).unwrap();
+        let wal = Wal::open(&wp, None, WalConfig::default()).unwrap();
+        assert_eq!(wal.replay_into(&disk).unwrap(), 0);
+        drop(wal);
+        assert!(std::fs::read(&wp).unwrap() == before, "the open wrote");
+        let _ = std::fs::remove_file(&wp);
+        let _ = std::fs::remove_file(&dp);
+    }
+
+    /// The reset's header write tears: nothing committed is lost — the
+    /// page file has it all — and the next generation rewrites the header
+    /// before its first frame, so it replays after a crash.
+    #[test]
+    fn a_torn_header_write_at_reset_loses_nothing() {
+        for tear_first in [true, false] {
+            let tag = format!("torn_hdr_{tear_first}");
+            let (wp, dp) = (tmp(&tag), db_tmp(&tag));
+            let _ = std::fs::remove_file(&wp);
+            let _ = std::fs::remove_file(&dp);
+            let disk = DiskManager::open_file(&dp).unwrap();
+            let (p, q) = (disk.allocate().unwrap(), disk.allocate().unwrap());
+            let plan = FaultPlan::new(FaultConfig {
+                seed: 11,
+                torn_per_mille: 1000,
+                ..Default::default()
+            });
+            {
+                let wal = open_wal(&wp, Some(plan.clone()));
+                wal.append_page(p, &page(0x61)).unwrap();
+                let seq = wal.commit_stage().unwrap();
+                wal.make_durable(seq).unwrap();
+                // The log is durable, so the checkpoint's only log write
+                // is the header.
+                plan.arm();
+                wal.checkpoint_into(&disk).unwrap();
+                plan.disarm();
+                if !tear_first {
+                    // A later generation gets the header written first.
+                    wal.append_page(q, &page(0x62)).unwrap();
+                    let seq = wal.commit_stage().unwrap();
+                    wal.make_durable(seq).unwrap();
+                }
+            }
+            let wal = Wal::open(&wp, None, WalConfig::default()).unwrap();
+            let replayed = wal.replay_into(&disk).unwrap();
+            if !tear_first {
+                assert_eq!(replayed, 1, "{tag}: the new generation replays");
+            }
+            // With the header torn and nothing after it, the old
+            // generation may replay again (or not, as far as the tear
+            // reached the salt): either way onto what the page file has.
+            let mut buf = [0u8; PAGE_SIZE];
+            disk.read_page(p, &mut buf).unwrap();
+            assert_eq!(buf, page(0x61), "{tag}");
+            if !tear_first {
+                disk.read_page(q, &mut buf).unwrap();
+                assert_eq!(buf, page(0x62), "{tag}");
+            }
+            let _ = std::fs::remove_file(&wp);
+            let _ = std::fs::remove_file(&dp);
+        }
     }
 
     #[test]

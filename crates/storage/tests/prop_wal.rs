@@ -11,7 +11,7 @@
 //!   replay into a fresh page file.
 //! * **Replay is idempotent** — replaying a byte-copy of the same log into
 //!   a second page file produces identical pages, and reopening the
-//!   truncated log after replay replays nothing and changes nothing.
+//!   log after replay reset it replays nothing and changes nothing.
 //! * **A lying tail is discarded cleanly** — with dropped syncs in the
 //!   schedule, "committed" is no longer a promise, but replay must still
 //!   never panic, never error, and never surface a page image the workload
@@ -20,7 +20,7 @@
 //! * **Checkpoints under fire converge** — write-back faults may abort a
 //!   checkpoint, but the log keeps the records; once the disk behaves, one
 //!   clean checkpoint lands every committed page in the page file and
-//!   truncates the log.
+//!   resets the log.
 //!
 //! The engine-level mirror of these properties (heap/B+tree workloads over
 //! the WAL-backed buffer pool) lives in `prop_storage_fault.rs` and
@@ -177,7 +177,7 @@ proptest! {
                 "replay of a log copy diverged at page {}", pid
             );
         }
-        // Idempotence 2: replay truncated the log, so a second recovery
+        // Idempotence 2: replay reset the log, so a second recovery
         // replays nothing and leaves the page file untouched.
         let wal2 = Wal::open(&path, None, WalConfig::default()).unwrap();
         prop_assert_eq!(wal2.replay_into(&disk).unwrap(), 0);
@@ -243,7 +243,7 @@ proptest! {
 
     /// Faults at checkpoint boundaries: aborted checkpoints lose nothing
     /// (the log still covers every committed page), and one clean
-    /// checkpoint writes everything back and truncates the log.
+    /// checkpoint writes everything back and resets the log.
     #[test]
     fn checkpoint_under_faults_converges(
         seed in 0u64..1_000_000,
@@ -366,9 +366,9 @@ fn snapshot_never_sees_torn_multi_page_update() {
 
 /// Long soak (ignored; CI runs it non-blocking): four committer threads
 /// hammer group commits over disjoint page sets while one snapshot reader
-/// per writer checks isolation and a checkpointer truncates the log under
+/// per writer checks isolation and a checkpointer resets the log under
 /// all of them. Afterwards the final images must be in the page file, the
-/// truncated log must replay nothing, and the group-commit counter must
+/// reset log must replay nothing, and the group-commit counter must
 /// show committers actually shared fsyncs (the E13 economics).
 #[test]
 #[ignore]
@@ -485,6 +485,6 @@ fn wal_soak_concurrent_commit_checkpoint_snapshot() {
     }
     drop(wal);
     let (_, replayed) = replay_fresh(&path);
-    assert_eq!(replayed, 0, "truncated log replayed records after soak");
+    assert_eq!(replayed, 0, "reset log replayed records after soak");
     let _ = std::fs::remove_file(&path);
 }

@@ -66,8 +66,12 @@
 //! deterministic (every firing is published by the thread that matched it,
 //! in match order) — which is what makes a client-side watermark meaningful
 //! against a recovered server. The hub issues no durability barrier of its
-//! own: its pages ride the update queue's group commits and the engine's
-//! checkpoints, in one buffer pool.
+//! own: its pages ride the update queue's barriers and the engine's
+//! checkpoints, in one buffer pool. A queue barrier — the next push's group
+//! commit, or the one a driver runs before it reports an empty queue —
+//! flushes every dirty page before it writes the watermark that acks the
+//! fires' tokens, so the log holds each delivery-log append ahead of the
+//! ack that retires its token.
 //!
 //! One ordering hazard shapes the contract: a token's queue ack must
 //! never become durable before the delivery-log append that preceded it,
