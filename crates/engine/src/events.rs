@@ -7,8 +7,10 @@
 //! hands the outbox to [`EventBus::deliver`], the one routine that reaches
 //! subscribers, and what a run of notifications has in common is paid once
 //! for the run instead of once per notification: the routing lock, the
-//! route of a stretch of equal event keys, each subscriber's backlog, the
-//! receiver's wake-up, the counters. [`EventBus::publish`] is a run of one.
+//! route of a stretch of equal event keys, the counters, and one channel
+//! send per subscriber and stretch, which takes the subscriber's mailbox
+//! lock once, checks its backlog under that lock and wakes its receiver.
+//! [`EventBus::publish`] is a run of one.
 //!
 //! Delivery accounting is per-subscriber: every subscription carries a
 //! stable id, and drops (dead or backlogged receivers) are counted both in
@@ -29,7 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use tman_common::fxhash::FxHashMap;
 use tman_common::Value;
-use tman_sync::channel::{unbounded, Receiver, Sender};
+use tman_sync::channel::{unbounded, Receiver, SendError, Sender};
 use tman_sync::RwLock;
 use tman_telemetry::trace::{now_ns, ROOT_SPAN};
 use tman_telemetry::{CounterHandle, HistogramHandle, Registry, SpanKind, TraceHandle};
@@ -253,6 +255,33 @@ impl EventBus {
         }
     }
 
+    /// Account for one send of a `k`-notification stretch to `sub` and
+    /// return how many it took. What the cap refused is dropped for `sub`;
+    /// a disconnected receiver is one drop, and is marked `dead`.
+    fn account(
+        &self,
+        sub: &Sub,
+        sent: Result<usize, SendError<()>>,
+        k: usize,
+        dead: &mut Vec<u64>,
+    ) -> usize {
+        match sent {
+            Ok(take) => {
+                if take < k {
+                    // Stalled subscriber: its mailbox is "full" under the
+                    // backlog policy from here on.
+                    self.count_drops(sub, (k - take) as u64);
+                }
+                take
+            }
+            Err(SendError(())) => {
+                self.count_drops(sub, 1);
+                dead.push(sub.id);
+                0
+            }
+        }
+    }
+
     /// Deliver one notification to all matching subscribers, returning the
     /// number actually delivered (the fanout): a run of one through
     /// [`deliver`](Self::deliver).
@@ -268,11 +297,13 @@ impl EventBus {
     ///
     /// Sinks see the whole run first (see [`NotificationSink`]). The run
     /// then goes out a *stretch* at a time, a stretch being consecutive
-    /// notifications with one event key: its route is resolved and each
-    /// subscriber's backlog read once, and the subscriber is sent as much
-    /// of the stretch as fits under [`SLOW_CHANNEL_DEPTH`], back to back —
-    /// a receiver asleep on its channel is woken by the first send and
-    /// finds the rest waiting. What does not fit is dropped for that
+    /// notifications with one event key: its route is resolved once, and
+    /// each subscriber is handed the stretch in *one* channel send
+    /// ([`Sender::send_up_to`]), which takes its mailbox lock once, pushes
+    /// as much of the stretch as fits under [`SLOW_CHANNEL_DEPTH`] — the
+    /// cap checked under that lock, so concurrent drivers cannot overshoot
+    /// it — and wakes its receiver if it sleeps. A stretch therefore lands
+    /// in each mailbox contiguous. What does not fit is dropped for that
     /// subscriber only and counted under its id; the subscriber stays
     /// registered. A disconnected receiver is counted one drop, sent
     /// nothing more, and pruned out of every routing table before this
@@ -280,11 +311,14 @@ impl EventBus {
     ///
     /// Hot path note: drain passes deliver from every driver thread
     /// concurrently, so a run goes out under one *read* lock; the write
-    /// lock is only taken to prune when a send actually failed. A
-    /// notification is cloned for every receiver but the last that has
-    /// room, which gets the original. Nothing here allocates per
-    /// notification: the scratch below is sized by the route and reused
-    /// from stretch to stretch.
+    /// lock is only taken to prune when a send actually failed. A mailbox
+    /// lock is held for one stretch at most, and a drain pass delivers
+    /// once more than `OUTBOX_FLUSH` (1 024) notifications wait, so at most
+    /// that many plus one token's fires. A notification is cloned for
+    /// every live subscriber of its route but the last, which gets the
+    /// original, and a send clones only what fits. Nothing here allocates
+    /// per notification: the scratch below is sized by the route and
+    /// reused from stretch to stretch.
     pub fn deliver(&self, outbox: &mut Outbox) -> usize {
         if outbox.is_empty() {
             return 0;
@@ -320,51 +354,32 @@ impl EventBus {
                 );
                 let began = if traced.is_empty() { 0 } else { now_ns() };
 
+                // One capped send per subscriber, which clones no more than
+                // fits: clones to every live subscriber but the last in
+                // route order, then the originals to that one.
+                let last = subs()
+                    .enumerate()
+                    .filter(|(_, sub)| !dead.contains(&sub.id))
+                    .last()
+                    .map(|(i, _)| i);
                 takes.clear();
-                takes.extend(subs().map(|sub| {
-                    if dead.contains(&sub.id) {
+                takes.extend(subs().enumerate().map(|(i, sub)| {
+                    if Some(i) == last || dead.contains(&sub.id) {
                         return 0;
                     }
-                    let room = SLOW_CHANNEL_DEPTH.saturating_sub(sub.tx.len());
-                    if room < k {
-                        // Stalled subscriber: its mailbox is "full" under
-                        // the backlog policy from here on.
-                        self.count_drops(sub, (k - room) as u64);
-                    }
-                    room.min(k)
+                    let clones = stretch.iter().map(|p| p.note.clone());
+                    let sent = sub.tx.send_up_to(clones, SLOW_CHANNEL_DEPTH);
+                    self.account(sub, sent, k, &mut dead)
                 }));
-                // The last subscriber with room is given the originals,
-                // after every other one has had its clones.
-                let last = takes.iter().rposition(|&take| take > 0);
-                for (i, sub) in subs().enumerate() {
-                    if Some(i) == last {
-                        continue;
-                    }
-                    let sent = stretch[..takes[i]]
-                        .iter()
-                        .take_while(|p| sub.tx.send(p.note.clone()).is_ok())
-                        .count();
-                    if sent < takes[i] {
-                        self.count_drops(sub, 1);
-                        dead.push(sub.id);
-                        takes[i] = sent;
-                    }
-                }
-                let mut moved = 0;
+                let mut originals = run.by_ref().take(k);
                 if let Some(i) = last {
                     let sub = subs().nth(i).expect("counted above");
-                    while moved < takes[i] {
-                        let p = run.next().expect("inside the stretch");
-                        moved += 1;
-                        if sub.tx.send(p.note).is_err() {
-                            self.count_drops(sub, 1);
-                            dead.push(sub.id);
-                            takes[i] = moved - 1;
-                            break;
-                        }
-                    }
+                    let notes = originals.by_ref().map(|p| p.note);
+                    let sent = sub.tx.send_up_to(notes, SLOW_CHANNEL_DEPTH);
+                    takes[i] = self.account(sub, sent, k, &mut dead);
                 }
-                run.by_ref().take(k - moved).for_each(drop);
+                // What the cap left of the stretch.
+                originals.for_each(drop);
 
                 // Notification `at` of the stretch reached every subscriber
                 // that took more than `at` of it: the fanout is constant
@@ -594,6 +609,141 @@ mod tests {
         let f = bus.fanout.summary();
         assert_eq!(f.count - fanouts.count, 13);
         assert_eq!(f.sum - fanouts.sum, 3 * 2 + 8);
+    }
+
+    /// Four drivers deliver a stretch each at a subscriber 100 below the
+    /// cap, released together: the mailbox ends exactly at the cap, and
+    /// every notification is counted delivered or dropped. A backlog read
+    /// apart from the send would let two drivers see the same room.
+    #[test]
+    fn concurrent_drivers_never_overshoot_the_cap() {
+        const DRIVERS: usize = 4;
+        const STRETCH: usize = 100;
+        let registry = Arc::new(Registry::new());
+        let mut bus = EventBus::new();
+        bus.attach_telemetry(&registry);
+        let bus = Arc::new(bus);
+        let rx = bus.subscribe("x");
+        bus.deliver(&mut run_of(&vec!["x"; SLOW_CHANNEL_DEPTH - STRETCH]));
+        for round in 0..500 {
+            let before = bus.delivered() + bus.dropped();
+            let barrier = Arc::new(std::sync::Barrier::new(DRIVERS));
+            let drivers: Vec<_> = (0..DRIVERS)
+                .map(|_| {
+                    let (bus, barrier) = (bus.clone(), barrier.clone());
+                    let mut run = run_of(&["x"; STRETCH]);
+                    std::thread::spawn(move || {
+                        barrier.wait();
+                        bus.deliver(&mut run)
+                    })
+                })
+                .collect();
+            let delivered: usize = drivers.into_iter().map(|d| d.join().unwrap()).sum();
+            assert_eq!(rx.len(), SLOW_CHANNEL_DEPTH, "round {round}: past the cap");
+            assert_eq!(delivered, STRETCH, "round {round}");
+            let counted = bus.delivered() + bus.dropped() - before;
+            assert_eq!(counted, (DRIVERS * STRETCH) as u64, "round {round}");
+            rx.try_iter().take(STRETCH).for_each(drop);
+        }
+    }
+
+    /// Two drivers deliver runs whose notifications carry (driver, run,
+    /// position): both subscribers, one sent clones and one the originals,
+    /// hold every run's stretch contiguous.
+    #[test]
+    fn concurrent_runs_land_contiguous_in_every_mailbox() {
+        const RUNS: i64 = 500;
+        const LEN: usize = 16;
+        let bus = Arc::new(EventBus::new());
+        let (a, b) = (bus.subscribe("x"), bus.subscribe("x"));
+        let drivers: Vec<_> = (0..2i64)
+            .map(|d| {
+                let bus = bus.clone();
+                std::thread::spawn(move || {
+                    for r in 0..RUNS {
+                        let mut run = run_of(&["x"; LEN]);
+                        for p in &mut run.pending {
+                            p.note.values.splice(0..0, [Value::Int(d), Value::Int(r)]);
+                        }
+                        bus.deliver(&mut run);
+                    }
+                })
+            })
+            .collect();
+        drivers.into_iter().for_each(|d| d.join().unwrap());
+        for rx in [a, b] {
+            let got: Vec<_> = rx.try_iter().map(|n| n.values).collect();
+            assert_eq!(got.len(), 2 * RUNS as usize * LEN);
+            for stretch in got.chunks(LEN) {
+                let (d, r) = (stretch[0][0].clone(), stretch[0][1].clone());
+                for (at, v) in stretch.iter().enumerate() {
+                    assert_eq!(v, &[d.clone(), r.clone(), Value::Int(at as i64)]);
+                }
+            }
+        }
+    }
+
+    /// The originals of a stretch go to the last subscriber of its route;
+    /// when that one turns out to be gone, the stretch is still consumed
+    /// whole, and the next stretch goes to its own subscribers only.
+    #[test]
+    fn a_dead_subscribers_stretch_does_not_leak_into_the_next() {
+        let registry = Arc::new(Registry::new());
+        let mut bus = EventBus::new();
+        bus.attach_telemetry(&registry);
+        drop(bus.subscribe("a"));
+        let b = bus.subscribe("b");
+        assert_eq!(bus.deliver(&mut run_of(&["a", "a", "a", "b", "b"])), 2);
+        assert_eq!(positions(&b), [3, 4]);
+        assert_eq!(bus.dropped(), 1);
+        assert!(!bus.routes.read().by_event.contains_key("a"));
+    }
+
+    /// A route of three — live, full and dead, in that order, so the
+    /// originals go to the dead one — then a stretch of another event:
+    /// exact delivered, dropped, fanout and per-subscriber drop counts.
+    #[test]
+    fn a_route_of_a_live_a_full_and_a_dead_subscriber_is_counted_exactly() {
+        let registry = Arc::new(Registry::new());
+        let mut bus = EventBus::new();
+        bus.attach_telemetry(&registry);
+        let live = bus.subscribe("x");
+        let full = bus.subscribe("x");
+        bus.deliver(&mut run_of(&vec!["x"; SLOW_CHANNEL_DEPTH]));
+        live.try_iter().for_each(drop);
+        drop(bus.subscribe("x"));
+        let y = bus.subscribe("y");
+        let ids: Vec<u64> = bus.routes.read().by_event["x"]
+            .iter()
+            .map(|s| s.id)
+            .collect();
+        let (delivered, fanouts) = (bus.delivered(), bus.fanout.summary());
+
+        let mut run = run_of(&["x", "x", "x", "x", "x", "y", "y"]);
+        assert_eq!(bus.deliver(&mut run), 5 + 2);
+        assert_eq!(positions(&live), [0, 1, 2, 3, 4]);
+        assert_eq!(positions(&y), [5, 6]);
+        assert_eq!(full.len(), SLOW_CHANNEL_DEPTH);
+        assert_eq!(bus.delivered() - delivered, 7);
+        assert_eq!(bus.dropped(), 5 + 1, "the full one's five, the dead one");
+        let labelled = |id: u64| {
+            let id = id.to_string();
+            let labels = [("subscriber", id.as_str())];
+            registry
+                .counter("tman_notifications_dropped_total", &labels)
+                .get()
+        };
+        assert_eq!(
+            ids.iter().map(|&id| labelled(id)).collect::<Vec<_>>(),
+            [0, 5, 1]
+        );
+        let f = bus.fanout.summary();
+        assert_eq!((f.count - fanouts.count, f.sum - fanouts.sum), (7, 7));
+        assert_eq!(
+            bus.routes.read().by_event["x"].len(),
+            2,
+            "the dead one pruned"
+        );
     }
 
     /// Two subscribers to one event and one to all events each receive a

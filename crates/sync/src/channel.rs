@@ -1,6 +1,20 @@
 //! An unbounded MPMC channel over a `Mutex<VecDeque>` and a `Condvar`.
-//! Receivers are cloneable, senders and receivers count their peers for
-//! disconnect semantics, and both ends expose `len()`.
+//! Receivers are cloneable, and senders and receivers count their peers
+//! for disconnect semantics.
+//!
+//! **One send is one lock.** [`Sender::send_up_to`] pushes a whole batch
+//! under a single acquisition of the queue's lock: its items arrive in
+//! order and contiguous (no other sender's item lands between them), and
+//! it wakes at most one blocked receiver per item. [`Sender::send`] is
+//! the same call with a batch of one.
+//!
+//! **The cap.** A batch send takes a backlog cap and pushes only while the
+//! queue holds fewer items than the cap. The check and the push happen
+//! under the one lock, so concurrent senders cannot both see the same room
+//! and overshoot it; the call pulls no item it will not push, and returns
+//! how many it pushed. The queue itself stays unbounded: the cap is the
+//! caller's policy, per call. The backlog is read at the receiving end,
+//! [`Receiver::len`].
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -72,24 +86,61 @@ impl<T> Drop for Sender<T> {
 
 impl<T> Sender<T> {
     pub fn send(&self, t: T) -> Result<(), SendError<T>> {
+        let mut one = Some(t).into_iter();
+        match self.push_up_to(&mut one, usize::MAX) {
+            Ok(_) => Ok(()),
+            Err(SendError(())) => Err(SendError(
+                one.next().expect("not pulled without a receiver"),
+            )),
+        }
+    }
+
+    /// Push `items`, in order, while the queue holds fewer than `cap`, and
+    /// return how many were pushed: all of them, or as many as fit under
+    /// the cap. One lock covers the cap check and every push, so the batch
+    /// lands contiguous and the cap holds against concurrent senders.
+    /// Iteration stops at the cap; the items past it are not pulled.
+    ///
+    /// With no receiver left this returns `Err` and still drains `items`,
+    /// dropping them, so a caller walking a shared cursor ends where a
+    /// successful call would have.
+    ///
+    /// `items` is advanced under the queue's lock: it must not touch this
+    /// channel, and a panic in it poisons the channel.
+    pub fn send_up_to<I>(&self, items: I, cap: usize) -> Result<usize, SendError<()>>
+    where
+        I: IntoIterator<Item = T>,
+    {
+        let mut items = items.into_iter();
+        let sent = self.push_up_to(&mut items, cap);
+        if sent.is_err() {
+            items.for_each(drop);
+        }
+        sent
+    }
+
+    /// The one send path: without a receiver, pulls nothing from `items`.
+    fn push_up_to(
+        &self,
+        items: &mut impl Iterator<Item = T>,
+        cap: usize,
+    ) -> Result<usize, SendError<()>> {
         if self.0.receivers.load(Ordering::SeqCst) == 0 {
-            return Err(SendError(t));
+            return Err(SendError(()));
         }
-        let waiting = {
+        let (sent, waiting) = {
             let mut q = self.0.q.lock().unwrap();
-            q.push_back(t);
-            self.0.waiting.load(Ordering::Relaxed) > 0
+            let before = q.len();
+            q.extend(items.take(cap.saturating_sub(before)));
+            (q.len() - before, self.0.waiting.load(Ordering::Relaxed))
         };
-        if waiting {
-            self.0.cv.notify_one();
+        // Wake one waiting receiver per new item.
+        match sent.min(waiting) {
+            0 => {}
+            n if n == waiting => self.0.cv.notify_all(),
+            n => (0..n).for_each(|_| self.0.cv.notify_one()),
         }
-        Ok(())
-    }
-    pub fn len(&self) -> usize {
-        self.0.q.lock().unwrap().len()
-    }
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        Ok(sent)
     }
 }
 
@@ -268,14 +319,159 @@ mod tests {
     }
 
     #[test]
-    fn len_is_visible_from_both_ends() {
+    fn len_is_visible_from_the_receiver() {
         let (tx, rx) = unbounded();
-        assert!(tx.is_empty() && rx.is_empty());
+        assert!(rx.is_empty());
         tx.send('a').unwrap();
         tx.send('b').unwrap();
-        assert_eq!((tx.len(), rx.len()), (2, 2));
+        assert_eq!(rx.len(), 2);
         assert_eq!(rx.try_iter().collect::<String>(), "ab");
-        assert_eq!((tx.len(), rx.len()), (0, 0));
+        assert_eq!(rx.len(), 0);
+    }
+
+    #[test]
+    fn a_batch_arrives_in_order() {
+        let (tx, rx) = unbounded();
+        tx.send(0).unwrap();
+        assert_eq!(tx.send_up_to(1..=5, usize::MAX), Ok(5));
+        assert_eq!(tx.send_up_to(Vec::new(), usize::MAX), Ok(0));
+        tx.send(6).unwrap();
+        assert_eq!(rx.try_iter().collect::<Vec<_>>(), [0, 1, 2, 3, 4, 5, 6]);
+    }
+
+    /// Four producers each send batches tagged (producer, batch, item):
+    /// the receiver sees every batch whole, and each producer's batches in
+    /// the order it sent them.
+    #[test]
+    fn concurrent_batches_arrive_contiguous_and_in_producer_order() {
+        const BATCHES: u32 = 2_000;
+        const LEN: u32 = 7;
+        let (tx, rx) = unbounded();
+        let producers: Vec<_> = (0..4u32)
+            .map(|p| {
+                let tx = tx.clone();
+                thread::spawn(move || {
+                    for b in 0..BATCHES {
+                        let batch = (0..LEN).map(|i| (p, b, i));
+                        assert_eq!(tx.send_up_to(batch, usize::MAX), Ok(LEN as usize));
+                    }
+                })
+            })
+            .collect();
+        drop(tx);
+        let got: Vec<(u32, u32, u32)> = rx.iter().collect();
+        producers.into_iter().for_each(|p| p.join().unwrap());
+        assert_eq!(got.len(), (4 * BATCHES * LEN) as usize);
+        let mut next_batch = [0u32; 4];
+        for chunk in got.chunks(LEN as usize) {
+            let (p, b, _) = chunk[0];
+            let whole: Vec<_> = (0..LEN).map(|i| (p, b, i)).collect();
+            assert_eq!(chunk, whole, "a batch was split");
+            assert_eq!(b, next_batch[p as usize], "producer {p} out of order");
+            next_batch[p as usize] += 1;
+        }
+    }
+
+    /// Eight producers race batches at a cap from a barrier: the queue
+    /// never passes the cap, and every item is either pushed or reported
+    /// not pushed.
+    #[test]
+    fn the_cap_is_exact_under_concurrent_producers() {
+        const CAP: usize = 1_000;
+        for round in 0..200 {
+            let (tx, rx) = unbounded();
+            tx.send_up_to(0..CAP - 50, usize::MAX).unwrap();
+            let barrier = Arc::new(std::sync::Barrier::new(8));
+            let producers: Vec<_> = (0..8)
+                .map(|_| {
+                    let (tx, barrier) = (tx.clone(), barrier.clone());
+                    thread::spawn(move || {
+                        barrier.wait();
+                        (0..5)
+                            .map(|_| tx.send_up_to(0..13, CAP).unwrap())
+                            .sum::<usize>()
+                    })
+                })
+                .collect();
+            let pushed: usize = producers.into_iter().map(|p| p.join().unwrap()).sum();
+            assert_eq!(rx.len(), CAP, "round {round}");
+            assert_eq!(pushed, 50, "round {round}");
+        }
+    }
+
+    #[test]
+    fn a_capped_send_stops_pulling_at_the_cap() {
+        let (tx, rx) = unbounded();
+        tx.send_up_to(0..3, usize::MAX).unwrap();
+        let pulled = std::cell::Cell::new(0);
+        let items = (0..10).inspect(|_| pulled.set(pulled.get() + 1));
+        assert_eq!(tx.send_up_to(items, 5), Ok(2));
+        assert_eq!(pulled.get(), 2, "an item past the cap was pulled");
+        let items = (0..10).inspect(|_| pulled.set(pulled.get() + 1));
+        assert_eq!(tx.send_up_to(items, 5), Ok(0));
+        assert_eq!(pulled.get(), 2);
+        assert_eq!(rx.len(), 5);
+    }
+
+    #[test]
+    fn a_batch_with_no_receiver_fails_and_still_drains_its_items() {
+        let (tx, rx) = unbounded();
+        drop(rx);
+        let mut cursor = 0..10;
+        assert_eq!(
+            tx.send_up_to(cursor.by_ref().take(4), 2),
+            Err(SendError(()))
+        );
+        assert_eq!(cursor.next(), Some(4), "the batch was not consumed");
+        let (tx, rx) = unbounded();
+        drop(rx);
+        let dropped = Arc::new(());
+        let items = vec![dropped.clone(), dropped.clone()];
+        assert!(tx.send_up_to(items, usize::MAX).is_err());
+        assert_eq!(Arc::strong_count(&dropped), 1, "the items were not dropped");
+    }
+
+    /// Waits until `n` receivers are blocked on `tx`'s channel.
+    fn until_waiting<T>(tx: &Sender<T>, n: usize) {
+        while tx.0.waiting.load(Ordering::Relaxed) < n {
+            thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_batch_wakes_blocked_receivers() {
+        let (tx, rx) = unbounded();
+        let blocked = thread::spawn(move || (rx.recv(), rx.recv_timeout(Duration::from_secs(60))));
+        until_waiting(&tx, 1);
+        tx.send_up_to([1], usize::MAX).unwrap();
+        until_waiting(&tx, 1);
+        tx.send_up_to([2], usize::MAX).unwrap();
+        assert_eq!(blocked.join().unwrap(), (Ok(1), Ok(2)));
+
+        // A batch of two wakes both of two blocked receivers.
+        let (tx, rx) = unbounded();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let receivers: Vec<_> = (0..2)
+            .map(|_| {
+                let (rx, done_tx) = (rx.clone(), done_tx.clone());
+                thread::spawn(move || done_tx.send(rx.recv_timeout(Duration::from_secs(60))))
+            })
+            .collect();
+        until_waiting(&tx, 2);
+        tx.send_up_to([1, 2], usize::MAX).unwrap();
+        let mut got: Vec<_> = (0..2)
+            .map(|_| {
+                done_rx
+                    .recv_timeout(Duration::from_secs(10))
+                    .expect("a receiver slept through")
+            })
+            .map(|got| got.expect("woken by the batch"))
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, [1, 2]);
+        receivers
+            .into_iter()
+            .for_each(|r| r.join().unwrap().unwrap());
     }
 
     #[test]

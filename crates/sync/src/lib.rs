@@ -4,8 +4,10 @@
 //!   once: a lock a panicking thread held is still handed out, so call
 //!   sites write `.lock()` / `.read()` / `.write()` with no `unwrap`.
 //! * [`SegQueue`] — an unbounded MPMC FIFO (the drivers' task queue).
-//! * [`channel`] — an unbounded MPMC channel with disconnect semantics;
-//!   both ends expose `len()`, which the event bus reads as its depth.
+//! * [`channel`] — an unbounded MPMC channel with disconnect semantics,
+//!   whose batch send pushes a run of items under one lock and stops at a
+//!   backlog cap checked under that lock (the event bus's per-subscriber
+//!   cap).
 //!
 //! Every benchmark number this workspace has recorded ran on this code.
 

@@ -754,25 +754,26 @@ impl NotificationSink for DeliveryHub {
             self.appends.bump();
             let mut live = 0u64;
             if let Some(tx) = st.mailbox.as_ref() {
-                if tx.len() >= MAILBOX_STALL_DEPTH {
-                    // Stalled subscriber: stop feeding the mailbox. The
-                    // records are durable; the server closes the
-                    // connection and the client reconnects and replays.
-                    self.stalled.bump();
-                    st.mailbox = None;
-                } else if tx
-                    .send(Delivery {
-                        seq,
-                        body: rec[ORIGIN..].to_vec(),
-                        trace_id,
-                        fire_unix_ns: fire_unix,
-                    })
-                    .is_err()
-                {
-                    st.mailbox = None;
-                } else {
-                    live = 1;
-                    any_live = true;
+                let delivery = Delivery {
+                    seq,
+                    body: rec[ORIGIN..].to_vec(),
+                    trace_id,
+                    fire_unix_ns: fire_unix,
+                };
+                match tx.send_up_to([delivery], MAILBOX_STALL_DEPTH) {
+                    Ok(1) => {
+                        live = 1;
+                        any_live = true;
+                    }
+                    Ok(_) => {
+                        // Stalled subscriber: stop feeding the mailbox.
+                        // The records are durable; the server closes the
+                        // connection and the client reconnects and
+                        // replays.
+                        self.stalled.bump();
+                        st.mailbox = None;
+                    }
+                    Err(_) => st.mailbox = None,
                 }
             }
             // Per-subscriber delivery span on the producing token's
