@@ -17,7 +17,7 @@
 use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
 use tman_common::{
-    DataSourceId, Result, Schema, SignatureId, TriggerId, TriggerSetId, Tuple, Value,
+    DataSourceId, Result, Schema, SignatureId, TmanError, TriggerId, TriggerSetId, Tuple, Value,
 };
 use tman_sql::{decode_schema, encode_schema, Database, Table};
 use tman_storage::RecordId;
@@ -25,6 +25,31 @@ use tman_storage::RecordId;
 /// One `expression_signature` row: `(sigID, dataSrcID, signatureDesc,
 /// constTableName, constantSetSize, constantSetOrganization)`.
 pub type SignatureRow = (SignatureId, DataSourceId, String, String, i64, String);
+
+/// Width, in bytes, of the catalogs' text columns.
+const TEXT_WIDTH: u16 = 65_535;
+
+/// Hex digits per timestamp in a `window_state` ring: a `u64`, zero-padded.
+const STAMP_DIGITS: usize = 16;
+
+/// The largest K a `count >= K within W` trigger may have: a full ring of
+/// K stamps fills at most one `window_state.ring` value.
+pub const MAX_WINDOW_COUNT: u64 = TEXT_WIDTH as u64 / STAMP_DIGITS as u64;
+
+/// A `window_state.ring` value back to its stamps; `None` unless it is
+/// whole [`STAMP_DIGITS`]-digit lowercase hex stamps.
+fn decode_ring(text: &str) -> Option<Vec<u64>> {
+    let digits = text.as_bytes();
+    if !digits.len().is_multiple_of(STAMP_DIGITS)
+        || !digits
+            .iter()
+            .all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
+    {
+        return None;
+    }
+    let stamp = |c: &[u8]| u64::from_str_radix(std::str::from_utf8(c).ok()?, 16).ok();
+    digits.chunks(STAMP_DIGITS).map(stamp).collect()
+}
 
 /// Handle to the system catalog tables.
 pub struct Catalog {
@@ -162,7 +187,7 @@ impl Catalog {
                 )
             }
         };
-        let v = DataType::Varchar(65535);
+        let v = DataType::Varchar(TEXT_WIDTH);
         let cat = Catalog {
             trigger_set: mk(
                 "trigger_set",
@@ -218,14 +243,7 @@ impl Catalog {
                     ("isDefault", DataType::Int),
                 ],
             )?,
-            window_state: mk(
-                "window_state",
-                &[
-                    ("triggerID", DataType::Int),
-                    ("lastTs", DataType::Int),
-                    ("ring", v),
-                ],
-            )?,
+            window_state: mk("window_state", &[("triggerID", DataType::Int), ("ring", v)])?,
         };
         if cat.connections()?.is_empty() {
             // The engine's own database is the initial default connection.
@@ -435,42 +453,38 @@ impl Catalog {
 
     // ----- windowed-threshold state -------------------------------------------
 
-    /// Upsert a trigger's persisted window state: the clamp watermark and
-    /// the in-window event timestamps (comma-joined nanoseconds). The ring
-    /// is persisted coarsely — at durability barriers, not per event — so
-    /// recovery restores an at-least-once prefix of the window.
-    pub fn save_window(&self, id: TriggerId, last_ts: u64, ring: &[u64]) -> Result<()> {
-        let encoded = ring
-            .iter()
-            .map(|t| t.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
+    /// Upsert a trigger's persisted window: its ring, exactly, as
+    /// [`STAMP_DIGITS`] lowercase hex digits per timestamp, oldest first.
+    /// The ring is persisted at durability barriers, not per event, so
+    /// recovery restores it as of the last barrier.
+    pub(crate) fn save_window(&self, id: TriggerId, ring: &[u64]) -> Result<()> {
+        let encoded: String = ring.iter().map(|t| format!("{t:016x}")).collect();
         upsert(
             &self.window_state,
-            vec![
-                Value::Int(id.raw() as i64),
-                Value::Int(last_ts as i64),
-                Value::str(encoded),
-            ],
+            vec![Value::Int(id.raw() as i64), Value::str(encoded)],
         )
     }
 
-    /// All persisted window states as `(triggerID, lastTs, timestamps)`.
-    pub fn windows(&self) -> Result<Vec<(TriggerId, u64, Vec<u64>)>> {
+    /// Every persisted window as `(triggerID, ring)`. A row that is not
+    /// whole [`STAMP_DIGITS`]-digit stamps is an error naming its trigger.
+    pub(crate) fn windows(&self) -> Result<Vec<(TriggerId, Vec<u64>)>> {
         let rows = self.window_state.scan_all()?;
         let window = |(_, row): &(RecordId, Tuple)| {
-            let ring = row.get(2).as_str().unwrap_or("").split(',');
-            (
-                TriggerId(row.get(0).as_i64().unwrap_or(0) as u64),
-                row.get(1).as_i64().unwrap_or(0) as u64,
-                ring.filter_map(|s| s.parse::<u64>().ok()).collect(),
-            )
+            let id = row.get(0).as_i64().ok_or_else(|| {
+                TmanError::Corrupt("window_state row without a trigger id".into())
+            })?;
+            let ring = row.get(1).as_str().and_then(decode_ring).ok_or_else(|| {
+                TmanError::Corrupt(format!(
+                    "window_state row of trigger {id}: not whole {STAMP_DIGITS}-digit hex stamps"
+                ))
+            })?;
+            Ok((TriggerId(id as u64), ring))
         };
-        Ok(rows.iter().map(window).collect())
+        rows.iter().map(window).collect()
     }
 
     /// Remove a trigger's window state. Returns false if missing.
-    pub fn delete_window(&self, id: TriggerId) -> Result<bool> {
+    pub(crate) fn delete_window(&self, id: TriggerId) -> Result<bool> {
         delete(&self.window_state, id.raw())
     }
 
@@ -577,23 +591,38 @@ mod tests {
         let db = Database::open_memory(256);
         let cat = Catalog::open(&db).unwrap();
         assert!(cat.windows().unwrap().is_empty());
-        cat.save_window(TriggerId(7), 1_000, &[400, 700, 1_000])
-            .unwrap();
-        cat.save_window(TriggerId(7), 2_000, &[1_500, 2_000])
-            .unwrap(); // upsert
-        cat.save_window(TriggerId(9), 50, &[]).unwrap();
+        cat.save_window(TriggerId(7), &[400, 700, 1_000]).unwrap();
+        cat.save_window(TriggerId(7), &[1_500, 2_000]).unwrap(); // upsert
+        cat.save_window(TriggerId(9), &[]).unwrap();
+        // A full ring of real-width stamps is one row.
+        let full: Vec<u64> = (0..MAX_WINDOW_COUNT).map(|i| u64::MAX - i).collect();
+        cat.save_window(TriggerId(11), &full).unwrap();
         let mut rows = cat.windows().unwrap();
-        rows.sort_by_key(|(id, _, _)| id.raw());
+        rows.sort_by_key(|(id, _)| id.raw());
         assert_eq!(
             rows,
             vec![
-                (TriggerId(7), 2_000, vec![1_500, 2_000]),
-                (TriggerId(9), 50, vec![]),
+                (TriggerId(7), vec![1_500, 2_000]),
+                (TriggerId(9), vec![]),
+                (TriggerId(11), full),
             ]
         );
         assert!(cat.delete_window(TriggerId(7)).unwrap());
         assert!(!cat.delete_window(TriggerId(7)).unwrap());
-        assert_eq!(cat.windows().unwrap().len(), 1);
+        assert_eq!(cat.windows().unwrap().len(), 2);
+        // A torn row — one stamp and a 15-digit tail — is an error naming
+        // its trigger, not a shorter ring.
+        let torn = format!("{:016x}{:015x}", 1, 2);
+        upsert(&cat.window_state, vec![Value::Int(9), Value::str(torn)]).unwrap();
+        let err = cat.windows().unwrap_err();
+        assert!(
+            matches!(&err, TmanError::Corrupt(m) if m.contains("trigger 9")),
+            "{err:?}"
+        );
+        for foreign in ["00000000000003E8", "+0000000000003e8", "1000,2000"] {
+            upsert(&cat.window_state, vec![Value::Int(9), Value::str(foreign)]).unwrap();
+            assert!(cat.windows().is_err(), "{foreign}");
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! statement — behind a box each. DESIGN.md's decision record "A
 //! cached trigger is what its fire path reads" has the sizes.
 
+use crate::catalog::MAX_WINDOW_COUNT;
 use crate::source::SourceInfo;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -192,6 +193,13 @@ pub fn compile_trigger(
             return Err(TmanError::Invalid(
                 "windowed threshold needs count >= 1 and a positive window".into(),
             ));
+        }
+        if w.count > MAX_WINDOW_COUNT {
+            return Err(TmanError::Invalid(format!(
+                "windowed threshold count {} is above MAX_WINDOW_COUNT = {MAX_WINDOW_COUNT} \
+                 (a full window is one catalog row)",
+                w.count
+            )));
         }
     }
     let mut vars = Vec::with_capacity(stmt.from.len());

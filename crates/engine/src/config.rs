@@ -55,7 +55,7 @@ pub struct Config {
     /// ([`TriggerMan::idle_wait`](crate::TriggerMan::idle_wait)), not a
     /// sleep: a push wakes a parked driver at once, so `T` is no floor
     /// under fire latency. What it still sets is the maintenance tick of an
-    /// idle engine (window expiry) and the most a missed wake-up could cost.
+    /// idle engine and the most a missed wake-up could cost.
     pub driver_period: Duration,
     /// `THRESHOLD`: maximum time one `tman_test` invocation may run (§6).
     pub threshold: Duration,

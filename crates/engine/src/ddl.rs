@@ -23,7 +23,8 @@
 use crate::catalog::{ConnectionRow, DataSourceRow, TriggerRow, TriggerSetRow};
 use crate::compile::{compile_trigger, Compiled, PredicateReg};
 use crate::source::{self, SourceInfo};
-use crate::{CommandOutput, FlaggedEntry, TriggerMan, WindowState, EXPR_TAGGED, EXPR_WINDOWED};
+use crate::window::WindowState;
+use crate::{CommandOutput, FlaggedEntry, TriggerMan, EXPR_TAGGED, EXPR_WINDOWED};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -197,15 +198,15 @@ impl TriggerMan {
         // One `expression_signature` row per class, as the class stands
         // now, under the id it has now.
         self.write_signature_rows(&ddl)?;
-        // Windowed-threshold state: re-arm the coarsely persisted rings
-        // (at-least-once — a crash between an observe and the next
+        // Windowed-threshold state: re-arm the rings persisted at the last
+        // barrier (at-least-once — a crash between an observe and the next
         // durability barrier replays the token into an older window, so a
         // fire may repeat but is never lost). Rows of dropped triggers are
         // skipped.
         let published = self.published();
-        for (tid, last_ts, ring) in self.catalog.windows()? {
+        for (tid, ring) in self.catalog.windows()? {
             if let Some(w) = published.windows.get(&tid) {
-                w.hydrate(last_ts, &ring);
+                w.hydrate(&ring);
             }
         }
         Ok(())

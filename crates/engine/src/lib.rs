@@ -58,7 +58,7 @@ pub mod events;
 pub mod metrics;
 pub mod queue;
 pub mod source;
-pub mod window;
+mod window;
 
 pub use cache::{PinnedTrigger, TriggerCache};
 pub use compile::{CompiledAction, CompiledTrigger};
@@ -71,7 +71,6 @@ pub use tman_predindex::OrgKind;
 pub use tman_telemetry::{
     Registry, SpanKind, TraceEvent, TraceSnapshot, TraceTree, Tracer, TracerStats,
 };
-pub use window::WindowState;
 
 use catalog::{Catalog, TriggerRow};
 use compile::{compile_trigger, Condition};
@@ -281,8 +280,6 @@ pub struct TriggerMan {
     tag_dedup_hits: Arc<Counter>,
     /// Windowed-trigger firings admitted (threshold met).
     window_fires: Arc<Counter>,
-    /// Timestamps aged out by the maintenance-path expiry.
-    window_evictions: Arc<Counter>,
     stats: EngineStats,
     pub(crate) telemetry: metrics::EngineTelemetry,
     tracer: Option<Arc<Tracer>>,
@@ -363,7 +360,6 @@ impl TriggerMan {
             tagged_count: Arc::new(AtomicU64::new(0)),
             tag_dedup_hits: Arc::new(Counter::default()),
             window_fires: Arc::new(Counter::default()),
-            window_evictions: Arc::new(Counter::default()),
             stats: EngineStats::default(),
             last_error: Mutex::new(None),
             http: Mutex::new(None),
@@ -400,11 +396,6 @@ impl TriggerMan {
             self.tag_dedup_hits.clone(),
         );
         r.register_counter("tman_window_fires_total", &[], self.window_fires.clone());
-        r.register_counter(
-            "tman_window_evictions_total",
-            &[],
-            self.window_evictions.clone(),
-        );
         // Live tagged-entry population (a level, so a computed read of the
         // shared atomic rather than a monotone counter).
         let tagged = self.tagged_count.clone();
@@ -1489,8 +1480,6 @@ impl TriggerMan {
                         if let Err(e) = other {
                             self.record_error(&e);
                         }
-                        // Maintenance path: nothing to process.
-                        self.expire_windows();
                         self.flush_acks();
                         // Re-check the task queue before reporting
                         // empty. (Only the task queue — a dequeue error
@@ -1593,44 +1582,29 @@ impl TriggerMan {
         // flushes them ahead of it. A crash after the ack with a stale
         // window would lose in-window events for good (lost fires); a
         // crash before it replays the tokens into the recovered window,
-        // which can only repeat a fire.
+        // which can only repeat a fire. So a failed persist leaves the
+        // seqs pending, for the next barrier to retry.
         if let Err(e) = self.persist_windows() {
             self.record_error(&e);
+            for seq in seqs {
+                self.pending_acks.push(seq);
+            }
+            return;
         }
         if let Err(e) = self.queue.ack_batch(&seqs) {
             self.record_error(&e);
         }
     }
 
-    /// Maintenance-path expiry for windowed thresholds: advance every
-    /// window to its clamp watermark, dropping aged-out timestamps. Never
-    /// consults the wall clock, so it cannot change any firing decision —
-    /// the next `observe` would evict the same entries — it just returns
-    /// their memory early on idle engines.
-    fn expire_windows(&self) {
-        let published = self.published();
-        if published.windows.is_empty() {
-            return;
-        }
-        let mut evicted = 0u64;
-        for w in published.windows.values() {
-            w.expire();
-            // The drained tally covers observe-time age-outs and capacity
-            // drops too, so the counter reflects every timestamp that left
-            // a window, whichever path removed it.
-            evicted += w.take_evicted();
-        }
-        if evicted > 0 {
-            self.window_evictions.add(evicted);
-        }
-    }
-
-    /// Write every dirty window's coarse snapshot to the `window_state`
-    /// catalog. Called before each ack barrier and at checkpoints.
+    /// Write every dirty window's ring to the `window_state` catalog.
+    /// Called before each ack barrier and at checkpoints. A window whose
+    /// save fails stays dirty.
     fn persist_windows(&self) -> Result<()> {
         for (&id, w) in &self.published().windows {
-            if let Some((last, ring)) = w.snapshot() {
-                self.catalog.save_window(id, last, &ring)?;
+            if let Some(ring) = w.snapshot() {
+                self.catalog
+                    .save_window(id, &ring)
+                    .inspect_err(|_| w.mark_dirty())?;
             }
         }
         Ok(())
@@ -1650,12 +1624,6 @@ impl TriggerMan {
     /// Windowed-trigger firings admitted (threshold met).
     pub fn window_fires(&self) -> u64 {
         self.window_fires.get()
-    }
-
-    /// Timestamps evicted from windowed-threshold rings (age-out,
-    /// capacity drop, hydration discard), drained by the maintenance pass.
-    pub fn window_evictions(&self) -> u64 {
-        self.window_evictions.get()
     }
 
     /// Anything left for a driver to do right now?

@@ -166,9 +166,6 @@ pub struct EngineMetrics {
     pub errors_by_kind: [u64; 10],
     /// Windowed-trigger firings admitted (`count >= K within W` met).
     pub window_fires: u64,
-    /// Window timestamps evicted (age-out, capacity, hydration discard),
-    /// drained into the counter by the maintenance pass.
-    pub window_evictions: u64,
 }
 
 /// Queue metrics.
@@ -477,7 +474,6 @@ impl MetricsSnapshot {
                 errors: es.errors.get(),
                 errors_by_kind: std::array::from_fn(|i| t.errors_by_kind[i].get()),
                 window_fires: tman.window_fires(),
-                window_evictions: tman.window_evictions(),
             },
             queue: QueueMetrics {
                 depth: t.queue.depth.get(),
@@ -672,8 +668,8 @@ impl MetricsSnapshot {
             }
             out.push('\n');
             out.push_str(&format!(
-                "  windows            fires={} evictions={}\n",
-                self.engine.window_fires, self.engine.window_evictions
+                "  windows            fires={}\n",
+                self.engine.window_fires
             ));
         }
         if want("queue") {

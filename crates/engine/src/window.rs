@@ -1,11 +1,19 @@
 //! Windowed-threshold state: `when [pred] count >= K within W`.
 //!
-//! One [`WindowState`] per windowed trigger holds the timestamps of the
-//! matching events currently inside the trailing window. The rule fires on
-//! every matching event observed while the window holds at least K events
-//! (threshold semantics in the style of Bonifati et al.'s threshold
-//! queries); expiry is O(1) amortized — each timestamp is pushed and popped
-//! exactly once.
+//! A threshold only asks whether the K-th newest matching event is still
+//! inside the trailing window (Bonifati et al.'s threshold queries), so one
+//! [`WindowState`] per windowed trigger holds the min(K, seen) newest
+//! effective timestamps and nothing else. [`observe`](WindowState::observe)
+//! is O(1): drop the oldest stamp if the ring holds K, push the new one, and
+//! fire iff the ring holds K stamps and the oldest is later than `eff − W`
+//! (the window `(eff − W, eff]` is half open). The newest event always
+//! counts, so `count >= 1` fires on every match, even when `eff − W`
+//! saturates to 0.
+//!
+//! The persisted form is the ring itself, exactly, and
+//! [`MAX_WINDOW_COUNT`](crate::catalog::MAX_WINDOW_COUNT) bounds K so a full
+//! ring fits one catalog row. A window therefore fires the same before and
+//! after a restart, at any K it accepts.
 //!
 //! # Determinism under out-of-order timestamps
 //!
@@ -14,180 +22,108 @@
 //! across sources or drivers. To keep firing decisions a pure function of
 //! the *token sequence* (what the differential oracles replay), the window
 //! advances on a monotone clamp: an event's effective time is
-//! `max(its timestamp, the previous effective time)`. A late timestamp
+//! `max(its timestamp, the newest effective time)`. A late timestamp
 //! therefore never rewinds the window — it lands at the current edge — and
 //! every engine organization/batch arrangement that preserves token
 //! order computes the identical firing multiset.
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
+use tman_sync::Mutex;
 
-/// Hard cap on in-window timestamps retained per trigger. A window is a
-/// *threshold* gate, not an aggregate: once K is reached the exact
-/// population above K only matters for how long the gate stays open, so
-/// dropping the oldest entries beyond the cap is a bounded-memory
-/// approximation that can only shorten (never extend) an open gate — and
-/// only for triggers receiving > 65536 events per window width.
-const RING_CAP: usize = 65_536;
-
-/// How many ring timestamps [`WindowState::snapshot`] persists. Recovery
-/// needs at most K entries to re-arm the gate; persisting a small multiple
-/// keeps catalog rows bounded while restoring the common case exactly.
-const PERSIST_CAP: usize = 4_096;
-
-struct Inner {
-    /// In-window effective timestamps, oldest first (monotone by
-    /// construction of the clamp).
-    ring: VecDeque<u64>,
-    /// The monotone clamp watermark: the largest effective timestamp
-    /// observed so far.
-    last_ts: u64,
-    /// Set by [`observe`](WindowState::observe) / eviction, cleared by
+struct Ring {
+    /// The min(K, seen) newest effective timestamps, oldest first
+    /// (monotone by construction of the clamp).
+    stamps: VecDeque<u64>,
+    /// Set by [`observe`](WindowState::observe), cleared by
     /// [`snapshot`](WindowState::snapshot) — lets durability barriers skip
     /// untouched windows.
     dirty: bool,
-    /// Timestamps evicted (aged out, capacity-dropped, or discarded at
-    /// hydration) since the last [`take_evicted`](WindowState::take_evicted)
-    /// drain — the maintenance pass moves this into
-    /// `tman_window_evictions_total`.
-    evicted: u64,
 }
 
 /// Shared, thread-safe window state for one windowed trigger.
 ///
 /// A plain mutex (not a lock-free structure) is deliberate: windowed
 /// triggers serialize on their window by definition, and the critical
-/// section is a few queue operations.
-pub struct WindowState {
+/// section is a pop and a push.
+pub(crate) struct WindowState {
     /// Threshold K.
-    pub count: u64,
+    count: u64,
     /// Window width in nanoseconds.
-    pub within_ns: u64,
-    inner: Mutex<Inner>,
+    within_ns: u64,
+    ring: Mutex<Ring>,
 }
 
 impl WindowState {
     /// Fresh, empty window.
-    pub fn new(count: u64, within_ns: u64) -> WindowState {
+    pub(crate) fn new(count: u64, within_ns: u64) -> WindowState {
         WindowState {
             count,
             within_ns,
-            inner: Mutex::new(Inner {
-                ring: VecDeque::new(),
-                last_ts: 0,
+            ring: Mutex::new(Ring {
+                stamps: VecDeque::new(),
                 dirty: false,
-                evicted: 0,
             }),
         }
     }
 
-    /// Rebuild from a persisted snapshot (recovery). Timestamps outside
-    /// the window of `last_ts` or beyond the caps are discarded.
-    pub fn restore(count: u64, within_ns: u64, last_ts: u64, ts: &[u64]) -> WindowState {
-        let w = WindowState::new(count, within_ns);
-        w.hydrate(last_ts, ts);
-        w
-    }
-
-    /// Replace this window's contents with a persisted snapshot (in-place
-    /// form of [`restore`](Self::restore), for states already shared by
-    /// `Arc` at recovery time).
-    pub fn hydrate(&self, last_ts: u64, ts: &[u64]) {
-        let mut g = self.inner.lock().expect("window poisoned");
-        g.ring.clear();
-        let cutoff = last_ts.saturating_sub(self.within_ns);
-        let mut prev = 0u64;
-        for &t in ts {
-            let eff = t.max(prev); // re-apply the monotone clamp
-            prev = eff;
-            if eff > cutoff && g.ring.len() < RING_CAP {
-                g.ring.push_back(eff);
-            } else {
-                g.evicted += 1;
-            }
-        }
-        g.last_ts = last_ts.max(prev);
+    /// Replace this window's ring with a persisted one (recovery): its
+    /// newest K stamps, oldest first.
+    pub(crate) fn hydrate(&self, stamps: &[u64]) {
+        let mut g = self.ring.lock();
+        let newest = stamps.len().saturating_sub(self.count as usize);
+        g.stamps = stamps[newest..].iter().copied().collect();
         g.dirty = false;
     }
 
     /// Record one matching event at `ts` and decide whether the trigger
-    /// fires: evict entries older than the window, admit the event, fire
-    /// iff at least K events remain in-window.
-    pub fn observe(&self, ts: u64) -> bool {
-        let mut g = self.inner.lock().expect("window poisoned");
-        let eff = ts.max(g.last_ts);
-        g.last_ts = eff;
-        let cutoff = eff.saturating_sub(self.within_ns);
-        while g.ring.front().is_some_and(|&t| t <= cutoff) {
-            g.ring.pop_front();
-            g.evicted += 1;
+    /// fires: K events lie in `(eff − W, eff]`, this one included.
+    pub(crate) fn observe(&self, ts: u64) -> bool {
+        let mut g = self.ring.lock();
+        let eff = ts.max(g.stamps.back().copied().unwrap_or(0));
+        if g.stamps.len() as u64 == self.count {
+            g.stamps.pop_front();
         }
-        if g.ring.len() == RING_CAP {
-            g.ring.pop_front();
-            g.evicted += 1;
-        }
-        g.ring.push_back(eff);
+        g.stamps.push_back(eff);
         g.dirty = true;
-        g.ring.len() as u64 >= self.count
+        g.stamps.len() as u64 == self.count
+            && (self.count == 1 || g.stamps[0] > eff.saturating_sub(self.within_ns))
     }
 
-    /// Evict entries that have aged out of the window relative to the
-    /// clamp watermark (maintenance-time expiry; never consults the wall
-    /// clock, so it cannot change any firing decision — `observe` would
-    /// evict the same entries on the next event). Returns how many were
-    /// evicted.
-    pub fn expire(&self) -> usize {
-        let mut g = self.inner.lock().expect("window poisoned");
-        let cutoff = g.last_ts.saturating_sub(self.within_ns);
-        let before = g.ring.len();
-        while g.ring.front().is_some_and(|&t| t <= cutoff) {
-            g.ring.pop_front();
-        }
-        let evicted = before - g.ring.len();
-        if evicted > 0 {
-            g.dirty = true;
-            g.evicted += evicted as u64;
-        }
-        evicted
-    }
-
-    /// Drain the eviction tally accumulated since the last call
-    /// ([`observe`](Self::observe) age-outs and capacity drops,
-    /// [`hydrate`](Self::hydrate) discards, [`expire`](Self::expire)) —
-    /// the maintenance pass feeds it to `tman_window_evictions_total`.
-    pub fn take_evicted(&self) -> u64 {
-        let mut g = self.inner.lock().expect("window poisoned");
-        std::mem::take(&mut g.evicted)
-    }
-
-    /// Number of events currently in-window.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("window poisoned").ring.len()
-    }
-
-    /// Is the window empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// If the state changed since the last snapshot, return
-    /// `(last_ts, newest timestamps)` for persistence and clear the dirty
-    /// flag; `None` when clean. At most `PERSIST_CAP` newest entries are
-    /// returned — enough to re-arm any threshold up to that size exactly.
-    pub fn snapshot(&self) -> Option<(u64, Vec<u64>)> {
-        let mut g = self.inner.lock().expect("window poisoned");
+    /// The ring, oldest first, if it changed since the last snapshot;
+    /// the window counts as clean from here until its next
+    /// [`observe`](Self::observe) or [`mark_dirty`](Self::mark_dirty).
+    pub(crate) fn snapshot(&self) -> Option<Vec<u64>> {
+        let mut g = self.ring.lock();
         if !g.dirty {
             return None;
         }
         g.dirty = false;
-        let skip = g.ring.len().saturating_sub(PERSIST_CAP);
-        Some((g.last_ts, g.ring.iter().skip(skip).copied().collect()))
+        Some(g.stamps.iter().copied().collect())
+    }
+
+    /// The last snapshot did not reach the catalog: persist again at the
+    /// next barrier.
+    pub(crate) fn mark_dirty(&self) {
+        self.ring.lock().dirty = true;
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.ring.lock().stamps.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::MAX_WINDOW_COUNT;
+    use tman_baseline::NaiveEca;
+    use tman_check::prelude::*;
+    use tman_check::test_runner::{Config, TestRunner};
+    use tman_common::{
+        DataSourceId, DataType, EventKind, Schema, TriggerId, Tuple, UpdateDescriptor, Value,
+    };
+    use tman_lang::ast::WindowSpec;
 
     #[test]
     fn fires_at_threshold_and_slides() {
@@ -196,8 +132,9 @@ mod tests {
         assert!(!w.observe(20));
         assert!(w.observe(30)); // 3 in [−70, 30]
         assert!(w.observe(40)); // keeps firing while over threshold
-        assert!(!w.observe(200)); // 10..=40 all aged out (<= 200-100)
-        assert_eq!(w.len(), 1);
+        assert!(!w.observe(200)); // 30 and 40 aged out (<= 200-100)
+        assert!(!w.observe(210));
+        assert!(w.observe(220)); // 200, 210, 220
     }
 
     #[test]
@@ -206,7 +143,7 @@ mod tests {
         assert!(!w.observe(1_000));
         // A late event (ts 5) lands at the clamp edge, inside the window.
         assert!(w.observe(5));
-        assert_eq!(w.len(), 2);
+        assert_eq!(w.snapshot(), Some(vec![1_000, 1_000]));
     }
 
     #[test]
@@ -214,38 +151,46 @@ mod tests {
         let w = WindowState::new(2, 100);
         assert!(!w.observe(100));
         // 200 - 100 = 100: the event at 100 is exactly at the cutoff and
-        // is evicted ((eff-W, eff] is half-open).
+        // is out ((eff-W, eff] is half-open).
         assert!(!w.observe(200));
-        assert_eq!(w.len(), 1);
+        assert!(w.observe(299));
     }
 
     #[test]
-    fn expire_matches_observe_eviction_and_reports_dirty() {
-        let w = WindowState::new(2, 200);
-        w.observe(10);
-        w.observe(90);
-        w.snapshot(); // clear dirty
-                      // Observe-time eviction keeps the ring tight against the clamp
-                      // watermark, so maintenance expiry ordinarily finds nothing.
-        assert_eq!(w.expire(), 0);
-        assert!(w.snapshot().is_none(), "no-op expiry stays clean");
-        // Advance the watermark without an observe (no public path does
-        // this today; expire() is the backstop if one appears).
-        w.inner.lock().unwrap().last_ts = 250;
-        assert_eq!(w.expire(), 1); // 10 <= 250-200; 90 stays
-        assert_eq!(w.len(), 1);
-        let (last, ring) = w.snapshot().expect("expiry dirties the window");
-        assert_eq!((last, ring), (250, vec![90]));
+    fn count_of_one_fires_on_every_event_even_at_time_zero() {
+        let w = WindowState::new(1, 100);
+        assert!(w.observe(0), "eff − W saturates to 0: the newest counts");
+        assert!(w.observe(0));
+        assert!(w.observe(5_000));
+        let w = WindowState::new(2, 100);
+        assert!(!w.observe(0));
+        assert!(!w.observe(0), "0 is not later than 0 − W");
+        assert!(!w.observe(1), "nor than 1 − W, saturated");
+        assert!(w.observe(2));
     }
 
     #[test]
-    fn restore_reapplies_clamp_and_cutoff() {
-        let w = WindowState::restore(3, 100, 250, &[100, 200, 180, 240]);
-        // 100 <= 250-100 is out; 200 stays; 180 clamps to 200; 240 stays.
+    fn ring_holds_at_most_k_stamps() {
+        let w = WindowState::new(3, u64::MAX);
+        for ts in 1..=10_000 {
+            assert_eq!(w.observe(ts), ts >= 3);
+        }
         assert_eq!(w.len(), 3);
-        // One more event within the window crosses the threshold of 3... it
-        // already holds 3, so the next observe fires.
+        assert_eq!(w.snapshot(), Some(vec![9_998, 9_999, 10_000]));
+    }
+
+    #[test]
+    fn hydrate_reapplies_clamp_and_cutoff() {
+        let w = WindowState::new(3, 100);
+        w.hydrate(&[100, 200, 200, 240]);
+        assert_eq!(w.len(), 3, "the newest K stamps");
+        // 200 > 260 − 100: three in the window.
         assert!(w.observe(260));
+        // A late stamp clamps to 260 against the hydrated ring.
+        assert!(w.observe(5));
+        assert_eq!(w.snapshot(), Some(vec![240, 260, 260]));
+        // 260 <= 360 − 100: out.
+        assert!(!w.observe(360));
     }
 
     #[test]
@@ -253,31 +198,92 @@ mod tests {
         let w = WindowState::new(2, 1_000);
         w.observe(500);
         w.observe(900);
-        let (last, ring) = w.snapshot().unwrap();
-        let r = WindowState::restore(2, 1_000, last, &ring);
-        assert_eq!(r.len(), 2);
+        let ring = w.snapshot().unwrap();
         assert!(w.snapshot().is_none(), "snapshot clears dirty");
+        let r = WindowState::new(2, 1_000);
+        r.hydrate(&ring);
+        assert!(r.snapshot().is_none(), "a hydrated window is clean");
+        assert!(r.observe(1_400), "900 and 1 400");
+        w.mark_dirty();
+        assert_eq!(w.snapshot(), Some(vec![500, 900]), "a failed save retries");
     }
 
-    #[test]
-    fn eviction_tally_drains_once() {
-        let w = WindowState::new(2, 100);
-        w.observe(10);
-        w.observe(20);
-        w.observe(300); // ages out both earlier entries
-        assert_eq!(w.take_evicted(), 2);
-        assert_eq!(w.take_evicted(), 0, "tally drains");
-        // Hydration discards count too.
-        w.hydrate(500, &[10, 450]);
-        assert_eq!(w.take_evicted(), 1);
+    /// One random stream for [`windows_agree_with_naive_eca`].
+    #[derive(Debug, Clone)]
+    struct Stream {
+        count: u64,
+        within_ns: u64,
+        start: u64,
+        /// Signed steps of the stamp cursor, cycled until the stream is
+        /// `len` events long.
+        steps: Vec<i64>,
+        len: usize,
+        /// Rebuild the window from its snapshot after every this many
+        /// events.
+        restart_every: usize,
     }
 
+    fn arb_stream() -> impl Strategy<Value = Stream> {
+        let count = prop_oneof![
+            12 => 1u64..=8,
+            2 => 9u64..=MAX_WINDOW_COUNT,
+            1 => Just(MAX_WINDOW_COUNT),
+        ];
+        let within_ns = prop_oneof![4 => 1u64..=50, 1 => Just(u64::MAX)];
+        let start = prop_oneof![
+            2 => Just(0u64),
+            1 => 0u64..100,
+            1 => Just(1_760_000_000_000_000_000u64),
+        ];
+        // Ties, out-of-order steps and gaps longer than most windows.
+        let steps = tman_check::collection::vec(-30i64..=80, 1..40);
+        (count, within_ns, start, steps, 1usize..80, 1usize..=24).prop_map(
+            |(count, within_ns, start, steps, extra, restart_every)| Stream {
+                count,
+                within_ns,
+                start,
+                len: count as usize + extra,
+                steps,
+                restart_every,
+            },
+        )
+    }
+
+    /// The ring of K agrees, event by event, with `NaiveEca`'s window —
+    /// every in-window stamp kept and counted — and keeps agreeing when
+    /// it is rebuilt from its snapshot mid-stream.
     #[test]
-    fn ring_is_bounded() {
-        let w = WindowState::new(1, u64::MAX / 2);
-        for i in 0..(RING_CAP + 10) {
-            w.observe(i as u64 + 1);
+    fn windows_agree_with_naive_eca() {
+        let src = DataSourceId(1);
+        let schema = Schema::from_pairs(&[("x", DataType::Int)]);
+        let mut runner = TestRunner::new(Config::with_cases(256), 0x3D0_0002);
+        let result = runner.run(&arb_stream(), |s| {
+            let eca = NaiveEca::new();
+            eca.add_trigger(TriggerId(1), src, EventKind::Insert, "q", &schema, "1 = 1")
+                .unwrap();
+            let spec = WindowSpec {
+                count: s.count,
+                within_ns: s.within_ns,
+            };
+            eca.set_window(TriggerId(1), &spec).unwrap();
+            let mut w = WindowState::new(s.count, s.within_ns);
+            let mut ts = s.start;
+            for (i, &step) in s.steps.iter().cycle().take(s.len).enumerate() {
+                let mut tok = UpdateDescriptor::insert(src, Tuple::new(vec![Value::Int(0)]));
+                tok.ingest_unix_ns = ts;
+                let naive = !eca.match_token(&tok).unwrap().is_empty();
+                prop_assert_eq!(w.observe(ts), naive, "event {} at {}", i, ts);
+                if i % s.restart_every == s.restart_every - 1 {
+                    let ring = w.snapshot().expect("an observe dirties the window");
+                    w = WindowState::new(s.count, s.within_ns);
+                    w.hydrate(&ring);
+                }
+                ts = ts.saturating_add_signed(step);
+            }
+            Ok(())
+        });
+        if let Err(e) = result {
+            panic!("window differential failed: {e}");
         }
-        assert_eq!(w.len(), RING_CAP);
     }
 }

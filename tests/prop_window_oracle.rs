@@ -1,11 +1,12 @@
 //! Differential oracle for windowed thresholds
 //! (`when [pred] count >= K within W`).
 //!
-//! The reference is `tman_baseline::NaiveEca`, whose windows are
-//! `WindowState`'s documented semantics reimplemented naively — one
-//! `VecDeque` of effective timestamps per windowed trigger, monotone clamp
+//! The reference is `tman_baseline::NaiveEca`, whose windows are the
+//! documented semantics implemented the plain way — every in-window
+//! effective timestamp per windowed trigger, monotone clamp
 //! (`eff = max(ts, last_ts)`), half-open eviction (`<= eff − W`), fire iff
-//! at least K events remain after admission. Every engine configuration
+//! at least K events remain after admission — where the engine keeps only
+//! the K newest stamps. Every engine configuration
 //! under test (drain batches 1/16/256 — `drain_batch = 1` being the one
 //! pipeline on a run of one, partitioned and not — and partitioned
 //! fan-out columns that exercise the window fan-out exclusion gate) must
@@ -26,15 +27,31 @@
 //! ---------------------------------------------------------------------
 //! Mutation kill list (design-level, as in the disjunction oracle): each
 //! mutant was checked by reasoning against the pinned-seed case stream
-//! and the deterministic tests below; the first was also run.
+//! and the deterministic tests below. The boundary, front-check, K = 1,
+//! raw-`ts`, ack-order and stay-dirty mutants were also run.
 //!
-//! * `WindowState::observe`: evict with `<` instead of `<=` — integer
-//!   millisecond deltas collide with integer window widths, so tokens
-//!   land exactly on `eff − W` and the half-open boundary decides a
-//!   firing; `window_boundary_is_half_open` in `window.rs` pins it too.
+//! * `WindowState::observe`: compare the oldest stamp with `>=` instead
+//!   of `>` — integer millisecond deltas collide with integer window
+//!   widths, so tokens land exactly on `eff − W` and the half-open
+//!   boundary decides a firing; `window_boundary_is_half_open` in
+//!   `window.rs` pins it too.
 //! * `WindowState::observe`: test the threshold *before* admitting the
 //!   event — every gate opens one event late and `count >= 1` windows
 //!   never fire on their first event; any case with k = 1 diverges.
+//! * `WindowState::observe`: fire on `len == K` without the front check —
+//!   a full ring whose oldest stamp has aged out still fires; any k >= 2
+//!   case with a gap longer than W diverges, and so does
+//!   `window::tests::windows_agree_with_naive_eca`.
+//! * `WindowState::observe`: drop the K = 1 newest-counts rule — a
+//!   `count >= 1` window no longer fires on an event at effective time 0
+//!   (`eff − W` saturates to 0, and 0 is not later than 0). The engine
+//!   re-stamps a zero stamp with the wall clock, so only
+//!   `window::tests::windows_agree_with_naive_eca`, which drives the
+//!   window with stamps of 0, kills it.
+//! * `WindowState::observe`: push the raw `ts` instead of the clamped one —
+//!   the ring's newest stamp is the clamp watermark, so a late stamp pulls
+//!   it back and the next event is measured against the wrong edge; the
+//!   out-of-order cases diverge.
 //! * `TriggerMan::admit`: observe the window before claiming the
 //!   tag — a disjunctive windowed trigger whose arms both match one token
 //!   double-counts that token; the reference counts it once.
@@ -51,16 +68,11 @@
 //!   cross its `count >= 3` threshold.
 //! * `TriggerMan::recover`: skip the `window_state` hydrate loop — same
 //!   lost-fire divergence in the restart test.
-//! * `TriggerMan::expire_windows`: stop draining eviction tallies — the
-//!   deterministic counter test pins `window_evictions() > 0` after a
-//!   stream that ages entries out.
-//!
-//! Not on the list: `WindowState::observe` admitting the raw `ts` instead
-//! of the clamped one fires exactly as the clamp does, so no reference can
-//! catch it. Eviction pops from the front, and a late event always sits
-//! behind the running maximum, so it leaves the window with that maximum.
-//! It survives 1 000 cases of this oracle. The clamp still matters to
-//! `expire` and to the persisted `last_ts`.
+//! * `TriggerMan::flush_acks`: ack after a failed window persist — the
+//!   fault test sees the batch acked while the disk is frozen.
+//! * `WindowState::snapshot`/`TriggerMan::persist_windows`: leave a window
+//!   clean after a failed save — the fault test's next barrier finds
+//!   nothing dirty and acks while the disk is still frozen.
 //! ---------------------------------------------------------------------
 
 mod oracle_common;
@@ -69,11 +81,12 @@ use oracle_common::{
     batch_cfg, env_cases, partitioned_cfg, q_tuple, seeded_runner, Cond, Harness, Naive,
 };
 use tman_check::prelude::*;
-use tman_common::{Tuple, UpdateDescriptor, Value};
+use tman_common::{TmanError, Tuple, UpdateDescriptor, Value};
 use tman_expr::IndexPlan;
 use tman_lang::ast::WindowSpec;
 use tman_predindex::OrgKind;
-use triggerman::{Config, TriggerMan};
+use tman_storage::{FaultConfig, FaultPlan};
+use triggerman::{Config, QueueMode, TriggerMan};
 
 const SEED: u64 = 0x3D0_0001;
 /// Tokens pushed per drain round; >1 sizes exercise the batched path.
@@ -234,8 +247,7 @@ fn windowed_thresholds_match_naive_model_long() {
 
 /// The acceptance pin, deterministically: a filtered window fires on every
 /// matching event at or above threshold, non-matching events never count,
-/// the fires are visible in `tman_window_fires_total`, and aged-out
-/// entries drain into `tman_window_evictions_total` at maintenance.
+/// and the fires are visible in `tman_window_fires_total`.
 #[test]
 fn windowed_threshold_fires_and_counts() {
     let tman = TriggerMan::open_memory(Config::default()).unwrap();
@@ -270,11 +282,6 @@ fn windowed_threshold_fires_and_counts() {
         "fires at and above threshold only"
     );
     assert_eq!(tman.window_fires(), 2);
-    assert_eq!(
-        tman.window_evictions(),
-        4,
-        "the four pre-gap entries aged out and drained at maintenance"
-    );
 }
 
 /// Dropping a windowed trigger discards its window and unblocks Figure-5
@@ -360,4 +367,199 @@ fn windowed_state_survives_restart() {
     }
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(std::path::PathBuf::from(&wal));
+}
+
+/// An `ingest_unix_ns` of real width (October 2025), in nanoseconds.
+const NOW_NS: u64 = 1_760_000_000_000_000_000;
+
+/// A fresh database path for `name`, with no file or log left over.
+fn fresh_path(name: &str) -> std::path::PathBuf {
+    let path = std::env::temp_dir().join(format!("tman_{name}_{}.db", std::process::id()));
+    cleanup(&path);
+    path
+}
+
+/// Remove a database file and its write-ahead-log sidecar.
+fn cleanup(path: &std::path::Path) {
+    let _ = std::fs::remove_file(path);
+    let mut wal = path.as_os_str().to_owned();
+    wal.push(".wal");
+    let _ = std::fs::remove_file(std::path::PathBuf::from(wal));
+}
+
+/// An `S0` quote stamped `ns`.
+fn quote_at(tman: &TriggerMan, ns: u64) -> UpdateDescriptor {
+    let src = tman.source("q").unwrap().id;
+    let mut tok = UpdateDescriptor::insert(
+        src,
+        Tuple::new(vec![Value::str("S0"), Value::Float(1.0), Value::Int(0)]),
+    );
+    tok.ingest_unix_ns = ns;
+    tok
+}
+
+/// Push one `S0` quote stamped `ns`.
+fn push_at(tman: &TriggerMan, ns: u64) {
+    tman.push_token(quote_at(tman, ns)).unwrap();
+}
+
+/// Open `path` with a `count >= k within 1 hours` trigger `burst` on a
+/// fresh source `q`.
+fn open_burst(path: &std::path::Path, k: u64, cfg: Config) -> std::sync::Arc<TriggerMan> {
+    let tman = TriggerMan::open_file(path, cfg).unwrap();
+    tman.execute_command("define data source q (sym varchar(12), price float, vol int)")
+        .unwrap();
+    tman.execute_command(&format!(
+        "create trigger burst from q when count >= {k} within 1 hours \
+         do raise event Burst(q.sym)"
+    ))
+    .unwrap();
+    tman
+}
+
+/// A window holding thousands of real-width stamps still checkpoints: its
+/// row is K stamps, not every in-window one. The source, the trigger and
+/// the open gate survive the reopen.
+#[test]
+fn a_busy_window_checkpoints_and_survives_reopen() {
+    let path = fresh_path("busy_window");
+    {
+        let tman = open_burst(&path, 3, Config::default());
+        let rx = tman.subscribe("Burst");
+        for i in 0..4_000 {
+            push_at(&tman, NOW_NS + i * 1_000_000);
+        }
+        tman.run_until_quiescent().unwrap();
+        assert!(tman.last_error().is_none(), "{:?}", tman.last_error());
+        assert_eq!(rx.try_iter().count(), 3_998);
+        tman.checkpoint().unwrap();
+    }
+    {
+        let tman = TriggerMan::open_file(&path, Config::default()).unwrap();
+        assert!(tman.source("q").is_ok(), "the source survives");
+        assert_eq!(tman.trigger_names(), vec!["burst".to_string()]);
+        let rx = tman.subscribe("Burst");
+        push_at(&tman, NOW_NS + 4_000 * 1_000_000);
+        tman.run_until_quiescent().unwrap();
+        assert!(tman.last_error().is_none(), "{:?}", tman.last_error());
+        assert_eq!(rx.try_iter().count(), 1, "the open gate survives");
+    }
+    cleanup(&path);
+}
+
+/// The largest K accepted keeps its gate across a reopen: K events fire
+/// once, and after the reopen one more fires again — two fires in all.
+#[test]
+fn the_largest_window_keeps_its_gate_across_reopen() {
+    let k = triggerman::catalog::MAX_WINDOW_COUNT;
+    assert_eq!(k, 4_095);
+    let path = fresh_path("largest_window");
+    let mut fires = 0;
+    {
+        let tman = open_burst(&path, k, Config::default());
+        let rx = tman.subscribe("Burst");
+        for i in 0..k {
+            push_at(&tman, NOW_NS + i * 1_000_000);
+        }
+        tman.run_until_quiescent().unwrap();
+        assert!(tman.last_error().is_none(), "{:?}", tman.last_error());
+        fires += rx.try_iter().count();
+        tman.checkpoint().unwrap();
+    }
+    {
+        let tman = TriggerMan::open_file(&path, Config::default()).unwrap();
+        let rx = tman.subscribe("Burst");
+        push_at(&tman, NOW_NS + k * 1_000_000);
+        tman.run_until_quiescent().unwrap();
+        assert!(tman.last_error().is_none(), "{:?}", tman.last_error());
+        fires += rx.try_iter().count();
+    }
+    assert_eq!(fires, 2);
+    cleanup(&path);
+}
+
+/// A K whose full ring would not fit one catalog row is refused at create,
+/// with the bound named.
+#[test]
+fn a_window_above_the_bound_is_refused_at_create() {
+    let tman = TriggerMan::open_memory(Config::default()).unwrap();
+    tman.execute_command("define data source q (sym varchar(12), price float, vol int)")
+        .unwrap();
+    for k in [4_096u64, 70_000] {
+        let err = tman
+            .execute_command(&format!(
+                "create trigger big from q when count >= {k} within 1 hours \
+                 do raise event Burst(q.sym)"
+            ))
+            .unwrap_err();
+        assert!(
+            matches!(&err, TmanError::Invalid(m) if m.contains("MAX_WINDOW_COUNT = 4095")),
+            "count >= {k}: {err:?}"
+        );
+    }
+    assert!(tman.trigger_names().is_empty());
+}
+
+/// A window persist that fails holds the batch's acks: while the disk is
+/// frozen nothing is acked, and once it thaws the next barrier persists
+/// the window and then acks. The reopened window has every event.
+#[test]
+fn a_failed_window_persist_holds_the_ack_until_it_succeeds() {
+    // A full ring spills over more pages than the pool holds, so its save
+    // must write some of them out.
+    const K: u64 = triggerman::catalog::MAX_WINDOW_COUNT;
+    let path = fresh_path("failed_window_persist");
+    let plan = FaultPlan::new(FaultConfig {
+        seed: 0x5EED_3D01,
+        crash_after_writes: Some(1),
+        ..Default::default()
+    });
+    let cfg = Config {
+        pool_pages: 8,
+        queue_mode: QueueMode::Persistent,
+        drain_batch: K as usize,
+        faults: Some(plan.clone()),
+        ..Config::default()
+    };
+    {
+        let tman = open_burst(&path, K, cfg);
+        let rx = tman.subscribe("Burst");
+        let quotes = (0..K).map(|i| quote_at(&tman, NOW_NS + i * 1_000_000));
+        tman.push_tokens(quotes.collect()).unwrap();
+        tman.checkpoint().unwrap();
+        plan.arm();
+        tman.run_until_quiescent().unwrap();
+        assert!(plan.crashed(), "the window save hit the frozen disk");
+        assert!(
+            tman.last_error().is_some(),
+            "the failed persist is recorded"
+        );
+        assert_eq!(rx.try_iter().count(), 1, "the K-th event fired");
+        assert_eq!(
+            tman.metrics_snapshot().queue.dequeued,
+            0,
+            "no seq is acked while the window is not persisted"
+        );
+        tman.run_until_quiescent().unwrap();
+        assert_eq!(tman.metrics_snapshot().queue.dequeued, 0, "still frozen");
+
+        plan.disarm();
+        plan.reset_crash();
+        tman.run_until_quiescent().unwrap();
+        assert_eq!(
+            tman.metrics_snapshot().queue.dequeued,
+            K,
+            "the next barrier persists the window, then acks"
+        );
+        tman.checkpoint().unwrap();
+    }
+    {
+        let tman = TriggerMan::open_file(&path, Config::default()).unwrap();
+        let rx = tman.subscribe("Burst");
+        push_at(&tman, NOW_NS + K * 1_000_000);
+        tman.run_until_quiescent().unwrap();
+        assert!(tman.last_error().is_none(), "{:?}", tman.last_error());
+        assert_eq!(rx.try_iter().count(), 1, "the persisted ring re-arms");
+    }
+    cleanup(&path);
 }
