@@ -63,7 +63,7 @@ pub struct WalStats {
     pub group_commits: Arc<Counter>,
     /// Committed redo records replayed into the page file at open.
     pub replayed_records: Arc<Counter>,
-    /// Checkpoints that wrote dirty pages back and truncated the log.
+    /// Checkpoints that wrote dirty pages back and reset the log in place.
     pub checkpoints: Arc<Counter>,
     /// Latency of making one commit durable (nanoseconds): the fsync wait,
     /// whether this writer issued it or piggybacked on a neighbor's.

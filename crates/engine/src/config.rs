@@ -79,7 +79,7 @@ pub struct Config {
     pub faults: Option<tman_storage::FaultPlan>,
     /// Write-ahead-log size (bytes) that triggers an automatic checkpoint
     /// on the next durability barrier: dirty pages are written back to the
-    /// page file and the log is truncated. Smaller values bound recovery
+    /// page file and the log is reset in place. Smaller values bound recovery
     /// replay time; larger ones amortize checkpoint write-back further.
     /// Ignored by `open_memory` (no WAL).
     pub wal_checkpoint_bytes: u64,

@@ -317,7 +317,7 @@ pub struct StorageMetrics {
     pub wal_group_commits: u64,
     /// Committed records replayed into the page file at open.
     pub wal_replayed_records: u64,
-    /// Checkpoints (write-back + log truncation).
+    /// Checkpoints (write-back + log reset in place).
     pub wal_checkpoints: u64,
     /// Time for one commit to become durable (the group-commit wait).
     pub wal_group_commit_ns: HistogramSummary,

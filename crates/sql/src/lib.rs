@@ -16,7 +16,7 @@
 //!
 //! The executor re-verifies the full predicate on every index-qualified row
 //! (standard practice, and it also papers over the documented f64 key
-//! encoding lossiness in `tman_storage::keyenc`).
+//! encoding lossiness in `tman_storage::encode_key`).
 
 pub mod exec;
 pub mod table;

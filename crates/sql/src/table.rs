@@ -3,7 +3,7 @@
 use std::sync::Arc;
 use tman_common::stats::Counter;
 use tman_common::{Result, Schema, TmanError, Tuple, Value};
-use tman_storage::keyenc::encode_key;
+use tman_storage::encode_key;
 use tman_storage::{BTree, HeapFile, RecordId};
 use tman_sync::RwLock;
 
@@ -216,7 +216,7 @@ impl Table {
         }
         self.stats.index_probes.bump();
         let prefix = encode_key(key);
-        let hi = tman_storage::keyenc::prefix_upper_bound(&prefix);
+        let hi = tman_storage::prefix_upper_bound(&prefix);
         let mut rids = Vec::new();
         idx.tree.scan_range(&prefix, &hi, |_, v| {
             rids.push(RecordId::from_u64(v));
@@ -245,7 +245,7 @@ impl Table {
                 let k = encode_key(std::slice::from_ref(v));
                 // Upper bound must include composite keys extending `v`
                 // when inclusive.
-                tman_storage::keyenc::prefix_upper_bound(&k)
+                tman_storage::prefix_upper_bound(&k)
             }
             None => vec![0xFF; 16],
         };

@@ -28,7 +28,7 @@ const INTERNAL: u8 = 1;
 const HDR: usize = 7; // type u8, count u16, link u32
 
 /// Maximum encoded key length accepted (keeps ≥3 entries per node).
-pub const MAX_KEY: usize = 1024;
+pub(crate) const MAX_KEY: usize = 1024;
 
 #[derive(Debug, Clone)]
 struct Node {
@@ -148,7 +148,7 @@ impl BTree {
     }
 
     /// Open an existing tree by meta page.
-    pub fn open(pool: Arc<BufferPool>, meta: PageId) -> Result<BTree> {
+    pub(crate) fn open(pool: Arc<BufferPool>, meta: PageId) -> Result<BTree> {
         let g = pool.fetch(meta)?;
         if &g.read()[0..4] != MAGIC {
             return Err(TmanError::Storage(format!(
@@ -165,7 +165,7 @@ impl BTree {
     }
 
     /// The meta page id (stable identity for the directory).
-    pub fn meta_page(&self) -> PageId {
+    pub(crate) fn meta_page(&self) -> PageId {
         self.meta
     }
 
@@ -175,7 +175,7 @@ impl BTree {
     /// replaced by a fresh empty leaf. Returns `true` when anything was
     /// rebuilt — the caller is then expected to backfill the index from its
     /// source of truth.
-    pub fn repair(pool: &Arc<BufferPool>, meta: PageId) -> Result<bool> {
+    pub(crate) fn repair(pool: &Arc<BufferPool>, meta: PageId) -> Result<bool> {
         let fresh_root = |pool: &Arc<BufferPool>| -> Result<PageId> {
             let (pid, g) = pool.allocate()?;
             Node::leaf().write_to(&mut g.write());
@@ -438,7 +438,7 @@ impl BTree {
     }
 
     /// Visit every entry in key order.
-    pub fn scan_all(&self, f: impl FnMut(&[u8], u64) -> Result<bool>) -> Result<()> {
+    pub(crate) fn scan_all(&self, f: impl FnMut(&[u8], u64) -> Result<bool>) -> Result<()> {
         self.scan_range(&[], &[0xFF; MAX_KEY + 1], f)
     }
 
@@ -451,20 +451,6 @@ impl BTree {
         })?;
         Ok(n)
     }
-
-    /// Tree height (1 = just a root leaf).
-    pub fn height(&self) -> Result<usize> {
-        let mut h = 1;
-        let mut pid = self.root()?;
-        loop {
-            let node = self.load(pid)?;
-            if node.kind == LEAF {
-                return Ok(h);
-            }
-            h += 1;
-            pid = node.link;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -472,6 +458,22 @@ mod tests {
     use super::*;
     use crate::disk::DiskManager;
     use tman_common::rng::SplitMix64;
+
+    impl BTree {
+        /// Tree height (1 = just a root leaf).
+        fn height(&self) -> Result<usize> {
+            let mut h = 1;
+            let mut pid = self.root()?;
+            loop {
+                let node = self.load(pid)?;
+                if node.kind == LEAF {
+                    return Ok(h);
+                }
+                h += 1;
+                pid = node.link;
+            }
+        }
+    }
 
     fn tree(pool_pages: usize) -> BTree {
         let pool = Arc::new(BufferPool::new(
@@ -626,7 +628,7 @@ mod tests {
         let meta;
         {
             let pool = Arc::new(BufferPool::new(
-                Arc::new(DiskManager::open_file(&path).unwrap()),
+                Arc::new(DiskManager::open_file_with(&path, None).unwrap()),
                 32,
             ));
             let t = BTree::create(pool.clone()).unwrap();
@@ -638,7 +640,7 @@ mod tests {
         }
         {
             let pool = Arc::new(BufferPool::new(
-                Arc::new(DiskManager::open_file(&path).unwrap()),
+                Arc::new(DiskManager::open_file_with(&path, None).unwrap()),
                 32,
             ));
             let t = BTree::open(pool, meta).unwrap();

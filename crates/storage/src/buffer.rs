@@ -48,7 +48,7 @@ struct PoolInner {
 
 /// Fixed-capacity page cache over a [`DiskManager`].
 ///
-/// With a [`Wal`] attached ([`with_wal`](Self::with_wal)), flushes append
+/// With a [`Wal`] attached (a file-backed [`Storage`](crate::Storage)), flushes append
 /// redo records to the log instead of writing the page file; the page file
 /// is only written at checkpoint, from records that are already durable —
 /// the WAL invariant. Without one, flushes write the page file directly
@@ -69,7 +69,7 @@ impl BufferPool {
 
     /// Create a pool whose flushes go through the write-ahead log. The
     /// caller must have replayed the log into `disk` already.
-    pub fn with_wal(disk: Arc<DiskManager>, capacity: usize, wal: Arc<Wal>) -> BufferPool {
+    pub(crate) fn with_wal(disk: Arc<DiskManager>, capacity: usize, wal: Arc<Wal>) -> BufferPool {
         Self::build(disk, capacity, Some(wal))
     }
 
@@ -152,7 +152,7 @@ impl BufferPool {
     /// Write all dirty resident pages back: to the log (sealed by one
     /// commit frame, so the whole set becomes durable atomically) when a
     /// WAL is attached, else straight to the page file.
-    pub fn flush_all(&self) -> Result<()> {
+    pub(crate) fn flush_all(&self) -> Result<()> {
         self.flush_dirty()?;
         if let Some(wal) = &self.wal {
             wal.commit_stage()?;
@@ -162,7 +162,7 @@ impl BufferPool {
 
     /// Write every page that is dirty now out — to the log, unsealed, when
     /// a WAL is attached. A caller that writes a page through afterwards
-    /// ([`write_through`](Self::write_through)) puts it in the log behind
+    /// (`write_through`) puts it in the log behind
     /// every page dirtied before this call.
     ///
     /// Lock order: the pool mutex is released before any page lock is
@@ -230,7 +230,7 @@ impl BufferPool {
     /// in the log — the second may only ever be sealed by a commit that
     /// also seals the first — writes the first through before it touches
     /// the second.
-    pub fn write_through(&self, page: &PageGuard) -> Result<()> {
+    pub(crate) fn write_through(&self, page: &PageGuard) -> Result<()> {
         self.write_cell(&page.cell, &page.cell.data.read())
     }
 

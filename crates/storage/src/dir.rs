@@ -16,7 +16,7 @@ use tman_sync::Mutex;
 
 /// What a directory entry points at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ObjectKind {
+pub(crate) enum ObjectKind {
     /// A [`crate::heap::HeapFile`] meta page.
     Heap,
     /// A [`crate::btree::BTree`] meta page.
@@ -46,13 +46,13 @@ impl ObjectKind {
 
 /// A directory entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DirEntry {
+pub(crate) struct DirEntry {
     /// Object name (unique, case-sensitive).
-    pub name: String,
+    pub(crate) name: String,
     /// Object kind.
-    pub kind: ObjectKind,
+    pub(crate) kind: ObjectKind,
     /// Meta page of the object.
-    pub root: PageId,
+    pub(crate) root: PageId,
 }
 
 /// The name → object map for one store.
@@ -63,7 +63,7 @@ pub struct Directory {
 
 impl Directory {
     /// Open the directory of a store; formats page 0 if the store is fresh.
-    pub fn open(pool: Arc<BufferPool>) -> Result<Directory> {
+    pub(crate) fn open(pool: Arc<BufferPool>) -> Result<Directory> {
         {
             let g = pool.fetch(PageId(0))?;
             let mut w = g.write();
@@ -123,7 +123,7 @@ impl Directory {
     }
 
     /// Register a new object. Errors if the name is taken.
-    pub fn create(&self, name: &str, kind: ObjectKind, root: PageId) -> Result<()> {
+    pub(crate) fn create(&self, name: &str, kind: ObjectKind, root: PageId) -> Result<()> {
         let _l = self.lock.lock();
         let mut exists = false;
         self.scan_entries(|e| {
@@ -169,7 +169,7 @@ impl Directory {
     }
 
     /// Look up an entry by name.
-    pub fn get(&self, name: &str) -> Result<DirEntry> {
+    pub(crate) fn get(&self, name: &str) -> Result<DirEntry> {
         let mut found = None;
         self.scan_entries(|e| {
             if e.name == name {
@@ -188,7 +188,7 @@ impl Directory {
     }
 
     /// Remove an entry (the object's pages are leaked).
-    pub fn remove(&self, name: &str) -> Result<()> {
+    pub(crate) fn remove(&self, name: &str) -> Result<()> {
         let _l = self.lock.lock();
         let loc = self.scan_entries(|e| e.name != name)?;
         let Some((pid, slot)) = loc else {
@@ -204,7 +204,7 @@ impl Directory {
     /// directory chain pages, cut chain links pointing out of bounds, and
     /// prune entries whose meta page is out of bounds (an object whose
     /// creation never fully reached disk). Returns the pruned names.
-    pub fn repair(&self, num_pages: u32) -> Result<Vec<String>> {
+    pub(crate) fn repair(&self, num_pages: u32) -> Result<Vec<String>> {
         {
             let _l = self.lock.lock();
             let mut visited = std::collections::HashSet::new();
@@ -245,7 +245,7 @@ impl Directory {
     }
 
     /// All entries, in storage order.
-    pub fn list(&self) -> Result<Vec<DirEntry>> {
+    pub(crate) fn list(&self) -> Result<Vec<DirEntry>> {
         let mut out = Vec::new();
         self.scan_entries(|e| {
             out.push(e.clone());
@@ -308,7 +308,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let pool = Arc::new(BufferPool::new(
-                Arc::new(DiskManager::open_file(&path).unwrap()),
+                Arc::new(DiskManager::open_file_with(&path, None).unwrap()),
                 8,
             ));
             let d = Directory::open(pool.clone()).unwrap();
@@ -317,7 +317,7 @@ mod tests {
         }
         {
             let pool = Arc::new(BufferPool::new(
-                Arc::new(DiskManager::open_file(&path).unwrap()),
+                Arc::new(DiskManager::open_file_with(&path, None).unwrap()),
                 8,
             ));
             let d = Directory::open(pool).unwrap();

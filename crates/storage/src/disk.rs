@@ -51,7 +51,7 @@ pub const PAGE_SIZE: usize = 4096;
 const TRAILER: usize = 16;
 
 /// Physical slot size in the backing file.
-pub const PHYS_PAGE: usize = PAGE_SIZE + TRAILER;
+pub(crate) const PHYS_PAGE: usize = PAGE_SIZE + TRAILER;
 
 /// Magic prefix of the header block.
 const MAGIC: [u8; 8] = *b"TMANPG2\0";
@@ -63,27 +63,27 @@ pub struct PageId(pub u32);
 impl PageId {
     /// Sentinel "no page" value (page 0 is the directory superblock, so it
     /// can double as the null link in page chains).
-    pub const NULL: PageId = PageId(0);
+    pub(crate) const NULL: PageId = PageId(0);
 
     /// True if this is the null sentinel.
     #[inline]
-    pub fn is_null(self) -> bool {
+    pub(crate) fn is_null(self) -> bool {
         self.0 == 0
     }
 }
 
 /// What the open-time scavenge pass found and repaired.
 #[derive(Debug, Clone, Default)]
-pub struct RecoveryReport {
+pub(crate) struct RecoveryReport {
     /// Pages whose slot failed its checksum, rewritten as zeroed (empty)
     /// pages.
-    pub quarantined: Vec<PageId>,
+    pub(crate) quarantined: Vec<PageId>,
 }
 
 impl RecoveryReport {
     /// True when the store did not shut down cleanly: derived state (heap
     /// chains, index trees) should be revalidated.
-    pub fn recovered(&self) -> bool {
+    pub(crate) fn recovered(&self) -> bool {
         !self.quarantined.is_empty()
     }
 }
@@ -160,18 +160,12 @@ fn header_block() -> [u8; PHYS_PAGE] {
 }
 
 impl DiskManager {
-    /// Open or create a file-backed store. A fresh store gets page 0
-    /// (zero-filled) allocated as the directory superblock.
-    pub fn open_file(path: &Path) -> Result<DiskManager> {
-        Self::open_file_with(path, None)
-    }
-
     /// Open a file-backed store with an optional fault-injection plan
     /// (test builds). An empty file is stamped with the header; a file
     /// that leads with the magic is scavenged in place, the findings
     /// landing in [`recovery_report`](Self::recovery_report); any other
     /// file is refused with [`TmanError::Unsupported`] and not written to.
-    pub fn open_file_with(path: &Path, plan: Option<FaultPlan>) -> Result<DiskManager> {
+    pub(crate) fn open_file_with(path: &Path, plan: Option<FaultPlan>) -> Result<DiskManager> {
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -273,7 +267,7 @@ impl DiskManager {
 
     /// What the open-time scavenge pass found (empty report for the memory
     /// backend and clean files).
-    pub fn recovery_report(&self) -> &RecoveryReport {
+    pub(crate) fn recovery_report(&self) -> &RecoveryReport {
         &self.recovery
     }
 
@@ -295,7 +289,7 @@ impl DiskManager {
     /// so experiments can report syncs-per-token. Draws a
     /// [`FaultPlan::decide_sync`] decision: a sync can be the crash point
     /// or fail transiently.
-    pub fn sync(&self) -> Result<()> {
+    pub(crate) fn sync(&self) -> Result<()> {
         self.frozen_check()?;
         match self.plan.as_ref().and_then(|p| p.decide_sync()) {
             None => {}
@@ -318,7 +312,7 @@ impl DiskManager {
     }
 
     /// Allocate a fresh zero-filled page at the end of the store.
-    pub fn allocate(&self) -> Result<PageId> {
+    pub(crate) fn allocate(&self) -> Result<PageId> {
         self.frozen_check()?;
         let mut n = self.num_pages.lock();
         let pid = PageId(*n);
@@ -372,7 +366,7 @@ impl DiskManager {
 
     /// Write `buf` to page `pid`, in place (the WAL holds the covering redo
     /// record, so a torn write is recoverable by replay).
-    pub fn write_page(&self, pid: PageId, buf: &[u8; PAGE_SIZE]) -> Result<()> {
+    pub(crate) fn write_page(&self, pid: PageId, buf: &[u8; PAGE_SIZE]) -> Result<()> {
         self.check_bounds(pid)?;
         self.frozen_check()?;
         self.stats.page_writes.bump();
@@ -491,14 +485,14 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let p;
         {
-            let dm = DiskManager::open_file(&path).unwrap();
+            let dm = DiskManager::open_file_with(&path, None).unwrap();
             p = dm.allocate().unwrap();
             let mut buf = [0u8; PAGE_SIZE];
             buf[7] = 77;
             dm.write_page(p, &buf).unwrap();
         }
         {
-            let dm = DiskManager::open_file(&path).unwrap();
+            let dm = DiskManager::open_file_with(&path, None).unwrap();
             assert_eq!(dm.num_pages(), 2);
             assert!(!dm.recovery_report().recovered(), "clean reopen");
             let mut buf = [0u8; PAGE_SIZE];
@@ -513,7 +507,7 @@ mod tests {
         let path = tmp("magic");
         let _ = std::fs::remove_file(&path);
         {
-            let dm = DiskManager::open_file(&path).unwrap();
+            let dm = DiskManager::open_file_with(&path, None).unwrap();
             dm.allocate().unwrap();
         }
         let mut f = std::fs::File::open(&path).unwrap();
@@ -529,7 +523,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let p;
         {
-            let dm = DiskManager::open_file(&path).unwrap();
+            let dm = DiskManager::open_file_with(&path, None).unwrap();
             p = dm.allocate().unwrap();
             for i in 0..9u8 {
                 let mut buf = [0u8; PAGE_SIZE];
@@ -538,7 +532,7 @@ mod tests {
             }
         }
         {
-            let dm = DiskManager::open_file(&path).unwrap();
+            let dm = DiskManager::open_file_with(&path, None).unwrap();
             let mut buf = [0u8; PAGE_SIZE];
             dm.read_page(p, &mut buf).unwrap();
             assert_eq!(buf[0], 8, "in-place write keeps the newest version");
@@ -688,7 +682,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let p;
         {
-            let dm = DiskManager::open_file(&path).unwrap();
+            let dm = DiskManager::open_file_with(&path, None).unwrap();
             p = dm.allocate().unwrap();
             let mut buf = [0u8; PAGE_SIZE];
             buf[0] = 0xEE;
@@ -701,7 +695,7 @@ mod tests {
             f.write_all(&[0xFF; 8]).unwrap();
         }
         {
-            let dm = DiskManager::open_file(&path).unwrap();
+            let dm = DiskManager::open_file_with(&path, None).unwrap();
             let report = dm.recovery_report();
             assert!(report.recovered());
             assert_eq!(report.quarantined, vec![p]);
@@ -728,7 +722,9 @@ mod tests {
         for (tag, bytes) in cases {
             let path = tmp(&format!("refuse_{tag}"));
             std::fs::write(&path, bytes).unwrap();
-            let err = DiskManager::open_file(&path).err().expect("refused");
+            let err = DiskManager::open_file_with(&path, None)
+                .err()
+                .expect("refused");
             assert_eq!(err.kind(), "unsupported", "{tag}: {err}");
             assert!(err.to_string().contains("TMANPG2"), "{tag}: {err}");
             assert!(err.to_string().contains("dual-slot"), "{tag}: {err}");

@@ -39,7 +39,7 @@ use tman_sync::Mutex;
 
 /// Which failure a write decision produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
+pub(crate) enum FaultKind {
     /// Prefix written, error returned.
     TornWrite,
     /// Most of the slot written, error returned.
@@ -54,12 +54,12 @@ pub enum FaultKind {
 
 /// The action the disk manager must take for one `write_page` call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WriteFault {
+pub(crate) struct WriteFault {
     /// Fault category.
-    pub kind: FaultKind,
+    pub(crate) kind: FaultKind,
     /// Bytes of the physical slot to actually write before failing
     /// (ignored for [`FaultKind::DroppedSync`] / [`FaultKind::TransientError`]).
-    pub tear_at: usize,
+    pub(crate) tear_at: usize,
 }
 
 /// Seeded fault schedule. Per-mille rates are per armed `write_page` call.
@@ -148,46 +148,15 @@ impl FaultPlan {
         self.inner.crashed.store(false, Ordering::SeqCst);
     }
 
-    /// Armed writes observed so far.
-    pub fn writes_seen(&self) -> u64 {
-        self.inner.writes_seen.load(Ordering::SeqCst)
-    }
-
-    /// Faults injected so far, by kind.
-    pub fn count(&self, kind: FaultKind) -> u64 {
-        let c = match kind {
-            FaultKind::TornWrite => &self.inner.torn,
-            FaultKind::ShortWrite => &self.inner.short,
-            FaultKind::DroppedSync => &self.inner.dropped,
-            FaultKind::TransientError => &self.inner.transient,
-            FaultKind::Crash => &self.inner.crashes,
-        };
-        c.load(Ordering::SeqCst)
-    }
-
-    /// Total faults injected so far.
-    pub fn injected_total(&self) -> u64 {
-        [
-            FaultKind::TornWrite,
-            FaultKind::ShortWrite,
-            FaultKind::DroppedSync,
-            FaultKind::TransientError,
-            FaultKind::Crash,
-        ]
-        .iter()
-        .map(|&k| self.count(k))
-        .sum()
-    }
-
     /// True while the disk is frozen by a crash point.
-    pub fn frozen(&self) -> bool {
+    pub(crate) fn frozen(&self) -> bool {
         self.crashed()
     }
 
     /// Decide the fate of one `write_page` call over a physical slot of
     /// `phys_len` bytes. Must be called under the disk manager's file lock
     /// so the RNG stream (and therefore the schedule) is deterministic.
-    pub fn decide_write(&self, phys_len: usize) -> Option<WriteFault> {
+    pub(crate) fn decide_write(&self, phys_len: usize) -> Option<WriteFault> {
         if !self.is_armed() || self.crashed() {
             return None;
         }
@@ -251,7 +220,7 @@ impl FaultPlan {
     /// crash can land *between* an append and the fsync that would have
     /// made it durable — and can fail transiently (retry succeeds). Torn,
     /// short, and dropped faults carry no data here and never fire.
-    pub fn decide_sync(&self) -> Option<FaultKind> {
+    pub(crate) fn decide_sync(&self) -> Option<FaultKind> {
         if !self.is_armed() || self.crashed() {
             return None;
         }
@@ -276,6 +245,39 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FaultPlan {
+        /// Armed writes observed so far.
+        fn writes_seen(&self) -> u64 {
+            self.inner.writes_seen.load(Ordering::SeqCst)
+        }
+
+        /// Faults injected so far, by kind.
+        fn count(&self, kind: FaultKind) -> u64 {
+            let c = match kind {
+                FaultKind::TornWrite => &self.inner.torn,
+                FaultKind::ShortWrite => &self.inner.short,
+                FaultKind::DroppedSync => &self.inner.dropped,
+                FaultKind::TransientError => &self.inner.transient,
+                FaultKind::Crash => &self.inner.crashes,
+            };
+            c.load(Ordering::SeqCst)
+        }
+
+        /// Total faults injected so far.
+        fn injected_total(&self) -> u64 {
+            [
+                FaultKind::TornWrite,
+                FaultKind::ShortWrite,
+                FaultKind::DroppedSync,
+                FaultKind::TransientError,
+                FaultKind::Crash,
+            ]
+            .iter()
+            .map(|&k| self.count(k))
+            .sum()
+        }
+    }
 
     fn drain(plan: &FaultPlan, n: usize) -> Vec<Option<WriteFault>> {
         (0..n).map(|_| plan.decide_write(4112)).collect()

@@ -17,9 +17,9 @@ use tman_common::{Result, TmanError};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RecordId {
     /// Data page holding the record (or its overflow stub).
-    pub page: PageId,
+    pub(crate) page: PageId,
     /// Slot within the page.
-    pub slot: u16,
+    pub(crate) slot: u16,
 }
 
 impl RecordId {
@@ -78,7 +78,7 @@ impl HeapFile {
     }
 
     /// Open an existing heap by its meta page.
-    pub fn open(pool: Arc<BufferPool>, meta: PageId) -> Result<HeapFile> {
+    pub(crate) fn open(pool: Arc<BufferPool>, meta: PageId) -> Result<HeapFile> {
         let g = pool.fetch(meta)?;
         if &g.read()[0..4] != MAGIC {
             return Err(TmanError::Storage(format!(
@@ -91,7 +91,7 @@ impl HeapFile {
     }
 
     /// The meta page id (stable identity for the directory).
-    pub fn meta_page(&self) -> PageId {
+    pub(crate) fn meta_page(&self) -> PageId {
         self.meta
     }
 
@@ -99,7 +99,7 @@ impl HeapFile {
     /// meta in place pointing at a fresh empty data page. Previous rows are
     /// unreachable without the meta; callers repopulate from their source
     /// of truth.
-    pub fn reformat(pool: Arc<BufferPool>, meta: PageId) -> Result<HeapFile> {
+    pub(crate) fn reformat(pool: Arc<BufferPool>, meta: PageId) -> Result<HeapFile> {
         let (first_pid, first) = pool.allocate()?;
         SlottedPage::init(&mut first.write());
         let g = pool.fetch(meta)?;
@@ -118,7 +118,7 @@ impl HeapFile {
     /// out of bounds, re-find the true tail, and clear dangling free-space
     /// hints. Bounded by a visited set so a damaged chain cannot loop.
     /// Returns `true` when anything was fixed.
-    pub fn repair(&self) -> Result<bool> {
+    pub(crate) fn repair(&self) -> Result<bool> {
         let (first, last, free_hint) = self.read_meta()?;
         let num_pages = self.pool.disk().num_pages();
         let mut changed = false;
@@ -371,32 +371,34 @@ impl HeapFile {
         }
         Ok(())
     }
-
-    /// Materialize all records (tests / small tables).
-    pub fn scan_all(&self) -> Result<Vec<(RecordId, Vec<u8>)>> {
-        let mut out = Vec::new();
-        self.scan(|rid, rec| {
-            out.push((rid, rec.to_vec()));
-            Ok(true)
-        })?;
-        Ok(out)
-    }
-
-    /// Number of live records (full scan).
-    pub fn count(&self) -> Result<usize> {
-        let mut n = 0;
-        self.scan(|_, _| {
-            n += 1;
-            Ok(true)
-        })?;
-        Ok(n)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::disk::DiskManager;
+
+    impl HeapFile {
+        /// Materialize all records (tests / small tables).
+        fn scan_all(&self) -> Result<Vec<(RecordId, Vec<u8>)>> {
+            let mut out = Vec::new();
+            self.scan(|rid, rec| {
+                out.push((rid, rec.to_vec()));
+                Ok(true)
+            })?;
+            Ok(out)
+        }
+
+        /// Number of live records (full scan).
+        fn count(&self) -> Result<usize> {
+            let mut n = 0;
+            self.scan(|_, _| {
+                n += 1;
+                Ok(true)
+            })?;
+            Ok(n)
+        }
+    }
 
     fn heap() -> HeapFile {
         let pool = Arc::new(BufferPool::new(Arc::new(DiskManager::open_memory()), 64));

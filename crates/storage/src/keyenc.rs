@@ -20,14 +20,14 @@
 //! * No encoding is a proper prefix of another, so composite keys may be
 //!   concatenated and still compare correctly.
 
-use tman_common::{Result, TmanError, Value};
+use tman_common::Value;
 
 const TAG_NULL: u8 = 0x01;
 const TAG_NUM: u8 = 0x02;
 const TAG_STR: u8 = 0x03;
 
 /// Encode one value, appending to `out`.
-pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
+fn encode_value(v: &Value, out: &mut Vec<u8>) {
     match v {
         Value::Null => out.push(TAG_NULL),
         Value::Int(i) => encode_num(*i as f64, out),
@@ -68,69 +68,6 @@ pub fn encode_key(values: &[Value]) -> Vec<u8> {
     out
 }
 
-/// Decode a composite key (inverse of [`encode_key`]; numerics come back as
-/// `Float` since ints and floats share an encoding).
-pub fn decode_key(buf: &[u8]) -> Result<Vec<Value>> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < buf.len() {
-        match buf[i] {
-            TAG_NULL => {
-                out.push(Value::Null);
-                i += 1;
-            }
-            TAG_NUM => {
-                if i + 9 > buf.len() {
-                    return Err(TmanError::Storage("truncated numeric key".into()));
-                }
-                let ordered = u64::from_be_bytes(buf[i + 1..i + 9].try_into().unwrap());
-                let bits = if ordered & (1 << 63) != 0 {
-                    ordered ^ (1 << 63)
-                } else {
-                    !ordered
-                };
-                out.push(Value::Float(f64::from_bits(bits)));
-                i += 9;
-            }
-            TAG_STR => {
-                i += 1;
-                let mut s = Vec::new();
-                loop {
-                    if i >= buf.len() {
-                        return Err(TmanError::Storage("unterminated string key".into()));
-                    }
-                    if buf[i] == 0x00 {
-                        if i + 1 >= buf.len() {
-                            return Err(TmanError::Storage("truncated string escape".into()));
-                        }
-                        match buf[i + 1] {
-                            0x00 => {
-                                i += 2;
-                                break;
-                            }
-                            0x01 => {
-                                s.push(0x00);
-                                i += 2;
-                            }
-                            b => {
-                                return Err(TmanError::Storage(format!("bad string escape {b:#x}")))
-                            }
-                        }
-                    } else {
-                        s.push(buf[i]);
-                        i += 1;
-                    }
-                }
-                out.push(Value::Str(String::from_utf8(s).map_err(|e| {
-                    TmanError::Storage(format!("invalid utf8 in key: {e}"))
-                })?));
-            }
-            t => return Err(TmanError::Storage(format!("unknown key tag {t:#x}"))),
-        }
-    }
-    Ok(out)
-}
-
 /// Upper bound for a prefix scan: every key starting with `prefix` compares
 /// `< prefix ++ [0xFF]` because all tag bytes are `< 0xFF`.
 pub fn prefix_upper_bound(prefix: &[u8]) -> Vec<u8> {
@@ -144,6 +81,72 @@ mod tests {
     use super::*;
     use std::cmp::Ordering;
     use tman_check::prelude::*;
+    use tman_common::{Result, TmanError};
+
+    /// Decode a composite key (inverse of [`encode_key`]; numerics come back as
+    /// `Float` since ints and floats share an encoding).
+    fn decode_key(buf: &[u8]) -> Result<Vec<Value>> {
+        let mut out = Vec::new();
+        let mut i = 0;
+        while i < buf.len() {
+            match buf[i] {
+                TAG_NULL => {
+                    out.push(Value::Null);
+                    i += 1;
+                }
+                TAG_NUM => {
+                    if i + 9 > buf.len() {
+                        return Err(TmanError::Storage("truncated numeric key".into()));
+                    }
+                    let ordered = u64::from_be_bytes(buf[i + 1..i + 9].try_into().unwrap());
+                    let bits = if ordered & (1 << 63) != 0 {
+                        ordered ^ (1 << 63)
+                    } else {
+                        !ordered
+                    };
+                    out.push(Value::Float(f64::from_bits(bits)));
+                    i += 9;
+                }
+                TAG_STR => {
+                    i += 1;
+                    let mut s = Vec::new();
+                    loop {
+                        if i >= buf.len() {
+                            return Err(TmanError::Storage("unterminated string key".into()));
+                        }
+                        if buf[i] == 0x00 {
+                            if i + 1 >= buf.len() {
+                                return Err(TmanError::Storage("truncated string escape".into()));
+                            }
+                            match buf[i + 1] {
+                                0x00 => {
+                                    i += 2;
+                                    break;
+                                }
+                                0x01 => {
+                                    s.push(0x00);
+                                    i += 2;
+                                }
+                                b => {
+                                    return Err(TmanError::Storage(format!(
+                                        "bad string escape {b:#x}"
+                                    )))
+                                }
+                            }
+                        } else {
+                            s.push(buf[i]);
+                            i += 1;
+                        }
+                    }
+                    out.push(Value::Str(String::from_utf8(s).map_err(|e| {
+                        TmanError::Storage(format!("invalid utf8 in key: {e}"))
+                    })?));
+                }
+                t => return Err(TmanError::Storage(format!("unknown key tag {t:#x}"))),
+            }
+        }
+        Ok(out)
+    }
 
     fn cmp_vals(a: &[Value], b: &[Value]) -> Ordering {
         for (x, y) in a.iter().zip(b.iter()) {

@@ -4,41 +4,45 @@
 //! in Informix. This crate is the from-scratch replacement: a page-based
 //! storage engine with
 //!
-//! * a [`disk::DiskManager`] (file-backed or in-memory) with I/O accounting,
-//! * fixed 4 KiB [`page`]s with a slotted-record layout,
-//! * a [`buffer::BufferPool`] with pin/unpin and LRU eviction — the model
+//! * a [`DiskManager`] (file-backed or in-memory) with I/O accounting,
+//! * fixed 4 KiB pages with a slotted-record layout,
+//! * a [`BufferPool`] with pin/unpin and LRU eviction — the model
 //!   for the paper's *trigger cache* ("analogous to the pin operation in a
 //!   traditional buffer pool", §5.4),
-//! * [`heap::HeapFile`]s for table rows,
-//! * a [`btree::BTree`] over memcmp-comparable encoded keys ([`keyenc`]) —
+//! * [`HeapFile`]s for table rows,
+//! * a [`BTree`] over memcmp-comparable encoded keys ([`encode_key`]) —
 //!   the "clustered index on \[const1, ... constK\]" of §5.1,
-//! * [`seqlog::SeqLog`]s — append-only records addressed by sequence number
+//! * [`SeqLog`]s — append-only records addressed by sequence number
 //!   (the update-descriptor queue of §3),
-//! * a persistent object [`dir::Directory`] mapping names to roots.
+//! * a persistent object [`Directory`] mapping names to roots,
+//! * a write-ahead [`Wal`] under every file-backed store.
 //!
 //! Everything above this crate (SQL executor, catalogs, constant tables)
 //! talks only to these abstractions, so the disk-vs-memory tradeoffs the
 //! paper discusses (§5.2) are measurable via [`tman_common::stats`].
 
-pub mod btree;
-pub mod buffer;
-pub mod dir;
-pub mod disk;
-pub mod fault;
-pub mod heap;
-pub mod keyenc;
-pub mod page;
-pub mod seqlog;
-pub mod wal;
+mod btree;
+mod buffer;
+mod dir;
+mod disk;
+mod fault;
+mod heap;
+mod keyenc;
+mod page;
+mod seqlog;
+mod wal;
 
 pub use btree::BTree;
 pub use buffer::{BufferPool, PageGuard};
-pub use dir::{Directory, ObjectKind};
-pub use disk::{DiskManager, PageId, RecoveryReport, PAGE_SIZE};
-pub use fault::{FaultConfig, FaultKind, FaultPlan};
+pub use dir::Directory;
+pub use disk::{DiskManager, PageId, PAGE_SIZE};
+pub use fault::{FaultConfig, FaultPlan};
 pub use heap::{HeapFile, RecordId};
+pub use keyenc::{encode_key, prefix_upper_bound};
 pub use seqlog::SeqLog;
-pub use wal::{Snapshot, Wal, WalConfig};
+pub use wal::{Wal, WalConfig};
+
+use dir::ObjectKind;
 
 use std::path::Path;
 use std::sync::Arc;
@@ -106,12 +110,6 @@ impl Storage {
     /// to decide whether to rebuild derived structures such as SQL indexes.
     pub fn was_recovered(&self) -> bool {
         self.pool.disk().recovery_report().recovered() || self.wal_replayed > 0
-    }
-
-    /// Committed WAL records replayed into the page file at open (0 after
-    /// a clean shutdown, whose checkpoint leaves the log empty).
-    pub fn wal_replayed(&self) -> u64 {
-        self.wal_replayed
     }
 
     /// Revalidate every object reachable from the directory after a crash:
@@ -240,15 +238,6 @@ impl Storage {
             }
         }
     }
-
-    /// A consistent read view pinned at the current sealed commit seq;
-    /// requires a WAL-backed (file) store. See [`wal::Snapshot`].
-    pub fn snapshot(&self) -> Result<Snapshot> {
-        let wal = self.pool.wal().ok_or_else(|| {
-            tman_common::TmanError::Storage("snapshot reads require a WAL-backed store".into())
-        })?;
-        Ok(wal.snapshot(self.pool.disk().clone()))
-    }
 }
 
 #[cfg(test)]
@@ -314,7 +303,7 @@ mod tests {
         {
             let s = Storage::open_file(&path, 16).unwrap();
             assert!(s.was_recovered(), "replay counts as recovery");
-            assert!(s.wal_replayed() > 0);
+            assert!(s.wal_replayed > 0);
             let h = s.open_heap("q").unwrap();
             assert_eq!(h.get(rid).unwrap(), b"committed".to_vec());
             // Replay reset the log; a third open is clean.
@@ -322,7 +311,7 @@ mod tests {
         {
             let s = Storage::open_file(&path, 16).unwrap();
             assert!(!s.was_recovered());
-            assert_eq!(s.wal_replayed(), 0);
+            assert_eq!(s.wal_replayed, 0);
         }
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&wal_path);
@@ -356,11 +345,5 @@ mod tests {
         }
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&wal_path);
-    }
-
-    #[test]
-    fn snapshot_requires_wal_backed_store() {
-        let s = Storage::open_memory(16);
-        assert!(s.snapshot().is_err());
     }
 }

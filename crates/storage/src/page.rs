@@ -23,26 +23,26 @@ const SLOT: usize = 4;
 const TOMBSTONE: u16 = u16::MAX;
 
 /// Largest record a page can hold (one slot, empty page).
-pub const MAX_RECORD: usize = PAGE_SIZE - HDR - SLOT;
+pub(crate) const MAX_RECORD: usize = PAGE_SIZE - HDR - SLOT;
 
 /// Read-only slotted-page view over a raw page buffer.
-pub struct SlottedPageRef<'a> {
+pub(crate) struct SlottedPageRef<'a> {
     buf: &'a [u8; PAGE_SIZE],
 }
 
 impl<'a> SlottedPageRef<'a> {
     /// Wrap an existing, already-initialized page for reading.
-    pub fn new(buf: &'a [u8; PAGE_SIZE]) -> SlottedPageRef<'a> {
+    pub(crate) fn new(buf: &'a [u8; PAGE_SIZE]) -> SlottedPageRef<'a> {
         SlottedPageRef { buf }
     }
 
     /// Page-chain link.
-    pub fn next_page(&self) -> PageId {
+    pub(crate) fn next_page(&self) -> PageId {
         PageId(u32::from_le_bytes(self.buf[0..4].try_into().unwrap()))
     }
 
     /// Number of slot-array entries (live + tombstoned).
-    pub fn slot_count(&self) -> u16 {
+    pub(crate) fn slot_count(&self) -> u16 {
         u16::from_le_bytes(self.buf[4..6].try_into().unwrap())
     }
 
@@ -55,7 +55,7 @@ impl<'a> SlottedPageRef<'a> {
     }
 
     /// Record bytes at `slot`, or `None` if deleted / out of range.
-    pub fn get(&self, slot: u16) -> Option<&'a [u8]> {
+    pub(crate) fn get(&self, slot: u16) -> Option<&'a [u8]> {
         if slot >= self.slot_count() {
             return None;
         }
@@ -67,25 +67,25 @@ impl<'a> SlottedPageRef<'a> {
     }
 
     /// Iterate live `(slot, record)` pairs.
-    pub fn records(&self) -> impl Iterator<Item = (u16, &'a [u8])> + '_ {
+    pub(crate) fn records(&self) -> impl Iterator<Item = (u16, &'a [u8])> + '_ {
         let me = SlottedPageRef { buf: self.buf };
         (0..self.slot_count()).filter_map(move |i| me.get(i).map(|r| (i, r)))
     }
 }
 
 /// Mutable slotted-page view over a raw page buffer.
-pub struct SlottedPage<'a> {
+pub(crate) struct SlottedPage<'a> {
     buf: &'a mut [u8; PAGE_SIZE],
 }
 
 impl<'a> SlottedPage<'a> {
     /// Wrap an existing, already-initialized page.
-    pub fn new(buf: &'a mut [u8; PAGE_SIZE]) -> SlottedPage<'a> {
+    pub(crate) fn new(buf: &'a mut [u8; PAGE_SIZE]) -> SlottedPage<'a> {
         SlottedPage { buf }
     }
 
     /// Wrap and format a fresh page (zero slots, empty record area).
-    pub fn init(buf: &'a mut [u8; PAGE_SIZE]) -> SlottedPage<'a> {
+    pub(crate) fn init(buf: &'a mut [u8; PAGE_SIZE]) -> SlottedPage<'a> {
         buf[0..4].copy_from_slice(&0u32.to_le_bytes());
         buf[4..6].copy_from_slice(&0u16.to_le_bytes());
         buf[6..8].copy_from_slice(&(PAGE_SIZE as u16).to_le_bytes());
@@ -93,17 +93,17 @@ impl<'a> SlottedPage<'a> {
     }
 
     /// Page-chain link.
-    pub fn next_page(&self) -> PageId {
+    pub(crate) fn next_page(&self) -> PageId {
         PageId(u32::from_le_bytes(self.buf[0..4].try_into().unwrap()))
     }
 
     /// Set the page-chain link.
-    pub fn set_next_page(&mut self, pid: PageId) {
+    pub(crate) fn set_next_page(&mut self, pid: PageId) {
         self.buf[0..4].copy_from_slice(&pid.0.to_le_bytes());
     }
 
     /// Number of slot-array entries (live + tombstoned).
-    pub fn slot_count(&self) -> u16 {
+    pub(crate) fn slot_count(&self) -> u16 {
         u16::from_le_bytes(self.buf[4..6].try_into().unwrap())
     }
 
@@ -134,12 +134,12 @@ impl<'a> SlottedPage<'a> {
     }
 
     /// Bytes of contiguous free space (between slot array and record area).
-    pub fn contiguous_free(&self) -> usize {
+    pub(crate) fn contiguous_free(&self) -> usize {
         self.free_end() - (HDR + self.slot_count() as usize * SLOT)
     }
 
     /// Total reclaimable free space, counting holes left by deletions.
-    pub fn total_free(&self) -> usize {
+    pub(crate) fn total_free(&self) -> usize {
         let live: usize = (0..self.slot_count())
             .filter_map(|i| {
                 let (o, l) = self.slot(i);
@@ -150,7 +150,7 @@ impl<'a> SlottedPage<'a> {
     }
 
     /// Does `len` bytes fit (possibly after compaction / slot reuse)?
-    pub fn fits(&self, len: usize) -> bool {
+    pub(crate) fn fits(&self, len: usize) -> bool {
         let slot_cost = if self.has_free_slot() { 0 } else { SLOT };
         self.total_free() >= len + slot_cost
     }
@@ -160,7 +160,7 @@ impl<'a> SlottedPage<'a> {
     }
 
     /// Insert a record, returning its slot, or `None` if it cannot fit.
-    pub fn insert(&mut self, rec: &[u8]) -> Option<u16> {
+    pub(crate) fn insert(&mut self, rec: &[u8]) -> Option<u16> {
         if rec.len() > MAX_RECORD || !self.fits(rec.len()) {
             return None;
         }
@@ -187,7 +187,7 @@ impl<'a> SlottedPage<'a> {
     }
 
     /// Record bytes at `slot`, or `None` if deleted / out of range.
-    pub fn get(&self, slot: u16) -> Option<&[u8]> {
+    pub(crate) fn get(&self, slot: u16) -> Option<&[u8]> {
         if slot >= self.slot_count() {
             return None;
         }
@@ -199,7 +199,7 @@ impl<'a> SlottedPage<'a> {
     }
 
     /// Tombstone a record. Returns false if it was already dead.
-    pub fn delete(&mut self, slot: u16) -> bool {
+    pub(crate) fn delete(&mut self, slot: u16) -> bool {
         if slot >= self.slot_count() || self.slot(slot).0 == TOMBSTONE {
             return false;
         }
@@ -209,7 +209,7 @@ impl<'a> SlottedPage<'a> {
 
     /// Replace the record in `slot`. Succeeds if the new bytes fit in the
     /// page (possibly after compaction); the slot number is preserved.
-    pub fn update(&mut self, slot: u16, rec: &[u8]) -> bool {
+    pub(crate) fn update(&mut self, slot: u16, rec: &[u8]) -> bool {
         if slot >= self.slot_count() || rec.len() > MAX_RECORD {
             return false;
         }
@@ -241,14 +241,9 @@ impl<'a> SlottedPage<'a> {
         true
     }
 
-    /// Iterate live `(slot, record)` pairs.
-    pub fn records(&self) -> impl Iterator<Item = (u16, &[u8])> + '_ {
-        (0..self.slot_count()).filter_map(move |i| self.get(i).map(|r| (i, r)))
-    }
-
     /// Rewrite the record area to squeeze out holes. Slot numbers are
     /// preserved (only offsets change).
-    pub fn compact(&mut self) {
+    pub(crate) fn compact(&mut self) {
         let mut live: Vec<(u16, Vec<u8>)> = (0..self.slot_count())
             .filter_map(|i| self.get(i).map(|r| (i, r.to_vec())))
             .collect();
@@ -283,7 +278,10 @@ mod tests {
         assert!(p.delete(a));
         assert!(p.get(a).is_none());
         assert!(!p.delete(a)); // double delete
-        assert_eq!(p.records().count(), 1);
+        assert_eq!(
+            (0..p.slot_count()).filter(|&i| p.get(i).is_some()).count(),
+            1
+        );
     }
 
     #[test]

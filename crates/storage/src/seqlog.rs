@@ -198,8 +198,8 @@ impl State {
     }
 }
 
-/// An append-only record log addressed by sequence number. See the
-/// [module documentation](self).
+/// An append-only record log addressed by sequence number. Its page
+/// layout and crash rules are the `seqlog` module's documentation.
 pub struct SeqLog {
     pool: Arc<BufferPool>,
     meta: PageId,
@@ -208,7 +208,7 @@ pub struct SeqLog {
 
 impl SeqLog {
     /// Create an empty log: a meta page and one empty record page.
-    pub fn create(pool: Arc<BufferPool>) -> Result<SeqLog> {
+    pub(crate) fn create(pool: Arc<BufferPool>) -> Result<SeqLog> {
         let (meta_pid, meta) = pool.allocate()?;
         let (first_pid, first) = pool.allocate()?;
         init_page(&mut first.write(), false, 1, 0, &[]);

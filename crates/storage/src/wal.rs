@@ -1,5 +1,5 @@
-//! Write-ahead log: redo records, group commit, recovery replay,
-//! checkpoints, and snapshot reads.
+//! Write-ahead log: redo records, group commit, recovery replay and
+//! checkpoints.
 //!
 //! # Why a log
 //!
@@ -77,20 +77,16 @@
 //! delta runs (`count u16`, then `off u16 ‖ len u16 ‖ bytes` per run)
 //! against the previous record's resulting image.
 //!
-//! # Snapshot reads
+//! # One image per page
 //!
-//! The in-memory page-version history that backs replay doubles as an
-//! MVCC-ish read path: a [`Snapshot`] pins the current sealed commit seq
-//! and reads the newest sealed version at-or-below it, falling back to the
-//! page file (which only ever holds checkpointed, i.e. older, data — the
-//! checkpoint stashes a pre-image when an active snapshot still needs
-//! one). Pending frames are invisible, so a reader opened mid-group-commit
-//! never observes a torn multi-page update, and never blocks behind the
-//! committers' fsync.
+//! The log's in-memory index keeps one image per page: the newest append,
+//! pending or sealed. A pool miss reads it ([`Wal::latest_image`]) and a
+//! checkpoint writes it back; nothing reads an older version, so none is
+//! kept.
 
 use crate::disk::{DiskManager, PageId, PAGE_SIZE};
 use crate::fault::{FaultKind, FaultPlan};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -113,9 +109,6 @@ const K_COMMIT: u8 = 3;
 
 /// Frame body overhead: kind + pid + seq.
 const BODY_HEADER: usize = 13;
-
-/// Seq tag for frames appended but not yet sealed by a commit.
-const PENDING: u64 = u64::MAX;
 
 /// Largest legal frame body; anything bigger terminates the scan.
 const MAX_BODY: usize = BODY_HEADER + PAGE_SIZE;
@@ -147,11 +140,10 @@ struct WalCore {
     /// The header on disk may not carry `salt` yet: a reset's header write
     /// failed, so it is written again before the next frame.
     header_pending: bool,
-    /// Per-page version history, oldest first. Sealed entries carry their
-    /// commit seq; at most one trailing [`PENDING`] entry per page.
-    index: FxHashMap<u32, Vec<(u64, PageImage)>>,
-    /// Pages with a pending entry awaiting the next commit frame.
-    pending: Vec<u32>,
+    /// Each logged page's newest image, pending or sealed.
+    index: FxHashMap<u32, PageImage>,
+    /// Some append awaits the next commit frame.
+    pending: bool,
     next_seq: u64,
     /// Highest commit seq sealed (commit frame written).
     sealed_seq: u64,
@@ -176,8 +168,6 @@ pub struct Wal {
     sync_cond: Condvar,
     /// Cloned handle so fsync never contends with appends on the core lock.
     sync_file: File,
-    /// Active snapshot seqs → refcount; checkpoint pruning consults this.
-    snaps: Mutex<BTreeMap<u64, usize>>,
     /// Committed images scanned at open and the number of records behind
     /// them, consumed by [`replay_into`](Self::replay_into); `None` from
     /// the start when the scan found no commit frame.
@@ -407,7 +397,7 @@ impl Wal {
                 salt,
                 header_pending: false,
                 index: FxHashMap::default(),
-                pending: Vec::new(),
+                pending: false,
                 next_seq: last_seq + 1,
                 sealed_seq: last_seq,
                 bytes: 0,
@@ -419,7 +409,6 @@ impl Wal {
             }),
             sync_cond: Condvar::new(),
             sync_file,
-            snaps: Mutex::new(BTreeMap::new()),
             recovered: Mutex::new((committed_upto > 0).then_some((images, records))),
             stats: WalStats::default(),
             plan,
@@ -437,13 +426,8 @@ impl Wal {
         self.core.lock().bytes
     }
 
-    /// Highest sealed commit seq.
-    pub fn sealed_seq(&self) -> u64 {
-        self.core.lock().sealed_seq
-    }
-
     /// True once the log has outgrown [`WalConfig::checkpoint_bytes`].
-    pub fn needs_checkpoint(&self) -> bool {
+    pub(crate) fn needs_checkpoint(&self) -> bool {
         let core = self.core.lock();
         core.bytes >= self.cfg.checkpoint_bytes
     }
@@ -545,16 +529,15 @@ impl Wal {
         Ok(written)
     }
 
-    /// Append a redo record for `pid`. The image also becomes the page's
-    /// newest (pending) version in the in-memory index, so pool misses and
-    /// later snapshots read it without touching the page file.
+    /// Append a redo record for `pid`. The image also replaces the page's
+    /// entry in the in-memory index, so a pool miss reads it without
+    /// touching the page file.
     pub fn append_page(&self, pid: PageId, data: &[u8; PAGE_SIZE]) -> Result<()> {
         let mut core = self.core.lock();
         let delta = if core.logged_this_gen.contains(&pid.0) {
             core.index
                 .get(&pid.0)
-                .and_then(|v| v.last())
-                .and_then(|(_, base)| diff_runs(base, data))
+                .and_then(|base| diff_runs(base, data))
         } else {
             None
         };
@@ -571,15 +554,8 @@ impl Wal {
             // for this page, so the next append must re-seed a full image.
             core.logged_this_gen.remove(&pid.0);
         }
-        let img: PageImage = Arc::new(*data);
-        let versions = core.index.entry(pid.0).or_default();
-        match versions.last_mut() {
-            Some(e) if e.0 == PENDING => e.1 = img,
-            _ => {
-                versions.push((PENDING, img));
-                core.pending.push(pid.0);
-            }
-        }
+        core.index.insert(pid.0, Arc::new(*data));
+        core.pending = true;
         Ok(())
     }
 
@@ -592,7 +568,7 @@ impl Wal {
     }
 
     fn commit_stage_locked(&self, core: &mut WalCore) -> Result<u64> {
-        if core.pending.is_empty() {
+        if !core.pending {
             return Ok(core.sealed_seq);
         }
         let seq = core.next_seq;
@@ -603,20 +579,7 @@ impl Wal {
         self.write_frame(core, &body)?;
         core.next_seq += 1;
         core.sealed_seq = seq;
-        let pending = std::mem::take(&mut core.pending);
-        let snaps = self.snaps.lock();
-        for pid in pending {
-            if let Some(versions) = core.index.get_mut(&pid) {
-                if let Some(last) = versions.last_mut() {
-                    if last.0 == PENDING {
-                        last.0 = seq;
-                    }
-                }
-                let keep = keep_mask(versions, &snaps, true);
-                let mut it = keep.into_iter();
-                versions.retain(|_| it.next().unwrap());
-            }
-        }
+        core.pending = false;
         Ok(seq)
     }
 
@@ -681,31 +644,8 @@ impl Wal {
 
     /// Newest logged image of `pid` (pending included), for pool misses:
     /// the log index is always at least as new as the page file.
-    pub fn latest_image(&self, pid: PageId) -> Option<PageImage> {
-        self.core
-            .lock()
-            .index
-            .get(&pid.0)
-            .and_then(|v| v.last())
-            .map(|(_, img)| img.clone())
-    }
-
-    /// Pin the current sealed seq for consistent reads. `disk` is the
-    /// page-file fallback for pages with no logged version.
-    pub fn snapshot(self: &Arc<Self>, disk: Arc<DiskManager>) -> Snapshot {
-        // Register under the core lock (core → snaps, the same order the
-        // commit and checkpoint pruners use): a commit sneaking between
-        // reading `sealed_seq` and registering could otherwise prune the
-        // very versions this snapshot pins.
-        let core = self.core.lock();
-        let seq = core.sealed_seq;
-        *self.snaps.lock().entry(seq).or_insert(0) += 1;
-        drop(core);
-        Snapshot {
-            wal: self.clone(),
-            disk,
-            seq,
-        }
+    pub(crate) fn latest_image(&self, pid: PageId) -> Option<PageImage> {
+        self.core.lock().index.get(&pid.0).cloned()
     }
 
     /// Start a new generation in place: a new salt in the header, appends
@@ -728,16 +668,16 @@ impl Wal {
     }
 
     /// Checkpoint: seal and fsync anything still pending, write each
-    /// page's newest sealed image into the page file (stashing pre-images
-    /// active snapshots still need), sync it, and reset the log. Holds
-    /// the core lock throughout, so no append can race the reset.
+    /// page's image into the page file, sync it, clear the index and reset
+    /// the log. Holds the core lock throughout, so no append can race the
+    /// reset.
     ///
     /// Page-file writes happen strictly after the covering log records are
     /// durable — the WAL invariant, enforced here and only here because
     /// this is the only place the pool's data reaches the page file.
     pub fn checkpoint_into(&self, disk: &DiskManager) -> Result<()> {
         let mut core = self.core.lock();
-        if core.bytes == 0 && core.pending.is_empty() && !core.header_pending {
+        if core.bytes == 0 && !core.pending && !core.header_pending {
             return Ok(()); // nothing since the last checkpoint
         }
         self.commit_stage_locked(&mut core)?;
@@ -757,59 +697,16 @@ impl Wal {
                 self.sync_cond.notify_all();
             }
         }
-        let snaps = self.snaps.lock();
         let mut pids: Vec<u32> = core.index.keys().copied().collect();
         pids.sort_unstable();
         for pid in pids {
-            let versions = core.index.get(&pid).expect("indexed page");
-            let Some((newest_seq, newest_img)) = versions
-                .iter()
-                .rev()
-                .find(|(s, _)| *s != PENDING)
-                .map(|(s, i)| (*s, i.clone()))
-            else {
-                continue;
-            };
-            // Decide retention and pre-image stashing *before* mutating,
-            // so an aborted write-back leaves the index intact.
-            let mut keep = keep_mask(versions, &snaps, false);
-            let oldest_kept = versions
-                .iter()
-                .zip(keep.iter())
-                .find(|(_, k)| **k)
-                .map(|((s, _), _)| *s);
-            let stash = match snaps.keys().next() {
-                Some(&min_s) if min_s < newest_seq && oldest_kept.is_none_or(|s| s > min_s) => {
-                    // Some snapshot predates every retained version: it
-                    // reads the page file, which this write-back is about
-                    // to overwrite. Capture the pre-image at seq 0 (below
-                    // every real commit seq) first.
-                    if pid < disk.num_pages() {
-                        let mut pre = Box::new([0u8; PAGE_SIZE]);
-                        disk.read_page(PageId(pid), &mut pre).ok().map(|_| pre)
-                    } else {
-                        None
-                    }
-                }
-                _ => None,
-            };
-            if stash.is_some() {
-                // A stash at seq 0 shadows the page-file fallback for
-                // *newer* pins too (read_page picks the newest indexed
-                // version ≤ pin), so the image this write-back puts in the
-                // page file must stay indexed alongside it — otherwise a
-                // snapshot pinned at `newest_seq` would match the stash and
-                // read the pre-image.
-                if let Some(ni) = versions.iter().rposition(|(s, _)| *s != PENDING) {
-                    keep[ni] = true;
-                }
-            }
             while disk.num_pages() <= pid {
                 disk.allocate()?;
             }
+            let img = &core.index[&pid];
             let mut last = None;
             for _ in 0..3 {
-                match disk.write_page(PageId(pid), &newest_img) {
+                match disk.write_page(PageId(pid), img) {
                     Ok(()) => {
                         last = None;
                         break;
@@ -820,103 +717,12 @@ impl Wal {
             if let Some(e) = last {
                 return Err(e); // abort: log untouched, index untouched
             }
-            let versions = core.index.get_mut(&pid).expect("indexed page");
-            let mut it = keep.into_iter();
-            versions.retain(|_| it.next().unwrap());
-            if let Some(pre) = stash {
-                versions.insert(0, (0, Arc::new(*pre)));
-            }
         }
-        drop(snaps);
-        core.index.retain(|_, v| !v.is_empty());
         disk.sync()?;
+        core.index.clear();
         self.reset_log(&mut core);
         self.stats.checkpoints.bump();
         Ok(())
-    }
-}
-
-/// Which versions of one page to retain. A sealed version is needed when
-/// some active snapshot sits between it and its successor; pending entries
-/// are always kept. `seal` mode keeps the newest sealed version
-/// unconditionally (the page file does not have it yet); checkpoint mode
-/// keeps it only when an older version is also retained — otherwise the
-/// just-written page file serves every newer reader, and dropping it is
-/// what lets the history shrink to nothing when no snapshots are active.
-fn keep_mask(versions: &[(u64, PageImage)], snaps: &BTreeMap<u64, usize>, seal: bool) -> Vec<bool> {
-    let n = versions.len();
-    let mut keep = vec![false; n];
-    let newest = (0..n).rev().find(|&i| versions[i].0 != PENDING);
-    for i in 0..n {
-        if versions[i].0 == PENDING {
-            keep[i] = true;
-            continue;
-        }
-        if Some(i) == newest {
-            continue;
-        }
-        let succ = versions[i + 1..]
-            .iter()
-            .map(|e| e.0)
-            .find(|&s| s != PENDING)
-            .unwrap_or(u64::MAX);
-        if snaps.range(versions[i].0..succ).next().is_some() {
-            keep[i] = true;
-        }
-    }
-    if let Some(ni) = newest {
-        // Without this, a *new* snapshot would read a retained older
-        // version as "newest ≤ seq" and miss the current page content.
-        keep[ni] = seal || keep.iter().take(ni).any(|&k| k);
-    }
-    keep
-}
-
-/// A consistent read view pinned at one sealed commit seq. Readers never
-/// see pending (uncommitted) frames and never block behind group commit.
-/// Dropping the snapshot releases its version pins.
-pub struct Snapshot {
-    wal: Arc<Wal>,
-    disk: Arc<DiskManager>,
-    seq: u64,
-}
-
-impl Snapshot {
-    /// The sealed commit seq this view is pinned at.
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// Read `pid` as of this snapshot: the newest sealed version at or
-    /// below the pinned seq, else the page file (which checkpoints keep
-    /// valid for us via pre-image stashing).
-    pub fn read_page(&self, pid: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<()> {
-        let core = self.wal.core.lock();
-        if let Some(versions) = core.index.get(&pid.0) {
-            if let Some((_, img)) = versions
-                .iter()
-                .rev()
-                .find(|(s, _)| *s != PENDING && *s <= self.seq)
-            {
-                buf.copy_from_slice(&img[..]);
-                return Ok(());
-            }
-        }
-        // Fallback under the core lock so a concurrent checkpoint cannot
-        // overwrite the page between the decision and the read.
-        self.disk.read_page(pid, buf)
-    }
-}
-
-impl Drop for Snapshot {
-    fn drop(&mut self) {
-        let mut snaps = self.wal.snaps.lock();
-        if let Some(c) = snaps.get_mut(&self.seq) {
-            *c -= 1;
-            if *c == 0 {
-                snaps.remove(&self.seq);
-            }
-        }
     }
 }
 
@@ -951,7 +757,7 @@ mod tests {
         let (wp, dp) = (tmp("replay"), db_tmp("replay"));
         let _ = std::fs::remove_file(&wp);
         let _ = std::fs::remove_file(&dp);
-        let disk = DiskManager::open_file(&dp).unwrap();
+        let disk = DiskManager::open_file_with(&dp, None).unwrap();
         let p1 = disk.allocate().unwrap();
         let p2 = disk.allocate().unwrap();
         {
@@ -987,7 +793,7 @@ mod tests {
         let (wp, dp) = (tmp("tail"), db_tmp("tail"));
         let _ = std::fs::remove_file(&wp);
         let _ = std::fs::remove_file(&dp);
-        let disk = DiskManager::open_file(&dp).unwrap();
+        let disk = DiskManager::open_file_with(&dp, None).unwrap();
         let p1 = disk.allocate().unwrap();
         let p2 = disk.allocate().unwrap();
         {
@@ -1013,7 +819,7 @@ mod tests {
         let (wp, dp) = (tmp("delta"), db_tmp("delta"));
         let _ = std::fs::remove_file(&wp);
         let _ = std::fs::remove_file(&dp);
-        let disk = DiskManager::open_file(&dp).unwrap();
+        let disk = DiskManager::open_file_with(&dp, None).unwrap();
         let p = disk.allocate().unwrap();
         let bytes_after_full;
         {
@@ -1050,7 +856,7 @@ mod tests {
         let (wp, dp) = (tmp("torn"), db_tmp("torn"));
         let _ = std::fs::remove_file(&wp);
         let _ = std::fs::remove_file(&dp);
-        let disk = DiskManager::open_file(&dp).unwrap();
+        let disk = DiskManager::open_file_with(&dp, None).unwrap();
         let p = disk.allocate().unwrap();
         let plan = FaultPlan::new(FaultConfig {
             seed: 7,
@@ -1080,12 +886,18 @@ mod tests {
         let (wp, dp) = (tmp("ckpt"), db_tmp("ckpt"));
         let _ = std::fs::remove_file(&wp);
         let _ = std::fs::remove_file(&dp);
-        let disk = DiskManager::open_file(&dp).unwrap();
+        let disk = DiskManager::open_file_with(&dp, None).unwrap();
         let p = disk.allocate().unwrap();
         let wal = open_wal(&wp, None);
-        wal.append_page(p, &page(0x88)).unwrap();
+        wal.append_page(p, &page(0x87)).unwrap();
         let seq = wal.commit_stage().unwrap();
         wal.make_durable(seq).unwrap();
+        // The index holds the newest append, pending included.
+        wal.append_page(p, &page(0x88)).unwrap();
+        assert_eq!(*wal.latest_image(p).unwrap(), page(0x88));
+        let seq = wal.commit_stage().unwrap();
+        wal.make_durable(seq).unwrap();
+        assert_eq!(*wal.latest_image(p).unwrap(), page(0x88));
         let len = std::fs::metadata(&wp).unwrap().len();
         let fsyncs = wal.stats().fsyncs.get();
         wal.checkpoint_into(&disk).unwrap();
@@ -1104,6 +916,10 @@ mod tests {
         let mut buf = [0u8; PAGE_SIZE];
         disk.read_page(p, &mut buf).unwrap();
         assert_eq!(buf, page(0x88), "checkpoint wrote the page back");
+        assert!(
+            wal.latest_image(p).is_none(),
+            "checkpoint cleared the index"
+        );
         // Nothing new: a second checkpoint is a no-op.
         wal.checkpoint_into(&disk).unwrap();
         assert_eq!(wal.stats().checkpoints.get(), 1);
@@ -1124,7 +940,7 @@ mod tests {
         let (wp, dp) = (tmp("hiwater"), db_tmp("hiwater"));
         let _ = std::fs::remove_file(&wp);
         let _ = std::fs::remove_file(&dp);
-        let disk = DiskManager::open_file(&dp).unwrap();
+        let disk = DiskManager::open_file_with(&dp, None).unwrap();
         let pids: Vec<PageId> = (0..4).map(|_| disk.allocate().unwrap()).collect();
         let wal = open_wal(&wp, None);
         let mut high_water = std::fs::metadata(&wp).unwrap().len();
@@ -1157,7 +973,7 @@ mod tests {
         let (wp, dp) = (tmp("gens"), db_tmp("gens"));
         let _ = std::fs::remove_file(&wp);
         let _ = std::fs::remove_file(&dp);
-        let disk = DiskManager::open_file(&dp).unwrap();
+        let disk = DiskManager::open_file_with(&dp, None).unwrap();
         let pids: Vec<PageId> = (0..10).map(|_| disk.allocate().unwrap()).collect();
         {
             let wal = open_wal(&wp, None);
@@ -1210,14 +1026,14 @@ mod tests {
             bytes.extend_from_slice(&prev.to_le_bytes());
         }
         std::fs::write(&wp, &bytes).unwrap();
-        let disk = DiskManager::open_file(&dp).unwrap();
+        let disk = DiskManager::open_file_with(&dp, None).unwrap();
         disk.allocate().unwrap();
         let wal = Wal::open(&wp, None, WalConfig::default()).unwrap();
         assert_eq!(wal.replay_into(&disk).unwrap(), 1);
         let mut buf = [0u8; PAGE_SIZE];
         disk.read_page(PageId(1), &mut buf).unwrap();
         assert_eq!(buf, page(0x5A));
-        assert_eq!(wal.sealed_seq(), 1);
+        assert_eq!(wal.core.lock().sealed_seq, 1);
         let _ = std::fs::remove_file(&wp);
         let _ = std::fs::remove_file(&dp);
     }
@@ -1229,7 +1045,7 @@ mod tests {
         let (wp, dp) = (tmp("quiet"), db_tmp("quiet"));
         let _ = std::fs::remove_file(&wp);
         let _ = std::fs::remove_file(&dp);
-        let disk = DiskManager::open_file(&dp).unwrap();
+        let disk = DiskManager::open_file_with(&dp, None).unwrap();
         let p = disk.allocate().unwrap();
         {
             let wal = open_wal(&wp, None);
@@ -1258,7 +1074,7 @@ mod tests {
             let (wp, dp) = (tmp(&tag), db_tmp(&tag));
             let _ = std::fs::remove_file(&wp);
             let _ = std::fs::remove_file(&dp);
-            let disk = DiskManager::open_file(&dp).unwrap();
+            let disk = DiskManager::open_file_with(&dp, None).unwrap();
             let (p, q) = (disk.allocate().unwrap(), disk.allocate().unwrap());
             let plan = FaultPlan::new(FaultConfig {
                 seed: 11,
@@ -1307,7 +1123,7 @@ mod tests {
         let (wp, dp) = (tmp("ckpt_pend"), db_tmp("ckpt_pend"));
         let _ = std::fs::remove_file(&wp);
         let _ = std::fs::remove_file(&dp);
-        let disk = DiskManager::open_file(&dp).unwrap();
+        let disk = DiskManager::open_file_with(&dp, None).unwrap();
         let p = disk.allocate().unwrap();
         let wal = open_wal(&wp, None);
         wal.append_page(p, &page(0x99)).unwrap(); // pending, no commit
@@ -1324,7 +1140,7 @@ mod tests {
         let (wp, dp) = (tmp("group"), db_tmp("group"));
         let _ = std::fs::remove_file(&wp);
         let _ = std::fs::remove_file(&dp);
-        let disk = Arc::new(DiskManager::open_file(&dp).unwrap());
+        let disk = Arc::new(DiskManager::open_file_with(&dp, None).unwrap());
         let wal = Arc::new(open_wal(&wp, None));
         let mut pids = Vec::new();
         for _ in 0..8 {
@@ -1360,78 +1176,11 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_ignores_pending_and_later_commits() {
-        let (wp, dp) = (tmp("snap"), db_tmp("snap"));
-        let _ = std::fs::remove_file(&wp);
-        let _ = std::fs::remove_file(&dp);
-        let disk = Arc::new(DiskManager::open_file(&dp).unwrap());
-        let wal = Arc::new(open_wal(&wp, None));
-        let p = disk.allocate().unwrap();
-        wal.append_page(p, &page(0x10)).unwrap();
-        let seq = wal.commit_stage().unwrap();
-        wal.make_durable(seq).unwrap();
-        let snap = wal.snapshot(disk.clone());
-        // A pending (uncommitted) append is invisible to the snapshot…
-        wal.append_page(p, &page(0x20)).unwrap();
-        let mut buf = [0u8; PAGE_SIZE];
-        snap.read_page(p, &mut buf).unwrap();
-        assert_eq!(buf, page(0x10));
-        // …and so is the next sealed commit.
-        let seq = wal.commit_stage().unwrap();
-        wal.make_durable(seq).unwrap();
-        snap.read_page(p, &mut buf).unwrap();
-        assert_eq!(buf, page(0x10));
-        // A fresh snapshot sees the new commit.
-        let snap2 = wal.snapshot(disk.clone());
-        snap2.read_page(p, &mut buf).unwrap();
-        assert_eq!(buf, page(0x20));
-        let _ = std::fs::remove_file(&wp);
-        let _ = std::fs::remove_file(&dp);
-    }
-
-    #[test]
-    fn snapshot_survives_checkpoint_via_stash() {
-        let (wp, dp) = (tmp("snap_ckpt"), db_tmp("snap_ckpt"));
-        let _ = std::fs::remove_file(&wp);
-        let _ = std::fs::remove_file(&dp);
-        let disk = Arc::new(DiskManager::open_file(&dp).unwrap());
-        let wal = Arc::new(open_wal(&wp, None));
-        let p = disk.allocate().unwrap();
-        // Commit v1, checkpoint it into the page file, prune history.
-        wal.append_page(p, &page(0x31)).unwrap();
-        let seq = wal.commit_stage().unwrap();
-        wal.make_durable(seq).unwrap();
-        wal.checkpoint_into(&disk).unwrap();
-        // Snapshot now reads v1 from the page file (no logged versions).
-        let snap = wal.snapshot(disk.clone());
-        // Commit v2 and checkpoint again: the write-back must stash the
-        // v1 pre-image for the live snapshot before overwriting.
-        wal.append_page(p, &page(0x32)).unwrap();
-        let seq = wal.commit_stage().unwrap();
-        wal.make_durable(seq).unwrap();
-        wal.checkpoint_into(&disk).unwrap();
-        let mut buf = [0u8; PAGE_SIZE];
-        disk.read_page(p, &mut buf).unwrap();
-        assert_eq!(buf, page(0x32), "page file has v2");
-        snap.read_page(p, &mut buf).unwrap();
-        assert_eq!(buf, page(0x31), "snapshot still reads v1");
-        drop(snap);
-        // With the snapshot gone the next checkpoint clears the stash.
-        wal.append_page(p, &page(0x33)).unwrap();
-        let seq = wal.commit_stage().unwrap();
-        wal.make_durable(seq).unwrap();
-        wal.checkpoint_into(&disk).unwrap();
-        assert!(wal.latest_image(p).is_none(), "history fully pruned");
-        let _ = std::fs::remove_file(&wp);
-        let _ = std::fs::remove_file(&dp);
-    }
-
-    #[test]
     fn dropped_commit_frame_loses_batch_cleanly() {
         let (wp, dp) = (tmp("dropc"), db_tmp("dropc"));
         let _ = std::fs::remove_file(&wp);
         let _ = std::fs::remove_file(&dp);
-        let disk = DiskManager::open_file(&dp).unwrap();
+        let disk = DiskManager::open_file_with(&dp, None).unwrap();
         let p = disk.allocate().unwrap();
         let plan = FaultPlan::new(FaultConfig {
             seed: 3,

@@ -9,7 +9,10 @@
 //! page (a writer mid-update), a second thread's `sync` reaches the page and
 //! waits on that lock, and only then does a third thread `sync` on its own
 //! account. When the third `sync` returns, the page's earlier write must be
-//! in a sealed commit. Each case runs `FLUSH_RACE_ITERS` times (default 20).
+//! in the log's committed prefix: a copy of the page file and its log,
+//! opened as a store of its own, replays that prefix and must read the
+//! write back — what a crash at that instant would keep. Each case runs
+//! `FLUSH_RACE_ITERS` times (default 20).
 //!
 //! Barriers order everything a barrier can see. That a thread has reached
 //! a lock and waits on it is not observable from outside, so the test
@@ -17,9 +20,11 @@
 //! assertion holds under any schedule where the code is right; a schedule
 //! slower than `SETTLE` can only let the broken code pass.
 
+use std::ffi::OsString;
+use std::path::{Path, PathBuf};
 use std::sync::Barrier;
 use std::time::Duration;
-use tman_storage::{PageId, Storage, PAGE_SIZE};
+use tman_storage::{PageId, Storage};
 
 fn iters() -> u8 {
     let set = std::env::var("FLUSH_RACE_ITERS").ok();
@@ -33,24 +38,34 @@ const SCRIBBLE: usize = 200;
 /// Long enough for a thread to reach the page lock it waits on.
 const SETTLE: Duration = Duration::from_millis(20);
 
-/// The page as the newest sealed commit has it.
-fn sealed(storage: &Storage, pid: PageId) -> Box<[u8; PAGE_SIZE]> {
-    let mut buf = Box::new([0u8; PAGE_SIZE]);
-    storage
-        .snapshot()
-        .unwrap()
-        .read_page(pid, &mut buf)
-        .unwrap();
-    buf
+/// The log beside the page file at `path`.
+fn wal_path(path: &Path) -> PathBuf {
+    let mut wal: OsString = path.as_os_str().to_owned();
+    wal.push(".wal");
+    wal.into()
+}
+
+/// Byte `at` of page `pid` as a crash now would leave it: the page file
+/// and its log are copied to `copy`, and opening the copy replays the
+/// log's committed prefix.
+fn durable_byte(path: &Path, copy: &Path, pid: PageId, at: usize) -> u8 {
+    std::fs::copy(path, copy).unwrap();
+    std::fs::copy(wal_path(path), wal_path(copy)).unwrap();
+    let reopened = Storage::open_file(copy, 4).unwrap();
+    let byte = reopened.pool().fetch(pid).unwrap().read()[at];
+    byte
 }
 
 #[test]
 fn a_sync_never_seals_a_commit_without_a_page_another_flush_is_writing() {
-    let path = std::env::temp_dir().join(format!("tman_flush_race_{}.db", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    let mut wal = path.as_os_str().to_owned();
-    wal.push(".wal");
-    let _ = std::fs::remove_file(&wal);
+    let tmp = |tag: &str| {
+        std::env::temp_dir().join(format!("tman_flush_race_{tag}_{}.db", std::process::id()))
+    };
+    let (path, copy) = (tmp("live"), tmp("copy"));
+    for p in [&path, &copy] {
+        let _ = std::fs::remove_file(p);
+        let _ = std::fs::remove_file(wal_path(p));
+    }
     let storage = Storage::open_file(&path, 16).unwrap();
     let pool = storage.pool();
     let (pid, page) = pool.allocate().unwrap();
@@ -74,10 +89,10 @@ fn a_sync_never_seals_a_commit_without_a_page_another_flush_is_writing() {
             // A flush that reaches the page and waits for its lock.
             let flusher = s.spawn(|| pool.sync());
             std::thread::sleep(SETTLE);
-            // A `sync` of this thread's own: sealed when it returns.
+            // A `sync` of this thread's own: durable when it returns.
             let committer = s.spawn(|| {
                 pool.sync().unwrap();
-                sealed(&storage, pid)[COMMITTED]
+                durable_byte(&path, &copy, pid, COMMITTED)
             });
             std::thread::sleep(SETTLE);
             release.wait();
@@ -90,6 +105,8 @@ fn a_sync_never_seals_a_commit_without_a_page_another_flush_is_writing() {
         );
     }
     drop(storage);
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(&wal);
+    for p in [&path, &copy] {
+        let _ = std::fs::remove_file(p);
+        let _ = std::fs::remove_file(wal_path(p));
+    }
 }
