@@ -28,8 +28,8 @@ use tman_common::{
     DataSourceId, EventKind, Result, Schema, TmanError, TriggerId, UpdateDescriptor,
 };
 use tman_expr::cnf::{remap_var, to_cnf, Cnf};
-use tman_expr::scalar::Env;
 use tman_expr::BindCtx;
+use tman_expr::Env;
 use tman_lang::ast::WindowSpec;
 use tman_lang::parse_expression;
 use tman_sql::Database;
@@ -271,7 +271,7 @@ impl QueryBased {
             return Ok(Vec::new());
         }
         // Replace the delta table's contents with this token's tuple.
-        tman_sql::exec::execute_str(&self.db, &format!("delete from {delta}"))?;
+        tman_sql::execute_str(&self.db, &format!("delete from {delta}"))?;
         {
             let t = self.db.table(&delta)?;
             t.insert(token.probe_tuple().values().to_vec())?;
@@ -284,7 +284,7 @@ impl QueryBased {
             self.queries_run.bump();
             // Parse + plan + execute per trigger — the RPL cost model.
             let sql = format!("select * from {delta} where {}", trig.cond);
-            let rows = tman_sql::exec::execute_str(&self.db, &sql)?.rows();
+            let rows = tman_sql::execute_str(&self.db, &sql)?.rows();
             if !rows.is_empty() {
                 out.push(trig.id);
             }

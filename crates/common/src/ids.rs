@@ -60,6 +60,32 @@ id_type!(
     ExprId,
     u64
 );
+
+/// Execution facts of one predicate-index entry ride in the top bits of
+/// its id, which survives organization switches and the database row round
+/// trip and comes back with every match: an entry with neither costs the
+/// drain one branch, and the index counts what the bits imply.
+impl ExprId {
+    /// Tagged execution (Kim & Madden): the disjunct entries of one trigger
+    /// variable share a tag, which a token's first matching entry claims.
+    pub const TAGGED: u64 = 1 << 63;
+    /// The entry's trigger has a windowed threshold: a claimed match
+    /// observes the window and fires only at or over the threshold.
+    pub const WINDOWED: u64 = 1 << 62;
+
+    /// Is the [`TAGGED`](Self::TAGGED) bit set?
+    #[inline]
+    pub fn is_tagged(self) -> bool {
+        self.0 & Self::TAGGED != 0
+    }
+
+    /// Is the [`WINDOWED`](Self::WINDOWED) bit set?
+    #[inline]
+    pub fn is_windowed(self) -> bool {
+        self.0 & Self::WINDOWED != 0
+    }
+}
+
 id_type!(
     /// Identifies a node in a trigger's discrimination network
     /// (`const_tableN.nextNetworkNode`).

@@ -8,7 +8,7 @@
 //!   encoding used by the storage engine.
 //! * [`UpdateDescriptor`] — the paper's *token*: `(data source id, operation
 //!   code, old/new tuple)`.
-//! * Strongly-typed identifiers ([`ids`]).
+//! * Strongly-typed identifiers ([`TriggerId`], [`ExprId`], ...).
 //! * [`fxhash`] — a fast, deterministic hasher for the hot predicate-index
 //!   paths (vendored so the workspace has no hashing dependency).
 //! * [`rng`] — the one seeded generator (SplitMix64) every schedule,
@@ -16,15 +16,15 @@
 //! * [`stats`] — per-subsystem operation-counter groups (the counter type
 //!   itself lives in `tman-telemetry` and is re-exported here).
 
-pub mod error;
+mod error;
 pub mod fxhash;
-pub mod ids;
+mod ids;
 pub mod rng;
-pub mod schema;
+mod schema;
 pub mod stats;
-pub mod token;
-pub mod tuple;
-pub mod value;
+mod token;
+mod tuple;
+mod value;
 
 pub use error::{Result, TmanError};
 pub use ids::{DataSourceId, ExprId, NodeId, SignatureId, TriggerId, TriggerSetId};

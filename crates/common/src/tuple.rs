@@ -102,7 +102,7 @@ impl From<Vec<Value>> for Tuple {
 }
 
 /// Encode one value (see module docs for the layout).
-pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
+pub(crate) fn encode_value(v: &Value, out: &mut Vec<u8>) {
     match v {
         Value::Null => out.push(0x00),
         Value::Int(i) => {
@@ -122,7 +122,7 @@ pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
 }
 
 /// Decode one value, advancing `cursor`.
-pub fn decode_value(buf: &[u8], cursor: &mut usize) -> Result<Value> {
+pub(crate) fn decode_value(buf: &[u8], cursor: &mut usize) -> Result<Value> {
     let tag = *buf
         .get(*cursor)
         .ok_or_else(|| TmanError::Storage("truncated value tag".into()))?;

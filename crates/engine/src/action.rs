@@ -13,7 +13,7 @@ use crate::TriggerMan;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use tman_common::{Result, TmanError, TokenOp, Tuple, UpdateDescriptor, Value};
-use tman_expr::scalar::Env;
+use tman_expr::Env;
 use tman_lang::ast::{Expr, Literal, SelectCols, SqlStmt};
 use tman_telemetry::SpanKind;
 

@@ -22,8 +22,8 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use tman_common::{EventKind, Result, TmanError, TriggerId, TriggerSetId, Tuple};
 use tman_expr::cnf::{remap_var, to_cnf, Cnf, ConditionGraph, Conjunct};
-use tman_expr::scalar::{Env, Scalar};
 use tman_expr::BindCtx;
+use tman_expr::{Env, Scalar};
 use tman_lang::ast::{Action, CreateTrigger, EventSpecKind, WindowSpec};
 use tman_lang::SqlStmt;
 use tman_network::{Network, NetworkKind};

@@ -1,13 +1,12 @@
 //! DDL is one critical section (§5.1; DESIGN.md has the decision record).
 //!
 //! [`Ddl`] is every piece of state only DDL reads — sets by name with
-//! their member counts, trigger names, the flagged index entries a drop
-//! walks, the four id counters — behind one `Mutex` on `TriggerMan`. Every
-//! command here, `define_*` and `recover` holds it from its first check to
-//! its last insert, so a name tested is the name inserted and a set looked
-//! up cannot be dropped before the trigger joining it is counted. Its
-//! fields are private to this module: the drain, in `lib.rs`, cannot read
-//! them, locked or not.
+//! their member counts, trigger names, the four id counters — behind one
+//! `Mutex` on `TriggerMan`. Every command here, `define_*` and `recover`
+//! holds it from its first check to its last insert, so a name tested is
+//! the name inserted and a set looked up cannot be dropped before the
+//! trigger joining it is counted. Its fields are private to this module:
+//! the drain, in `lib.rs`, cannot read them, locked or not.
 //!
 //! [`Published`] is what the drain and the push path read instead — a
 //! source by id, a set's enabled flag by id, a windowed trigger's window —
@@ -24,7 +23,7 @@ use crate::catalog::{ConnectionRow, DataSourceRow, TriggerRow, TriggerSetRow};
 use crate::compile::{compile_trigger, Compiled, PredicateReg};
 use crate::source::{self, SourceInfo};
 use crate::window::WindowState;
-use crate::{CommandOutput, FlaggedEntry, TriggerMan, EXPR_TAGGED, EXPR_WINDOWED};
+use crate::{CommandOutput, TriggerMan};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -79,9 +78,6 @@ pub(crate) struct Ddl {
     sets: FxHashMap<String, SetEntry>,
     /// Triggers by lower-cased name.
     triggers: FxHashMap<String, TriggerEntry>,
-    /// Tagged or windowed entries per trigger, with the source and
-    /// signature each landed in — the drop-trigger cleanup walk.
-    flagged: FxHashMap<TriggerId, Vec<FlaggedEntry>>,
     /// The last id issued of each kind (the catalog's "default" set is 1).
     last_trigger: u64,
     last_source: u32,
@@ -101,7 +97,7 @@ pub(crate) struct Published {
     /// Windowed-threshold state per windowed trigger. It outlives the
     /// trigger's cache residency, so it is published here rather than held
     /// by the compiled description; the drain reads it only for a match
-    /// whose entry is flagged [`EXPR_WINDOWED`], and for maintenance.
+    /// whose entry is marked [`ExprId::WINDOWED`], and for maintenance.
     pub(crate) windows: FxHashMap<TriggerId, Arc<WindowState>>,
 }
 
@@ -191,9 +187,13 @@ impl TriggerMan {
                 window,
             } = self.compile_row(&row)?;
             self.register_predicates(&mut ddl, row.id, predicates, window)?;
-            let trigger = Arc::new(trigger);
-            self.prime_network(&trigger)?;
-            self.cache.insert(trigger);
+            // Past capacity a description would only be evicted again; a
+            // miss compiles and primes it.
+            if self.cache.len() < self.config.trigger_cache_capacity {
+                let trigger = Arc::new(trigger);
+                self.prime_network(&trigger)?;
+                self.cache.insert(trigger);
+            }
         }
         // One `expression_signature` row per class, as the class stands
         // now, under the id it has now.
@@ -313,22 +313,23 @@ impl TriggerMan {
     /// caller writes their `expression_signature` rows.
     ///
     /// Two execution facts ride on registration, each as a flag bit of
-    /// the entry's [`ExprId`]:
+    /// the entry's [`ExprId`], which the index counts as the entry comes
+    /// and goes:
     ///
     /// * **Indexed disjunctions (tagged execution).** When a variable's
     ///   signature has no index plan — an OR across selectable atoms
     ///   survives CNF only as a residual test — the concrete CNF is
     ///   decomposed into per-disjunct branches, each individually
-    ///   indexable, registered as separate entries flagged
-    ///   [`EXPR_TAGGED`]. A token claims their common tag at its first
+    ///   indexable, registered as separate entries marked
+    ///   [`ExprId::TAGGED`]. A token claims their common tag at its first
     ///   matching entry ([`TriggerMan::admit`]), so the trigger still fires
     ///   at most once per token even when several disjuncts match. Each
     ///   branch is an ordinary entry in whatever constant set it lands in.
     /// * **Windowed thresholds.** A `count >= K within W` trigger gets one
     ///   shared [`WindowState`], published before its entries exist; its
-    ///   entries are flagged [`EXPR_WINDOWED`], and the signatures they
-    ///   land in are marked in the source's match plan, which excludes them
-    ///   from Figure-5 fan-out to keep window advances in token order.
+    ///   entries are marked [`ExprId::WINDOWED`], and a class holding one
+    ///   reads [`SignatureRuntime::windowed`], which keeps it out of the
+    ///   Figure-5 fan-out so window advances stay in token order.
     ///
     /// What a failure leaves registered, [`Self::unregister`] takes out.
     fn register_predicates(
@@ -344,7 +345,7 @@ impl TriggerMan {
             self.republish(ddl, |p| {
                 p.windows.insert(tid, state);
             });
-            window_flag = EXPR_WINDOWED;
+            window_flag = ExprId::WINDOWED;
         }
         let mut founded = Vec::new();
         for reg in predicates {
@@ -362,7 +363,7 @@ impl TriggerMan {
             };
             for branch in &branches {
                 let class = self.class_of(branch, &reg);
-                let flags = EXPR_TAGGED | window_flag;
+                let flags = ExprId::TAGGED | window_flag;
                 self.add_entry(ddl, tid, &reg, class, flags, &mut founded)?;
             }
         }
@@ -382,9 +383,8 @@ impl TriggerMan {
         }
     }
 
-    /// Add one entry of trigger `tid` to `class`, flagged `flags`, and
-    /// record what the flags require. A class the entry founds goes on
-    /// `founded`.
+    /// Add one entry of trigger `tid` to `class`, marked `flags`. A class
+    /// the entry founds goes on `founded`.
     fn add_entry(
         &self,
         ddl: &mut Ddl,
@@ -397,11 +397,10 @@ impl TriggerMan {
         ddl.last_expr += 1;
         let expr_id = ExprId(ddl.last_expr | flags);
         let node = NodeId(reg.var as u32);
-        let rt = match class {
+        match class {
             Class::Found(rt, consts) => {
                 self.predindex
                     .add_to_class(&rt, consts, expr_id, tid, node)?;
-                rt
             }
             Class::New(sig, consts) => {
                 let (src, schema) = (reg.source.id, &reg.source.schema);
@@ -409,47 +408,18 @@ impl TriggerMan {
                     .predindex
                     .add_predicate(src, schema, sig, consts, expr_id, tid, node)?;
                 if is_new {
-                    founded.push(rt.clone());
+                    founded.push(rt);
                 }
-                rt
-            }
-        };
-        if flags != 0 {
-            let tracked = ddl.flagged.entry(tid).or_default();
-            tracked.push((expr_id, reg.source.id, rt.id));
-        }
-        if flags & EXPR_TAGGED != 0 {
-            self.tagged_count.fetch_add(1, Ordering::Relaxed);
-        }
-        if flags & EXPR_WINDOWED != 0 {
-            if let Some(src) = self.predindex.source(reg.source.id) {
-                src.add_windowed(rt.id, 1);
             }
         }
         Ok(())
     }
 
-    /// Take trigger `id` out of the predicate index, with the execution
-    /// metadata its entries' flags put elsewhere. Returns whether it had a
-    /// window. `drop trigger` does this, and so does a `create trigger`
-    /// that fails after registering.
-    fn unregister(&self, ddl: &mut Ddl, id: TriggerId) -> Result<bool> {
+    /// Take trigger `id` out of the predicate index and retire its window.
+    /// Returns whether it had one. `drop trigger` does this, and so does a
+    /// `create trigger` that fails after registering.
+    fn unregister(&self, ddl: &Ddl, id: TriggerId) -> Result<bool> {
         self.predindex.remove_trigger(id)?;
-        if let Some(exprs) = ddl.flagged.remove(&id) {
-            let mut tagged_removed = 0u64;
-            for (eid, src, sig) in exprs {
-                tagged_removed += u64::from(eid.raw() & EXPR_TAGGED != 0);
-                if eid.raw() & EXPR_WINDOWED != 0 {
-                    if let Some(src) = self.predindex.source(src) {
-                        src.add_windowed(sig, -1);
-                    }
-                }
-            }
-            if tagged_removed > 0 {
-                self.tagged_count
-                    .fetch_sub(tagged_removed, Ordering::Relaxed);
-            }
-        }
         let windowed = self.published().windows.contains_key(&id);
         if windowed {
             self.republish(ddl, |p| {
@@ -534,7 +504,7 @@ impl TriggerMan {
                 })
             });
         if let Err(e) = created {
-            if let Err(undo) = self.unregister(&mut ddl, id) {
+            if let Err(undo) = self.unregister(&ddl, id) {
                 self.record_error(&undo);
             }
             return Err(e);
@@ -556,7 +526,7 @@ impl TriggerMan {
         if let Some(set) = ddl.sets.values_mut().find(|s| s.id == set) {
             set.members -= 1;
         }
-        let windowed = self.unregister(&mut ddl, id)?;
+        let windowed = self.unregister(&ddl, id)?;
         self.catalog.delete_trigger(id)?;
         self.cache.remove(id);
         if windowed {

@@ -79,13 +79,13 @@ use driver::{Claims, DriverSlot, IdleGate};
 use queue::UpdateQueue;
 use source::SourceInfo;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use tman_common::fxhash::FxHashSet;
 use tman_common::stats::Counter;
 use tman_common::{
-    DataSourceId, EventKind, ExprId, NodeId, Result, Schema, SignatureId, TmanError, TokenOp,
-    TriggerId, TriggerSetId, Tuple, UpdateDescriptor,
+    DataSourceId, EventKind, ExprId, NodeId, Result, Schema, TmanError, TokenOp, TriggerId,
+    TriggerSetId, Tuple, UpdateDescriptor,
 };
 use tman_lang::ast::Command;
 use tman_network::Polarity;
@@ -150,30 +150,12 @@ pub struct EngineStats {
     pub errors: Arc<Counter>,
 }
 
-/// Execution facts of one predicate-index entry ride in the top bits of
-/// its [`ExprId`] — the engine allocates the ids, the id survives
-/// organization switches and the DB-backed organizations' row round trip
-/// unchanged, and the match itself hands it back — so an entry with
-/// neither fact costs the drain one branch ([`TriggerMan::admit`]).
-///
-/// Tagged execution: the disjunct entries a trigger variable registered
-/// share one tag ([`tag_of`]); a token's first matching entry claims it
-/// and the rest are duplicates (Kim & Madden's tagged execution).
-const EXPR_TAGGED: u64 = 1 << 63;
-/// The entry's trigger carries a windowed threshold (its window is
-/// published with the definitions): a claimed match *observes* the window
-/// and fires only at or over the threshold.
-const EXPR_WINDOWED: u64 = 1 << 62;
-
 /// The tag shared by the disjunct entries of one trigger variable,
 /// derived from the match so nothing is stored for it: `node` is the
 /// variable's ordinal, below 16 ([`compile_trigger`]).
 fn tag_of(trigger: TriggerId, node: NodeId) -> u64 {
     (trigger.raw() << 4) | u64::from(node.raw())
 }
-
-/// A flagged index entry with the source and signature it landed in.
-type FlaggedEntry = (ExprId, DataSourceId, SignatureId);
 
 /// One token of a run, with the deferred ack of its persistent-queue row.
 type RunToken = (UpdateDescriptor, Option<Arc<AckState>>);
@@ -273,9 +255,6 @@ pub struct TriggerMan {
     /// by swap from inside the DDL critical section
     /// ([`published`](Self::published)).
     published: RwLock<Arc<Published>>,
-    /// Live tagged entries across the index (`Arc` so the registry can
-    /// read it as the `tman_tagged_entries` instrument).
-    tagged_count: Arc<AtomicU64>,
     /// Matches suppressed because another entry already claimed the tag.
     tag_dedup_hits: Arc<Counter>,
     /// Windowed-trigger firings admitted (threshold met).
@@ -357,7 +336,6 @@ impl TriggerMan {
             events,
             ddl: Mutex::default(),
             published: RwLock::default(),
-            tagged_count: Arc::new(AtomicU64::new(0)),
             tag_dedup_hits: Arc::new(Counter::default()),
             window_fires: Arc::new(Counter::default()),
             stats: EngineStats::default(),
@@ -396,12 +374,6 @@ impl TriggerMan {
             self.tag_dedup_hits.clone(),
         );
         r.register_counter("tman_window_fires_total", &[], self.window_fires.clone());
-        // Live tagged-entry population (a level, so a computed read of the
-        // shared atomic rather than a monotone counter).
-        let tagged = self.tagged_count.clone();
-        r.register_counter_fn("tman_tagged_entries", &[], move || {
-            tagged.load(Ordering::Relaxed)
-        });
         // Barriers that moved the persistent queue's watermark: acks only
         // record, so this is at most one per group commit (a push, an
         // idle driver's barrier, a checkpoint), not one per drained batch.
@@ -1009,12 +981,11 @@ impl TriggerMan {
         let mut first_err = None;
         let mut steps: Vec<Step> = Vec::new();
         let mut probes: Vec<Probe<'_>> = Vec::with_capacity(run.len());
-        for (s, psig) in plan.sigs.iter().enumerate() {
-            let sig = &psig.rt;
+        for (s, sig) in plan.sigs.iter().enumerate() {
             // Condition-level concurrency (Figure 5): split this
             // signature's constant/triggerID sets into tasks.
             let parts = self.config.condition_partitions;
-            let fan = parts > 1 && !psig.windowed() && sig.len() >= self.config.partition_min;
+            let fan = parts > 1 && !sig.windowed() && sig.len() >= self.config.partition_min;
             probes.clear();
             let mut accepted = 0u64;
             for (idx, (tok, _)) in run.iter().enumerate() {
@@ -1165,7 +1136,7 @@ impl TriggerMan {
             for step in mine {
                 match step.kind {
                     StepKind::Split { sig, parts } => {
-                        let sig = &plan.sigs[sig as usize].rt;
+                        let sig = &plan.sigs[sig as usize];
                         // The fan-out span parents every partition's
                         // probe span, so the tree reassembles across
                         // driver threads.
@@ -1242,9 +1213,9 @@ impl TriggerMan {
     }
 
     /// The tagged-execution / windowed-threshold gate for one index match,
-    /// applied before the trigger pin: one branch for an entry flagged
-    /// neither ([`EXPR_TAGGED`], [`EXPR_WINDOWED`]). `claim` records a tag
-    /// against the token, true the first time only.
+    /// applied before the trigger pin: one branch for an entry marked
+    /// neither ([`ExprId::TAGGED`], [`ExprId::WINDOWED`]). `claim` records
+    /// a tag against the token, true the first time only.
     ///
     /// Order matters: the tag is claimed *first*, so a multi-disjunct
     /// windowed trigger observes its window exactly once per matching
@@ -1258,15 +1229,14 @@ impl TriggerMan {
         token: &UpdateDescriptor,
         claim: &mut dyn FnMut(u64) -> bool,
     ) -> bool {
-        let flags = expr.raw() & (EXPR_TAGGED | EXPR_WINDOWED);
-        if flags == 0 {
+        if expr.raw() & (ExprId::TAGGED | ExprId::WINDOWED) == 0 {
             return true;
         }
-        if flags & EXPR_TAGGED != 0 && !claim(tag_of(trigger, node)) {
+        if expr.is_tagged() && !claim(tag_of(trigger, node)) {
             self.tag_dedup_hits.bump();
             return false;
         }
-        if flags & EXPR_WINDOWED != 0 {
+        if expr.is_windowed() {
             // No window: a concurrent `drop trigger` retired it, and the
             // pin would find the trigger gone as well.
             let published = self.published();
@@ -1390,7 +1360,7 @@ impl TriggerMan {
     ) -> Result<()> {
         let old = token.old.as_ref().expect("update token has old image");
         let mut matches = Vec::new();
-        for sig in plan.sigs.iter().map(|s| &s.rt) {
+        for sig in &plan.sigs {
             if sig.sig.key.event == EventKind::Any {
                 sig.probe(old, self.predindex.stats(), &mut |e| {
                     matches.push((e.expr_id, e.trigger_id, e.next_node))
@@ -1612,7 +1582,7 @@ impl TriggerMan {
 
     /// Live tagged (disjunct) entries in the predicate index.
     pub fn tagged_entries(&self) -> u64 {
-        self.tagged_count.load(Ordering::Relaxed)
+        self.predindex.tagged_entries()
     }
 
     /// Matches suppressed because another disjunct entry already claimed

@@ -1869,3 +1869,85 @@ fn an_idle_engines_acks_survive_a_crash() {
         let _ = std::fs::remove_file(&wal);
     }
 }
+
+/// A windowed trigger's entry keeps its class out of the Figure-5 fan-out
+/// (partition tasks would feed the window out of token order); once the
+/// trigger is dropped, the class fans out again.
+#[test]
+fn a_windowed_entry_keeps_its_class_from_fanning_out_until_dropped() {
+    let cfg = Config {
+        condition_partitions: 2,
+        partition_min: 2,
+        ..Default::default()
+    };
+    let tman = TriggerMan::open_memory(cfg).unwrap();
+    tman.execute_command("define data source q (sym varchar(12), price float, vol int)")
+        .unwrap();
+    let src = tman.source("q").unwrap().id;
+    for i in 0..4 {
+        tman.execute_command(&format!(
+            "create trigger p{i} from q when q.sym = 'S{i}' do raise event Hit(q.sym)"
+        ))
+        .unwrap();
+    }
+    tman.execute_command(
+        "create trigger burst from q when q.sym = 'S9' count >= 1 within 1 hours \
+         do raise event Burst(q.sym)",
+    )
+    .unwrap();
+    let hits = tman.subscribe("Hit");
+    let push_and_drain = || {
+        let tuple = Tuple::new(vec![Value::str("S1"), Value::Float(1.0), Value::Int(0)]);
+        tman.push_token(UpdateDescriptor::insert(src, tuple))
+            .unwrap();
+        tman.run_until_quiescent().unwrap();
+        assert_eq!(hits.try_iter().count(), 1);
+        tman.metrics_snapshot().driver.tasks_sig_partition
+    };
+    assert_eq!(push_and_drain(), 0, "a windowed class fanned out");
+    tman.execute_command("drop trigger burst").unwrap();
+    assert_eq!(push_and_drain(), 2, "the class stayed out of the fan-out");
+    assert!(tman.last_error().is_none(), "{:?}", tman.last_error());
+}
+
+/// A reopen warms the trigger cache up to its capacity and no further:
+/// nothing is compiled only to be evicted, and a trigger left cold fires
+/// through a miss.
+#[test]
+fn recovery_warms_the_cache_only_up_to_capacity() {
+    let path = std::env::temp_dir().join(format!("tman_warm_{}.db", std::process::id()));
+    let wal = path.with_extension("db.wal");
+    let _ = (std::fs::remove_file(&path), std::fs::remove_file(&wal));
+    {
+        let tman = TriggerMan::open_file(&path, Config::default()).unwrap();
+        setup_emp(&tman);
+        for i in 0..64 {
+            tman.execute_command(&format!(
+                "create trigger t{i} from emp when emp.dept = {i} do notify 't{i}'"
+            ))
+            .unwrap();
+        }
+        tman.checkpoint().unwrap();
+    }
+    let cfg = Config {
+        trigger_cache_capacity: 8,
+        ..Default::default()
+    };
+    let tman = TriggerMan::open_file(&path, cfg).unwrap();
+    let cache = tman.trigger_cache();
+    assert_eq!((cache.stats().evictions.get(), cache.len()), (0, 8));
+    let rx = tman.subscribe("notify");
+    for i in 0..64 {
+        tman.run_sql(&format!("insert into emp values ('e', 1, {i})"))
+            .unwrap();
+    }
+    tman.run_until_quiescent().unwrap();
+    assert!(tman.last_error().is_none(), "{:?}", tman.last_error());
+    let mut fired: Vec<String> = rx.try_iter().filter_map(|n| n.message).collect();
+    fired.sort();
+    let mut expected: Vec<String> = (0..64).map(|i| format!("t{i}")).collect();
+    expected.sort();
+    assert_eq!(fired, expected);
+    drop(tman);
+    let _ = (std::fs::remove_file(&path), std::fs::remove_file(&wal));
+}

@@ -2,9 +2,9 @@
 //!
 //! This crate implements §4 and the analysis half of §5 of the paper:
 //!
-//! * [`scalar`] / [`pred`] — typed, resolved scalar expressions and
+//! * [`Scalar`] / [`Pred`] — typed, resolved scalar expressions and
 //!   predicates with SQL three-valued logic, evaluated against tuples.
-//! * [`resolve`] — binding of parsed [`tman_lang::ast::Expr`] trees against
+//! * [`BindCtx`] — binding of parsed [`tman_lang::ast::Expr`] trees against
 //!   tuple-variable schemas.
 //! * [`cnf`] — conversion of `when` clauses to conjunctive normal form and
 //!   grouping of conjuncts "by the set of data sources they refer to" into
@@ -17,9 +17,9 @@
 //!   conjunct choice (\[Hans90\]).
 
 pub mod cnf;
-pub mod pred;
-pub mod resolve;
-pub mod scalar;
+mod pred;
+mod resolve;
+mod scalar;
 pub mod signature;
 
 pub use cnf::{Cnf, ConditionGraph, Conjunct, JoinEdge};

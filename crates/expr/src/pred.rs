@@ -241,7 +241,7 @@ impl Pred {
 }
 
 /// Evaluate one comparison on non-null values.
-pub fn compare(op: CmpOp, l: &Value, r: &Value) -> Result<bool> {
+pub(crate) fn compare(op: CmpOp, l: &Value, r: &Value) -> Result<bool> {
     if op == CmpOp::Like {
         let (Value::Str(s), Value::Str(p)) = (l, r) else {
             return Err(TmanError::Type(format!("LIKE on non-strings {l}, {r}")));
@@ -265,7 +265,7 @@ pub fn compare(op: CmpOp, l: &Value, r: &Value) -> Result<bool> {
 
 /// SQL LIKE: `%` matches any run (including empty), `_` any single char.
 /// Iterative two-pointer algorithm with backtracking to the last `%`.
-pub fn like_match(s: &str, pattern: &str) -> bool {
+pub(crate) fn like_match(s: &str, pattern: &str) -> bool {
     let s: Vec<char> = s.chars().collect();
     let p: Vec<char> = pattern.chars().collect();
     let (mut si, mut pi) = (0usize, 0usize);

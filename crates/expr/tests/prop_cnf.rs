@@ -11,8 +11,8 @@ use tman_check::prelude::*;
 use tman_check::string::chars;
 use tman_common::{Tuple, Value};
 use tman_expr::cnf::to_cnf;
-use tman_expr::pred::{AtomicPred, CmpOp, Pred};
-use tman_expr::scalar::{Env, Scalar};
+use tman_expr::{AtomicPred, CmpOp, Pred};
+use tman_expr::{Env, Scalar};
 
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![

@@ -27,10 +27,9 @@
 //! §5.1's trigger "priming" is [`Network::prime`]: stored memories are
 //! populated from the base data when the trigger is created.
 
-use std::sync::Arc;
 use tman_common::{DataSourceId, Result, TmanError, Tuple};
 use tman_expr::cnf::ConditionGraph;
-use tman_expr::scalar::Env;
+use tman_expr::Env;
 use tman_sync::RwLock;
 
 /// Token polarity through the network.
@@ -919,12 +918,6 @@ impl AlphaSource for MemSource {
         Ok(())
     }
 }
-
-/// Shared handle used by the engine.
-pub type NetworkRef = Arc<Network>;
-
-/// Re-export for engine convenience.
-pub use tman_expr::cnf::ConditionGraph as Graph;
 
 #[cfg(test)]
 mod tests;

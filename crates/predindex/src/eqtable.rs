@@ -27,7 +27,7 @@ use tman_common::{TriggerId, Value};
 
 /// The hash a key is filed and probed under: its values' [`Value::hash`],
 /// one after another, so numerically equal ints and floats agree.
-pub fn key_hash<'a>(values: impl Iterator<Item = &'a Value>) -> u64 {
+pub(crate) fn key_hash<'a>(values: impl Iterator<Item = &'a Value>) -> u64 {
     let mut h = FxHasher::default();
     for v in values {
         v.hash(&mut h);
@@ -137,7 +137,7 @@ fn tag_of(hash: u64) -> u32 {
 }
 
 /// The equality organization of one signature's constant set.
-pub struct EqTable {
+pub(crate) struct EqTable {
     /// Which of an entry's constants make its key (the plan's
     /// `const_slots`; none for a signature without an equality plan, whose
     /// entries then form one group).
@@ -167,7 +167,7 @@ pub(crate) fn consts_heap(consts: &[Value]) -> usize {
 
 impl EqTable {
     /// Empty table whose keys are the constants at `key_slots`.
-    pub fn new(key_slots: Vec<usize>) -> EqTable {
+    pub(crate) fn new(key_slots: Vec<usize>) -> EqTable {
         EqTable {
             key_slots,
             slots: vec![Slot::default(); MIN_SLOTS],
@@ -205,7 +205,7 @@ impl EqTable {
     }
 
     /// Visit the entries filed under `key`, whose [`key_hash`] is `hash`.
-    pub fn probe<'a>(
+    pub(crate) fn probe<'a>(
         &self,
         hash: u64,
         key: impl Iterator<Item = &'a Value> + Clone,
@@ -238,7 +238,7 @@ impl EqTable {
     /// File `entry` under its key. A member of the group with the same
     /// constant vector lends its allocation (Figure-4 normalization);
     /// returns the vector the entry ended up holding.
-    pub fn insert(&mut self, mut entry: Entry) -> Arc<[Value]> {
+    pub(crate) fn insert(&mut self, mut entry: Entry) -> Arc<[Value]> {
         let consts = entry.consts.clone();
         let key = self.key_of(&consts);
         let key = key.iter().copied();
@@ -281,7 +281,7 @@ impl EqTable {
 
     /// Remove `trigger`'s entries from the group a constant vector
     /// `consts` belongs to, keeping the others' order. Returns how many.
-    pub fn remove(&mut self, consts: &[Value], trigger: TriggerId) -> usize {
+    pub(crate) fn remove(&mut self, consts: &[Value], trigger: TriggerId) -> usize {
         let key = self.key_of(consts);
         let i = self.find(key_hash(key.iter().copied()), key.iter().copied());
         let s = self.slots[i];
@@ -381,7 +381,7 @@ impl EqTable {
 
     /// Visit every entry: group by group in table order, each group in
     /// insertion order.
-    pub fn for_each(&self, visit: &mut dyn FnMut(&Entry)) {
+    pub(crate) fn for_each(&self, visit: &mut dyn FnMut(&Entry)) {
         for s in self.slots.iter().filter(|s| s.len > 0) {
             self.span(s).iter().flatten().for_each(&mut *visit);
         }
@@ -389,7 +389,7 @@ impl EqTable {
 
     /// Heap bytes held: the capacity of the backing arrays, plus the
     /// entries' constant vectors, each distinct allocation once.
-    pub fn memory_bytes(&self) -> usize {
+    pub(crate) fn memory_bytes(&self) -> usize {
         let free = self.free.iter().map(Vec::capacity).sum::<usize>();
         self.slots.capacity() * std::mem::size_of::<Slot>()
             + self.keys.capacity()

@@ -32,14 +32,17 @@
 //! trigger left to a residual scan is E15's condition with an arm the
 //! disjunction decomposer cannot split.
 
-pub mod eqtable;
-pub mod interval;
-pub mod org;
+mod eqtable;
+mod interval;
+mod org;
 
-pub use org::{Entry, KeyRef, Org, OrgKind, ProbeValues, ORG_LABELS};
+pub use interval::{Bound, IntervalIndex};
+pub use org::{Entry, OrgKind, ORG_LABELS};
+
+use org::{KeyRef, Org, ProbeValues};
 
 use eqtable::key_hash;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use tman_common::fxhash::FxHashMap;
 use tman_common::stats::IndexStats;
@@ -47,7 +50,7 @@ use tman_common::{
     DataSourceId, DataType, ExprId, NodeId, Result, Schema, SignatureId, TriggerId, Tuple,
     UpdateDescriptor, Value,
 };
-use tman_expr::scalar::Env;
+use tman_expr::Env;
 use tman_expr::{IndexPlan, SelectionSignature, SignatureKey};
 use tman_sql::Database;
 use tman_sync::{Mutex, RwLock};
@@ -184,6 +187,10 @@ pub struct SignatureRuntime {
     org: RwLock<Org>,
     /// Entries in `org`; written under its write lock, read without it.
     len: AtomicUsize,
+    /// Entries marked [`ExprId::WINDOWED`]: counted up before such an
+    /// entry is inserted and down once it is removed, so a drain never
+    /// finds a windowed entry in a class that reads as unwindowed.
+    windowed: AtomicUsize,
     config: IndexConfig,
     db: Option<Arc<Database>>,
     org_counters: OrgCounters,
@@ -203,13 +210,20 @@ impl SignatureRuntime {
         self.len() == 0
     }
 
+    /// Does a windowed trigger's entry live in this class? Such a class
+    /// never takes the Figure-5 fan-out, whose partition tasks run after
+    /// the drain position and would feed windows out of token order.
+    pub fn windowed(&self) -> bool {
+        self.windowed.load(Ordering::Relaxed) > 0
+    }
+
     /// Current organization strategy (`constantSetOrganization`).
     pub fn org_kind(&self) -> OrgKind {
         self.org.read().kind()
     }
 
-    /// Main-memory bytes used by the constant set (see
-    /// [`Org::memory_bytes`]).
+    /// Main-memory bytes used by the constant set (a database organization
+    /// counts only its handle).
     pub fn memory_bytes(&self) -> usize {
         self.org.read().memory_bytes()
     }
@@ -247,8 +261,8 @@ impl SignatureRuntime {
         Ok(consts)
     }
 
-    /// Force a specific organization (experiments; also used at recovery to
-    /// restore the catalog's recorded organization).
+    /// Force a specific organization (experiments and tests; organizations
+    /// are otherwise chosen only by promotion as the class grows).
     pub fn set_org(&self, kind: OrgKind) -> Result<()> {
         let mut org = self.org.write();
         if org.kind() == kind {
@@ -515,39 +529,19 @@ impl SignatureRuntime {
     }
 }
 
-/// One signature of a source's [`MatchPlan`].
-#[derive(Clone)]
-pub struct PlanSig {
-    /// The signature: event code, update columns and index plan are
-    /// immutable fields of `rt.sig`, read without a lock.
-    pub rt: Arc<SignatureRuntime>,
-    /// Windowed-threshold entries the engine registered in this signature
-    /// (see [`DataSourceIndex::add_windowed`]).
-    windowed_entries: usize,
-}
-
-impl PlanSig {
-    /// Does a windowed trigger's entry live in this signature? Such a
-    /// signature never takes the Figure-5 fan-out, whose partition tasks
-    /// run after the drain position and would feed windows out of token
-    /// order.
-    pub fn windowed(&self) -> bool {
-        self.windowed_entries > 0
-    }
-}
-
 /// What a drain needs to know about one data source, decided by DDL and
 /// immutable once published: the signature list of Figure 3, in
 /// registration order. A drain loads it once per batch
 /// ([`DataSourceIndex::plan`]) and walks it without a lock. It is
 /// republished — a copy of this list, never of anything population-sized
-/// — only when a signature is added or a signature-level fact changes;
-/// adding or dropping a trigger inside existing signatures touches the
-/// constant sets alone.
+/// — only when a signature is founded; adding or dropping a trigger inside
+/// existing signatures touches the constant sets (and their counts, such
+/// as [`SignatureRuntime::windowed`]) alone.
 #[derive(Default)]
 pub struct MatchPlan {
-    /// The source's signatures.
-    pub sigs: Vec<PlanSig>,
+    /// The source's signatures: event code, update columns and index plan
+    /// are immutable fields of each one's `sig`, read without a lock.
+    pub sigs: Vec<Arc<SignatureRuntime>>,
 }
 
 /// The per-data-source index: the expression signature list of Figure 3.
@@ -568,26 +562,15 @@ impl DataSourceIndex {
     /// Signatures registered on this source (DDL and diagnostics; a drain
     /// reads [`plan`](Self::plan)).
     pub fn signatures(&self) -> Vec<Arc<SignatureRuntime>> {
-        self.plan().sigs.iter().map(|s| s.rt.clone()).collect()
-    }
-
-    /// Note `delta` more (or fewer) windowed-threshold entries in
-    /// signature `sig` and republish the plan.
-    pub fn add_windowed(&self, sig: SignatureId, delta: isize) {
-        let mut plan = self.plan.write();
-        let mut sigs = plan.sigs.clone();
-        if let Some(s) = sigs.iter_mut().find(|s| s.rt.id == sig) {
-            s.windowed_entries = s.windowed_entries.saturating_add_signed(delta);
-        }
-        *plan = Arc::new(MatchPlan { sigs });
+        self.plan().sigs.clone()
     }
 }
 
 /// Where each trigger's entries are: what [`PredicateIndex::remove_trigger`]
 /// looks up instead of searching every constant set. One record per entry
-/// — the class it is in and the constant vector it holds there (the
-/// entry's own allocation, shared, not a copy) — chained per trigger
-/// through one arena.
+/// — the class it is in, the constant vector it holds there (the entry's
+/// own allocation, shared, not a copy) and its flag bits — chained per
+/// trigger through one arena.
 #[derive(Default)]
 struct Directory {
     /// Trigger → its first record in `records`.
@@ -597,45 +580,59 @@ struct Directory {
     free: Option<u32>,
 }
 
+/// The `next` of a chain's last record.
+const END: u32 = u32::MAX;
+
 struct Record {
     /// `None` while the record is on the free chain.
     entry: Option<(Arc<SignatureRuntime>, Arc<[Value]>)>,
-    /// Next record of the same trigger (or of the free chain).
-    next: Option<u32>,
+    /// Next record of the same trigger (or of the free chain), or [`END`].
+    next: u32,
+    /// The high half of the entry's [`ExprId`], where its flag bits are.
+    flags: u32,
 }
 
+/// One entry of a trigger as the directory returns it: its class, its
+/// constants, and an [`ExprId`] that carries the entry's flag bits only.
+type Placed = (Arc<SignatureRuntime>, Arc<[Value]>, ExprId);
+
 impl Directory {
-    fn push(&mut self, trigger: TriggerId, class: Arc<SignatureRuntime>, consts: Arc<[Value]>) {
+    fn push(&mut self, trigger: TriggerId, (class, consts, expr): Placed) {
         let record = Record {
             entry: Some((class, consts)),
-            next: self.heads.get(&trigger).copied(),
+            next: self.heads.get(&trigger).copied().unwrap_or(END),
+            flags: (expr.raw() >> 32) as u32,
         };
         let at = match self.free {
             Some(at) => {
-                self.free = std::mem::replace(&mut self.records[at as usize], record).next;
+                let next = std::mem::replace(&mut self.records[at as usize], record).next;
+                self.free = (next != END).then_some(next);
                 at
             }
             None => {
                 self.records.push(record);
-                u32::try_from(self.records.len() - 1).expect("fewer than 4 Gi index entries")
+                // A length that fits a `u32` leaves the index below `END`.
+                u32::try_from(self.records.len()).expect("fewer than 4 Gi index entries") - 1
             }
         };
         self.heads.insert(trigger, at);
     }
 
     /// Take `trigger`'s records out, newest first.
-    fn take(&mut self, trigger: TriggerId) -> Vec<(Arc<SignatureRuntime>, Arc<[Value]>)> {
+    fn take(&mut self, trigger: TriggerId) -> Vec<Placed> {
         let mut out = Vec::new();
-        let mut next = self.heads.remove(&trigger);
-        while let Some(at) = next {
+        let mut next = self.heads.remove(&trigger).unwrap_or(END);
+        while next != END {
             let freed = Record {
                 entry: None,
-                next: self.free,
+                next: self.free.unwrap_or(END),
+                flags: 0,
             };
-            let record = std::mem::replace(&mut self.records[at as usize], freed);
-            self.free = Some(at);
+            let record = std::mem::replace(&mut self.records[next as usize], freed);
+            self.free = Some(next);
             next = record.next;
-            out.extend(record.entry);
+            let flags = ExprId(u64::from(record.flags) << 32);
+            out.extend(record.entry.map(|(class, consts)| (class, consts, flags)));
         }
         out
     }
@@ -657,6 +654,9 @@ pub struct PredicateIndex {
     /// Held across an entry's insertion or a trigger's removal, so it and
     /// the constant sets always agree. Probes never take it.
     directory: Mutex<Directory>,
+    /// Live entries marked [`ExprId::TAGGED`] (`Arc` so the registry can
+    /// read it as the `tman_tagged_entries` instrument).
+    tagged: Arc<AtomicU64>,
     next_sig: AtomicU32,
     stats: IndexStats,
     org_counters: OrgCounters,
@@ -670,6 +670,7 @@ impl PredicateIndex {
             db: None,
             sources: RwLock::new(FxHashMap::default()),
             directory: Mutex::default(),
+            tagged: Arc::default(),
             next_sig: AtomicU32::new(1),
             stats: IndexStats::default(),
             org_counters: OrgCounters::default(),
@@ -715,6 +716,11 @@ impl PredicateIndex {
             &[],
             self.stats.matches.clone(),
         );
+        // A level, so a computed read of the shared atomic.
+        let tagged = self.tagged.clone();
+        registry.register_counter_fn("tman_tagged_entries", &[], move || {
+            tagged.load(Ordering::Relaxed)
+        });
     }
 
     /// Register (or look up) a data source.
@@ -756,9 +762,9 @@ impl PredicateIndex {
         // The write lock serializes registrations; drains hold the plan
         // they loaded, not the lock.
         let mut plan = src.plan.write();
-        let existing = plan.sigs.iter().find(|s| s.rt.sig.key == sig.key);
+        let existing = plan.sigs.iter().find(|s| s.sig.key == sig.key);
         let (rt, is_new) = match existing {
-            Some(s) => (s.rt.clone(), false),
+            Some(s) => (s.clone(), false),
             None => {
                 let id = SignatureId(self.next_sig.fetch_add(1, Ordering::Relaxed));
                 let rt = Arc::new(SignatureRuntime {
@@ -771,6 +777,7 @@ impl PredicateIndex {
                         self.db.as_ref(),
                     )?),
                     len: AtomicUsize::new(0),
+                    windowed: AtomicUsize::new(0),
                     slot_types: sig.slot_types(schema),
                     sig,
                     config: self.config.clone(),
@@ -778,10 +785,7 @@ impl PredicateIndex {
                     org_counters: self.org_counters.clone(),
                 });
                 let mut sigs = plan.sigs.clone();
-                sigs.push(PlanSig {
-                    rt: rt.clone(),
-                    windowed_entries: 0,
-                });
+                sigs.push(rt.clone());
                 *plan = Arc::new(MatchPlan { sigs });
                 (rt, true)
             }
@@ -797,12 +801,13 @@ impl PredicateIndex {
     /// [`SelectionSignature`] of its own.
     pub fn class(&self, key: &SignatureKey) -> Option<Arc<SignatureRuntime>> {
         let plan = self.source(key.data_src)?.plan();
-        let found = plan.sigs.iter().find(|s| s.rt.sig.key == *key);
-        found.map(|s| s.rt.clone())
+        plan.sigs.iter().find(|s| s.sig.key == *key).cloned()
     }
 
     /// Add one entry to `class`, a class of this index: the second half of
-    /// [`add_predicate`](Self::add_predicate).
+    /// [`add_predicate`](Self::add_predicate). The index counts the flag
+    /// bits of `expr_id` ([`ExprId::is_tagged`], [`ExprId::is_windowed`])
+    /// until the entry is removed.
     pub fn add_to_class(
         &self,
         class: &Arc<SignatureRuntime>,
@@ -812,13 +817,20 @@ impl PredicateIndex {
         next_node: NodeId,
     ) -> Result<()> {
         let mut directory = self.directory.lock();
-        let consts = class.insert(Entry {
+        let windowed = usize::from(expr_id.is_windowed());
+        class.windowed.fetch_add(windowed, Ordering::Relaxed);
+        let entry = Entry {
             expr_id,
             trigger_id,
             next_node,
             consts: consts.into(),
-        })?;
-        directory.push(trigger_id, class.clone(), consts);
+        };
+        let consts = class
+            .insert(entry)
+            .inspect_err(|_| _ = class.windowed.fetch_sub(windowed, Ordering::Relaxed))?;
+        let tagged = u64::from(expr_id.is_tagged());
+        self.tagged.fetch_add(tagged, Ordering::Relaxed);
+        directory.push(trigger_id, (class.clone(), consts, expr_id));
         Ok(())
     }
 
@@ -832,16 +844,20 @@ impl PredicateIndex {
         let mut directory = self.directory.lock();
         let mut records = directory.take(trigger_id).into_iter();
         let mut n = 0;
-        while let Some((class, consts)) = records.next() {
+        while let Some((class, consts, flags)) = records.next() {
             match class.remove(trigger_id, &consts) {
                 Ok(removed) => n += removed,
                 Err(e) => {
                     // What was not removed stays findable, for a retry.
-                    directory.push(trigger_id, class, consts);
-                    records.for_each(|(class, consts)| directory.push(trigger_id, class, consts));
+                    directory.push(trigger_id, (class, consts, flags));
+                    records.for_each(|placed| directory.push(trigger_id, placed));
                     return Err(e);
                 }
             }
+            let windowed = usize::from(flags.is_windowed());
+            class.windowed.fetch_sub(windowed, Ordering::Relaxed);
+            let tagged = u64::from(flags.is_tagged());
+            self.tagged.fetch_sub(tagged, Ordering::Relaxed);
         }
         Ok(n)
     }
@@ -858,7 +874,7 @@ impl PredicateIndex {
             return Ok(());
         };
         let tuple = token.probe_tuple();
-        for sig in src.plan().sigs.iter().map(|s| &s.rt) {
+        for sig in &src.plan().sigs {
             if !sig.sig.key.event.accepts(token.op) {
                 continue;
             }
@@ -891,6 +907,12 @@ impl PredicateIndex {
             .values()
             .map(|s| s.plan().sigs.len())
             .sum()
+    }
+
+    /// Live entries marked [`ExprId::TAGGED`] (the `tman_tagged_entries`
+    /// level).
+    pub fn tagged_entries(&self) -> u64 {
+        self.tagged.load(Ordering::Relaxed)
     }
 
     /// Total number of predicate entries.

@@ -97,14 +97,14 @@ impl OrgKind {
 
 /// A normalized constant-set group: one constant (tuple) plus its
 /// triggerID set (Figure 4).
-pub struct Group {
+pub(crate) struct Group {
     key: Vec<Value>,
     entries: Vec<Entry>,
 }
 
 /// Database-backed organization state: strategy 3, or strategy 4 when it
 /// has its index.
-pub struct DbOrg {
+pub(crate) struct DbOrg {
     /// Which of the two strategies.
     kind: OrgKind,
     table: Arc<Table>,
@@ -116,7 +116,7 @@ pub struct DbOrg {
 }
 
 /// The storage behind one expression signature's equivalence class.
-pub enum Org {
+pub(crate) enum Org {
     /// Strategy 1 (normalized).
     MemList(Vec<Group>),
     /// Strategy 2, equality plans.
@@ -136,7 +136,7 @@ impl Org {
     /// Fresh, empty organization of the given kind. `slot_types` describes
     /// the constant columns for database-backed strategies (see
     /// [`SelectionSignature::slot_types`]).
-    pub fn new(
+    pub(crate) fn new(
         kind: OrgKind,
         sig: &SelectionSignature,
         slot_types: &[tman_common::DataType],
@@ -188,7 +188,7 @@ impl Org {
     }
 
     /// Current strategy.
-    pub fn kind(&self) -> OrgKind {
+    pub(crate) fn kind(&self) -> OrgKind {
         match self {
             Org::MemList(_) => OrgKind::MemList,
             Org::MemHash(_) | Org::MemInterval { .. } => OrgKind::MemIndex,
@@ -203,7 +203,7 @@ impl Org {
     /// constant group whose *entire* constant vector is identical share one
     /// allocation — the common-sub-expression elimination the paper's
     /// normalization buys.
-    pub fn insert(&mut self, plan: &IndexPlan, mut entry: Entry) -> Result<Arc<[Value]>> {
+    pub(crate) fn insert(&mut self, plan: &IndexPlan, mut entry: Entry) -> Result<Arc<[Value]>> {
         if let Org::MemList(groups) = self {
             let group = groups
                 .iter()
@@ -255,7 +255,7 @@ impl Org {
     /// else; the lists and tables are searched whole, so they also remove
     /// entries the trigger holds under other constants. Returns how many
     /// were removed.
-    pub fn remove(
+    pub(crate) fn remove(
         &mut self,
         plan: &IndexPlan,
         trigger_id: TriggerId,
@@ -304,7 +304,7 @@ impl Org {
     /// vectors, in constant time; the lists count what they hold, shared
     /// constant vectors (normalized layout) once; database organizations
     /// report only their handle, which is the point of strategies 3/4.
-    pub fn memory_bytes(&self) -> usize {
+    pub(crate) fn memory_bytes(&self) -> usize {
         match self {
             Org::MemList(groups) => groups
                 .iter()
@@ -325,7 +325,7 @@ impl Org {
 
     /// Visit every entry (diagnostics and organization switches), in the
     /// order a probe that matches them all would deliver them.
-    pub fn for_each_entry(&self, visit: &mut dyn FnMut(&Entry)) -> Result<()> {
+    pub(crate) fn for_each_entry(&self, visit: &mut dyn FnMut(&Entry)) -> Result<()> {
         match self {
             Org::MemList(groups) => groups.iter().flat_map(|g| &g.entries).for_each(visit),
             Org::MemHash(table) => table.for_each(visit),
@@ -349,7 +349,7 @@ impl Org {
     /// Visited entries are *candidates*: the indexable part E_I has matched
     /// (exactly for mem orgs; conservatively for db orgs, which re-check),
     /// and the caller must still test the residual E_NI.
-    pub fn probe(
+    pub(crate) fn probe(
         &self,
         plan: &IndexPlan,
         probe: &ProbeValues<'_>,
@@ -432,7 +432,7 @@ impl Org {
 /// A probe's equality key: the token's values at the plan's key columns,
 /// read in place, with the hash they file under.
 #[derive(Clone, Copy)]
-pub struct KeyRef<'a> {
+pub(crate) struct KeyRef<'a> {
     /// [`key_hash`](crate::eqtable::key_hash) of [`values`](Self::values).
     pub hash: u64,
     /// The token's probe image.
@@ -443,14 +443,14 @@ pub struct KeyRef<'a> {
 
 impl<'a> KeyRef<'a> {
     /// The key's values, in plan column order.
-    pub fn values(&self) -> impl Iterator<Item = &'a Value> + Clone {
+    pub(crate) fn values(&self) -> impl Iterator<Item = &'a Value> + Clone {
         let tuple = self.tuple;
         self.cols.iter().map(move |&c| tuple.get(c))
     }
 }
 
 /// What a probe carries, derived from the token and the index plan.
-pub enum ProbeValues<'a> {
+pub(crate) enum ProbeValues<'a> {
     /// Equality key.
     Key(KeyRef<'a>),
     /// Single attribute value for range stabbing.

@@ -331,6 +331,37 @@ fn remove_trigger_cleans_all_orgs() {
 /// A switch that fails keeps the class whole: a database organization
 /// asked of a memory-only index is refused before any entry leaves the
 /// list, so every trigger still matches and the count agrees with them.
+/// A class counts its windowed and tagged entries itself: a windowed entry joining an
+/// existing class leaves the published plan as it is, and removal takes
+/// both counts back exactly.
+#[test]
+fn windowed_and_tagged_entries_are_counted_without_republishing_the_plan() {
+    let ix = PredicateIndex::new(IndexConfig::default());
+    let rt = add(&ix, "emp.dept = 1", EventKind::Insert, 1);
+    let src = ix.source(EMP).unwrap();
+    let before = src.plan();
+    assert!(!rt.windowed());
+    let join = |cond: &str, expr: u64, tid: u64| {
+        let (_, consts) = analyze(cond, EventKind::Insert);
+        ix.add_to_class(&rt, consts, ExprId(expr), TriggerId(tid), NodeId(0))
+            .unwrap();
+    };
+    join("emp.dept = 2", 2 | ExprId::WINDOWED, 2);
+    join("emp.dept = 3", 3 | ExprId::WINDOWED | ExprId::TAGGED, 2);
+    join("emp.dept = 4", 4 | ExprId::TAGGED, 3);
+    assert!(Arc::ptr_eq(&before, &src.plan()), "plan republished");
+    assert!(rt.windowed());
+    assert_eq!(ix.tagged_entries(), 2);
+    assert_eq!(ix.remove_trigger(TriggerId(2)).unwrap(), 2);
+    assert!(!rt.windowed());
+    assert_eq!(ix.tagged_entries(), 1);
+    assert_eq!(ix.remove_trigger(TriggerId(3)).unwrap(), 1);
+    assert_eq!((ix.tagged_entries(), ix.num_entries()), (0, 1));
+    assert!(Arc::ptr_eq(&before, &src.plan()), "plan republished");
+    // The flag bits ride beside the chain link, in the record's padding.
+    assert_eq!(std::mem::size_of::<Record>(), 32);
+}
+
 #[test]
 fn a_failed_set_org_keeps_every_entry() {
     let ix = PredicateIndex::new(IndexConfig::default());

@@ -15,7 +15,7 @@
 
 use tman_common::rng::SplitMix64;
 use tman_common::Value;
-use tman_predindex::interval::{Bound, IntervalIndex};
+use tman_predindex::{Bound, IntervalIndex};
 
 const DOMAIN: u64 = 400;
 

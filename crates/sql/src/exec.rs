@@ -4,9 +4,9 @@ use crate::{Database, Table};
 use std::sync::Arc;
 use tman_common::{Result, Schema, TmanError, Tuple, Value};
 use tman_expr::cnf::to_cnf;
-use tman_expr::pred::{AtomKind, Pred};
-use tman_expr::scalar::{Env, Scalar};
 use tman_expr::BindCtx;
+use tman_expr::{AtomKind, Pred};
+use tman_expr::{Env, Scalar};
 use tman_lang::ast::{ColumnDef, Expr, SelectCols, SqlStmt};
 use tman_storage::RecordId;
 

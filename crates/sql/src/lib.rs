@@ -10,7 +10,7 @@
 //!   [`tman_storage::Storage`],
 //! * [`Table`] — heap rows plus any number of secondary B+tree indexes,
 //!   maintained on every mutation,
-//! * [`exec`] — execution of the parsed SQL subset
+//! * [`execute`] — execution of the parsed SQL subset
 //!   (`CREATE TABLE` / `CREATE INDEX` / `INSERT` / `UPDATE` / `DELETE` /
 //!   `SELECT`) with an index-aware filter planner.
 //!
@@ -18,10 +18,10 @@
 //! (standard practice, and it also papers over the documented f64 key
 //! encoding lossiness in `tman_storage::encode_key`).
 
-pub mod exec;
-pub mod table;
+mod exec;
+mod table;
 
-pub use exec::{execute, execute_with_capture, ExecResult, RowChange};
+pub use exec::{execute, execute_str, execute_with_capture, ExecResult, RowChange};
 pub use table::{Index, Table};
 
 use std::path::Path;

@@ -13,8 +13,8 @@
 //!   nanoseconds; report count, sum, p50/p95/p99, max);
 //! * [`Registry`] — a process-wide set of *named, optionally labeled*
 //!   instruments (labels: constant-set organization, task type, action
-//!   kind, ...) with two read surfaces: typed [`Registry::samples`] and a
-//!   Prometheus-style text exposition [`Registry::render_text`].
+//!   kind, ...) read as a Prometheus-style text exposition
+//!   ([`Registry::render_text`]) or as JSON ([`Registry::render_json`]).
 //!
 //! ## Overhead design
 //!
@@ -29,16 +29,16 @@
 //! This crate is dependency-free (std only) so every other crate in the
 //! workspace can use it.
 
-pub mod http;
-pub mod instruments;
-pub mod registry;
-pub mod render;
+mod http;
+mod instruments;
+mod registry;
+mod render;
 pub mod trace;
 
 pub use http::{HttpHandler, HttpResponse, HttpServer};
 pub use instruments::{Counter, Gauge, Histogram, HistogramSummary};
-pub use registry::{CounterHandle, GaugeHandle, HistogramHandle, Instrument, Registry, Timer};
-pub use render::{json_escape, MetricSample, SampleValue};
+pub use registry::{CounterHandle, GaugeHandle, HistogramHandle, Registry, Timer};
+pub use render::json_escape;
 pub use trace::{
     unix_now_ns, SpanGuard, SpanKind, TraceEvent, TraceHandle, TraceRing, TraceSnapshot, TraceTree,
     Tracer, TracerStats,

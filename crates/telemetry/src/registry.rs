@@ -17,7 +17,7 @@ use crate::instruments::{Counter, Gauge, Histogram};
 use crate::render::{MetricSample, SampleValue};
 
 /// Owned label set: `(key, value)` pairs, sorted for stable identity.
-pub type LabelSet = Vec<(String, String)>;
+pub(crate) type LabelSet = Vec<(String, String)>;
 
 fn label_set(labels: &[(&str, &str)]) -> LabelSet {
     let mut set: LabelSet = labels
@@ -30,7 +30,7 @@ fn label_set(labels: &[(&str, &str)]) -> LabelSet {
 
 /// One registered instrument.
 #[derive(Clone)]
-pub enum Instrument {
+pub(crate) enum Instrument {
     /// Monotonic counter.
     Counter(Arc<Counter>),
     /// Up/down gauge.
@@ -144,7 +144,7 @@ impl Registry {
     }
 
     /// Register a computed counter: every exposition pass
-    /// ([`samples`](Self::samples) and the renderers built on it) calls
+    /// ([`render_text`](Self::render_text), [`render_json`](Self::render_json)) calls
     /// `f()` for the live value. Replaces any previous instrument at the
     /// same identity. The closure must be cheap and non-blocking — it runs
     /// with the registry's read lock held.
@@ -171,7 +171,7 @@ impl Registry {
     }
 
     /// Snapshot every series, sorted by `(name, labels)`.
-    pub fn samples(&self) -> Vec<MetricSample> {
+    pub(crate) fn samples(&self) -> Vec<MetricSample> {
         let map = self.map.read().unwrap();
         map.iter()
             .map(|((name, labels), inst)| MetricSample {

@@ -6,7 +6,7 @@ use crate::registry::LabelSet;
 
 /// One snapshotted series.
 #[derive(Debug, Clone)]
-pub struct MetricSample {
+pub(crate) struct MetricSample {
     /// Family name, e.g. `tman_index_probes_total`.
     pub name: String,
     /// Sorted `(key, value)` label pairs; empty for unlabeled series.
@@ -17,7 +17,7 @@ pub struct MetricSample {
 
 /// Snapshot value of one series.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SampleValue {
+pub(crate) enum SampleValue {
     /// Monotonic counter value.
     Counter(u64),
     /// Gauge level.
@@ -71,7 +71,7 @@ fn label_block(labels: &LabelSet, extra: Option<(&str, &str)>) -> String {
 /// registry's BTreeMap guarantees it) so each family gets one `# TYPE`
 /// line. Histograms render as summaries: `_count`, `_sum`, quantile
 /// series, and a non-standard `_max` gauge line.
-pub fn render_text(samples: &[MetricSample]) -> String {
+pub(crate) fn render_text(samples: &[MetricSample]) -> String {
     let mut out = String::new();
     let mut last_family: Option<&str> = None;
     for s in samples {
@@ -134,7 +134,7 @@ pub fn json_escape(v: &str) -> String {
 
 /// JSON object mapping each series key (`name` or `name{k=v,...}`) to its
 /// value — a bare number for counters/gauges, an object for histograms.
-pub fn render_json(samples: &[MetricSample]) -> String {
+pub(crate) fn render_json(samples: &[MetricSample]) -> String {
     let mut parts: Vec<String> = Vec::with_capacity(samples.len());
     for s in samples {
         let key = if s.labels.is_empty() {

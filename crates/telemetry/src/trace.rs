@@ -7,14 +7,14 @@
 //! module reassembles that execution into one tree per token:
 //!
 //! * [`TraceEvent`] — one completed span: `(trace_id, span_id, parent_id,
-//!   kind, thread, start, duration, two kind-specific args)`, packed into
-//!   seven `u64` words so it can live in a lock-free ring slot;
+//!   kind, thread, start, duration, two kind-specific args)`;
 //! * [`SpanGuard`] — an RAII guard that records a span on drop; spans
 //!   created from an inert [`TraceHandle`] cost one branch and never read
 //!   the clock (the `tracing: Off` path);
-//! * [`TraceRing`] — a bounded MPSC flight-recorder ring that keeps the
-//!   newest events, counts overwrites exactly, and never yields a torn
-//!   event to readers (per-slot seqlock over plain atomics — no `unsafe`);
+//! * [`TraceRing`] — a bounded flight-recorder ring under one lock that
+//!   keeps the newest events and counts overwrites exactly; its writers
+//!   are a retained token's last handle, which flushes the whole tree in
+//!   one lock hold, and [`Tracer::push_foreign`];
 //! * [`Tracer`] — hands out per-token [`TraceHandle`]s and applies
 //!   *tail-based* 1-in-N sampling: every active token accumulates spans
 //!   privately, and the keep/discard decision is made when the last clone
@@ -26,18 +26,16 @@
 //! JSON, loadable in Perfetto) and [`validate_chrome_trace`] (a serde-free
 //! structural parser used by CI's smoke test).
 
+use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Span id of the per-token root span.
 pub const ROOT_SPAN: u32 = 0;
 /// Parent id carried by the root span (it has no parent).
 pub const NO_PARENT: u32 = u32::MAX;
-
-/// Words one [`TraceEvent`] packs into (one ring slot).
-pub const EVENT_WORDS: usize = 7;
 
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
@@ -120,47 +118,6 @@ pub enum SpanKind {
 }
 
 impl SpanKind {
-    /// Stable code used in the packed event words.
-    pub fn code(self) -> u32 {
-        match self {
-            SpanKind::Token => 0,
-            SpanKind::QueueWait => 1,
-            SpanKind::Process => 2,
-            SpanKind::Maintenance => 3,
-            SpanKind::SigProbe => 4,
-            SpanKind::RestTest => 5,
-            SpanKind::CachePin => 6,
-            SpanKind::Fanout => 7,
-            SpanKind::Action => 8,
-            SpanKind::Notify => 9,
-            SpanKind::Wire => 10,
-            SpanKind::WireSend => 11,
-            SpanKind::WireDeliver => 12,
-            SpanKind::WireAck => 13,
-        }
-    }
-
-    /// Inverse of [`code`](Self::code).
-    pub fn from_code(c: u32) -> Option<SpanKind> {
-        Some(match c {
-            0 => SpanKind::Token,
-            1 => SpanKind::QueueWait,
-            2 => SpanKind::Process,
-            3 => SpanKind::Maintenance,
-            4 => SpanKind::SigProbe,
-            5 => SpanKind::RestTest,
-            6 => SpanKind::CachePin,
-            7 => SpanKind::Fanout,
-            8 => SpanKind::Action,
-            9 => SpanKind::Notify,
-            10 => SpanKind::Wire,
-            11 => SpanKind::WireSend,
-            12 => SpanKind::WireDeliver,
-            13 => SpanKind::WireAck,
-            _ => return None,
-        })
-    }
-
     /// Snake-case name used in renderings and the Chrome trace export.
     pub fn name(self) -> &'static str {
         match self {
@@ -205,141 +162,74 @@ pub struct TraceEvent {
     pub arg_b: u64,
 }
 
-impl TraceEvent {
-    /// Pack into ring-slot words.
-    pub fn encode(&self) -> [u64; EVENT_WORDS] {
-        [
-            self.trace_id,
-            (u64::from(self.span_id) << 32) | u64::from(self.parent_id),
-            (u64::from(self.kind.code()) << 32) | u64::from(self.thread),
-            self.start_ns,
-            self.dur_ns,
-            self.arg_a,
-            self.arg_b,
-        ]
-    }
-
-    /// Unpack ring-slot words (`None` for an unrecognized kind code).
-    pub fn decode(w: [u64; EVENT_WORDS]) -> Option<TraceEvent> {
-        Some(TraceEvent {
-            trace_id: w[0],
-            span_id: (w[1] >> 32) as u32,
-            parent_id: w[1] as u32,
-            kind: SpanKind::from_code((w[2] >> 32) as u32)?,
-            thread: w[2] as u32,
-            start_ns: w[3],
-            dur_ns: w[4],
-            arg_a: w[5],
-            arg_b: w[6],
-        })
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Ring buffer
 // ---------------------------------------------------------------------------
 
-#[derive(Default)]
-struct Slot {
-    /// Seqlock word. A slot that holds the completed event of ticket `t`
-    /// reads `2t + 2`; `2t + 1` means ticket `t`'s writer is mid-write;
-    /// `0` means never written. Tickets map to slots by `t % capacity`, so
-    /// every value is unambiguous per slot.
-    seq: AtomicU64,
-    words: [AtomicU64; EVENT_WORDS],
+/// Bounded flight-recorder ring for [`TraceEvent`]s: the newest
+/// `capacity` events, oldest first, under one lock.
+/// [`dropped`](Self::dropped) counts the events pushed out exactly.
+pub struct TraceRing {
+    capacity: usize,
+    state: Mutex<RingState>,
 }
 
-/// Bounded MPSC flight-recorder ring for [`TraceEvent`]s.
-///
-/// Writers claim a monotonically increasing ticket and gain *exclusive*
-/// ownership of the ticket's slot via a CAS on the slot's seqlock word (a
-/// writer lapping a straggler spins until the straggler finishes — tickets
-/// on one slot are a full ring apart, so in practice the CAS never waits).
-/// Readers validate the seqlock before and after copying the words and
-/// skip slots that are mid-write, so a snapshot never contains a torn
-/// event. The ring keeps the newest `capacity` events;
-/// [`dropped`](Self::dropped) counts overwritten events exactly.
-pub struct TraceRing {
-    slots: Box<[Slot]>,
-    head: AtomicU64,
+#[derive(Default)]
+struct RingState {
+    events: VecDeque<TraceEvent>,
+    /// Events ever pushed.
+    pushed: u64,
 }
 
 impl TraceRing {
     /// Ring holding the newest `capacity` events (min 1).
     pub fn new(capacity: usize) -> TraceRing {
-        let capacity = capacity.max(1);
-        let slots = (0..capacity).map(|_| Slot::default()).collect();
         TraceRing {
-            slots,
-            head: AtomicU64::new(0),
+            capacity: capacity.max(1),
+            state: Mutex::default(),
         }
     }
 
     /// Event capacity.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
-    /// Append one event, overwriting the oldest if full.
+    /// Append one event, pushing out the oldest if full.
     pub fn push(&self, ev: &TraceEvent) {
-        let cap = self.slots.len() as u64;
-        let ticket = self.head.fetch_add(1, Ordering::AcqRel);
-        let slot = &self.slots[(ticket % cap) as usize];
-        // The slot is free for this ticket once the previous lap's writer
-        // (ticket - cap) has published, or immediately on the first lap.
-        let free = if ticket >= cap {
-            2 * (ticket - cap) + 2
-        } else {
-            0
-        };
-        while slot
-            .seq
-            .compare_exchange_weak(free, 2 * ticket + 1, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            std::hint::spin_loop();
+        self.push_all([*ev]);
+    }
+
+    /// Append `events` in order under one lock hold, pushing out the
+    /// oldest past capacity.
+    pub fn push_all(&self, events: impl IntoIterator<Item = TraceEvent>) {
+        let mut ring = self.lock();
+        for ev in events {
+            if ring.events.len() == self.capacity {
+                ring.events.pop_front();
+            }
+            ring.events.push_back(ev);
+            ring.pushed += 1;
         }
-        for (w, v) in slot.words.iter().zip(ev.encode()) {
-            w.store(v, Ordering::Relaxed);
-        }
-        slot.seq.store(2 * ticket + 2, Ordering::Release);
     }
 
     /// Total events ever pushed.
     pub fn pushed(&self) -> u64 {
-        self.head.load(Ordering::Acquire)
+        self.lock().pushed
     }
 
-    /// Events lost to overwrite (exact: everything past capacity).
+    /// Events pushed out (exact: everything past capacity).
     pub fn dropped(&self) -> u64 {
-        self.pushed().saturating_sub(self.slots.len() as u64)
+        self.pushed().saturating_sub(self.capacity as u64)
     }
 
-    /// Copy out the retained events, oldest first. Slots being written
-    /// concurrently are skipped rather than returned torn.
+    /// Copy out the retained events, oldest first.
     pub fn snapshot(&self) -> Vec<TraceEvent> {
-        let cap = self.slots.len() as u64;
-        let head = self.head.load(Ordering::Acquire);
-        let lo = head.saturating_sub(cap);
-        let mut out = Vec::with_capacity((head - lo) as usize);
-        for t in lo..head {
-            let slot = &self.slots[(t % cap) as usize];
-            if slot.seq.load(Ordering::Acquire) != 2 * t + 2 {
-                continue; // mid-write or already lapped
-            }
-            let mut words = [0u64; EVENT_WORDS];
-            for (dst, w) in words.iter_mut().zip(slot.words.iter()) {
-                *dst = w.load(Ordering::Relaxed);
-            }
-            fence(Ordering::Acquire);
-            if slot.seq.load(Ordering::Relaxed) != 2 * t + 2 {
-                continue; // overwritten while copying
-            }
-            if let Some(ev) = TraceEvent::decode(words) {
-                out.push(ev);
-            }
-        }
-        out
+        self.lock().events.iter().copied().collect()
+    }
+
+    fn lock(&self) -> MutexGuard<'_, RingState> {
+        self.state.lock().expect("trace ring lock")
     }
 }
 
@@ -380,7 +270,7 @@ impl Drop for TraceContext {
             return;
         }
         let spans = self.spans.get_mut().expect("trace spans lock");
-        self.tracer.ring.push(&TraceEvent {
+        let root = TraceEvent {
             trace_id: self.trace_id,
             span_id: ROOT_SPAN,
             parent_id: NO_PARENT,
@@ -390,10 +280,9 @@ impl Drop for TraceContext {
             dur_ns: dur,
             arg_a: u64::from(slow),
             arg_b: spans.len() as u64,
-        });
-        for ev in spans.drain(..) {
-            self.tracer.ring.push(&ev);
-        }
+        };
+        let tree = std::iter::once(root).chain(spans.drain(..));
+        self.tracer.ring.push_all(tree);
         self.tracer.retained.fetch_add(1, Ordering::Relaxed);
         if slow && !self.sampled_in {
             self.tracer.slow_retained.fetch_add(1, Ordering::Relaxed);
@@ -639,18 +528,7 @@ impl Tracer {
     /// accumulate until the last clone drops, then the tail-sampling
     /// decision flushes or discards them.
     pub fn begin(self: &Arc<Tracer>) -> TraceHandle {
-        self.started.fetch_add(1, Ordering::Relaxed);
-        let n = self.sample_clock.fetch_add(1, Ordering::Relaxed);
-        TraceHandle {
-            ctx: Some(Arc::new(TraceContext {
-                trace_id: self.next_trace_id.fetch_add(1, Ordering::Relaxed),
-                sampled_in: n.is_multiple_of(self.sample_every),
-                start_ns: now_ns(),
-                next_span: AtomicU32::new(ROOT_SPAN + 1),
-                spans: Mutex::new(Vec::with_capacity(8)),
-                tracer: self.clone(),
-            })),
-        }
+        self.begin_with_id(self.next_trace_id.fetch_add(1, Ordering::Relaxed))
     }
 
     /// Begin tracing a token whose trace id was assigned by a *peer*
@@ -1182,25 +1060,6 @@ mod tests {
             arg_a: 1,
             arg_b: 2,
         }
-    }
-
-    #[test]
-    fn event_word_roundtrip() {
-        let e = TraceEvent {
-            trace_id: u64::MAX - 3,
-            span_id: 77,
-            parent_id: NO_PARENT,
-            kind: SpanKind::CachePin,
-            thread: 9,
-            start_ns: 123_456_789,
-            dur_ns: 42,
-            arg_a: u64::MAX,
-            arg_b: 0,
-        };
-        assert_eq!(TraceEvent::decode(e.encode()), Some(e));
-        let mut bad = e.encode();
-        bad[2] = 999u64 << 32; // unknown kind code
-        assert_eq!(TraceEvent::decode(bad), None);
     }
 
     #[test]

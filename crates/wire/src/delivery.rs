@@ -101,7 +101,7 @@ use crate::frame::encode_notification_body;
 
 /// Durable subscriber registry: `(name, event, watermark)`. A subscriber's
 /// delivery log is the store object `log_wire_subscriber_<name>`.
-pub const SUBSCRIBER_TABLE: &str = "wire_subscriber";
+pub(crate) const SUBSCRIBER_TABLE: &str = "wire_subscriber";
 /// The table a store from before the per-subscriber logs kept every
 /// delivery in; [`DeliveryHub::open`] refuses a store that has it.
 const OLD_LOG_TABLE: &str = "wire_delivery_log";
@@ -114,7 +114,7 @@ const ORIGIN: usize = 8;
 /// connection is closed so the client reconnects and replays. Mirrors the
 /// in-process [`SLOW_CHANNEL_DEPTH`](triggerman::events::SLOW_CHANNEL_DEPTH)
 /// policy: unbounded channels made bounded by convention.
-pub const MAILBOX_STALL_DEPTH: usize = 16_384;
+pub(crate) const MAILBOX_STALL_DEPTH: usize = 16_384;
 
 /// What the hub remembers of one live log record; the body stays in the
 /// log. The stamps are 0 for a record recovered at open: trace context is

@@ -18,13 +18,10 @@ use std::time::{Duration, Instant};
 use tman_check::prelude::*;
 
 use tman_common::Value;
-use tman_wire::crc::crc32;
-use tman_wire::frame::{
-    decode_frame, frame_to_vec, Frame, HEADER_LEN, MAGIC, MAX_PAYLOAD, ROLE_SOURCE,
-    ROLE_SUBSCRIBER, TRAILER_LEN, VERSION,
+use tman_wire::{
+    crc32, decode_frame, error_code, frame_to_vec, Frame, RemoteClient, WireServer, HEADER_LEN,
+    MAGIC, MAX_PAYLOAD, ROLE_SOURCE, ROLE_SUBSCRIBER, TRAILER_LEN, VERSION,
 };
-use tman_wire::server::error_code;
-use tman_wire::{RemoteClient, WireServer};
 use triggerman::{Config, TriggerMan};
 
 fn arb_text() -> impl Strategy<Value = String> {

@@ -54,12 +54,12 @@
 //!   collide in the per-signature maps; single-arm matches lost.
 //! * `register_predicates`: fresh tag per *branch* instead of per trigger
 //!   — claims no longer dedupe across arms; duplicate firings.
-//! * `register_predicates`: leave `EXPR_TAGGED` off the branch `ExprId`s
-//!   — `admit` takes its one-branch exit; duplicates as in the first
-//!   mutant.
-//! * `drop_trigger`: skip the `trigger_exprs` cleanup — the live-entry
-//!   gauge (`tman_tagged_entries`) pinned by the unit test drifts from
-//!   zero after the drop.
+//! * `register_predicates`: leave `ExprId::TAGGED` off the branch
+//!   `ExprId`s — `admit` takes its one-branch exit; duplicates as in the
+//!   first mutant.
+//! * `PredicateIndex::remove_trigger`: skip the tagged decrement — the
+//!   live-entry gauge (`tman_tagged_entries`) pinned by the unit test
+//!   drifts from zero after the drop.
 //! * `replay`: give each partition its own claim set (or the shared one
 //!   empty instead of the replay's own claims) — partition tasks admit
 //!   what the replay or a sibling partition already claimed; duplicates

@@ -58,11 +58,13 @@
 //! * `TriggerMan::admit`: ignore the observe verdict (fire on every
 //!   matching event) — any k >= 2 case diverges on the pre-threshold
 //!   prefix.
-//! * `TriggerMan::process_run`: drop the `PlanSig::windowed` fan-out
-//!   exclusion — the partitioned engines route window probes through
-//!   partition tasks, which run after directly-probed later tokens;
-//!   with out-of-order timestamps the observation order shift changes
-//!   clamp outcomes and the partitioned column diverges.
+//! * `TriggerMan::process_run`: drop the `SignatureRuntime::windowed`
+//!   fan-out exclusion — this oracle does *not* catch it: its partitioned
+//!   engines fan every class (`partition_min` 1) and one thread runs the
+//!   partition tasks in the order they were pushed, so windows still see
+//!   token order. The engine unit test
+//!   `a_windowed_entry_keeps_its_class_from_fanning_out_until_dropped`
+//!   catches it by the partition-task count.
 //! * `TriggerMan::checkpoint`/`flush_acks`: skip `persist_windows` — the
 //!   restart test reopens with an empty ring and the third event cannot
 //!   cross its `count >= 3` threshold.
