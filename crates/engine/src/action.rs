@@ -29,7 +29,7 @@ use tman_telemetry::SpanKind;
 /// notification here and leave it in `outbox`: the drain pass that owns the
 /// outbox delivers it, and times the delivery, with the rest of its run
 /// (`TriggerMan::replay`, invariant 6).
-pub fn run_action(
+pub(crate) fn run_action(
     system: &TriggerMan,
     trigger: &CompiledTrigger,
     bindings: &[Tuple],
@@ -184,7 +184,7 @@ fn substitute_expr(
 
 /// Macro-substitute `:NEW`/`:OLD` references in an `execSQL` statement
 /// template, producing a runnable statement.
-pub fn substitute_stmt(
+pub(crate) fn substitute_stmt(
     stmt: &SqlStmt,
     trigger: &CompiledTrigger,
     bindings: &[Tuple],
@@ -239,7 +239,7 @@ fn value_to_plain(v: &Value) -> String {
 
 /// Textual `:NEW.src.col` / `:OLD.src.col` substitution for `notify`
 /// message templates.
-pub fn substitute_text(
+pub(crate) fn substitute_text(
     template: &str,
     trigger: &CompiledTrigger,
     bindings: &[Tuple],

@@ -8,7 +8,7 @@
 //!
 //! A [`CompiledTrigger`] is what the trigger cache holds, and it holds only
 //! what the fire path reads (`handle_match`, [`CompiledTrigger::runs_action`]
-//! and [`crate::action::run_action`]): no source text (the catalog row keeps
+//! and `action::run_action`): no source text (the catalog row keeps
 //! it), no network for a one-variable trigger (the predicate index tested
 //! its selection; what is left is a list of conjuncts over no variable,
 //! nearly always empty), no window (registration reads it from

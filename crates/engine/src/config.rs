@@ -45,10 +45,9 @@ pub struct Config {
     pub index: IndexConfig,
     /// Update-descriptor queue mode.
     pub queue_mode: QueueMode,
-    /// `TMAN_CONCURRENCY_LEVEL` ∈ (0, 1]: fraction of CPUs given to driver
-    /// threads. `N = ceil(NUM_CPUS * TMAN_CONCURRENCY_LEVEL)` (§6).
-    pub concurrency_level: f64,
-    /// Override for NUM_CPUS (tests); `None` = detect.
+    /// Override for NUM_CPUS, and so for the driver count (§6's
+    /// `TMAN_CONCURRENCY_LEVEL` below 1 is this at a smaller count);
+    /// `None` = detect.
     pub num_cpus: Option<usize>,
     /// `T`: the longest an idle driver goes between two `TmanTest()` calls
     /// (§6 proposes 250 ms). It is the timeout of the idle wait
@@ -104,7 +103,6 @@ impl Default for Config {
             network: NetworkKind::ATreat,
             index: IndexConfig::default(),
             queue_mode: QueueMode::Volatile,
-            concurrency_level: 1.0,
             num_cpus: None,
             driver_period: Duration::from_millis(250),
             threshold: Duration::from_millis(250),
@@ -122,15 +120,16 @@ impl Default for Config {
 }
 
 impl Config {
-    /// Number of driver threads `N = ceil(NUM_CPUS * level)` (§6).
+    /// Number of driver threads: §6's `N = ceil(NUM_CPUS *
+    /// TMAN_CONCURRENCY_LEVEL)` at level 1, so NUM_CPUS — detected, or
+    /// [`num_cpus`](Self::num_cpus) — and at least one.
     pub fn num_drivers(&self) -> usize {
         let cpus = self.num_cpus.unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1)
         });
-        let level = self.concurrency_level.clamp(f64::MIN_POSITIVE, 1.0);
-        ((cpus as f64 * level).ceil() as usize).max(1)
+        cpus.max(1)
     }
 }
 
@@ -140,18 +139,15 @@ mod tests {
 
     #[test]
     fn driver_count_formula() {
-        let mut c = Config {
-            num_cpus: Some(8),
+        let cpus = |num_cpus| Config {
+            num_cpus,
             ..Default::default()
         };
-        c.concurrency_level = 1.0;
-        assert_eq!(c.num_drivers(), 8);
-        c.concurrency_level = 0.5;
-        assert_eq!(c.num_drivers(), 4);
-        c.concurrency_level = 0.3;
-        assert_eq!(c.num_drivers(), 3); // ceil(2.4)
-        c.concurrency_level = 0.0; // clamped to >0
-        assert_eq!(c.num_drivers(), 1);
+        assert_eq!(cpus(Some(8)).num_drivers(), 8);
+        assert_eq!(cpus(Some(3)).num_drivers(), 3);
+        assert_eq!(cpus(Some(0)).num_drivers(), 1);
+        let detected = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(cpus(None).num_drivers(), detected);
     }
 
     #[test]
@@ -162,13 +158,12 @@ mod tests {
     /// Every field named, no `..`: a field added to `Config` fails to
     /// compile here, so a new setting is a decision this test records.
     #[test]
-    fn config_has_seventeen_fields() {
+    fn config_has_sixteen_fields() {
         let Config {
             trigger_cache_capacity: _,
             network: _,
             index: _,
             queue_mode: _,
-            concurrency_level: _,
             num_cpus: _,
             driver_period: _,
             threshold: _,

@@ -4,7 +4,8 @@
 //! processes" where `N = ceil(NUM_CPUS * TMAN_CONCURRENCY_LEVEL)`. "Each
 //! driver process will call TriggerMan's TmanTest() function every T time
 //! units. Each driver will also call back immediately after one execution
-//! of TmanTest() if work is still left to do."
+//! of TmanTest() if work is still left to do." The level is 1 here, so N
+//! is the CPU count ([`Config::num_drivers`](crate::Config::num_drivers)).
 //!
 //! The paper's drivers are separate programs polling a DataBlade routine,
 //! so between two polls nothing can reach them. Ours are threads in the
@@ -157,7 +158,7 @@ impl Drop for AckState {
 /// driver thread — link back into the originating token's trace tree. The
 /// trace id itself rides inside the token's `trace` handle.
 ///
-/// Every partition of one split also shares the token's tag [`Claims`]
+/// Every partition of one split also shares the token's tag `Claims`
 /// (Kim & Madden's tagged execution): whichever partition matches an
 /// OR-trigger's disjunct entry first claims the trigger's tag, and the
 /// others' matches on it are duplicates.
@@ -181,7 +182,7 @@ pub struct Task {
 
 /// One split token's tag-claim set, seeded with what the token had
 /// claimed before it split.
-pub type Claims = Arc<tman_sync::Mutex<FxHashSet<u64>>>;
+pub(crate) type Claims = Arc<tman_sync::Mutex<FxHashSet<u64>>>;
 
 /// One driver slot's activity, shared into the registry as
 /// `tman_driver_tasks_total{driver="i"}` and
@@ -245,7 +246,7 @@ impl Drop for DriverPool {
 
 /// Spawn the driver threads. Every driver pops the one task queue;
 /// driver `i` counts its work in slot `i`.
-pub fn start(system: Arc<TriggerMan>) -> DriverPool {
+pub(crate) fn start(system: Arc<TriggerMan>) -> DriverPool {
     let n = system.config().num_drivers();
     let threshold = system.config().threshold;
     let period = system.config().driver_period;

@@ -11,14 +11,14 @@
 //!   through the data-source API ([`TriggerMan::push_token`]);
 //! * the scalable predicate index ([`tman_predindex`]) with expression
 //!   signatures and the four constant-set organizations (§5);
-//! * the trigger cache ([`cache`]) with buffer-pool pin/unpin semantics
+//! * the trigger cache ([`TriggerCache`]) with buffer-pool pin/unpin semantics
 //!   (§5.1);
 //! * A-TREAT (default) / TREAT / Rete discrimination networks
 //!   ([`tman_network`]) for join conditions;
 //! * rule actions (`execSQL`, `raise event`, `notify`) with `:NEW`/`:OLD`
-//!   macro substitution ([`action`]);
+//!   macro substitution (`action.rs`);
 //! * drivers calling [`TriggerMan::tman_test`] on a shared task queue with
-//!   token- and condition-level concurrency (§6, [`driver`]), parked in
+//!   token- and condition-level concurrency (§6, [`DriverPool`]), parked in
 //!   [`TriggerMan::idle_wait`] while there is nothing to do and woken by
 //!   the push that ends that; a rule action runs inline on the thread that
 //!   matched it.
@@ -47,17 +47,17 @@
 //! assert_eq!(events.try_recv().unwrap().message.unwrap(), "big salary: Bob");
 //! ```
 
-pub mod action;
-pub mod cache;
+mod action;
+mod cache;
 pub mod catalog;
 pub mod compile;
-pub mod config;
+mod config;
 mod ddl;
-pub mod driver;
+mod driver;
 pub mod events;
-pub mod metrics;
+mod metrics;
 pub mod queue;
-pub mod source;
+mod source;
 mod window;
 
 pub use cache::{PinnedTrigger, TriggerCache};
@@ -66,6 +66,7 @@ pub use config::{Config, QueueMode, TracingMode};
 pub use driver::{AckState, DriverPool, Task, TmanTestResult};
 pub use events::{EventBus, EventNotification, NotificationSink, Outbox};
 pub use metrics::MetricsSnapshot;
+pub use source::SourceInfo;
 pub use tman_network::NetworkKind;
 pub use tman_predindex::OrgKind;
 pub use tman_telemetry::{
@@ -77,19 +78,18 @@ use compile::{compile_trigger, Condition};
 use ddl::{Ddl, Published};
 use driver::{Claims, DriverSlot, IdleGate};
 use queue::UpdateQueue;
-use source::SourceInfo;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use tman_common::fxhash::FxHashSet;
 use tman_common::stats::Counter;
 use tman_common::{
-    DataSourceId, EventKind, ExprId, NodeId, Result, Schema, TmanError, TokenOp, TriggerId,
-    TriggerSetId, Tuple, UpdateDescriptor,
+    DataSourceId, ExprId, NodeId, Result, Schema, TmanError, TokenOp, TriggerId, TriggerSetId,
+    Tuple, UpdateDescriptor,
 };
 use tman_lang::ast::Command;
 use tman_network::Polarity;
-use tman_predindex::{MatchPlan, PredicateIndex, Probe};
+use tman_predindex::{Entry, Found, PredicateIndex, Probe, SignatureRuntime};
 use tman_sql::{Database, ExecResult};
 use tman_sync::SegQueue;
 use tman_sync::{Mutex, RwLock};
@@ -137,7 +137,7 @@ pub enum CommandOutput {
 }
 
 /// Engine-level counters. Held by `Arc` so they double as live registry
-/// instruments (see [`metrics`]).
+/// instruments (see `metrics.rs`).
 #[derive(Debug, Default)]
 pub struct EngineStats {
     /// Tokens fully processed.
@@ -160,6 +160,10 @@ fn tag_of(trigger: TriggerId, node: NodeId) -> u64 {
 /// One token of a run, with the deferred ack of its persistent-queue row.
 type RunToken = (UpdateDescriptor, Option<Arc<AckState>>);
 
+/// An index entry a token matched, as a step needs it: its expression
+/// (for the flag bits), its trigger and its network node.
+type Hit = (ExprId, TriggerId, NodeId);
+
 /// One deferred step of a token's replay ([`TriggerMan::replay`]).
 struct Step {
     /// Index of the token in its run.
@@ -168,30 +172,27 @@ struct Step {
 }
 
 enum StepKind {
-    /// An index match to admit, pin and activate.
-    Match {
-        expr: ExprId,
-        trigger: TriggerId,
-        node: NodeId,
-        /// The probe's `SigProbe` span: parent of the pin and action spans.
-        span: u32,
-    },
-    /// A Figure-5 fan-out to push: signature `sig` of the run's match
-    /// plan, split `parts` ways.
-    Split { sig: u32, parts: u32 },
+    /// An update token's old image matched an entry of an `any`
+    /// signature: retract it from the trigger's stored memories.
+    Retract(Hit),
+    /// An index match to admit, pin and activate, with the probe's
+    /// `SigProbe` span: the parent of the pin and action spans.
+    Match(Hit, u32),
+    /// A Figure-5 fan-out of this signature to push, split
+    /// [`Config::condition_partitions`] ways.
+    Split(Arc<SignatureRuntime>),
 }
 
 impl Step {
-    fn matched(tok: usize, e: &tman_predindex::Entry, span: u32) -> Step {
-        Step {
-            tok: tok as u32,
-            kind: StepKind::Match {
-                expr: e.expr_id,
-                trigger: e.trigger_id,
-                node: e.next_node,
-                span,
-            },
-        }
+    fn new(found: Found<'_>) -> Step {
+        let hit = |e: &Entry| (e.expr_id, e.trigger_id, e.next_node);
+        let (tok, kind) = match found {
+            Found::Match { tok, entry, span } => (tok, StepKind::Match(hit(entry), span)),
+            Found::Retract { tok, entry } => (tok, StepKind::Retract(hit(entry))),
+            Found::Split { tok, sig } => (tok, StepKind::Split(sig.clone())),
+        };
+        let tok = tok as u32;
+        Step { tok, kind }
     }
 }
 
@@ -939,33 +940,20 @@ impl TriggerMan {
     /// drained batch or [`process_token`](Self::process_token), traced or
     /// not — as a run of tokens of one data source.
     ///
-    /// **Probe.** The source's published [`MatchPlan`] is loaded once; from
-    /// here on the run asks the catalog nothing. Signature by signature,
-    /// every token the signature's event code and update columns accept is
-    /// probed in one [`tman_predindex::SignatureRuntime::probe_batch`] call — or, where the
-    /// signature takes the Figure-5 fan-out, noted as a split — into one
-    /// flat buffer of [`Step`]s, which a stable sort then puts in token
-    /// order (signature order, then entry order, within a token). Probes
-    /// are pure reads of the constant sets (DDL is the only writer), so all
-    /// of them may run before any network is touched.
+    /// **Probe.** [`PredicateIndex::match_run`] walks the source's
+    /// signatures once for the whole run, retractions included, into one
+    /// flat buffer of [`Step`]s; what stays here is the Figure-5 decision
+    /// of which signatures fan out instead. A stable sort then puts the
+    /// steps in token order (signature order, then entry order, within a
+    /// token). Probes are pure reads of the constant sets (DDL is the only
+    /// writer), so all of them may run before any network is touched.
     ///
     /// **Replay** ([`replay`](Self::replay)) then does everything that
     /// mutates, in strict token order.
     ///
     /// Every failure is recorded as it happens; the first is also returned.
     fn process_run(self: &Arc<Self>, slot: usize, run: &[RunToken]) -> Result<()> {
-        let n = run.len() as u64;
-        self.stats.tokens.add(n);
-        // The engine drives the index root inline rather than through
-        // `PredicateIndex::match_token`, so the index's token counter is
-        // fed here to keep `tman_index_tokens_total` meaning "tokens
-        // submitted to the root".
-        let istats = self.predindex.stats();
-        istats.tokens.add(n);
-        let Some(src) = self.predindex.source(run[0].0.data_src) else {
-            return Ok(());
-        };
-        let plan = src.plan();
+        self.stats.tokens.add(run.len() as u64);
         // A traced token's `Process` span covers its stay in the run,
         // probe phase through its own replay; its probe, pin and action
         // spans below carry the time that is the token's alone.
@@ -978,50 +966,27 @@ impl TriggerMan {
             }));
         }
         let process_id = |idx: usize| process.get(idx).map_or(ROOT_SPAN, SpanGuard::id);
+        // Condition-level concurrency (Figure 5): split a signature's
+        // constant/triggerID sets into tasks.
+        let parts = self.config.condition_partitions;
+        let fan = |sig: &SignatureRuntime| {
+            parts > 1 && !sig.windowed() && sig.len() >= self.config.partition_min
+        };
         let mut first_err = None;
         let mut steps: Vec<Step> = Vec::new();
-        let mut probes: Vec<Probe<'_>> = Vec::with_capacity(run.len());
-        for (s, sig) in plan.sigs.iter().enumerate() {
-            // Condition-level concurrency (Figure 5): split this
-            // signature's constant/triggerID sets into tasks.
-            let parts = self.config.condition_partitions;
-            let fan = parts > 1 && !sig.windowed() && sig.len() >= self.config.partition_min;
-            probes.clear();
-            let mut accepted = 0u64;
-            for (idx, (tok, _)) in run.iter().enumerate() {
-                if !sig.sig.key.event.accepts(tok.op) || !tok.touches_columns(&sig.sig.update_cols)
-                {
-                    continue;
+        let token = |idx: usize| (&run[idx].0, process_id(idx));
+        self.predindex
+            .match_run(run.len(), token, true, fan, |found| match found {
+                Ok(found) => steps.push(Step::new(found)),
+                Err(e) => {
+                    self.record_error(&e);
+                    first_err.get_or_insert(e);
                 }
-                accepted += 1;
-                if fan {
-                    let (sig, parts) = (s as u32, parts as u32);
-                    steps.push(Step {
-                        tok: idx as u32,
-                        kind: StepKind::Split { sig, parts },
-                    });
-                } else {
-                    probes.push(Probe {
-                        tag: idx,
-                        tuple: tok.probe_tuple(),
-                        trace: &tok.trace,
-                        parent_span: process_id(idx),
-                    });
-                }
-            }
-            istats.signatures_probed.add(accepted);
-            let probed = sig.probe_batch(&probes, 0, 1, istats, &mut |idx, e, span| {
-                steps.push(Step::matched(idx, e, span))
             });
-            if let Err(e) = probed {
-                self.record_error(&e);
-                first_err.get_or_insert(e);
-            }
-        }
         if run.len() > 1 {
             steps.sort_by_key(|s| s.tok);
         }
-        let replayed = self.replay(run, &plan, &mut process, &steps, None);
+        let replayed = self.replay(run, &mut process, &steps, None);
         first_err.map_or(replayed, Err)
     }
 
@@ -1048,15 +1013,14 @@ impl TriggerMan {
             task.part,
             task.nparts,
             istats,
-            &mut |idx, e, span| steps.push(Step::matched(idx, e, span)),
+            &mut |tok, entry, span| steps.push(Step::new(Found::Match { tok, entry, span })),
         );
         if let Err(e) = probed {
             self.record_error(&e);
         }
         let run = std::slice::from_ref(&item);
         // `replay` records its own failures.
-        let claims = Some(&task.claims);
-        let _ = self.replay(run, &MatchPlan::default(), &mut [], &steps, claims);
+        let _ = self.replay(run, &mut [], &steps, Some(&task.claims));
     }
 
     /// Replay `steps` (sorted by token) over `run` in **strict token
@@ -1064,10 +1028,13 @@ impl TriggerMan {
     /// holds the engine to, whatever the batch size, driver count or
     /// fan-out:
     ///
-    /// 1. an update token first retracts its old image from stored-memory
-    ///    networks (whole tokens only — a partition's token already has);
-    /// 2. then its steps run in signature order, entry order within a
-    ///    signature;
+    /// 1. an update token's retract steps run first, under its
+    ///    `Maintenance` span, against a claim set of their own, so a
+    ///    multi-variable trigger whose selection was decomposed into tagged
+    ///    disjuncts retracts the old image once, not once per matching
+    ///    disjunct (whole tokens only — a partition's token already has);
+    /// 2. then its match and split steps run in signature order, entry
+    ///    order within a signature;
     /// 3. a match claims its tag *before* its window is observed, so a
     ///    multi-disjunct windowed trigger counts a matching token once;
     /// 4. it is admitted (tag, window) *before* the trigger is pinned, so
@@ -1089,8 +1056,8 @@ impl TriggerMan {
     ///    boundaries fall depends on nothing but the run.
     ///
     /// One step's failure is that step's alone: it is recorded, the
-    /// token's remaining steps — other triggers' matches — still run, and
-    /// the first failure of the call is what it returns.
+    /// token's remaining steps — other triggers' retractions and matches —
+    /// still run, and the first failure of the call is what it returns.
     ///
     /// `split` is `None` for a whole run: its tag claims live in a set on
     /// this stack, cleared per token, and a token that splits moves them
@@ -1100,7 +1067,6 @@ impl TriggerMan {
     fn replay(
         self: &Arc<Self>,
         run: &[RunToken],
-        plan: &MatchPlan,
         process: &mut [SpanGuard],
         steps: &[Step],
         split: Option<&Claims>,
@@ -1127,33 +1093,40 @@ impl TriggerMan {
                 claimed.clear();
             }
             let mut shared = split.cloned();
-            if split.is_none() && tok.op == TokenOp::Update {
-                let _maint = tok.trace.span(SpanKind::Maintenance, process_id);
-                if let Err(e) = self.retract_old_image(tok, plan) {
-                    failed(e);
+            let retracts = tok.op == TokenOp::Update;
+            if retracts && mine.iter().any(|s| matches!(s.kind, StepKind::Retract(_))) {
+                let maint = tok.trace.span(SpanKind::Maintenance, process_id);
+                let mut retracted: FxHashSet<u64> = FxHashSet::default();
+                for step in mine {
+                    if let StepKind::Retract(hit) = step.kind {
+                        if let Err(e) = self.retract(hit, tok, maint.id(), &mut retracted) {
+                            failed(e);
+                        }
+                    }
                 }
             }
             for step in mine {
-                match step.kind {
-                    StepKind::Split { sig, parts } => {
-                        let sig = &plan.sigs[sig as usize];
+                match &step.kind {
+                    StepKind::Retract(_) => {} // run above, first
+                    StepKind::Split(sig) => {
+                        let parts = self.config.condition_partitions;
                         // The fan-out span parents every partition's
                         // probe span, so the tree reassembles across
                         // driver threads.
                         let mut fanout = tok.trace.span(SpanKind::Fanout, process_id);
-                        fanout.set_args(sig.id.raw() as u64, u64::from(parts));
+                        fanout.set_args(sig.id.raw() as u64, parts as u64);
                         // Armed at every split, whatever the index holds
                         // now: an OR trigger created before the partitions
                         // run must still fire once.
                         let claims = shared.get_or_insert_with(|| {
                             Arc::new(Mutex::new(std::mem::take(&mut claimed)))
                         });
-                        for part in 0..parts as usize {
+                        for part in 0..parts {
                             self.tasks.push(Task {
                                 token: tok.clone(),
                                 sig: sig.clone(),
                                 part,
-                                nparts: parts as usize,
+                                nparts: parts,
                                 parent_span: fanout.id(),
                                 ack: ack.clone(),
                                 claims: claims.clone(),
@@ -1161,12 +1134,7 @@ impl TriggerMan {
                             self.idle.wake_one();
                         }
                     }
-                    StepKind::Match {
-                        expr,
-                        trigger,
-                        node,
-                        span,
-                    } => {
+                    &StepKind::Match((expr, trigger, node), span) => {
                         let admitted =
                             self.admit(expr, trigger, node, tok, &mut |tag| match &shared {
                                 Some(claims) => claims.lock().insert(tag),
@@ -1251,20 +1219,19 @@ impl TriggerMan {
         true
     }
 
-    fn pin(self: &Arc<Self>, id: TriggerId) -> Result<PinnedTrigger> {
-        self.pin_traced(id, &TraceHandle::none(), ROOT_SPAN)
-    }
-
     /// Pin `id`, recording a `CachePin` span (tagged hit/miss) into
-    /// `trace` when it is live.
+    /// `trace` when it is live. `None` is a trigger gone from the catalog:
+    /// a concurrent `drop trigger` can win the race between the index probe
+    /// (which saw the entry) and this pin, and the trigger is then gone by
+    /// design, not broken, so a match or retraction of it is skipped.
     fn pin_traced(
         self: &Arc<Self>,
         id: TriggerId,
         trace: &TraceHandle,
         parent_span: u32,
-    ) -> Result<PinnedTrigger> {
+    ) -> Result<Option<PinnedTrigger>> {
         let mut span = trace.span(SpanKind::CachePin, parent_span);
-        let (pinned, hit) = self.cache.pin_report(id, || {
+        let pinned = self.cache.pin_report(id, || {
             let row = self
                 .catalog
                 .trigger_by_id(id)?
@@ -1276,9 +1243,15 @@ impl TriggerMan {
             // default A-TREAT networks, whose alpha nodes are virtual).
             self.prime_network(&trigger)?;
             Ok(trigger)
-        })?;
-        span.set_args(id.raw(), u64::from(hit));
-        Ok(pinned)
+        });
+        match pinned {
+            Ok((pinned, hit)) => {
+                span.set_args(id.raw(), u64::from(hit));
+                Ok(Some(pinned))
+            }
+            Err(TmanError::NotFound(_)) => Ok(None),
+            Err(e) => Err(e),
+        }
     }
 
     /// §5.4 for one admitted match: pin the trigger in the trigger cache,
@@ -1292,14 +1265,8 @@ impl TriggerMan {
         parent_span: u32,
         outbox: &mut Outbox,
     ) -> Result<()> {
-        // A concurrent `drop trigger` can win the race between the index
-        // probe (which saw the entry) and this pin — the trigger is gone
-        // from the catalog by design, not broken, so skip instead of
-        // erroring.
-        let trigger = match self.pin_traced(tid, &token.trace, parent_span) {
-            Ok(t) => t,
-            Err(TmanError::NotFound(_)) => return Ok(()),
-            Err(e) => return Err(e),
+        let Some(trigger) = self.pin_traced(tid, &token.trace, parent_span)? else {
+            return Ok(());
         };
         if !trigger.enabled.load(Ordering::Relaxed) || !trigger.set_enabled.load(Ordering::Relaxed)
         {
@@ -1347,45 +1314,35 @@ impl TriggerMan {
         Ok(())
     }
 
-    /// Retract the old image of an update token from triggers with
-    /// stored-memory networks (registered under the `any` opcode): a
-    /// synthetic delete probe of the plan's `any` signatures with its own
-    /// claim set — a multi-variable trigger whose selection was decomposed
-    /// into tagged disjuncts must retract the old image exactly once, not
-    /// once per matching branch entry.
-    fn retract_old_image(
+    /// Invariant 1 for one retract step: admit it against the token's
+    /// retraction `claims`, pin the trigger and send the token's old image
+    /// into its network as a delete. Memory maintenance only — a
+    /// retraction's firings run no actions.
+    fn retract(
         self: &Arc<Self>,
+        (expr, tid, node): Hit,
         token: &UpdateDescriptor,
-        plan: &MatchPlan,
+        parent_span: u32,
+        claims: &mut FxHashSet<u64>,
     ) -> Result<()> {
+        if !self.admit(expr, tid, node, token, &mut |tag| claims.insert(tag)) {
+            return Ok(());
+        }
+        let Some(trigger) = self.pin_traced(tid, &token.trace, parent_span)? else {
+            return Ok(());
+        };
+        let Some(network) = trigger.network() else {
+            return Ok(());
+        };
         let old = token.old.as_ref().expect("update token has old image");
-        let mut matches = Vec::new();
-        for sig in &plan.sigs {
-            if sig.sig.key.event == EventKind::Any {
-                sig.probe(old, self.predindex.stats(), &mut |e| {
-                    matches.push((e.expr_id, e.trigger_id, e.next_node))
-                })?;
-            }
-        }
-        let mut claimed: FxHashSet<u64> = FxHashSet::default();
-        for (eid, tid, node) in matches {
-            if !self.admit(eid, tid, node, token, &mut |tag| claimed.insert(tag)) {
-                continue;
-            }
-            let trigger = self.pin(tid)?;
-            let Some(network) = trigger.network() else {
-                continue;
-            };
-            // Maintenance only: retraction firings do not run actions.
-            network.activate(
-                node.raw() as usize,
-                Polarity::Minus,
-                old,
-                &*self.published(),
-                &mut |_| {},
-            )?;
-        }
-        Ok(())
+        let alpha = self.published();
+        network.activate(
+            node.raw() as usize,
+            Polarity::Minus,
+            old,
+            &*alpha,
+            &mut |_| {},
+        )
     }
 
     // ----- task execution / drivers (§6) -------------------------------------------
@@ -1631,8 +1588,8 @@ impl TriggerMan {
         Ok(())
     }
 
-    /// Start `N = ceil(NUM_CPUS * TMAN_CONCURRENCY_LEVEL)` driver threads
-    /// (§6). Stop them by dropping the returned pool (or `shutdown`).
+    /// Start [`Config::num_drivers`] driver threads (§6). Stop them by
+    /// dropping the returned pool (or `shutdown`).
     pub fn start_drivers(self: &Arc<Self>) -> DriverPool {
         driver::start(self.clone())
     }

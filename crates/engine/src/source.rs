@@ -58,7 +58,11 @@ impl AlphaSource for Published {
 }
 
 /// Create (or open) the local table behind a captured source.
-pub fn ensure_local_table(db: &Database, table: &str, schema: &Schema) -> Result<Arc<Table>> {
+pub(crate) fn ensure_local_table(
+    db: &Database,
+    table: &str,
+    schema: &Schema,
+) -> Result<Arc<Table>> {
     if db.has_table(table) {
         let t = db.table(table)?;
         if t.schema() != schema {

@@ -22,8 +22,8 @@
 //! Organizations are promoted automatically as equivalence classes grow
 //! (list → index → indexed database table, thresholds in [`IndexConfig`]),
 //! and can be forced for experiments via [`SignatureRuntime::set_org`].
-//! Figure 5's partitioned probing for condition-level concurrency is
-//! exposed through [`SignatureRuntime::probe_partition`].
+//! Figure 5's partitioned probing for condition-level concurrency is a
+//! partition argument of [`SignatureRuntime::probe_batch`].
 //!
 //! What the paper measures the index against is not in it: the naive ECA
 //! scan is `tman-baseline`'s `NaiveEca`, which the differential oracles
@@ -47,8 +47,8 @@ use std::sync::Arc;
 use tman_common::fxhash::FxHashMap;
 use tman_common::stats::IndexStats;
 use tman_common::{
-    DataSourceId, DataType, ExprId, NodeId, Result, Schema, SignatureId, TriggerId, Tuple,
-    UpdateDescriptor, Value,
+    DataSourceId, DataType, EventKind, ExprId, NodeId, Result, Schema, SignatureId, TokenOp,
+    TriggerId, Tuple, UpdateDescriptor, Value,
 };
 use tman_expr::Env;
 use tman_expr::{IndexPlan, SelectionSignature, SignatureKey};
@@ -164,6 +164,27 @@ pub struct PredMatch {
     pub trigger_id: TriggerId,
     /// Where the token goes next.
     pub next_node: NodeId,
+}
+
+/// What [`PredicateIndex::match_run`] finds for token `tok` of its run.
+pub enum Found<'a> {
+    /// The token's probe image fully satisfies `entry`; `span` is the
+    /// probe's `SigProbe` span, which what the match leads to is parented
+    /// to.
+    Match {
+        tok: usize,
+        entry: &'a Entry,
+        span: u32,
+    },
+    /// The old image of an update token fully satisfies `entry`, of an
+    /// `any` signature: a stored memory may hold that image.
+    Retract { tok: usize, entry: &'a Entry },
+    /// `sig` accepts the token, and the walk's `fan` took it out: the
+    /// token was not probed against it.
+    Split {
+        tok: usize,
+        sig: &'a Arc<SignatureRuntime>,
+    },
 }
 
 /// One probe of a [`SignatureRuntime::probe_batch`] call.
@@ -302,44 +323,6 @@ impl SignatureRuntime {
         }
     }
 
-    /// Probe the constant set with a token tuple, delivering fully-matched
-    /// entries (indexable part *and* residual) to `visit`.
-    pub fn probe(
-        &self,
-        tuple: &Tuple,
-        stats: &IndexStats,
-        visit: &mut dyn FnMut(&Entry),
-    ) -> Result<()> {
-        self.probe_partition(tuple, 0, 1, stats, visit)
-    }
-
-    /// Figure-5 partitioned probe: only entries in partition `part` of
-    /// `nparts` are considered. Partition assignment hashes the entry's
-    /// **stable** `expr_id` (`expr_id % nparts`), not its position in the
-    /// candidate set: positions shift under concurrent inserts/removes and
-    /// organization switches, which would let one fan-out's partition tasks
-    /// visit an entry twice or not at all. By identity, the assignment is
-    /// the same for every task of a fan-out regardless of interleaved
-    /// mutations, and the union over all `nparts` partitions is exactly
-    /// the unpartitioned candidate set. `probe(t, ...)` is equivalent to
-    /// `probe_partition(t, 0, 1, ...)`.
-    pub fn probe_partition(
-        &self,
-        tuple: &Tuple,
-        part: usize,
-        nparts: usize,
-        stats: &IndexStats,
-        visit: &mut dyn FnMut(&Entry),
-    ) -> Result<()> {
-        let probe = Probe {
-            tag: 0,
-            tuple,
-            trace: &TraceHandle::none(),
-            parent_span: ROOT_SPAN,
-        };
-        self.probe_batch(&[probe], part, nparts, stats, &mut |_, e, _| visit(e))
-    }
-
     /// The one probe routine: match every probe of `probes` against
     /// partition `part` of `nparts` of the constant set under a **single**
     /// organization read-lock hold, delivering `(tag, entry, span)` for
@@ -356,8 +339,19 @@ impl SignatureRuntime {
     /// and scan plans loop per probe, still amortizing the lock hold and
     /// the counter updates, which are added once per call.
     ///
+    /// Figure 5's partitioned probe: only entries in partition `part` of
+    /// `nparts` are considered (`0` of `1` is the whole class). Partition
+    /// assignment hashes the entry's **stable** `expr_id`
+    /// (`expr_id % nparts`), not its position in the candidate set:
+    /// positions shift under concurrent inserts/removes and organization
+    /// switches, which would let one fan-out's partition tasks visit an
+    /// entry twice or not at all. By identity, the assignment is the same
+    /// for every task of a fan-out regardless of interleaved mutations, and
+    /// the union over all `nparts` partitions is exactly the unpartitioned
+    /// candidate set.
+    ///
     /// For any one tag the delivered entries and their order are identical
-    /// to `probe_partition(tuple, part, nparts, ...)`; tags are delivered
+    /// to those of a batch holding that probe alone; tags are delivered
     /// in no particular order. A traced probe always runs alone, so its
     /// `SigProbe` span (and the aggregated
     /// [`RestTest`](SpanKind::RestTest) child: summed residual-test time,
@@ -862,35 +856,110 @@ impl PredicateIndex {
         Ok(n)
     }
 
+    /// §5.4 for a run of `n` tokens of one data source — the one walk over
+    /// a source's signature list. `token(i)` is the run's `i`th token and
+    /// the span its probes are opened under. The source's [`MatchPlan`] is
+    /// loaded once; then, signature by signature, every token whose
+    /// operation the event code accepts and whose update columns it
+    /// touches is probed with its [`probe_tuple`](UpdateDescriptor::probe_tuple)
+    /// in one [`probe_batch`](SignatureRuntime::probe_batch) call — unless
+    /// `fan` takes the signature out of the walk, which then reports the
+    /// token as [`Found::Split`] instead. With `retract`, the same call
+    /// also probes the old image of every update token against each `any`
+    /// signature, fanned or not (a stored memory holds that image), and
+    /// reports what it matches as [`Found::Retract`].
+    ///
+    /// For any one token, what it finds comes in signature order, entry
+    /// order within a signature. A signature whose probe fails is reported
+    /// as an `Err` and the walk goes on with the next one.
+    pub fn match_run<'t>(
+        &self,
+        n: usize,
+        token: impl Fn(usize) -> (&'t UpdateDescriptor, u32),
+        retract: bool,
+        fan: impl Fn(&SignatureRuntime) -> bool,
+        mut visit: impl FnMut(Result<Found<'_>>),
+    ) {
+        if n == 0 {
+            return;
+        }
+        self.stats.tokens.add(n as u64);
+        let Some(src) = self.source(token(0).0.data_src) else {
+            return;
+        };
+        let plan = src.plan();
+        // A retraction is maintenance, never traced: only the match probe
+        // opens a `SigProbe` span.
+        let untraced = TraceHandle::none();
+        let mut probes: Vec<Probe<'_>> = Vec::with_capacity(n);
+        for sig in &plan.sigs {
+            let split = fan(sig);
+            let retracts = retract && sig.sig.key.event == EventKind::Any;
+            probes.clear();
+            let mut accepted = 0u64;
+            for i in 0..n {
+                let (tok, parent_span) = token(i);
+                if sig.sig.key.event.accepts(tok.op) && tok.touches_columns(&sig.sig.update_cols) {
+                    accepted += 1;
+                    if split {
+                        visit(Ok(Found::Split { tok: i, sig }));
+                    } else {
+                        probes.push(Probe {
+                            tag: i << 1,
+                            tuple: tok.probe_tuple(),
+                            trace: &tok.trace,
+                            parent_span,
+                        });
+                    }
+                }
+                if let (true, TokenOp::Update, Some(old)) = (retracts, tok.op, &tok.old) {
+                    probes.push(Probe {
+                        tag: (i << 1) | 1,
+                        tuple: old,
+                        trace: &untraced,
+                        parent_span: ROOT_SPAN,
+                    });
+                }
+            }
+            self.stats.signatures_probed.add(accepted);
+            let probed = sig.probe_batch(&probes, 0, 1, &self.stats, &mut |tag, entry, span| {
+                let tok = tag >> 1;
+                visit(Ok(match tag & 1 {
+                    0 => Found::Match { tok, entry, span },
+                    _ => Found::Retract { tok, entry },
+                }))
+            });
+            if let Err(e) = probed {
+                visit(Err(e));
+            }
+        }
+    }
+
     /// §5.4: take an update descriptor and identify all predicates that
-    /// match it.
+    /// match it — [`match_run`](Self::match_run) over a run of one.
     pub fn match_token(
         &self,
         token: &UpdateDescriptor,
         visit: &mut dyn FnMut(PredMatch),
     ) -> Result<()> {
-        self.stats.tokens.bump();
-        let Some(src) = self.source(token.data_src) else {
-            return Ok(());
-        };
-        let tuple = token.probe_tuple();
-        for sig in &src.plan().sigs {
-            if !sig.sig.key.event.accepts(token.op) {
-                continue;
-            }
-            if !token.touches_columns(&sig.sig.update_cols) {
-                continue;
-            }
-            self.stats.signatures_probed.bump();
-            sig.probe(tuple, &self.stats, &mut |e| {
-                visit(PredMatch {
+        let mut failed = None;
+        let never = |_: &SignatureRuntime| false;
+        self.match_run(
+            1,
+            |_| (token, ROOT_SPAN),
+            false,
+            never,
+            |found| match found {
+                Ok(Found::Match { entry: e, .. }) => visit(PredMatch {
                     expr_id: e.expr_id,
                     trigger_id: e.trigger_id,
                     next_node: e.next_node,
-                })
-            })?;
-        }
-        Ok(())
+                }),
+                Ok(_) => {}
+                Err(e) => _ = failed.get_or_insert(e),
+            },
+        );
+        failed.map_or(Ok(()), Err)
     }
 
     /// Collect matches into a vector (tests / simple callers).

@@ -51,6 +51,29 @@ fn ins(name: &str, salary: f64, dept: i64) -> UpdateDescriptor {
     )
 }
 
+/// The triggers whose entries in partition `part` of `nparts` of `rt`
+/// `tuple` matches: a `probe_batch` of one.
+fn probe_ids(
+    ix: &PredicateIndex,
+    rt: &SignatureRuntime,
+    tuple: &Tuple,
+    part: usize,
+    nparts: usize,
+) -> Vec<u64> {
+    let probe = Probe {
+        tag: 0,
+        tuple,
+        trace: &tman_telemetry::TraceHandle::none(),
+        parent_span: 0,
+    };
+    let mut ids = Vec::new();
+    rt.probe_batch(&[probe], part, nparts, ix.stats(), &mut |_, e, _| {
+        ids.push(e.trigger_id.raw())
+    })
+    .unwrap();
+    ids
+}
+
 fn matched_ids(ix: &PredicateIndex, tok: &UpdateDescriptor) -> Vec<u64> {
     let mut ids: Vec<u64> = ix
         .match_token_vec(tok)
@@ -393,10 +416,7 @@ fn partitioned_probe_covers_all_entries_exactly_once() {
     let nparts = 4;
     let mut seen = Vec::new();
     for part in 0..nparts {
-        rt.probe_partition(&tuple, part, nparts, ix.stats(), &mut |e| {
-            seen.push(e.trigger_id.raw())
-        })
-        .unwrap();
+        seen.extend(probe_ids(&ix, &rt, &tuple, part, nparts));
     }
     seen.sort();
     assert_eq!(seen, (0..100).collect::<Vec<_>>());
@@ -408,7 +428,7 @@ fn batched_probe_equals_per_token_probes() {
     // borrowed from the tuple), a two-column key over non-adjacent columns
     // (gathered), a range plan, and an unindexable full-test signature.
     // Batched probing must deliver, per token, exactly the entries (in the
-    // same order) as one probe() per token, and count as many probes.
+    // same order) as a batch of one per token, and count as many probes.
     for cond in [
         "emp.dept = 7 and emp.salary > 10",
         "emp.name = 'x' and emp.dept = 7",
@@ -437,10 +457,7 @@ fn batched_probe_equals_per_token_probes() {
         // independently.
         let mut reference: Vec<Vec<u64>> = Vec::new();
         for t in &tuples {
-            let mut one = Vec::new();
-            rt.probe(t, ix.stats(), &mut |e| one.push(e.trigger_id.raw()))
-                .unwrap();
-            reference.push(one);
+            reference.push(probe_ids(&ix, &rt, t, 0, 1));
         }
         let untraced = tman_telemetry::TraceHandle::none();
         let probes: Vec<Probe<'_>> = tuples
@@ -464,6 +481,64 @@ fn batched_probe_equals_per_token_probes() {
         let matches: usize = reference.iter().map(Vec::len).sum();
         assert_eq!(ix.stats().matches.get() - before.1, matches as u64);
     }
+}
+
+/// The one signature walk: an update's new image is matched, its old
+/// image is retracted from the `any` signature (fanned or not), a fanned
+/// signature reports a split instead of its match probe, and the walk
+/// counts the run's tokens and accepted signatures once.
+#[test]
+fn match_run_reports_matches_retractions_and_splits() {
+    let ix = PredicateIndex::new(IndexConfig::default());
+    let any = add(&ix, "emp.dept = 7", EventKind::Any, 1);
+    add(&ix, "emp.salary > 10", EventKind::InsertOrUpdate, 2);
+    let emp = |salary: f64, dept: i64| {
+        Tuple::new(vec![
+            Value::str("x"),
+            Value::Float(salary),
+            Value::Int(dept),
+        ])
+    };
+    let runs = [
+        UpdateDescriptor::update(EMP, emp(0.0, 7), emp(20.0, 8)),
+        ins("y", 5.0, 7),
+    ];
+    let walk = |retract: bool, fan: &dyn Fn(&SignatureRuntime) -> bool| {
+        let mut found = Vec::new();
+        let token = |i: usize| (&runs[i], ROOT_SPAN);
+        ix.match_run(runs.len(), token, retract, fan, |f: Result<Found<'_>>| {
+            found.push(match f.unwrap() {
+                Found::Match { tok, entry, .. } => ("match", tok, entry.trigger_id.raw()),
+                Found::Retract { tok, entry } => ("retract", tok, entry.trigger_id.raw()),
+                Found::Split { tok, sig } => ("split", tok, u64::from(sig.id.raw())),
+            })
+        });
+        found.sort();
+        found
+    };
+    let stats = ix.stats();
+    let before = (stats.tokens.get(), stats.signatures_probed.get());
+    let never = |_: &SignatureRuntime| false;
+    assert_eq!(
+        walk(true, &never),
+        [("match", 0, 2), ("match", 1, 1), ("retract", 0, 1)]
+    );
+    assert_eq!(walk(false, &never), [("match", 0, 2), ("match", 1, 1)]);
+    let fan_any = |sig: &SignatureRuntime| sig.id == any.id;
+    let any_id = u64::from(any.id.raw());
+    assert_eq!(
+        walk(true, &fan_any),
+        [
+            ("match", 0, 2),
+            ("retract", 0, 1),
+            ("split", 0, any_id),
+            ("split", 1, any_id)
+        ]
+    );
+    // Three walks of two tokens, each accepted by both signatures; a
+    // split counts as probed, a retraction does not.
+    let after = (stats.tokens.get(), stats.signatures_probed.get());
+    assert_eq!((after.0 - before.0, after.1 - before.1), (6, 12));
 }
 
 #[test]
@@ -820,9 +895,7 @@ fn a_held_set_stalls_only_its_own_probes_and_removals() {
         let (ix, free) = (ix.clone(), free.clone());
         std::thread::spawn(move || {
             let tuple = Tuple::new(vec![Value::str("x"), Value::Float(15.0), Value::Int(1)]);
-            let mut hits = Vec::new();
-            free.probe(&tuple, ix.stats(), &mut |e| hits.push(e.trigger_id.raw()))
-                .unwrap();
+            let hits = probe_ids(&ix, &free, &tuple, 0, 1);
             let removed = ix.remove_trigger(TriggerId(3)).unwrap();
             done.send((hits, removed)).unwrap();
         })

@@ -1,13 +1,15 @@
 //! DDL check-then-act races. Every DDL command is one critical section
 //! (`crates/engine/src/ddl.rs`), so of eight threads released together on
 //! one name exactly one defines it, and a trigger can never join a set that
-//! a concurrent `drop trigger set` is removing. Each case runs
-//! `DDL_RACE_ITERS` times (default 50; CI 200 in release, nightly 5 000).
+//! a concurrent `drop trigger set` is removing. A drain racing a `drop
+//! trigger` skips the trigger it can no longer pin, in an update's
+//! retraction as in its match. Each case runs `DDL_RACE_ITERS` times
+//! (default 50; CI 200 in release, nightly 5 000).
 
 use std::sync::{Arc, Barrier};
 use tman_common::{Result, TmanError};
 use triggerman::catalog::Catalog;
-use triggerman::{CommandOutput, Config, TriggerMan};
+use triggerman::{CommandOutput, Config, NetworkKind, TriggerMan};
 
 fn iters() -> usize {
     let set = std::env::var("DDL_RACE_ITERS").ok();
@@ -143,4 +145,65 @@ fn a_create_into_a_set_never_survives_the_drop_of_that_set() {
     assert_no_orphans(&tman, "after reopen");
     drop(tman);
     let _ = std::fs::remove_file(&path);
+}
+
+/// Join triggers over stored (TREAT) memories, so an update retracts its
+/// old image from every trigger whose `any` entry that image matches. A
+/// cache of one makes nearly every pin a catalog read, and a loop beside
+/// the drain drops and re-creates the triggers, so a pin often finds its
+/// trigger gone. That is a race the drain loses by design: the retraction
+/// and the match both skip the trigger, and no task error is recorded.
+#[test]
+fn an_update_beside_dropped_join_triggers_records_no_error() {
+    const TRIGGERS: usize = 8;
+    let tman = TriggerMan::open_memory(Config {
+        network: NetworkKind::Treat,
+        trigger_cache_capacity: 1,
+        ..Config::default()
+    })
+    .unwrap();
+    tman.run_sql("create table sp (spno int, grade int)")
+        .unwrap();
+    tman.run_sql("create table h (hno int, spno int)").unwrap();
+    for table in ["sp", "h"] {
+        tman.execute_command(&format!("define data source {table} from table {table}"))
+            .unwrap();
+    }
+    // Every row's every image matches every trigger's selection.
+    let create = |k: usize| {
+        format!(
+            "create trigger j{k} on insert to h from sp s, h \
+             when s.grade > -{k} - 1 and s.spno = h.spno do notify 'j'"
+        )
+    };
+    for k in 0..TRIGGERS {
+        tman.execute_command(&create(k)).unwrap();
+    }
+    for r in 0..4 {
+        tman.run_sql(&format!("insert into sp values ({r}, 0)"))
+            .unwrap();
+        tman.run_sql(&format!("insert into h values ({r}, {r})"))
+            .unwrap();
+    }
+    tman.run_until_quiescent().unwrap();
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let churn = s.spawn(|| {
+            let mut k = 0;
+            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                tman.execute_command(&format!("drop trigger j{k}")).unwrap();
+                tman.execute_command(&create(k)).unwrap();
+                k = (k + 1) % TRIGGERS;
+            }
+        });
+        for i in 0..iters() * 4 {
+            tman.run_sql(&format!("update sp set grade = {i} where spno = {}", i % 4))
+                .unwrap();
+            tman.run_until_quiescent().unwrap();
+        }
+        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        churn.join().unwrap();
+    });
+    assert_eq!(tman.stats().errors.get(), 0, "{:?}", tman.last_error());
+    assert!(tman.stats().tokens.get() >= iters() as u64 * 4);
 }

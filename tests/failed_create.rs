@@ -6,7 +6,8 @@
 //! must leave nothing behind: the index holds exactly the entries of the
 //! creates that succeeded, the names are theirs, the tagged count is
 //! theirs, and a token that matches only the failed trigger's predicate
-//! fires nothing and records no error. A create that registered its
+//! fires nothing and records no error. One crash point fails a plain
+//! create, the other a two-arm OR, whose two entries are tagged. A create that registered its
 //! entries before its catalog write failed — a ghost with index entries
 //! but no name and no row — fails every one of these.
 
@@ -18,8 +19,12 @@ use triggerman::{Config, TriggerMan};
 
 /// The fault schedule's seed.
 const SEED: u64 = 0x5EED_C4EA;
-/// The armed write that freezes the disk.
+/// The armed write that freezes the disk: it fails create `t247`, whose
+/// condition is a plain equality.
 const CRASH_AFTER_WRITES: u64 = 5;
+/// An armed write that fails create `t274`, a two-arm OR whose two
+/// entries are tagged.
+const CRASH_AFTER_WRITES_TAGGED: u64 = 6;
 /// Pages in the buffer pool: few, so that catalog inserts evict.
 const POOL_PAGES: usize = 8;
 /// Creates attempted before the test gives up on the crash.
@@ -37,8 +42,11 @@ fn condition(i: u64) -> (String, usize, u64) {
     }
 }
 
+/// A database file of this process and thread: the tests run in parallel.
 fn tmpfile() -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("tman_failed_create_{}.db", std::process::id()))
+    let thread = std::thread::current().id();
+    let name = format!("tman_failed_create_{}_{thread:?}.db", std::process::id());
+    std::env::temp_dir().join(name)
 }
 
 /// Remove a database file and its write-ahead-log sidecar.
@@ -51,11 +59,24 @@ fn cleanup(path: &std::path::Path) {
 
 #[test]
 fn a_failed_create_leaves_no_trigger_behind() {
+    assert_eq!(create_until_the_crash(CRASH_AFTER_WRITES) % 5, 2);
+}
+
+/// The failed create registered two tagged entries before its catalog
+/// write failed; taking them back must take their tagged count back too.
+#[test]
+fn a_failed_tagged_create_leaves_no_tagged_entry_behind() {
+    assert_eq!(create_until_the_crash(CRASH_AFTER_WRITES_TAGGED) % 5, 4);
+}
+
+/// Create triggers until the write `crash_after_writes` fails one, check
+/// that the failed create left nothing behind, and return its number.
+fn create_until_the_crash(crash_after_writes: u64) -> u64 {
     let path = tmpfile();
     cleanup(&path);
     let plan = FaultPlan::new(FaultConfig {
         seed: SEED,
-        crash_after_writes: Some(CRASH_AFTER_WRITES),
+        crash_after_writes: Some(crash_after_writes),
         ..Default::default()
     });
     let tman: Arc<TriggerMan> = TriggerMan::open_file(
@@ -78,6 +99,7 @@ fn a_failed_create_leaves_no_trigger_behind() {
         let name = format!("t{i}");
         let text =
             format!("create trigger {name} from q when {cond} do raise event Matched(q.seq)");
+        let tagged_before = tman.tagged_entries();
         match tman.execute_command(&text) {
             Ok(_) => {
                 names.push(name);
@@ -85,12 +107,12 @@ fn a_failed_create_leaves_no_trigger_behind() {
                 tagged += t;
             }
             Err(e) => {
-                failed = Some((i, e));
+                failed = Some((i, e, tagged_before));
                 break;
             }
         }
     }
-    let (failed, error) = failed.expect("the crash point fails a create");
+    let (failed, error, tagged_before) = failed.expect("the crash point fails a create");
     assert!(
         plan.crashed(),
         "create t{failed} failed without a crash: {error}"
@@ -112,6 +134,11 @@ fn a_failed_create_leaves_no_trigger_behind() {
         "index entries after create t{failed} failed"
     );
     assert_eq!(tman.tagged_entries(), tagged, "tagged entries");
+    assert_eq!(
+        tman.tagged_entries(),
+        tagged_before,
+        "tagged entries across the failed create t{failed}"
+    );
 
     // A token that only the failed trigger's predicate could match (no
     // price is above a negative one) fires nothing and fails nothing.
@@ -137,4 +164,5 @@ fn a_failed_create_leaves_no_trigger_behind() {
 
     drop(tman);
     cleanup(&path);
+    failed
 }

@@ -27,13 +27,13 @@ use triggerman::{Config, DriverPool, TracingMode, TriggerMan};
 
 /// Build a deterministic property runner on a pinned seed: a failure
 /// replays from the seed and case index it reports.
-pub fn seeded_runner(seed: u64, cases: u32) -> TestRunner {
+pub(crate) fn seeded_runner(seed: u64, cases: u32) -> TestRunner {
     TestRunner::new(PtConfig::with_cases(cases), seed)
 }
 
 /// Case-count override from the environment: CI keeps the blocking runs
 /// small, the nightly soaks raise them.
-pub fn env_cases(var: &str, default: u32) -> u32 {
+pub(crate) fn env_cases(var: &str, default: u32) -> u32 {
     std::env::var(var)
         .ok()
         .and_then(|s| s.parse().ok())
@@ -42,13 +42,13 @@ pub fn env_cases(var: &str, default: u32) -> u32 {
 
 /// One randomized selection condition over the shared `q` source.
 #[derive(Debug, Clone)]
-pub struct Cond(pub String);
+pub(crate) struct Cond(pub String);
 
 /// The canonical condition mix: equalities (shared classes), ranges,
 /// composites with residuals, a two-way disjunction, an inequality and a
 /// negation — enough shape diversity to populate every organization and
 /// the tagged disjunct path.
-pub fn arb_cond() -> impl Strategy<Value = Cond> {
+pub(crate) fn arb_cond() -> impl Strategy<Value = Cond> {
     let sym = 0u32..6;
     let price = 0i64..100;
     prop_oneof![
@@ -68,12 +68,12 @@ pub fn arb_cond() -> impl Strategy<Value = Cond> {
 
 /// `(sym, price, vol)` draws, deliberately wider than the condition
 /// constants so streams carry both matching and missing tokens.
-pub fn arb_token() -> impl Strategy<Value = (u32, i64, i64)> {
+pub(crate) fn arb_token() -> impl Strategy<Value = (u32, i64, i64)> {
     (0u32..8, 0i64..110, 0i64..55)
 }
 
 /// Materialize one `q` row.
-pub fn q_tuple(s: u32, p: i64, v: i64) -> Tuple {
+pub(crate) fn q_tuple(s: u32, p: i64, v: i64) -> Tuple {
     Tuple::new(vec![
         Value::str(format!("S{s}")),
         Value::Float(p as f64),
@@ -87,7 +87,7 @@ const NAIVE_SRC: DataSourceId = DataSourceId(1);
 
 /// The naive reference under the harness's trigger names: trigger `name`
 /// raises event `event`, and ids are issued in creation order.
-pub struct Naive {
+pub(crate) struct Naive {
     pub eca: NaiveEca,
     /// `(name, event)` of every trigger created, by id.
     triggers: Vec<(String, String)>,
@@ -96,7 +96,7 @@ pub struct Naive {
 impl Naive {
     /// `p{i} … raise event T{i}` for each condition, as [`Harness::new`]
     /// defines them.
-    pub fn new(conds: &[Cond]) -> Naive {
+    pub(crate) fn new(conds: &[Cond]) -> Naive {
         let mut naive = Naive {
             eca: NaiveEca::new(),
             triggers: Vec::new(),
@@ -109,7 +109,7 @@ impl Naive {
 
     /// Create trigger `name` on `q`, raising `event` when `cond` holds on an
     /// insert or an update (the engine's event when a trigger names none).
-    pub fn create(&mut self, name: &str, cond: &str, event: &str) -> TriggerId {
+    pub(crate) fn create(&mut self, name: &str, cond: &str, event: &str) -> TriggerId {
         let id = TriggerId(self.triggers.len() as u64);
         let schema = Schema::from_pairs(&[
             ("sym", DataType::Varchar(12)),
@@ -125,7 +125,7 @@ impl Naive {
     }
 
     /// Drop trigger `name`.
-    pub fn drop(&self, name: &str) {
+    pub(crate) fn drop(&self, name: &str) {
         let id = self.triggers.iter().rposition(|(n, _)| n == name);
         let id = TriggerId(id.expect("a trigger by that name") as u64);
         assert!(self.eca.remove_trigger(id), "{name} dropped twice");
@@ -133,7 +133,7 @@ impl Naive {
 
     /// Feed `toks` in order and return the sorted multiset of events they
     /// fire.
-    pub fn fire_chunk(&self, toks: &[UpdateDescriptor]) -> Vec<String> {
+    pub(crate) fn fire_chunk(&self, toks: &[UpdateDescriptor]) -> Vec<String> {
         let mut fired = Vec::new();
         for tok in toks {
             let mut tok = tok.clone();
@@ -148,7 +148,7 @@ impl Naive {
 }
 
 /// One engine plus its firing tap.
-pub struct Harness {
+pub(crate) struct Harness {
     pub label: String,
     pub tman: Arc<TriggerMan>,
     pub rx: tman_sync::channel::Receiver<triggerman::EventNotification>,
@@ -163,7 +163,7 @@ pub struct Harness {
 impl Harness {
     /// Open an engine on `cfg`, define the `q` source, and register one
     /// trigger `p{i} … raise event T{i}(q.sym)` per condition.
-    pub fn new(label: &str, cfg: Config, conds: &[Cond]) -> Harness {
+    pub(crate) fn new(label: &str, cfg: Config, conds: &[Cond]) -> Harness {
         Harness::with_actions(label, cfg, conds, |i, c| {
             format!(
                 "create trigger p{i} from q when {} do raise event T{i}(q.sym)",
@@ -174,7 +174,7 @@ impl Harness {
 
     /// [`Harness::new`] with a caller-supplied DDL template, for oracles
     /// whose triggers need windows or bespoke actions.
-    pub fn with_actions(
+    pub(crate) fn with_actions(
         label: &str,
         cfg: Config,
         conds: &[Cond],
@@ -201,7 +201,7 @@ impl Harness {
     /// drained by the live pool, `cfg.num_cpus` drivers interleaving as
     /// the scheduler lets them, so only the multiset of fires is a
     /// function of the stream.
-    pub fn live(label: &str, cfg: Config, conds: &[Cond]) -> Harness {
+    pub(crate) fn live(label: &str, cfg: Config, conds: &[Cond]) -> Harness {
         let mut h = Harness::new(label, cfg, conds);
         h.pool = Some(h.tman.start_drivers());
         h
@@ -223,14 +223,14 @@ impl Harness {
     }
 
     /// Push one token, drain, and return the sorted firing multiset.
-    pub fn fire(&self, tok: &UpdateDescriptor) -> Vec<String> {
+    pub(crate) fn fire(&self, tok: &UpdateDescriptor) -> Vec<String> {
         self.fire_chunk(std::slice::from_ref(tok))
     }
 
     /// Push a whole chunk before draining — with `drain_batch > 1` the
     /// engine pulls it as one batch — and return the sorted firing
     /// multiset.
-    pub fn fire_chunk(&self, toks: &[UpdateDescriptor]) -> Vec<String> {
+    pub(crate) fn fire_chunk(&self, toks: &[UpdateDescriptor]) -> Vec<String> {
         let mut fired = self.fire_chunk_in_order(toks);
         fired.sort();
         fired
@@ -240,7 +240,7 @@ impl Harness {
     /// pool the drain runs on the calling thread and actions run inline,
     /// so the sequence is a function of the stream and of how matches are
     /// handed to tasks.
-    pub fn fire_chunk_in_order(&self, toks: &[UpdateDescriptor]) -> Vec<String> {
+    pub(crate) fn fire_chunk_in_order(&self, toks: &[UpdateDescriptor]) -> Vec<String> {
         for tok in toks {
             let mut tok = tok.clone();
             tok.data_src = self.src;
@@ -263,7 +263,7 @@ impl Harness {
 /// Unpartitioned probes: a drained batch is one run of the pipeline, its
 /// probes grouped by repeated key — the path a lost or double-visited key
 /// group would corrupt. `batch = 1` is the same pipeline on a run of one.
-pub fn batch_cfg(batch: usize) -> Config {
+pub(crate) fn batch_cfg(batch: usize) -> Config {
     Config {
         drain_batch: batch,
         ..Config::default()
@@ -272,7 +272,7 @@ pub fn batch_cfg(batch: usize) -> Config {
 
 /// Partitioned probes: every eligible signature fans out into `parts`
 /// partition tasks on the task queue instead (Figure 5).
-pub fn partitioned_cfg(parts: usize, batch: usize) -> Config {
+pub(crate) fn partitioned_cfg(parts: usize, batch: usize) -> Config {
     Config {
         condition_partitions: parts,
         partition_min: 1,
@@ -282,7 +282,7 @@ pub fn partitioned_cfg(parts: usize, batch: usize) -> Config {
 
 /// `cfg` with every token traced (`TracingMode::Full`): spans attach to
 /// the pipeline, they must not change what it does.
-pub fn traced(cfg: Config) -> Config {
+pub(crate) fn traced(cfg: Config) -> Config {
     Config {
         tracing: TracingMode::Full,
         ..cfg

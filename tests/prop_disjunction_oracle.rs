@@ -18,9 +18,9 @@
 //!
 //! A second property (`run_update_oracle`) streams `Update` and `Delete`
 //! tokens of evolving rows past OR-selections that feed stored-memory
-//! (TREAT) joins: an update first retracts its old image through the
-//! synthetic delete probe — under that probe's own claim set — and then
-//! claims its tags afresh for the new image, and a later token on the
+//! (TREAT) joins: an update first retracts its old image through its
+//! retract steps — under their own claim set — and then claims its tags
+//! afresh for the new image, and a later token on the
 //! joined source reads the memory both must have left exact. The naive
 //! reference has no joins yet, so this property's reference is the same
 //! engine given every OR condition with one more arm, `q.vol <> q.vol`:
@@ -35,7 +35,8 @@
 //! Mutation kill list (design-level, in the spirit of DESIGN.md's
 //! "mutation-tested" notes): each mutant below was checked by reasoning
 //! against the pinned-seed case stream, and diverges from the reference
-//! within the bounded case budget; the first and the fourth were also run.
+//! within the bounded case budget; the first, the fourth and the two
+//! retraction mutants were also run.
 //!
 //! * `TriggerMan::admit`: drop the tag-claim check (always admit) —
 //!   any token satisfying two overlapping disjuncts (`q.price > a or
@@ -64,9 +65,9 @@
 //!   empty instead of the replay's own claims) — partition tasks admit
 //!   what the replay or a sibling partition already claimed; duplicates
 //!   in the partitioned columns.
-//! * `retract_old_image`: claim in the token's set instead of its own —
-//!   the new image's match on the same tag reads as a duplicate and an
-//!   update token that still satisfies the OR loses its fire
+//! * `replay`'s retract steps: claim in the token's set instead of their
+//!   own — the new image's match on the same tag reads as a duplicate
+//!   and an update token that still satisfies the OR loses its fire
 //!   (`run_update_oracle`); admit every retraction match instead — a row
 //!   matching two disjuncts is retracted twice and the stored memory
 //!   loses a second copy, which the next token on the joined source

@@ -9,7 +9,8 @@
 //! the K newest stamps. Every engine configuration
 //! under test (drain batches 1/16/256 — `drain_batch = 1` being the one
 //! pipeline on a run of one, partitioned and not — and partitioned
-//! fan-out columns that exercise the window fan-out exclusion gate) must
+//! fan-out columns that exercise the window fan-out exclusion gate, one
+//! of them with classes on both sides of `partition_min`) must
 //! produce the reference's exact firing multiset on the same token
 //! stream, a third of it `Update` tokens (an update counts by its new
 //! image, after its old image went through the retraction probe), with
@@ -59,10 +60,13 @@
 //!   matching event) — any k >= 2 case diverges on the pre-threshold
 //!   prefix.
 //! * `TriggerMan::process_run`: drop the `SignatureRuntime::windowed`
-//!   fan-out exclusion — this oracle does *not* catch it: its partitioned
-//!   engines fan every class (`partition_min` 1) and one thread runs the
-//!   partition tasks in the order they were pushed, so windows still see
-//!   token order. The engine unit test
+//!   fan-out exclusion — the columns with `partition_min` 1 do not catch
+//!   it, since they fan every class and one thread runs the partition
+//!   tasks in the order they were pushed, so windows still see token
+//!   order. The mixed-classes column does: an equality-or-range windowed
+//!   trigger whose equality class fans observes a token matched there
+//!   after a later token of the batch matched its range arm inline, and
+//!   the clamp then moves its effective time. The engine unit test
 //!   `a_windowed_entry_keeps_its_class_from_fanning_out_until_dropped`
 //!   catches it by the partition-task count.
 //! * `TriggerMan::checkpoint`/`flush_acks`: skip `persist_windows` — the
@@ -93,6 +97,9 @@ use triggerman::{Config, QueueMode, TriggerMan};
 const SEED: u64 = 0x3D0_0001;
 /// Tokens pushed per drain round; >1 sizes exercise the batched path.
 const CHUNK_SIZES: [usize; 5] = [1, 3, 7, 2, 5];
+/// Ballast entries in the mixed-classes column's equality class, and its
+/// `partition_min`.
+const BALLAST: usize = 4;
 /// Constant-set organization forced onto every signature before chunk `j`.
 const FORCED_ORGS: [OrgKind; 4] = [
     OrgKind::MemList,
@@ -132,6 +139,10 @@ fn arb_window() -> impl Strategy<Value = WindowDef> {
         // arm).
         2 => (0u32..4, 0u32..4)
             .prop_map(|(a, b)| Some(format!("q.sym = 'S{a}' or q.sym = 'S{b}'"))),
+        // Arms in two classes, an equality and a range: one token can
+        // reach the window through either class.
+        2 => (0u32..4, 0i64..80)
+            .prop_map(|(a, p)| Some(format!("q.sym = 'S{a}' or q.price > {p}"))),
     ];
     (cond, 1u64..=4, 1u64..=30).prop_map(|(cond, k, w_ms)| WindowDef { cond, k, w_ms })
 }
@@ -176,6 +187,24 @@ fn run_oracle(num_cases: u32) {
                 partitioned_cfg(p, b),
             ));
         }
+        // Classes on both sides of `partition_min`: ballast triggers no
+        // token matches hold the equality class at `partition_min`, and
+        // the range class stays below it unless the draw fills it. A
+        // windowed class that fanned out anyway would have its partition
+        // tasks observe windows after a later token of the same batch
+        // matched inline through the other class.
+        let mixed = build(
+            "windows mixed classes p=2 b=16",
+            Config {
+                partition_min: BALLAST,
+                ..partitioned_cfg(2, 16)
+            },
+        );
+        for j in 0..BALLAST {
+            let ballast = format!("create trigger x{j} from q when q.sym = 'X{j}' do notify 'x'");
+            mixed.tman.execute_command(&ballast).unwrap();
+        }
+        engines.push(mixed);
         let mut naive = Naive::new(&[]);
         for (i, def) in defs.iter().enumerate() {
             let cond = def.cond.as_deref().unwrap_or("1 = 1");
