@@ -5,9 +5,11 @@
 //!   applicable trigger whenever an update event occurs. The cost of this
 //!   is always at least linear in the number of triggers associated with
 //!   the relevant event since no predicate indexing is normally used."
-//!   It is also the one reference that defines which one-variable trigger
-//!   fires on which token: every differential oracle in `tests/` compares
-//!   the engine (or the predicate index) against it.
+//!   It is also the one reference that defines which trigger fires on
+//!   which token: every differential oracle in `tests/` compares the
+//!   engine (or the predicate index) against it. Its join triggers keep a
+//!   row multiset per source they read, updated from the tokens in token
+//!   order, and fire by nested loops over it — no network at all.
 //! * [`QueryBased`] — the RPL/DIPS approach [Delc88a, Sell88]: "an
 //!   approach that runs database queries to test rule conditions as
 //!   updates occur. This type of approach has limited scalability due to
@@ -21,17 +23,17 @@
 //! same condition language, so experiment E1 compares *selection-predicate
 //! matching strategies* and nothing else.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use tman_common::stats::Counter;
 use tman_common::{
-    DataSourceId, EventKind, Result, Schema, TmanError, TriggerId, UpdateDescriptor,
+    DataSourceId, EventKind, Result, Schema, TmanError, TriggerId, Tuple, UpdateDescriptor,
 };
 use tman_expr::cnf::{remap_var, to_cnf, Cnf};
 use tman_expr::BindCtx;
 use tman_expr::Env;
-use tman_lang::ast::WindowSpec;
 use tman_lang::parse_expression;
+use tman_lang::WindowSpec;
 use tman_sql::Database;
 use tman_sync::{Mutex, RwLock};
 
@@ -73,11 +75,55 @@ impl NaiveWindow {
     }
 }
 
+/// A join trigger as [`NaiveEca`] holds it.
+struct NaiveJoin {
+    id: TriggerId,
+    /// The data source of each tuple variable, in `from`-list order; no
+    /// source twice.
+    sources: Vec<DataSourceId>,
+    /// The `on` clause: the variable it names, its event, and the ordinals
+    /// of the columns an `update(cols)` event names. `None` is the implicit
+    /// event, an insert or update on any variable.
+    on: Option<(usize, EventKind, Vec<usize>)>,
+    /// The whole condition, over every variable.
+    pred: Cnf,
+}
+
+impl NaiveJoin {
+    /// Does a token of variable `var` run the action?
+    fn fires_on(&self, var: usize, token: &UpdateDescriptor) -> bool {
+        match &self.on {
+            Some((v, event, cols)) => {
+                *v == var && event.accepts(token.op) && token.touches_columns(cols)
+            }
+            None => EventKind::InsertOrUpdate.accepts(token.op),
+        }
+    }
+}
+
+/// Resolve the columns an `update(cols)` event names against `schema`.
+fn update_ordinals(event: &EventKind, schema: &Schema) -> Result<Vec<usize>> {
+    let EventKind::Update(cols) = event else {
+        return Ok(Vec::new());
+    };
+    cols.iter()
+        .map(|c| {
+            schema
+                .index_of(c)
+                .ok_or_else(|| TmanError::Invalid(format!("no column '{c}'")))
+        })
+        .collect()
+}
+
 /// Linear-scan ECA trigger processing: every applicable trigger's condition
 /// is evaluated against every token.
 #[derive(Default)]
 pub struct NaiveEca {
     triggers: Mutex<Vec<NaiveTrigger>>,
+    joins: Mutex<Vec<NaiveJoin>>,
+    /// The rows of every source a join trigger reads, as a multiset kept
+    /// from the tokens since its first join trigger was added.
+    rows: Mutex<HashMap<DataSourceId, Vec<Tuple>>>,
     /// Conditions evaluated (the linear-cost evidence for E1).
     pub conditions_tested: Counter,
 }
@@ -102,17 +148,7 @@ impl NaiveEca {
     ) -> Result<()> {
         let ctx = BindCtx::new(vec![(var_name.to_string(), schema)]);
         let cnf = to_cnf(&ctx.pred(&parse_expression(cond)?)?)?;
-        let update_cols = match &event {
-            EventKind::Update(cols) => cols
-                .iter()
-                .map(|c| {
-                    schema
-                        .index_of(c)
-                        .ok_or_else(|| TmanError::Invalid(format!("no column '{c}'")))
-                })
-                .collect::<Result<_>>()?,
-            _ => Vec::new(),
-        };
+        let update_cols = update_ordinals(&event, schema)?;
         self.triggers.lock().push(NaiveTrigger {
             id,
             data_src,
@@ -120,6 +156,48 @@ impl NaiveEca {
             update_cols,
             pred: remap_var(&cnf, 0, 0, var_name),
             window: None,
+        });
+        Ok(())
+    }
+
+    /// Register a join trigger with condition `cond` over the tuple
+    /// variables `vars` (name, source, schema), in `from`-list order. `on`
+    /// names the event variable and its event; `None` is the implicit
+    /// event, an insert or update on any variable. No source may appear
+    /// twice. From now on the rows of its sources are kept, and a token
+    /// fires the trigger once per combination, its own image at its
+    /// variable and the kept rows at the others, that satisfies `cond`.
+    pub fn add_join_trigger(
+        &self,
+        id: TriggerId,
+        vars: &[(&str, DataSourceId, &Schema)],
+        on: Option<(usize, EventKind)>,
+        cond: &str,
+    ) -> Result<()> {
+        let sources: Vec<DataSourceId> = vars.iter().map(|&(_, src, _)| src).collect();
+        if (1..sources.len()).any(|i| sources[..i].contains(&sources[i])) {
+            return Err(TmanError::Invalid(
+                "a naive join reads each source once".into(),
+            ));
+        }
+        let ctx = BindCtx::new(vars.iter().map(|&(n, _, s)| (n.to_string(), s)).collect());
+        let pred = to_cnf(&ctx.pred(&parse_expression(cond)?)?)?;
+        let on = match on {
+            Some((v, event)) => {
+                let cols = update_ordinals(&event, vars[v].2)?;
+                Some((v, event, cols))
+            }
+            None => None,
+        };
+        let mut rows = self.rows.lock();
+        for &src in &sources {
+            rows.entry(src).or_default();
+        }
+        self.joins.lock().push(NaiveJoin {
+            id,
+            sources,
+            on,
+            pred,
         });
         Ok(())
     }
@@ -162,10 +240,65 @@ impl NaiveEca {
     }
 
     /// Match one token: evaluate *every* applicable trigger's condition.
-    /// Returns the triggers that fire, in registration order; a windowed
-    /// trigger's match counts toward its window and fires only at or over
-    /// the threshold.
+    /// Returns the triggers that fire: the one-variable ones in
+    /// registration order, then a join trigger once per combination (see
+    /// [`fire`](Self::fire)). A windowed trigger's match counts toward its
+    /// window and fires only at or over the threshold.
     pub fn match_token(&self, token: &UpdateDescriptor) -> Result<Vec<TriggerId>> {
+        let mut out = self.match_selections(token)?;
+        out.extend(self.fire_joins(token)?.into_iter().map(|(id, _)| id));
+        Ok(out)
+    }
+
+    /// [`match_token`](Self::match_token) with each firing's bindings: the
+    /// token's tuple for a one-variable trigger, one tuple per variable in
+    /// `from`-list order for a join trigger.
+    pub fn fire(&self, token: &UpdateDescriptor) -> Result<Vec<(TriggerId, Vec<Tuple>)>> {
+        let mut out: Vec<(TriggerId, Vec<Tuple>)> = self
+            .match_selections(token)?
+            .into_iter()
+            .map(|id| (id, vec![token.probe_tuple().clone()]))
+            .collect();
+        out.extend(self.fire_joins(token)?);
+        Ok(out)
+    }
+
+    /// The join firings of `token`, by nested loops over the kept rows;
+    /// then take the token into the kept rows of its source.
+    fn fire_joins(&self, token: &UpdateDescriptor) -> Result<Vec<(TriggerId, Vec<Tuple>)>> {
+        let mut out = Vec::new();
+        let mut rows = self.rows.lock();
+        if !rows.contains_key(&token.data_src) {
+            return Ok(out);
+        }
+        for j in self.joins.lock().iter() {
+            let Some(var) = j.sources.iter().position(|&s| s == token.data_src) else {
+                continue;
+            };
+            if !j.fires_on(var, token) {
+                continue;
+            }
+            self.conditions_tested.bump();
+            let mut binds: Vec<Option<&Tuple>> = vec![None; j.sources.len()];
+            binds[var] = Some(token.probe_tuple());
+            nested_loops(j, &rows, 0, &mut binds, &mut |b| {
+                out.push((j.id, b.iter().map(|t| t.unwrap().clone()).collect()))
+            })?;
+        }
+        let kept = rows.get_mut(&token.data_src).expect("kept above");
+        if let Some(old) = &token.old {
+            if let Some(i) = kept.iter().position(|t| t == old) {
+                kept.remove(i);
+            }
+        }
+        if let Some(new) = &token.new {
+            kept.push(new.clone());
+        }
+        Ok(out)
+    }
+
+    /// The one-variable triggers `token` fires, in registration order.
+    fn match_selections(&self, token: &UpdateDescriptor) -> Result<Vec<TriggerId>> {
         let tuple = token.probe_tuple();
         let bind = Some(tuple);
         let env = Env {
@@ -193,6 +326,36 @@ impl NaiveEca {
         }
         Ok(out)
     }
+}
+
+/// Bind every unbound variable of `j` from the kept rows of its source,
+/// in turn, and `emit` each full binding that satisfies the condition.
+fn nested_loops<'a>(
+    j: &NaiveJoin,
+    rows: &'a HashMap<DataSourceId, Vec<Tuple>>,
+    var: usize,
+    binds: &mut [Option<&'a Tuple>],
+    emit: &mut dyn FnMut(&[Option<&Tuple>]),
+) -> Result<()> {
+    if var == binds.len() {
+        let env = Env {
+            tuples: binds,
+            consts: &[],
+        };
+        if j.pred.matches(&env)? {
+            emit(binds);
+        }
+        return Ok(());
+    }
+    if binds[var].is_some() {
+        return nested_loops(j, rows, var + 1, binds, emit);
+    }
+    for t in &rows[&j.sources[var]] {
+        binds[var] = Some(t);
+        nested_loops(j, rows, var + 1, binds, emit)?;
+    }
+    binds[var] = None;
+    Ok(())
 }
 
 /// A trigger as [`QueryBased`] holds it: its condition as SQL text.
@@ -444,6 +607,42 @@ mod tests {
                     within_ns: 1
                 }
             )
+            .is_err());
+    }
+
+    /// A join trigger fires once per combination of the token's image with
+    /// the rows its earlier tokens left, duplicates included, and only on
+    /// its `on` variable's event.
+    #[test]
+    fn naive_eca_joins_fire_per_combination_of_kept_rows() {
+        let eca = NaiveEca::new();
+        let (sp, h) = (DataSourceId(1), DataSourceId(2));
+        let s_schema = Schema::from_pairs(&[("spno", DataType::Int)]);
+        let h_schema = Schema::from_pairs(&[("hno", DataType::Int), ("spno", DataType::Int)]);
+        let vars = [("s", sp, &s_schema), ("h", h, &h_schema)];
+        eca.add_join_trigger(
+            TriggerId(7),
+            &vars,
+            Some((1, EventKind::Insert)),
+            "s.spno = h.spno",
+        )
+        .unwrap();
+        let s1 = Tuple::new(vec![Value::Int(1)]);
+        let house = |hno| Tuple::new(vec![Value::Int(hno), Value::Int(1)]);
+        for _ in 0..2 {
+            let fires = eca.fire(&UpdateDescriptor::insert(sp, s1.clone())).unwrap();
+            assert!(fires.is_empty(), "s is not the event variable");
+        }
+        let fires = eca.fire(&UpdateDescriptor::insert(h, house(10))).unwrap();
+        assert_eq!(fires, vec![(TriggerId(7), vec![s1.clone(), house(10)]); 2]);
+        eca.fire(&UpdateDescriptor::delete(sp, s1.clone())).unwrap();
+        assert_eq!(
+            eca.match_token(&UpdateDescriptor::insert(h, house(11)))
+                .unwrap(),
+            vec![TriggerId(7)]
+        );
+        assert!(eca
+            .add_join_trigger(TriggerId(8), &[vars[0], vars[0]], None, "1 = 1")
             .is_err());
     }
 

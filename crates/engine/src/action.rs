@@ -14,7 +14,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use tman_common::{Result, TmanError, TokenOp, Tuple, UpdateDescriptor, Value};
 use tman_expr::Env;
-use tman_lang::ast::{Expr, Literal, SelectCols, SqlStmt};
+use tman_lang::{Expr, Literal, SelectCols, SqlStmt};
 use tman_telemetry::SpanKind;
 
 /// Execute one action for one condition match.

@@ -24,8 +24,7 @@ use tman_common::{EventKind, Result, TmanError, TriggerId, TriggerSetId, Tuple};
 use tman_expr::cnf::{remap_var, to_cnf, Cnf, ConditionGraph, Conjunct};
 use tman_expr::BindCtx;
 use tman_expr::{Env, Scalar};
-use tman_lang::ast::{Action, CreateTrigger, EventSpecKind, WindowSpec};
-use tman_lang::SqlStmt;
+use tman_lang::{Action, CreateTrigger, EventSpecKind, SqlStmt, WindowSpec};
 use tman_network::{Network, NetworkKind};
 
 /// One tuple variable of a compiled trigger.
@@ -278,11 +277,7 @@ pub fn compile_trigger(
 
     // Step 5-prep: per-variable selection predicate analysis (the actual
     // index insertion happens in the system, which assigns exprIDs).
-    let stored_memories = vars.len() > 1
-        && matches!(
-            network_kind,
-            NetworkKind::Treat | NetworkKind::Rete | NetworkKind::Gator
-        );
+    let stored_memories = vars.len() > 1 && network_kind.stores_memories();
     let mut predicates = Vec::new();
     for (v, binding) in vars.iter().enumerate() {
         // Per-variable event for index registration (see DESIGN.md):
@@ -378,7 +373,7 @@ fn compile_action(action: &Action, vars: &[VarBinding], ctx: BindCtx) -> Result<
 }
 
 fn validate_transitions(stmt: &SqlStmt, vars: &[VarBinding]) -> Result<()> {
-    use tman_lang::ast::Expr;
+    use tman_lang::Expr;
     fn walk(e: &Expr, vars: &[VarBinding]) -> Result<()> {
         match e {
             Expr::Transition { source, column, .. } => {

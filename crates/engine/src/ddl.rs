@@ -32,7 +32,7 @@ use tman_common::{
     DataSourceId, ExprId, NodeId, Result, Schema, TmanError, TriggerId, TriggerSetId, Value,
 };
 use tman_expr::{decompose_disjunction, generalize_selection, Cnf, IndexPlan, SelectionSignature};
-use tman_lang::ast::WindowSpec;
+use tman_lang::WindowSpec;
 use tman_predindex::SignatureRuntime;
 
 /// A trigger set as DDL holds it.
@@ -217,7 +217,7 @@ impl TriggerMan {
     /// Register a connection (§2). The engine's own database is the
     /// pre-defined `local` connection; remote connections exist as catalog
     /// metadata whose sources ingest through the data-source API.
-    pub fn define_connection(&self, def: &tman_lang::ast::ConnectionDef) -> Result<()> {
+    pub fn define_connection(&self, def: &tman_lang::ConnectionDef) -> Result<()> {
         let _ddl = self.ddl.lock();
         let taken = self.catalog.connections()?;
         if taken.iter().any(|c| c.name.eq_ignore_ascii_case(&def.name)) {
@@ -454,7 +454,7 @@ impl TriggerMan {
     /// and no row.
     pub(crate) fn create_trigger(
         &self,
-        stmt: &tman_lang::ast::CreateTrigger,
+        stmt: &tman_lang::CreateTrigger,
         text: &str,
     ) -> Result<CommandOutput> {
         let mut ddl = self.ddl.lock();

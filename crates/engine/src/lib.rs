@@ -87,7 +87,7 @@ use tman_common::{
     DataSourceId, ExprId, NodeId, Result, Schema, TmanError, TokenOp, TriggerId, TriggerSetId,
     Tuple, UpdateDescriptor,
 };
-use tman_lang::ast::Command;
+use tman_lang::Command;
 use tman_network::Polarity;
 use tman_predindex::{Entry, Found, PredicateIndex, Probe, SignatureRuntime};
 use tman_sql::{Database, ExecResult};

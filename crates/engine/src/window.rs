@@ -123,7 +123,7 @@ mod tests {
     use tman_common::{
         DataSourceId, DataType, EventKind, Schema, TriggerId, Tuple, UpdateDescriptor, Value,
     };
-    use tman_lang::ast::WindowSpec;
+    use tman_lang::WindowSpec;
 
     #[test]
     fn fires_at_threshold_and_slides() {

@@ -4,7 +4,7 @@
 //!
 //! * [`Scalar`] / [`Pred`] — typed, resolved scalar expressions and
 //!   predicates with SQL three-valued logic, evaluated against tuples.
-//! * [`BindCtx`] — binding of parsed [`tman_lang::ast::Expr`] trees against
+//! * [`BindCtx`] — binding of parsed [`tman_lang::Expr`] trees against
 //!   tuple-variable schemas.
 //! * [`cnf`] — conversion of `when` clauses to conjunctive normal form and
 //!   grouping of conjuncts "by the set of data sources they refer to" into

@@ -3,7 +3,7 @@
 use crate::pred::{AtomKind, AtomicPred, CmpOp, Pred};
 use crate::scalar::{ArithOp, Func, Scalar};
 use tman_common::{DataType, Result, Schema, TmanError, Value};
-use tman_lang::ast::{BinaryOp, Expr, Literal, UnaryOp};
+use tman_lang::{BinaryOp, Expr, Literal, UnaryOp};
 
 /// Scalar type classes used for bind-time checking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

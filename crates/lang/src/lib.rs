@@ -6,10 +6,12 @@
 //! * a shared tokenizer, private to the crate (case-insensitive keywords,
 //!   `'...'` string literals with `''` escapes, `:NEW` / `:OLD` transition
 //!   refs), whose tokens borrow from the command text,
-//! * [`ast`] — commands (`create trigger`, `drop trigger`, `define data
-//!   source`, ...), scalar/boolean expressions, and the SQL-subset
-//!   statements used by `execSQL` rule actions,
-//! * [`parser`] — recursive-descent parsers for both languages.
+//! * the syntax tree, re-exported here: commands ([`Command`]: `create
+//!   trigger`, `drop trigger`, `define data source`, ...), scalar/boolean
+//!   expressions ([`Expr`]), and the SQL-subset statements ([`SqlStmt`])
+//!   used by `execSQL` rule actions,
+//! * recursive-descent parsers for both languages ([`parse_command`],
+//!   [`parse_expression`], [`parse_sql`]).
 //!
 //! The paper's running examples parse verbatim, e.g.:
 //!
@@ -21,12 +23,15 @@
 //!      when s.name = 'Iris' and s.spno=r.spno and r.nno=h.nno \
 //!      do raise event NewHouseInIrisNeighborhood(h.hno, h.address)",
 //! ).unwrap();
-//! assert!(matches!(cmd, tman_lang::ast::Command::CreateTrigger(_)));
+//! assert!(matches!(cmd, tman_lang::Command::CreateTrigger(_)));
 //! ```
 
-pub mod ast;
+mod ast;
 mod lexer;
-pub mod parser;
+mod parser;
 
-pub use ast::{Action, Command, CreateTrigger, Expr, SqlStmt};
+pub use ast::{
+    Action, BinaryOp, ColumnDef, Command, ConnectionDef, CreateTrigger, EventSpec, EventSpecKind,
+    Expr, FromItem, Literal, SelectCols, SqlStmt, UnaryOp, WindowSpec,
+};
 pub use parser::{parse_command, parse_expression, parse_sql};

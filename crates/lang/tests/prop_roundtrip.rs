@@ -4,8 +4,8 @@
 
 use tman_check::prelude::*;
 use tman_check::string::chars;
-use tman_lang::ast::{BinaryOp, Expr, Literal, UnaryOp};
 use tman_lang::parse_expression;
+use tman_lang::{BinaryOp, Expr, Literal, UnaryOp};
 
 fn ident() -> impl Strategy<Value = String> {
     // Avoid keywords (and/or/not/null/like/between/is) via a prefix.

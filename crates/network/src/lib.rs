@@ -2,33 +2,41 @@
 //!
 //! The paper uses an **A-TREAT network** \[Hans96\], "a variation of the
 //! TREAT network \[Mira87\]", and states its results "are applicable to
-//! TREAT, Rete \[Forg82\] and Gator networks". This crate implements all
-//! four:
+//! TREAT, Rete \[Forg82\] and Gator networks". \[Hans97b\]'s Gator network
+//! is the general shape and the other three are special cases of it, so
+//! this crate has one structure and one routine, and a [`NetworkKind`] only
+//! picks the plan:
 //!
-//! * [`NetworkKind::Treat`] — stored alpha memories per tuple variable, no
-//!   beta memories; a token joins against all other alpha memories on
-//!   arrival.
-//! * [`NetworkKind::ATreat`] — TREAT with *virtual alpha nodes*: instead
-//!   of materializing the selection result, a virtual alpha stores only the
-//!   selection predicate and scans the base data source through
-//!   [`AlphaSource`] at join time. The variable the trigger's `on` event
-//!   names keeps no memory at all (its tokens drive the network).
-//! * [`NetworkKind::Rete`] — classical left-deep binary join network with
-//!   beta memories holding partial bindings.
-//! * [`NetworkKind::Gator`] — the paper's planned upgrade (\[Hans97b\]):
-//!   pair-cluster join memories, the tunable middle ground between TREAT
-//!   and Rete.
+//! * a **join tree**: a leaf per tuple variable, holding either a stored
+//!   alpha memory (the variable's selection result) or a *virtual* alpha
+//!   that scans the base data source through [`AlphaSource`] when read;
+//!   join nodes above the leaves, each of which may store its result;
+//! * [`Network::activate`]: a token's delta walks from its leaf to the
+//!   root. At each level it is joined against the contents of its
+//!   siblings, connected ones first, checking the join edges between the
+//!   newly bound variables and the bound ones; a stored node takes the
+//!   delta in on the way (a `-` token removes one equal entry per delta
+//!   entry), and the catch-all conjuncts are checked at the root.
+//!
+//! | kind | leaves | joins |
+//! |---|---|---|
+//! | [`NetworkKind::ATreat`] | virtual | one unstored root |
+//! | [`NetworkKind::Treat`] | stored | one unstored root |
+//! | [`NetworkKind::Rete`] | stored | a left-deep chain of stored binary joins; its top is the P-node memory |
+//! | [`NetworkKind::Gator`] | stored | greedy pair clusters, stored, under an unstored root; a leftover variable is a plain leaf |
 //!
 //! Tokens arrive with a [`Polarity`] (`+` insert / `-` delete; updates are
 //! split by the engine into `-old` then `+new` for join triggers). A full
-//! match reaching the P-node produces a [`Firing`] with one bound tuple per
+//! match reaching the root produces a [`Firing`] with one bound tuple per
 //! variable.
 //!
 //! §5.1's trigger "priming" is [`Network::prime`]: stored memories are
-//! populated from the base data when the trigger is created.
+//! populated from the base data when the trigger is created, the leaves
+//! first and then the stored joins bottom-up, with the same join routine.
 
+use std::cell::OnceCell;
 use tman_common::{DataSourceId, Result, TmanError, Tuple};
-use tman_expr::cnf::ConditionGraph;
+use tman_expr::cnf::{ConditionGraph, JoinEdge};
 use tman_expr::Env;
 use tman_sync::RwLock;
 
@@ -63,37 +71,69 @@ pub trait AlphaSource {
     ) -> Result<()>;
 }
 
-/// Which discrimination network to build.
+/// Which discrimination network to build: the plan of the join tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetworkKind {
-    /// Stored alpha memories, no betas.
+    /// Stored alpha memories, no stored joins.
     Treat,
     /// Virtual alpha memories (the paper's network).
     ATreat,
-    /// Stored alphas plus left-deep beta memories.
+    /// Stored alphas plus a left-deep chain of stored binary joins.
     Rete,
-    /// Gator network (\[Hans97b\], the paper's planned upgrade): a
-    /// generalization of TREAT and Rete where join memories have arbitrary
-    /// fan-in. This implementation clusters the tuple variables into
-    /// join-connected pairs, materializes each cluster's join, and lets
-    /// tokens join against the (few, pre-joined) cluster memories instead
-    /// of every alpha memory.
+    /// Gator network (\[Hans97b\], the paper's planned upgrade): join
+    /// memories of arbitrary fan-in, the tunable middle ground between
+    /// TREAT and Rete. This plan pairs join-connected variables greedily
+    /// and stores each pair's join, so a token joins against the few
+    /// pre-joined pairs instead of every alpha memory.
     Gator,
 }
 
-enum Alpha {
-    /// Materialized selection result.
-    Stored(RwLock<Vec<Tuple>>),
-    /// Predicate only; base data scanned on demand (A-TREAT's innovation).
-    Virtual,
+impl NetworkKind {
+    /// Does this plan keep stored memories? Those must see every token of
+    /// every variable, deletes included, to stay equal to their sources;
+    /// A-TREAT's virtual alphas read the sources instead.
+    pub fn stores_memories(self) -> bool {
+        self != NetworkKind::ATreat
+    }
 }
 
-/// A Gator join memory: the materialized join of a group of variables.
-struct Cluster {
-    /// Member variables, in memory-entry order.
+/// A node of the join tree.
+struct Node {
+    /// The variables an entry binds, ascending: one for a leaf.
     vars: Vec<usize>,
-    /// Joined partial bindings (one tuple per member, parallel to `vars`).
-    memory: RwLock<Vec<Vec<Tuple>>>,
+    /// `vars` as a bit set.
+    mask: u64,
+    /// `None` for the root.
+    parent: Option<usize>,
+    /// The nodes a delta of this one joins against on its way to
+    /// `parent`, in join order ([`Network::join_order`]).
+    siblings: Vec<usize>,
+    /// The node's entries, `vars.len()` tuples each, back to back. `None`
+    /// for an unstored node; a leaf without one is a virtual alpha.
+    memory: Option<RwLock<Vec<Tuple>>>,
+}
+
+impl Node {
+    /// Take a delta into a stored memory: append it, or remove one equal
+    /// entry per delta entry.
+    fn store(&self, polarity: Polarity, delta: &[Tuple]) {
+        let Some(memory) = &self.memory else { return };
+        if delta.is_empty() {
+            return;
+        }
+        let mut mem = memory.write();
+        let k = self.vars.len();
+        match polarity {
+            Polarity::Plus => mem.extend_from_slice(delta),
+            Polarity::Minus => {
+                for entry in delta.chunks(k) {
+                    if let Some(i) = mem.chunks(k).position(|e| e == entry) {
+                        mem.drain(i * k..(i + 1) * k);
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// A compiled discrimination network for one trigger.
@@ -101,15 +141,17 @@ pub struct Network {
     kind: NetworkKind,
     graph: ConditionGraph,
     var_sources: Vec<DataSourceId>,
-    alphas: Vec<Alpha>,
-    /// Rete only: beta\[k\] holds bindings of variables 0..=k+1 (beta\[0\]
-    /// joins vars 0 and 1, the last beta is the P-node's memory).
-    betas: Vec<RwLock<Vec<Vec<Tuple>>>>,
-    /// Gator only: pair-cluster join memories.
-    clusters: Vec<Cluster>,
-    /// Variable driven by the trigger's `on` event (never materialized for
-    /// A-TREAT).
+    /// Leaf `v` for variable `v` first, then the join nodes, each after
+    /// its children; the last node is the root, binding every variable.
+    nodes: Vec<Node>,
+    /// Variable driven by the trigger's `on` event.
     event_var: usize,
+}
+
+/// Does join edge `e` run between the variable sets `x` and `y`?
+fn spans(e: &JoinEdge, x: u64, y: u64) -> bool {
+    let (a, b) = (1u64 << e.a, 1u64 << e.b);
+    (a & x != 0 && b & y != 0) || (b & x != 0 && a & y != 0)
 }
 
 impl Network {
@@ -124,83 +166,123 @@ impl Network {
         var_sources: Vec<DataSourceId>,
         event_var: usize,
     ) -> Result<Network> {
-        if graph.num_vars != var_sources.len() {
+        let n = graph.num_vars;
+        if n != var_sources.len() {
             return Err(TmanError::Internal(format!(
-                "graph has {} vars, {} sources supplied",
-                graph.num_vars,
+                "graph has {n} vars, {} sources supplied",
                 var_sources.len()
             )));
         }
-        if graph.num_vars == 0 {
+        if n == 0 {
             return Err(TmanError::Invalid(
                 "trigger needs at least one tuple variable".into(),
             ));
         }
-        let alphas = (0..graph.num_vars)
-            .map(|_| match kind {
-                NetworkKind::ATreat => Alpha::Virtual,
-                // TREAT, Rete and Gator all keep stored selection results.
-                _ => Alpha::Stored(RwLock::new(Vec::new())),
-            })
-            .collect();
-        let betas = if kind == NetworkKind::Rete && graph.num_vars >= 2 {
-            (0..graph.num_vars - 1)
-                .map(|_| RwLock::new(Vec::new()))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let clusters = if kind == NetworkKind::Gator && graph.num_vars >= 2 {
-            Self::plan_clusters(&graph)
-        } else {
-            Vec::new()
-        };
-        Ok(Network {
+        let mut net = Network {
             kind,
             graph,
             var_sources,
-            alphas,
-            betas,
-            clusters,
+            nodes: Vec::new(),
             event_var,
-        })
+        };
+        for v in 0..n {
+            net.add_node(vec![v], &[], kind.stores_memories());
+        }
+        let all: Vec<usize> = (0..n).collect();
+        match kind {
+            NetworkKind::ATreat | NetworkKind::Treat => {
+                net.add_node(all.clone(), &all, false);
+            }
+            NetworkKind::Rete => {
+                (1..n).fold(0, |top, v| {
+                    let vars = (0..=v).collect();
+                    net.add_node(vars, &[top, v], true)
+                });
+            }
+            NetworkKind::Gator => {
+                let top = net.pair_clusters();
+                net.add_node(all, &top, false);
+            }
+        }
+        for i in 0..net.nodes.len() {
+            net.nodes[i].siblings = net.join_order(i);
+        }
+        Ok(net)
     }
 
-    /// Greedy pair clustering: repeatedly take an unclustered variable and
-    /// pair it with a join-connected unclustered partner (any partner if
-    /// none is connected); a leftover variable forms a singleton cluster.
-    /// Real Gator optimizers pick shapes by cost (\[Hans97b\]); pairing is
-    /// the simplest non-trivial shape between TREAT (all singletons) and
-    /// Rete (one left-deep chain).
-    fn plan_clusters(graph: &ConditionGraph) -> Vec<Cluster> {
-        let n = graph.num_vars;
+    /// Append a node over `vars` (ascending) with `children`; returns its
+    /// index.
+    fn add_node(&mut self, vars: Vec<usize>, children: &[usize], stored: bool) -> usize {
+        let id = self.nodes.len();
+        for &c in children {
+            self.nodes[c].parent = Some(id);
+        }
+        self.nodes.push(Node {
+            mask: vars.iter().fold(0, |m, &v| m | 1 << v),
+            vars,
+            parent: None,
+            siblings: Vec::new(),
+            memory: stored.then(|| RwLock::new(Vec::new())),
+        });
+        id
+    }
+
+    /// Gator's greedy pair clustering: take each unclustered variable in
+    /// turn and pair it with a join-connected unclustered partner (any
+    /// partner if none is connected) under a stored join; a leftover
+    /// variable stays a plain leaf. Real Gator optimizers pick shapes by
+    /// cost (\[Hans97b\]); pairing is the simplest non-trivial shape
+    /// between TREAT (no stored joins) and Rete (one left-deep chain).
+    /// Returns the nodes under the root.
+    fn pair_clusters(&mut self) -> Vec<usize> {
+        let n = self.graph.num_vars;
         let mut used = vec![false; n];
-        let mut clusters = Vec::new();
+        let mut top = Vec::new();
         for v in 0..n {
             if used[v] {
                 continue;
             }
             used[v] = true;
+            // Every variable before `v` is taken, so a partner comes after it.
+            let connected = |u: usize| self.graph.joins.iter().any(|e| spans(e, 1 << v, 1 << u));
             let partner = (0..n)
                 .filter(|&u| !used[u])
-                .find(|&u| {
-                    graph
-                        .joins
-                        .iter()
-                        .any(|e| (e.a == v && e.b == u) || (e.a == u && e.b == v))
-                })
+                .find(|&u| connected(u))
                 .or_else(|| (0..n).find(|&u| !used[u]));
-            let mut vars = vec![v];
-            if let Some(u) = partner {
-                used[u] = true;
-                vars.push(u);
-            }
-            clusters.push(Cluster {
-                vars,
-                memory: RwLock::new(Vec::new()),
+            top.push(match partner {
+                Some(u) => {
+                    used[u] = true;
+                    self.add_node(vec![v, u], &[v, u], true)
+                }
+                None => v,
             });
         }
-        clusters
+        top
+    }
+
+    /// The siblings a delta of `node` joins against, in join order: each
+    /// next one is join-connected to what is already bound if any is
+    /// (avoiding cross products), else the first left.
+    fn join_order(&self, node: usize) -> Vec<usize> {
+        let Some(parent) = self.nodes[node].parent else {
+            return Vec::new();
+        };
+        let mut rest: Vec<usize> = (0..self.nodes.len())
+            .filter(|&s| s != node && self.nodes[s].parent == Some(parent))
+            .collect();
+        let mut bound = self.nodes[node].mask;
+        let mut order = Vec::with_capacity(rest.len());
+        while !rest.is_empty() {
+            let mask = |s: usize| self.nodes[s].mask;
+            let next = rest
+                .iter()
+                .position(|&s| self.graph.joins.iter().any(|e| spans(e, mask(s), bound)))
+                .unwrap_or(0);
+            let s = rest.remove(next);
+            bound |= mask(s);
+            order.push(s);
+        }
+        order
     }
 
     /// The network kind.
@@ -218,28 +300,14 @@ impl Network {
         self.event_var
     }
 
-    /// Total tuples held in stored memories (alpha + beta + Gator cluster)
-    /// — the memory metric of experiment E8.
+    /// Total tuples held in stored memories, leaves and joins — the memory
+    /// metric of experiment E8.
     pub fn memory_tuples(&self) -> usize {
-        let a: usize = self
-            .alphas
+        self.nodes
             .iter()
-            .map(|al| match al {
-                Alpha::Stored(m) => m.read().len(),
-                Alpha::Virtual => 0,
-            })
-            .sum();
-        let b: usize = self
-            .betas
-            .iter()
-            .map(|m| m.read().iter().map(Vec::len).sum::<usize>())
-            .sum();
-        let g: usize = self
-            .clusters
-            .iter()
-            .map(|c| c.memory.read().iter().map(Vec::len).sum::<usize>())
-            .sum();
-        a + b + g
+            .filter_map(|n| n.memory.as_ref())
+            .map(|m| m.read().len())
+            .sum()
     }
 
     /// Does `tuple` satisfy variable `v`'s selection predicate?
@@ -256,23 +324,25 @@ impl Network {
         })
     }
 
-    /// §5.1 priming: populate stored memories (and Rete betas / Gator
-    /// clusters) from base data so the network reflects pre-existing rows.
+    /// §5.1 priming: populate the stored memories from base data so the
+    /// network reflects pre-existing rows.
     pub fn prime(&self, source: &dyn AlphaSource) -> Result<()> {
-        for v in 0..self.graph.num_vars {
-            self.prime_var(v, source)?;
+        for v in self.stored_leaves() {
+            self.prime_leaf(v, source)?;
         }
-        self.rebuild_derived()
+        self.prime_joins(source)
     }
 
     /// §6 *data-level concurrency*: "a set of data values in an alpha or
     /// beta memory node ... can be processed by a query that can run in
-    /// parallel." Priming is exactly such a query (one selection scan per
-    /// memory node), so scan each node's base data on its own thread.
+    /// parallel." Filling a stored leaf is such a query (one selection
+    /// scan), so each stored leaf is filled on its own thread; a virtual
+    /// leaf holds nothing and starts none. The stored joins follow.
     pub fn prime_parallel(&self, source: &(dyn AlphaSource + Sync)) -> Result<()> {
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.graph.num_vars)
-                .map(|v| scope.spawn(move || self.prime_var(v, source)))
+            let handles: Vec<_> = self
+                .stored_leaves()
+                .map(|v| scope.spawn(move || self.prime_leaf(v, source)))
                 .collect();
             for h in handles {
                 h.join()
@@ -280,329 +350,31 @@ impl Network {
             }
             Ok::<(), TmanError>(())
         })?;
-        self.rebuild_derived()
+        self.prime_joins(source)
     }
 
-    fn prime_var(&self, v: usize, source: &dyn AlphaSource) -> Result<()> {
-        if let Alpha::Stored(mem) = &self.alphas[v] {
-            let mut rows = Vec::new();
-            source.scan_source(self.var_sources[v], &mut |t| {
-                if self.selection_matches(v, t)? {
-                    rows.push(t.clone());
-                }
-                Ok(())
-            })?;
-            *mem.write() = rows;
+    fn stored_leaves(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.graph.num_vars).filter(|&v| self.nodes[v].memory.is_some())
+    }
+
+    fn prime_leaf(&self, v: usize, source: &dyn AlphaSource) -> Result<()> {
+        if let Some(mem) = &self.nodes[v].memory {
+            *mem.write() = self.scan(v, source)?;
         }
         Ok(())
     }
 
-    fn rebuild_derived(&self) -> Result<()> {
-        if self.kind == NetworkKind::Rete {
-            self.rebuild_betas()?;
-        }
-        if self.kind == NetworkKind::Gator {
-            self.rebuild_clusters()?;
+    /// Fill the stored joins bottom-up (a node comes after its children):
+    /// each is one child's contents joined with its siblings.
+    fn prime_joins(&self, source: &dyn AlphaSource) -> Result<()> {
+        for (id, node) in self.nodes.iter().enumerate() {
+            let Some(mem) = &node.memory else { continue };
+            if let Some(child) = self.nodes.iter().position(|c| c.parent == Some(id)) {
+                let rows = self.join(child, &self.candidates(child, source)?, source)?;
+                *mem.write() = rows;
+            }
         }
         Ok(())
-    }
-
-    /// Recompute every Gator cluster memory from the alpha memories.
-    fn rebuild_clusters(&self) -> Result<()> {
-        for cluster in &self.clusters {
-            let rows: Vec<Vec<Tuple>> = cluster
-                .vars
-                .iter()
-                .map(|&v| match &self.alphas[v] {
-                    Alpha::Stored(m) => m.read().clone(),
-                    Alpha::Virtual => Vec::new(),
-                })
-                .collect();
-            let mem = self.cross_join_filtered(cluster, rows)?;
-            *cluster.memory.write() = mem;
-        }
-        Ok(())
-    }
-
-    /// Cross-join per-member candidate rows, keeping entries whose
-    /// intra-cluster join edges hold.
-    fn cross_join_filtered(
-        &self,
-        cluster: &Cluster,
-        rows: Vec<Vec<Tuple>>,
-    ) -> Result<Vec<Vec<Tuple>>> {
-        let mut acc: Vec<Vec<Tuple>> = vec![Vec::new()];
-        for r in &rows {
-            let mut next = Vec::with_capacity(acc.len() * r.len());
-            for partial in &acc {
-                for t in r {
-                    let mut e = partial.clone();
-                    e.push(t.clone());
-                    next.push(e);
-                }
-            }
-            acc = next;
-            if acc.is_empty() {
-                return Ok(acc);
-            }
-        }
-        let mut out = Vec::with_capacity(acc.len());
-        for entry in acc {
-            if self.cluster_entry_joins_ok(cluster, &entry)? {
-                out.push(entry);
-            }
-        }
-        Ok(out)
-    }
-
-    /// Do the intra-cluster join edges hold for a candidate entry?
-    fn cluster_entry_joins_ok(&self, cluster: &Cluster, entry: &[Tuple]) -> Result<bool> {
-        let mut binds: Vec<Option<&Tuple>> = vec![None; self.graph.num_vars];
-        for (pos, &v) in cluster.vars.iter().enumerate() {
-            binds[v] = Some(&entry[pos]);
-        }
-        let env = Env {
-            tuples: &binds,
-            consts: &[],
-        };
-        for e in &self.graph.joins {
-            let a_in = cluster.vars.contains(&e.a);
-            let b_in = cluster.vars.contains(&e.b);
-            if a_in && b_in && !e.pred.matches(&env)? {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
-    fn activate_gator(
-        &self,
-        var: usize,
-        polarity: Polarity,
-        tuple: &Tuple,
-        fire: &mut dyn FnMut(Firing),
-    ) -> Result<()> {
-        let ci = self
-            .clusters
-            .iter()
-            .position(|c| c.vars.contains(&var))
-            .ok_or_else(|| TmanError::Internal(format!("variable {var} in no cluster")))?;
-        let cluster = &self.clusters[ci];
-        let pos = cluster.vars.iter().position(|&v| v == var).expect("member");
-        match polarity {
-            Polarity::Plus => {
-                self.update_alpha(var, Polarity::Plus, tuple);
-                // Delta = new cluster entries where `var` binds the token
-                // and siblings come from their alpha memories.
-                let rows: Vec<Vec<Tuple>> = cluster
-                    .vars
-                    .iter()
-                    .enumerate()
-                    .map(|(p, &v)| {
-                        if p == pos {
-                            vec![tuple.clone()]
-                        } else {
-                            match &self.alphas[v] {
-                                Alpha::Stored(m) => m.read().clone(),
-                                Alpha::Virtual => Vec::new(),
-                            }
-                        }
-                    })
-                    .collect();
-                let delta = self.cross_join_filtered(cluster, rows)?;
-                cluster.memory.write().extend(delta.iter().cloned());
-                self.fire_cluster_delta(ci, &delta, polarity, fire)
-            }
-            Polarity::Minus => {
-                let mut removed = Vec::new();
-                {
-                    let mut mem = cluster.memory.write();
-                    mem.retain(|entry| {
-                        if &entry[pos] == tuple {
-                            removed.push(entry.clone());
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                }
-                self.update_alpha(var, Polarity::Minus, tuple);
-                self.fire_cluster_delta(ci, &removed, polarity, fire)
-            }
-        }
-    }
-
-    /// Join delta entries of cluster `ci` against every other cluster's
-    /// memory, checking cross-cluster edges and the catch-all conjuncts.
-    fn fire_cluster_delta(
-        &self,
-        ci: usize,
-        delta: &[Vec<Tuple>],
-        polarity: Polarity,
-        fire: &mut dyn FnMut(Firing),
-    ) -> Result<()> {
-        let others: Vec<usize> = (0..self.clusters.len()).filter(|&i| i != ci).collect();
-        for d in delta {
-            let mut binds: Vec<Option<Tuple>> = vec![None; self.graph.num_vars];
-            for (pos, &v) in self.clusters[ci].vars.iter().enumerate() {
-                binds[v] = Some(d[pos].clone());
-            }
-            let bound_mask = self.clusters[ci]
-                .vars
-                .iter()
-                .fold(0u64, |m, &v| m | (1 << v));
-            self.extend_clusters(&others, 0, &mut binds, bound_mask, polarity, fire)?;
-        }
-        Ok(())
-    }
-
-    fn extend_clusters(
-        &self,
-        others: &[usize],
-        depth: usize,
-        binds: &mut Vec<Option<Tuple>>,
-        bound_mask: u64,
-        polarity: Polarity,
-        fire: &mut dyn FnMut(Firing),
-    ) -> Result<()> {
-        if depth == others.len() {
-            let refs: Vec<Option<&Tuple>> = binds.iter().map(|b| b.as_ref()).collect();
-            if self.catch_all_ok(&refs)? {
-                fire(Firing {
-                    polarity,
-                    bindings: binds.iter().map(|b| b.clone().unwrap()).collect(),
-                });
-            }
-            return Ok(());
-        }
-        let cluster = &self.clusters[others[depth]];
-        let entries = cluster.memory.read().clone();
-        let cluster_mask = cluster.vars.iter().fold(0u64, |m, &v| m | (1 << v));
-        'entries: for entry in entries {
-            for (pos, &v) in cluster.vars.iter().enumerate() {
-                binds[v] = Some(entry[pos].clone());
-            }
-            // Check every edge between this cluster's vars and the
-            // already-bound set.
-            let refs: Vec<Option<&Tuple>> = binds.iter().map(|b| b.as_ref()).collect();
-            for &v in &cluster.vars {
-                if !self.edges_ok(&refs, v, bound_mask)? {
-                    continue 'entries;
-                }
-            }
-            self.extend_clusters(
-                others,
-                depth + 1,
-                binds,
-                bound_mask | cluster_mask,
-                polarity,
-                fire,
-            )?;
-        }
-        for &v in &cluster.vars {
-            binds[v] = None;
-        }
-        Ok(())
-    }
-
-    fn rebuild_betas(&self) -> Result<()> {
-        if self.betas.is_empty() {
-            return Ok(());
-        }
-        let alpha = |v: usize| -> Vec<Tuple> {
-            match &self.alphas[v] {
-                Alpha::Stored(m) => m.read().clone(),
-                Alpha::Virtual => Vec::new(),
-            }
-        };
-        let mut partials: Vec<Vec<Tuple>> = alpha(0).into_iter().map(|t| vec![t]).collect();
-        for v in 1..self.graph.num_vars {
-            let mut next = Vec::new();
-            for p in &partials {
-                for t in alpha(v) {
-                    let mut cand = p.clone();
-                    cand.push(t);
-                    if self.joins_ok_prefix(&cand)? {
-                        next.push(cand);
-                    }
-                }
-            }
-            *self.betas[v - 1].write() = next.clone();
-            partials = next;
-        }
-        Ok(())
-    }
-
-    /// Evaluate all join edges fully contained in the bound prefix
-    /// `cand[0..k]` that involve variable `k-1` (the newly added one).
-    fn joins_ok_prefix(&self, cand: &[Tuple]) -> Result<bool> {
-        let new_var = cand.len() - 1;
-        let mut binds: Vec<Option<&Tuple>> = vec![None; self.graph.num_vars];
-        for (v, t) in cand.iter().enumerate() {
-            binds[v] = Some(t);
-        }
-        let env = Env {
-            tuples: &binds,
-            consts: &[],
-        };
-        for e in &self.graph.joins {
-            let touches_new =
-                (e.a == new_var && e.b < cand.len()) || (e.b == new_var && e.a < cand.len());
-            if touches_new && !e.pred.matches(&env)? {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
-    /// Evaluate join edges between `var` and any bound member of `bound_mask`,
-    /// given partial bindings.
-    fn edges_ok(&self, binds: &[Option<&Tuple>], var: usize, bound_mask: u64) -> Result<bool> {
-        let env = Env {
-            tuples: binds,
-            consts: &[],
-        };
-        for e in &self.graph.joins {
-            let other = if e.a == var {
-                e.b
-            } else if e.b == var {
-                e.a
-            } else {
-                continue;
-            };
-            if bound_mask & (1 << other) != 0 && !e.pred.matches(&env)? {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
-    /// Evaluate the catch-all conjuncts (trivial and hyper-join) on a full
-    /// binding — §5.1's "special cases".
-    fn catch_all_ok(&self, binds: &[Option<&Tuple>]) -> Result<bool> {
-        if self.graph.catch_all.is_empty() {
-            return Ok(true);
-        }
-        let env = Env {
-            tuples: binds,
-            consts: &[],
-        };
-        for c in &self.graph.catch_all {
-            if c.eval(&env)? != Some(true) {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
-    /// Does a token reach the P-node of this *single-variable* network?
-    /// Such a network has no joins: a token that passed the variable's
-    /// selection predicate fires iff the catch-all conjuncts hold, with its
-    /// own tuple as the only binding. (The engine builds no network for a
-    /// one-variable trigger; it tests the same conjuncts itself.)
-    fn single_var_fires(&self, tuple: &Tuple) -> Result<bool> {
-        debug_assert_eq!(self.graph.num_vars, 1);
-        self.catch_all_ok(&[Some(tuple)])
     }
 
     /// Feed a token for variable `var` through the network. The token must
@@ -622,252 +394,145 @@ impl Network {
         if var >= self.graph.num_vars {
             return Err(TmanError::Internal(format!("no variable {var}")));
         }
-        // Single-variable triggers: straight to the P-node.
-        if self.graph.num_vars == 1 {
-            if self.single_var_fires(tuple)? {
+        let mut node = var;
+        let mut delta = vec![tuple.clone()];
+        loop {
+            self.nodes[node].store(polarity, &delta);
+            let Some(parent) = self.nodes[node].parent else {
+                break;
+            };
+            delta = self.join(node, &delta, source)?;
+            node = parent;
+        }
+        // The root binds every variable, in order.
+        for bindings in delta.chunks(self.graph.num_vars) {
+            if self.catch_all_ok(bindings)? {
                 fire(Firing {
                     polarity,
-                    bindings: vec![tuple.clone()],
+                    bindings: bindings.to_vec(),
                 });
             }
-            return Ok(());
-        }
-        match self.kind {
-            NetworkKind::Treat | NetworkKind::ATreat => {
-                self.activate_treat(var, polarity, tuple, source, fire)
-            }
-            NetworkKind::Rete => self.activate_rete(var, polarity, tuple, fire),
-            NetworkKind::Gator => self.activate_gator(var, polarity, tuple, fire),
-        }
-    }
-
-    fn update_alpha(&self, var: usize, polarity: Polarity, tuple: &Tuple) {
-        if let Alpha::Stored(mem) = &self.alphas[var] {
-            match polarity {
-                Polarity::Plus => mem.write().push(tuple.clone()),
-                Polarity::Minus => {
-                    let mut m = mem.write();
-                    if let Some(pos) = m.iter().position(|t| t == tuple) {
-                        m.remove(pos);
-                    }
-                }
-            }
-        }
-    }
-
-    fn activate_treat(
-        &self,
-        var: usize,
-        polarity: Polarity,
-        tuple: &Tuple,
-        source: &dyn AlphaSource,
-        fire: &mut dyn FnMut(Firing),
-    ) -> Result<()> {
-        // For minus tokens, compute the joins *after* removal would be
-        // wrong (the tuple's combinations still need reporting), and
-        // computing before insertion is wrong for plus (self-join misses)
-        // — the standard TREAT discipline: minus joins first, then update;
-        // plus updates first? No: plus must not see itself twice. Join
-        // computation below binds `var` to the token explicitly and other
-        // variables from memories, so update order only matters for
-        // self-joins over the *same* variable, which cannot happen (one
-        // variable binds one tuple). Update order: apply to memory first
-        // for Plus (so concurrent readers see it), after for Minus.
-        if polarity == Polarity::Plus {
-            self.update_alpha(var, polarity, tuple);
-        }
-
-        // Join enumeration: depth-first over the remaining variables,
-        // connected-first ordering.
-        let order = self.join_order(var);
-        let mut binds: Vec<Option<Tuple>> = vec![None; self.graph.num_vars];
-        binds[var] = Some(tuple.clone());
-        self.extend_binding(&order, 0, 1 << var, &mut binds, source, &mut |full| {
-            fire(Firing {
-                polarity,
-                bindings: full.to_vec(),
-            })
-        })?;
-
-        if polarity == Polarity::Minus {
-            self.update_alpha(var, polarity, tuple);
         }
         Ok(())
     }
 
-    /// Order the remaining variables: repeatedly pick one joined to the
-    /// already-bound set (avoiding cross products when possible).
-    fn join_order(&self, start: usize) -> Vec<usize> {
-        let n = self.graph.num_vars;
-        let mut order = Vec::with_capacity(n - 1);
-        let mut bound = 1u64 << start;
-        while order.len() < n - 1 {
-            let next = (0..n)
-                .filter(|v| bound & (1 << v) == 0)
-                .find(|&v| {
-                    self.graph.joins.iter().any(|e| {
-                        (e.a == v && bound & (1 << e.b) != 0)
-                            || (e.b == v && bound & (1 << e.a) != 0)
-                    })
-                })
-                .or_else(|| (0..n).find(|v| bound & (1 << v) == 0))
-                .expect("some variable remains");
-            bound |= 1 << next;
-            order.push(next);
+    /// Join a delta of `node` against its siblings: the delta of its
+    /// parent. A sibling's candidates are fetched once, when first needed.
+    fn join(&self, node: usize, delta: &[Tuple], source: &dyn AlphaSource) -> Result<Vec<Tuple>> {
+        let from = &self.nodes[node];
+        let parent = &self.nodes[from.parent.expect("the root has no siblings")];
+        let candidates: Vec<OnceCell<Vec<Tuple>>> =
+            from.siblings.iter().map(|_| OnceCell::new()).collect();
+        let mut binds = vec![None; self.graph.num_vars];
+        let mut out = Vec::new();
+        for entry in delta.chunks(from.vars.len()) {
+            for (&v, t) in from.vars.iter().zip(entry) {
+                binds[v] = Some(t);
+            }
+            self.extend(
+                &from.siblings,
+                &candidates,
+                from.mask,
+                &mut binds,
+                source,
+                &mut |b| out.extend(parent.vars.iter().map(|&v| b[v].cloned().unwrap())),
+            )?;
         }
-        order
+        Ok(out)
     }
 
-    fn extend_binding(
+    /// Bind `siblings[0]`'s entries in turn where the edges to the
+    /// `bound` variables hold, and recurse over the rest; `emit` sees
+    /// every complete binding.
+    fn extend<'a>(
         &self,
-        order: &[usize],
-        depth: usize,
-        bound_mask: u64,
-        binds: &mut Vec<Option<Tuple>>,
+        siblings: &[usize],
+        candidates: &'a [OnceCell<Vec<Tuple>>],
+        bound: u64,
+        binds: &mut [Option<&'a Tuple>],
         source: &dyn AlphaSource,
-        emit: &mut dyn FnMut(&[Tuple]),
+        emit: &mut dyn FnMut(&[Option<&Tuple>]),
     ) -> Result<()> {
-        if depth == order.len() {
-            let refs: Vec<Option<&Tuple>> = binds.iter().map(|b| b.as_ref()).collect();
-            if self.catch_all_ok(&refs)? {
-                let full: Vec<Tuple> = binds.iter().map(|b| b.clone().unwrap()).collect();
-                emit(&full);
-            }
+        let Some((&sib, rest)) = siblings.split_first() else {
+            emit(binds);
             return Ok(());
-        }
-        let var = order[depth];
-        let candidates: Vec<Tuple> = match &self.alphas[var] {
-            Alpha::Stored(mem) => mem.read().clone(),
-            Alpha::Virtual => {
-                let mut rows = Vec::new();
-                source.scan_source(self.var_sources[var], &mut |t| {
-                    if self.selection_matches(var, t)? {
-                        rows.push(t.clone());
-                    }
-                    Ok(())
-                })?;
-                rows
-            }
         };
-        for cand in candidates {
-            binds[var] = Some(cand);
-            let refs: Vec<Option<&Tuple>> = binds.iter().map(|b| b.as_ref()).collect();
-            if self.edges_ok(&refs, var, bound_mask)? {
-                self.extend_binding(
-                    order,
-                    depth + 1,
-                    bound_mask | (1 << var),
+        let cell = &candidates[0];
+        if cell.get().is_none() {
+            let _ = cell.set(self.candidates(sib, source)?);
+        }
+        let node = &self.nodes[sib];
+        for entry in cell.get().expect("just set").chunks(node.vars.len()) {
+            for (&v, t) in node.vars.iter().zip(entry) {
+                binds[v] = Some(t);
+            }
+            if self.edges_hold(binds, node.mask, bound)? {
+                self.extend(
+                    rest,
+                    &candidates[1..],
+                    bound | node.mask,
                     binds,
                     source,
                     emit,
                 )?;
             }
         }
-        binds[var] = None;
         Ok(())
     }
 
-    fn activate_rete(
-        &self,
-        var: usize,
-        polarity: Polarity,
-        tuple: &Tuple,
-        fire: &mut dyn FnMut(Firing),
-    ) -> Result<()> {
-        match polarity {
-            Polarity::Plus => {
-                self.update_alpha(var, Polarity::Plus, tuple);
-                // New partial bindings where position `var` is the token.
-                let lefts: Vec<Vec<Tuple>> = if var == 0 {
-                    vec![vec![tuple.clone()]]
-                } else {
-                    // Extend beta[var-2] (bindings of 0..var) with the token;
-                    // for var == 1, extend alpha 0.
-                    let prefixes: Vec<Vec<Tuple>> = if var == 1 {
-                        match &self.alphas[0] {
-                            Alpha::Stored(m) => m.read().iter().map(|t| vec![t.clone()]).collect(),
-                            Alpha::Virtual => Vec::new(),
-                        }
-                    } else {
-                        self.betas[var - 2].read().clone()
-                    };
-                    let mut out = Vec::new();
-                    for p in prefixes {
-                        let mut cand = p;
-                        cand.push(tuple.clone());
-                        if self.joins_ok_prefix(&cand)? {
-                            out.push(cand);
-                        }
-                    }
-                    out
-                };
-                // Cascade down through the remaining variables, storing
-                // into each beta memory.
-                let mut frontier = lefts;
-                if var >= 1 {
-                    self.betas[var - 1].write().extend(frontier.iter().cloned());
-                }
-                for next_var in var + 1..self.graph.num_vars {
-                    let alpha_rows: Vec<Tuple> = match &self.alphas[next_var] {
-                        Alpha::Stored(m) => m.read().clone(),
-                        Alpha::Virtual => Vec::new(),
-                    };
-                    let mut next = Vec::new();
-                    for p in &frontier {
-                        for t in &alpha_rows {
-                            let mut cand = p.clone();
-                            cand.push(t.clone());
-                            if self.joins_ok_prefix(&cand)? {
-                                next.push(cand);
-                            }
-                        }
-                    }
-                    self.betas[next_var - 1]
-                        .write()
-                        .extend(next.iter().cloned());
-                    frontier = next;
-                }
-                for full in frontier {
-                    let refs: Vec<Option<&Tuple>> = full.iter().map(Some).collect();
-                    if self.catch_all_ok(&refs)? {
-                        fire(Firing {
-                            polarity,
-                            bindings: full,
-                        });
-                    }
-                }
+    /// The one place a node's contents are handed out: a copy of a stored
+    /// memory, or a virtual leaf's scan of its source.
+    fn candidates(&self, node: usize, source: &dyn AlphaSource) -> Result<Vec<Tuple>> {
+        match &self.nodes[node].memory {
+            Some(mem) => Ok(mem.read().clone()),
+            None => self.scan(node, source),
+        }
+    }
+
+    /// The rows of variable `v`'s source that pass its selection.
+    fn scan(&self, v: usize, source: &dyn AlphaSource) -> Result<Vec<Tuple>> {
+        debug_assert!(v < self.graph.num_vars, "only a leaf reads a source");
+        let mut rows = Vec::new();
+        source.scan_source(self.var_sources[v], &mut |t| {
+            if self.selection_matches(v, t)? {
+                rows.push(t.clone());
             }
-            Polarity::Minus => {
-                // Remove from alpha, then purge partial bindings containing
-                // the tuple at position `var`, reporting full ones.
-                self.update_alpha(var, Polarity::Minus, tuple);
-                let last = self.betas.len();
-                for (bi, beta) in self.betas.iter().enumerate() {
-                    let mut mem = beta.write();
-                    let mut removed = Vec::new();
-                    mem.retain(|p| {
-                        if p.len() > var && &p[var] == tuple {
-                            removed.push(p.clone());
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                    if bi + 1 == last {
-                        for full in removed {
-                            let refs: Vec<Option<&Tuple>> = full.iter().map(Some).collect();
-                            if self.catch_all_ok(&refs)? {
-                                fire(Firing {
-                                    polarity,
-                                    bindings: full,
-                                });
-                            }
-                        }
-                    }
-                }
+            Ok(())
+        })?;
+        Ok(rows)
+    }
+
+    /// Do the join edges between the variables `new` and `bound` hold?
+    fn edges_hold(&self, binds: &[Option<&Tuple>], new: u64, bound: u64) -> Result<bool> {
+        let env = Env {
+            tuples: binds,
+            consts: &[],
+        };
+        for e in &self.graph.joins {
+            if spans(e, new, bound) && !e.pred.matches(&env)? {
+                return Ok(false);
             }
         }
-        Ok(())
+        Ok(true)
+    }
+
+    /// Evaluate the catch-all conjuncts (trivial and hyper-join) on a full
+    /// binding — §5.1's "special cases".
+    fn catch_all_ok(&self, bindings: &[Tuple]) -> Result<bool> {
+        if self.graph.catch_all.is_empty() {
+            return Ok(true);
+        }
+        let binds: Vec<Option<&Tuple>> = bindings.iter().map(Some).collect();
+        let env = Env {
+            tuples: &binds,
+            consts: &[],
+        };
+        for c in &self.graph.catch_all {
+            if c.eval(&env)? != Some(true) {
+                return Ok(false);
+            }
+        }
+        Ok(true)
     }
 }
 

@@ -377,3 +377,38 @@ fn parallel_priming_matches_sequential() {
         );
     }
 }
+
+/// Deleting one of two identical rows retracts one copy's matches and
+/// keeps the other's: a stored node removes one equal entry per delta
+/// entry, never every entry holding the deleted tuple.
+#[test]
+fn deleting_one_of_two_identical_rows_keeps_the_other_copy() {
+    for kind in [
+        NetworkKind::Treat,
+        NetworkKind::ATreat,
+        NetworkKind::Rete,
+        NetworkKind::Gator,
+    ] {
+        let src = MemSource::new();
+        let iris = sp_row(1, "Iris");
+        src.set(SP, vec![iris.clone(), iris.clone()]);
+        src.set(REP, vec![rep_row(1, 7)]);
+        src.set(HOUSE, vec![house_row(1, 1.0, 7)]);
+        let n = build(kind, "");
+        n.prime(&src).unwrap();
+        let count = |var: usize, pol: Polarity, t: &Tuple| {
+            let fires = fire_all(&n, &src, var, pol, t);
+            assert!(fires.iter().all(|f| f.polarity == pol), "{kind:?}");
+            fires.len()
+        };
+
+        src.remove(SP, &iris);
+        assert_eq!(count(0, Polarity::Minus, &iris), 1, "{kind:?}: the delete");
+        let h = house_row(2, 1.0, 7);
+        src.push(HOUSE, h.clone());
+        assert_eq!(count(1, Polarity::Plus, &h), 1, "{kind:?}: the house");
+        let r = rep_row(1, 7);
+        src.push(REP, r.clone());
+        assert_eq!(count(2, Polarity::Plus, &r), 2, "{kind:?}: the rep");
+    }
+}

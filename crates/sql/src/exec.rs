@@ -7,7 +7,7 @@ use tman_expr::cnf::to_cnf;
 use tman_expr::BindCtx;
 use tman_expr::{AtomKind, Pred};
 use tman_expr::{Env, Scalar};
-use tman_lang::ast::{ColumnDef, Expr, SelectCols, SqlStmt};
+use tman_lang::{ColumnDef, Expr, SelectCols, SqlStmt};
 use tman_storage::RecordId;
 
 /// Result of executing one statement.

@@ -180,6 +180,57 @@ fn join_trigger_lifecycle_on_every_network() {
     }
 }
 
+/// When A-TREAT reads its sources: a virtual alpha scans the base table
+/// when the token is processed, not as it stood when the token was
+/// captured. A house inserted before its salesperson finds no partner if
+/// it is drained first, on every network; drained together with the
+/// salesperson's insert, A-TREAT finds the salesperson already in the
+/// table and fires, while the stored memories, which advance in token
+/// order, do not (DESIGN.md, "A-TREAT and asynchronous batching").
+#[test]
+fn a_treat_reads_its_sources_when_the_token_is_processed() {
+    for kind in [
+        NetworkKind::ATreat,
+        NetworkKind::Treat,
+        NetworkKind::Rete,
+        NetworkKind::Gator,
+    ] {
+        for drain_between in [true, false] {
+            let tman = TriggerMan::open_memory(Config {
+                network: kind,
+                ..Default::default()
+            })
+            .unwrap();
+            tman.run_sql("create table s (spno int, name varchar(20))")
+                .unwrap();
+            tman.run_sql("create table h (hno int, spno int)").unwrap();
+            tman.execute_command("define data source s from table s")
+                .unwrap();
+            tman.execute_command("define data source h from table h")
+                .unwrap();
+            let rx = tman.subscribe("Hit");
+            tman.execute_command(
+                "create trigger hit on insert to h from s, h when s.spno = h.spno \
+                 do raise event Hit(h.hno)",
+            )
+            .unwrap();
+            tman.run_sql("insert into h values (10, 1)").unwrap();
+            if drain_between {
+                tman.run_until_quiescent().unwrap();
+            }
+            tman.run_sql("insert into s values (1, 'Ann')").unwrap();
+            tman.run_until_quiescent().unwrap();
+            assert!(tman.last_error().is_none(), "{:?}", tman.last_error());
+            let expected = usize::from(kind == NetworkKind::ATreat && !drain_between);
+            assert_eq!(
+                rx.try_iter().count(),
+                expected,
+                "{kind:?}, drain between: {drain_between}"
+            );
+        }
+    }
+}
+
 #[test]
 fn trigger_set_grouping() {
     let tman = fresh();

@@ -89,7 +89,7 @@ use oracle_common::{
 use tman_check::prelude::*;
 use tman_common::{TmanError, Tuple, UpdateDescriptor, Value};
 use tman_expr::IndexPlan;
-use tman_lang::ast::WindowSpec;
+use tman_lang::WindowSpec;
 use tman_predindex::OrgKind;
 use tman_storage::{FaultConfig, FaultPlan};
 use triggerman::{Config, QueueMode, TriggerMan};
