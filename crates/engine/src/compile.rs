@@ -453,6 +453,29 @@ impl CompiledTrigger {
             Condition::Join(network) => Some(network),
         }
     }
+
+    /// Read one byte of each block a fire of this trigger reads — the
+    /// description's flags, the trigger name's buffer and the action's
+    /// blocks (a `raise event`'s name, routing key and argument slice, a
+    /// `notify`'s template) — and fold them into the result, so that a
+    /// caller who touches a batch of triggers ahead of firing them has
+    /// their cache misses overlap ([`crate::cache::TriggerCache::warm`]).
+    /// Writes nothing.
+    pub(crate) fn touch(&self) -> u64 {
+        let first = |s: &str| u64::from(s.as_bytes().first().copied().unwrap_or(0));
+        let flags = u64::from(self.enabled.load(std::sync::atomic::Ordering::Relaxed));
+        let action = match &self.action {
+            CompiledAction::RaiseEvent { name, key, args } => {
+                let arg = args
+                    .first()
+                    .map_or(0, |a| matches!(a, Scalar::Col { .. }) as u64);
+                first(name) + first(key) + arg
+            }
+            CompiledAction::Notify(template) => first(template),
+            CompiledAction::ExecSql(_) => 0,
+        };
+        flags + first(&self.name) + action
+    }
 }
 
 /// Does a match of a one-variable trigger on `tuple` fire? The predicate

@@ -108,6 +108,14 @@ const TRACE_BUFFER_EVENTS: usize = 65_536;
 /// handful of fires each, ends before it is reached.
 const OUTBOX_FLUSH: usize = 1024;
 
+/// Match and retract steps whose triggers a drain pass touches together,
+/// read-only, before it fires the first of them ([`TriggerMan::replay`],
+/// [`TriggerCache::warm`]). A constant, not a setting: it only bounds how
+/// far ahead of the fires the touched lines are read, so that a token with
+/// thousands of fires does not read them out of the CPU cache again before
+/// its fires get to them.
+const WARM: usize = 128;
+
 /// Update-queue depth at which `/healthz` reports `overloaded` and the
 /// wire tier withholds ingestion credits (backpressure) until the drivers
 /// drain the queue below it.
@@ -184,6 +192,16 @@ enum StepKind {
 }
 
 impl Step {
+    /// The trigger a match or retract step pins; a split pins none.
+    fn trigger(&self) -> Option<TriggerId> {
+        match self.kind {
+            StepKind::Retract((_, trigger, _)) | StepKind::Match((_, trigger, _), _) => {
+                Some(trigger)
+            }
+            StepKind::Split(_) => None,
+        }
+    }
+
     fn new(found: Found<'_>) -> Step {
         let hit = |e: &Entry| (e.expr_id, e.trigger_id, e.next_node);
         let (tok, kind) = match found {
@@ -1024,9 +1042,18 @@ impl TriggerMan {
     }
 
     /// Replay `steps` (sorted by token) over `run` in **strict token
-    /// order**. The order within a token is an invariant every oracle
-    /// holds the engine to, whatever the batch size, driver count or
-    /// fan-out:
+    /// order**.
+    ///
+    /// Before the first step of every [`WARM`] it fires, it makes one
+    /// read-only pass over the triggers of those steps
+    /// ([`TriggerCache::warm`]): their cache lines are read together, so
+    /// the misses of a run's fires overlap instead of each waiting for the
+    /// one before. The pass pins, marks and counts nothing, and a trigger
+    /// that is not resident is passed over, so every invariant below — the
+    /// pins of invariant 4 included — holds as if it did not run.
+    ///
+    /// The order within a token is an invariant every oracle holds the
+    /// engine to, whatever the batch size, driver count or fan-out:
     ///
     /// 1. an update token's retract steps run first, under its
     ///    `Maintenance` span, against a claim set of their own, so a
@@ -1038,7 +1065,8 @@ impl TriggerMan {
     /// 3. a match claims its tag *before* its window is observed, so a
     ///    multi-disjunct windowed trigger counts a matching token once;
     /// 4. it is admitted (tag, window) *before* the trigger is pinned, so
-    ///    a duplicate or under-threshold match never touches the cache;
+    ///    a duplicate or under-threshold match is never pinned and moves
+    ///    no cache counter or mark;
     /// 5. every partition a split spawns carries a clone of the token's
     ///    [`AckState`], so the persistent-queue row is acknowledged only
     ///    after every descendant task has run;
@@ -1078,10 +1106,20 @@ impl TriggerMan {
         };
         let mut claimed: FxHashSet<u64> = FxHashSet::default();
         let mut outbox = Outbox::with_capacity(steps.len().min(OUTBOX_FLUSH));
+        // Steps before this one have had their triggers touched.
+        let mut warmed = 0;
+        let mut warm = |step: usize| {
+            if step >= warmed {
+                warmed = (step + WARM).min(steps.len());
+                self.cache
+                    .warm(steps[step..warmed].iter().filter_map(Step::trigger));
+            }
+        };
         // Tokens before this one have had their notifications delivered.
         let mut delivered = 0;
         let mut at = 0;
         for (idx, (tok, ack)) in run.iter().enumerate() {
+            let first = at;
             let mine = steps[at..]
                 .iter()
                 .take_while(|s| s.tok as usize == idx)
@@ -1097,15 +1135,16 @@ impl TriggerMan {
             if retracts && mine.iter().any(|s| matches!(s.kind, StepKind::Retract(_))) {
                 let maint = tok.trace.span(SpanKind::Maintenance, process_id);
                 let mut retracted: FxHashSet<u64> = FxHashSet::default();
-                for step in mine {
+                for (i, step) in mine.iter().enumerate() {
                     if let StepKind::Retract(hit) = step.kind {
+                        warm(first + i);
                         if let Err(e) = self.retract(hit, tok, maint.id(), &mut retracted) {
                             failed(e);
                         }
                     }
                 }
             }
-            for step in mine {
+            for (i, step) in mine.iter().enumerate() {
                 match &step.kind {
                     StepKind::Retract(_) => {} // run above, first
                     StepKind::Split(sig) => {
@@ -1135,6 +1174,7 @@ impl TriggerMan {
                         }
                     }
                     &StepKind::Match((expr, trigger, node), span) => {
+                        warm(first + i);
                         let admitted =
                             self.admit(expr, trigger, node, tok, &mut |tag| match &shared {
                                 Some(claims) => claims.lock().insert(tag),

@@ -1445,11 +1445,17 @@ fn traced_token_in_a_batched_run_stays_on_the_pipeline() {
     };
     let counted = |tman: &TriggerMan| {
         let stats = tman.predicate_index().stats();
-        (stats.probes.get(), stats.matches.get())
+        let cache = tman.trigger_cache().stats();
+        let pins = (cache.pins.get(), cache.hits.get());
+        (stats.probes.get(), stats.matches.get(), pins)
     };
     let tman = run(TracingMode::Sampled(64));
     assert_eq!(counted(&tman), counted(&run(TracingMode::Off)));
-    assert_eq!(counted(&tman), (2 * 64, 32), "two signatures a token");
+    assert_eq!(
+        counted(&tman),
+        (2 * 64, 32, (32, 32)),
+        "two signatures a token; a pin, and a hit, a match"
+    );
 
     let snap = tman.trace_snapshot();
     assert_eq!(snap.stats.started, 64, "every token of the run is traced");
@@ -1649,6 +1655,72 @@ fn batched_drain_pays_one_ack_barrier_per_batch() {
     assert_eq!(tman.queue.watermark(), Some(32));
     drop(tman);
     let _ = std::fs::remove_file(&path);
+}
+
+/// Invariant 4 under the drain's warm pass: a run whose tokens each match
+/// a two-arm OR on both arms (one duplicate tagged match) and a windowed
+/// trigger under its threshold pins exactly its admitted matches, and
+/// every pin is a hit or a miss — with every trigger resident and with a
+/// cache of one, where the pass meets triggers that are not resident.
+#[test]
+fn a_drained_run_pins_exactly_its_admitted_matches() {
+    for capacity in [16_384, 1] {
+        let tman = TriggerMan::open_memory(Config {
+            drain_batch: 64,
+            trigger_cache_capacity: capacity,
+            ..Default::default()
+        })
+        .unwrap();
+        tman.execute_command("define data source q (v int)")
+            .unwrap();
+        for text in [
+            "create trigger either from q when q.v >= 1 or q.v >= 2 do raise event O(q.v)",
+            "create trigger burst from q when q.v = 5 count >= 3 within 1 hours \
+             do raise event W(q.v)",
+            "create trigger plain from q when q.v = 5 do raise event P(q.v)",
+        ] {
+            tman.execute_command(text).unwrap();
+        }
+        let src = tman.source("q").unwrap().id;
+        let rx = tman.events().subscribe_all();
+        let (index, cache) = (tman.predicate_index().stats(), tman.trigger_cache().stats());
+        let (matches, pins, hits, misses) = (
+            index.matches.get(),
+            cache.pins.get(),
+            cache.hits.get(),
+            cache.misses.get(),
+        );
+        let run: Vec<UpdateDescriptor> = (0..2)
+            .map(|_| UpdateDescriptor::insert(src, Tuple::new(vec![Value::Int(5)])))
+            .collect();
+        // One dequeue takes both tokens: one run of the pipeline.
+        tman.push_tokens(run).unwrap();
+        tman.run_until_quiescent().unwrap();
+        assert!(tman.last_error().is_none(), "{:?}", tman.last_error());
+
+        // A token: two arms of `either`, `burst` (counts 1 and 2 of 3),
+        // `plain`; admitted: `either` once and `plain`.
+        assert_eq!(index.matches.get() - matches, 2 * 4, "capacity {capacity}");
+        assert_eq!(tman.tag_dedup_hits.get(), 2, "capacity {capacity}");
+        assert_eq!(tman.window_fires.get(), 0, "capacity {capacity}");
+        let admitted = 2 * 2;
+        assert_eq!(rx.try_iter().count(), admitted as usize);
+        let pinned = cache.pins.get() - pins;
+        assert_eq!(
+            pinned, admitted,
+            "capacity {capacity}: pins = admitted matches"
+        );
+        assert_eq!(
+            pinned,
+            (cache.hits.get() - hits) + (cache.misses.get() - misses),
+            "capacity {capacity}: every pin a hit or a miss"
+        );
+        if capacity == 1 {
+            assert!(cache.misses.get() > misses, "capacity 1 reloads");
+        } else {
+            assert_eq!(cache.hits.get() - hits, admitted, "all resident: all hits");
+        }
+    }
 }
 
 /// One `tman_test` over a deep persistent backlog costs the batch it

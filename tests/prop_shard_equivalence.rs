@@ -29,6 +29,13 @@
 //! instead of by the test thread. Their drivers interleave as the
 //! scheduler lets them, so they are compared as multisets, chunk by chunk.
 //!
+//! And a miss axis: columns whose trigger cache holds one or eight
+//! descriptions, far below the population, so most pins miss and reload
+//! from the catalog, evicting as they go, and the drain's read-only warm
+//! pass meets triggers that are not resident. Drained on the test thread
+//! they are held to the reference's sequence of fires; under a live pool
+//! of two drivers, where pins race evictions, to its multiset.
+//!
 //! Each case interleaves trigger create/drop churn at fixed stream
 //! positions — applied identically to every engine, so expectations stay
 //! comparable while constant-set membership shifts under the drain loop.
@@ -54,6 +61,8 @@ const SEED: u64 = 0x5A4D_0001;
 const BATCHES: [usize; 3] = [1, 16, 256];
 /// `(parts, batch)` of the partitioned columns.
 const PARTITIONED: [(usize, usize); 4] = [(2, 1), (2, 16), (4, 256), (8, 1)];
+/// `(trigger_cache_capacity, batch)` of the miss columns.
+const MISSES: [(usize, usize); 3] = [(1, 1), (1, 16), (8, 256)];
 /// Tokens pushed per drain round; >1 sizes exercise the batched path.
 const CHUNK_SIZES: [usize; 5] = [1, 3, 7, 2, 5];
 
@@ -100,12 +109,26 @@ fn run_equivalence(num_cases: u32) {
             &conds,
         ));
         same_order_as.push(Some(untraced));
+        // The miss axis.
+        let missing = |cap: usize, cfg: Config| Config {
+            trigger_cache_capacity: cap,
+            ..cfg
+        };
+        for (cap, b) in MISSES {
+            harnesses.push(Harness::new(
+                &format!("miss cap={cap} b={b}"),
+                missing(cap, batch_cfg(b)),
+                &conds,
+            ));
+            same_order_as.push(Some(0));
+        }
         // The driver axis: live pools.
         for (label, d, cfg) in [
             ("live d=1", 1, batch_cfg(16)),
             ("live d=2", 2, batch_cfg(16)),
             ("live d=4", 4, batch_cfg(16)),
             ("live partitioned d=2", 2, partitioned_cfg(2, 16)),
+            ("live miss cap=1 d=2", 2, missing(1, batch_cfg(16))),
         ] {
             let cfg = Config {
                 num_cpus: Some(d),
