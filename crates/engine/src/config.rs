@@ -18,8 +18,8 @@ pub enum QueueMode {
 }
 
 /// Per-token trace capture mode. `Off` reduces the hot path to a single
-/// branch (tokens carry an inert handle, no allocation); the other modes
-/// give every token a live trace whose retention is decided *after* it
+/// branch (tokens carry an inert handle, no allocation); `Sampled` gives
+/// every token a live trace whose retention is decided *after* it
 /// finishes (tail sampling), so a slow token is never lost to the sampler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TracingMode {
@@ -27,9 +27,8 @@ pub enum TracingMode {
     Off,
     /// Trace every token, retain roughly 1 in `n` — plus every token whose
     /// end-to-end latency exceeds [`Config::slow_token_threshold`].
+    /// `Sampled(1)` retains every token's trace.
     Sampled(u64),
-    /// Retain every token's trace.
-    Full,
 }
 
 /// TriggerMan configuration.

@@ -128,7 +128,7 @@ impl IdleGate {
 /// which the next durability barrier makes durable. A partition that
 /// errors still acks on drop: the
 /// failure is recorded in `last_error`, and the token is not redelivered.
-pub struct AckState {
+pub(crate) struct AckState {
     seq: i64,
     pending: Arc<SegQueue<i64>>,
 }
@@ -136,7 +136,7 @@ pub struct AckState {
 impl AckState {
     /// Tie queue sequence `seq` to a completion set; the returned handle
     /// (and its clones) push `seq` onto `pending` when the last one drops.
-    pub fn new(seq: i64, pending: Arc<SegQueue<i64>>) -> Arc<AckState> {
+    pub(crate) fn new(seq: i64, pending: Arc<SegQueue<i64>>) -> Arc<AckState> {
         Arc::new(AckState { seq, pending })
     }
 }
@@ -162,22 +162,22 @@ impl Drop for AckState {
 /// (Kim & Madden's tagged execution): whichever partition matches an
 /// OR-trigger's disjunct entry first claims the trigger's tag, and the
 /// others' matches on it are duplicates.
-pub struct Task {
+pub(crate) struct Task {
     /// The token.
-    pub token: UpdateDescriptor,
+    pub(crate) token: UpdateDescriptor,
     /// The signature whose equivalence class is partitioned.
-    pub sig: Arc<SignatureRuntime>,
+    pub(crate) sig: Arc<SignatureRuntime>,
     /// Partition ordinal.
-    pub part: usize,
+    pub(crate) part: usize,
     /// Total partitions.
-    pub nparts: usize,
+    pub(crate) nparts: usize,
     /// Trace span that fanned this partition out.
-    pub parent_span: u32,
+    pub(crate) parent_span: u32,
     /// Deferred persistent-queue ack shared by the token and every
     /// partition spawned for it; `None` for volatile tokens.
-    pub ack: Option<Arc<AckState>>,
+    pub(crate) ack: Option<Arc<AckState>>,
     /// The split token's tag claims, shared by all of its partitions.
-    pub claims: Claims,
+    pub(crate) claims: Claims,
 }
 
 /// One split token's tag-claim set, seeded with what the token had

@@ -34,7 +34,9 @@ use tman_common::Value;
 use tman_sync::channel::{unbounded, Receiver, SendError, Sender};
 use tman_sync::RwLock;
 use tman_telemetry::trace::{now_ns, ROOT_SPAN};
-use tman_telemetry::{CounterHandle, HistogramHandle, Registry, SpanKind, TraceHandle};
+use tman_telemetry::{
+    CounterHandle, HistogramHandle, HistogramSummary, Registry, SpanKind, TraceHandle,
+};
 
 /// A notification delivered to registered clients.
 ///
@@ -421,6 +423,12 @@ impl EventBus {
     /// registry is attached).
     pub fn dropped(&self) -> u64 {
         self.dropped.get()
+    }
+
+    /// `tman_notify_fanout`: subscribers reached per notification (empty
+    /// until a registry is attached).
+    pub fn fanout(&self) -> HistogramSummary {
+        self.fanout.summary()
     }
 }
 

@@ -63,7 +63,7 @@ mod window;
 pub use cache::{PinnedTrigger, TriggerCache};
 pub use compile::{CompiledAction, CompiledTrigger};
 pub use config::{Config, QueueMode, TracingMode};
-pub use driver::{AckState, DriverPool, Task, TmanTestResult};
+pub use driver::{DriverPool, TmanTestResult};
 pub use events::{EventBus, EventNotification, NotificationSink, Outbox};
 pub use metrics::MetricsSnapshot;
 pub use source::SourceInfo;
@@ -76,7 +76,7 @@ pub use tman_telemetry::{
 use catalog::{Catalog, TriggerRow};
 use compile::{compile_trigger, Condition};
 use ddl::{Ddl, Published};
-use driver::{Claims, DriverSlot, IdleGate};
+use driver::{AckState, Claims, DriverSlot, IdleGate, Task};
 use queue::UpdateQueue;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -318,7 +318,7 @@ impl TriggerMan {
             QueueMode::Volatile => UpdateQueue::volatile(),
             QueueMode::Persistent => UpdateQueue::persistent(&db)?,
         };
-        queue.attach_telemetry(telemetry.queue.clone());
+        queue.attach_telemetry(&telemetry.registry);
         let mut events = EventBus::new();
         events.attach_telemetry(&telemetry.registry);
         let mut predindex = PredicateIndex::with_database(config.index.clone(), db.clone());
@@ -331,11 +331,6 @@ impl TriggerMan {
             TracingMode::Sampled(n) => Some(Arc::new(Tracer::new(
                 TRACE_BUFFER_EVENTS,
                 n,
-                config.slow_token_threshold,
-            ))),
-            TracingMode::Full => Some(Arc::new(Tracer::new(
-                TRACE_BUFFER_EVENTS,
-                1,
                 config.slow_token_threshold,
             ))),
         };
@@ -374,7 +369,7 @@ impl TriggerMan {
     }
 
     /// Register the per-subsystem counters (engine, cache, buffer pool,
-    /// disk, event bus) into the metrics registry as shared instruments:
+    /// disk, WAL) into the metrics registry as shared instruments:
     /// exposition reads the same `Arc<Counter>`s the hot paths bump, so
     /// these rows cost nothing extra at runtime.
     fn register_shared_instruments(&self) {
@@ -393,14 +388,6 @@ impl TriggerMan {
             self.tag_dedup_hits.clone(),
         );
         r.register_counter("tman_window_fires_total", &[], self.window_fires.clone());
-        // Barriers that moved the persistent queue's watermark: acks only
-        // record, so this is at most one per group commit (a push, an
-        // idle driver's barrier, a checkpoint), not one per drained batch.
-        r.register_counter(
-            "tman_queue_wm_flushes_total",
-            &[],
-            self.queue.wm_flushes().clone(),
-        );
         for (i, slot) in self.slots.iter().enumerate() {
             let label = i.to_string();
             let l: &[(&str, &str)] = &[("driver", &label)];
@@ -415,6 +402,8 @@ impl TriggerMan {
         r.register_counter("tman_cache_misses_total", &[], cs.misses.clone());
         r.register_counter("tman_cache_evictions_total", &[], cs.evictions.clone());
         r.register_counter("tman_cache_pins_total", &[], cs.pins.clone());
+        let cache = self.cache.clone();
+        r.register_gauge_fn("tman_cache_resident", &[], move || cache.len() as i64);
         let pool = self.db.storage().pool();
         let ps = pool.stats();
         r.register_counter("tman_pool_hits_total", &[], ps.pool_hits.clone());
@@ -458,13 +447,8 @@ impl TriggerMan {
             r.register_counter("tman_wal_checkpoints_total", &[], ws.checkpoints.clone());
             r.register_histogram("tman_wal_group_commit_ns", &[], ws.group_commit_ns.clone());
         }
-        r.register_counter(
-            "tman_queue_corrupt_rows_total",
-            &[],
-            self.queue.corrupt_rows().clone(),
-        );
-        // Event-bus delivery counters are registry CounterHandles resolved
-        // in `EventBus::attach_telemetry` — nothing to register here.
+        // The queue, the event bus and the predicate index register their
+        // own series in their `attach_telemetry`.
         //
         // Trace-sampling health: the tracer counts starts/retention/ring
         // overwrites exactly, but those live in its own atomics. Computed
@@ -761,8 +745,8 @@ impl TriggerMan {
                 Ok(CommandOutput::ConnectionDefined)
             }
             Command::ShowStats { subsystem } => {
-                let report = self.metrics_snapshot().format(subsystem.as_deref())?;
-                Ok(CommandOutput::Stats(report))
+                metrics::show_stats(&self.telemetry.registry, subsystem.as_deref())
+                    .map(CommandOutput::Stats)
             }
             Command::TraceLast { n } => Ok(CommandOutput::Trace(self.render_trace_last(n))),
             Command::TraceToken { id } => self.render_trace_token(id).map(CommandOutput::Trace),
@@ -773,7 +757,7 @@ impl TriggerMan {
     /// first, as indented span trees.
     pub fn render_trace_last(&self, n: usize) -> String {
         if self.tracer.is_none() {
-            return "tracing is off (start with Config { tracing: TracingMode::Sampled(n) | Full })"
+            return "tracing is off (start with Config { tracing: TracingMode::Sampled(n) })"
                 .into();
         }
         let snap = self.trace_snapshot();
@@ -1015,7 +999,6 @@ impl TriggerMan {
     /// failed), never before — so the originating token's ack fires only
     /// once every partition spawned for it has completed.
     fn execute_task(self: &Arc<Self>, task: Task) {
-        self.telemetry.tasks_executed[metrics::TASK_SIG_PARTITION].bump();
         let item: RunToken = (task.token, task.ack);
         let token = &item.0;
         let probe = Probe {
@@ -1520,7 +1503,6 @@ impl TriggerMan {
                 .map(|seq| AckState::new(seq, self.pending_acks.clone()));
             items.push((tok, ack));
         }
-        self.telemetry.tasks_executed[metrics::TASK_TOKEN].add(items.len() as u64);
         for run in items.chunk_by(|a, b| a.0.data_src == b.0.data_src) {
             let _ = self.process_run(slot, run); // failures are recorded there
         }

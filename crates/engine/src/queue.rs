@@ -11,8 +11,11 @@
 //! * **Volatile** — the planned "main-memory queue ... faster, but the
 //!   safety ... will be lost": a lock-free in-memory queue.
 //!
-//! Telemetry: the queue owns a depth gauge, enqueue/dequeue counters, and
-//! an enqueue→dequeue wait-time histogram ([`QueueTelemetry`]). Wait time
+//! Telemetry: the queue owns a depth gauge, enqueue/dequeue counters, an
+//! enqueue→dequeue wait-time histogram ([`QueueTelemetry`]), its corrupt
+//! record and watermark-flush counters and, on the persistent backend, the
+//! `tman_queue_watermark` level; [`UpdateQueue::attach_telemetry`]
+//! registers them all. Wait time
 //! is measured on the volatile backend by stamping each descriptor with its
 //! enqueue instant (skipped entirely when no telemetry is attached). The
 //! persistent backend prefixes each record with the enqueue wall-clock
@@ -112,7 +115,8 @@ struct Consumer {
 enum Backend {
     Volatile(SegQueue<(Option<Instant>, UpdateDescriptor)>),
     Persistent {
-        log: SeqLog,
+        /// `Arc` so the registry's `tman_queue_watermark` read can hold it.
+        log: Arc<SeqLog>,
         consumer: Mutex<Consumer>,
         /// Buffer pool backing the log, for the durability barriers of
         /// [`UpdateQueue::enqueue_batch`] and [`UpdateQueue::commit_acks`].
@@ -179,7 +183,7 @@ impl UpdateQueue {
             acked: BTreeSet::new(),
         };
         Ok(Self::with_backend(Backend::Persistent {
-            log,
+            log: Arc::new(log),
             consumer: Mutex::new(consumer),
             pool: storage.pool().clone(),
         }))
@@ -206,12 +210,31 @@ impl UpdateQueue {
         &self.wm_flushes
     }
 
-    /// Wire instruments in. Initializes the depth gauge from the current
-    /// length, so a persistent queue recovered with records already in it
-    /// reports them.
-    pub fn attach_telemetry(&mut self, telemetry: QueueTelemetry) {
+    /// Register the queue's series in `registry` and record through them.
+    /// Initializes the depth gauge from the current length, so a
+    /// persistent queue recovered with records already in it reports them.
+    pub fn attach_telemetry(&mut self, registry: &Registry) {
+        let telemetry = QueueTelemetry::from_registry(registry);
         telemetry.depth.add(self.len() as i64);
         self.telemetry = telemetry;
+        registry.register_counter(
+            "tman_queue_corrupt_rows_total",
+            &[],
+            self.corrupt_rows.clone(),
+        );
+        // Barriers that moved the watermark: acks only record, so this is
+        // at most one per group commit (a push, an idle driver's barrier,
+        // a checkpoint), not one per drained batch.
+        registry.register_counter("tman_queue_wm_flushes_total", &[], self.wm_flushes.clone());
+        if let Backend::Persistent { log, .. } = &self.backend {
+            let log = log.clone();
+            registry.register_gauge_fn("tman_queue_watermark", &[], move || log.watermark() as i64);
+        }
+    }
+
+    /// The instruments the queue records through.
+    pub(crate) fn telemetry(&self) -> &QueueTelemetry {
+        &self.telemetry
     }
 
     fn volatile_stamp(&self) -> Option<Instant> {
@@ -521,7 +544,7 @@ mod tests {
     fn telemetry_tracks_depth_throughput_and_wait() {
         let registry = Registry::new();
         let mut q = UpdateQueue::volatile();
-        q.attach_telemetry(QueueTelemetry::from_registry(&registry));
+        q.attach_telemetry(&registry);
         let t = QueueTelemetry::from_registry(&registry); // same series
         for i in 0..3 {
             q.enqueue(tok(i)).unwrap();
@@ -541,7 +564,7 @@ mod tests {
         let registry = Registry::new();
         let db = Database::open_memory(128);
         let mut q = UpdateQueue::persistent(&db).unwrap();
-        q.attach_telemetry(QueueTelemetry::from_registry(&registry));
+        q.attach_telemetry(&registry);
         let t = QueueTelemetry::from_registry(&registry);
         q.enqueue(tok(1)).unwrap();
         q.enqueue(tok(2)).unwrap();
@@ -1031,7 +1054,7 @@ mod tests {
             q.enqueue(tok(2)).unwrap();
         }
         let mut q2 = UpdateQueue::persistent(&db).unwrap();
-        q2.attach_telemetry(QueueTelemetry::from_registry(&registry));
+        q2.attach_telemetry(&registry);
         let t = QueueTelemetry::from_registry(&registry);
         assert_eq!(t.depth.get(), 2);
         q2.dequeue_batch(10).unwrap();

@@ -267,7 +267,8 @@ fn a_failing_action_counts_under_its_error_kind() {
         panic!("show stats answers with a report");
     };
     assert!(
-        report.contains("task errors        1 not_found=1\n"),
+        report.contains("tman_task_errors_total 1\n")
+            && report.contains("tman_task_errors_total{kind=\"not_found\"} 1\n"),
         "{report}"
     );
 }
@@ -1160,11 +1161,16 @@ fn render_text_exposes_all_subsystems() {
         "# TYPE tman_queue_wait_ns summary",
         "tman_queue_enqueued_total 60",
         "tman_tokens_processed_total 60",
-        "tman_tasks_executed_total{type=\"token\"} 60",
+        "tman_driver_tokens_total{driver=\"0\"} 60",
         "tman_test_calls_total",
         "tman_index_probes_total{org=",
         "tman_index_tokens_total 60",
         "tman_cache_pins_total",
+        // Levels the console alone used to show.
+        "# TYPE tman_cache_resident gauge\ntman_cache_resident 2\n",
+        "# TYPE tman_index_entries gauge\ntman_index_entries 2\n",
+        "# TYPE tman_index_signatures gauge\ntman_index_signatures 2\n",
+        "# TYPE tman_index_memory_bytes gauge",
         "tman_pool_hits_total",
         "tman_actions_total{kind=\"notify\"} 20",
         "tman_action_ns_count 69",
@@ -1174,17 +1180,11 @@ fn render_text_exposes_all_subsystems() {
         "tman_checksum_failures_total 0",
         "tman_quarantined_pages_total 0",
         "tman_queue_corrupt_rows_total 0",
-        // Wire-tier series are pre-registered so scrapers see the family
-        // (at zero) before the first remote connection.
-        "tman_wire_tokens_total 0",
-        "tman_wire_delivery_errors_total 0",
-        "tman_wire_frames_total{dir=\"in\"} 0",
-        "# TYPE tman_wire_ingest_to_fire_ns summary",
-        "tman_wire_fire_to_ack_ns_count 0",
-        "tman_wire_credit_stall_ns_count 0",
     ] {
         assert!(text.contains(series), "missing '{series}' in:\n{text}");
     }
+    // The wire tier declares its own series when a `WireServer` starts.
+    assert!(!text.contains("tman_wire_"), "{text}");
     // JSON rendering parses the same families.
     let json = tman.render_metrics_json();
     assert!(json.starts_with('{') && json.ends_with('}'));
@@ -1198,35 +1198,110 @@ fn show_stats_command_formats_report() {
     let CommandOutput::Stats(all) = tman.execute_command("show stats").unwrap() else {
         panic!("expected stats output");
     };
-    for section in [
-        "engine:", "queue:", "driver:", "index:", "cache:", "storage:", "actions:", "wire:",
-    ] {
-        assert!(
-            all.contains(section),
-            "missing section {section} in:\n{all}"
-        );
-    }
-    assert!(all.contains("tokens processed   60"));
-    // The crash-tolerance counters show up in their sections.
-    assert!(all.contains("faults             injected=0"));
-    assert!(all.contains("corrupt rows       0"));
+    assert_eq!(all, tman.render_text());
+    assert!(all.contains("tman_tokens_processed_total 60\n"));
+    assert!(all.contains("tman_faults_injected_total 0\n"));
+    let CommandOutput::Stats(engine) = tman.execute_command("show stats engine").unwrap() else {
+        panic!("expected stats output");
+    };
+    assert!(engine.contains("tman_actions_run_total 69\n"), "{engine}");
+    assert!(!engine.contains("tman_actions_total"), "{engine}");
 
     let CommandOutput::Stats(cache_only) = tman.execute_command("show stats cache").unwrap() else {
         panic!("expected stats output");
     };
-    assert!(cache_only.contains("cache:") && !cache_only.contains("queue:"));
-    // The wire subsystem is selectable on its own, with the SLI rows.
+    assert!(cache_only.contains("tman_cache_pins_total"), "{cache_only}");
+    assert!(!cache_only.contains("tman_queue_"), "{cache_only}");
+    // No wire server: the wire subsystem has no series yet.
     let CommandOutput::Stats(wire_only) = tman.execute_command("show stats wire").unwrap() else {
         panic!("expected stats output");
     };
-    assert!(wire_only.contains("wire:") && !wire_only.contains("queue:"));
-    assert!(
-        wire_only.contains("ingest->fire") && wire_only.contains("fire->ack"),
-        "missing SLI rows in:\n{wire_only}"
-    );
-    // predindex is accepted as an alias for index.
-    assert!(tman.execute_command("show stats predindex").is_ok());
-    assert!(tman.execute_command("show stats bogus").is_err());
+    assert_eq!(wire_only, "");
+    // Aliases and case: predindex is index, DRIVERS is driver.
+    let index = tman.execute_command("show stats index").unwrap();
+    assert_eq!(tman.execute_command("show stats predindex").unwrap(), index);
+    let drivers = tman.execute_command("show stats DRIVERS").unwrap();
+    assert_eq!(tman.execute_command("show stats driver").unwrap(), drivers);
+    assert!(matches!(
+        tman.execute_command("show stats bogus"),
+        Err(TmanError::Invalid(_))
+    ));
+}
+
+/// `show stats` cannot drift from the exposition: over an engine with a
+/// file store (so the WAL series exist), a persistent queue and tracing
+/// on, every family `render_text` shows belongs to exactly one
+/// subsystem, each subsystem prints exactly the lines of its own
+/// families, and the whole report is the exposition.
+#[test]
+fn show_stats_is_the_exposition_split_by_subsystem() {
+    let path = std::env::temp_dir().join(format!("tman_stats_{}.db", std::process::id()));
+    let wal = path.with_extension("db.wal");
+    let _ = (std::fs::remove_file(&path), std::fs::remove_file(&wal));
+    let cfg = Config {
+        queue_mode: QueueMode::Persistent,
+        tracing: TracingMode::Sampled(1),
+        ..Default::default()
+    };
+    let tman = TriggerMan::open_file(&path, cfg).unwrap();
+    run_observed_workload(&tman);
+    let show = |arg: &str| match tman.execute_command(&format!("show stats {arg}")) {
+        Ok(CommandOutput::Stats(report)) => report,
+        other => panic!("show stats {arg}: {other:?}"),
+    };
+    // A report as its families' blocks: a `# TYPE` line and the series
+    // lines under it.
+    let blocks = |text: &str| -> Vec<String> {
+        let mut out: Vec<String> = Vec::new();
+        for line in text.lines() {
+            match out.last_mut() {
+                Some(block) if !line.starts_with("# TYPE ") => block.push_str(line),
+                _ => out.push(line.to_string()),
+            }
+            out.last_mut().unwrap().push('\n');
+        }
+        out
+    };
+    let text = tman.render_text();
+    for series in [
+        "tman_wal_appends_total",
+        "tman_queue_watermark 60\n",
+        "tman_trace_tokens_started_total",
+    ] {
+        assert!(text.contains(series), "missing '{series}' in:\n{text}");
+    }
+    assert_eq!(show(""), text);
+    let all = blocks(&text);
+    let mut owners = vec![0; all.len()];
+    for sub in metrics::SUBSYSTEMS {
+        let report = show(sub);
+        let mut at = 0;
+        for block in blocks(&report) {
+            // In exposition order, and each one of the exposition's.
+            let i = at
+                + all[at..]
+                    .iter()
+                    .position(|b| *b == block)
+                    .unwrap_or_else(|| {
+                        panic!(
+                            "show stats {sub} printed a block not in order in /metrics:\n{block}"
+                        )
+                    });
+            owners[i] += 1;
+            at = i + 1;
+        }
+    }
+    for (block, n) in all.iter().zip(owners) {
+        assert_eq!(n, 1, "this family is in {n} subsystems:\n{block}");
+    }
+    let cache = show("cache");
+    assert!(!cache.is_empty());
+    for line in cache.lines() {
+        let family = line.strip_prefix("# TYPE ").unwrap_or(line);
+        assert!(family.starts_with("tman_cache_"), "{line}");
+    }
+    drop(tman);
+    let _ = (std::fs::remove_file(&path), std::fs::remove_file(&wal));
 }
 
 /// `Config { http_addr }` serves the exposition endpoints over plain
@@ -1238,7 +1313,7 @@ fn http_endpoint_serves_metrics_health_and_traces() {
     use std::io::{Read, Write};
 
     let tman = TriggerMan::open_memory(Config {
-        tracing: TracingMode::Full,
+        tracing: TracingMode::Sampled(1),
         http_addr: Some("127.0.0.1:0".into()),
         ..Default::default()
     })
@@ -1303,7 +1378,7 @@ fn http_endpoint_serves_metrics_health_and_traces() {
 fn trace_tree_covers_partitioned_fanout() {
     use tman_telemetry::trace::NO_PARENT;
     let cfg = Config {
-        tracing: TracingMode::Full,
+        tracing: TracingMode::Sampled(1),
         condition_partitions: 2,
         partition_min: 1,
         ..Default::default()
@@ -1847,17 +1922,14 @@ fn show_stats_drivers_reports_driver_rows() {
     let CommandOutput::Stats(report) = tman.execute_command("show stats drivers").unwrap() else {
         panic!("expected stats output")
     };
-    assert!(report.contains("driver 0"), "{report}");
-    assert!(report.contains("driver 1"), "{report}");
-    let text = tman.render_text();
-    assert!(
-        text.contains("tman_driver_tokens_total{driver=\"0\"} 6"),
-        "{text}"
-    );
-    assert!(
-        text.contains("tman_driver_tasks_total{driver=\"0\"} 12"),
-        "{text}"
-    );
+    for row in [
+        "tman_driver_tokens_total{driver=\"0\"} 6\n",
+        "tman_driver_tasks_total{driver=\"0\"} 12\n",
+        "tman_driver_tokens_total{driver=\"1\"} 0\n",
+        "tman_driver_tasks_total{driver=\"1\"} 0\n",
+    ] {
+        assert!(report.contains(row), "missing '{row}' in:\n{report}");
+    }
 }
 
 /// An idle engine's acks are durable: a drain that ran to an empty queue

@@ -644,10 +644,13 @@ impl Directory {
 pub struct PredicateIndex {
     config: IndexConfig,
     db: Option<Arc<Database>>,
-    sources: RwLock<FxHashMap<DataSourceId, Arc<DataSourceIndex>>>,
+    /// `Arc`, like `directory`, so the registry's computed reads of the
+    /// population (`tman_index_{signatures,entries,memory_bytes}`) can
+    /// hold it.
+    sources: Arc<SourceMap>,
     /// Held across an entry's insertion or a trigger's removal, so it and
     /// the constant sets always agree. Probes never take it.
-    directory: Mutex<Directory>,
+    directory: Arc<Mutex<Directory>>,
     /// Live entries marked [`ExprId::TAGGED`] (`Arc` so the registry can
     /// read it as the `tman_tagged_entries` instrument).
     tagged: Arc<AtomicU64>,
@@ -662,8 +665,8 @@ impl PredicateIndex {
         PredicateIndex {
             config,
             db: None,
-            sources: RwLock::new(FxHashMap::default()),
-            directory: Mutex::default(),
+            sources: Arc::default(),
+            directory: Arc::default(),
             tagged: Arc::default(),
             next_sig: AtomicU32::new(1),
             stats: IndexStats::default(),
@@ -710,10 +713,22 @@ impl PredicateIndex {
             &[],
             self.stats.matches.clone(),
         );
-        // A level, so a computed read of the shared atomic.
+        // Levels, so computed reads of what the index already keeps.
         let tagged = self.tagged.clone();
-        registry.register_counter_fn("tman_tagged_entries", &[], move || {
-            tagged.load(Ordering::Relaxed)
+        registry.register_gauge_fn("tman_tagged_entries", &[], move || {
+            tagged.load(Ordering::Relaxed) as i64
+        });
+        let sources = self.sources.clone();
+        registry.register_gauge_fn("tman_index_signatures", &[], move || {
+            num_signatures(&sources) as i64
+        });
+        let sources = self.sources.clone();
+        registry.register_gauge_fn("tman_index_entries", &[], move || {
+            num_entries(&sources) as i64
+        });
+        let (sources, directory) = (self.sources.clone(), self.directory.clone());
+        registry.register_gauge_fn("tman_index_memory_bytes", &[], move || {
+            memory_bytes(&sources, &directory) as i64
         });
     }
 
@@ -971,11 +986,7 @@ impl PredicateIndex {
 
     /// Total number of unique signatures across all sources.
     pub fn num_signatures(&self) -> usize {
-        self.sources
-            .read()
-            .values()
-            .map(|s| s.plan().sigs.len())
-            .sum()
+        num_signatures(&self.sources)
     }
 
     /// Live entries marked [`ExprId::TAGGED`] (the `tman_tagged_entries`
@@ -986,27 +997,45 @@ impl PredicateIndex {
 
     /// Total number of predicate entries.
     pub fn num_entries(&self) -> usize {
-        self.all_signatures().into_iter().map(|rt| rt.len()).sum()
+        num_entries(&self.sources)
     }
 
     /// Main-memory footprint of all constant sets and of the removal
     /// directory.
     pub fn memory_bytes(&self) -> usize {
-        let sets = self
-            .all_signatures()
-            .into_iter()
-            .map(|rt| rt.memory_bytes());
-        sets.sum::<usize>() + self.directory.lock().memory_bytes()
+        memory_bytes(&self.sources, &self.directory)
     }
 
     /// Every signature runtime across all sources.
     pub fn all_signatures(&self) -> Vec<Arc<SignatureRuntime>> {
-        self.sources
-            .read()
-            .values()
-            .flat_map(|s| s.signatures())
-            .collect()
+        all_signatures(&self.sources)
     }
+}
+
+/// The per-source indexes, by data source.
+type SourceMap = RwLock<FxHashMap<DataSourceId, Arc<DataSourceIndex>>>;
+
+fn all_signatures(sources: &SourceMap) -> Vec<Arc<SignatureRuntime>> {
+    sources
+        .read()
+        .values()
+        .flat_map(|s| s.signatures())
+        .collect()
+}
+
+fn num_signatures(sources: &SourceMap) -> usize {
+    sources.read().values().map(|s| s.plan().sigs.len()).sum()
+}
+
+fn num_entries(sources: &SourceMap) -> usize {
+    all_signatures(sources).iter().map(|rt| rt.len()).sum()
+}
+
+fn memory_bytes(sources: &SourceMap, directory: &Mutex<Directory>) -> usize {
+    let sets = all_signatures(sources)
+        .into_iter()
+        .map(|rt| rt.memory_bytes());
+    sets.sum::<usize>() + directory.lock().memory_bytes()
 }
 
 #[cfg(test)]

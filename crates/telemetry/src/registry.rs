@@ -42,6 +42,9 @@ pub(crate) enum Instrument {
     /// (e.g. the trace ring's exact overwrite count), where mirroring into
     /// a second instrument would be a shadow copy that can lag.
     CounterFn(Arc<dyn Fn() -> u64 + Send + Sync>),
+    /// Computed gauge: a level a subsystem already keeps (the predicate
+    /// index's entry count), read the same way.
+    GaugeFn(Arc<dyn Fn() -> i64 + Send + Sync>),
 }
 
 /// Process-wide set of named instruments keyed by `(name, labels)`.
@@ -119,11 +122,7 @@ impl Registry {
     /// the live value without a second instrument on the hot path.
     /// Replaces any previous instrument at the same identity.
     pub fn register_counter(&self, name: &str, labels: &[(&str, &str)], counter: Arc<Counter>) {
-        let key = (name.to_string(), label_set(labels));
-        self.map
-            .write()
-            .unwrap()
-            .insert(key, Instrument::Counter(counter));
+        self.insert(name, labels, Instrument::Counter(counter));
     }
 
     /// Register a histogram that already lives inside a subsystem's stats
@@ -136,11 +135,7 @@ impl Registry {
         labels: &[(&str, &str)],
         histogram: Arc<Histogram>,
     ) {
-        let key = (name.to_string(), label_set(labels));
-        self.map
-            .write()
-            .unwrap()
-            .insert(key, Instrument::Histogram(histogram));
+        self.insert(name, labels, Instrument::Histogram(histogram));
     }
 
     /// Register a computed counter: every exposition pass
@@ -154,26 +149,65 @@ impl Registry {
         labels: &[(&str, &str)],
         f: impl Fn() -> u64 + Send + Sync + 'static,
     ) {
-        let key = (name.to_string(), label_set(labels));
-        self.map
-            .write()
-            .unwrap()
-            .insert(key, Instrument::CounterFn(Arc::new(f)));
+        self.insert(name, labels, Instrument::CounterFn(Arc::new(f)));
+    }
+
+    /// Register a computed gauge (see [`Registry::register_counter_fn`]).
+    pub fn register_gauge_fn(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        f: impl Fn() -> i64 + Send + Sync + 'static,
+    ) {
+        self.insert(name, labels, Instrument::GaugeFn(Arc::new(f)));
     }
 
     /// Register an existing shared gauge (see [`Registry::register_counter`]).
     pub fn register_gauge(&self, name: &str, labels: &[(&str, &str)], gauge: Arc<Gauge>) {
+        self.insert(name, labels, Instrument::Gauge(gauge));
+    }
+
+    /// The counter series at `(name, labels)` if one is registered; unlike
+    /// [`counter`](Self::counter) it never creates one, so a reader of
+    /// another subsystem's series does not declare it. No-op when absent.
+    pub fn find_counter(&self, name: &str, labels: &[(&str, &str)]) -> CounterHandle {
+        match self.find(name, labels) {
+            Some(Instrument::Counter(c)) => CounterHandle(Some(c)),
+            _ => CounterHandle(None),
+        }
+    }
+
+    /// The histogram series at `(name, labels)` if one is registered (see
+    /// [`find_counter`](Self::find_counter)).
+    pub fn find_histogram(&self, name: &str, labels: &[(&str, &str)]) -> HistogramHandle {
+        match self.find(name, labels) {
+            Some(Instrument::Histogram(h)) => HistogramHandle(Some(h)),
+            _ => HistogramHandle(None),
+        }
+    }
+
+    fn find(&self, name: &str, labels: &[(&str, &str)]) -> Option<Instrument> {
         let key = (name.to_string(), label_set(labels));
-        self.map
-            .write()
-            .unwrap()
-            .insert(key, Instrument::Gauge(gauge));
+        self.map.read().unwrap().get(&key).cloned()
+    }
+
+    /// Put `instrument` at `(name, labels)`, replacing what was there.
+    fn insert(&self, name: &str, labels: &[(&str, &str)], instrument: Instrument) {
+        let key = (name.to_string(), label_set(labels));
+        self.map.write().unwrap().insert(key, instrument);
     }
 
     /// Snapshot every series, sorted by `(name, labels)`.
     pub(crate) fn samples(&self) -> Vec<MetricSample> {
+        self.samples_where(|_| true)
+    }
+
+    /// [`samples`](Self::samples) of the families whose name `keep`
+    /// accepts.
+    fn samples_where(&self, keep: impl Fn(&str) -> bool) -> Vec<MetricSample> {
         let map = self.map.read().unwrap();
         map.iter()
+            .filter(|((name, _), _)| keep(name))
             .map(|((name, labels), inst)| MetricSample {
                 name: name.clone(),
                 labels: labels.clone(),
@@ -182,6 +216,7 @@ impl Registry {
                     Instrument::Gauge(g) => SampleValue::Gauge(g.get()),
                     Instrument::Histogram(h) => SampleValue::Histogram(h.summary()),
                     Instrument::CounterFn(f) => SampleValue::Counter(f()),
+                    Instrument::GaugeFn(f) => SampleValue::Gauge(f()),
                 },
             })
             .collect()
@@ -189,7 +224,13 @@ impl Registry {
 
     /// Prometheus-style text exposition of every series.
     pub fn render_text(&self) -> String {
-        crate::render::render_text(&self.samples())
+        self.render_text_where(|_| true)
+    }
+
+    /// [`render_text`](Self::render_text) limited to the families whose
+    /// name `keep` accepts.
+    pub fn render_text_where(&self, keep: impl Fn(&str) -> bool) -> String {
+        crate::render::render_text(&self.samples_where(keep))
     }
 
     /// JSON object (`{"name{labels}": value-or-summary, ...}`) of every
@@ -437,6 +478,35 @@ mod tests {
         assert!(r.render_text().contains("computed_total"));
         let samples = r.samples();
         assert!(matches!(samples[0].value, SampleValue::Counter(9)));
+    }
+
+    #[test]
+    fn find_reads_without_creating() {
+        let r = Registry::new();
+        assert!(!r.find_counter("c_total", &[]).is_enabled());
+        assert!(!r.find_histogram("h_ns", &[]).is_enabled());
+        assert_eq!(r.render_text(), "", "a find created a series");
+        r.counter("c_total", &[]).add(4);
+        r.histogram("h_ns", &[]).record(3);
+        assert_eq!(r.find_counter("c_total", &[]).get(), 4);
+        assert_eq!(r.find_histogram("h_ns", &[]).summary().count, 1);
+        assert!(!r.find_counter("h_ns", &[]).is_enabled());
+    }
+
+    #[test]
+    fn computed_gauges_are_read_live_and_filtered_by_family() {
+        use std::sync::atomic::{AtomicI64, Ordering};
+        let r = Registry::new();
+        let v = Arc::new(AtomicI64::new(3));
+        let src = v.clone();
+        r.register_gauge_fn("level", &[], move || src.load(Ordering::Relaxed));
+        r.counter("other_total", &[]).bump();
+        v.store(-2, Ordering::Relaxed);
+        assert_eq!(
+            r.render_text_where(|name| name == "level"),
+            "# TYPE level gauge\nlevel -2\n"
+        );
+        assert!(r.render_text().contains("other_total 1\n"));
     }
 
     #[test]

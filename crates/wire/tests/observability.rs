@@ -17,7 +17,7 @@ use triggerman::{Config, TracingMode, TriggerMan};
 
 fn engine() -> Arc<TriggerMan> {
     let tman = TriggerMan::open_memory(Config {
-        tracing: TracingMode::Full,
+        tracing: TracingMode::Sampled(1),
         http_addr: Some("127.0.0.1:0".into()),
         ..Default::default()
     })
@@ -215,5 +215,37 @@ fn subscriber_gauges_and_trace_health_counters_export() {
     assert!(body.contains("tman_wire_watermark_lag"));
 
     drivers.stop();
+    tman.shutdown();
+}
+
+/// `tman_wire_connections` is the wire tier's gauge of open connections:
+/// it reads 2 while two sources are connected and 0 once both close.
+#[test]
+fn connections_gauge_counts_open_connections() {
+    let tman = engine();
+    let server = WireServer::start(tman.clone(), "127.0.0.1:0").unwrap();
+    let client = RemoteClient::new(server.local_addr().to_string());
+    let wait_for = |open: i64| {
+        let line = format!("\ntman_wire_connections {open}\n");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let text = tman.render_text();
+            if text.contains(&line) {
+                return text;
+            }
+            assert!(Instant::now() < deadline, "never read {open}:\n{text}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    };
+    let a = client.data_source("quotes").unwrap();
+    let b = client.data_source("quotes").unwrap();
+    let text = wait_for(2);
+    assert!(
+        text.contains("# TYPE tman_wire_connections gauge\n"),
+        "{text}"
+    );
+    a.close().unwrap();
+    b.close().unwrap();
+    wait_for(0);
     tman.shutdown();
 }

@@ -30,8 +30,12 @@
 //! `/healthz`, and `/tracez` (Chrome trace JSON of retained span trees).
 //!
 //! `show stats [<subsystem>]` is a TriggerMan command, not a built-in: it
-//! renders the full telemetry snapshot (queue, driver, index, cache,
-//! storage, actions, wire).
+//! prints the metrics registry's text exposition, the lines `GET /metrics`
+//! serves, limited to one subsystem's families when one is named (engine,
+//! queue, driver, index, cache, storage, actions, trace, wire).
+//!
+//! `.serve` on a running server reports the open wire connections, read
+//! from the wire tier's `tman_wire_connections` gauge.
 
 use std::io::{BufRead, Write};
 use triggerman::{Config, TriggerMan};
@@ -82,6 +86,7 @@ fn main() {
             ".drain" => {
                 tman.run_until_quiescent().ok();
                 println!("queue drained");
+                continue;
             }
             ".stats" => {
                 let s = tman.stats();
@@ -199,9 +204,10 @@ fn main() {
                         other => format!("{other:?}"),
                     })
                     .map_err(|sql_err| {
-                        if line.to_lowercase().starts_with("create trigger")
-                            || line.to_lowercase().starts_with("define")
-                        {
+                        // A console-only command's own error, not SQL's.
+                        let lower = line.to_lowercase();
+                        let console_only = ["create trigger", "define", "show ", "trace "];
+                        if console_only.iter().any(|p| lower.starts_with(p)) {
                             cmd_err
                         } else {
                             sql_err

@@ -280,11 +280,11 @@ pub(crate) fn partitioned_cfg(parts: usize, batch: usize) -> Config {
     }
 }
 
-/// `cfg` with every token traced (`TracingMode::Full`): spans attach to
+/// `cfg` with every token traced (`TracingMode::Sampled(1)`): spans attach to
 /// the pipeline, they must not change what it does.
 pub(crate) fn traced(cfg: Config) -> Config {
     Config {
-        tracing: TracingMode::Full,
+        tracing: TracingMode::Sampled(1),
         ..cfg
     }
 }

@@ -19,7 +19,7 @@
 //! multisets.
 //!
 //! A tracing axis rides along: a few columns are run twice, untraced and
-//! with `TracingMode::Full`. Tracing attaches spans to the one pipeline
+//! with `TracingMode::Sampled(1)`. Tracing attaches spans to the one pipeline
 //! instead of diverting traced tokens to another, so a traced engine must
 //! deliver the same sequence of fires as its untraced twin, partitioned or
 //! not.
