@@ -186,13 +186,18 @@ fn e2_cse(o: &Opts) {
         // The constant set's own bytes: the index's total also counts its
         // removal directory, which is the same under either layout.
         let class = ix.source(QUOTES).unwrap().signatures()[0].clone();
-        let mut entries = Vec::new();
+        // The denormalized layout of the same class: every entry beside its
+        // own copy of the constant vector.
+        let mut denorm: Vec<(Entry, Vec<Value>)> = Vec::new();
         class
-            .for_each_entry(&mut |e| entries.push(e.clone()))
+            .for_each_entry(&mut |e| denorm.push((*e, vec![Value::str("HOT")])))
             .unwrap();
-        let denorm_bytes: usize = entries
+        let denorm_bytes: usize = denorm
             .iter()
-            .map(|e| size_of::<Entry>() + e.consts.iter().map(Value::heap_size).sum::<usize>())
+            .map(|(_, consts)| {
+                size_of::<(Entry, Vec<Value>)>()
+                    + consts.iter().map(Value::heap_size).sum::<usize>()
+            })
             .sum();
         let IndexPlan::Equality { cols, const_slots } = &class.sig.index_plan else {
             unreachable!("an equality signature");
@@ -210,8 +215,8 @@ fn e2_cse(o: &Opts) {
         let key: Vec<&Value> = cols.iter().map(|&c| miss.probe_tuple().get(c)).collect();
         let (_, d_denorm) = time_it(|| {
             for _ in 0..probes {
-                let hits = entries.iter().filter(|e| {
-                    let own_key = const_slots.iter().map(|&s| &e.consts[s]);
+                let hits = denorm.iter().filter(|(_, consts)| {
+                    let own_key = const_slots.iter().map(|&s| &consts[s]);
                     own_key.eq(key.iter().copied())
                 });
                 black_box(hits.count());
@@ -549,11 +554,16 @@ fn e6_driver(o: &Opts) {
 }
 
 /// E7 — §5.1: create-trigger cost stays flat as the population grows
-/// (signature reuse = one constant-table row).
+/// (signature reuse = one constant-table row), and what an index entry
+/// costs in memory as it does.
 fn e7_create(o: &Opts) {
     let total = if o.quick { 20_000 } else { 100_000 };
     let step = total / 5;
-    let mut table = Table::new(&["existing triggers", "creates/s (repeat signature)"]);
+    let mut table = Table::new(&[
+        "existing triggers",
+        "creates/s (repeat signature)",
+        "index bytes/entry",
+    ]);
     let tman = TriggerMan::open_memory(Config::default()).unwrap();
     tman.execute_command("define data source q (sym varchar(12), price float, vol int)")
         .unwrap();
@@ -571,7 +581,13 @@ fn e7_create(o: &Opts) {
                 created += 1;
             }
         });
-        table.row(vec![(created - step).to_string(), human(rate(step, d))]);
+        let ix = tman.predicate_index();
+        let per_entry = ix.memory_bytes() as f64 / ix.num_entries().max(1) as f64;
+        table.row(vec![
+            (created - step).to_string(),
+            human(rate(step, d)),
+            format!("{per_entry:.1}"),
+        ]);
     }
     table.print();
     println!(

@@ -63,7 +63,13 @@ pub struct Config {
     pub condition_partitions: usize,
     /// Minimum triggerID-set size before partitioned probing kicks in.
     pub partition_min: usize,
-    /// Buffer-pool pages for the backing database.
+    /// Buffer-pool pages for the backing database. On a file store it
+    /// bounds the catalog and queue pages held in memory: a page past it is
+    /// evicted (written to the log first if dirty) and read back on its
+    /// next use. On a memory store (`TriggerMan::open_memory`) every page
+    /// is in memory once whatever the setting, in its frame or on the
+    /// volatile disk; it bounds only how many are in frames, and an
+    /// eviction moves a page's buffer rather than copying it.
     pub pool_pages: usize,
     /// Per-token trace capture (span trees across the §6 task fan-out).
     pub tracing: TracingMode,

@@ -8,7 +8,8 @@
 //! already computed from the token's columns; it compares tags slot by
 //! slot and reads key bytes only on a tag hit (so once, short of a 32-bit
 //! collision), then hands out the span. Nothing is allocated per group or
-//! per entry.
+//! per entry. The key arena is the only place a group's key is stored: a
+//! cell holds an entry's ids and its row, not its constants.
 //!
 //! A span holds a power of two of cells. A group that outgrows its span
 //! moves to one twice as long; the span it leaves, and the span of a group
@@ -21,7 +22,6 @@
 use crate::org::Entry;
 use crate::{tick, Work};
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 use tman_common::fxhash::FxHasher;
 use tman_common::{TriggerId, Value};
 
@@ -83,6 +83,23 @@ fn split_value(bytes: &[u8]) -> (u8, &[u8], &[u8]) {
     (tag, payload, rest)
 }
 
+/// The `arity`-value key encoded at the head of `bytes`.
+fn decode(mut bytes: &[u8], arity: usize) -> Vec<Value> {
+    let mut key = Vec::with_capacity(arity);
+    for _ in 0..arity {
+        let (tag, payload, rest) = split_value(bytes);
+        let number = || payload.try_into().expect("8 bytes");
+        key.push(match tag {
+            TAG_NULL => Value::Null,
+            TAG_INT => Value::Int(i64::from_le_bytes(number())),
+            TAG_FLOAT => Value::Float(f64::from_le_bytes(number())),
+            _ => Value::Str(String::from_utf8_lossy(payload).into_owned()),
+        });
+        bytes = rest;
+    }
+    key
+}
+
 /// Is the key encoded at the head of `bytes` equal to `values`, value by
 /// value, as [`Value`]'s `==` has it?
 fn key_eq<'a>(mut bytes: &[u8], values: impl Iterator<Item = &'a Value>) -> bool {
@@ -132,44 +149,37 @@ fn span_cells(len: u32) -> u32 {
     len.next_power_of_two()
 }
 
-fn tag_of(hash: u64) -> u32 {
+/// The tag a key whose hash is `hash` is filed under.
+pub(crate) fn tag_of(hash: u64) -> u32 {
     (hash >> 32) as u32
 }
 
 /// The equality organization of one signature's constant set.
 pub(crate) struct EqTable {
-    /// Which of an entry's constants make its key (the plan's
-    /// `const_slots`; none for a signature without an equality plan, whose
-    /// entries then form one group).
-    key_slots: Vec<usize>,
+    /// Values in a key (none for a signature without an equality plan,
+    /// whose entries then form one group).
+    arity: usize,
     /// Open addressing, linear probing; a power of two, at most two thirds
     /// full.
     slots: Vec<Slot>,
     /// `32 - log2(slots.len())`: a slot's home is `tag >> shift`.
     shift: u32,
     keys: Vec<u8>,
-    cells: Vec<Option<Entry>>,
+    /// A span's cells past its group's length are unused.
+    cells: Vec<Entry>,
     /// Unused spans: `free[k]` holds the starts of those of `1 << k` cells.
     free: Vec<Vec<u32>>,
     groups: usize,
     dead_key_bytes: usize,
-    /// Heap bytes of the distinct constant vectors the entries hold.
-    consts_bytes: usize,
 }
 
 const MIN_SLOTS: usize = 8;
 
-/// Heap bytes of one constant vector: the `Arc`'s two counts, the values,
-/// their string buffers.
-pub(crate) fn consts_heap(consts: &[Value]) -> usize {
-    2 * std::mem::size_of::<usize>() + consts.iter().map(Value::heap_size).sum::<usize>()
-}
-
 impl EqTable {
-    /// Empty table whose keys are the constants at `key_slots`.
-    pub(crate) fn new(key_slots: Vec<usize>) -> EqTable {
+    /// Empty table of keys of `arity` values.
+    pub(crate) fn new(arity: usize) -> EqTable {
         EqTable {
-            key_slots,
+            arity,
             slots: vec![Slot::default(); MIN_SLOTS],
             shift: 32 - MIN_SLOTS.trailing_zeros(),
             keys: Vec::new(),
@@ -177,7 +187,6 @@ impl EqTable {
             free: Vec::new(),
             groups: 0,
             dead_key_bytes: 0,
-            consts_bytes: 0,
         }
     }
 
@@ -195,12 +204,7 @@ impl EqTable {
         }
     }
 
-    /// The key of the constant vector `consts`.
-    fn key_of<'a>(&self, consts: &'a [Value]) -> Vec<&'a Value> {
-        self.key_slots.iter().map(|&s| &consts[s]).collect()
-    }
-
-    fn span(&self, s: &Slot) -> &[Option<Entry>] {
+    fn span(&self, s: &Slot) -> &[Entry] {
         &self.cells[s.start as usize..(s.start + s.len) as usize]
     }
 
@@ -212,7 +216,7 @@ impl EqTable {
         visit: &mut dyn FnMut(&Entry),
     ) {
         let s = &self.slots[self.find(hash, key)];
-        self.span(s).iter().flatten().for_each(visit);
+        self.span(s).iter().for_each(visit);
     }
 
     /// An unused span of `cells` cells (a power of two): a freed one if
@@ -221,7 +225,7 @@ impl EqTable {
         let freed = self.free.get_mut(cells.trailing_zeros() as usize);
         freed.and_then(Vec::pop).unwrap_or_else(|| {
             let end = self.cells.len() + cells as usize;
-            self.cells.resize_with(end, || None);
+            self.cells.resize(end, Entry::default());
             offset(end) - cells
         })
     }
@@ -235,14 +239,13 @@ impl EqTable {
         self.free[class].push(start);
     }
 
-    /// File `entry` under its key. A member of the group with the same
-    /// constant vector lends its allocation (Figure-4 normalization);
-    /// returns the vector the entry ended up holding.
-    pub(crate) fn insert(&mut self, mut entry: Entry) -> Arc<[Value]> {
-        let consts = entry.consts.clone();
-        let key = self.key_of(&consts);
-        let key = key.iter().copied();
-        let hash = key_hash(key.clone());
+    /// File `entry` under `key`, whose [`key_hash`] is `hash`.
+    pub(crate) fn insert<'a>(
+        &mut self,
+        hash: u64,
+        key: impl Iterator<Item = &'a Value> + Clone,
+        entry: Entry,
+    ) {
         let mut i = self.find(hash, key.clone());
         if self.slots[i].len == 0 {
             if (self.groups + 1) * 3 > self.slots.len() * 2 {
@@ -259,38 +262,54 @@ impl EqTable {
             self.groups += 1;
         }
         let s = self.slots[i];
-        match self.span(&s).iter().flatten().find(|e| e.consts == consts) {
-            Some(owner) => entry.consts = owner.consts.clone(),
-            None => self.consts_bytes += consts_heap(&consts),
-        }
         if s.len == span_cells(s.len) {
             // The span is full: move to one twice as long.
             let to = self.take_span(2 * s.len);
-            for k in 0..s.len as usize {
-                self.cells[to as usize + k] = self.cells[s.start as usize + k].take();
-            }
+            self.cells
+                .copy_within(s.start as usize..(s.start + s.len) as usize, to as usize);
             self.free_span(s.start, s.len);
             self.slots[i].start = to;
         }
         let s = &mut self.slots[i];
-        let held = entry.consts.clone();
-        self.cells[(s.start + s.len) as usize] = Some(entry);
+        self.cells[(s.start + s.len) as usize] = entry;
         s.len += 1;
-        held
     }
 
-    /// Remove `trigger`'s entries from the group a constant vector
-    /// `consts` belongs to, keeping the others' order. Returns how many.
-    pub(crate) fn remove(&mut self, consts: &[Value], trigger: TriggerId) -> usize {
-        let key = self.key_of(consts);
-        let i = self.find(key_hash(key.iter().copied()), key.iter().copied());
+    /// Remove `trigger`'s entries from the groups filed under `tag` (the
+    /// one its key is in, short of a 32-bit collision), keeping the others'
+    /// order, and hand each to `gone`. Returns how many.
+    pub(crate) fn remove(
+        &mut self,
+        tag: u32,
+        trigger: TriggerId,
+        gone: &mut dyn FnMut(&Entry),
+    ) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = (tag >> self.shift) as usize;
+        let mut removed = 0;
+        while self.slots[i].len > 0 {
+            if self.slots[i].tag == tag {
+                let n = self.remove_from(i, trigger, gone);
+                removed += n;
+                if n > 0 && self.slots[i].len == 0 {
+                    // Erased: slot `i` now holds the next in the chain.
+                    continue;
+                }
+            }
+            i = (i + 1) & mask;
+        }
+        removed
+    }
+
+    /// Remove `trigger`'s entries from the group in slot `i`.
+    fn remove_from(&mut self, i: usize, trigger: TriggerId, gone: &mut dyn FnMut(&Entry)) -> usize {
         let s = self.slots[i];
         let span = &mut self.cells[s.start as usize..(s.start + s.len) as usize];
         // Survivors to the front, in order; the trigger's entries behind.
         let mut kept = 0;
         for k in 0..span.len() {
             tick(Work::RemoveVisit);
-            if span[k].as_ref().is_some_and(|e| e.trigger_id != trigger) {
+            if span[k].trigger_id != trigger {
                 span.swap(kept, k);
                 kept += 1;
             }
@@ -299,19 +318,13 @@ impl EqTable {
         if removed == 0 {
             return 0;
         }
-        for k in kept..span.len() {
-            let gone = span[k].take().expect("a full span");
-            let held = |e: &Entry| Arc::ptr_eq(&e.consts, &gone.consts);
-            if !span.iter().flatten().any(held) {
-                self.consts_bytes -= consts_heap(&gone.consts);
-            }
-        }
+        span[kept..].iter().for_each(&mut *gone);
         self.slots[i].len = kept as u32;
         // Shrink the span to what the survivors need.
         let (had, needs) = (span_cells(s.len), span_cells(kept as u32));
         if kept == 0 {
             self.free_span(s.start, had);
-            self.dead_key_bytes += key_bytes(&self.keys, self.key_slots.len(), s.key).len();
+            self.dead_key_bytes += key_bytes(&self.keys, self.arity, s.key).len();
             self.groups -= 1;
             self.erase(i);
             self.compact_keys_if_half_dead();
@@ -371,7 +384,7 @@ impl EqTable {
         }
         let mut keys = Vec::with_capacity(self.keys.len() - self.dead_key_bytes);
         for s in self.slots.iter_mut().filter(|s| s.len > 0) {
-            let key = key_bytes(&self.keys, self.key_slots.len(), s.key);
+            let key = key_bytes(&self.keys, self.arity, s.key);
             s.key = offset(keys.len());
             keys.extend_from_slice(key);
         }
@@ -383,19 +396,26 @@ impl EqTable {
     /// insertion order.
     pub(crate) fn for_each(&self, visit: &mut dyn FnMut(&Entry)) {
         for s in self.slots.iter().filter(|s| s.len > 0) {
-            self.span(s).iter().flatten().for_each(&mut *visit);
+            self.span(s).iter().for_each(&mut *visit);
         }
     }
 
-    /// Heap bytes held: the capacity of the backing arrays, plus the
-    /// entries' constant vectors, each distinct allocation once.
+    /// Visit every entry with its group's key, in [`for_each`](Self::for_each)'s
+    /// order.
+    pub(crate) fn for_each_keyed(&self, visit: &mut dyn FnMut(&[Value], &Entry)) {
+        for s in self.slots.iter().filter(|s| s.len > 0) {
+            let key = decode(&self.keys[s.key as usize..], self.arity);
+            self.span(s).iter().for_each(|e| visit(&key, e));
+        }
+    }
+
+    /// Heap bytes held: the capacity of the backing arrays.
     pub(crate) fn memory_bytes(&self) -> usize {
         let free = self.free.iter().map(Vec::capacity).sum::<usize>();
         self.slots.capacity() * std::mem::size_of::<Slot>()
             + self.keys.capacity()
-            + self.cells.capacity() * std::mem::size_of::<Option<Entry>>()
+            + self.cells.capacity() * std::mem::size_of::<Entry>()
             + self.free.capacity() * std::mem::size_of::<Vec<u32>>()
             + free * std::mem::size_of::<u32>()
-            + self.consts_bytes
     }
 }

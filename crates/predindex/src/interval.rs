@@ -18,6 +18,9 @@
 //! * an **unsorted tail** of the last few inserts, the same two arrays
 //!   scanned front to back.
 //!
+//! An endpoint is stored in 16 bytes: a number in place, a string as an id
+//! into the index's own dictionary ([`Dict`]), which holds it once.
+//!
 //! An insert goes to the tail. A tail of `FAN` (16) intervals is sorted
 //! into a new run, and a run is merged into the one before it while it
 //! holds more than `1/FAN` of it — so there are O(log_FAN n) runs, each
@@ -30,6 +33,7 @@
 //! (insertion order among equal low endpoints), then the tail in insertion
 //! order.
 
+use crate::row::{Const, Dict, View};
 use crate::{tick, Work};
 use std::cmp::Ordering;
 use tman_common::Value;
@@ -49,7 +53,7 @@ const FAN: usize = 16;
 /// total order, less its two lowest bits, or a string's first seven bytes
 /// — so distinct values may share a rank, and a comparison of ranks can
 /// only rule a value out, never in.
-fn rank(v: &Value) -> u64 {
+pub(crate) fn rank(v: &Value) -> u64 {
     let number = |f: f64| {
         let bits = f.to_bits();
         let ordered = if bits >> 63 == 1 {
@@ -87,72 +91,108 @@ pub enum Bound {
 }
 
 impl Bound {
-    /// Does a lower bound admit `v`?
-    fn lo_admits(&self, v: &Value) -> bool {
-        match self {
-            Bound::Open => true,
-            Bound::At { value, inclusive } => match v.total_cmp(value) {
-                Ordering::Greater => true,
-                Ordering::Equal => *inclusive,
-                Ordering::Less => false,
-            },
-        }
-    }
-
-    /// Does an upper bound admit `v`?
-    fn hi_admits(&self, v: &Value) -> bool {
-        match self {
-            Bound::Open => true,
-            Bound::At { value, inclusive } => match v.total_cmp(value) {
-                Ordering::Less => true,
-                Ordering::Equal => *inclusive,
-                Ordering::Greater => false,
-            },
-        }
-    }
-
     /// The bound's [`rank`]: `open` if there is no bound.
-    fn rank_or(&self, open: u64) -> u64 {
+    pub(crate) fn rank_or(&self, open: u64) -> u64 {
         match self {
             Bound::Open => open,
             Bound::At { value, .. } => rank(value),
         }
     }
+}
 
-    /// Bytes the bound keeps on the heap (a string value's buffer).
-    fn heap_bytes(&self) -> usize {
+/// A [`Bound`] as a slot stores it, or the mark of a removed interval.
+#[derive(Clone, Copy)]
+enum End {
+    Open,
+    /// The low end of an interval that has been removed.
+    Dead,
+    /// A bound and whether it is inclusive.
+    Null(bool),
+    Int(i64, bool),
+    Float(f64, bool),
+    /// An id in the index's [`Dict`].
+    Str(u32, bool),
+}
+
+impl End {
+    fn new(b: &Bound, dict: &mut Dict) -> End {
+        let Bound::At { value, inclusive } = b else {
+            return End::Open;
+        };
+        match Const::intern(value, dict) {
+            Const::Null => End::Null(*inclusive),
+            Const::Int(i) => End::Int(i, *inclusive),
+            Const::Float(f) => End::Float(f, *inclusive),
+            Const::Str(id) => End::Str(id, *inclusive),
+        }
+    }
+
+    /// The bound's constant and inclusivity; `None` for no bound.
+    fn at(self) -> Option<(Const, bool)> {
         match self {
-            Bound::At {
-                value: Value::Str(s),
-                ..
-            } => s.capacity(),
-            _ => 0,
+            End::Open | End::Dead => None,
+            End::Null(inc) => Some((Const::Null, inc)),
+            End::Int(i, inc) => Some((Const::Int(i), inc)),
+            End::Float(f, inc) => Some((Const::Float(f), inc)),
+            End::Str(id, inc) => Some((Const::Str(id), inc)),
+        }
+    }
+
+    fn bound(self, dict: &Dict) -> Bound {
+        match self.at() {
+            None => Bound::Open,
+            Some((c, inclusive)) => Bound::At {
+                value: c.value(dict),
+                inclusive,
+            },
+        }
+    }
+
+    fn release(self, dict: &mut Dict) {
+        if let Some((c, _)) = self.at() {
+            c.release(dict);
+        }
+    }
+
+    /// Is this the bound `b`?
+    fn is(self, b: &Bound, dict: &Dict) -> bool {
+        match (self.at(), b) {
+            (None, Bound::Open) => matches!(self, End::Open),
+            (Some((c, inc)), Bound::At { value, inclusive }) => {
+                inc == *inclusive && View::of(value).cmp(c.view(dict)) == Ordering::Equal
+            }
+            _ => false,
+        }
+    }
+
+    /// Does `v` lie on the inside of this end: above it for a lower end
+    /// (`upper` false), below it for an upper one?
+    fn admits(self, v: &Value, upper: bool, dict: &Dict) -> bool {
+        let Some((c, inclusive)) = self.at() else {
+            return true;
+        };
+        match View::of(v).cmp(c.view(dict)) {
+            Ordering::Equal => inclusive,
+            Ordering::Greater => !upper,
+            Ordering::Less => upper,
         }
     }
 }
 
-/// Order lower bounds: Open (= -inf) first, then by value; at equal values
-/// an inclusive bound starts earlier than an exclusive one.
-fn cmp_lo(a: &Bound, b: &Bound) -> Ordering {
-    match (a, b) {
-        (Bound::Open, Bound::Open) => Ordering::Equal,
-        (Bound::Open, _) => Ordering::Less,
-        (_, Bound::Open) => Ordering::Greater,
-        (
-            Bound::At {
-                value: x,
-                inclusive: xi,
-            },
-            Bound::At {
-                value: y,
-                inclusive: yi,
-            },
-        ) => x.total_cmp(y).then_with(|| yi.cmp(xi)),
+/// Order lower ends: Open (= -inf) first, then by value; at equal values
+/// an inclusive end starts earlier than an exclusive one.
+fn cmp_lo(a: End, b: End, dict: &Dict) -> Ordering {
+    match (a.at(), b.at()) {
+        (None, None) => Ordering::Equal,
+        (None, _) => Ordering::Less,
+        (_, None) => Ordering::Greater,
+        (Some((x, xi)), Some((y, yi))) => x.view(dict).cmp(y.view(dict)).then_with(|| yi.cmp(&xi)),
     }
 }
 
 /// What a stab reads of one interval: [`rank`]s, so the interval may
 /// contain `v` only if `lo <= rank(v) <= hi`.
+#[derive(Clone, Copy)]
 struct Key {
     /// Of the low endpoint; 0 if there is none.
     lo: u64,
@@ -164,17 +204,16 @@ struct Key {
     max_hi: u64,
 }
 
-/// The interval itself.
+/// The interval itself. `lo` is [`End::Dead`] once it is removed.
 struct Slot<T> {
-    lo: Bound,
-    hi: Bound,
-    /// `None` once removed.
-    item: Option<T>,
+    lo: End,
+    hi: End,
+    item: T,
 }
 
 impl<T> Slot<T> {
-    fn heap_bytes(&self) -> usize {
-        self.lo.heap_bytes() + self.hi.heap_bytes()
+    fn live(&self) -> bool {
+        !matches!(self.lo, End::Dead)
     }
 }
 
@@ -196,26 +235,20 @@ impl<T> Run<T> {
         }
     }
 
-    fn push(&mut self, lo: Bound, hi: Bound, item: T) {
-        let (lo_rank, hi_rank) = (lo.rank_or(0), hi.rank_or(u64::MAX));
+    fn push(&mut self, key: Key, slot: Slot<T>) {
         self.keys.push(Key {
-            lo: lo_rank,
-            hi: hi_rank,
-            max_hi: hi_rank,
+            max_hi: key.hi,
+            ..key
         });
-        self.slots.push(Slot {
-            lo,
-            hi,
-            item: Some(item),
-        });
+        self.slots.push(slot);
         self.live += 1;
     }
 
     /// A sorted run over the `n` `intervals`, which are in low-endpoint
     /// order.
-    fn sorted(n: usize, intervals: impl Iterator<Item = (Bound, Bound, T)>) -> Run<T> {
+    fn sorted(n: usize, intervals: impl Iterator<Item = (Key, Slot<T>)>) -> Run<T> {
         let mut run = Run::with_capacity(n);
-        intervals.for_each(|(lo, hi, item)| run.push(lo, hi, item));
+        intervals.for_each(|(key, slot)| run.push(key, slot));
         run.augment(0, run.keys.len());
         run
     }
@@ -232,19 +265,25 @@ impl<T> Run<T> {
         self.keys[m].max_hi
     }
 
-    /// Deliver interval `i` if it holds an item and contains `v`.
-    fn check(&self, i: usize, v: &Value, visit: &mut dyn FnMut(&T)) {
+    /// Deliver interval `i` if it is live and contains `v`.
+    fn check(&self, i: usize, v: &Value, dict: &Dict, visit: &mut dyn FnMut(&T)) {
         let slot = &self.slots[i];
-        if let Some(item) = &slot.item {
-            if slot.lo.lo_admits(v) && slot.hi.hi_admits(v) {
-                visit(item);
-            }
+        if slot.live() && slot.lo.admits(v, false, dict) && slot.hi.admits(v, true, dict) {
+            visit(&slot.item);
         }
     }
 
     /// Stab the implicit tree on `[l, r)` of a sorted run; `at` is
     /// `rank(v)`.
-    fn stab(&self, mut l: usize, r: usize, v: &Value, at: u64, visit: &mut dyn FnMut(&T)) {
+    fn stab(
+        &self,
+        mut l: usize,
+        r: usize,
+        v: &Value,
+        at: u64,
+        dict: &Dict,
+        visit: &mut dyn FnMut(&T),
+    ) {
         while l < r {
             tick(Work::IntervalNode);
             let m = l + (r - l) / 2;
@@ -252,72 +291,47 @@ impl<T> Run<T> {
             if key.max_hi < at {
                 return; // nothing in this subtree reaches v
             }
-            self.stab(l, m, v, at, visit);
+            self.stab(l, m, v, at, dict, visit);
             if key.lo > at {
                 return; // m and everything right of it start after v
             }
             if key.hi >= at {
-                self.check(m, v, visit);
+                self.check(m, v, dict, visit);
             }
             l = m + 1;
         }
     }
 
     /// Stab an unsorted run: every interval, in order.
-    fn scan(&self, v: &Value, at: u64, visit: &mut dyn FnMut(&T)) {
+    fn scan(&self, v: &Value, at: u64, dict: &Dict, visit: &mut dyn FnMut(&T)) {
         for (i, key) in self.keys.iter().enumerate() {
             tick(Work::IntervalNode);
             if key.lo <= at && at <= key.hi {
-                self.check(i, v, visit);
+                self.check(i, v, dict, visit);
             }
         }
-    }
-
-    /// Tombstone the intervals among positions `among` whose low endpoint
-    /// is `lo` and whose item matches `pred`, handing the items to `out`.
-    /// Returns the bytes their bounds held on the heap.
-    fn take_matching(
-        &mut self,
-        among: std::ops::Range<usize>,
-        lo: &Bound,
-        pred: &mut impl FnMut(&T) -> bool,
-        out: &mut Vec<T>,
-    ) -> usize {
-        let (at, mut bytes) = (lo.rank_or(0), 0);
-        for i in among {
-            if self.keys[i].lo != at {
-                continue;
-            }
-            tick(Work::RemoveVisit);
-            let slot = &mut self.slots[i];
-            if slot.lo == *lo && slot.item.as_ref().is_some_and(&mut *pred) {
-                out.extend(slot.item.take());
-                bytes += slot.heap_bytes();
-                self.live -= 1;
-            }
-        }
-        bytes
     }
 
     /// The run with its tombstones gone, leaving it empty.
-    fn take_live(&mut self) -> impl Iterator<Item = (Bound, Bound, T)> {
+    fn take_live(&mut self) -> impl Iterator<Item = (Key, Slot<T>)> {
         std::mem::replace(self, Run::with_capacity(0)).into_live()
     }
 
     /// The live intervals, in order.
-    fn into_live(self) -> impl Iterator<Item = (Bound, Bound, T)> {
-        self.slots
+    fn into_live(self) -> impl Iterator<Item = (Key, Slot<T>)> {
+        self.keys
             .into_iter()
-            .filter_map(|s| s.item.map(|item| (s.lo, s.hi, item)))
+            .zip(self.slots)
+            .filter(|(_, s)| s.live())
     }
 
     /// `older` and `newer` as one run, tombstones dropped; at equal low
     /// endpoints `older`'s intervals come first.
-    fn merge(older: Run<T>, newer: Run<T>) -> Run<T> {
+    fn merge(older: Run<T>, newer: Run<T>, dict: &Dict) -> Run<T> {
         let n = older.live + newer.live;
         let (mut a, mut b) = (older.into_live().peekable(), newer.into_live().peekable());
         let merged = std::iter::from_fn(move || match (a.peek(), b.peek()) {
-            (Some(x), Some(y)) if cmp_lo(&y.0, &x.0) == Ordering::Less => b.next(),
+            (Some(x), Some(y)) if cmp_lo(y.1.lo, x.1.lo, dict) == Ordering::Less => b.next(),
             (Some(_), _) => a.next(),
             (None, _) => b.next(),
         });
@@ -337,25 +351,24 @@ pub struct IntervalIndex<T> {
     /// The newest intervals, in insertion order, no tombstones.
     tail: Run<T>,
     len: usize,
-    /// Heap bytes of string-valued bounds (those of tombstones are
-    /// forgotten at once, freed at the run's next rebuild).
-    str_bytes: usize,
+    /// The strings of string-valued endpoints.
+    dict: Dict,
 }
 
-impl<T> Default for IntervalIndex<T> {
+impl<T: Clone> Default for IntervalIndex<T> {
     fn default() -> Self {
         IntervalIndex::new()
     }
 }
 
-impl<T> IntervalIndex<T> {
+impl<T: Clone> IntervalIndex<T> {
     /// Empty index.
     pub fn new() -> IntervalIndex<T> {
         IntervalIndex {
             runs: Vec::new(),
             tail: Run::with_capacity(0),
             len: 0,
-            str_bytes: 0,
+            dict: Dict::default(),
         }
     }
 
@@ -371,8 +384,14 @@ impl<T> IntervalIndex<T> {
 
     /// Insert an interval.
     pub fn insert(&mut self, lo: Bound, hi: Bound, item: T) {
-        self.str_bytes += lo.heap_bytes() + hi.heap_bytes();
-        self.tail.push(lo, hi, item);
+        let (lo_rank, hi_rank) = (lo.rank_or(0), hi.rank_or(u64::MAX));
+        let key = Key {
+            lo: lo_rank,
+            hi: hi_rank,
+            max_hi: hi_rank,
+        };
+        let (lo, hi) = (End::new(&lo, &mut self.dict), End::new(&hi, &mut self.dict));
+        self.tail.push(key, Slot { lo, hi, item });
         self.len += 1;
         if self.tail.live >= FAN {
             self.flush_tail();
@@ -384,29 +403,37 @@ impl<T> IntervalIndex<T> {
     fn flush_tail(&mut self) {
         let mut tail: Vec<_> = self.tail.take_live().collect();
         self.tail = Run::with_capacity(FAN);
-        tail.sort_by(|a, b| cmp_lo(&a.0, &b.0)); // stable: ties stay in insertion order
+        let dict = &self.dict;
+        tail.sort_by(|a, b| cmp_lo(a.1.lo, b.1.lo, dict)); // stable: ties stay in insertion order
         self.runs.push(Run::sorted(tail.len(), tail.into_iter()));
         while let [.., older, newer] = self.runs.as_slice() {
             if newer.live * FAN <= older.live {
                 break;
             }
             let (newer, older) = (self.runs.pop(), self.runs.pop());
-            let merged = Run::merge(older.expect("two runs"), newer.expect("two runs"));
+            let merged = Run::merge(older.expect("two runs"), newer.expect("two runs"), dict);
             self.runs.push(merged);
         }
+    }
+
+    /// Tombstone `slot`, handing its item out.
+    fn kill(slot: &mut Slot<T>, run_live: &mut usize, dict: &mut Dict) -> T {
+        slot.lo.release(dict);
+        slot.hi.release(dict);
+        slot.lo = End::Dead;
+        *run_live -= 1;
+        slot.item.clone()
     }
 
     /// Remove the first interval (in delivery order) whose item matches
     /// `pred`, looking at every interval. Returns the removed item.
     pub fn remove_where(&mut self, mut pred: impl FnMut(&T) -> bool) -> Option<T> {
-        let mut matches = |s: &&mut Slot<T>| s.item.as_ref().is_some_and(&mut pred);
         let mut removed = None;
         for run in self.runs.iter_mut().chain([&mut self.tail]) {
-            if let Some(slot) = run.slots.iter_mut().find(&mut matches) {
-                removed = slot.item.take();
-                self.str_bytes -= slot.heap_bytes();
+            let found = run.slots.iter_mut().find(|s| s.live() && pred(&s.item));
+            if let Some(slot) = found {
+                removed = Some(Self::kill(slot, &mut run.live, &mut self.dict));
                 self.len -= 1;
-                run.live -= 1;
                 break;
             }
         }
@@ -417,17 +444,43 @@ impl<T> IntervalIndex<T> {
     /// Remove every interval whose low endpoint is `lo` and whose item
     /// matches `pred`, looking only at the intervals whose low endpoint
     /// has `lo`'s rank. Returns the removed items.
-    pub fn remove_at(&mut self, lo: &Bound, mut pred: impl FnMut(&T) -> bool) -> Vec<T> {
+    pub fn remove_at(&mut self, lo: &Bound, pred: impl FnMut(&T) -> bool) -> Vec<T> {
         let at = lo.rank_or(0);
-        let (mut out, mut bytes) = (Vec::new(), 0);
-        for run in &mut self.runs {
+        self.remove_ranked(at, |end, dict| end.is(lo, dict), pred)
+    }
+
+    /// Remove every interval whose low endpoint has rank `at` (0 for none)
+    /// and whose item matches `pred`, looking only at those. Returns the
+    /// removed items.
+    pub(crate) fn remove_at_rank(&mut self, at: u64, pred: impl FnMut(&T) -> bool) -> Vec<T> {
+        self.remove_ranked(at, |_, _| true, pred)
+    }
+
+    fn remove_ranked(
+        &mut self,
+        at: u64,
+        mut lo_is: impl FnMut(End, &Dict) -> bool,
+        mut pred: impl FnMut(&T) -> bool,
+    ) -> Vec<T> {
+        let mut out = Vec::new();
+        let tail_len = self.tail.keys.len();
+        let runs = self.runs.iter_mut().map(|run| {
             let same_rank =
                 run.keys.partition_point(|k| k.lo < at)..run.keys.partition_point(|k| k.lo <= at);
-            bytes += run.take_matching(same_rank, lo, &mut pred, &mut out);
+            (run, same_rank)
+        });
+        for (run, among) in runs.chain([(&mut self.tail, 0..tail_len)]) {
+            for i in among {
+                if run.keys[i].lo != at {
+                    continue;
+                }
+                tick(Work::RemoveVisit);
+                let slot = &mut run.slots[i];
+                if slot.live() && lo_is(slot.lo, &self.dict) && pred(&slot.item) {
+                    out.push(Self::kill(slot, &mut run.live, &mut self.dict));
+                }
+            }
         }
-        let tail = 0..self.tail.keys.len();
-        bytes += self.tail.take_matching(tail, lo, &mut pred, &mut out);
-        self.str_bytes -= bytes;
         self.len -= out.len();
         self.settle();
         out
@@ -446,7 +499,7 @@ impl<T> IntervalIndex<T> {
         if self.tail.live < self.tail.keys.len() {
             let live = self.tail.take_live();
             self.tail = Run::with_capacity(FAN);
-            live.for_each(|(lo, hi, item)| self.tail.push(lo, hi, item));
+            live.for_each(|(key, slot)| self.tail.push(key, slot));
         }
     }
 
@@ -454,25 +507,32 @@ impl<T> IntervalIndex<T> {
     pub fn stab(&self, v: &Value, visit: &mut dyn FnMut(&T)) {
         let at = rank(v);
         for run in &self.runs {
-            run.stab(0, run.keys.len(), v, at, visit);
+            run.stab(0, run.keys.len(), v, at, &self.dict, visit);
         }
-        self.tail.scan(v, at, visit);
+        self.tail.scan(v, at, &self.dict, visit);
     }
 
     /// Visit every stored item, in delivery order.
     pub fn for_each(&self, visit: &mut dyn FnMut(&T)) {
         let runs = self.runs.iter().chain([&self.tail]);
-        let slots = runs.flat_map(|r| &r.slots);
-        slots.filter_map(|s| s.item.as_ref()).for_each(visit)
+        let slots = runs.flat_map(|r| &r.slots).filter(|s| s.live());
+        slots.for_each(|s| visit(&s.item))
+    }
+
+    /// Visit every stored interval with its item, in delivery order.
+    pub(crate) fn for_each_interval(&self, visit: &mut dyn FnMut(Bound, Bound, &T)) {
+        let runs = self.runs.iter().chain([&self.tail]);
+        let slots = runs.flat_map(|r| &r.slots).filter(|s| s.live());
+        slots.for_each(|s| visit(s.lo.bound(&self.dict), s.hi.bound(&self.dict), &s.item))
     }
 
     /// Heap bytes held: the capacity of every backing array, plus the
-    /// buffers of string-valued bounds.
+    /// strings of string-valued endpoints.
     pub fn memory_bytes(&self) -> usize {
         self.runs.capacity() * std::mem::size_of::<Run<T>>()
             + self.runs.iter().map(Run::heap_bytes).sum::<usize>()
             + self.tail.heap_bytes()
-            + self.str_bytes
+            + self.dict.memory_bytes()
     }
 
     /// How many sorted runs there are (tests).
@@ -492,10 +552,22 @@ mod tests {
         }
     }
 
+    /// Does `b` admit `v`, as a lower bound or (`upper`) an upper one?
+    fn admits(b: &Bound, v: &Value, upper: bool) -> bool {
+        match b {
+            Bound::Open => true,
+            Bound::At { value, inclusive } => match v.total_cmp(value) {
+                Ordering::Equal => *inclusive,
+                Ordering::Greater => !upper,
+                Ordering::Less => upper,
+            },
+        }
+    }
+
     fn naive_stab(items: &[(Bound, Bound, u32)], v: &Value) -> Vec<u32> {
         let mut out: Vec<u32> = items
             .iter()
-            .filter(|(lo, hi, _)| lo.lo_admits(v) && hi.hi_admits(v))
+            .filter(|(lo, hi, _)| admits(lo, v, false) && admits(hi, v, true))
             .map(|(_, _, id)| *id)
             .collect();
         out.sort();

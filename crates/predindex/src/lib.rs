@@ -11,7 +11,11 @@
 //!   ([`OrgKind`]), each constant linked to its *triggerID set* (the
 //!   normalized Figure-4 form),
 //! * [`Entry`] — one per predicate occurrence: `(exprID, triggerID,
-//!   nextNetworkNode, constants)` — the `const_tableN` row.
+//!   nextNetworkNode, row)` — a cell of the `const_tableN` row, whose
+//!   constants are stored once, where the organization reads them: an
+//!   equality key in the hash table's key arena, a range bound in the
+//!   interval index's endpoint array, what the residual reads in the
+//!   entry's row of typed slots.
 //!
 //! A token is matched (§5.4) by locating its data source index, then for
 //! each signature whose operation code accepts the token (and whose update
@@ -35,11 +39,12 @@
 mod eqtable;
 mod interval;
 mod org;
+mod row;
 
 pub use interval::{Bound, IntervalIndex};
 pub use org::{Entry, OrgKind, ORG_LABELS};
 
-use org::{KeyRef, Org, ProbeValues};
+use org::{locator, KeyRef, Org, ProbeValues};
 
 use eqtable::key_hash;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -254,11 +259,13 @@ impl SignatureRuntime {
         format!("const_table_{}", self.id.raw())
     }
 
-    /// Add `entry` to the class; returns the constant vector it holds
-    /// there.
-    fn insert(&self, entry: Entry) -> Result<Arc<[Value]>> {
+    /// Add `entry`, whose constant vector is `consts`, to the class;
+    /// returns its [`locator`].
+    fn insert(&self, entry: Entry, consts: &[Value]) -> Result<u64> {
+        let plan = &self.sig.index_plan;
+        let at = locator(plan, consts);
         let mut org = self.org.write();
-        let consts = org.insert(&self.sig.index_plan, entry)?;
+        org.insert(plan, entry, consts, at)?;
         // Promotion thresholds.
         let len = self.len.fetch_add(1, Ordering::Relaxed) + 1;
         let kind = org.kind();
@@ -279,7 +286,7 @@ impl SignatureRuntime {
         if let Some(next) = next_kind {
             self.switch_locked(&mut org, next)?;
         }
-        Ok(consts)
+        Ok(at)
     }
 
     /// Force a specific organization (experiments and tests; organizations
@@ -310,10 +317,12 @@ impl SignatureRuntime {
             db.drop_table(&table_name)?;
         }
         let mut fresh = Org::new(kind, &self.sig, &self.slot_types, &table_name, db)?;
-        let mut entries = Vec::with_capacity(self.len());
-        org.for_each_entry(&mut |e| entries.push(e.clone()))?;
-        for e in entries {
-            fresh.insert(&self.sig.index_plan, e)?;
+        let (plan, mut rows) = (&self.sig.index_plan, Vec::with_capacity(self.len()));
+        org.for_each_row(plan, self.sig.num_consts, &mut |e, consts| {
+            rows.push((*e, consts))
+        })?;
+        for (e, consts) in rows {
+            fresh.insert(plan, e, &consts, locator(plan, &consts))?;
         }
         let left_db = org.kind().in_db();
         *org = fresh;
@@ -375,6 +384,28 @@ impl SignatureRuntime {
         self.org_counters.probes(org_kind, n);
         let plan = &self.sig.index_plan;
         let needs_full = matches!(plan, IndexPlan::None);
+        let resid = if needs_full {
+            Some(&self.sig.generalized)
+        } else {
+            self.sig.residual.as_ref()
+        };
+        // The constant vector a residual test reads: each candidate's row is
+        // written into it, over the last one's. On the stack up to
+        // `INLINE_CONSTS` constants, so a probe of one token allocates
+        // nothing for it.
+        const INLINE_CONSTS: usize = 8;
+        let (mut inline, mut spilled) = (None, Vec::new());
+        let consts: &mut [Value] = match resid {
+            None => &mut [],
+            Some(_) if self.sig.num_consts <= INLINE_CONSTS => {
+                let inline = inline.insert([const { Value::Null }; INLINE_CONSTS]);
+                &mut inline[..self.sig.num_consts]
+            }
+            Some(_) => {
+                spilled.resize(self.sig.num_consts, Value::Null);
+                &mut spilled
+            }
+        };
         let (mut residual_tests, mut matched) = (0u64, 0u64);
         // One organization lookup shared by every probe in `members`
         // (indices into `probes`; several only for an untraced repeat key).
@@ -388,15 +419,13 @@ impl SignatureRuntime {
             let timed = span.is_active();
             let (mut rest_count, mut rest_ns, mut rest_start) = (0u64, 0u64, 0u64);
             let mut err: Option<tman_common::TmanError> = None;
-            org.probe(plan, vals, &mut |e| {
+            org.probe(plan, vals, &mut |e, held| {
                 if err.is_some() || (nparts > 1 && e.expr_id.raw() % nparts as u64 != part as u64) {
                     return;
                 }
-                let resid = if needs_full {
-                    Some(&self.sig.generalized)
-                } else {
-                    self.sig.residual.as_ref()
-                };
+                if resid.is_some() {
+                    held.fill(e, consts);
+                }
                 for &m in members {
                     let p = &probes[m as usize];
                     let passed = match resid {
@@ -406,7 +435,7 @@ impl SignatureRuntime {
                             let bind = Some(p.tuple);
                             let env = Env {
                                 tuples: std::slice::from_ref(&bind),
-                                consts: &e.consts,
+                                consts,
                             };
                             let t0 = if timed { now_ns() } else { 0 };
                             let verdict = resid.matches(&env);
@@ -507,12 +536,17 @@ impl SignatureRuntime {
         result
     }
 
-    /// Remove the entries `trigger_id` holds under `consts` (see
-    /// [`Org::remove`]).
-    fn remove(&self, trigger_id: TriggerId, consts: &[Value]) -> Result<usize> {
+    /// Remove the entries `trigger_id` holds where `locator` says (see
+    /// [`Org::remove`]), handing each to `gone`.
+    fn remove(
+        &self,
+        trigger_id: TriggerId,
+        locator: u64,
+        gone: &mut dyn FnMut(&Entry),
+    ) -> Result<usize> {
         tick(Work::WriteLock);
         let mut org = self.org.write();
-        let n = org.remove(&self.sig.index_plan, trigger_id, consts)?;
+        let n = org.remove(trigger_id, locator, gone)?;
         self.len.fetch_sub(n, Ordering::Relaxed);
         Ok(n)
     }
@@ -562,9 +596,8 @@ impl DataSourceIndex {
 
 /// Where each trigger's entries are: what [`PredicateIndex::remove_trigger`]
 /// looks up instead of searching every constant set. One record per entry
-/// — the class it is in, the constant vector it holds there (the entry's
-/// own allocation, shared, not a copy) and its flag bits — chained per
-/// trigger through one arena.
+/// — the class it is in and where in it ([`locator`]), no constants —
+/// chained per trigger through one arena.
 #[derive(Default)]
 struct Directory {
     /// Trigger → its first record in `records`.
@@ -572,30 +605,33 @@ struct Directory {
     records: Vec<Record>,
     /// First record of the free chain.
     free: Option<u32>,
+    /// The classes records name, by [`SignatureId`].
+    classes: Vec<Option<Arc<SignatureRuntime>>>,
 }
 
 /// The `next` of a chain's last record.
 const END: u32 = u32::MAX;
 
 struct Record {
-    /// `None` while the record is on the free chain.
-    entry: Option<(Arc<SignatureRuntime>, Arc<[Value]>)>,
+    /// The entry's [`locator`] in its class.
+    locator: u64,
+    /// The class, by [`SignatureId`].
+    class: u32,
     /// Next record of the same trigger (or of the free chain), or [`END`].
     next: u32,
-    /// The high half of the entry's [`ExprId`], where its flag bits are.
-    flags: u32,
 }
 
-/// One entry of a trigger as the directory returns it: its class, its
-/// constants, and an [`ExprId`] that carries the entry's flag bits only.
-type Placed = (Arc<SignatureRuntime>, Arc<[Value]>, ExprId);
-
 impl Directory {
-    fn push(&mut self, trigger: TriggerId, (class, consts, expr): Placed) {
+    fn push(&mut self, trigger: TriggerId, class: &Arc<SignatureRuntime>, locator: u64) {
+        let id = class.id.raw();
+        if self.classes.len() <= id as usize {
+            self.classes.resize(id as usize + 1, None);
+        }
+        self.classes[id as usize].get_or_insert_with(|| class.clone());
         let record = Record {
-            entry: Some((class, consts)),
+            locator,
+            class: id,
             next: self.heads.get(&trigger).copied().unwrap_or(END),
-            flags: (expr.raw() >> 32) as u32,
         };
         let at = match self.free {
             Some(at) => {
@@ -612,31 +648,33 @@ impl Directory {
         self.heads.insert(trigger, at);
     }
 
-    /// Take `trigger`'s records out, newest first.
-    fn take(&mut self, trigger: TriggerId) -> Vec<Placed> {
+    /// Take `trigger`'s records out, newest first: each entry's class and
+    /// locator.
+    fn take(&mut self, trigger: TriggerId) -> Vec<(Arc<SignatureRuntime>, u64)> {
         let mut out = Vec::new();
         let mut next = self.heads.remove(&trigger).unwrap_or(END);
         while next != END {
             let freed = Record {
-                entry: None,
+                locator: 0,
+                class: 0,
                 next: self.free.unwrap_or(END),
-                flags: 0,
             };
             let record = std::mem::replace(&mut self.records[next as usize], freed);
             self.free = Some(next);
             next = record.next;
-            let flags = ExprId(u64::from(record.flags) << 32);
-            out.extend(record.entry.map(|(class, consts)| (class, consts, flags)));
+            let class = self.classes[record.class as usize].clone();
+            out.push((class.expect("a record's class"), record.locator));
         }
         out
     }
 
-    /// Heap bytes held: the capacity of the map and of the arena.
+    /// Heap bytes held: the capacity of the map and of the arenas.
     fn memory_bytes(&self) -> usize {
         // A hashbrown table of capacity c has 8c/7 buckets of one pair and
         // one control byte each.
         self.heads.capacity() * 8 / 7 * (std::mem::size_of::<(TriggerId, u32)>() + 1)
             + self.records.capacity() * std::mem::size_of::<Record>()
+            + self.classes.capacity() * std::mem::size_of::<Option<Arc<SignatureRuntime>>>()
     }
 }
 
@@ -832,14 +870,14 @@ impl PredicateIndex {
             expr_id,
             trigger_id,
             next_node,
-            consts: consts.into(),
+            row: 0,
         };
-        let consts = class
-            .insert(entry)
+        let at = class
+            .insert(entry, &consts)
             .inspect_err(|_| _ = class.windowed.fetch_sub(windowed, Ordering::Relaxed))?;
         let tagged = u64::from(expr_id.is_tagged());
         self.tagged.fetch_add(tagged, Ordering::Relaxed);
-        directory.push(trigger_id, (class.clone(), consts, expr_id));
+        directory.push(trigger_id, class, at);
         Ok(())
     }
 
@@ -853,20 +891,25 @@ impl PredicateIndex {
         let mut directory = self.directory.lock();
         let mut records = directory.take(trigger_id).into_iter();
         let mut n = 0;
-        while let Some((class, consts, flags)) = records.next() {
-            match class.remove(trigger_id, &consts) {
+        while let Some((class, at)) = records.next() {
+            // The flag bits of what goes, counted down as it goes.
+            let (mut windowed, mut tagged) = (0, 0);
+            let mut gone = |e: &Entry| {
+                windowed += usize::from(e.expr_id.is_windowed());
+                tagged += u64::from(e.expr_id.is_tagged());
+            };
+            let removed = class.remove(trigger_id, at, &mut gone);
+            class.windowed.fetch_sub(windowed, Ordering::Relaxed);
+            self.tagged.fetch_sub(tagged, Ordering::Relaxed);
+            match removed {
                 Ok(removed) => n += removed,
                 Err(e) => {
                     // What was not removed stays findable, for a retry.
-                    directory.push(trigger_id, (class, consts, flags));
-                    records.for_each(|placed| directory.push(trigger_id, placed));
+                    directory.push(trigger_id, &class, at);
+                    records.for_each(|(class, at)| directory.push(trigger_id, &class, at));
                     return Err(e);
                 }
             }
-            let windowed = usize::from(flags.is_windowed());
-            class.windowed.fetch_sub(windowed, Ordering::Relaxed);
-            let tagged = u64::from(flags.is_tagged());
-            self.tagged.fetch_sub(tagged, Ordering::Relaxed);
         }
         Ok(n)
     }

@@ -16,18 +16,28 @@
 //! of an equivalence class, we store it once on the signature and keep all
 //! `m` constants in the row (`const1..constm`), which is equivalent and
 //! normalizes the catalog.
+//!
+//! Strategies 3 and 4 write that whole row to the constant table. A memory
+//! organization stores each of its constants once, where it reads it: the
+//! key in its group (the hash table's key arena, or a list group's key),
+//! the bounds in the interval index, and the rest in the entry's row of
+//! [`Rows`]. An [`Entry`] is then a 24-byte cell of ids and a row number,
+//! and a switch between organizations moves rows ([`Org::for_each_row`]).
 
-use crate::eqtable::{consts_heap, EqTable};
+use crate::eqtable::{key_hash, tag_of, EqTable};
 use crate::interval::{Bound, IntervalIndex};
+use crate::row::{Rows, View};
+use std::cmp::Ordering;
 use std::sync::Arc;
 use tman_common::{ExprId, NodeId, Result, TmanError, TriggerId, Tuple, Value};
 use tman_expr::{IndexPlan, SelectionSignature};
 use tman_sql::{Database, Index, Table};
 
-/// One selection-predicate occurrence inside an equivalence class: a row of
-/// the paper's `const_tableN` (`exprID`, `triggerID`, `nextNetworkNode`,
-/// constants).
-#[derive(Debug, Clone, PartialEq)]
+/// One selection-predicate occurrence inside an equivalence class: a cell
+/// of the paper's `const_tableN` (`exprID`, `triggerID`,
+/// `nextNetworkNode`), whose constants its organization holds — in its
+/// index structure and in the entry's row.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Entry {
     /// Unique id of this predicate expression.
     pub expr_id: ExprId,
@@ -35,8 +45,9 @@ pub struct Entry {
     pub trigger_id: TriggerId,
     /// A-TREAT node to hand matching tokens to.
     pub next_node: NodeId,
-    /// The full constant vector (placeholder slot → value).
-    pub consts: Arc<[Value]>,
+    /// The entry's row in its organization's [`Rows`] (unused in a
+    /// database organization, whose table row holds every constant).
+    pub(crate) row: u32,
 }
 
 /// The slots of a constant vector that make its key: an equality plan's
@@ -53,16 +64,48 @@ fn key_of<'a>(plan: &'a IndexPlan, consts: &'a [Value]) -> impl Iterator<Item = 
     key_slots(plan).iter().map(move |&s| &consts[s])
 }
 
-/// One side of the interval `consts` describes under a range plan.
-fn bound(plan: &IndexPlan, consts: &[Value], upper: bool) -> Bound {
-    let side = match plan {
+/// The slot and inclusivity of one side of a range plan's interval.
+fn side(plan: &IndexPlan, upper: bool) -> Option<(usize, bool)> {
+    match plan {
         IndexPlan::Range { lo, hi, .. } => *if upper { hi } else { lo },
         _ => None,
-    };
-    side.map_or(Bound::Open, |(slot, inclusive)| Bound::At {
+    }
+}
+
+/// One side of the interval `consts` describes under a range plan.
+fn bound(plan: &IndexPlan, consts: &[Value], upper: bool) -> Bound {
+    side(plan, upper).map_or(Bound::Open, |(slot, inclusive)| Bound::At {
         value: consts[slot].clone(),
         inclusive,
     })
+}
+
+/// Where an entry with constants `consts` is filed under `plan`, in every
+/// organization: its low bound's rank under a range plan, else its key's
+/// hash (the empty key's, without an equality plan). A removal goes there
+/// and looks at nothing else.
+pub(crate) fn locator(plan: &IndexPlan, consts: &[Value]) -> u64 {
+    match plan {
+        IndexPlan::Range { .. } => bound(plan, consts, false).rank_or(0),
+        _ => key_hash(key_of(plan, consts)),
+    }
+}
+
+/// The constant slots an organization of `kind` keeps in its rows: all but
+/// those its own structure holds — the key of an equality plan (a list
+/// group's or the hash table's), the bounds of a range plan in the
+/// interval index.
+fn row_slots(kind: OrgKind, plan: &IndexPlan, num_consts: usize) -> Vec<usize> {
+    let held: Vec<usize> = match (kind, plan) {
+        (OrgKind::MemList | OrgKind::MemIndex, IndexPlan::Equality { const_slots, .. }) => {
+            const_slots.clone()
+        }
+        (OrgKind::MemIndex, IndexPlan::Range { lo, hi, .. }) => {
+            lo.iter().chain(hi).map(|&(slot, _)| slot).collect()
+        }
+        _ => Vec::new(),
+    };
+    (0..num_consts).filter(|s| !held.contains(s)).collect()
 }
 
 /// Which strategy a constant set currently uses (reported in catalogs as
@@ -115,21 +158,42 @@ pub(crate) struct DbOrg {
     index: Option<Arc<Index>>,
 }
 
-/// The storage behind one expression signature's equivalence class.
+/// The storage behind one expression signature's equivalence class. Each
+/// memory organization keeps, beside its structure, the rows of what that
+/// structure does not hold ([`row_slots`]).
 pub(crate) enum Org {
     /// Strategy 1 (normalized).
-    MemList(Vec<Group>),
+    MemList { groups: Vec<Group>, rows: Rows },
     /// Strategy 2, equality plans.
-    MemHash(EqTable),
-    /// Strategy 2, range plans.
+    MemHash { table: EqTable, rows: Rows },
+    /// Strategy 2, range plans: entries by the interval their constants
+    /// describe.
     MemInterval {
-        /// Entries by the interval their constants describe.
         index: IntervalIndex<Entry>,
-        /// Heap bytes of the entries' constant vectors.
-        consts_bytes: usize,
+        rows: Rows,
     },
     /// Strategies 3 and 4.
     Db(DbOrg),
+}
+
+/// Where a probed entry's other constants are: its organization's rows,
+/// or (in a database organization) the whole constant vector at hand.
+#[derive(Clone, Copy)]
+pub(crate) enum Consts<'a> {
+    Rows(&'a Rows),
+    All(&'a [Value]),
+}
+
+impl Consts<'_> {
+    /// Write the constants `e` keeps outside its organization's structure
+    /// into their slots of `out`, a constant vector; a residual reads no
+    /// other slot.
+    pub(crate) fn fill(self, e: &Entry, out: &mut [Value]) {
+        match self {
+            Consts::Rows(rows) => rows.fill(e.row, out),
+            Consts::All(consts) => out.clone_from_slice(consts),
+        }
+    }
 }
 
 impl Org {
@@ -143,14 +207,22 @@ impl Org {
         sig_table_name: &str,
         db: Option<&Arc<Database>>,
     ) -> Result<Org> {
+        let plan = &sig.index_plan;
+        let rows = || Rows::new(row_slots(kind, plan, sig.num_consts));
         Ok(match kind {
-            OrgKind::MemList => Org::MemList(Vec::new()),
-            OrgKind::MemIndex => match &sig.index_plan {
+            OrgKind::MemList => Org::MemList {
+                groups: Vec::new(),
+                rows: rows(),
+            },
+            OrgKind::MemIndex => match plan {
                 IndexPlan::Range { .. } => Org::MemInterval {
                     index: IntervalIndex::new(),
-                    consts_bytes: 0,
+                    rows: rows(),
                 },
-                plan => Org::MemHash(EqTable::new(key_slots(plan).to_vec())),
+                plan => Org::MemHash {
+                    table: EqTable::new(key_slots(plan).len()),
+                    rows: rows(),
+                },
             },
             OrgKind::DbTable | OrgKind::DbIndexed => {
                 let db = db.ok_or_else(|| {
@@ -190,51 +262,50 @@ impl Org {
     /// Current strategy.
     pub(crate) fn kind(&self) -> OrgKind {
         match self {
-            Org::MemList(_) => OrgKind::MemList,
-            Org::MemHash(_) | Org::MemInterval { .. } => OrgKind::MemIndex,
+            Org::MemList { .. } => OrgKind::MemList,
+            Org::MemHash { .. } | Org::MemInterval { .. } => OrgKind::MemIndex,
             Org::Db(org) => org.kind,
         }
     }
 
-    /// Insert one predicate occurrence. Returns the constant vector the
-    /// stored entry holds.
-    ///
-    /// In the normalized organizations (Figure 4), members of the same
-    /// constant group whose *entire* constant vector is identical share one
-    /// allocation — the common-sub-expression elimination the paper's
-    /// normalization buys.
-    pub(crate) fn insert(&mut self, plan: &IndexPlan, mut entry: Entry) -> Result<Arc<[Value]>> {
-        if let Org::MemList(groups) = self {
-            let group = groups
-                .iter()
-                .filter(|g| g.key.iter().eq(key_of(plan, &entry.consts)));
-            let mut members = group.flat_map(|g| &g.entries);
-            let owner = members.find(|e| e.consts == entry.consts);
-            if let Some(shared) = owner.map(|e| e.consts.clone()) {
-                entry.consts = shared;
-            }
-        }
-        let held = entry.consts.clone();
+    /// Insert one predicate occurrence: `entry`'s ids (its row is set
+    /// here) with its constant vector `consts`, whose [`locator`] is
+    /// `at`.
+    pub(crate) fn insert(
+        &mut self,
+        plan: &IndexPlan,
+        entry: Entry,
+        consts: &[Value],
+        at: u64,
+    ) -> Result<()> {
         match self {
-            Org::MemList(groups) => {
-                let group = groups
-                    .iter_mut()
-                    .find(|g| g.key.iter().eq(key_of(plan, &held)));
-                match group {
+            Org::MemList { groups, rows } => {
+                let entry = Entry {
+                    row: rows.insert(consts),
+                    ..entry
+                };
+                let key = key_of(plan, consts);
+                match groups.iter_mut().find(|g| g.key.iter().eq(key.clone())) {
                     Some(g) => g.entries.push(entry),
                     None => groups.push(Group {
-                        key: key_of(plan, &held).cloned().collect(),
+                        key: key.cloned().collect(),
                         entries: vec![entry],
                     }),
                 }
             }
-            Org::MemHash(table) => return Ok(table.insert(entry)),
-            Org::MemInterval {
-                index,
-                consts_bytes,
-            } => {
-                *consts_bytes += consts_heap(&held);
-                index.insert(bound(plan, &held, false), bound(plan, &held, true), entry);
+            Org::MemHash { table, rows } => {
+                let entry = Entry {
+                    row: rows.insert(consts),
+                    ..entry
+                };
+                table.insert(at, key_of(plan, consts), entry);
+            }
+            Org::MemInterval { index, rows } => {
+                let entry = Entry {
+                    row: rows.insert(consts),
+                    ..entry
+                };
+                index.insert(bound(plan, consts, false), bound(plan, consts, true), entry);
             }
             Org::Db(org) => {
                 let mut row = vec![
@@ -242,43 +313,51 @@ impl Org {
                     Value::Int(entry.trigger_id.raw() as i64),
                     Value::Int(entry.next_node.raw() as i64),
                 ];
-                row.extend(entry.consts.iter().cloned());
+                row.extend(consts.iter().cloned());
                 org.table.insert(row)?;
             }
         }
-        Ok(held)
+        Ok(())
     }
 
-    /// Remove `trigger_id`'s entries. The strategy-2 structures go straight
-    /// to the group (or the low endpoint) `consts` — the constant vector of
-    /// one of the trigger's entries — files under and look at nothing
-    /// else; the lists and tables are searched whole, so they also remove
-    /// entries the trigger holds under other constants. Returns how many
-    /// were removed.
+    /// Remove `trigger_id`'s entries, handing each to `gone`. The
+    /// strategy-2 structures go straight to where `locator` — the
+    /// [`locator`] of one of the trigger's entries — files it and look at
+    /// nothing else; the lists and tables are searched whole, so they also
+    /// remove entries the trigger holds under other constants. Returns how
+    /// many were removed.
     pub(crate) fn remove(
         &mut self,
-        plan: &IndexPlan,
         trigger_id: TriggerId,
-        consts: &[Value],
+        locator: u64,
+        gone: &mut dyn FnMut(&Entry),
     ) -> Result<usize> {
         let mut n = 0;
         match self {
-            Org::MemList(groups) => {
+            Org::MemList { groups, rows } => {
                 for g in groups.iter_mut() {
-                    let before = g.entries.len();
-                    g.entries.retain(|e| e.trigger_id != trigger_id);
-                    n += before - g.entries.len();
+                    g.entries.retain(|e| {
+                        let keep = e.trigger_id != trigger_id;
+                        if !keep {
+                            rows.remove(e.row);
+                            gone(e);
+                            n += 1;
+                        }
+                        keep
+                    });
                 }
                 groups.retain(|g| !g.entries.is_empty());
             }
-            Org::MemHash(table) => n = table.remove(consts, trigger_id),
-            Org::MemInterval {
-                index,
-                consts_bytes,
-            } => {
-                let lo = bound(plan, consts, false);
-                for e in index.remove_at(&lo, |e| e.trigger_id == trigger_id) {
-                    *consts_bytes -= consts_heap(&e.consts);
+            Org::MemHash { table, rows } => {
+                n = table.remove(tag_of(locator), trigger_id, &mut |e| {
+                    rows.remove(e.row);
+                    gone(e);
+                })
+            }
+            Org::MemInterval { index, rows } => {
+                for e in index.remove_at_rank(locator, |e| e.trigger_id == trigger_id) {
+                    rows.remove(e.row);
+                    gone(&e);
                     n += 1;
                 }
             }
@@ -286,53 +365,99 @@ impl Org {
                 let mut dead = Vec::new();
                 org.table.scan(|rid, row| {
                     if row.get(1) == &Value::Int(trigger_id.raw() as i64) {
-                        dead.push(rid);
+                        dead.push((rid, entry_from_row(row).0));
                     }
                     Ok(true)
                 })?;
                 n = dead.len();
-                for rid in dead {
+                for (rid, e) in dead {
                     org.table.delete(rid)?;
+                    gone(&e);
                 }
             }
         }
         Ok(n)
     }
 
-    /// Main-memory footprint in bytes. The strategy-2 structures report
-    /// the capacity of their backing arrays plus their entries' constant
-    /// vectors, in constant time; the lists count what they hold, shared
-    /// constant vectors (normalized layout) once; database organizations
-    /// report only their handle, which is the point of strategies 3/4.
+    /// Main-memory footprint in bytes: the capacity of the memory
+    /// organizations' arrays and their rows, in constant time for strategy
+    /// 2; database organizations report only their handle, which is the
+    /// point of strategies 3/4.
     pub(crate) fn memory_bytes(&self) -> usize {
         match self {
-            Org::MemList(groups) => groups
-                .iter()
-                .map(|g| {
-                    std::mem::size_of::<Group>()
-                        + g.key.iter().map(Value::heap_size).sum::<usize>()
-                        + group_bytes(&g.entries)
-                })
-                .sum(),
-            Org::MemHash(table) => table.memory_bytes(),
-            Org::MemInterval {
-                index,
-                consts_bytes,
-            } => index.memory_bytes() + consts_bytes,
+            Org::MemList { groups, rows } => {
+                let group = |g: &Group| {
+                    g.key.iter().map(Value::heap_size).sum::<usize>()
+                        + g.entries.capacity() * std::mem::size_of::<Entry>()
+                };
+                groups.capacity() * std::mem::size_of::<Group>()
+                    + groups.iter().map(group).sum::<usize>()
+                    + rows.memory_bytes()
+            }
+            Org::MemHash { table, rows } => table.memory_bytes() + rows.memory_bytes(),
+            Org::MemInterval { index, rows } => index.memory_bytes() + rows.memory_bytes(),
             Org::Db(_) => std::mem::size_of::<DbOrg>(),
         }
     }
 
-    /// Visit every entry (diagnostics and organization switches), in the
-    /// order a probe that matches them all would deliver them.
+    /// Visit every entry (diagnostics), in the order a probe that matches
+    /// them all would deliver them.
     pub(crate) fn for_each_entry(&self, visit: &mut dyn FnMut(&Entry)) -> Result<()> {
         match self {
-            Org::MemList(groups) => groups.iter().flat_map(|g| &g.entries).for_each(visit),
-            Org::MemHash(table) => table.for_each(visit),
+            Org::MemList { groups, .. } => groups.iter().flat_map(|g| &g.entries).for_each(visit),
+            Org::MemHash { table, .. } => table.for_each(visit),
             Org::MemInterval { index, .. } => index.for_each(visit),
             Org::Db(org) => {
                 org.table.scan(|_, row| {
-                    visit(&entry_from_row(row));
+                    visit(&entry_from_row(row).0);
+                    Ok(true)
+                })?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Visit every entry with its whole constant vector, of `num_consts`
+    /// slots, put back together (organization switches), in
+    /// [`for_each_entry`](Self::for_each_entry)'s order.
+    pub(crate) fn for_each_row(
+        &self,
+        plan: &IndexPlan,
+        num_consts: usize,
+        visit: &mut dyn FnMut(&Entry, Vec<Value>),
+    ) -> Result<()> {
+        // `e`'s constant vector: what its organization's structure holds of
+        // it (`held`, by slot), then its row.
+        let whole = |e: &Entry, rows: &Rows, held: &mut dyn Iterator<Item = (usize, Value)>| {
+            let mut consts = vec![Value::Null; num_consts];
+            held.for_each(|(slot, v)| consts[slot] = v);
+            rows.fill(e.row, &mut consts);
+            consts
+        };
+        let keyed = |key: &[Value]| key_slots(plan).iter().copied().zip(key.to_vec());
+        match self {
+            Org::MemList { groups, rows } => {
+                for g in groups {
+                    for e in &g.entries {
+                        visit(e, whole(e, rows, &mut keyed(&g.key)));
+                    }
+                }
+            }
+            Org::MemHash { table, rows } => {
+                table.for_each_keyed(&mut |key, e| visit(e, whole(e, rows, &mut keyed(key))))
+            }
+            Org::MemInterval { index, rows } => index.for_each_interval(&mut |lo, hi, e| {
+                let bounds = [(lo, false), (hi, true)].into_iter();
+                let mut held = bounds.filter_map(|(b, upper)| match (side(plan, upper), b) {
+                    (Some((slot, _)), Bound::At { value, .. }) => Some((slot, value)),
+                    _ => None,
+                });
+                visit(e, whole(e, rows, &mut held))
+            }),
+            Org::Db(org) => {
+                org.table.scan(|_, row| {
+                    let (e, consts) = entry_from_row(row);
+                    visit(&e, consts);
                     Ok(true)
                 })?;
             }
@@ -348,75 +473,49 @@ impl Org {
     ///
     /// Visited entries are *candidates*: the indexable part E_I has matched
     /// (exactly for mem orgs; conservatively for db orgs, which re-check),
-    /// and the caller must still test the residual E_NI.
+    /// and the caller must still test the residual E_NI, whose constants
+    /// the [`Consts`] handed along with the entry hold.
     pub(crate) fn probe(
         &self,
         plan: &IndexPlan,
         probe: &ProbeValues<'_>,
-        visit: &mut dyn FnMut(&Entry),
+        visit: &mut dyn FnMut(&Entry, Consts<'_>),
     ) -> Result<()> {
-        // Is `e` a candidate? (The organizations without an index ask this
-        // of every entry.)
-        let hit = |e: &Entry| match probe {
-            ProbeValues::Key(key) => key_of(plan, &e.consts).eq(key.values()),
-            ProbeValues::Stab(v) => interval_contains(plan, e, v),
-            ProbeValues::All => true,
-        };
         match (self, probe) {
-            (Org::MemList(groups), ProbeValues::Key(key)) => {
-                let group = groups.iter().filter(|g| g.key.iter().eq(key.values()));
-                group.flat_map(|g| &g.entries).for_each(visit);
-            }
-            (Org::MemList(groups), _) => {
-                let all = groups.iter().flat_map(|g| &g.entries);
-                all.filter(|e| hit(e)).for_each(visit);
-            }
-            (Org::MemHash(table), ProbeValues::Key(key)) => {
-                table.probe(key.hash, key.values(), visit)
-            }
-            (Org::MemHash(table), ProbeValues::All) => table.for_each(visit),
-            (Org::MemInterval { index, .. }, ProbeValues::Stab(v)) => index.stab(v, visit),
-            (
-                Org::Db(DbOrg {
-                    table,
-                    index: Some(idx),
-                    ..
-                }),
-                ProbeValues::Key(key),
-            ) => {
-                let key: Vec<Value> = key.values().cloned().collect();
-                for (_, row) in table.index_prefix_lookup(idx, &key)? {
-                    visit(&entry_from_row(&row));
-                }
-            }
-            (
-                Org::Db(DbOrg {
-                    table,
-                    index: Some(idx),
-                    ..
-                }),
-                ProbeValues::Stab(v),
-            ) => {
-                // All rows whose lo bound <= v; hi re-checked by `hit`.
-                for (_, row) in table.index_range_lookup(idx, None, Some((v, true)))? {
-                    let e = entry_from_row(&row);
-                    if hit(&e) {
-                        visit(&e);
+            (Org::MemList { groups, rows }, _) => {
+                let consts = Consts::Rows(rows);
+                for g in groups {
+                    if let ProbeValues::Key(key) = probe {
+                        if g.key.iter().eq(key.values()) {
+                            g.entries.iter().for_each(|e| visit(e, consts));
+                        }
+                        continue;
+                    }
+                    for e in &g.entries {
+                        let hit = match probe {
+                            ProbeValues::Stab(v) => {
+                                interval_contains(plan, v, |slot| rows.view(e.row, slot))
+                            }
+                            _ => true,
+                        };
+                        if hit {
+                            visit(e, consts);
+                        }
                     }
                 }
             }
-            // Strategy 3, and strategy 4 where no index serves the probe
-            // (open lower bounds everywhere, or no plan): full scan,
-            // compare in the loop.
-            (Org::Db(org), _) => {
-                org.table.scan(|_, row| {
-                    let e = entry_from_row(row);
-                    if hit(&e) {
-                        visit(&e);
-                    }
-                    Ok(true)
-                })?;
+            (Org::MemHash { table, rows }, ProbeValues::Key(key)) => {
+                table.probe(key.hash, key.values(), &mut |e| {
+                    visit(e, Consts::Rows(rows))
+                })
             }
+            (Org::MemHash { table, rows }, ProbeValues::All) => {
+                table.for_each(&mut |e| visit(e, Consts::Rows(rows)))
+            }
+            (Org::MemInterval { index, rows }, ProbeValues::Stab(v)) => {
+                index.stab(v, &mut |e| visit(e, Consts::Rows(rows)))
+            }
+            (Org::Db(org), _) => org.probe(plan, probe, visit)?,
             (org, probe) => {
                 return Err(TmanError::Internal(format!(
                     "organization {:?} cannot serve probe {:?}",
@@ -424,6 +523,54 @@ impl Org {
                     probe.kind()
                 )))
             }
+        }
+        Ok(())
+    }
+}
+
+impl DbOrg {
+    /// [`Org::probe`] of a constant table.
+    fn probe(
+        &self,
+        plan: &IndexPlan,
+        probe: &ProbeValues<'_>,
+        visit: &mut dyn FnMut(&Entry, Consts<'_>),
+    ) -> Result<()> {
+        // Is the row a candidate? (The organizations without an index ask
+        // this of every row.)
+        let hit = |consts: &[Value]| match probe {
+            ProbeValues::Key(key) => key_of(plan, consts).eq(key.values()),
+            ProbeValues::Stab(v) => {
+                interval_contains(plan, v, |slot| Some(View::of(&consts[slot])))
+            }
+            ProbeValues::All => true,
+        };
+        let mut offer = |row: &Tuple| {
+            let (e, consts) = entry_from_row(row);
+            if hit(&consts) {
+                visit(&e, Consts::All(&consts));
+            }
+        };
+        match (&self.index, probe) {
+            (Some(idx), ProbeValues::Key(key)) => {
+                let key: Vec<Value> = key.values().cloned().collect();
+                for (_, row) in self.table.index_prefix_lookup(idx, &key)? {
+                    offer(&row);
+                }
+            }
+            (Some(idx), ProbeValues::Stab(v)) => {
+                // All rows whose lo bound <= v; hi re-checked by `hit`.
+                for (_, row) in self.table.index_range_lookup(idx, None, Some((v, true)))? {
+                    offer(&row);
+                }
+            }
+            // Strategy 3, and strategy 4 where no index serves the probe
+            // (open lower bounds everywhere, or no plan): full scan,
+            // compare in the loop.
+            _ => self.table.scan(|_, row| {
+                offer(row);
+                Ok(true)
+            })?,
         }
         Ok(())
     }
@@ -469,59 +616,39 @@ impl ProbeValues<'_> {
     }
 }
 
-/// Bytes for a group of entries, counting each distinct constant
-/// allocation once.
-fn group_bytes(entries: &[Entry]) -> usize {
-    let mut total = std::mem::size_of_val(entries);
-    for (i, e) in entries.iter().enumerate() {
-        let shared_earlier = entries[..i]
-            .iter()
-            .any(|p| Arc::ptr_eq(&p.consts, &e.consts));
-        if !shared_earlier {
-            total += e.consts.iter().map(Value::heap_size).sum::<usize>();
+/// Does the interval a range plan's bounds describe contain `v`? `at`
+/// reads the bound in a slot.
+fn interval_contains<'a>(
+    plan: &IndexPlan,
+    v: &Value,
+    at: impl Fn(usize) -> Option<View<'a>>,
+) -> bool {
+    let v = View::of(v);
+    let admits = |upper: bool| {
+        let Some((slot, inclusive)) = side(plan, upper) else {
+            return true;
+        };
+        let Some(bound) = at(slot) else {
+            return false;
+        };
+        match v.cmp(bound) {
+            Ordering::Equal => inclusive,
+            Ordering::Greater => !upper,
+            Ordering::Less => upper,
         }
-    }
-    total
+    };
+    matches!(plan, IndexPlan::Range { .. }) && admits(false) && admits(true)
 }
 
-/// Does the entry's interval (per a Range plan) contain `v`?
-fn interval_contains(plan: &IndexPlan, e: &Entry, v: &Value) -> bool {
-    let IndexPlan::Range { lo, hi, .. } = plan else {
-        return false;
-    };
-    let lo_ok = match lo {
-        None => true,
-        Some((slot, inc)) => {
-            let b = &e.consts[*slot];
-            match v.total_cmp(b) {
-                std::cmp::Ordering::Greater => true,
-                std::cmp::Ordering::Equal => *inc,
-                std::cmp::Ordering::Less => false,
-            }
-        }
-    };
-    let hi_ok = match hi {
-        None => true,
-        Some((slot, inc)) => {
-            let b = &e.consts[*slot];
-            match v.total_cmp(b) {
-                std::cmp::Ordering::Less => true,
-                std::cmp::Ordering::Equal => *inc,
-                std::cmp::Ordering::Greater => false,
-            }
-        }
-    };
-    lo_ok && hi_ok
-}
-
-fn entry_from_row(row: &tman_common::Tuple) -> Entry {
-    let consts: Vec<Value> = row.values()[3..].to_vec();
-    Entry {
-        expr_id: tman_common::ExprId(row.get(0).as_i64().unwrap_or(0) as u64),
+/// A constant-table row as the entry it holds and its constant vector.
+fn entry_from_row(row: &Tuple) -> (Entry, Vec<Value>) {
+    let entry = Entry {
+        expr_id: ExprId(row.get(0).as_i64().unwrap_or(0) as u64),
         trigger_id: TriggerId(row.get(1).as_i64().unwrap_or(0) as u64),
         next_node: NodeId(row.get(2).as_i64().unwrap_or(0) as u32),
-        consts: consts.into(),
-    }
+        row: 0,
+    };
+    (entry, row.values()[3..].to_vec())
 }
 
 /// Create the paper's `const_tableN` for a signature:

@@ -12,6 +12,11 @@
 //! only considers frames with a zero pin count, which cannot regain a pin
 //! concurrently because pins are only taken under the pool mutex.
 //!
+//! Over a volatile disk ([`Storage::open_memory`](crate::Storage::open_memory))
+//! a page's buffer lives in its frame or on the disk, never in both: a
+//! miss moves it in, an eviction moves it back, and nothing is written,
+//! since nothing outlives the store.
+//!
 //! A page is *clean* only once its image has been written out (appended to
 //! the log, with a WAL). A writer marks the page dirty under its write
 //! lock, and a flush clears the mark under its read lock after the write,
@@ -19,7 +24,7 @@
 //! `sync` that finds a page clean may therefore seal its commit without it:
 //! whoever cleaned the page appended it first.
 
-use crate::disk::{DiskManager, PageId, PAGE_SIZE};
+use crate::disk::{DiskManager, PageBuf, PageId, PAGE_SIZE};
 use crate::wal::Wal;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
@@ -32,7 +37,7 @@ struct FrameCell {
     pid: PageId,
     pin: AtomicU32,
     dirty: AtomicBool,
-    data: RwLock<Box<[u8; PAGE_SIZE]>>,
+    data: RwLock<PageBuf>,
 }
 
 struct FrameSlot {
@@ -51,8 +56,8 @@ struct PoolInner {
 /// With a [`Wal`] attached (a file-backed [`Storage`](crate::Storage)), flushes append
 /// redo records to the log instead of writing the page file; the page file
 /// is only written at checkpoint, from records that are already durable —
-/// the WAL invariant. Without one, flushes write the page file directly
-/// (memory-backed stores).
+/// the WAL invariant. Without one, flushes write the page file directly,
+/// except over a volatile disk, where they have nothing to do.
 pub struct BufferPool {
     disk: Arc<DiskManager>,
     inner: Mutex<PoolInner>,
@@ -123,11 +128,10 @@ impl BufferPool {
         // concurrent fetch of the same page will hit the map afterwards.
         // With a WAL, the log's newest image wins: the page file only holds
         // checkpointed (older) data.
-        let mut data = Box::new([0u8; PAGE_SIZE]);
-        match self.wal.as_ref().and_then(|w| w.latest_image(pid)) {
-            Some(img) => data.copy_from_slice(&img[..]),
-            None => self.disk.read_page(pid, &mut data)?,
-        }
+        let data = match self.wal.as_ref().and_then(|w| w.latest_image(pid)) {
+            Some(img) => Box::new(*img),
+            None => self.disk.take_page(pid)?,
+        };
         let cell = Arc::new(FrameCell {
             pid,
             pin: AtomicU32::new(1),
@@ -171,6 +175,9 @@ impl BufferPool {
     /// flushing under the pool mutex deadlocks the two. The dirty frames
     /// are pinned for the flush instead, which keeps eviction off them.
     pub fn flush_dirty(&self) -> Result<()> {
+        if self.disk.is_volatile() {
+            return Ok(());
+        }
         let dirty: Vec<PageGuard> = {
             let inner = self.inner.lock();
             let cells = inner.frames.iter().flatten().map(|slot| &slot.cell);
@@ -239,6 +246,9 @@ impl BufferPool {
     /// lock (`data`), so no writer can dirty it in between. On failure the
     /// mark stays as it was.
     fn write_cell(&self, cell: &FrameCell, data: &[u8; PAGE_SIZE]) -> Result<()> {
+        if self.disk.is_volatile() {
+            return Ok(());
+        }
         let mut last = None;
         for attempt in 0..Self::FLUSH_ATTEMPTS {
             let res = match &self.wal {
@@ -290,6 +300,19 @@ impl BufferPool {
             ));
         };
         let slot = inner.frames[idx].take().expect("victim frame exists");
+        if self.disk.is_volatile() {
+            // Unpinned, so only a guard that is being dropped can still
+            // hold the cell: its buffer moves back, or is copied if so.
+            let pid = slot.cell.pid;
+            let buf = match Arc::try_unwrap(slot.cell) {
+                Ok(cell) => cell.data.into_inner(),
+                Err(cell) => Box::new(**cell.data.read()),
+            };
+            self.disk.put_page(pid, buf);
+            inner.map.remove(&pid);
+            self.stats.evictions.bump();
+            return Ok(idx);
+        }
         if let Err(e) = self.flush_cell(&slot.cell) {
             // Put the victim back: dropping it here would silently lose the
             // dirty page the flush just failed to write.

@@ -1,9 +1,13 @@
 //! Page-granular disk manager.
 //!
-//! Two backends behind one type: a real file (durability tests, persistence
-//! experiments) and an in-memory vector (fast unit tests, benches that only
-//! care about page-count accounting). Both count physical reads/writes into
-//! [`StorageStats`] so experiments can report I/O.
+//! Three backends behind one type: a real file (durability tests,
+//! persistence experiments), an in-memory vector that keeps a copy of every
+//! page the way a file would (a crash device for the WAL and pool tests),
+//! and a *volatile* vector that holds each page's one buffer while no pool
+//! frame does ([`DiskManager::take_page`], [`DiskManager::put_page`]): the
+//! store of [`crate::Storage::open_memory`], which nothing reopens. All
+//! count physical reads into [`StorageStats`] so experiments can report
+//! I/O.
 //!
 //! # On-disk format (file backend)
 //!
@@ -32,7 +36,7 @@
 //! longer covers.
 //!
 //! An optional [`FaultPlan`] injects deterministic write failures; see
-//! [`crate::fault`]. The in-memory backend has neither checksums nor faults.
+//! [`crate::fault`]. The in-memory backends have neither checksums nor faults.
 
 use crate::fault::{FaultKind, FaultPlan};
 use std::fs::{File, OpenOptions};
@@ -94,9 +98,14 @@ struct FileState {
     versions: Vec<u64>,
 }
 
+/// One page's buffer.
+pub(crate) type PageBuf = Box<[u8; PAGE_SIZE]>;
+
 enum Backend {
     File(Mutex<FileState>),
-    Memory(Mutex<Vec<Box<[u8; PAGE_SIZE]>>>),
+    Memory(Mutex<Vec<PageBuf>>),
+    /// `None` while a pool frame holds the page.
+    Volatile(Mutex<Vec<Option<PageBuf>>>),
 }
 
 /// Allocates, reads and writes fixed-size pages.
@@ -235,10 +244,24 @@ impl DiskManager {
         Ok((versions, report))
     }
 
-    /// Create an in-memory store.
+    /// Create an in-memory store that keeps its own copy of every page, as
+    /// a file does: what a pool wrote back survives the pool.
     pub fn open_memory() -> DiskManager {
+        Self::memory_backend(Backend::Memory(Mutex::new(Vec::new())))
+    }
+
+    /// Create an in-memory store that holds a page only while no pool frame
+    /// does: a miss moves the page's buffer into the frame
+    /// ([`take_page`](Self::take_page)) and an eviction moves it back
+    /// ([`put_page`](Self::put_page)), so each page is resident once. A
+    /// pool over it writes nothing back, since nothing outlives it.
+    pub(crate) fn open_volatile() -> DiskManager {
+        Self::memory_backend(Backend::Volatile(Mutex::new(Vec::new())))
+    }
+
+    fn memory_backend(backend: Backend) -> DiskManager {
         let dm = DiskManager {
-            backend: Backend::Memory(Mutex::new(Vec::new())),
+            backend,
             num_pages: Mutex::new(0),
             stats: StorageStats::default(),
             plan: None,
@@ -320,6 +343,9 @@ impl DiskManager {
             Backend::Memory(pages) => {
                 pages.lock().push(Box::new([0u8; PAGE_SIZE]));
             }
+            Backend::Volatile(pages) => {
+                pages.lock().push(Some(Box::new([0u8; PAGE_SIZE])));
+            }
             Backend::File(state) => {
                 let mut st = state.lock();
                 let phys = encode_slot(&[0u8; PAGE_SIZE], 1);
@@ -343,6 +369,10 @@ impl DiskManager {
             Backend::Memory(pages) => {
                 buf.copy_from_slice(&pages.lock()[pid.0 as usize][..]);
             }
+            Backend::Volatile(pages) => match &pages.lock()[pid.0 as usize] {
+                Some(page) => buf.copy_from_slice(&page[..]),
+                None => return Err(in_a_frame(pid)),
+            },
             Backend::File(state) => {
                 let mut st = state.lock();
                 let expected = st.versions[pid.0 as usize];
@@ -374,6 +404,10 @@ impl DiskManager {
             Backend::Memory(pages) => {
                 pages.lock()[pid.0 as usize].copy_from_slice(buf);
             }
+            Backend::Volatile(pages) => match &mut pages.lock()[pid.0 as usize] {
+                Some(page) => page.copy_from_slice(buf),
+                None => return Err(in_a_frame(pid)),
+            },
             Backend::File(state) => {
                 let mut st = state.lock();
                 let version = st.versions[pid.0 as usize] + 1;
@@ -422,6 +456,37 @@ impl DiskManager {
         Ok(())
     }
 
+    /// Is this the volatile backend ([`open_volatile`](Self::open_volatile))?
+    pub(crate) fn is_volatile(&self) -> bool {
+        matches!(self.backend, Backend::Volatile(_))
+    }
+
+    /// Page `pid` as a buffer of its own, counted as one page read: on the
+    /// volatile backend the page's one buffer, which the store no longer
+    /// holds until [`put_page`](Self::put_page) gives it back; elsewhere a
+    /// copy ([`read_page`](Self::read_page)).
+    pub(crate) fn take_page(&self, pid: PageId) -> Result<PageBuf> {
+        let Backend::Volatile(pages) = &self.backend else {
+            let mut buf = Box::new([0u8; PAGE_SIZE]);
+            self.read_page(pid, &mut buf)?;
+            return Ok(buf);
+        };
+        self.check_bounds(pid)?;
+        let page = pages.lock()[pid.0 as usize].take();
+        let page = page.ok_or_else(|| in_a_frame(pid))?;
+        self.stats.page_reads.bump();
+        Ok(page)
+    }
+
+    /// Give page `pid`'s buffer back to the volatile backend, which holds
+    /// it until the next [`take_page`](Self::take_page). Not a write: the
+    /// store never held another image of the page.
+    pub(crate) fn put_page(&self, pid: PageId, buf: PageBuf) {
+        if let Backend::Volatile(pages) = &self.backend {
+            pages.lock()[pid.0 as usize] = Some(buf);
+        }
+    }
+
     fn check_bounds(&self, pid: PageId) -> Result<()> {
         if pid.0 >= *self.num_pages.lock() {
             return Err(TmanError::Storage(format!(
@@ -432,6 +497,11 @@ impl DiskManager {
         }
         Ok(())
     }
+}
+
+/// A volatile page read or written past the pool while a frame holds it.
+fn in_a_frame(pid: PageId) -> TmanError {
+    TmanError::Internal(format!("page {} is held by a pool frame", pid.0))
 }
 
 #[cfg(test)]

@@ -139,20 +139,19 @@ impl Storage {
         Ok(())
     }
 
-    /// Create a volatile in-memory store (tests and benches).
+    /// Create a volatile in-memory store (tests, benches, and
+    /// `TriggerMan::open_memory`). Each page is resident once: in its pool
+    /// frame while it has one, else on the volatile disk, so `pool_pages`
+    /// bounds only how many pages sit behind the pool's lock-free reads.
     pub fn open_memory(pool_pages: usize) -> Storage {
-        let disk = Arc::new(DiskManager::open_memory());
-        Self::with_disk(disk, pool_pages).expect("memory store cannot fail to open")
-    }
-
-    fn with_disk(disk: Arc<DiskManager>, pool_pages: usize) -> Result<Storage> {
+        let disk = Arc::new(DiskManager::open_volatile());
         let pool = Arc::new(BufferPool::new(disk, pool_pages));
-        let dir = Directory::open(pool.clone())?;
-        Ok(Storage {
+        let dir = Directory::open(pool.clone()).expect("memory store cannot fail to open");
+        Storage {
             pool,
             dir,
             wal_replayed: 0,
-        })
+        }
     }
 
     /// The shared buffer pool.
@@ -227,8 +226,9 @@ impl Storage {
 
     /// Durability barrier. On a WAL-backed store: flush dirty pages to the
     /// log, group-commit them durable, then checkpoint (write the sealed
-    /// images into the page file and reset the log in place). On a memory store:
-    /// flush dirty pages to the simulated disk.
+    /// images into the page file and reset the log in place). On a memory
+    /// store there is nothing to write: its pages live in the pool or on
+    /// the volatile disk, and neither outlives it.
     pub fn checkpoint(&self) -> Result<()> {
         match self.pool.wal() {
             None => self.pool.flush_all(),

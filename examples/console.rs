@@ -12,12 +12,15 @@
 //!
 //! ```text
 //! .start            start driver threads    .stop         stop them
-//! .stats            engine & index counters  .list         triggers
-//! .drain            process pending tokens   .connections  connections
+//! .drain            process pending tokens   .list         triggers
+//! .connections      connections
 //! .serve ADDR       accept remote sources and subscribers over TCP
 //! .serve-http ADDR  HTTP exposition (/metrics /healthz /tracez)
 //! .quit
 //! ```
+//!
+//! Counters are `show stats [<subsystem>]`, a TriggerMan command: the
+//! metrics registry's text exposition, the lines `/metrics` serves.
 //!
 //! `.serve 127.0.0.1:7070` starts the wire tier
 //! ([`tman_wire::WireServer`]); remote processes can then feed tokens with
@@ -61,7 +64,7 @@ fn main() {
         match line {
             ".quit" | ".exit" => break,
             ".help" => {
-                println!(".start .stop .stats .list .connections .drain .serve ADDR .serve-http ADDR .quit — or any TriggerMan/SQL command (try 'show stats')");
+                println!(".start .stop .list .connections .drain .serve ADDR .serve-http ADDR .quit — or any TriggerMan/SQL command; counters are 'show stats [<subsystem>]'");
                 continue;
             }
             ".start" => {
@@ -86,30 +89,6 @@ fn main() {
             ".drain" => {
                 tman.run_until_quiescent().ok();
                 println!("queue drained");
-                continue;
-            }
-            ".stats" => {
-                let s = tman.stats();
-                let ix = tman.predicate_index();
-                println!(
-                    "tokens={} firings={} actions={} errors={}",
-                    s.tokens.get(),
-                    s.firings.get(),
-                    s.actions.get(),
-                    s.errors.get()
-                );
-                println!(
-                    "signatures={} entries={} probes={} matches={}",
-                    ix.num_signatures(),
-                    ix.num_entries(),
-                    ix.stats().probes.get(),
-                    ix.stats().matches.get()
-                );
-                println!(
-                    "cache: resident={} hit_rate={:.2}",
-                    tman.trigger_cache().len(),
-                    tman.trigger_cache().stats().hit_rate()
-                );
                 continue;
             }
             ".list" => {

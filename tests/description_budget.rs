@@ -14,6 +14,11 @@
 //! predicate-index entries, signatures — is the same in both, so the
 //! difference is what the cache holds: each resident description, its
 //! share of the cache's map and ring, and nothing else.
+//!
+//! The run under a cache of one is a budget of its own: what a trigger
+//! costs while its description is not resident — its index entry, its
+//! directory record, its DDL name, its catalog row and that row's share of
+//! the catalog's pages.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -77,6 +82,11 @@ const BYTES: f64 = 512.0;
 const BLOCKS: f64 = 8.0;
 /// `size_of::<CompiledTrigger>()` may be at most this.
 const SIZE: usize = 192;
+
+/// Bytes a trigger whose description is not resident may cost.
+const TRIGGER_BYTES: f64 = 380.0;
+/// Heap blocks such a trigger may hold.
+const TRIGGER_BLOCKS: f64 = 1.2;
 
 const TRIGGERS: u32 = 20_000;
 const SEED: u64 = 21;
@@ -178,5 +188,30 @@ fn a_resident_description_stays_within_its_budget() {
         create_all(TRIGGERS as usize, &commands),
         all,
         "repeats exactly"
+    );
+}
+
+#[test]
+fn a_trigger_without_its_description_stays_within_its_budget() {
+    let commands = population();
+    let (bytes, blocks) = create_all(1, &commands);
+    let (bytes, blocks) = (
+        bytes as f64 / f64::from(TRIGGERS),
+        blocks as f64 / f64::from(TRIGGERS),
+    );
+    println!(
+        "{TRIGGERS} triggers under a cache of one: {bytes:.1} B in {blocks:.2} blocks a trigger"
+    );
+    // A trigger's index entry is a cell of its class and a directory
+    // record, its constants a row: no block of its own. What is left a
+    // block each is the DDL name map's lower-cased key; the catalog row
+    // lives in pages, each held once.
+    assert!(
+        blocks <= TRIGGER_BLOCKS,
+        "{blocks:.2} blocks a trigger, budget {TRIGGER_BLOCKS}"
+    );
+    assert!(
+        bytes <= TRIGGER_BYTES,
+        "{bytes:.1} B a trigger, budget {TRIGGER_BYTES}"
     );
 }
