@@ -305,7 +305,9 @@ impl Catalog {
     // ----- triggers ---------------------------------------------------------
 
     /// Insert a trigger row, created now. The name and text move into it.
-    pub fn insert_trigger(&self, row: TriggerRow) -> Result<()> {
+    /// Returns where the row is: the handle the row's delete and enable
+    /// flip take, so neither scans the catalog for it.
+    pub fn insert_trigger(&self, row: TriggerRow) -> Result<RecordId> {
         self.trigger.insert(vec![
             Value::Int(row.id.raw() as i64),
             Value::Int(row.set.raw() as i64),
@@ -314,8 +316,7 @@ impl Catalog {
             Value::Str(row.text),
             Value::Int(now_secs()),
             Value::Int(row.enabled as i64),
-        ])?;
-        Ok(())
+        ])
     }
 
     fn trigger_from_row(row: &Tuple) -> TriggerRow {
@@ -329,12 +330,12 @@ impl Catalog {
         }
     }
 
-    /// All trigger rows.
-    pub fn triggers(&self) -> Result<Vec<TriggerRow>> {
+    /// All trigger rows, each with where it is.
+    pub fn triggers(&self) -> Result<Vec<(RecordId, TriggerRow)>> {
         let rows = self.trigger.scan_all()?;
         Ok(rows
             .iter()
-            .map(|(_, r)| Self::trigger_from_row(r))
+            .map(|(at, r)| (*at, Self::trigger_from_row(r)))
             .collect())
     }
 
@@ -344,15 +345,17 @@ impl Catalog {
         Ok(hit.map(|(_, row)| Self::trigger_from_row(&row)))
     }
 
-    /// Remove a trigger row. Returns false if missing.
-    pub fn delete_trigger(&self, id: TriggerId) -> Result<bool> {
-        delete(&self.trigger, id.raw())
+    /// Remove the trigger row at `at`, returning it.
+    pub fn delete_trigger(&self, at: RecordId) -> Result<TriggerRow> {
+        Ok(Self::trigger_from_row(&self.trigger.delete(at)?))
     }
 
-    /// Flip a trigger's isEnabled flag. Returns false if missing.
-    pub fn set_trigger_enabled(&self, id: TriggerId, enabled: bool) -> Result<bool> {
-        let flag = Value::Int(enabled as i64);
-        set_column(&self.trigger, 0, id.raw(), 6, flag)
+    /// Flip the isEnabled flag of the trigger row at `at`. Returns where
+    /// the row is now.
+    pub fn set_trigger_enabled(&self, at: RecordId, enabled: bool) -> Result<RecordId> {
+        let mut vals = self.trigger.get(at)?.values().to_vec();
+        vals[6] = Value::Int(enabled as i64);
+        Ok(self.trigger.update(at, vals)?.1)
     }
 
     // ----- connections --------------------------------------------------------
@@ -533,7 +536,7 @@ mod tests {
             created: 0,
             enabled: true,
         };
-        cat.insert_trigger(t).unwrap();
+        let at = cat.insert_trigger(t).unwrap();
         let stored = cat.trigger_by_id(TriggerId(10)).unwrap().unwrap();
         assert_eq!(stored.name, "t10");
         assert!(
@@ -548,12 +551,12 @@ mod tests {
         let cat = Catalog::open(&db).unwrap();
         assert_eq!(cat.trigger_by_id(TriggerId(10)).unwrap(), Some(stored));
 
-        assert!(cat.set_trigger_enabled(TriggerId(10), false).unwrap());
+        let at = cat.set_trigger_enabled(at, false).unwrap();
         assert!(!cat.trigger_by_id(TriggerId(10)).unwrap().unwrap().enabled);
-        assert!(cat.delete_trigger(TriggerId(10)).unwrap());
+        assert_eq!(cat.delete_trigger(at).unwrap().id, TriggerId(10));
         assert!(cat.trigger_by_id(TriggerId(10)).unwrap().is_none());
-        assert!(!cat.delete_trigger(TriggerId(10)).unwrap());
-        assert!(!cat.set_trigger_enabled(TriggerId(10), true).unwrap());
+        assert!(cat.delete_trigger(at).is_err());
+        assert!(cat.set_trigger_enabled(at, true).is_err());
         drop((cat, db));
         let _ = std::fs::remove_file(&path);
     }

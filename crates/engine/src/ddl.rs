@@ -9,10 +9,13 @@
 //! the drain, in `lib.rs`, cannot read them, locked or not.
 //!
 //! [`Published`] is what the drain and the push path read instead — a
-//! source by id, a set's enabled flag by id, a windowed trigger's window —
-//! replaced by swap from inside
+//! source by id, a set's enabled flag by id — replaced by swap from inside
 //! the critical section ([`TriggerMan::republish`]), the way a source's
-//! match plan is, so a reader loads an `Arc` and never waits on DDL.
+//! match plan is, so a reader loads an `Arc` and never waits on DDL. Both
+//! are few. Windows are one per windowed trigger, so they are not copied
+//! on each edit: DDL inserts and removes a trigger's window in place, in
+//! `TriggerMan::windows`, inside the critical section, and nothing holds
+//! that map's lock across a catalog write.
 //!
 //! The catalog is *not* inside the mutex: its tables synchronise
 //! themselves, and the drain's two calls (`trigger_by_id` on a cache miss,
@@ -34,6 +37,7 @@ use tman_common::{
 use tman_expr::{decompose_disjunction, generalize_selection, Cnf, IndexPlan, SelectionSignature};
 use tman_lang::WindowSpec;
 use tman_predindex::SignatureRuntime;
+use tman_storage::RecordId;
 
 /// A trigger set as DDL holds it.
 struct SetEntry {
@@ -49,7 +53,9 @@ struct SetEntry {
 /// A defined trigger: what `drop` and `enable` need from its name.
 struct TriggerEntry {
     id: TriggerId,
-    set: TriggerSetId,
+    /// Where its catalog row is: a drop or an enable flip goes straight to
+    /// the row instead of scanning every trigger's for it.
+    row: RecordId,
 }
 
 /// The equivalence class an index entry joins.
@@ -94,11 +100,6 @@ pub(crate) struct Published {
     pub(crate) sources: FxHashMap<DataSourceId, Arc<SourceInfo>>,
     /// Each trigger set's enabled flag.
     pub(crate) set_enabled: FxHashMap<TriggerSetId, Arc<AtomicBool>>,
-    /// Windowed-threshold state per windowed trigger. It outlives the
-    /// trigger's cache residency, so it is published here rather than held
-    /// by the compiled description; the drain reads it only for a match
-    /// whose entry is marked [`ExprId::WINDOWED`], and for maintenance.
-    pub(crate) windows: FxHashMap<TriggerId, Arc<WindowState>>,
 }
 
 impl Published {
@@ -171,11 +172,11 @@ impl TriggerMan {
         *self.published.write() = Arc::new(published);
         // Triggers: recompile each to re-register its predicates; cache
         // descriptions up to capacity.
-        for row in self.catalog.triggers()? {
+        for (at, row) in self.catalog.triggers()? {
             ddl.last_trigger = ddl.last_trigger.max(row.id.raw());
             let entry = TriggerEntry {
                 id: row.id,
-                set: row.set,
+                row: at,
             };
             ddl.triggers.insert(row.name.to_lowercase(), entry);
             if let Some(set) = ddl.sets.values_mut().find(|s| s.id == row.set) {
@@ -203,9 +204,8 @@ impl TriggerMan {
         // durability barrier replays the token into an older window, so a
         // fire may repeat but is never lost). Rows of dropped triggers are
         // skipped.
-        let published = self.published();
         for (tid, ring) in self.catalog.windows()? {
-            if let Some(w) = published.windows.get(&tid) {
+            if let Some(w) = self.window(tid) {
                 w.hydrate(&ring);
             }
         }
@@ -326,7 +326,7 @@ impl TriggerMan {
     ///   at most once per token even when several disjuncts match. Each
     ///   branch is an ordinary entry in whatever constant set it lands in.
     /// * **Windowed thresholds.** A `count >= K within W` trigger gets one
-    ///   shared [`WindowState`], published before its entries exist; its
+    ///   shared [`WindowState`], in place before its entries exist; its
     ///   entries are marked [`ExprId::WINDOWED`], and a class holding one
     ///   reads [`SignatureRuntime::windowed`], which keeps it out of the
     ///   Figure-5 fan-out so window advances stay in token order.
@@ -342,9 +342,7 @@ impl TriggerMan {
         let mut window_flag = 0;
         if let Some(w) = window {
             let state = Arc::new(WindowState::new(w.count, w.within_ns));
-            self.republish(ddl, |p| {
-                p.windows.insert(tid, state);
-            });
+            self.windows.write().insert(tid, state);
             window_flag = ExprId::WINDOWED;
         }
         let mut founded = Vec::new();
@@ -418,15 +416,9 @@ impl TriggerMan {
     /// Take trigger `id` out of the predicate index and retire its window.
     /// Returns whether it had one. `drop trigger` does this, and so does a
     /// `create trigger` that fails after registering.
-    fn unregister(&self, ddl: &Ddl, id: TriggerId) -> Result<bool> {
+    fn unregister(&self, _ddl: &Ddl, id: TriggerId) -> Result<bool> {
         self.predindex.remove_trigger(id)?;
-        let windowed = self.published().windows.contains_key(&id);
-        if windowed {
-            self.republish(ddl, |p| {
-                p.windows.remove(&id);
-            });
-        }
-        Ok(windowed)
+        Ok(self.windows.write().remove(&id).is_some())
     }
 
     /// Write `rt`'s `expression_signature` row as the class stands now.
@@ -503,13 +495,16 @@ impl TriggerMan {
                     enabled: true,
                 })
             });
-        if let Err(e) = created {
-            if let Err(undo) = self.unregister(&ddl, id) {
-                self.record_error(&undo);
+        let row = match created {
+            Ok(row) => row,
+            Err(e) => {
+                if let Err(undo) = self.unregister(&ddl, id) {
+                    self.record_error(&undo);
+                }
+                return Err(e);
             }
-            return Err(e);
-        }
-        ddl.triggers.insert(name, TriggerEntry { id, set });
+        };
+        ddl.triggers.insert(name, TriggerEntry { id, row });
         if let Some(set) = ddl.sets.get_mut(&*set_key) {
             set.members += 1;
         }
@@ -519,15 +514,15 @@ impl TriggerMan {
 
     pub(crate) fn drop_trigger(&self, name: &str) -> Result<CommandOutput> {
         let mut ddl = self.ddl.lock();
-        let TriggerEntry { id, set } = ddl
+        let TriggerEntry { id, row } = ddl
             .triggers
             .remove(&name.to_lowercase())
             .ok_or_else(|| TmanError::NotFound(format!("trigger '{name}'")))?;
+        let windowed = self.unregister(&ddl, id)?;
+        let set = self.catalog.delete_trigger(row)?.set;
         if let Some(set) = ddl.sets.values_mut().find(|s| s.id == set) {
             set.members -= 1;
         }
-        let windowed = self.unregister(&ddl, id)?;
-        self.catalog.delete_trigger(id)?;
         self.cache.remove(id);
         if windowed {
             self.catalog.delete_window(id)?;
@@ -588,14 +583,13 @@ impl TriggerMan {
     }
 
     pub(crate) fn set_trigger_enabled(&self, name: &str, enabled: bool) -> Result<CommandOutput> {
-        let ddl = self.ddl.lock();
-        let id = ddl
+        let mut ddl = self.ddl.lock();
+        let entry = ddl
             .triggers
-            .get(&name.to_lowercase())
-            .ok_or_else(|| TmanError::NotFound(format!("trigger '{name}'")))?
-            .id;
-        self.catalog.set_trigger_enabled(id, enabled)?;
-        if let Some(t) = self.cache.peek(id) {
+            .get_mut(&name.to_lowercase())
+            .ok_or_else(|| TmanError::NotFound(format!("trigger '{name}'")))?;
+        entry.row = self.catalog.set_trigger_enabled(entry.row, enabled)?;
+        if let Some(t) = self.cache.peek(entry.id) {
             t.enabled.store(enabled, Ordering::Relaxed);
         }
         Ok(CommandOutput::EnabledChanged)

@@ -26,8 +26,8 @@
 //! [`TriggerMan`] is split where the paper splits it. DDL (`ddl.rs`) is
 //! one critical section over one private `Ddl` value; the drain and the
 //! push path (this file) never take that lock — they read the predicate
-//! index, the trigger cache, and an immutable `Published` value (sources,
-//! set flags, windows) that DDL replaces by swap.
+//! index, the trigger cache, an immutable `Published` value (sources, set
+//! flags) that DDL replaces by swap, and the windows DDL edits in place.
 //!
 //! ## Quick start
 //!
@@ -81,7 +81,7 @@ use queue::UpdateQueue;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use tman_common::fxhash::FxHashSet;
+use tman_common::fxhash::{FxHashMap, FxHashSet};
 use tman_common::stats::Counter;
 use tman_common::{
     DataSourceId, ExprId, NodeId, Result, Schema, TmanError, TokenOp, TriggerId, TriggerSetId,
@@ -95,6 +95,7 @@ use tman_sync::SegQueue;
 use tman_sync::{Mutex, RwLock};
 use tman_telemetry::trace::{now_ns, SpanGuard, ROOT_SPAN};
 use tman_telemetry::{HttpResponse, HttpServer, TraceHandle};
+use window::WindowState;
 
 /// Capacity, in events, of the bounded trace ring buffer; the oldest
 /// retained events are overwritten once it fills.
@@ -274,6 +275,12 @@ pub struct TriggerMan {
     /// by swap from inside the DDL critical section
     /// ([`published`](Self::published)).
     published: RwLock<Arc<Published>>,
+    /// Windowed-threshold state per windowed trigger. It outlives the
+    /// trigger's cache residency, so it lives here rather than in the
+    /// compiled description; DDL inserts and removes one in place, and the
+    /// drain reads one only for a match whose entry is marked
+    /// [`ExprId::WINDOWED`], and for persistence.
+    windows: RwLock<FxHashMap<TriggerId, Arc<WindowState>>>,
     /// Matches suppressed because another entry already claimed the tag.
     tag_dedup_hits: Arc<Counter>,
     /// Windowed-trigger firings admitted (threshold met).
@@ -350,6 +357,7 @@ impl TriggerMan {
             events,
             ddl: Mutex::default(),
             published: RwLock::default(),
+            windows: RwLock::default(),
             tag_dedup_hits: Arc::new(Counter::default()),
             window_fires: Arc::new(Counter::default()),
             stats: EngineStats::default(),
@@ -1230,8 +1238,7 @@ impl TriggerMan {
         if expr.is_windowed() {
             // No window: a concurrent `drop trigger` retired it, and the
             // pin would find the trigger gone as well.
-            let published = self.published();
-            let Some(w) = published.windows.get(&trigger) else {
+            let Some(w) = self.window(trigger) else {
                 return false;
             };
             if !w.observe(token.ingest_unix_ns) {
@@ -1549,14 +1556,26 @@ impl TriggerMan {
     /// Called before each ack barrier and at checkpoints. A window whose
     /// save fails stays dirty.
     fn persist_windows(&self) -> Result<()> {
-        for (&id, w) in &self.published().windows {
-            if let Some(ring) = w.snapshot() {
-                self.catalog
-                    .save_window(id, &ring)
-                    .inspect_err(|_| w.mark_dirty())?;
+        // Taken out of the map first: a catalog write under its lock would
+        // hold up every windowed match and every windowed create.
+        let dirty: Vec<_> = self
+            .windows
+            .read()
+            .iter()
+            .filter_map(|(&id, w)| Some((id, w.clone(), w.snapshot()?)))
+            .collect();
+        for (i, (id, _, ring)) in dirty.iter().enumerate() {
+            if let Err(e) = self.catalog.save_window(*id, ring) {
+                dirty[i..].iter().for_each(|(_, w, _)| w.mark_dirty());
+                return Err(e);
             }
         }
         Ok(())
+    }
+
+    /// Windowed trigger `id`'s window, if it has one.
+    fn window(&self, id: TriggerId) -> Option<Arc<WindowState>> {
+        self.windows.read().get(&id).cloned()
     }
 
     /// Live tagged (disjunct) entries in the predicate index.

@@ -26,6 +26,10 @@
 //! command may take [`PARSE_BUDGET`]: a create pays for its own trigger —
 //! its AST, its description, its index entry and its catalog row — and not
 //! again for the class it joins.
+//!
+//! A windowed `create trigger` and its `drop trigger` pay for their own
+//! window: the bytes the pair allocates do not grow with the number of
+//! windowed triggers already defined.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -39,17 +43,17 @@ use triggerman::{Config, EventBus, EventNotification, Outbox, Registry, TriggerM
 struct Counting;
 
 thread_local! {
-    /// (counting?, allocations counted)
-    static COUNT: Cell<(bool, u64)> = const { Cell::new((false, 0)) };
+    /// (counting?, allocations counted, bytes they asked for)
+    static COUNT: Cell<(bool, u64, u64)> = const { Cell::new((false, 0, 0)) };
 }
 
-fn note_alloc() {
+fn note_alloc(bytes: usize) {
     // `try_with`: the allocator also runs while a thread's locals are torn
     // down.
     let _ = COUNT.try_with(|c| {
-        let (on, n) = c.get();
+        let (on, n, b) = c.get();
         if on {
-            c.set((on, n + 1));
+            c.set((on, n + 1, b + bytes as u64));
         }
     });
 }
@@ -58,18 +62,18 @@ fn note_alloc() {
 // is a thread-local counter that itself never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
+        note_alloc(layout.size());
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
+        note_alloc(layout.size());
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_alloc();
+        note_alloc(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -79,10 +83,17 @@ static ALLOCATOR: Counting = Counting;
 
 /// Allocations this thread makes while `f` runs.
 fn allocations_in<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    COUNT.with(|c| c.set((true, 0)));
-    let r = f();
-    let n = COUNT.with(|c| c.replace((false, 0)).1);
+    let (r, n, _) = allocated_in(f);
     (r, n)
+}
+
+/// Allocations this thread makes while `f` runs, and the bytes they ask
+/// for (a `realloc` counts its new size).
+fn allocated_in<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
+    COUNT.with(|c| c.set((true, 0, 0)));
+    let r = f();
+    let (_, n, bytes) = COUNT.with(|c| c.replace((false, 0, 0)));
+    (r, n, bytes)
 }
 
 /// Allocations per token the drain may make, at about four fires a token.
@@ -326,6 +337,55 @@ fn create_stays_within_the_allocation_budget() {
     assert!(
         per_create <= CREATE_BUDGET,
         "{per_create:.1} allocations per create trigger, budget {CREATE_BUDGET}"
+    );
+}
+
+/// Bytes one windowed `create trigger` and its `drop trigger` allocate,
+/// on average over [`PAIRS`] pairs, beside `defined` windowed triggers.
+fn windowed_pair_bytes(defined: u32) -> u64 {
+    const PAIRS: u64 = 32;
+    let tman = TriggerMan::open_memory(Config::default()).unwrap();
+    tman.execute_command("define data source q (sym varchar(12))")
+        .unwrap();
+    let create = |name: &str, i: u64| {
+        tman.execute_command(&format!(
+            "create trigger {name} from q when q.sym = 'S{i}' count >= 3 within 100 ms \
+             do raise event E(q.sym)"
+        ))
+        .unwrap();
+    };
+    for i in 0..defined {
+        create(&format!("w{i}"), i.into());
+    }
+    // One pair first: what a pair makes once and keeps is not its cost.
+    let mut bytes = 0;
+    for pair in 0..=PAIRS {
+        let name = format!("x{pair}");
+        let ((), _, n) = allocated_in(|| {
+            create(&name, pair);
+            tman.execute_command(&format!("drop trigger {name}"))
+                .unwrap();
+        });
+        if pair > 0 {
+            bytes += n;
+        }
+    }
+    assert_eq!(tman.trigger_names().len(), defined as usize);
+    bytes / PAIRS
+}
+
+/// A windowed create and drop edit their one window in place: at 16 000
+/// windowed triggers the pair allocates within twice what it does at
+/// 1 000 (copying every window on each of them made it about sixteen
+/// times).
+#[test]
+fn a_windowed_create_and_drop_allocate_for_one_window() {
+    let few = windowed_pair_bytes(1_000);
+    let many = windowed_pair_bytes(16_000);
+    println!("windowed create + drop: {few} bytes at 1 000 windows, {many} at 16 000");
+    assert!(
+        many <= 2 * few,
+        "{many} bytes a windowed create and drop at 16 000 windows, {few} at 1 000"
     );
 }
 

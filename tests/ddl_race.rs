@@ -97,7 +97,7 @@ fn one_of_eight_defines_of_a_data_source_name_wins() {
 fn assert_no_orphans(tman: &TriggerMan, when: &str) {
     let catalog = Catalog::open(tman.database()).unwrap();
     let sets: Vec<_> = catalog.sets().unwrap().iter().map(|s| s.id).collect();
-    for t in catalog.triggers().unwrap() {
+    for (_, t) in catalog.triggers().unwrap() {
         let (name, set) = (&t.name, t.set);
         assert!(
             sets.contains(&set),
