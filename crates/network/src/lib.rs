@@ -30,7 +30,7 @@
 //! match reaching the root produces a [`Firing`] with one bound tuple per
 //! variable.
 //!
-//! §5.1's trigger "priming" is [`Network::prime`]: stored memories are
+//! §5.1's trigger "priming" is [`Network::prime_parallel`]: stored memories are
 //! populated from the base data when the trigger is created, the leaves
 //! first and then the stored joins bottom-up, with the same join routine.
 
@@ -325,19 +325,12 @@ impl Network {
     }
 
     /// §5.1 priming: populate the stored memories from base data so the
-    /// network reflects pre-existing rows.
-    pub fn prime(&self, source: &dyn AlphaSource) -> Result<()> {
-        for v in self.stored_leaves() {
-            self.prime_leaf(v, source)?;
-        }
-        self.prime_joins(source)
-    }
-
-    /// §6 *data-level concurrency*: "a set of data values in an alpha or
-    /// beta memory node ... can be processed by a query that can run in
-    /// parallel." Filling a stored leaf is such a query (one selection
-    /// scan), so each stored leaf is filled on its own thread; a virtual
-    /// leaf holds nothing and starts none. The stored joins follow.
+    /// network reflects pre-existing rows. §6 *data-level concurrency*:
+    /// "a set of data values in an alpha or beta memory node ... can be
+    /// processed by a query that can run in parallel." Filling a stored
+    /// leaf is such a query (one selection scan), so each stored leaf is
+    /// filled on its own thread; a virtual leaf holds nothing and starts
+    /// none. The stored joins follow.
     pub fn prime_parallel(&self, source: &(dyn AlphaSource + Sync)) -> Result<()> {
         std::thread::scope(|scope| {
             let handles: Vec<_> = self

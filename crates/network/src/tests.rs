@@ -76,7 +76,7 @@ fn all_kinds_fire_on_matching_house_insert() {
     ] {
         let src = base_data();
         let n = build(kind, "");
-        n.prime(&src).unwrap();
+        n.prime_parallel(&src).unwrap();
         // New house in neighborhood 11 — Iris represents 11.
         let h = house_row(101, 80_000.0, 11);
         src.push(HOUSE, h.clone());
@@ -109,7 +109,7 @@ fn non_event_var_updates_flow_too() {
     ] {
         let src = base_data();
         let n = build(kind, "");
-        n.prime(&src).unwrap();
+        n.prime_parallel(&src).unwrap();
         // Iris starts representing neighborhood 10, where house 100 is.
         let r = rep_row(1, 10);
         // (base_data already has rep(1,10): use a new neighborhood link to
@@ -142,7 +142,7 @@ fn minus_tokens_retract_matches() {
     ] {
         let src = base_data();
         let n = build(kind, "");
-        n.prime(&src).unwrap();
+        n.prime_parallel(&src).unwrap();
         let h = house_row(101, 80_000.0, 11);
         src.push(HOUSE, h.clone());
         assert_eq!(
@@ -174,7 +174,7 @@ fn multiple_matches_from_one_token() {
         src.push(SP, sp_row(3, "Iris")); // second Iris
         src.push(REP, rep_row(3, 11)); // base data already has rep(1, 11)
         let n = build(kind, "");
-        n.prime(&src).unwrap();
+        n.prime_parallel(&src).unwrap();
         let h = house_row(101, 80_000.0, 11);
         src.push(HOUSE, h.clone());
         let fires = fire_all(&n, &src, 1, Polarity::Plus, &h);
@@ -187,7 +187,7 @@ fn multiple_matches_from_one_token() {
 fn selection_on_event_var_is_callers_job_but_checkable() {
     let src = base_data();
     let n = build(NetworkKind::ATreat, "h.price > 60000");
-    n.prime(&src).unwrap();
+    n.prime_parallel(&src).unwrap();
     let cheap = house_row(101, 10_000.0, 11);
     assert!(!n.selection_matches(1, &cheap).unwrap());
     let pricey = house_row(102, 99_000.0, 11);
@@ -201,7 +201,7 @@ fn treat_and_rete_memories_grow_atreat_stays_empty() {
     let atreat = build(NetworkKind::ATreat, "");
     let rete = build(NetworkKind::Rete, "");
     for n in [&treat, &atreat, &rete] {
-        n.prime(&src).unwrap();
+        n.prime_parallel(&src).unwrap();
     }
     assert_eq!(atreat.memory_tuples(), 0, "virtual alphas store nothing");
     assert!(treat.memory_tuples() > 0);
@@ -217,9 +217,9 @@ fn rete_betas_stay_consistent_through_plus_minus_churn() {
     let rete = build(NetworkKind::Rete, "");
     let treat = build(NetworkKind::Treat, "");
     let gator = build(NetworkKind::Gator, "");
-    rete.prime(&src).unwrap();
-    treat.prime(&src).unwrap();
-    gator.prime(&src).unwrap();
+    rete.prime_parallel(&src).unwrap();
+    treat.prime_parallel(&src).unwrap();
+    gator.prime_parallel(&src).unwrap();
     let mut rng: u64 = 99;
     let mut next = move || {
         rng ^= rng << 13;
@@ -276,7 +276,7 @@ fn hyper_join_catch_all_is_enforced() {
     ] {
         let src = base_data();
         let n = build(kind, "s.spno + r.spno = h.hno");
-        n.prime(&src).unwrap();
+        n.prime_parallel(&src).unwrap();
         // Iris: spno 1, rep(1,11): 1+1=2 ⇒ only hno=2 fires.
         let good = house_row(2, 1.0, 11);
         src.push(HOUSE, good.clone());
@@ -305,7 +305,7 @@ fn priming_makes_preexisting_rows_visible() {
     assert!(fire_all(&n, &src, 1, Polarity::Plus, &h).is_empty());
     // After priming, the same insert fires.
     let n2 = build(NetworkKind::Treat, "");
-    n2.prime(&src).unwrap();
+    n2.prime_parallel(&src).unwrap();
     let h2 = house_row(102, 1.0, 11);
     src.push(HOUSE, h2.clone());
     assert_eq!(fire_all(&n2, &src, 1, Polarity::Plus, &h2).len(), 1);
@@ -358,21 +358,36 @@ fn cartesian_disconnected_variables_still_enumerate() {
 
 #[test]
 fn parallel_priming_matches_sequential() {
-    // §6 data-level concurrency: parallel priming produces the same
-    // memories (alpha contents are per-variable independent scans).
+    // §6 data-level concurrency: priming the memories in parallel leaves
+    // what maintaining them row by row from empty leaves.
+    let (var_s, var_h, var_r) = (0, 1, 2);
+    let rows = [
+        (var_s, SP, sp_row(1, "Iris")),
+        (var_s, SP, sp_row(2, "Bob")),
+        (var_r, REP, rep_row(1, 10)),
+        (var_r, REP, rep_row(1, 11)),
+        (var_r, REP, rep_row(2, 12)),
+        (var_h, HOUSE, house_row(100, 50_000.0, 10)),
+    ];
     for kind in [NetworkKind::Treat, NetworkKind::Rete, NetworkKind::Gator] {
         let src = base_data();
-        let seq = build(kind, "");
         let par = build(kind, "");
-        seq.prime(&src).unwrap();
         par.prime_parallel(&src).unwrap();
+        let (seq_src, seq) = (MemSource::new(), build(kind, ""));
+        for (var, table, row) in &rows {
+            seq_src.push(*table, row.clone());
+            if seq.selection_matches(*var, row).unwrap() {
+                fire_all(&seq, &seq_src, *var, Polarity::Plus, row);
+            }
+        }
         assert_eq!(seq.memory_tuples(), par.memory_tuples(), "{kind:?}");
         // Both fire identically afterwards.
         let h = house_row(101, 80_000.0, 11);
         src.push(HOUSE, h.clone());
+        seq_src.push(HOUSE, h.clone());
         assert_eq!(
-            fire_all(&seq, &src, 1, Polarity::Plus, &h).len(),
-            fire_all(&par, &src, 1, Polarity::Plus, &h).len(),
+            fire_all(&seq, &seq_src, var_h, Polarity::Plus, &h).len(),
+            fire_all(&par, &src, var_h, Polarity::Plus, &h).len(),
             "{kind:?}"
         );
     }
@@ -395,7 +410,7 @@ fn deleting_one_of_two_identical_rows_keeps_the_other_copy() {
         src.set(REP, vec![rep_row(1, 7)]);
         src.set(HOUSE, vec![house_row(1, 1.0, 7)]);
         let n = build(kind, "");
-        n.prime(&src).unwrap();
+        n.prime_parallel(&src).unwrap();
         let count = |var: usize, pol: Polarity, t: &Tuple| {
             let fires = fire_all(&n, &src, var, pol, t);
             assert!(fires.iter().all(|f| f.polarity == pol), "{kind:?}");
