@@ -25,7 +25,6 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-use tman_common::stats::Counter;
 use tman_common::{
     DataSourceId, EventKind, Result, Schema, TmanError, TriggerId, Tuple, UpdateDescriptor,
 };
@@ -36,6 +35,7 @@ use tman_lang::parse_expression;
 use tman_lang::WindowSpec;
 use tman_sql::Database;
 use tman_sync::{Mutex, RwLock};
+use tman_telemetry::Counter;
 
 /// A trigger as [`NaiveEca`] holds it.
 struct NaiveTrigger {

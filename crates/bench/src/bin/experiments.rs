@@ -79,7 +79,7 @@ fn e1_scaling(o: &Opts) {
     for &n in sizes {
         // --- predicate index ---
         let registry = Arc::new(Registry::new());
-        let mut ix = PredicateIndex::new(IndexConfig::default());
+        let ix = PredicateIndex::new(IndexConfig::default());
         ix.attach_telemetry(&registry);
         build_index(&ix, n, Template::all(), n_syms, 1);
         let tokens = quote_tokens(if o.quick { 2_000 } else { 5_000 }, n_syms, 2);
@@ -175,7 +175,7 @@ fn e2_cse(o: &Opts) {
     let mut metrics_json = String::new();
     for &n in sizes {
         let registry = Arc::new(Registry::new());
-        let mut ix = PredicateIndex::new(IndexConfig {
+        let ix = PredicateIndex::new(IndexConfig {
             list_to_index: usize::MAX, // stay a list: the Figure-4 layout
             ..Default::default()
         });
@@ -254,7 +254,7 @@ fn e3_orgs(o: &Opts) {
     for &n in sizes {
         let registry = Arc::new(Registry::new());
         let db = Arc::new(Database::open_memory(1024));
-        let mut ix = PredicateIndex::with_database(IndexConfig::default(), db.clone());
+        let ix = PredicateIndex::with_database(IndexConfig::default(), db.clone());
         ix.attach_telemetry(&registry);
         for i in 0..n {
             add_to_index(&ix, i as u64, &format!("q.vol = {i}"), EventKind::Insert);
@@ -463,9 +463,11 @@ fn e5_cache(o: &Opts) {
             .unwrap();
         }
         let (_, d) = time_it(|| tman.run_until_quiescent().unwrap());
+        let cache = tman.trigger_cache().stats();
+        let (hits, misses) = (cache.hits.get() as f64, cache.misses.get() as f64);
         table.row(vec![
             cap.to_string(),
-            format!("{:.3}", tman.trigger_cache().stats().hit_rate()),
+            format!("{:.3}", hits / (hits + misses).max(1.0)),
             human(rate(tokens.len(), d)),
         ]);
         metrics_json = tman.render_metrics_json();
@@ -716,7 +718,7 @@ fn e9_ranges(o: &Opts) {
     let mut metrics_json = String::new();
     for &n in sizes {
         let registry = Arc::new(Registry::new());
-        let mut ix = PredicateIndex::new(IndexConfig {
+        let ix = PredicateIndex::new(IndexConfig {
             list_to_index: usize::MAX,
             ..Default::default()
         });

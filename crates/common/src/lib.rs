@@ -13,15 +13,12 @@
 //!   paths (vendored so the workspace has no hashing dependency).
 //! * [`rng`] — the one seeded generator (SplitMix64) every schedule,
 //!   workload and property test draws from.
-//! * [`stats`] — per-subsystem operation-counter groups (the counter type
-//!   itself lives in `tman-telemetry` and is re-exported here).
 
 mod error;
 pub mod fxhash;
 mod ids;
 pub mod rng;
 mod schema;
-pub mod stats;
 mod token;
 mod tuple;
 mod value;

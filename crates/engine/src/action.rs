@@ -11,7 +11,6 @@ use crate::events::{EventNotification, Outbox};
 use crate::metrics::{ACTION_EXEC_SQL, ACTION_NOTIFY, ACTION_RAISE_EVENT};
 use crate::TriggerMan;
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 use tman_common::{Result, TmanError, TokenOp, Tuple, UpdateDescriptor, Value};
 use tman_expr::Env;
 use tman_lang::{Expr, Literal, SelectCols, SqlStmt};
@@ -46,16 +45,10 @@ pub(crate) fn run_action(
     let (key, event, values, message) = match &trigger.action {
         CompiledAction::ExecSql(stmt) => {
             system.telemetry.actions_by_kind[ACTION_EXEC_SQL].bump();
-            // Timed by hand: a `Timer` guard would clone the histogram's
-            // `Arc`, a shared cache line every driver writes.
-            let latency = &system.telemetry.action_ns;
-            let started = latency.is_enabled().then(Instant::now);
-            let result = substitute_stmt(stmt, trigger, bindings, old_of_event_var)
-                .and_then(|substituted| system.run_stmt(&substituted));
-            if let Some(t) = started {
-                latency.record(t.elapsed().as_nanos() as u64);
-            }
-            return result.map(drop);
+            let _latency = system.telemetry.action_ns.start();
+            return substitute_stmt(stmt, trigger, bindings, old_of_event_var)
+                .and_then(|substituted| system.run_stmt(&substituted))
+                .map(drop);
         }
         CompiledAction::RaiseEvent { name, key, args } => {
             system.telemetry.actions_by_kind[ACTION_RAISE_EVENT].bump();

@@ -37,9 +37,9 @@ use crate::compile::CompiledTrigger;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use tman_common::fxhash::FxHashMap;
-use tman_common::stats::CacheStats;
 use tman_common::{Result, TriggerId};
 use tman_sync::RwLock;
+use tman_telemetry::{Counter, Registry};
 
 /// The resident descriptions, and the ring of their ids the clock hand
 /// walks. A description's map entry carries its place in the ring, so a
@@ -90,6 +90,20 @@ fn tick(_work: Work) {
     });
 }
 
+/// Trigger-cache counters.
+#[derive(Debug, Default)]
+pub struct CacheStats {
+    /// Pin requests satisfied from memory.
+    pub hits: Arc<Counter>,
+    /// Pin requests that loaded from the catalog.
+    pub misses: Arc<Counter>,
+    /// Cached triggers discarded by the clock hand.
+    pub evictions: Arc<Counter>,
+    /// Total pin calls (hits + misses, counted at the pin entry point so
+    /// the invariant `pins == hits + misses` is testable).
+    pub pins: Arc<Counter>,
+}
+
 /// Buffer-pool-style cache of compiled trigger descriptions.
 pub struct TriggerCache {
     capacity: usize,
@@ -130,6 +144,22 @@ impl TriggerCache {
     /// Hit/miss/eviction counters.
     pub fn stats(&self) -> &CacheStats {
         &self.stats
+    }
+
+    /// Register the cache's series in `registry`: its counters, and its
+    /// residency as a computed read.
+    pub fn attach_telemetry(self: &Arc<Self>, registry: &Registry) {
+        let s = &self.stats;
+        for (name, counter) in [
+            ("tman_cache_hits_total", &s.hits),
+            ("tman_cache_misses_total", &s.misses),
+            ("tman_cache_evictions_total", &s.evictions),
+            ("tman_cache_pins_total", &s.pins),
+        ] {
+            registry.register_counter(name, &[], counter.clone());
+        }
+        let cache = self.clone();
+        registry.register_gauge_fn("tman_cache_resident", &[], move || cache.len() as i64);
     }
 
     /// Number of resident descriptions.
@@ -351,7 +381,8 @@ mod tests {
         for _ in 0..3 {
             drop(cache.pin(TriggerId(1), || Ok(dummy_trigger(1))).unwrap());
         }
-        assert!((cache.stats().hit_rate() - 2.0 / 3.0).abs() < 1e-9);
+        let stats = cache.stats();
+        assert_eq!((stats.hits.get(), stats.misses.get()), (2, 1));
     }
 
     #[test]

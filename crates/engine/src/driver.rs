@@ -27,7 +27,7 @@ use tman_common::fxhash::FxHashSet;
 use tman_common::UpdateDescriptor;
 use tman_predindex::SignatureRuntime;
 use tman_sync::SegQueue;
-use tman_telemetry::{Counter, Gauge};
+use tman_telemetry::{Counter, Gauge, Registry};
 
 /// Where idle drivers wait and publishers of work wake them: an
 /// eventcount over `std`'s mutex and condition variable.
@@ -47,7 +47,6 @@ use tman_telemetry::{Counter, Gauge};
 ///
 /// A publisher on an engine whose drivers are all busy, or that has none,
 /// pays the fence and one load.
-#[derive(Default)]
 pub(crate) struct IdleGate {
     /// Drivers between their announcement and their return from the wait.
     parked: AtomicUsize,
@@ -64,6 +63,18 @@ pub(crate) struct IdleGate {
 }
 
 impl IdleGate {
+    /// A gate whose series live in `registry`.
+    pub(crate) fn new(registry: &Registry) -> IdleGate {
+        IdleGate {
+            parked: AtomicUsize::new(0),
+            epoch: Mutex::default(),
+            moved: Condvar::new(),
+            asleep: registry.gauge("tman_driver_parked", &[]),
+            parks: registry.counter("tman_driver_parks_total", &[]),
+            wakeups: registry.counter("tman_driver_wakeups_total", &[]),
+        }
+    }
+
     /// The epoch is one integer, valid after any update: a poisoned lock
     /// is taken over rather than passed on.
     fn epoch(&self) -> MutexGuard<'_, u64> {
@@ -184,15 +195,25 @@ pub(crate) struct Task {
 /// claimed before it split.
 pub(crate) type Claims = Arc<tman_sync::Mutex<FxHashSet<u64>>>;
 
-/// One driver slot's activity, shared into the registry as
-/// `tman_driver_tasks_total{driver="i"}` and
-/// `tman_driver_tokens_total{driver="i"}`.
-#[derive(Default)]
+/// One driver slot's activity.
 pub(crate) struct DriverSlot {
     /// Figure-5 partitions this slot's driver ran.
     pub(crate) tasks: Arc<Counter>,
     /// Update-queue tokens this slot's driver drained.
     pub(crate) tokens: Arc<Counter>,
+}
+
+impl DriverSlot {
+    /// Slot `i`, as `tman_driver_{tasks,tokens}_total{driver="i"}` in
+    /// `registry`.
+    pub(crate) fn new(registry: &Registry, i: usize) -> DriverSlot {
+        let label = i.to_string();
+        let driver: &[(&str, &str)] = &[("driver", &label)];
+        DriverSlot {
+            tasks: registry.counter("tman_driver_tasks_total", driver),
+            tokens: registry.counter("tman_driver_tokens_total", driver),
+        }
+    }
 }
 
 /// Result of one `tman_test` invocation.

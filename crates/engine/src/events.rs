@@ -34,9 +34,7 @@ use tman_common::Value;
 use tman_sync::channel::{unbounded, Receiver, SendError, Sender};
 use tman_sync::RwLock;
 use tman_telemetry::trace::{now_ns, ROOT_SPAN};
-use tman_telemetry::{
-    CounterHandle, HistogramHandle, HistogramSummary, Registry, SpanKind, TraceHandle,
-};
+use tman_telemetry::{Counter, Histogram, Registry, SpanKind, TraceHandle};
 
 /// A notification delivered to registered clients.
 ///
@@ -152,7 +150,7 @@ impl Outbox {
 struct Sub {
     id: u64,
     tx: Sender<EventNotification>,
-    dropped: OnceLock<CounterHandle>,
+    dropped: OnceLock<Arc<Counter>>,
 }
 
 /// Who receives what: one lock, read once per delivered run.
@@ -170,10 +168,12 @@ pub struct EventBus {
     routes: RwLock<Routes>,
     next_sub: AtomicU64,
     registry: Option<Arc<Registry>>,
-    delivered: CounterHandle,
-    dropped: CounterHandle,
+    /// `tman_notifications_delivered_total`.
+    delivered: Arc<Counter>,
+    /// `tman_notifications_dropped_total`.
+    dropped: Arc<Counter>,
     /// `tman_notify_fanout`: subscribers reached, per notification.
-    fanout: HistogramHandle,
+    fanout: Arc<Histogram>,
 }
 
 impl Default for EventBus {
@@ -183,30 +183,36 @@ impl Default for EventBus {
 }
 
 impl EventBus {
-    /// Fresh bus. Delivery instruments are no-ops until
-    /// [`attach_telemetry`](Self::attach_telemetry) resolves them against a
-    /// registry.
+    /// Fresh bus.
     pub fn new() -> EventBus {
         EventBus {
             routes: RwLock::default(),
             next_sub: AtomicU64::new(1),
             registry: None,
-            delivered: CounterHandle::noop(),
-            dropped: CounterHandle::noop(),
-            fanout: HistogramHandle::noop(),
+            delivered: Arc::default(),
+            dropped: Arc::default(),
+            fanout: Arc::default(),
         }
     }
 
-    /// Resolve the delivery instruments in `registry`, so
+    /// Register the delivery series in `registry`, so
     /// `tman_notifications_{delivered,dropped}_total` and
     /// `tman_notify_fanout` show up in `show stats` / the text exposition.
     /// The registry is retained so per-subscriber `subscriber`-labeled drop
-    /// counters can be resolved lazily, the first time a given subscriber
+    /// counters can be created lazily, the first time a given subscriber
     /// actually drops.
     pub fn attach_telemetry(&mut self, registry: &Arc<Registry>) {
-        self.delivered = registry.counter("tman_notifications_delivered_total", &[]);
-        self.dropped = registry.counter("tman_notifications_dropped_total", &[]);
-        self.fanout = registry.histogram("tman_notify_fanout", &[]);
+        registry.register_counter(
+            "tman_notifications_delivered_total",
+            &[],
+            self.delivered.clone(),
+        );
+        registry.register_counter(
+            "tman_notifications_dropped_total",
+            &[],
+            self.dropped.clone(),
+        );
+        registry.register_histogram("tman_notify_fanout", &[], self.fanout.clone());
         self.registry = Some(registry.clone());
     }
 
@@ -413,22 +419,14 @@ impl EventBus {
         delivered
     }
 
-    /// Notifications successfully delivered (0 until a registry is
-    /// attached).
+    /// Notifications successfully delivered.
     pub fn delivered(&self) -> u64 {
         self.delivered.get()
     }
 
-    /// Notifications dropped on dead or stalled subscribers (0 until a
-    /// registry is attached).
+    /// Notifications dropped on dead or stalled subscribers.
     pub fn dropped(&self) -> u64 {
         self.dropped.get()
-    }
-
-    /// `tman_notify_fanout`: subscribers reached per notification (empty
-    /// until a registry is attached).
-    pub fn fanout(&self) -> HistogramSummary {
-        self.fanout.summary()
     }
 }
 
@@ -470,13 +468,11 @@ mod tests {
             rx.iter().take(2).map(|n| n.event).collect::<Vec<_>>(),
             vec!["a".into(), "b".into()]
         );
-        // The handles resolve into the registry, so both the bus getter and
-        // the exposition see the deliveries.
+        // The bus registered its counter, so both the bus getter and the
+        // exposition see the deliveries.
         assert_eq!(bus.delivered(), 2);
         assert_eq!(
-            registry
-                .counter("tman_notifications_delivered_total", &[])
-                .get(),
+            registry.find_counter("tman_notifications_delivered_total", &[]),
             2
         );
     }

@@ -60,7 +60,7 @@ pub mod queue;
 mod source;
 mod window;
 
-pub use cache::{PinnedTrigger, TriggerCache};
+pub use cache::{CacheStats, PinnedTrigger, TriggerCache};
 pub use compile::{CompiledAction, CompiledTrigger};
 pub use config::{Config, QueueMode, TracingMode};
 pub use driver::{DriverPool, TmanTestResult};
@@ -82,7 +82,6 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use tman_common::fxhash::{FxHashMap, FxHashSet};
-use tman_common::stats::Counter;
 use tman_common::{
     DataSourceId, ExprId, NodeId, Result, Schema, TmanError, TokenOp, TriggerId, TriggerSetId,
     Tuple, UpdateDescriptor,
@@ -94,7 +93,7 @@ use tman_sql::{Database, ExecResult};
 use tman_sync::SegQueue;
 use tman_sync::{Mutex, RwLock};
 use tman_telemetry::trace::{now_ns, SpanGuard, ROOT_SPAN};
-use tman_telemetry::{HttpResponse, HttpServer, TraceHandle};
+use tman_telemetry::{Counter, HttpResponse, HttpServer, TraceHandle};
 use window::WindowState;
 
 /// Capacity, in events, of the bounded trace ring buffer; the oldest
@@ -145,17 +144,18 @@ pub enum CommandOutput {
     Trace(String),
 }
 
-/// Engine-level counters. Held by `Arc` so they double as live registry
-/// instruments (see `metrics.rs`).
-#[derive(Debug, Default)]
+/// Engine-level counters, created in the engine's registry (see
+/// `metrics.rs`).
+#[derive(Debug)]
 pub struct EngineStats {
-    /// Tokens fully processed.
+    /// `tman_tokens_processed_total`: tokens fully processed.
     pub tokens: Arc<Counter>,
-    /// Condition matches that reached a P-node.
+    /// `tman_firings_total`: condition matches that reached a P-node.
     pub firings: Arc<Counter>,
-    /// Rule actions executed.
+    /// `tman_actions_run_total`: rule actions executed.
     pub actions: Arc<Counter>,
-    /// Task failures (see [`TriggerMan::last_error`]).
+    /// `tman_task_errors_total`: task failures (see
+    /// [`TriggerMan::last_error`]).
     pub errors: Arc<Counter>,
 }
 
@@ -281,10 +281,6 @@ pub struct TriggerMan {
     /// drain reads one only for a match whose entry is marked
     /// [`ExprId::WINDOWED`], and for persistence.
     windows: RwLock<FxHashMap<TriggerId, Arc<WindowState>>>,
-    /// Matches suppressed because another entry already claimed the tag.
-    tag_dedup_hits: Arc<Counter>,
-    /// Windowed-trigger firings admitted (threshold met).
-    window_fires: Arc<Counter>,
     stats: EngineStats,
     pub(crate) telemetry: metrics::EngineTelemetry,
     tracer: Option<Arc<Tracer>>,
@@ -319,19 +315,23 @@ impl TriggerMan {
     }
 
     fn with_database(db: Arc<Database>, config: Config) -> Result<Arc<TriggerMan>> {
-        let telemetry = metrics::EngineTelemetry::new(Arc::new(Registry::new()));
+        // Each subsystem registers its own series in the engine's
+        // registry; the engine's own are created there.
+        let (telemetry, stats) = metrics::EngineTelemetry::new();
+        let registry = &telemetry.registry;
+        db.storage().pool().attach_telemetry(registry);
         let catalog = Catalog::open(&db)?;
-        let mut queue = match config.queue_mode {
+        let queue = match config.queue_mode {
             QueueMode::Volatile => UpdateQueue::volatile(),
             QueueMode::Persistent => UpdateQueue::persistent(&db)?,
         };
-        queue.attach_telemetry(&telemetry.registry);
+        queue.attach_telemetry(registry);
         let mut events = EventBus::new();
-        events.attach_telemetry(&telemetry.registry);
-        let mut predindex = PredicateIndex::with_database(config.index.clone(), db.clone());
-        predindex.attach_telemetry(&telemetry.registry);
-        let predindex = Arc::new(predindex);
+        events.attach_telemetry(registry);
+        let predindex = PredicateIndex::with_database(config.index.clone(), db.clone());
+        predindex.attach_telemetry(registry);
         let cache = Arc::new(TriggerCache::new(config.trigger_cache_capacity));
+        cache.attach_telemetry(registry);
         // One branch per token on the off path: `tracer` stays `None`.
         let tracer = match config.tracing {
             TracingMode::Off => None,
@@ -341,26 +341,29 @@ impl TriggerMan {
                 config.slow_token_threshold,
             ))),
         };
+        if let Some(tracer) = &tracer {
+            tracer.attach_telemetry(registry);
+        }
+        let slots = (0..config.num_drivers())
+            .map(|i| DriverSlot::new(registry, i))
+            .collect();
+        let idle = Arc::new(IdleGate::new(registry));
         let system = Arc::new(TriggerMan {
             cache,
-            predindex,
+            predindex: Arc::new(predindex),
             queue,
             telemetry,
             tracer,
             tasks: SegQueue::new(),
-            slots: (0..config.num_drivers())
-                .map(|_| DriverSlot::default())
-                .collect(),
-            idle: Arc::default(),
+            slots,
+            idle,
             dequeue_failed: AtomicBool::new(false),
             pending_acks: Arc::new(SegQueue::new()),
             events,
             ddl: Mutex::default(),
             published: RwLock::default(),
             windows: RwLock::default(),
-            tag_dedup_hits: Arc::new(Counter::default()),
-            window_fires: Arc::new(Counter::default()),
-            stats: EngineStats::default(),
+            stats,
             last_error: Mutex::new(None),
             http: Mutex::new(None),
             shutdown: AtomicBool::new(false),
@@ -368,118 +371,11 @@ impl TriggerMan {
             db,
             config,
         });
-        system.register_shared_instruments();
         system.recover()?;
         if let Some(addr) = system.config.http_addr.clone() {
             system.serve_http(&addr)?;
         }
         Ok(system)
-    }
-
-    /// Register the per-subsystem counters (engine, cache, buffer pool,
-    /// disk, WAL) into the metrics registry as shared instruments:
-    /// exposition reads the same `Arc<Counter>`s the hot paths bump, so
-    /// these rows cost nothing extra at runtime.
-    fn register_shared_instruments(&self) {
-        let r = &self.telemetry.registry;
-        r.register_counter(
-            "tman_tokens_processed_total",
-            &[],
-            self.stats.tokens.clone(),
-        );
-        r.register_counter("tman_firings_total", &[], self.stats.firings.clone());
-        r.register_counter("tman_actions_run_total", &[], self.stats.actions.clone());
-        r.register_counter("tman_task_errors_total", &[], self.stats.errors.clone());
-        r.register_counter(
-            "tman_tag_dedup_hits_total",
-            &[],
-            self.tag_dedup_hits.clone(),
-        );
-        r.register_counter("tman_window_fires_total", &[], self.window_fires.clone());
-        for (i, slot) in self.slots.iter().enumerate() {
-            let label = i.to_string();
-            let l: &[(&str, &str)] = &[("driver", &label)];
-            r.register_counter("tman_driver_tasks_total", l, slot.tasks.clone());
-            r.register_counter("tman_driver_tokens_total", l, slot.tokens.clone());
-        }
-        r.register_gauge("tman_driver_parked", &[], self.idle.asleep.clone());
-        r.register_counter("tman_driver_parks_total", &[], self.idle.parks.clone());
-        r.register_counter("tman_driver_wakeups_total", &[], self.idle.wakeups.clone());
-        let cs = self.cache.stats();
-        r.register_counter("tman_cache_hits_total", &[], cs.hits.clone());
-        r.register_counter("tman_cache_misses_total", &[], cs.misses.clone());
-        r.register_counter("tman_cache_evictions_total", &[], cs.evictions.clone());
-        r.register_counter("tman_cache_pins_total", &[], cs.pins.clone());
-        let cache = self.cache.clone();
-        r.register_gauge_fn("tman_cache_resident", &[], move || cache.len() as i64);
-        let pool = self.db.storage().pool();
-        let ps = pool.stats();
-        r.register_counter("tman_pool_hits_total", &[], ps.pool_hits.clone());
-        r.register_counter("tman_pool_misses_total", &[], ps.pool_misses.clone());
-        r.register_counter("tman_pool_evictions_total", &[], ps.evictions.clone());
-        r.register_counter("tman_io_retries_total", &[], ps.io_retries.clone());
-        let ds = pool.disk().stats();
-        r.register_counter("tman_page_reads_total", &[], ds.page_reads.clone());
-        r.register_counter("tman_page_writes_total", &[], ds.page_writes.clone());
-        r.register_counter("tman_disk_syncs_total", &[], ds.syncs.clone());
-        r.register_counter(
-            "tman_checksum_failures_total",
-            &[],
-            ds.checksum_failures.clone(),
-        );
-        r.register_counter(
-            "tman_quarantined_pages_total",
-            &[],
-            ds.quarantined_pages.clone(),
-        );
-        r.register_counter(
-            "tman_faults_injected_total",
-            &[],
-            ds.faults_injected.clone(),
-        );
-        if let Some(wal) = pool.wal() {
-            let ws = wal.stats();
-            r.register_counter("tman_wal_appends_total", &[], ws.appends.clone());
-            r.register_counter("tman_wal_bytes_total", &[], ws.bytes.clone());
-            r.register_counter("tman_wal_fsyncs_total", &[], ws.fsyncs.clone());
-            r.register_counter(
-                "tman_wal_group_commits_total",
-                &[],
-                ws.group_commits.clone(),
-            );
-            r.register_counter(
-                "tman_wal_replayed_records_total",
-                &[],
-                ws.replayed_records.clone(),
-            );
-            r.register_counter("tman_wal_checkpoints_total", &[], ws.checkpoints.clone());
-            r.register_histogram("tman_wal_group_commit_ns", &[], ws.group_commit_ns.clone());
-        }
-        // The queue, the event bus and the predicate index register their
-        // own series in their `attach_telemetry`.
-        //
-        // Trace-sampling health: the tracer counts starts/retention/ring
-        // overwrites exactly, but those live in its own atomics. Computed
-        // counters read them live at exposition time, so silent trace loss
-        // (`tman_trace_events_dropped_total` climbing) is scrapeable.
-        // Reads of these identities through `Registry::counter` handles
-        // see a no-op (type mismatch by design); typed access goes through
-        // `Tracer::stats` as before.
-        if let Some(tracer) = &self.tracer {
-            type Read = fn(&TracerStats) -> u64;
-            let series: [(&str, Read); 6] = [
-                ("tman_trace_tokens_started_total", |s| s.started),
-                ("tman_trace_tokens_retained_total", |s| s.retained),
-                ("tman_trace_tokens_discarded_total", |s| s.discarded),
-                ("tman_trace_slow_retained_total", |s| s.slow_retained),
-                ("tman_trace_events_logged_total", |s| s.events_logged),
-                ("tman_trace_events_dropped_total", |s| s.events_dropped),
-            ];
-            for (name, read) in series {
-                let t = tracer.clone();
-                r.register_counter_fn(name, &[], move || read(&t.stats()));
-            }
-        }
     }
 
     // ----- accessors ---------------------------------------------------------
@@ -528,7 +424,8 @@ impl TriggerMan {
         &self.telemetry.registry
     }
 
-    /// Typed snapshot of every engine metric.
+    /// The benchmark harness's typed view of the registry
+    /// ([`MetricsSnapshot`]).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot::collect(self)
     }
@@ -1203,12 +1100,10 @@ impl TriggerMan {
         if n == 0 {
             return;
         }
-        let latency = &self.telemetry.action_ns;
-        let started = latency.is_enabled().then(std::time::Instant::now);
+        let started = std::time::Instant::now();
         self.events.deliver(outbox);
-        if let Some(t) = started {
-            latency.record_n(t.elapsed().as_nanos() as u64 / n, n);
-        }
+        let mean = started.elapsed().as_nanos() as u64 / n;
+        self.telemetry.action_ns.record_n(mean, n);
     }
 
     /// The tagged-execution / windowed-threshold gate for one index match,
@@ -1232,7 +1127,7 @@ impl TriggerMan {
             return true;
         }
         if expr.is_tagged() && !claim(tag_of(trigger, node)) {
-            self.tag_dedup_hits.bump();
+            self.telemetry.tag_dedup_hits.bump();
             return false;
         }
         if expr.is_windowed() {
@@ -1244,7 +1139,7 @@ impl TriggerMan {
             if !w.observe(token.ingest_unix_ns) {
                 return false;
             }
-            self.window_fires.bump();
+            self.telemetry.window_fires.bump();
         }
         true
     }
@@ -1586,12 +1481,12 @@ impl TriggerMan {
     /// Matches suppressed because another disjunct entry already claimed
     /// the token's tag.
     pub fn tag_dedup_hits(&self) -> u64 {
-        self.tag_dedup_hits.get()
+        self.telemetry.tag_dedup_hits.get()
     }
 
     /// Windowed-trigger firings admitted (threshold met).
     pub fn window_fires(&self) -> u64 {
-        self.window_fires.get()
+        self.telemetry.window_fires.get()
     }
 
     /// Anything left for a driver to do right now?

@@ -12,13 +12,13 @@
 //!   safety ... will be lost": a lock-free in-memory queue.
 //!
 //! Telemetry: the queue owns a depth gauge, enqueue/dequeue counters, an
-//! enqueue→dequeue wait-time histogram ([`QueueTelemetry`]), its corrupt
-//! record and watermark-flush counters and, on the persistent backend, the
-//! `tman_queue_watermark` level; [`UpdateQueue::attach_telemetry`]
-//! registers them all. Wait time
-//! is measured on the volatile backend by stamping each descriptor with its
-//! enqueue instant (skipped entirely when no telemetry is attached). The
-//! persistent backend prefixes each record with the enqueue wall-clock
+//! enqueue→dequeue wait-time histogram, its corrupt record and
+//! watermark-flush counters ([`QueueStats`]) and, on the persistent
+//! backend, the `tman_queue_watermark` level;
+//! [`UpdateQueue::attach_telemetry`] registers them all. Wait time is
+//! measured on the volatile backend by stamping each descriptor with its
+//! enqueue instant. The persistent backend prefixes each record with the
+//! enqueue wall-clock
 //! time (8 bytes, UNIX-epoch nanoseconds, little-endian) so the wait
 //! histogram survives the store round trip — and even a restart, since
 //! wall-clock stamps stay meaningful across processes.
@@ -52,13 +52,12 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
-use tman_common::stats::Counter;
 use tman_common::{Result, TmanError, UpdateDescriptor};
 use tman_sql::Database;
 use tman_storage::{BufferPool, SeqLog};
 use tman_sync::Mutex;
 use tman_sync::SegQueue;
-use tman_telemetry::{CounterHandle, GaugeHandle, HistogramHandle, Registry};
+use tman_telemetry::{Counter, Gauge, Histogram, Registry};
 
 /// Name of the persistent queue. Its log is the store object
 /// `log_update_queue`; a store from before the log kept a table of this
@@ -76,29 +75,24 @@ fn unix_now_ns() -> u64 {
         .unwrap_or(0)
 }
 
-/// Pre-resolved queue instruments.
-#[derive(Clone, Default)]
-pub struct QueueTelemetry {
-    /// `tman_queue_depth`: descriptors currently queued.
-    pub depth: GaugeHandle,
+/// Queue counters.
+#[derive(Debug, Default)]
+pub struct QueueStats {
+    /// `tman_queue_depth`: descriptors queued and not yet acked.
+    pub depth: Arc<Gauge>,
     /// `tman_queue_enqueued_total`.
-    pub enqueued: CounterHandle,
+    pub enqueued: Arc<Counter>,
     /// `tman_queue_dequeued_total`.
-    pub dequeued: CounterHandle,
-    /// `tman_queue_wait_ns`: enqueue→dequeue latency (volatile mode).
-    pub wait_ns: HistogramHandle,
-}
-
-impl QueueTelemetry {
-    /// Resolve the queue instrument family from a registry.
-    pub fn from_registry(registry: &Registry) -> QueueTelemetry {
-        QueueTelemetry {
-            depth: registry.gauge("tman_queue_depth", &[]),
-            enqueued: registry.counter("tman_queue_enqueued_total", &[]),
-            dequeued: registry.counter("tman_queue_dequeued_total", &[]),
-            wait_ns: registry.histogram("tman_queue_wait_ns", &[]),
-        }
-    }
+    pub dequeued: Arc<Counter>,
+    /// `tman_queue_wait_ns`: enqueue→dequeue latency.
+    pub wait_ns: Arc<Histogram>,
+    /// `tman_queue_corrupt_rows_total`: records that failed descriptor
+    /// validation (skipped, watermarked).
+    pub corrupt_rows: Arc<Counter>,
+    /// `tman_queue_wm_flushes_total`: barriers that moved the watermark —
+    /// at most one per group commit (a push, an idle driver's barrier, a
+    /// checkpoint), however many batches were acked in between.
+    pub wm_flushes: Arc<Counter>,
 }
 
 /// Consumer-side state of the persistent backend, under one lock so two
@@ -113,7 +107,7 @@ struct Consumer {
 
 #[allow(clippy::large_enum_variant)] // one queue per engine; size is moot
 enum Backend {
-    Volatile(SegQueue<(Option<Instant>, UpdateDescriptor)>),
+    Volatile(SegQueue<(Instant, UpdateDescriptor)>),
     Persistent {
         /// `Arc` so the registry's `tman_queue_watermark` read can hold it.
         log: Arc<SeqLog>,
@@ -139,22 +133,19 @@ pub struct QueueItem {
 /// FIFO of update descriptors awaiting processing.
 pub struct UpdateQueue {
     backend: Backend,
-    telemetry: QueueTelemetry,
-    /// Records that failed descriptor validation (skipped, watermarked).
-    corrupt_rows: Arc<Counter>,
-    /// Barriers that moved the watermark — at most one per group commit,
-    /// however many batches were acked in between.
-    wm_flushes: Arc<Counter>,
+    stats: QueueStats,
 }
 
 impl UpdateQueue {
+    /// A queue over `backend`, its depth gauge reading what a persistent
+    /// one recovered.
     fn with_backend(backend: Backend) -> UpdateQueue {
-        UpdateQueue {
+        let q = UpdateQueue {
             backend,
-            telemetry: QueueTelemetry::default(),
-            corrupt_rows: Arc::new(Counter::default()),
-            wm_flushes: Arc::new(Counter::default()),
-        }
+            stats: QueueStats::default(),
+        };
+        q.stats.depth.add(q.len() as i64);
+        q
     }
 
     /// In-memory queue.
@@ -200,50 +191,32 @@ impl UpdateQueue {
         }
     }
 
-    /// Records that failed validation at dequeue (skipped, watermarked).
-    pub fn corrupt_rows(&self) -> &Arc<Counter> {
-        &self.corrupt_rows
+    /// The queue's counters.
+    pub fn stats(&self) -> &QueueStats {
+        &self.stats
     }
 
-    /// Barriers that moved the watermark.
-    pub fn wm_flushes(&self) -> &Arc<Counter> {
-        &self.wm_flushes
-    }
-
-    /// Register the queue's series in `registry` and record through them.
-    /// Initializes the depth gauge from the current length, so a
-    /// persistent queue recovered with records already in it reports them.
-    pub fn attach_telemetry(&mut self, registry: &Registry) {
-        let telemetry = QueueTelemetry::from_registry(registry);
-        telemetry.depth.add(self.len() as i64);
-        self.telemetry = telemetry;
-        registry.register_counter(
-            "tman_queue_corrupt_rows_total",
-            &[],
-            self.corrupt_rows.clone(),
-        );
-        // Barriers that moved the watermark: acks only record, so this is
-        // at most one per group commit (a push, an idle driver's barrier,
-        // a checkpoint), not one per drained batch.
-        registry.register_counter("tman_queue_wm_flushes_total", &[], self.wm_flushes.clone());
+    /// Register the queue's series in `registry`.
+    pub fn attach_telemetry(&self, registry: &Registry) {
+        let s = &self.stats;
+        registry.register_gauge("tman_queue_depth", &[], s.depth.clone());
+        for (name, counter) in [
+            ("tman_queue_enqueued_total", &s.enqueued),
+            ("tman_queue_dequeued_total", &s.dequeued),
+            ("tman_queue_corrupt_rows_total", &s.corrupt_rows),
+            ("tman_queue_wm_flushes_total", &s.wm_flushes),
+        ] {
+            registry.register_counter(name, &[], counter.clone());
+        }
+        registry.register_histogram("tman_queue_wait_ns", &[], s.wait_ns.clone());
         if let Backend::Persistent { log, .. } = &self.backend {
             let log = log.clone();
             registry.register_gauge_fn("tman_queue_watermark", &[], move || log.watermark() as i64);
         }
     }
 
-    /// The instruments the queue records through.
-    pub(crate) fn telemetry(&self) -> &QueueTelemetry {
-        &self.telemetry
-    }
-
-    fn volatile_stamp(&self) -> Option<Instant> {
-        self.telemetry.wait_ns.is_enabled().then(Instant::now)
-    }
-
     /// Append `batch` to the log, each record as `stamp u64 | descriptor`.
-    /// Stamps unconditionally: the record format must not depend on
-    /// whether telemetry happens to be attached. Returns the last qid.
+    /// Returns the last qid.
     fn append_all(log: &SeqLog, batch: &[UpdateDescriptor]) -> Result<Option<i64>> {
         let stamp = unix_now_ns().to_le_bytes();
         let mut rec = Vec::with_capacity(128);
@@ -260,13 +233,13 @@ impl UpdateQueue {
     /// Append a descriptor.
     pub fn enqueue(&self, d: UpdateDescriptor) -> Result<()> {
         match &self.backend {
-            Backend::Volatile(q) => q.push((self.volatile_stamp(), d)),
+            Backend::Volatile(q) => q.push((Instant::now(), d)),
             Backend::Persistent { log, .. } => {
                 Self::append_all(log, std::slice::from_ref(&d))?;
             }
         }
-        self.telemetry.enqueued.bump();
-        self.telemetry.depth.inc();
+        self.stats.enqueued.bump();
+        self.stats.depth.inc();
         Ok(())
     }
 
@@ -291,7 +264,7 @@ impl UpdateQueue {
         }
         let last = match &self.backend {
             Backend::Volatile(q) => {
-                let stamp = self.volatile_stamp();
+                let stamp = Instant::now();
                 for d in batch {
                     q.push((stamp, d.clone()));
                 }
@@ -308,8 +281,8 @@ impl UpdateQueue {
                 last
             }
         };
-        self.telemetry.enqueued.add(batch.len() as u64);
-        self.telemetry.depth.add(batch.len() as i64);
+        self.stats.enqueued.add(batch.len() as u64);
+        self.stats.depth.add(batch.len() as i64);
         Ok(last)
     }
 
@@ -328,11 +301,8 @@ impl UpdateQueue {
                 while out.len() < max {
                     match q.pop() {
                         Some((stamp, d)) => {
-                            if let Some(t0) = stamp {
-                                self.telemetry
-                                    .wait_ns
-                                    .record(t0.elapsed().as_nanos() as u64);
-                            }
+                            let waited = stamp.elapsed().as_nanos() as u64;
+                            self.stats.wait_ns.record(waited);
                             out.push(QueueItem {
                                 seq: None,
                                 token: d,
@@ -342,8 +312,8 @@ impl UpdateQueue {
                     }
                 }
                 // The pop is the removal: account for it here.
-                self.telemetry.dequeued.add(out.len() as u64);
-                self.telemetry.depth.add(-(out.len() as i64));
+                self.stats.dequeued.add(out.len() as u64);
+                self.stats.depth.add(-(out.len() as i64));
                 Ok(out)
             }
             Backend::Persistent { log, consumer, .. } => {
@@ -359,7 +329,7 @@ impl UpdateQueue {
                     });
                     match decoded {
                         Some((stamp, token)) => {
-                            self.telemetry.wait_ns.record(now.saturating_sub(stamp));
+                            self.stats.wait_ns.record(now.saturating_sub(stamp));
                             out.push(QueueItem {
                                 seq: Some(seq as i64),
                                 token,
@@ -371,8 +341,8 @@ impl UpdateQueue {
                 if !corrupt.is_empty() {
                     // Damaged records deliver nothing; ack them so the
                     // watermark can pass.
-                    self.corrupt_rows.add(corrupt.len() as u64);
-                    self.telemetry.depth.add(-(corrupt.len() as i64));
+                    self.stats.corrupt_rows.add(corrupt.len() as u64);
+                    self.stats.depth.add(-(corrupt.len() as i64));
                     c.acked.extend(corrupt);
                 }
                 Ok(out)
@@ -407,7 +377,7 @@ impl UpdateQueue {
         log.truncate_through(wm)?;
         let mut c = consumer.lock();
         c.acked = c.acked.split_off(&(wm + 1));
-        self.wm_flushes.bump();
+        self.stats.wm_flushes.bump();
         Ok(true)
     }
 
@@ -451,8 +421,8 @@ impl UpdateQueue {
                 acked += 1;
             }
         }
-        self.telemetry.dequeued.add(acked as u64);
-        self.telemetry.depth.add(-(acked as i64));
+        self.stats.dequeued.add(acked as u64);
+        self.stats.depth.add(-(acked as i64));
         Ok(acked)
     }
 
@@ -542,37 +512,36 @@ mod tests {
 
     #[test]
     fn telemetry_tracks_depth_throughput_and_wait() {
-        let registry = Registry::new();
-        let mut q = UpdateQueue::volatile();
-        q.attach_telemetry(&registry);
-        let t = QueueTelemetry::from_registry(&registry); // same series
+        let r = Registry::new();
+        let q = UpdateQueue::volatile();
+        q.attach_telemetry(&r);
         for i in 0..3 {
             q.enqueue(tok(i)).unwrap();
         }
-        assert_eq!(t.depth.get(), 3);
-        assert_eq!(t.enqueued.get(), 3);
+        assert_eq!(r.find_gauge("tman_queue_depth", &[]), 3);
+        assert_eq!(r.find_counter("tman_queue_enqueued_total", &[]), 3);
         q.dequeue_batch(2).unwrap();
-        assert_eq!(t.depth.get(), 1);
-        assert_eq!(t.dequeued.get(), 2);
-        assert_eq!(t.wait_ns.summary().count, 2);
+        assert_eq!(r.find_gauge("tman_queue_depth", &[]), 1);
+        assert_eq!(r.find_counter("tman_queue_dequeued_total", &[]), 2);
+        assert_eq!(r.find_histogram("tman_queue_wait_ns", &[]).count, 2);
         q.dequeue_batch(10).unwrap();
-        assert_eq!(t.depth.get(), 0);
+        assert_eq!(r.find_gauge("tman_queue_depth", &[]), 0);
     }
 
     #[test]
     fn persistent_wait_histogram_is_populated() {
         let registry = Registry::new();
         let db = Database::open_memory(128);
-        let mut q = UpdateQueue::persistent(&db).unwrap();
+        let q = UpdateQueue::persistent(&db).unwrap();
         q.attach_telemetry(&registry);
-        let t = QueueTelemetry::from_registry(&registry);
         q.enqueue(tok(1)).unwrap();
         q.enqueue(tok(2)).unwrap();
         let batch = q.dequeue_batch(10).unwrap();
         assert_eq!(batch, vec![tok(1), tok(2)]);
         // The wall-clock stamp in the record survives the store round
         // trip, so persistent mode populates the wait histogram too.
-        assert_eq!(t.wait_ns.summary().count, 2);
+        let wait = registry.find_histogram("tman_queue_wait_ns", &[]);
+        assert_eq!(wait.count, 2);
     }
 
     #[test]
@@ -591,7 +560,7 @@ mod tests {
         // come through and the batch never errors.
         let batch = q.dequeue_batch(10).unwrap();
         assert_eq!(batch, vec![tok(1), tok(4)]);
-        assert_eq!(q.corrupt_rows().get(), 2);
+        assert_eq!(q.stats().corrupt_rows.get(), 2);
         assert!(q.is_empty());
         // The watermark covered the damaged qids too, so nothing about
         // them survives a reopen.
@@ -611,7 +580,7 @@ mod tests {
         // Nothing to deliver, nothing left to do: the record is counted,
         // the cursor is past it, and so is the watermark at the barrier.
         assert!(q.dequeue_tracked(10).unwrap().is_empty());
-        assert_eq!(q.corrupt_rows().get(), 1);
+        assert_eq!(q.stats().corrupt_rows.get(), 1);
         assert_eq!(q.watermark(), Some(0));
         q.commit_acks().unwrap();
         assert_eq!(q.watermark(), Some(1));
@@ -667,20 +636,20 @@ mod tests {
         assert_eq!(q.ack_batch(&[999]).unwrap(), 0);
         assert_eq!(q.ack_batch(&[]).unwrap(), 0);
         assert_eq!(syncs.get(), before);
-        assert_eq!(q.wm_flushes().get(), 0);
+        assert_eq!(q.stats().wm_flushes.get(), 0);
         assert_eq!(q.watermark(), Some(0));
         assert!(q.is_empty());
         // The next push's group commit is the one barrier, for its records
         // and for both batches' acks.
         q.enqueue_batch(&[tok(8), tok(9)]).unwrap();
         assert_eq!(syncs.get(), before + 1);
-        assert_eq!(q.wm_flushes().get(), 1);
+        assert_eq!(q.stats().wm_flushes.get(), 1);
         assert_eq!(q.watermark(), Some(8));
         // A barrier with no new ack leaves the watermark alone, and an ack
         // barrier with nothing to move is free.
         q.enqueue_batch(&[tok(10)]).unwrap();
         assert_eq!(syncs.get(), before + 2);
-        assert_eq!(q.wm_flushes().get(), 1);
+        assert_eq!(q.stats().wm_flushes.get(), 1);
         q.commit_acks().unwrap();
         assert_eq!(syncs.get(), before + 2);
     }
@@ -704,7 +673,7 @@ mod tests {
         assert_eq!(q.watermark(), Some(1));
         q.commit_acks().unwrap();
         assert_eq!(q.watermark(), Some(4));
-        assert_eq!(q.wm_flushes().get(), 2);
+        assert_eq!(q.stats().wm_flushes.get(), 2);
         assert!(q.is_empty());
     }
 
@@ -890,7 +859,7 @@ mod tests {
         let q = UpdateQueue::volatile();
         q.enqueue(tok(1)).unwrap();
         assert_eq!(q.ack_batch(&[1, 2, 3]).unwrap(), 0);
-        assert_eq!(q.wm_flushes().get(), 0);
+        assert_eq!(q.stats().wm_flushes.get(), 0);
     }
 
     #[test]
@@ -1053,11 +1022,10 @@ mod tests {
             q.enqueue(tok(1)).unwrap();
             q.enqueue(tok(2)).unwrap();
         }
-        let mut q2 = UpdateQueue::persistent(&db).unwrap();
+        let q2 = UpdateQueue::persistent(&db).unwrap();
         q2.attach_telemetry(&registry);
-        let t = QueueTelemetry::from_registry(&registry);
-        assert_eq!(t.depth.get(), 2);
+        assert_eq!(registry.find_gauge("tman_queue_depth", &[]), 2);
         q2.dequeue_batch(10).unwrap();
-        assert_eq!(t.depth.get(), 0);
+        assert_eq!(registry.find_gauge("tman_queue_depth", &[]), 0);
     }
 }

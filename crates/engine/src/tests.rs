@@ -246,14 +246,17 @@ fn a_failing_action_counts_under_its_error_kind() {
     tman.run_until_quiescent().unwrap();
     assert!(tman.last_error().unwrap().contains("audit"));
 
-    let engine = tman.metrics_snapshot().engine;
+    let r = tman.metrics_registry();
     let not_found = TmanError::NotFound(String::new()).kind_index();
+    let mut by_kind = 0;
     for (i, kind) in TmanError::KINDS.iter().enumerate() {
-        let want = u64::from(i == not_found);
-        assert_eq!(engine.errors_by_kind[i], want, "{kind}");
+        let n = r.find_counter("tman_task_errors_total", &[("kind", kind)]);
+        assert_eq!(n, u64::from(i == not_found), "{kind}");
+        by_kind += n;
     }
-    assert_eq!(engine.errors, 1);
-    assert_eq!(engine.errors_by_kind.iter().sum::<u64>(), engine.errors);
+    let errors = r.find_counter("tman_task_errors_total", &[]);
+    assert_eq!(errors, 1);
+    assert_eq!(by_kind, errors);
     let text = tman.render_text();
     assert!(
         text.contains("tman_task_errors_total{kind=\"not_found\"} 1"),
@@ -1067,6 +1070,13 @@ fn connections_survive_restart() {
 
 // ----- observability (tman-telemetry wiring) ---------------------------------
 
+/// The `driver`-labeled series `name`, one value per driver slot.
+fn per_driver(tman: &TriggerMan, name: &str) -> Vec<u64> {
+    let r = tman.metrics_registry();
+    let slot = |i: usize| r.find_counter(name, &[("driver", &i.to_string())]);
+    (0..tman.num_shards()).map(slot).collect()
+}
+
 /// Drive a small but representative workload: two triggers (notify +
 /// raise event), 40 matching / 20 non-matching tokens.
 fn run_observed_workload(tman: &Arc<TriggerMan>) {
@@ -1096,59 +1106,82 @@ fn run_observed_workload(tman: &Arc<TriggerMan>) {
 fn metrics_snapshot_invariants_after_quiescence() {
     let tman = system();
     run_observed_workload(&tman);
-    let m = tman.metrics_snapshot();
+    let r = tman.metrics_registry();
+    let c = |name: &str| r.find_counter(name, &[]);
+    let h = |name: &str| r.find_histogram(name, &[]);
 
     // Every enqueued token was dequeued and processed; the depth gauge is
     // back to zero.
-    assert_eq!(m.queue.enqueued, 60);
-    assert_eq!(m.queue.dequeued, m.queue.enqueued);
-    assert_eq!(m.queue.depth, 0);
-    assert_eq!(m.engine.tokens, m.queue.enqueued);
-    assert_eq!(m.queue.wait_ns.count, 60);
+    assert_eq!(c("tman_queue_enqueued_total"), 60);
+    assert_eq!(c("tman_queue_dequeued_total"), 60);
+    assert_eq!(r.find_gauge("tman_queue_depth", &[]), 0);
+    assert_eq!(c("tman_tokens_processed_total"), 60);
+    assert_eq!(h("tman_queue_wait_ns").count, 60);
 
     // Cache accounting: every pin was either a hit or a miss.
-    assert_eq!(m.cache.pins, m.cache.hits + m.cache.misses);
-    assert!(m.cache.pins > 0);
+    let pins = c("tman_cache_pins_total");
+    assert_eq!(
+        pins,
+        c("tman_cache_hits_total") + c("tman_cache_misses_total")
+    );
+    assert!(pins > 0);
 
     // Driver task accounting: inline actions mean every task was a token.
-    assert_eq!(m.driver.tasks_token, 60);
-    assert!(m.driver.tman_test_calls > 0);
-    assert_eq!(m.driver.tman_test_ns.count, m.driver.tman_test_calls);
+    let driver_tokens = per_driver(&tman, "tman_driver_tokens_total");
+    assert_eq!(driver_tokens.iter().sum::<u64>(), 60);
+    let calls = c("tman_test_calls_total");
+    assert!(calls > 0);
+    assert_eq!(h("tman_test_ns").count, calls);
 
     // Index: 60 tokens reached the root; probes found the matches that
-    // became engine firings.
-    assert_eq!(m.index.tokens, 60);
-    assert!(m.index.matches >= m.engine.firings);
-    let org_probes: u64 = m.index.per_org.iter().map(|o| o.probes).sum();
-    let org_matches: u64 = m.index.per_org.iter().map(|o| o.matches).sum();
-    assert_eq!(org_probes, m.index.probes);
-    assert_eq!(org_matches, m.index.matches);
+    // became engine firings, and the per-organization series add up to
+    // the totals.
+    assert_eq!(c("tman_index_tokens_total"), 60);
+    let matches = c("tman_index_matches_all_total");
+    assert!(matches >= c("tman_firings_total"));
+    let per_org = |name: &str| -> u64 {
+        let org = |org: &&str| r.find_counter(name, &[("org", org)]);
+        tman_predindex::ORG_LABELS.iter().map(org).sum()
+    };
+    assert_eq!(
+        per_org("tman_index_probes_total"),
+        c("tman_index_probes_all_total")
+    );
+    assert_eq!(per_org("tman_index_matches_total"), matches);
 
     // Actions: obs1 (notify) fires for dept=1 (20 tokens), obs2
     // (raise event) for salary>100 (49 tokens: i in 11..60).
-    assert_eq!(m.actions.notify, 20);
-    assert_eq!(m.actions.raise_event, 49);
-    assert_eq!(m.engine.actions, 69);
-    assert_eq!(m.actions.latency_ns.count, 69);
-    assert_eq!(m.actions.notify_fanout.count, 69);
+    let kind = |kind: &str| r.find_counter("tman_actions_total", &[("kind", kind)]);
+    assert_eq!(kind("notify"), 20);
+    assert_eq!(kind("raise_event"), 49);
+    assert_eq!(c("tman_actions_run_total"), 69);
+    assert_eq!(h("tman_action_ns").count, 69);
+    assert_eq!(h("tman_notify_fanout").count, 69);
     // One live "Big" subscriber; notify has none.
-    assert_eq!(m.actions.delivered, 49);
+    assert_eq!(c("tman_notifications_delivered_total"), 49);
 
     // Storage served catalog reads.
-    assert!(m.storage.pool_hits > 0);
-    assert!((m.storage.pool_hit_rate - 1.0).abs() < 1e-9 || m.storage.pool_misses > 0);
+    assert!(c("tman_pool_hits_total") > 0);
 
     // Fault-path counters exist and stay zero without an armed fault plan.
-    assert_eq!(m.storage.faults_injected, 0);
-    assert_eq!(m.storage.io_retries, 0);
-    assert_eq!(m.storage.checksum_failures, 0);
-    assert_eq!(m.storage.quarantined_pages, 0);
-    assert_eq!(m.queue.corrupt_rows, 0);
+    for name in [
+        "tman_faults_injected_total",
+        "tman_io_retries_total",
+        "tman_checksum_failures_total",
+        "tman_quarantined_pages_total",
+        "tman_queue_corrupt_rows_total",
+    ] {
+        assert!(
+            tman.render_text().contains(&format!("\n{name} 0\n")),
+            "{name}"
+        );
+    }
     // Volatile queue mode: no delivery watermark.
-    assert_eq!(m.queue.watermark, None);
+    assert_eq!(tman.queue_watermark(), None);
+    assert!(!tman.render_text().contains("tman_queue_watermark"));
 
-    // Signature rows exist for both triggers' signatures.
-    assert!(!m.signatures.is_empty());
+    // Classes exist for both triggers' signatures.
+    assert!(r.find_gauge("tman_index_signatures", &[]) > 0);
 }
 
 #[test]
@@ -1609,8 +1642,8 @@ fn tracing_off_is_inert() {
         tman_telemetry::trace::validate_chrome_trace(&json).unwrap(),
         0
     );
-    // Metrics report the subsystem as disabled.
-    assert!(!tman.metrics_snapshot().trace.enabled);
+    // The exposition has no tracer series.
+    assert!(!tman.render_text().contains("tman_trace_"));
 }
 
 // ----- Figure-5 condition-level fan-out ---------------------------------------
@@ -1717,7 +1750,7 @@ fn batched_drain_pays_one_ack_barrier_per_batch() {
         tman.run_sql(&format!("insert into emp values ('p{i}', 1, {i})"))
             .unwrap();
     }
-    let flushes_before = tman.queue.wm_flushes().get();
+    let flushes_before = tman.queue.stats().wm_flushes.get();
     let wal = tman.database().storage().pool().wal().unwrap().stats();
     let fsyncs_before = wal.fsyncs.get();
     tman.run_until_quiescent().unwrap();
@@ -1725,7 +1758,7 @@ fn batched_drain_pays_one_ack_barrier_per_batch() {
     assert_eq!(rx.try_iter().count(), 32);
     // 32 tokens fit one drain batch: exactly one watermark barrier, and
     // it is the drain's one fsync.
-    assert_eq!(tman.queue.wm_flushes().get() - flushes_before, 1);
+    assert_eq!(tman.queue.stats().wm_flushes.get() - flushes_before, 1);
     assert_eq!(wal.fsyncs.get() - fsyncs_before, 1);
     assert_eq!(tman.queue.watermark(), Some(32));
     drop(tman);
@@ -1776,8 +1809,8 @@ fn a_drained_run_pins_exactly_its_admitted_matches() {
         // A token: two arms of `either`, `burst` (counts 1 and 2 of 3),
         // `plain`; admitted: `either` once and `plain`.
         assert_eq!(index.matches.get() - matches, 2 * 4, "capacity {capacity}");
-        assert_eq!(tman.tag_dedup_hits.get(), 2, "capacity {capacity}");
-        assert_eq!(tman.window_fires.get(), 0, "capacity {capacity}");
+        assert_eq!(tman.tag_dedup_hits(), 2, "capacity {capacity}");
+        assert_eq!(tman.window_fires(), 0, "capacity {capacity}");
         let admitted = 2 * 2;
         assert_eq!(rx.try_iter().count(), admitted as usize);
         let pinned = cache.pins.get() - pins;
@@ -1826,7 +1859,7 @@ fn tman_test_on_a_deep_backlog_touches_only_its_batch() {
     tman.push_tokens(backlog).unwrap();
     assert_eq!(tman.queue_len(), 4_096);
 
-    let stats = tman.database().storage().pool().stats().clone();
+    let stats = tman.database().storage().pool().stats();
     let fetches = || stats.pool_hits.get() + stats.pool_misses.get();
     let before = fetches();
     // A zero threshold expires after the first batch: one dequeue, one
@@ -1907,18 +1940,10 @@ fn show_stats_drivers_reports_driver_rows() {
             .unwrap();
     }
     tman.run_until_quiescent().unwrap();
-    let m = tman.metrics_snapshot();
-    assert_eq!(m.driver.shards.len(), 2);
     // Single-threaded drain: slot 0 drained every token and ran every
     // partition.
-    assert_eq!(
-        (m.driver.shards[0].tokens, m.driver.shards[0].tasks),
-        (6, 12)
-    );
-    assert_eq!(
-        (m.driver.shards[1].tokens, m.driver.shards[1].tasks),
-        (0, 0)
-    );
+    assert_eq!(per_driver(&tman, "tman_driver_tokens_total"), [6, 0]);
+    assert_eq!(per_driver(&tman, "tman_driver_tasks_total"), [12, 0]);
     let CommandOutput::Stats(report) = tman.execute_command("show stats drivers").unwrap() else {
         panic!("expected stats output")
     };
@@ -2046,7 +2071,9 @@ fn a_windowed_entry_keeps_its_class_from_fanning_out_until_dropped() {
             .unwrap();
         tman.run_until_quiescent().unwrap();
         assert_eq!(hits.try_iter().count(), 1);
-        tman.metrics_snapshot().driver.tasks_sig_partition
+        per_driver(&tman, "tman_driver_tasks_total")
+            .iter()
+            .sum::<u64>()
     };
     assert_eq!(push_and_drain(), 0, "a windowed class fanned out");
     tman.execute_command("drop trigger burst").unwrap();

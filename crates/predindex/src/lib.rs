@@ -50,7 +50,6 @@ use eqtable::key_hash;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use tman_common::fxhash::FxHashMap;
-use tman_common::stats::IndexStats;
 use tman_common::{
     DataSourceId, DataType, EventKind, ExprId, NodeId, Result, Schema, SignatureId, TokenOp,
     TriggerId, Tuple, UpdateDescriptor, Value,
@@ -60,7 +59,7 @@ use tman_expr::{IndexPlan, SelectionSignature, SignatureKey};
 use tman_sql::Database;
 use tman_sync::{Mutex, RwLock};
 use tman_telemetry::trace::{now_ns, ROOT_SPAN};
-use tman_telemetry::{CounterHandle, Registry, SpanKind, TraceHandle};
+use tman_telemetry::{Counter, Registry, SpanKind, TraceHandle};
 
 /// The units the cost tests count (`tests.rs`): they hold a probe's and a
 /// removal's work to what the operation touches, whatever the population.
@@ -94,39 +93,32 @@ pub(crate) fn tick(_work: Work) {
     });
 }
 
-/// Per-organization probe/match counters (`tman_index_probes_total{org=..}`
-/// / `tman_index_matches_total{org=..}`): one pre-resolved handle pair per
-/// [`OrgKind`], so the hot probe path never touches the registry. Default
-/// (telemetry not attached) is all no-op handles.
-#[derive(Clone)]
-pub struct OrgCounters {
-    /// By [`OrgKind`], labeled [`ORG_LABELS`].
-    probes: [CounterHandle; 4],
-    matches: [CounterHandle; 4],
+/// Predicate-index counters.
+#[derive(Debug, Default)]
+pub struct IndexStats {
+    /// Tokens submitted to the root of the predicate index.
+    pub tokens: Arc<Counter>,
+    /// Signature entries visited (one per signature per token).
+    pub signatures_probed: Arc<Counter>,
+    /// Constant-set probes that used an organization's fast path.
+    pub probes: Arc<Counter>,
+    /// "Rest of predicate" re-tests performed after an indexed match.
+    pub residual_tests: Arc<Counter>,
+    /// Full predicate matches produced.
+    pub matches: Arc<Counter>,
 }
 
-impl Default for OrgCounters {
-    fn default() -> OrgCounters {
-        OrgCounters {
-            probes: std::array::from_fn(|_| CounterHandle::noop()),
-            matches: std::array::from_fn(|_| CounterHandle::noop()),
-        }
-    }
+/// Per-organization probe/match counters (`tman_index_probes_total{org=..}`
+/// / `tman_index_matches_total{org=..}`): one pair per [`OrgKind`], shared
+/// by every signature, so the hot probe path never touches the registry.
+#[derive(Clone, Default)]
+pub struct OrgCounters {
+    /// By [`OrgKind`], labeled [`ORG_LABELS`].
+    probes: [Arc<Counter>; 4],
+    matches: [Arc<Counter>; 4],
 }
 
 impl OrgCounters {
-    /// Resolve the labeled counter families from a registry.
-    pub fn from_registry(registry: &Registry) -> OrgCounters {
-        OrgCounters {
-            probes: std::array::from_fn(|i| {
-                registry.counter("tman_index_probes_total", &[("org", ORG_LABELS[i])])
-            }),
-            matches: std::array::from_fn(|i| {
-                registry.counter("tman_index_matches_total", &[("org", ORG_LABELS[i])])
-            }),
-        }
-    }
-
     #[inline]
     fn probes(&self, kind: OrgKind, n: u64) {
         self.probes[kind as usize].add(n);
@@ -724,33 +716,26 @@ impl PredicateIndex {
         &self.stats
     }
 
-    /// Wire per-organization probe/match counters into `registry` and
-    /// register the aggregate [`IndexStats`] counters there too. Call
-    /// before the first [`PredicateIndex::add_predicate`] — signatures
-    /// capture the handles at creation time.
-    pub fn attach_telemetry(&mut self, registry: &Arc<Registry>) {
-        self.org_counters = OrgCounters::from_registry(registry);
-        registry.register_counter("tman_index_tokens_total", &[], self.stats.tokens.clone());
-        registry.register_counter(
-            "tman_index_signatures_probed_total",
-            &[],
-            self.stats.signatures_probed.clone(),
-        );
-        registry.register_counter(
-            "tman_index_probes_all_total",
-            &[],
-            self.stats.probes.clone(),
-        );
-        registry.register_counter(
-            "tman_index_residual_tests_total",
-            &[],
-            self.stats.residual_tests.clone(),
-        );
-        registry.register_counter(
-            "tman_index_matches_all_total",
-            &[],
-            self.stats.matches.clone(),
-        );
+    /// Register the index's series in `registry`: its counters, labeled
+    /// by organization where they are counted by one, and computed reads
+    /// of the levels it keeps.
+    pub fn attach_telemetry(&self, registry: &Registry) {
+        let s = &self.stats;
+        for (name, counter) in [
+            ("tman_index_tokens_total", &s.tokens),
+            ("tman_index_signatures_probed_total", &s.signatures_probed),
+            ("tman_index_probes_all_total", &s.probes),
+            ("tman_index_residual_tests_total", &s.residual_tests),
+            ("tman_index_matches_all_total", &s.matches),
+        ] {
+            registry.register_counter(name, &[], counter.clone());
+        }
+        let orgs = &self.org_counters;
+        for (i, org) in ORG_LABELS.iter().enumerate() {
+            let label = &[("org", *org)];
+            registry.register_counter("tman_index_probes_total", label, orgs.probes[i].clone());
+            registry.register_counter("tman_index_matches_total", label, orgs.matches[i].clone());
+        }
         // Levels, so computed reads of what the index already keeps.
         let tagged = self.tagged.clone();
         registry.register_gauge_fn("tman_tagged_entries", &[], move || {

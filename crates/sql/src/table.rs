@@ -1,11 +1,11 @@
 //! Tables: heap rows plus maintained secondary indexes.
 
 use std::sync::Arc;
-use tman_common::stats::Counter;
 use tman_common::{Result, Schema, TmanError, Tuple, Value};
 use tman_storage::encode_key;
 use tman_storage::{BTree, HeapFile, RecordId};
 use tman_sync::RwLock;
+use tman_telemetry::Counter;
 
 /// A secondary index: a B+tree keyed on the keyenc encoding of a column
 /// subset, valued with packed record ids.

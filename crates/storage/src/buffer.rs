@@ -29,9 +29,9 @@ use crate::wal::Wal;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use tman_common::fxhash::FxHashMap;
-use tman_common::stats::StorageStats;
 use tman_common::{Result, TmanError};
 use tman_sync::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use tman_telemetry::{Counter, Registry};
 
 struct FrameCell {
     pid: PageId,
@@ -61,8 +61,21 @@ struct PoolInner {
 pub struct BufferPool {
     disk: Arc<DiskManager>,
     inner: Mutex<PoolInner>,
-    stats: StorageStats,
+    stats: PoolStats,
     wal: Option<Arc<Wal>>,
+}
+
+/// Buffer-pool counters (physical I/O is on [`DiskManager::stats`]).
+#[derive(Debug, Default)]
+pub struct PoolStats {
+    /// Fetches that found the page resident.
+    pub pool_hits: Arc<Counter>,
+    /// Fetches that had to read the page.
+    pub pool_misses: Arc<Counter>,
+    /// Pages evicted to make room.
+    pub evictions: Arc<Counter>,
+    /// Transient write errors that were retried.
+    pub io_retries: Arc<Counter>,
 }
 
 impl BufferPool {
@@ -87,15 +100,33 @@ impl BufferPool {
                 frames: (0..capacity).map(|_| None).collect(),
                 tick: 0,
             }),
-            stats: StorageStats::default(),
+            stats: PoolStats::default(),
             wal,
         }
     }
 
     /// Pool hit/miss/eviction counters (physical I/O is on
     /// [`DiskManager::stats`]).
-    pub fn stats(&self) -> &StorageStats {
+    pub fn stats(&self) -> &PoolStats {
         &self.stats
+    }
+
+    /// Register the pool's series in `registry`, and those of its disk
+    /// and its log.
+    pub fn attach_telemetry(&self, registry: &Registry) {
+        let s = &self.stats;
+        for (name, counter) in [
+            ("tman_pool_hits_total", &s.pool_hits),
+            ("tman_pool_misses_total", &s.pool_misses),
+            ("tman_pool_evictions_total", &s.evictions),
+            ("tman_io_retries_total", &s.io_retries),
+        ] {
+            registry.register_counter(name, &[], counter.clone());
+        }
+        self.disk.attach_telemetry(registry);
+        if let Some(wal) = &self.wal {
+            wal.attach_telemetry(registry);
+        }
     }
 
     /// The underlying disk manager.

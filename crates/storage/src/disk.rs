@@ -6,7 +6,7 @@
 //! and a *volatile* vector that holds each page's one buffer while no pool
 //! frame does ([`DiskManager::take_page`], [`DiskManager::put_page`]): the
 //! store of [`crate::Storage::open_memory`], which nothing reopens. All
-//! count physical reads into [`StorageStats`] so experiments can report
+//! count physical reads into [`DiskStats`] so experiments can report
 //! I/O.
 //!
 //! # On-disk format (file backend)
@@ -42,9 +42,10 @@ use crate::fault::{FaultKind, FaultPlan};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use tman_common::stats::StorageStats;
+use std::sync::Arc;
 use tman_common::{Result, TmanError};
 use tman_sync::Mutex;
+use tman_telemetry::{Counter, Registry};
 
 /// Fixed page size (bytes). 4 KiB matches the paper's era and keeps the
 /// trigger-cache arithmetic in §5.1 ("a trigger description takes 4K bytes")
@@ -112,9 +113,28 @@ enum Backend {
 pub struct DiskManager {
     backend: Backend,
     num_pages: Mutex<u32>,
-    stats: StorageStats,
+    stats: DiskStats,
     plan: Option<FaultPlan>,
     recovery: RecoveryReport,
+}
+
+/// Physical I/O counters of one store.
+#[derive(Debug, Default)]
+pub struct DiskStats {
+    /// Page reads from the backing file or memory.
+    pub page_reads: Arc<Counter>,
+    /// Page writes.
+    pub page_writes: Arc<Counter>,
+    /// Page-slot reads whose checksum or version trailer failed validation.
+    pub checksum_failures: Arc<Counter>,
+    /// Pages zeroed and quarantined by the open-time recovery pass because
+    /// neither physical slot held a valid copy.
+    pub quarantined_pages: Arc<Counter>,
+    /// Faults injected by an attached `FaultPlan` (test builds only).
+    pub faults_injected: Arc<Counter>,
+    /// Explicit durability syncs (`fdatasync` on the file backend; a
+    /// counted no-op on the memory backend).
+    pub syncs: Arc<Counter>,
 }
 
 pub(crate) fn fnv1a64(data: &[u8], version: u64) -> u64 {
@@ -181,7 +201,7 @@ impl DiskManager {
             .create(true)
             .truncate(false) // reopening an existing store must keep it
             .open(path)?;
-        let stats = StorageStats::default();
+        let stats = DiskStats::default();
         if file.metadata()?.len() == 0 {
             // Fresh store: stamp the header before anything else.
             file.write_all(&header_block())?;
@@ -215,7 +235,7 @@ impl DiskManager {
     /// the log still covers gets rewritten by replay right after, so a
     /// quarantine here is only *damage* when no committed redo record
     /// supersedes it.
-    fn scavenge(file: &mut File, stats: &StorageStats) -> Result<(Vec<u64>, RecoveryReport)> {
+    fn scavenge(file: &mut File, stats: &DiskStats) -> Result<(Vec<u64>, RecoveryReport)> {
         let len = file.metadata()?.len();
         let body = len.saturating_sub(PHYS_PAGE as u64);
         let num_pages = body.div_ceil(PHYS_PAGE as u64) as u32;
@@ -263,7 +283,7 @@ impl DiskManager {
         let dm = DiskManager {
             backend,
             num_pages: Mutex::new(0),
-            stats: StorageStats::default(),
+            stats: DiskStats::default(),
             plan: None,
             recovery: RecoveryReport::default(),
         };
@@ -284,8 +304,23 @@ impl DiskManager {
     }
 
     /// I/O counters for this store.
-    pub fn stats(&self) -> &StorageStats {
+    pub fn stats(&self) -> &DiskStats {
         &self.stats
+    }
+
+    /// Register the store's I/O series in `registry`.
+    pub fn attach_telemetry(&self, registry: &Registry) {
+        let s = &self.stats;
+        for (name, counter) in [
+            ("tman_page_reads_total", &s.page_reads),
+            ("tman_page_writes_total", &s.page_writes),
+            ("tman_disk_syncs_total", &s.syncs),
+            ("tman_checksum_failures_total", &s.checksum_failures),
+            ("tman_quarantined_pages_total", &s.quarantined_pages),
+            ("tman_faults_injected_total", &s.faults_injected),
+        ] {
+            registry.register_counter(name, &[], counter.clone());
+        }
     }
 
     /// What the open-time scavenge pass found (empty report for the memory
@@ -308,7 +343,7 @@ impl DiskManager {
 
     /// Force previously written pages to stable storage: `fdatasync` on
     /// the file backend, a counted no-op in memory. Checkpoints call this
-    /// once per write-back pass; [`StorageStats::syncs`] counts every call
+    /// once per write-back pass; [`DiskStats::syncs`] counts every call
     /// so experiments can report syncs-per-token. Draws a
     /// [`FaultPlan::decide_sync`] decision: a sync can be the crash point
     /// or fail transiently.

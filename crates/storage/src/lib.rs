@@ -19,7 +19,9 @@
 //!
 //! Everything above this crate (SQL executor, catalogs, constant tables)
 //! talks only to these abstractions, so the disk-vs-memory tradeoffs the
-//! paper discusses (§5.2) are measurable via [`tman_common::stats`].
+//! paper discusses (§5.2) are measurable: the pool, the disk and the log
+//! each count their own work and register it in a metrics registry
+//! ([`BufferPool::attach_telemetry`]).
 
 mod btree;
 mod buffer;
@@ -33,14 +35,14 @@ mod seqlog;
 mod wal;
 
 pub use btree::BTree;
-pub use buffer::{BufferPool, PageGuard};
+pub use buffer::{BufferPool, PageGuard, PoolStats};
 pub use dir::Directory;
-pub use disk::{DiskManager, PageId, PAGE_SIZE};
+pub use disk::{DiskManager, DiskStats, PageId, PAGE_SIZE};
 pub use fault::{FaultConfig, FaultPlan};
 pub use heap::{HeapFile, RecordId};
 pub use keyenc::{encode_key, prefix_upper_bound};
 pub use seqlog::SeqLog;
-pub use wal::{Wal, WalConfig};
+pub use wal::{Wal, WalConfig, WalStats};
 
 use dir::ObjectKind;
 

@@ -92,9 +92,9 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use tman_common::fxhash::FxHashMap;
-use tman_common::stats::WalStats;
 use tman_common::{Result, TmanError};
 use tman_sync::Mutex;
+use tman_telemetry::{Counter, Histogram, Registry};
 
 /// Log header: magic + page size + salt, padded so frames start
 /// aligned-ish.
@@ -159,6 +159,28 @@ struct SyncState {
     durable_seq: u64,
     /// A thread currently has an fsync in flight; others piggyback.
     syncing: bool,
+}
+
+/// Write-ahead-log counters.
+#[derive(Debug, Default)]
+pub struct WalStats {
+    /// Page frames (full images or deltas) appended to the log.
+    pub appends: Arc<Counter>,
+    /// Bytes appended to the log, commit records included.
+    pub bytes: Arc<Counter>,
+    /// `fdatasync` calls issued on the log file.
+    pub fsyncs: Arc<Counter>,
+    /// Commits made durable by piggybacking on another writer's fsync —
+    /// the group-commit win: `group_commits / fsyncs` is the amortization
+    /// factor.
+    pub group_commits: Arc<Counter>,
+    /// Committed redo records replayed into the page file at open.
+    pub replayed_records: Arc<Counter>,
+    /// Checkpoints that wrote dirty pages back and reset the log in place.
+    pub checkpoints: Arc<Counter>,
+    /// Latency of making one commit durable (nanoseconds): the fsync wait,
+    /// whether this writer issued it or piggybacked on a neighbor's.
+    pub group_commit_ns: Arc<Histogram>,
 }
 
 /// The write-ahead log attached to a file-backed store.
@@ -419,6 +441,22 @@ impl Wal {
     /// Counters for this log.
     pub fn stats(&self) -> &WalStats {
         &self.stats
+    }
+
+    /// Register the log's series in `registry`.
+    pub fn attach_telemetry(&self, registry: &Registry) {
+        let s = &self.stats;
+        for (name, counter) in [
+            ("tman_wal_appends_total", &s.appends),
+            ("tman_wal_bytes_total", &s.bytes),
+            ("tman_wal_fsyncs_total", &s.fsyncs),
+            ("tman_wal_group_commits_total", &s.group_commits),
+            ("tman_wal_replayed_records_total", &s.replayed_records),
+            ("tman_wal_checkpoints_total", &s.checkpoints),
+        ] {
+            registry.register_counter(name, &[], counter.clone());
+        }
+        registry.register_histogram("tman_wal_group_commit_ns", &[], s.group_commit_ns.clone());
     }
 
     /// Bytes appended since the last checkpoint.

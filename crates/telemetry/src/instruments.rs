@@ -11,6 +11,7 @@
 //! mid-flight reads are monotone approximations.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::time::Instant;
 
 /// Number of stripes. Enough to spread a few dozen driver threads; small
 /// enough that summing on read is trivial.
@@ -37,11 +38,6 @@ fn stripe_id() -> usize {
 }
 
 /// Monotonically increasing event count, striped across cache lines.
-///
-/// This is the counter formerly at `tman_common::stats::Counter`; it moved
-/// here so every crate (including storage, below `tman-common` users) can
-/// report through one kit. `tman-common` re-exports it, so existing
-/// `tman_common::stats::Counter` imports keep working.
 #[derive(Default)]
 pub struct Counter {
     stripes: [StripeU64; STRIPES],
@@ -262,6 +258,16 @@ impl Histogram {
         }
     }
 
+    /// Start a wall-clock timer whose elapsed nanoseconds are recorded
+    /// here when the guard drops.
+    #[inline]
+    pub fn start(&self) -> Timer<'_> {
+        Timer {
+            hist: self,
+            started: Instant::now(),
+        }
+    }
+
     /// Samples recorded so far.
     pub fn count(&self) -> u64 {
         let mut total = 0u64;
@@ -319,6 +325,24 @@ impl Histogram {
     }
 }
 
+/// Drop guard from [`Histogram::start`]: records elapsed nanoseconds into
+/// the histogram on drop.
+pub struct Timer<'a> {
+    hist: &'a Histogram,
+    started: Instant,
+}
+
+impl Timer<'_> {
+    /// Record now instead of at scope end.
+    pub fn stop(self) {}
+}
+
+impl Drop for Timer<'_> {
+    fn drop(&mut self) {
+        self.hist.record(self.started.elapsed().as_nanos() as u64);
+    }
+}
+
 impl std::fmt::Debug for Histogram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = self.summary();
@@ -343,6 +367,25 @@ mod tests {
         assert_eq!(c.get(), 42);
         assert_eq!(c.reset(), 42);
         assert_eq!(c.get(), 0);
+    }
+
+    #[test]
+    fn counters_are_thread_safe() {
+        let c = Arc::new(Counter::new());
+        let handles: Vec<_> = (0..8)
+            .map(|_| {
+                let c = c.clone();
+                std::thread::spawn(move || {
+                    for _ in 0..10_000 {
+                        c.bump();
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(c.get(), 80_000);
     }
 
     #[test]

@@ -19,12 +19,10 @@
 //! ## Overhead design
 //!
 //! Everything on a record path is a relaxed atomic add on a per-thread
-//! stripe — the same discipline as the original `tman_common::stats`
-//! counters (which now live here). Subsystems hold pre-resolved
-//! [`CounterHandle`]/[`GaugeHandle`]/[`HistogramHandle`]s, so no name
-//! lookup or lock is ever taken per event. A subsystem built without a
-//! registry holds empty handles whose record calls are a single
-//! predictable branch — timers don't even read the clock.
+//! stripe. A subsystem holds its instruments as plain `Arc`s that it
+//! creates and registers under their names at setup, so no name lookup,
+//! lock or branch is ever taken per event, and a subsystem built without
+//! a registry counts all the same.
 //!
 //! This crate is dependency-free (std only) so every other crate in the
 //! workspace can use it.
@@ -36,8 +34,8 @@ mod render;
 pub mod trace;
 
 pub use http::{HttpHandler, HttpResponse, HttpServer};
-pub use instruments::{Counter, Gauge, Histogram, HistogramSummary};
-pub use registry::{CounterHandle, GaugeHandle, HistogramHandle, Registry, Timer};
+pub use instruments::{Counter, Gauge, Histogram, HistogramSummary, Timer};
+pub use registry::Registry;
 pub use render::json_escape;
 pub use trace::{
     unix_now_ns, SpanGuard, SpanKind, TraceEvent, TraceHandle, TraceRing, TraceSnapshot, TraceTree,

@@ -1,19 +1,18 @@
-//! Named, optionally labeled instruments and the cheap handles that
-//! subsystems record through.
+//! Named, optionally labeled instruments.
 //!
-//! The [`Registry`] is consulted only at *setup* time: a subsystem resolves
-//! each instrument once into a [`CounterHandle`] / [`GaugeHandle`] /
-//! [`HistogramHandle`] and records through that handle forever after — no
-//! name lookup, no lock, no allocation per event. Handles are `Option`s
-//! around `Arc`s: a subsystem built without a registry holds `None`
-//! handles (`noop()`), whose recording methods are a single predictable
-//! branch.
+//! An instrument is a plain `Arc<Counter|Gauge|Histogram>`. The subsystem
+//! that bumps it creates it — with [`Registry::counter`] & co. when it is
+//! handed the registry, or on its own when it must count without one — and
+//! registers it under its name. The [`Registry`] is consulted only at
+//! *setup* time; recording goes straight to the instrument: no name
+//! lookup, no lock, no allocation, no branch per event. Readers read the
+//! registry: the exposition, or one series by name
+//! ([`Registry::find_counter`] & co.).
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
-use std::time::Instant;
 
-use crate::instruments::{Counter, Gauge, Histogram};
+use crate::instruments::{Counter, Gauge, Histogram, HistogramSummary};
 use crate::render::{MetricSample, SampleValue};
 
 /// Owned label set: `(key, value)` pairs, sorted for stable identity.
@@ -85,50 +84,46 @@ impl Registry {
         map.entry(key).or_insert_with(make).clone()
     }
 
-    /// Resolve (creating if absent) a counter series.
+    /// The counter series at `(name, labels)`, created if absent.
     ///
-    /// If the identity already exists as a different instrument type, the
-    /// returned handle is a no-op — a registration bug should not panic a
-    /// driver thread.
-    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> CounterHandle {
-        match self.get_or_insert(name, labels, || {
-            Instrument::Counter(Arc::new(Counter::new()))
-        }) {
-            Instrument::Counter(c) => CounterHandle(Some(c)),
-            _ => CounterHandle(None),
+    /// The identity registered as another instrument type is a
+    /// programming error: it panics rather than hand out a counter that
+    /// reads zero in the exposition.
+    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
+        match self.get_or_insert(name, labels, || Instrument::Counter(Arc::default())) {
+            Instrument::Counter(c) => c,
+            _ => clash(name, "counter"),
         }
     }
 
-    /// Resolve (creating if absent) a gauge series.
-    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> GaugeHandle {
-        match self.get_or_insert(name, labels, || Instrument::Gauge(Arc::new(Gauge::new()))) {
-            Instrument::Gauge(g) => GaugeHandle(Some(g)),
-            _ => GaugeHandle(None),
+    /// The gauge series at `(name, labels)`, created if absent (see
+    /// [`counter`](Self::counter)).
+    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
+        match self.get_or_insert(name, labels, || Instrument::Gauge(Arc::default())) {
+            Instrument::Gauge(g) => g,
+            _ => clash(name, "gauge"),
         }
     }
 
-    /// Resolve (creating if absent) a histogram series.
-    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> HistogramHandle {
-        match self.get_or_insert(name, labels, || {
-            Instrument::Histogram(Arc::new(Histogram::new()))
-        }) {
-            Instrument::Histogram(h) => HistogramHandle(Some(h)),
-            _ => HistogramHandle(None),
+    /// The histogram series at `(name, labels)`, created if absent (see
+    /// [`counter`](Self::counter)).
+    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
+        match self.get_or_insert(name, labels, || Instrument::Histogram(Arc::default())) {
+            Instrument::Histogram(h) => h,
+            _ => clash(name, "histogram"),
         }
     }
 
-    /// Register a counter that already lives inside a subsystem's stats
-    /// struct (e.g. the trigger cache's hit counter), so exposition reads
-    /// the live value without a second instrument on the hot path.
-    /// Replaces any previous instrument at the same identity.
+    /// Register a counter its subsystem created before it was handed the
+    /// registry (e.g. the trigger cache's hit counter), so exposition
+    /// reads the live value. Replaces any previous instrument at the same
+    /// identity.
     pub fn register_counter(&self, name: &str, labels: &[(&str, &str)], counter: Arc<Counter>) {
         self.insert(name, labels, Instrument::Counter(counter));
     }
 
-    /// Register a histogram that already lives inside a subsystem's stats
-    /// struct (e.g. the WAL's group-commit latency), so exposition reads
-    /// the live buckets without a second instrument on the hot path.
-    /// Replaces any previous instrument at the same identity.
+    /// Register a histogram its subsystem created (see
+    /// [`register_counter`](Self::register_counter)).
     pub fn register_histogram(
         &self,
         name: &str,
@@ -162,27 +157,44 @@ impl Registry {
         self.insert(name, labels, Instrument::GaugeFn(Arc::new(f)));
     }
 
-    /// Register an existing shared gauge (see [`Registry::register_counter`]).
+    /// Register a gauge its subsystem created (see
+    /// [`register_counter`](Self::register_counter)).
     pub fn register_gauge(&self, name: &str, labels: &[(&str, &str)], gauge: Arc<Gauge>) {
         self.insert(name, labels, Instrument::Gauge(gauge));
     }
 
-    /// The counter series at `(name, labels)` if one is registered; unlike
+    /// The value of the counter series at `(name, labels)`, stored or
+    /// computed; 0 when none is registered. Unlike
     /// [`counter`](Self::counter) it never creates one, so a reader of
-    /// another subsystem's series does not declare it. No-op when absent.
-    pub fn find_counter(&self, name: &str, labels: &[(&str, &str)]) -> CounterHandle {
+    /// another subsystem's series does not declare it.
+    pub fn find_counter(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
         match self.find(name, labels) {
-            Some(Instrument::Counter(c)) => CounterHandle(Some(c)),
-            _ => CounterHandle(None),
+            None => 0,
+            Some(Instrument::Counter(c)) => c.get(),
+            Some(Instrument::CounterFn(f)) => f(),
+            Some(_) => clash(name, "counter"),
         }
     }
 
-    /// The histogram series at `(name, labels)` if one is registered (see
+    /// The level of the gauge series at `(name, labels)`, stored or
+    /// computed; 0 when none is registered (see
     /// [`find_counter`](Self::find_counter)).
-    pub fn find_histogram(&self, name: &str, labels: &[(&str, &str)]) -> HistogramHandle {
+    pub fn find_gauge(&self, name: &str, labels: &[(&str, &str)]) -> i64 {
         match self.find(name, labels) {
-            Some(Instrument::Histogram(h)) => HistogramHandle(Some(h)),
-            _ => HistogramHandle(None),
+            None => 0,
+            Some(Instrument::Gauge(g)) => g.get(),
+            Some(Instrument::GaugeFn(f)) => f(),
+            Some(_) => clash(name, "gauge"),
+        }
+    }
+
+    /// The digest of the histogram series at `(name, labels)`; empty when
+    /// none is registered (see [`find_counter`](Self::find_counter)).
+    pub fn find_histogram(&self, name: &str, labels: &[(&str, &str)]) -> HistogramSummary {
+        match self.find(name, labels) {
+            None => HistogramSummary::default(),
+            Some(Instrument::Histogram(h)) => h.summary(),
+            Some(_) => clash(name, "histogram"),
         }
     }
 
@@ -247,156 +259,11 @@ impl std::fmt::Debug for Registry {
     }
 }
 
-/// Cheap recording handle for a counter series. `None` (no registry
-/// attached) makes every method a single branch.
-#[derive(Clone, Default)]
-pub struct CounterHandle(pub(crate) Option<Arc<Counter>>);
-
-impl CounterHandle {
-    /// A handle that records nowhere.
-    pub fn noop() -> CounterHandle {
-        CounterHandle(None)
-    }
-
-    /// Add one.
-    #[inline]
-    pub fn bump(&self) {
-        if let Some(c) = &self.0 {
-            c.bump();
-        }
-    }
-
-    /// Add `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        if let Some(c) = &self.0 {
-            c.add(n);
-        }
-    }
-
-    /// Current value (0 for a no-op handle).
-    pub fn get(&self) -> u64 {
-        self.0.as_ref().map_or(0, |c| c.get())
-    }
-
-    /// Whether this handle records for real.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-}
-
-/// Cheap recording handle for a gauge series.
-#[derive(Clone, Default)]
-pub struct GaugeHandle(pub(crate) Option<Arc<Gauge>>);
-
-impl GaugeHandle {
-    /// A handle that records nowhere.
-    pub fn noop() -> GaugeHandle {
-        GaugeHandle(None)
-    }
-
-    /// Add a signed delta.
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        if let Some(g) = &self.0 {
-            g.add(delta);
-        }
-    }
-
-    /// Add one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Subtract one.
-    #[inline]
-    pub fn dec(&self) {
-        self.add(-1);
-    }
-
-    /// Current value (0 for a no-op handle).
-    pub fn get(&self) -> i64 {
-        self.0.as_ref().map_or(0, |g| g.get())
-    }
-
-    /// Whether this handle records for real.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-}
-
-/// Cheap recording handle for a histogram series.
-#[derive(Clone, Default)]
-pub struct HistogramHandle(pub(crate) Option<Arc<Histogram>>);
-
-impl HistogramHandle {
-    /// A handle that records nowhere.
-    pub fn noop() -> HistogramHandle {
-        HistogramHandle(None)
-    }
-
-    /// Record one sample (nanoseconds, bytes, fanout, ...).
-    #[inline]
-    pub fn record(&self, value: u64) {
-        if let Some(h) = &self.0 {
-            h.record(value);
-        }
-    }
-
-    /// Record `n` samples of `value` ([`Histogram::record_n`]).
-    #[inline]
-    pub fn record_n(&self, value: u64, n: u64) {
-        if let Some(h) = &self.0 {
-            h.record_n(value, n);
-        }
-    }
-
-    /// Start a wall-clock timer whose elapsed nanoseconds are recorded when
-    /// the guard drops. A no-op handle never reads the clock.
-    #[inline]
-    pub fn start(&self) -> Timer {
-        Timer {
-            hist: self.0.clone(),
-            started: if self.0.is_some() {
-                Some(Instant::now())
-            } else {
-                None
-            },
-        }
-    }
-
-    /// Digest of this series (empty for a no-op handle).
-    pub fn summary(&self) -> crate::instruments::HistogramSummary {
-        self.0
-            .as_ref()
-            .map_or_else(Default::default, |h| h.summary())
-    }
-
-    /// Whether this handle records for real.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-}
-
-/// Drop guard from [`HistogramHandle::start`]: records elapsed nanoseconds
-/// into the histogram on drop.
-pub struct Timer {
-    hist: Option<Arc<Histogram>>,
-    started: Option<Instant>,
-}
-
-impl Timer {
-    /// Record now instead of at scope end.
-    pub fn stop(self) {}
-}
-
-impl Drop for Timer {
-    fn drop(&mut self) {
-        if let (Some(h), Some(t0)) = (&self.hist, self.started) {
-            h.record(t0.elapsed().as_nanos() as u64);
-        }
-    }
+/// A series asked for as another instrument type than it is registered
+/// as: two subsystems disagree about a name.
+#[cold]
+fn clash(name: &str, wanted: &str) -> ! {
+    panic!("metric '{name}' is registered as another instrument type than {wanted}")
 }
 
 #[cfg(test)]
@@ -427,29 +294,11 @@ mod tests {
     }
 
     #[test]
-    fn noop_handles_record_nothing() {
-        let c = CounterHandle::noop();
-        let g = GaugeHandle::noop();
-        let h = HistogramHandle::noop();
-        c.bump();
-        g.inc();
-        h.record(5);
-        {
-            let _t = h.start();
-        }
-        assert!(!c.is_enabled() && !g.is_enabled() && !h.is_enabled());
-        assert_eq!(c.get(), 0);
-        assert_eq!(g.get(), 0);
-        assert_eq!(h.summary().count, 0);
-    }
-
-    #[test]
-    fn type_conflict_yields_noop_not_panic() {
+    #[should_panic(expected = "registered as another instrument type")]
+    fn a_type_clash_is_a_programming_error() {
         let r = Registry::new();
         let _c = r.counter("same_name", &[]);
-        let g = r.gauge("same_name", &[]);
-        g.inc();
-        assert!(!g.is_enabled());
+        let _g = r.gauge("same_name", &[]);
     }
 
     #[test]
@@ -483,14 +332,18 @@ mod tests {
     #[test]
     fn find_reads_without_creating() {
         let r = Registry::new();
-        assert!(!r.find_counter("c_total", &[]).is_enabled());
-        assert!(!r.find_histogram("h_ns", &[]).is_enabled());
+        assert_eq!(r.find_counter("c_total", &[]), 0);
+        assert_eq!(r.find_gauge("g", &[]), 0);
+        assert_eq!(r.find_histogram("h_ns", &[]).count, 0);
         assert_eq!(r.render_text(), "", "a find created a series");
         r.counter("c_total", &[]).add(4);
+        r.gauge("g", &[]).add(-2);
         r.histogram("h_ns", &[]).record(3);
-        assert_eq!(r.find_counter("c_total", &[]).get(), 4);
-        assert_eq!(r.find_histogram("h_ns", &[]).summary().count, 1);
-        assert!(!r.find_counter("h_ns", &[]).is_enabled());
+        r.register_gauge_fn("level", &[], || 5);
+        assert_eq!(r.find_counter("c_total", &[]), 4);
+        assert_eq!(r.find_gauge("g", &[]), -2);
+        assert_eq!(r.find_gauge("level", &[]), 5);
+        assert_eq!(r.find_histogram("h_ns", &[]).count, 1);
     }
 
     #[test]
@@ -511,8 +364,7 @@ mod tests {
 
     #[test]
     fn timer_records_elapsed() {
-        let r = Registry::new();
-        let h = r.histogram("lat_ns", &[]);
+        let h = Histogram::new();
         {
             let _t = h.start();
             std::thread::sleep(std::time::Duration::from_millis(1));

@@ -581,6 +581,26 @@ impl Tracer {
         }
     }
 
+    /// Register the tracer's sampling health in `registry`: it counts
+    /// starts, retention and ring overwrites exactly in its own atomics,
+    /// and computed counters read them live at exposition, so silent trace
+    /// loss (`tman_trace_events_dropped_total` climbing) is scrapeable.
+    pub fn attach_telemetry(self: &Arc<Self>, registry: &crate::Registry) {
+        type Read = fn(&TracerStats) -> u64;
+        let series: [(&str, Read); 6] = [
+            ("tman_trace_tokens_started_total", |s| s.started),
+            ("tman_trace_tokens_retained_total", |s| s.retained),
+            ("tman_trace_tokens_discarded_total", |s| s.discarded),
+            ("tman_trace_slow_retained_total", |s| s.slow_retained),
+            ("tman_trace_events_logged_total", |s| s.events_logged),
+            ("tman_trace_events_dropped_total", |s| s.events_dropped),
+        ];
+        for (name, read) in series {
+            let tracer = self.clone();
+            registry.register_counter_fn(name, &[], move || read(&tracer.stats()));
+        }
+    }
+
     /// Raw retained events, oldest first.
     pub fn events(&self) -> Vec<TraceEvent> {
         self.ring.snapshot()

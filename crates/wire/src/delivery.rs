@@ -87,14 +87,13 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, OnceLock};
 use tman_common::fxhash::FxHashMap;
-use tman_common::stats::Counter;
 use tman_common::{Column, DataType, Result, Schema, TmanError, Value};
 use tman_sql::{Database, Table};
 use tman_storage::{RecordId, SeqLog};
 use tman_sync::channel::Sender;
 use tman_sync::Mutex;
 use tman_telemetry::trace::{now_ns, thread_tag, unix_now_ns, ROOT_SPAN};
-use tman_telemetry::{GaugeHandle, HistogramHandle, Registry, SpanKind, TraceEvent, Tracer};
+use tman_telemetry::{Counter, Gauge, Histogram, Registry, SpanKind, TraceEvent, Tracer};
 use triggerman::{EventNotification, NotificationSink};
 
 use crate::frame::encode_notification_body;
@@ -148,7 +147,7 @@ pub struct Delivery {
 }
 
 /// Wire-observability bindings, installed once by the server at startup
-/// ([`DeliveryHub::bind_instruments`]). The hub's own counters exist from
+/// ([`DeliveryHub::attach_telemetry`]). The hub's own counters exist from
 /// `open` so the unit-testable core never needs a registry; the SLI
 /// histograms, per-subscriber lag gauges, and trace ring only exist when
 /// a server fronts the hub.
@@ -158,10 +157,10 @@ struct WireObs {
     /// `tman_wire_ingest_to_fire_ns`: source-side ingest stamp → delivery-
     /// log append, recorded once per published notification that carries
     /// an ingest stamp.
-    ingest_to_fire: HistogramHandle,
+    ingest_to_fire: Arc<Histogram>,
     /// `tman_wire_fire_to_ack_ns`: delivery-log append → durable
     /// subscriber ack, recorded per acked record appended by this process.
-    fire_to_ack: HistogramHandle,
+    fire_to_ack: Arc<Histogram>,
 }
 
 /// Per-subscriber delivery state. `live` is bounded by how far the
@@ -201,7 +200,7 @@ struct SubState {
     epoch: u64,
     /// `tman_wire_watermark_lag{sub=…}` gauge, resolved lazily once
     /// instruments are bound.
-    lag_gauge: Option<GaugeHandle>,
+    lag_gauge: Option<Arc<Gauge>>,
     /// Last lag value pushed into the gauge (gauges are delta-updated).
     lag_reported: i64,
 }
@@ -336,7 +335,7 @@ pub struct DeliveryHub {
     /// records stay and are retired by a later pass).
     errors: Arc<Counter>,
     /// SLI histograms, lag gauges, and trace ring; bound once by the wire
-    /// server ([`bind_instruments`](Self::bind_instruments)), absent in
+    /// server ([`attach_telemetry`](Self::attach_telemetry)), absent in
     /// bare unit-test hubs.
     wire: OnceLock<WireObs>,
     /// Wakes whoever drains the live mailboxes
@@ -414,12 +413,23 @@ impl DeliveryHub {
         }
     }
 
-    /// Bind the hub to a metrics registry (SLI histograms, per-subscriber
-    /// watermark-lag gauges) and optionally the engine's tracer (wire
-    /// delivery/ack spans). Called once by
-    /// [`WireServer::start`](crate::WireServer::start); later calls are
-    /// no-ops, and a hub that is never bound records nothing extra.
-    pub fn bind_instruments(&self, registry: &Arc<Registry>, tracer: Option<Arc<Tracer>>) {
+    /// Register the hub's counters in `registry`, and bind the hub to it
+    /// (SLI histograms, per-subscriber watermark-lag gauges) and
+    /// optionally to the engine's tracer (wire delivery/ack spans). Called
+    /// once by [`WireServer::start`](crate::WireServer::start); later
+    /// bindings are no-ops, and a hub that is never bound records nothing
+    /// beyond its counters.
+    pub fn attach_telemetry(&self, registry: &Arc<Registry>, tracer: Option<Arc<Tracer>>) {
+        for (name, counter) in [
+            ("tman_wire_delivery_appends_total", &self.appends),
+            ("tman_wire_redelivery_suppressed_total", &self.suppressed),
+            ("tman_wire_delivery_acked_total", &self.acked_rows),
+            ("tman_wire_acks_clamped_total", &self.clamped),
+            ("tman_wire_subscriber_stalls_total", &self.stalled),
+            ("tman_wire_delivery_errors_total", &self.errors),
+        ] {
+            registry.register_counter(name, &[], counter.clone());
+        }
         let _ = self.wire.set(WireObs {
             registry: registry.clone(),
             tracer,
@@ -661,17 +671,9 @@ impl DeliveryHub {
         Some((st.watermark - st.log.watermark()) as usize)
     }
 
-    /// Log records written.
-    pub fn appends(&self) -> &Arc<Counter> {
-        &self.appends
-    }
     /// Re-published notifications suppressed by redelivery dedup.
     pub fn suppressed(&self) -> &Arc<Counter> {
         &self.suppressed
-    }
-    /// Log records covered by acks.
-    pub fn acked_rows(&self) -> &Arc<Counter> {
-        &self.acked_rows
     }
     /// Acks clamped to the highest assigned sequence number.
     pub fn clamped(&self) -> &Arc<Counter> {

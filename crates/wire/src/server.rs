@@ -46,9 +46,7 @@ use std::time::Duration;
 use tman_common::{Result, TmanError, UpdateDescriptor};
 use tman_sync::channel::{unbounded, Receiver, TryRecvError};
 use tman_telemetry::trace::{now_ns, unix_now_ns, ROOT_SPAN};
-use tman_telemetry::{
-    CounterHandle, GaugeHandle, HistogramHandle, Registry, SpanKind, TraceHandle,
-};
+use tman_telemetry::{Counter, Gauge, Histogram, Registry, SpanKind, TraceHandle};
 use triggerman::{TriggerMan, QUEUE_HIGH_WATER};
 
 use crate::delivery::{Delivery, DeliveryHub};
@@ -89,20 +87,20 @@ pub mod error_code {
     pub const INTERNAL: u16 = 4;
 }
 
-/// Wire-tier instruments, resolved once at startup.
+/// Wire-tier instruments, created in the engine's registry at startup.
 struct WireMetrics {
-    connections: GaugeHandle,
-    frames_in: CounterHandle,
-    frames_out: CounterHandle,
-    protocol_errors: CounterHandle,
-    backpressure: CounterHandle,
-    batches: CounterHandle,
-    tokens: CounterHandle,
-    notifications: CounterHandle,
-    acks: CounterHandle,
+    connections: Arc<Gauge>,
+    frames_in: Arc<Counter>,
+    frames_out: Arc<Counter>,
+    protocol_errors: Arc<Counter>,
+    backpressure: Arc<Counter>,
+    batches: Arc<Counter>,
+    tokens: Arc<Counter>,
+    notifications: Arc<Counter>,
+    acks: Arc<Counter>,
     /// `tman_wire_credit_stall_ns`: how long each source spent stalled on
     /// a withheld credit window (one sample per stall episode).
-    credit_stall: HistogramHandle,
+    credit_stall: Arc<Histogram>,
 }
 
 impl WireMetrics {
@@ -155,7 +153,7 @@ struct Conn {
     mailbox: Option<Receiver<Delivery>>,
     /// `tman_wire_mailbox_depth{sub=…}` gauge plus the last depth pushed
     /// into it (delta-updated each pass, zeroed at retire).
-    depth_gauge: Option<(GaugeHandle, i64)>,
+    depth_gauge: Option<(Arc<Gauge>, i64)>,
     /// Close once `wbuf` drains (clean goodbye or error sent).
     close_after_flush: bool,
     /// Close immediately (peer gone).
@@ -222,29 +220,7 @@ impl WireServer {
         let hub = DeliveryHub::open(system.database(), system.queue_watermark())?;
         system.events().register_sink(hub.clone());
         let registry = system.metrics_registry();
-        registry.register_counter(
-            "tman_wire_delivery_appends_total",
-            &[],
-            hub.appends().clone(),
-        );
-        registry.register_counter(
-            "tman_wire_redelivery_suppressed_total",
-            &[],
-            hub.suppressed().clone(),
-        );
-        registry.register_counter(
-            "tman_wire_delivery_acked_total",
-            &[],
-            hub.acked_rows().clone(),
-        );
-        registry.register_counter("tman_wire_acks_clamped_total", &[], hub.clamped().clone());
-        registry.register_counter(
-            "tman_wire_subscriber_stalls_total",
-            &[],
-            hub.stalled().clone(),
-        );
-        registry.register_counter("tman_wire_delivery_errors_total", &[], hub.errors().clone());
-        hub.bind_instruments(registry, system.tracer().cloned());
+        hub.attach_telemetry(registry, system.tracer().cloned());
         let metrics = WireMetrics::resolve(registry);
         let stop = Arc::new(AtomicBool::new(false));
         let thread = {

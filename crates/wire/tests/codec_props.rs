@@ -207,7 +207,7 @@ fn expect_close(addr: SocketAddr, bytes: &[u8]) {
     }
 }
 
-fn wait_for(counter: &tman_telemetry::CounterHandle, at_least: u64) {
+fn wait_for(counter: &tman_telemetry::Counter, at_least: u64) {
     let deadline = Instant::now() + Duration::from_secs(10);
     while counter.get() < at_least {
         assert!(

@@ -156,7 +156,10 @@ fn many_sources_share_group_commits() {
     // The delivery log took every fire and none of its writes failed,
     // read where an operator would; and the error series is the hub's own
     // counter.
-    assert_eq!(tman.metrics_snapshot().wire.delivery_appends, total as u64);
+    assert_eq!(
+        registry.find_counter("tman_wire_delivery_appends_total", &[]),
+        total as u64
+    );
     let errors = || {
         registry
             .counter("tman_wire_delivery_errors_total", &[])

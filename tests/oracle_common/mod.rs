@@ -215,7 +215,11 @@ impl Harness {
     fn wait_drained(&self, drivers: usize) {
         let deadline = Instant::now() + Duration::from_secs(60);
         while self.tman.queue_len() > 0
-            || self.tman.metrics_snapshot().driver.parked < drivers as i64
+            || self
+                .tman
+                .metrics_registry()
+                .find_gauge("tman_driver_parked", &[])
+                < drivers as i64
         {
             assert!(Instant::now() < deadline, "[{}] never drained", self.label);
             std::thread::sleep(Duration::from_micros(200));

@@ -566,19 +566,23 @@ fn a_failed_window_persist_holds_the_ack_until_it_succeeds() {
             "the failed persist is recorded"
         );
         assert_eq!(rx.try_iter().count(), 1, "the K-th event fired");
+        let dequeued = || {
+            tman.metrics_registry()
+                .find_counter("tman_queue_dequeued_total", &[])
+        };
         assert_eq!(
-            tman.metrics_snapshot().queue.dequeued,
+            dequeued(),
             0,
             "no seq is acked while the window is not persisted"
         );
         tman.run_until_quiescent().unwrap();
-        assert_eq!(tman.metrics_snapshot().queue.dequeued, 0, "still frozen");
+        assert_eq!(dequeued(), 0, "still frozen");
 
         plan.disarm();
         plan.reset_crash();
         tman.run_until_quiescent().unwrap();
         assert_eq!(
-            tman.metrics_snapshot().queue.dequeued,
+            dequeued(),
             K,
             "the next barrier persists the window, then acks"
         );

@@ -106,7 +106,7 @@ fn sharded_stress(tokens: usize, churn_iters: usize) {
 
     // Drivers drain asynchronously; wait (bounded) for quiescence.
     let deadline = std::time::Instant::now() + Duration::from_secs(60);
-    while (tman.metrics_snapshot().engine.tokens < tokens as u64 || tman.queue_len() > 0)
+    while (tman.stats().tokens.get() < tokens as u64 || tman.queue_len() > 0)
         && std::time::Instant::now() < deadline
     {
         std::thread::sleep(Duration::from_millis(2));
@@ -118,9 +118,18 @@ fn sharded_stress(tokens: usize, churn_iters: usize) {
     tman.run_until_quiescent().unwrap(); // flush any still-queued actions
 
     assert!(tman.last_error().is_none(), "{:?}", tman.last_error());
-    let m = tman.metrics_snapshot();
-    assert_eq!(m.engine.tokens, tokens as u64, "tokens processed");
-    let per_driver: u64 = m.driver.shards.iter().map(|s| s.tokens).sum();
+    let r = tman.metrics_registry();
+    assert_eq!(
+        r.find_counter("tman_tokens_processed_total", &[]),
+        tokens as u64,
+        "tokens processed"
+    );
+    let per_driver: u64 = (0..tman.num_shards())
+        .map(|i| {
+            let driver = i.to_string();
+            r.find_counter("tman_driver_tokens_total", &[("driver", &driver)])
+        })
+        .sum();
     assert_eq!(
         per_driver, tokens as u64,
         "per-driver counters cover stream"

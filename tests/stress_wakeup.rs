@@ -101,25 +101,28 @@ fn wakeup_stress(mode: QueueMode, producers: usize, run_for: Duration, seed: u64
         .map(|e| *e.downcast::<String>().expect("panic message"))
         .collect::<Vec<_>>();
 
-    let m = tman.metrics_snapshot();
+    let r = tman.metrics_registry();
+    let parks = r.find_counter("tman_driver_parks_total", &[]);
+    let wakeups = r.find_counter("tman_driver_wakeups_total", &[]);
     let what = format!(
         "{mode:?} queue, {producers} producers, seed {seed}: pushed {}, worst push→fire {:?}, \
          parks {}, wake-ups {}",
         pushed.load(Ordering::Relaxed),
         Duration::from_nanos(worst_ns.load(Ordering::Relaxed)),
-        m.driver.parks,
-        m.driver.wakeups
+        parks,
+        wakeups
     );
     eprintln!("{what}");
     assert!(lost.is_empty(), "a wake-up was lost — {what}: {lost:?}");
-    assert_eq!(m.engine.tokens, pushed.load(Ordering::Relaxed), "{what}");
+    assert_eq!(
+        tman.stats().tokens.get(),
+        pushed.load(Ordering::Relaxed),
+        "{what}"
+    );
     assert_eq!(tman.queue_len(), 0, "{what}");
     assert!(tman.last_error().is_none(), "{:?}", tman.last_error());
     // The run did exercise the hand-off.
-    assert!(
-        m.driver.parks > 0 && m.driver.wakeups > 0,
-        "drivers never parked — {what}"
-    );
+    assert!(parks > 0 && wakeups > 0, "drivers never parked — {what}");
     pool.stop();
 }
 

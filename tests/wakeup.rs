@@ -34,10 +34,27 @@ fn token(src: DataSourceId, k: i64) -> UpdateDescriptor {
     UpdateDescriptor::insert(src, Tuple::new(vec![Value::Int(k)]))
 }
 
+/// The value of the unlabelled counter series `name`.
+fn counter(tman: &TriggerMan, name: &str) -> u64 {
+    tman.metrics_registry().find_counter(name, &[])
+}
+
+/// `tman_driver_parked`: drivers asleep in the idle wait now.
+fn parked(tman: &TriggerMan) -> i64 {
+    tman.metrics_registry()
+        .find_gauge("tman_driver_parked", &[])
+}
+
+/// `tman_driver_{parks,wakeups}_total`.
+fn parks_and_wakeups(tman: &TriggerMan) -> (u64, u64) {
+    let parks = counter(tman, "tman_driver_parks_total");
+    (parks, counter(tman, "tman_driver_wakeups_total"))
+}
+
 /// Wait until `n` drivers are asleep in the idle wait.
 fn wait_parked(tman: &TriggerMan, n: i64) {
     let deadline = Instant::now() + Duration::from_secs(5);
-    while tman.metrics_snapshot().driver.parked < n {
+    while parked(tman) < n {
         assert!(Instant::now() < deadline, "drivers never parked");
         std::thread::sleep(Duration::from_millis(1));
     }
@@ -56,18 +73,17 @@ fn an_idle_pool_costs_no_wakeups_and_stops_promptly_at_any_period() {
     wait_parked(&tman, 4);
     // Every wake-up of a driver is a `tman_test` call: an idle second
     // makes none.
-    let before = tman.metrics_snapshot().driver;
+    let calls = counter(&tman, "tman_test_calls_total");
     std::thread::sleep(Duration::from_secs(1));
-    let after = tman.metrics_snapshot().driver;
-    assert_eq!(after.tman_test_calls, before.tman_test_calls);
-    assert_eq!(after.parks, 4);
-    assert_eq!((after.parked, after.wakeups), (4, 0));
+    assert_eq!(counter(&tman, "tman_test_calls_total"), calls);
+    assert_eq!(parks_and_wakeups(&tman), (4, 0));
+    assert_eq!(parked(&tman), 4);
     // Ten seconds of period left to sleep; `stop` does not wait for it.
     let began = Instant::now();
     pool.stop();
     let took = began.elapsed();
     assert!(took < Duration::from_millis(100), "stop took {took:?}");
-    assert_eq!(tman.metrics_snapshot().driver.parked, 0);
+    assert_eq!(parked(&tman), 0);
 }
 
 #[test]
@@ -90,7 +106,9 @@ fn a_token_pushed_into_an_idle_pool_fires_at_once_at_the_default_period() {
             .expect("the token never fired");
         worst = worst.max(began.elapsed());
     }
-    let wait = tman.metrics_snapshot().queue.wait_ns;
+    let wait = tman
+        .metrics_registry()
+        .find_histogram("tman_queue_wait_ns", &[]);
     eprintln!(
         "idle push→fire: worst {worst:?}; tman_queue_wait_ns p50 {} ns, max {} ns",
         wait.p50, wait.max
@@ -113,8 +131,7 @@ fn a_driverless_or_saturated_engine_is_never_signalled() {
         tman.push_token(token(src, 0)).unwrap();
         tman.run_until_quiescent().unwrap();
     }
-    let m = tman.metrics_snapshot().driver;
-    assert_eq!((m.parks, m.wakeups), (0, 0));
+    assert_eq!(parks_and_wakeups(&tman), (0, 0));
 
     // A pool that never sees the queue empty: a closed loop keeps tens
     // of thousands of tokens ahead of the drivers, pushing all the
@@ -138,9 +155,9 @@ fn a_driverless_or_saturated_engine_is_never_signalled() {
             std::thread::yield_now();
         }
     }
-    let m = tman.metrics_snapshot().driver;
+    let wakes = parks_and_wakeups(&tman);
     assert!(tman.queue_len() > 0, "the drain caught up: premise lost");
-    assert_eq!((m.parks, m.wakeups), (0, 0));
+    assert_eq!(wakes, (0, 0));
     pool.stop();
 }
 
@@ -181,10 +198,17 @@ fn a_fanout_from_one_busy_driver_wakes_parked_ones() {
             std::thread::sleep(Duration::from_millis(1));
         }
     }
-    let m = tman.metrics_snapshot().driver;
-    assert_eq!(m.tasks_sig_partition, 20);
-    let busy = m.shards.iter().filter(|s| s.tasks > 0).count();
-    assert!(busy > 1, "one driver ran every partition: {:?}", m.shards);
+    let tasks: Vec<u64> = (0..tman.num_shards())
+        .map(|i| {
+            let driver = i.to_string();
+            let labels = &[("driver", driver.as_str())];
+            tman.metrics_registry()
+                .find_counter("tman_driver_tasks_total", labels)
+        })
+        .collect();
+    assert_eq!(tasks.iter().sum::<u64>(), 20);
+    let busy = tasks.iter().filter(|&&n| n > 0).count();
+    assert!(busy > 1, "one driver ran every partition: {tasks:?}");
     pool.stop();
 }
 
