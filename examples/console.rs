@@ -138,8 +138,7 @@ fn main() {
                     "already serving on {} ({} connection(s))",
                     s.local_addr(),
                     tman.metrics_registry()
-                        .gauge("tman_wire_connections", &[])
-                        .get()
+                        .find_gauge("tman_wire_connections", &[])
                 );
                 continue;
             }

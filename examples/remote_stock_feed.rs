@@ -118,8 +118,7 @@ fn main() -> tman_common::Result<()> {
     println!(
         "dashboard received {spikes} spikes; server pushed {} notification frames",
         tman.metrics_registry()
-            .counter("tman_wire_notifications_sent_total", &[])
-            .get()
+            .find_counter("tman_wire_notifications_sent_total", &[])
     );
     drivers.stop();
     Ok(())
