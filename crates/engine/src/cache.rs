@@ -298,12 +298,12 @@ impl TriggerCache {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::compile::{CompiledAction, Condition};
     use std::sync::atomic::AtomicBool;
 
-    fn dummy_trigger(id: u64) -> Arc<CompiledTrigger> {
+    pub(crate) fn dummy_trigger(id: u64) -> Arc<CompiledTrigger> {
         Arc::new(CompiledTrigger {
             id: TriggerId(id),
             name: format!("t{id}").into(),

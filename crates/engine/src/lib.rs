@@ -58,6 +58,7 @@ pub mod events;
 mod metrics;
 pub mod queue;
 mod source;
+mod stats;
 mod window;
 
 pub use cache::{CacheStats, PinnedTrigger, TriggerCache};
@@ -67,6 +68,7 @@ pub use driver::{DriverPool, TmanTestResult};
 pub use events::{EventBus, EventNotification, NotificationSink, Outbox};
 pub use metrics::MetricsSnapshot;
 pub use source::SourceInfo;
+pub use stats::EngineStats;
 pub use tman_network::NetworkKind;
 pub use tman_predindex::OrgKind;
 pub use tman_telemetry::{
@@ -93,7 +95,7 @@ use tman_sql::{Database, ExecResult};
 use tman_sync::SegQueue;
 use tman_sync::{Mutex, RwLock};
 use tman_telemetry::trace::{now_ns, SpanGuard, ROOT_SPAN};
-use tman_telemetry::{Counter, HttpResponse, HttpServer, TraceHandle};
+use tman_telemetry::{HttpResponse, HttpServer, TraceHandle};
 use window::WindowState;
 
 /// Capacity, in events, of the bounded trace ring buffer; the oldest
@@ -142,21 +144,6 @@ pub enum CommandOutput {
     Stats(String),
     /// `trace last <n>` / `trace token <id>`: rendered span trees.
     Trace(String),
-}
-
-/// Engine-level counters, created in the engine's registry (see
-/// `metrics.rs`).
-#[derive(Debug)]
-pub struct EngineStats {
-    /// `tman_tokens_processed_total`: tokens fully processed.
-    pub tokens: Arc<Counter>,
-    /// `tman_firings_total`: condition matches that reached a P-node.
-    pub firings: Arc<Counter>,
-    /// `tman_actions_run_total`: rule actions executed.
-    pub actions: Arc<Counter>,
-    /// `tman_task_errors_total`: task failures (see
-    /// [`TriggerMan::last_error`]).
-    pub errors: Arc<Counter>,
 }
 
 /// The tag shared by the disjunct entries of one trigger variable,

@@ -294,11 +294,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "registered as another instrument type")]
     fn a_type_clash_is_a_programming_error() {
         let r = Registry::new();
         let _c = r.counter("same_name", &[]);
-        let _g = r.gauge("same_name", &[]);
+        let clash = std::panic::catch_unwind(|| r.gauge("same_name", &[])).unwrap_err();
+        let msg = clash.downcast_ref::<String>().unwrap();
+        assert!(
+            msg.contains("registered as another instrument type"),
+            "{msg}"
+        );
     }
 
     #[test]
