@@ -13,12 +13,15 @@
 //!   paths (vendored so the workspace has no hashing dependency).
 //! * [`rng`] — the one seeded generator (SplitMix64) every schedule,
 //!   workload and property test draws from.
+//! * [`SmallSlice`] — an owned slice that keeps one element inline, for
+//!   lists that are nearly always of length one.
 
 mod error;
 pub mod fxhash;
 mod ids;
 pub mod rng;
 mod schema;
+mod small;
 mod token;
 mod tuple;
 mod value;
@@ -26,6 +29,7 @@ mod value;
 pub use error::{Result, TmanError};
 pub use ids::{DataSourceId, ExprId, NodeId, SignatureId, TriggerId, TriggerSetId};
 pub use schema::{Column, Schema};
+pub use small::SmallSlice;
 pub use token::{EventKind, TokenOp, UpdateDescriptor};
 pub use tuple::Tuple;
 pub use value::{DataType, Value};

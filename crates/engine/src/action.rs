@@ -6,12 +6,12 @@
 //! is evaluated. This procedure binds the rule condition to the rule
 //! action."
 
-use crate::compile::{CompiledAction, CompiledTrigger};
+use crate::compile::{ActionArg, CompiledAction, CompiledTrigger};
 use crate::events::{EventNotification, Outbox};
 use crate::metrics::{ACTION_EXEC_SQL, ACTION_NOTIFY, ACTION_RAISE_EVENT};
 use crate::TriggerMan;
 use std::sync::{Arc, OnceLock};
-use tman_common::{Result, TmanError, TokenOp, Tuple, UpdateDescriptor, Value};
+use tman_common::{Result, SmallSlice, TmanError, TokenOp, Tuple, UpdateDescriptor, Value};
 use tman_expr::Env;
 use tman_lang::{Expr, Literal, SelectCols, SqlStmt};
 use tman_telemetry::SpanKind;
@@ -42,7 +42,7 @@ pub(crate) fn run_action(
         TokenOp::Update | TokenOp::Delete => token.old.as_ref(),
         TokenOp::Insert => None,
     };
-    let (key, event, values, message) = match &trigger.action {
+    let (event, values, message) = match &trigger.action {
         CompiledAction::ExecSql(stmt) => {
             system.telemetry.actions_by_kind[ACTION_EXEC_SQL].bump();
             let _latency = system.telemetry.action_ns.start();
@@ -50,37 +50,25 @@ pub(crate) fn run_action(
                 .and_then(|substituted| system.run_stmt(&substituted))
                 .map(drop);
         }
-        CompiledAction::RaiseEvent { name, key, args } => {
+        CompiledAction::RaiseEvent { name, args } => {
             system.telemetry.actions_by_kind[ACTION_RAISE_EVENT].bump();
-            // Action environment: NEW images in slots 0..n, OLD images in
-            // slots n..2n (only the event variable has one). On the stack:
-            // a trigger has at most 16 variables (`compile_trigger`).
-            let n = trigger.vars.len();
-            let mut slots: [Option<&Tuple>; 32] = [None; 32];
-            for (slot, b) in slots.iter_mut().zip(bindings) {
-                *slot = Some(b);
-            }
-            slots[n + trigger.event_var()] = old_of_event_var;
-            let env = Env {
-                tuples: &slots[..2 * n],
-                consts: &[],
+            let env = ActionEnv {
+                trigger,
+                bindings,
+                old: old_of_event_var,
             };
-            let values = args
-                .iter()
-                .map(|a| a.eval(&env))
-                .collect::<Result<Vec<_>>>()?;
-            (key.clone(), name.clone(), values, None)
+            let values = args.iter().map(|a| env.value(a)).collect::<Result<_>>()?;
+            (name.clone(), values, None)
         }
         CompiledAction::Notify(template) => {
             system.telemetry.actions_by_kind[ACTION_NOTIFY].bump();
             let msg = substitute_text(template, trigger, bindings, old_of_event_var);
             static NOTIFY: OnceLock<Arc<str>> = OnceLock::new();
             let event = NOTIFY.get_or_init(|| "notify".into());
-            (event.clone(), event.clone(), Vec::new(), Some(msg))
+            (event.clone(), SmallSlice::default(), Some(msg))
         }
     };
     outbox.push(
-        key,
         span.id(),
         EventNotification {
             event,
@@ -93,6 +81,51 @@ pub(crate) fn run_action(
         },
     );
     Ok(())
+}
+
+/// A `raise event`'s action environment: NEW images in slots `0..n`, OLD
+/// images in slots `n..2n`, of which only the event variable's is bound.
+struct ActionEnv<'a> {
+    trigger: &'a CompiledTrigger,
+    bindings: &'a [Tuple],
+    old: Option<&'a Tuple>,
+}
+
+impl ActionEnv<'_> {
+    /// The tuple bound to `slot`, if any.
+    fn slot(&self, slot: usize) -> Option<&Tuple> {
+        let n = self.trigger.vars.len();
+        match slot.checked_sub(n) {
+            None => self.bindings.get(slot),
+            Some(var) if var == self.trigger.event_var() => self.old,
+            Some(_) => None,
+        }
+    }
+
+    /// One argument's value. A column is read from its slot's tuple; any
+    /// other expression is evaluated over every slot, on the stack: a
+    /// trigger has at most 16 variables (`compile_trigger`).
+    fn value(&self, arg: &ActionArg) -> Result<Value> {
+        match *arg {
+            ActionArg::Col { slot, col } => {
+                let tuple = self.slot(slot as usize).ok_or_else(|| {
+                    TmanError::Internal(format!("no tuple bound to action slot {slot}"))
+                })?;
+                Ok(tuple.get(col as usize).clone())
+            }
+            ActionArg::Expr(ref e) => {
+                let n = 2 * self.trigger.vars.len();
+                let mut slots: [Option<&Tuple>; 32] = [None; 32];
+                for (at, slot) in slots[..n].iter_mut().enumerate() {
+                    *slot = self.slot(at);
+                }
+                e.eval(&Env {
+                    tuples: &slots[..n],
+                    consts: &[],
+                })
+            }
+        }
+    }
 }
 
 /// Resolve a transition reference to a concrete value.

@@ -298,24 +298,9 @@ impl TriggerCache {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
-    use crate::compile::{CompiledAction, Condition};
-    use std::sync::atomic::AtomicBool;
-
-    pub(crate) fn dummy_trigger(id: u64) -> Arc<CompiledTrigger> {
-        Arc::new(CompiledTrigger {
-            id: TriggerId(id),
-            name: format!("t{id}").into(),
-            set_enabled: Arc::new(AtomicBool::new(true)),
-            enabled: AtomicBool::new(true),
-            vars: Box::new([]),
-            on: None,
-            condition: Condition::Selection(Box::new([])),
-            action: CompiledAction::Notify("x".into()),
-            referenced: AtomicBool::new(false),
-        })
-    }
+    use crate::compile::dummy_trigger;
 
     #[test]
     fn pin_loads_once_then_hits() {

@@ -456,23 +456,32 @@ impl Catalog {
 
     // ----- windowed-threshold state -------------------------------------------
 
-    /// Upsert a trigger's persisted window: its ring, exactly, as
-    /// [`STAMP_DIGITS`] lowercase hex digits per timestamp, oldest first.
-    /// The ring is persisted at durability barriers, not per event, so
-    /// recovery restores it as of the last barrier.
-    pub(crate) fn save_window(&self, id: TriggerId, ring: &[u64]) -> Result<()> {
+    /// Write a trigger's persisted window: its ring, exactly, as
+    /// [`STAMP_DIGITS`] lowercase hex digits per timestamp, oldest first,
+    /// into the row at `at`, or into a new row when `at` is `None`.
+    /// Returns where the row is now; nothing is scanned. The ring is
+    /// persisted at durability barriers, not per event, so recovery
+    /// restores it as of the last barrier.
+    pub(crate) fn save_window(
+        &self,
+        id: TriggerId,
+        at: Option<RecordId>,
+        ring: &[u64],
+    ) -> Result<RecordId> {
         let encoded: String = ring.iter().map(|t| format!("{t:016x}")).collect();
-        upsert(
-            &self.window_state,
-            vec![Value::Int(id.raw() as i64), Value::str(encoded)],
-        )
+        let vals = vec![Value::Int(id.raw() as i64), Value::str(encoded)];
+        match at {
+            Some(at) => Ok(self.window_state.update(at, vals)?.1),
+            None => self.window_state.insert(vals),
+        }
     }
 
-    /// Every persisted window as `(triggerID, ring)`. A row that is not
-    /// whole [`STAMP_DIGITS`]-digit stamps is an error naming its trigger.
-    pub(crate) fn windows(&self) -> Result<Vec<(TriggerId, Vec<u64>)>> {
+    /// Every persisted window as `(row, triggerID, ring)`. A row that is
+    /// not whole [`STAMP_DIGITS`]-digit stamps is an error naming its
+    /// trigger.
+    pub(crate) fn windows(&self) -> Result<Vec<(RecordId, TriggerId, Vec<u64>)>> {
         let rows = self.window_state.scan_all()?;
-        let window = |(_, row): &(RecordId, Tuple)| {
+        let window = |(at, row): &(RecordId, Tuple)| {
             let id = row.get(0).as_i64().ok_or_else(|| {
                 TmanError::Corrupt("window_state row without a trigger id".into())
             })?;
@@ -481,14 +490,20 @@ impl Catalog {
                     "window_state row of trigger {id}: not whole {STAMP_DIGITS}-digit hex stamps"
                 ))
             })?;
-            Ok((TriggerId(id as u64), ring))
+            Ok((*at, TriggerId(id as u64), ring))
         };
         rows.iter().map(window).collect()
     }
 
-    /// Remove a trigger's window state. Returns false if missing.
-    pub(crate) fn delete_window(&self, id: TriggerId) -> Result<bool> {
-        delete(&self.window_state, id.raw())
+    /// Where trigger `id`'s window row is, found by a scan: only after a
+    /// failed save, which may have left the row elsewhere or nowhere.
+    pub(crate) fn find_window(&self, id: TriggerId) -> Result<Option<RecordId>> {
+        Ok(find(&self.window_state, 0, id.raw())?.map(|(at, _)| at))
+    }
+
+    /// Remove the window row at `at`.
+    pub(crate) fn delete_window(&self, at: RecordId) -> Result<()> {
+        self.window_state.delete(at).map(drop)
     }
 
     /// All signature rows as `(sigID, dataSrcID, desc, constTable, size,
@@ -594,24 +609,24 @@ mod tests {
         let db = Database::open_memory(256);
         let cat = Catalog::open(&db).unwrap();
         assert!(cat.windows().unwrap().is_empty());
-        cat.save_window(TriggerId(7), &[400, 700, 1_000]).unwrap();
-        cat.save_window(TriggerId(7), &[1_500, 2_000]).unwrap(); // upsert
-        cat.save_window(TriggerId(9), &[]).unwrap();
+        let seven = cat.save_window(TriggerId(7), None, &[400, 700, 1_000]);
+        let seven = cat.save_window(TriggerId(7), Some(seven.unwrap()), &[1_500, 2_000]);
+        let nine = cat.save_window(TriggerId(9), None, &[]).unwrap();
         // A full ring of real-width stamps is one row.
         let full: Vec<u64> = (0..MAX_WINDOW_COUNT).map(|i| u64::MAX - i).collect();
-        cat.save_window(TriggerId(11), &full).unwrap();
+        let eleven = cat.save_window(TriggerId(11), None, &full).unwrap();
         let mut rows = cat.windows().unwrap();
-        rows.sort_by_key(|(id, _)| id.raw());
+        rows.sort_by_key(|(_, id, _)| id.raw());
         assert_eq!(
             rows,
             vec![
-                (TriggerId(7), vec![1_500, 2_000]),
-                (TriggerId(9), vec![]),
-                (TriggerId(11), full),
+                (seven.unwrap(), TriggerId(7), vec![1_500, 2_000]),
+                (nine, TriggerId(9), vec![]),
+                (eleven, TriggerId(11), full),
             ]
         );
-        assert!(cat.delete_window(TriggerId(7)).unwrap());
-        assert!(!cat.delete_window(TriggerId(7)).unwrap());
+        cat.delete_window(rows[0].0).unwrap();
+        assert!(cat.delete_window(rows[0].0).is_err(), "deleted once");
         assert_eq!(cat.windows().unwrap().len(), 2);
         // A torn row — one stamp and a 15-digit tail — is an error naming
         // its trigger, not a shorter ring.

@@ -12,15 +12,20 @@
 //! it), no network for a one-variable trigger (the predicate index tested
 //! its selection; what is left is a list of conjuncts over no variable,
 //! nearly always empty), no window (registration reads it from
-//! [`Compiled`]), and the rare parts — an `on` clause, an `execSQL`
-//! statement — behind a box each. DESIGN.md's decision record "A
-//! cached trigger is what its fire path reads" has the sizes.
+//! [`Compiled`]), no routing key (the event bus lower-cases an event name
+//! once a stretch), and the rare parts — an `on` clause, an `execSQL`
+//! statement, an argument that is not a column — behind a box each. The
+//! variable list and a `raise event`'s arguments are [`SmallSlice`]s, so
+//! a one-variable `raise event` trigger with one column argument is three
+//! heap blocks: the description, its name and its event name. DESIGN.md's
+//! decision records "A cached trigger is what its fire path reads" and "A
+//! description is three blocks" have the sizes.
 
 use crate::catalog::MAX_WINDOW_COUNT;
 use crate::source::SourceInfo;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use tman_common::{EventKind, Result, TmanError, TriggerId, TriggerSetId, Tuple};
+use tman_common::{EventKind, Result, SmallSlice, TmanError, TriggerId, TriggerSetId, Tuple};
 use tman_expr::cnf::{remap_var, to_cnf, Cnf, ConditionGraph, Conjunct};
 use tman_expr::BindCtx;
 use tman_expr::{Env, Scalar};
@@ -48,19 +53,43 @@ pub enum CompiledAction {
     /// `execSQL` — statement template with `:NEW`/`:OLD` transition
     /// references still embedded; substituted per firing.
     ExecSql(Box<SqlStmt>),
-    /// `raise event` — name plus argument scalars resolved against the
-    /// action environment (`num_vars` NEW slots then `num_vars` OLD slots).
+    /// `raise event` — name plus arguments read from the action
+    /// environment (`num_vars` NEW slots then `num_vars` OLD slots).
     RaiseEvent {
         /// Event name, shared into every notification the action raises.
         name: Arc<str>,
-        /// `name` lower-cased once: the event bus's routing key.
-        key: Arc<str>,
-        /// Argument expressions.
-        args: Box<[Scalar]>,
+        /// Arguments, in order.
+        args: SmallSlice<ActionArg>,
     },
     /// `notify` — message template with textual `:NEW.src.col` /
     /// `:OLD.src.col` macro substitution (§2's "macro substitution").
     Notify(Box<str>),
+}
+
+/// One `raise event` argument.
+pub enum ActionArg {
+    /// A column of one slot of the action environment, read straight from
+    /// the tuple bound there: the argument nearly every trigger has.
+    Col {
+        /// Slot: a variable's NEW image, or `num_vars` + its OLD image.
+        slot: u32,
+        /// Column ordinal within that variable's schema.
+        col: u32,
+    },
+    /// Any other expression, evaluated against the action environment.
+    Expr(Box<Scalar>),
+}
+
+impl From<Scalar> for ActionArg {
+    fn from(arg: Scalar) -> ActionArg {
+        let ordinals = arg
+            .as_column()
+            .and_then(|(slot, col)| Some((u32::try_from(slot).ok()?, u32::try_from(col).ok()?)));
+        match ordinals {
+            Some((slot, col)) => ActionArg::Col { slot, col },
+            None => ActionArg::Expr(Box::new(arg)),
+        }
+    }
 }
 
 /// A trigger's `on` clause. Without one, every variable's insert or update
@@ -103,7 +132,7 @@ pub struct CompiledTrigger {
     /// In-memory enabled flag (mirrors the catalog's isEnabled).
     pub enabled: AtomicBool,
     /// Tuple variables, in `from` order.
-    pub vars: Box<[VarBinding]>,
+    pub vars: SmallSlice<VarBinding>,
     /// The `on` clause, if the trigger has one.
     pub on: Option<Box<OnClause>>,
     /// What a match still has to pass.
@@ -361,10 +390,12 @@ fn compile_action(action: &Action, vars: &[VarBinding], ctx: BindCtx) -> Result<
         }
         Action::RaiseEvent { name, args } => {
             let ctx = ctx.into_actions();
-            let args = args.iter().map(|a| ctx.scalar(a)).collect::<Result<_>>()?;
+            let args = args
+                .iter()
+                .map(|a| ctx.scalar(a).map(ActionArg::from))
+                .collect::<Result<_>>()?;
             Ok(CompiledAction::RaiseEvent {
                 name: name.as_str().into(),
-                key: name.to_lowercase().into(),
                 args,
             })
         }
@@ -455,22 +486,17 @@ impl CompiledTrigger {
     }
 
     /// Read one byte of each block a fire of this trigger reads — the
-    /// description's flags, the trigger name's buffer and the action's
-    /// blocks (a `raise event`'s name, routing key and argument slice, a
-    /// `notify`'s template) — and fold them into the result, so that a
-    /// caller who touches a batch of triggers ahead of firing them has
-    /// their cache misses overlap ([`crate::cache::TriggerCache::warm`]).
-    /// Writes nothing.
+    /// description's flags (its variables and a `raise event`'s arguments
+    /// are inline beside them), the trigger name's buffer and the action's
+    /// text (a `raise event`'s name, a `notify`'s template) — and fold them
+    /// into the result, so that a caller who touches a batch of triggers
+    /// ahead of firing them has their cache misses overlap
+    /// ([`crate::cache::TriggerCache::warm`]). Writes nothing.
     pub(crate) fn touch(&self) -> u64 {
         let first = |s: &str| u64::from(s.as_bytes().first().copied().unwrap_or(0));
         let flags = u64::from(self.enabled.load(std::sync::atomic::Ordering::Relaxed));
         let action = match &self.action {
-            CompiledAction::RaiseEvent { name, key, args } => {
-                let arg = args
-                    .first()
-                    .map_or(0, |a| matches!(a, Scalar::Col { .. }) as u64);
-                first(name) + first(key) + arg
-            }
+            CompiledAction::RaiseEvent { name, .. } => first(name),
             CompiledAction::Notify(template) => first(template),
             CompiledAction::ExecSql(_) => 0,
         };
@@ -492,4 +518,21 @@ pub(crate) fn rest_holds(rest: &[Conjunct], tuple: &Tuple) -> Result<bool> {
         }
     }
     Ok(true)
+}
+
+/// A bare description for unit tests of the cache and its counters: a
+/// `notify` trigger over no variable, named `t<id>`.
+#[cfg(test)]
+pub(crate) fn dummy_trigger(id: u64) -> Arc<CompiledTrigger> {
+    Arc::new(CompiledTrigger {
+        id: TriggerId(id),
+        name: format!("t{id}").into(),
+        set_enabled: Arc::new(AtomicBool::new(true)),
+        enabled: AtomicBool::new(true),
+        vars: SmallSlice::default(),
+        on: None,
+        condition: Condition::Selection(Box::new([])),
+        action: CompiledAction::Notify("x".into()),
+        referenced: AtomicBool::new(false),
+    })
 }

@@ -20,7 +20,9 @@
 //! The catalog is *not* inside the mutex: its tables synchronise
 //! themselves, and the drain's two calls (`trigger_by_id` on a cache miss,
 //! `save_window` before an ack barrier) must not queue behind a `create
-//! trigger` that is priming a join network.
+//! trigger` that is priming a join network. A window keeps its own row
+//! handle, and a drop retires the window under its row lock
+//! ([`WindowState::retire`]), so no save lands after the drop.
 
 use crate::catalog::{ConnectionRow, DataSourceRow, TriggerRow, TriggerSetRow};
 use crate::compile::{compile_trigger, Compiled, PredicateReg};
@@ -204,9 +206,9 @@ impl TriggerMan {
         // durability barrier replays the token into an older window, so a
         // fire may repeat but is never lost). Rows of dropped triggers are
         // skipped.
-        for (tid, ring) in self.catalog.windows()? {
+        for (at, tid, ring) in self.catalog.windows()? {
             if let Some(w) = self.window(tid) {
-                w.hydrate(&ring);
+                w.hydrate(at, &ring);
             }
         }
         Ok(())
@@ -341,7 +343,7 @@ impl TriggerMan {
     ) -> Result<Vec<Arc<SignatureRuntime>>> {
         let mut window_flag = 0;
         if let Some(w) = window {
-            let state = Arc::new(WindowState::new(w.count, w.within_ns));
+            let state = Arc::new(WindowState::new(tid, w.count, w.within_ns));
             self.windows.write().insert(tid, state);
             window_flag = ExprId::WINDOWED;
         }
@@ -413,12 +415,13 @@ impl TriggerMan {
         Ok(())
     }
 
-    /// Take trigger `id` out of the predicate index and retire its window.
-    /// Returns whether it had one. `drop trigger` does this, and so does a
-    /// `create trigger` that fails after registering.
-    fn unregister(&self, _ddl: &Ddl, id: TriggerId) -> Result<bool> {
+    /// Take trigger `id` out of the predicate index and out of the
+    /// windows. Returns its window, for the caller to retire. `drop
+    /// trigger` does this, and so does a `create trigger` that fails after
+    /// registering.
+    fn unregister(&self, _ddl: &Ddl, id: TriggerId) -> Result<Option<Arc<WindowState>>> {
         self.predindex.remove_trigger(id)?;
-        Ok(self.windows.write().remove(&id).is_some())
+        Ok(self.windows.write().remove(&id))
     }
 
     /// Write `rt`'s `expression_signature` row as the class stands now.
@@ -498,7 +501,11 @@ impl TriggerMan {
         let row = match created {
             Ok(row) => row,
             Err(e) => {
-                if let Err(undo) = self.unregister(&ddl, id) {
+                let undone = self.unregister(&ddl, id).and_then(|window| match window {
+                    Some(w) => w.retire(&self.catalog),
+                    None => Ok(()),
+                });
+                if let Err(undo) = undone {
                     self.record_error(&undo);
                 }
                 return Err(e);
@@ -518,14 +525,14 @@ impl TriggerMan {
             .triggers
             .remove(&name.to_lowercase())
             .ok_or_else(|| TmanError::NotFound(format!("trigger '{name}'")))?;
-        let windowed = self.unregister(&ddl, id)?;
+        let window = self.unregister(&ddl, id)?;
         let set = self.catalog.delete_trigger(row)?.set;
         if let Some(set) = ddl.sets.values_mut().find(|s| s.id == set) {
             set.members -= 1;
         }
         self.cache.remove(id);
-        if windowed {
-            self.catalog.delete_window(id)?;
+        if let Some(w) = window {
+            w.retire(&self.catalog)?;
         }
         Ok(CommandOutput::TriggerDropped(id))
     }

@@ -7,7 +7,7 @@
 //! hands the outbox to [`EventBus::deliver`], the one routine that reaches
 //! subscribers, and what a run of notifications has in common is paid once
 //! for the run instead of once per notification: the routing lock, the
-//! route of a stretch of equal event keys, the counters, and one channel
+//! route of a stretch of one event name, the counters, and one channel
 //! send per subscriber and stretch, which takes the subscriber's mailbox
 //! lock once, checks its backlog under that lock and wakes its receiver.
 //! [`EventBus::publish`] is a run of one.
@@ -30,7 +30,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use tman_common::fxhash::FxHashMap;
-use tman_common::Value;
+use tman_common::{SmallSlice, Value};
 use tman_sync::channel::{unbounded, Receiver, SendError, Sender};
 use tman_sync::RwLock;
 use tman_telemetry::trace::{now_ns, ROOT_SPAN};
@@ -49,8 +49,9 @@ pub struct EventNotification {
     pub event: Arc<str>,
     /// Name of the trigger whose action raised it (shared likewise).
     pub trigger: Arc<str>,
-    /// Evaluated event arguments.
-    pub values: Vec<Value>,
+    /// Evaluated event arguments: inline when there is one, so a fire
+    /// allocates none.
+    pub values: SmallSlice<Value>,
     /// Message text (for `notify` actions).
     pub message: Option<String>,
     /// Durable origin of the token whose action raised this notification:
@@ -98,8 +99,6 @@ pub const SLOW_CHANNEL_DEPTH: usize = 65_536;
 
 /// One notification waiting for delivery.
 struct Pending {
-    /// The routing key: the event name lower-cased.
-    key: Arc<str>,
     /// The `Action` span that built it, parent of its `Notify` span.
     span: u32,
     note: EventNotification,
@@ -120,13 +119,11 @@ impl Outbox {
         }
     }
 
-    /// Append `note`, to be routed by `key` — `note.event` lower-cased,
-    /// which a rule action takes from its compiled trigger. `action_span`
-    /// is the trace span of the action that built it ([`ROOT_SPAN`] when
+    /// Append `note`, to be routed by its event name. `action_span` is
+    /// the trace span of the action that built it ([`ROOT_SPAN`] when
     /// there is none).
-    pub fn push(&mut self, key: Arc<str>, action_span: u32, note: EventNotification) {
+    pub fn push(&mut self, action_span: u32, note: EventNotification) {
         self.pending.push(Pending {
-            key,
             span: action_span,
             note,
         });
@@ -141,6 +138,22 @@ impl Outbox {
     pub fn is_empty(&self) -> bool {
         self.pending.is_empty()
     }
+}
+
+/// The key [`EventBus::subscribe`] files `event`'s route under — `event`
+/// lower-cased by [`str::to_lowercase`] — written into `buf` unless
+/// `event` is its own key.
+fn route_key<'a>(event: &'a str, buf: &'a mut String) -> &'a str {
+    if !event.is_ascii() {
+        *buf = event.to_lowercase();
+    } else if event.bytes().any(|b| b.is_ascii_uppercase()) {
+        buf.clear();
+        buf.push_str(event);
+        buf.make_ascii_lowercase();
+    } else {
+        return event;
+    }
+    buf
 }
 
 /// One subscription: a stable id (for labeled drop accounting), its
@@ -295,7 +308,7 @@ impl EventBus {
     /// [`deliver`](Self::deliver).
     pub fn publish(&self, n: EventNotification) -> usize {
         let mut run = Outbox::with_capacity(1);
-        run.push(n.event.to_lowercase().into(), ROOT_SPAN, n);
+        run.push(ROOT_SPAN, n);
         self.deliver(&mut run)
     }
 
@@ -305,7 +318,9 @@ impl EventBus {
     ///
     /// Sinks see the whole run first (see [`NotificationSink`]). The run
     /// then goes out a *stretch* at a time, a stretch being consecutive
-    /// notifications with one event key: its route is resolved once, and
+    /// notifications with one event name: its route is resolved once,
+    /// under the name lower-cased as [`subscribe`](Self::subscribe) files
+    /// it (into a buffer reused from stretch to stretch), and
     /// each subscriber is handed the stretch in *one* channel send
     /// ([`Sender::send_up_to`]), which takes its mailbox lock once, pushes
     /// as much of the stretch as fits under [`SLOW_CHANNEL_DEPTH`] — the
@@ -335,6 +350,9 @@ impl EventBus {
         let mut dead: Vec<u64> = Vec::new();
         // How much of the current stretch each subscriber of its route got.
         let mut takes: Vec<usize> = Vec::new();
+        // The current stretch's event name lower-cased, when it is not
+        // already.
+        let mut key = String::new();
         // The traced notifications of the current stretch: position, trace
         // and `Action` span, kept past the send that gives the note away.
         let mut traced: Vec<(usize, TraceHandle, u32)> = Vec::new();
@@ -349,9 +367,12 @@ impl EventBus {
             loop {
                 let rest = run.as_slice();
                 let Some(first) = rest.first() else { break };
-                let k = rest.iter().take_while(|p| p.key == first.key).count();
+                let event = &first.note.event;
+                let same =
+                    |p: &&Pending| Arc::ptr_eq(&p.note.event, event) || p.note.event == *event;
+                let k = rest.iter().take_while(same).count();
                 let stretch = &rest[..k];
-                let named = routes.by_event.get(&*first.key);
+                let named = routes.by_event.get(route_key(event, &mut key));
                 let subs = || named.into_iter().flatten().chain(&routes.all);
                 traced.extend(
                     stretch
@@ -438,7 +459,7 @@ mod tests {
         EventNotification {
             event: event.into(),
             trigger: "t".into(),
-            values: vec![Value::Int(1)],
+            values: vec![Value::Int(1)].into(),
             message: None,
             token_seq: None,
             trace: TraceHandle::none(),
@@ -552,8 +573,8 @@ mod tests {
         let mut run = Outbox::default();
         for (at, event) in events.iter().enumerate() {
             let mut n = note(event);
-            n.values = vec![Value::Int(at as i64)];
-            run.push(event.to_lowercase().into(), ROOT_SPAN, n);
+            n.values = vec![Value::Int(at as i64)].into();
+            run.push(ROOT_SPAN, n);
         }
         run
     }
@@ -667,7 +688,8 @@ mod tests {
                     for r in 0..RUNS {
                         let mut run = run_of(&["x"; LEN]);
                         for p in &mut run.pending {
-                            p.note.values.splice(0..0, [Value::Int(d), Value::Int(r)]);
+                            let at = p.note.values[0].clone();
+                            p.note.values = vec![Value::Int(d), Value::Int(r), at].into();
                         }
                         bus.deliver(&mut run);
                     }

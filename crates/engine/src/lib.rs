@@ -62,7 +62,7 @@ mod stats;
 mod window;
 
 pub use cache::{CacheStats, PinnedTrigger, TriggerCache};
-pub use compile::{CompiledAction, CompiledTrigger};
+pub use compile::{ActionArg, CompiledAction, CompiledTrigger};
 pub use config::{Config, QueueMode, TracingMode};
 pub use driver::{DriverPool, TmanTestResult};
 pub use events::{EventBus, EventNotification, NotificationSink, Outbox};
@@ -96,7 +96,7 @@ use tman_sync::SegQueue;
 use tman_sync::{Mutex, RwLock};
 use tman_telemetry::trace::{now_ns, SpanGuard, ROOT_SPAN};
 use tman_telemetry::{HttpResponse, HttpServer, TraceHandle};
-use window::WindowState;
+use window::{DirtyWindows, WindowState};
 
 /// Capacity, in events, of the bounded trace ring buffer; the oldest
 /// retained events are overwritten once it fills.
@@ -268,6 +268,9 @@ pub struct TriggerMan {
     /// drain reads one only for a match whose entry is marked
     /// [`ExprId::WINDOWED`], and for persistence.
     windows: RwLock<FxHashMap<TriggerId, Arc<WindowState>>>,
+    /// The windows an ack barrier must save: those observed since the last
+    /// barrier took the list.
+    dirty_windows: DirtyWindows,
     stats: EngineStats,
     pub(crate) telemetry: metrics::EngineTelemetry,
     tracer: Option<Arc<Tracer>>,
@@ -350,6 +353,7 @@ impl TriggerMan {
             ddl: Mutex::default(),
             published: RwLock::default(),
             windows: RwLock::default(),
+            dirty_windows: DirtyWindows::default(),
             stats,
             last_error: Mutex::new(None),
             http: Mutex::new(None),
@@ -1123,7 +1127,7 @@ impl TriggerMan {
             let Some(w) = self.window(trigger) else {
                 return false;
             };
-            if !w.observe(token.ingest_unix_ns) {
+            if !w.observe(token.ingest_unix_ns, &self.dirty_windows) {
                 return false;
             }
             self.telemetry.window_fires.bump();
@@ -1434,21 +1438,18 @@ impl TriggerMan {
         }
     }
 
-    /// Write every dirty window's ring to the `window_state` catalog.
-    /// Called before each ack barrier and at checkpoints. A window whose
-    /// save fails stays dirty.
+    /// Write every dirty window's ring to its `window_state` row. Called
+    /// before each ack barrier and at checkpoints: it visits the windows
+    /// on the dirty list, each under its own lock and none under the map's,
+    /// and writes each one's row in place. A window whose save fails stays
+    /// dirty, and so do the ones after it.
     fn persist_windows(&self) -> Result<()> {
-        // Taken out of the map first: a catalog write under its lock would
-        // hold up every windowed match and every windowed create.
-        let dirty: Vec<_> = self
-            .windows
-            .read()
-            .iter()
-            .filter_map(|(&id, w)| Some((id, w.clone(), w.snapshot()?)))
-            .collect();
-        for (i, (id, _, ring)) in dirty.iter().enumerate() {
-            if let Err(e) = self.catalog.save_window(*id, ring) {
-                dirty[i..].iter().for_each(|(_, w, _)| w.mark_dirty());
+        let dirty = self.dirty_windows.take();
+        for (i, &id) in dirty.iter().enumerate() {
+            // Gone: its trigger was dropped.
+            let Some(w) = self.window(id) else { continue };
+            if let Err(e) = w.save(&self.catalog, &self.dirty_windows) {
+                self.dirty_windows.put_back(&dirty[i + 1..]);
                 return Err(e);
             }
         }

@@ -20,7 +20,7 @@ pub struct EngineStats {
 
 #[cfg(test)]
 mod tests {
-    use crate::cache::tests::dummy_trigger;
+    use crate::compile::dummy_trigger;
     use crate::metrics::EngineTelemetry;
     use crate::TriggerCache;
     use std::sync::Arc;

@@ -2122,3 +2122,151 @@ fn recovery_warms_the_cache_only_up_to_capacity() {
     drop(tman);
     let _ = (std::fs::remove_file(&path), std::fs::remove_file(&wal));
 }
+
+/// An event routes by its name lower-cased, as `subscribe` files it: one
+/// subscriber to `matched` receives `Matched` and `MATCHED`, raised by two
+/// triggers and interleaved in one run, in publication order, and nothing
+/// of a third event. `EventBus::publish` routes the same way, names beyond
+/// ASCII included, by `str::to_lowercase`.
+#[test]
+fn event_names_route_lower_cased_in_publication_order() {
+    let tman = system();
+    tman.execute_command("define data source q (k int, seq int)")
+        .unwrap();
+    for (name, k, event) in [("a", 1, "Matched"), ("b", 2, "MATCHED"), ("c", 3, "Other")] {
+        tman.execute_command(&format!(
+            "create trigger {name} from q when q.k = {k} do raise event {event}(q.seq)"
+        ))
+        .unwrap();
+    }
+    let (matched, other) = (tman.subscribe("matched"), tman.subscribe("OTHER"));
+    let src = tman.source("q").unwrap().id;
+    let tokens = [1, 1, 2, 3, 2, 1, 3, 2]
+        .iter()
+        .enumerate()
+        .map(|(seq, &k)| {
+            let row = vec![Value::Int(k), Value::Int(seq as i64)];
+            UpdateDescriptor::insert(src, Tuple::new(row))
+        });
+    tman.push_tokens(tokens.collect()).unwrap();
+    assert_eq!(
+        tman.tman_test(Duration::from_secs(3600)),
+        TmanTestResult::QueueEmpty
+    );
+    assert!(tman.last_error().is_none(), "{:?}", tman.last_error());
+    let got = |rx: &tman_sync::channel::Receiver<EventNotification>| {
+        let seq = |n: EventNotification| (n.event.to_string(), n.values[0].as_i64().unwrap());
+        rx.try_iter().map(seq).collect::<Vec<_>>()
+    };
+    let raised = |pairs: &[(&str, i64)]| {
+        let owned = |&(event, seq): &(&str, i64)| (event.to_string(), seq);
+        pairs.iter().map(owned).collect::<Vec<_>>()
+    };
+    assert_eq!(
+        got(&matched),
+        raised(&[
+            ("Matched", 0),
+            ("Matched", 1),
+            ("MATCHED", 2),
+            ("MATCHED", 4),
+            ("Matched", 5),
+            ("MATCHED", 7),
+        ])
+    );
+    assert_eq!(got(&other), raised(&[("Other", 3), ("Other", 6)]));
+
+    let bus = tman.events();
+    let (umlaut, sigma) = (bus.subscribe("Ärger"), bus.subscribe("ΟΔΟΣ"));
+    let note = |event: &str, seq: i64| EventNotification {
+        event: event.into(),
+        trigger: "host".into(),
+        values: vec![Value::Int(seq)].into(),
+        message: None,
+        token_seq: None,
+        trace: TraceHandle::none(),
+        ingest_unix_ns: 0,
+    };
+    for (at, event) in ["ärger", "ÄRGER", "Matched", "οδος", "ΟΔΟΣ", "ärgerlich"]
+        .iter()
+        .enumerate()
+    {
+        bus.publish(note(event, at as i64));
+    }
+    assert_eq!(got(&umlaut), raised(&[("ärger", 0), ("ÄRGER", 1)]));
+    assert_eq!(got(&matched), raised(&[("Matched", 2)]));
+    assert_eq!(got(&sigma), raised(&[("οδος", 3), ("ΟΔΟΣ", 4)]));
+}
+
+/// A `raise event`'s arguments: columns of the NEW image and of the event
+/// variable's OLD image are read by their ordinals, any other expression
+/// is evaluated, and four of them reach the subscriber in order.
+#[test]
+fn raise_event_arguments_read_columns_old_images_and_expressions() {
+    let tman = system();
+    tman.execute_command("define data source q (sym varchar(8), price float)")
+        .unwrap();
+    tman.execute_command(
+        "create trigger moved from q on update(q.price) \
+         do raise event Moved(q.sym, :OLD.q.price, :NEW.q.price, q.price * 2)",
+    )
+    .unwrap();
+    let rx = tman.subscribe("moved");
+    let src = tman.source("q").unwrap().id;
+    let row = |px| Tuple::new(vec![Value::str("AA"), Value::Float(px)]);
+    tman.push_token(UpdateDescriptor::update(src, row(1.5), row(4.0)))
+        .unwrap();
+    tman.run_until_quiescent().unwrap();
+    assert!(tman.last_error().is_none(), "{:?}", tman.last_error());
+    assert_eq!(
+        rx.try_recv().unwrap().values,
+        vec![
+            Value::str("AA"),
+            Value::Float(1.5),
+            Value::Float(4.0),
+            Value::Float(8.0)
+        ]
+    );
+}
+
+/// An ack barrier pays for the windows it touched. After one windowed fire
+/// among 1 000 and among 16 000 windowed triggers, the drain locks two
+/// rings — the fire's observe and the barrier's save — and scans no
+/// `window_state` row: the first save inserts the window's row, the next
+/// rewrites it where it is.
+#[test]
+fn a_barrier_saves_only_the_window_a_fire_touched() {
+    for defined in [1_000u64, 16_000] {
+        let tman = TriggerMan::open_memory(Config {
+            queue_mode: QueueMode::Persistent,
+            ..Default::default()
+        })
+        .unwrap();
+        tman.execute_command("define data source q (k int)")
+            .unwrap();
+        for i in 0..defined {
+            tman.execute_command(&format!(
+                "create trigger w{i} from q when q.k = {i} count >= 1 within 100 ms \
+                 do raise event W(q.k)"
+            ))
+            .unwrap();
+        }
+        let rx = tman.subscribe("w");
+        let table = tman.database().table("window_state").unwrap();
+        let scanned = || table.stats().rows_scanned.get();
+        let src = tman.source("q").unwrap().id;
+        for stamp in [1_000, 2_000] {
+            let mut token = UpdateDescriptor::insert(src, Tuple::new(vec![Value::Int(7)]));
+            token.ingest_unix_ns = stamp;
+            tman.push_token(token).unwrap();
+            let (rows, locks) = (scanned(), window::ring_locks());
+            tman.run_until_quiescent().unwrap();
+            assert_eq!(window::ring_locks() - locks, 2, "{defined} windows");
+            assert_eq!(scanned(), rows, "{defined} windows");
+        }
+        assert!(tman.last_error().is_none(), "{:?}", tman.last_error());
+        assert_eq!(rx.try_iter().count(), 2);
+        let saved = tman.catalog.windows().unwrap();
+        let saved: Vec<_> = saved.into_iter().map(|(_, id, ring)| (id, ring)).collect();
+        assert_eq!(saved, [(TriggerId(8), vec![2_000])], "{defined} windows");
+    }
+}

@@ -27,17 +27,34 @@
 //! every engine organization/batch arrangement that preserves token
 //! order computes the identical firing multiset.
 
+use crate::catalog::Catalog;
 use std::collections::VecDeque;
-use tman_sync::Mutex;
+use tman_common::{Result, TriggerId};
+use tman_storage::RecordId;
+use tman_sync::{Mutex, MutexGuard};
 
 struct Ring {
     /// The min(K, seen) newest effective timestamps, oldest first
     /// (monotone by construction of the clamp).
     stamps: VecDeque<u64>,
     /// Set by [`observe`](WindowState::observe), cleared by
-    /// [`snapshot`](WindowState::snapshot) — lets durability barriers skip
-    /// untouched windows.
+    /// [`snapshot`](WindowState::snapshot). A window turning dirty puts its
+    /// id on the [`DirtyWindows`] list, so a durability barrier visits the
+    /// windows it must save and no other.
     dirty: bool,
+}
+
+/// Where a window's `window_state` row is.
+enum Row {
+    /// Nowhere yet: the first save inserts it.
+    New,
+    /// At this handle: a save rewrites it there.
+    At(RecordId),
+    /// A save failed partway, and the row may have moved or gone: the next
+    /// save finds it by trigger id.
+    Lost,
+    /// The trigger was dropped: no save writes the row again.
+    Retired,
 }
 
 /// Shared, thread-safe window state for one windowed trigger.
@@ -46,54 +63,107 @@ struct Ring {
 /// triggers serialize on their window by definition, and the critical
 /// section is a pop and a push.
 pub(crate) struct WindowState {
+    /// The windowed trigger.
+    id: TriggerId,
     /// Threshold K.
     count: u64,
     /// Window width in nanoseconds.
     within_ns: u64,
     ring: Mutex<Ring>,
+    /// Held by a save across its catalog write, and by a drop: one
+    /// window's saves reach the catalog in snapshot order, and none after
+    /// its drop. Locked before `ring`, never while `ring` is held.
+    row: Mutex<Row>,
+}
+
+/// The ids of windows that turned dirty since a barrier last took them:
+/// each id once per clean → dirty turn, so every dirty window is on this
+/// list or on the list of the barrier saving it.
+#[derive(Default)]
+pub(crate) struct DirtyWindows(Mutex<Vec<TriggerId>>);
+
+impl DirtyWindows {
+    /// Take the list, leaving it empty.
+    pub(crate) fn take(&self) -> Vec<TriggerId> {
+        std::mem::take(&mut *self.0.lock())
+    }
+
+    /// Return ids a barrier took and did not get to: their windows are
+    /// still dirty.
+    pub(crate) fn put_back(&self, ids: &[TriggerId]) {
+        self.0.lock().extend_from_slice(ids);
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Ring locks taken on this thread.
+    static RING_LOCKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Ring locks this thread has taken — in this crate's unit tests.
+#[cfg(test)]
+pub(crate) fn ring_locks() -> u64 {
+    RING_LOCKS.with(|n| n.get())
 }
 
 impl WindowState {
-    /// Fresh, empty window.
-    pub(crate) fn new(count: u64, within_ns: u64) -> WindowState {
+    /// Fresh, empty window of trigger `id`, with no row yet.
+    pub(crate) fn new(id: TriggerId, count: u64, within_ns: u64) -> WindowState {
         WindowState {
+            id,
             count,
             within_ns,
             ring: Mutex::new(Ring {
                 stamps: VecDeque::new(),
                 dirty: false,
             }),
+            row: Mutex::new(Row::New),
         }
     }
 
+    fn ring(&self) -> MutexGuard<'_, Ring> {
+        #[cfg(test)]
+        RING_LOCKS.with(|n| n.set(n.get() + 1));
+        self.ring.lock()
+    }
+
     /// Replace this window's ring with a persisted one (recovery): its
-    /// newest K stamps, oldest first.
-    pub(crate) fn hydrate(&self, stamps: &[u64]) {
-        let mut g = self.ring.lock();
+    /// newest K stamps, oldest first, read from the row at `at`.
+    pub(crate) fn hydrate(&self, at: RecordId, stamps: &[u64]) {
+        *self.row.lock() = Row::At(at);
+        let mut g = self.ring();
         let newest = stamps.len().saturating_sub(self.count as usize);
         g.stamps = stamps[newest..].iter().copied().collect();
         g.dirty = false;
     }
 
     /// Record one matching event at `ts` and decide whether the trigger
-    /// fires: K events lie in `(eff − W, eff]`, this one included.
-    pub(crate) fn observe(&self, ts: u64) -> bool {
-        let mut g = self.ring.lock();
+    /// fires: K events lie in `(eff − W, eff]`, this one included. A
+    /// window that turns dirty goes on `dirty`.
+    pub(crate) fn observe(&self, ts: u64, dirty: &DirtyWindows) -> bool {
+        let mut g = self.ring();
         let eff = ts.max(g.stamps.back().copied().unwrap_or(0));
         if g.stamps.len() as u64 == self.count {
             g.stamps.pop_front();
         }
         g.stamps.push_back(eff);
-        g.dirty = true;
+        self.turn_dirty(&mut g, dirty);
         g.stamps.len() as u64 == self.count
             && (self.count == 1 || g.stamps[0] > eff.saturating_sub(self.within_ns))
     }
 
+    /// Mark the ring dirty, and list the window if it was clean.
+    fn turn_dirty(&self, g: &mut Ring, dirty: &DirtyWindows) {
+        if !std::mem::replace(&mut g.dirty, true) {
+            dirty.0.lock().push(self.id);
+        }
+    }
+
     /// The ring, oldest first, if it changed since the last snapshot;
-    /// the window counts as clean from here until its next
-    /// [`observe`](Self::observe) or [`mark_dirty`](Self::mark_dirty).
-    pub(crate) fn snapshot(&self) -> Option<Vec<u64>> {
-        let mut g = self.ring.lock();
+    /// the window counts as clean from here until it turns dirty again.
+    fn snapshot(&self) -> Option<Vec<u64>> {
+        let mut g = self.ring();
         if !g.dirty {
             return None;
         }
@@ -103,13 +173,60 @@ impl WindowState {
 
     /// The last snapshot did not reach the catalog: persist again at the
     /// next barrier.
-    pub(crate) fn mark_dirty(&self) {
-        self.ring.lock().dirty = true;
+    fn mark_dirty(&self, dirty: &DirtyWindows) {
+        self.turn_dirty(&mut self.ring(), dirty);
+    }
+
+    /// Where the row is: `None` if there is none.
+    fn locate(&self, catalog: &Catalog, row: &Row) -> Result<Option<RecordId>> {
+        match *row {
+            Row::New | Row::Retired => Ok(None),
+            Row::At(at) => Ok(Some(at)),
+            Row::Lost => catalog.find_window(self.id),
+        }
+    }
+
+    /// Write the ring to its `window_state` row if it changed since the
+    /// last save, in place once the row exists. A failed write leaves the
+    /// window dirty, back on `dirty`.
+    pub(crate) fn save(&self, catalog: &Catalog, dirty: &DirtyWindows) -> Result<()> {
+        let mut row = self.row.lock();
+        if matches!(*row, Row::Retired) {
+            return Ok(());
+        }
+        let Some(stamps) = self.snapshot() else {
+            return Ok(());
+        };
+        let saved = self
+            .locate(catalog, &row)
+            .and_then(|at| catalog.save_window(self.id, at, &stamps));
+        match saved {
+            Ok(at) => {
+                *row = Row::At(at);
+                Ok(())
+            }
+            Err(e) => {
+                *row = Row::Lost;
+                self.mark_dirty(dirty);
+                Err(e)
+            }
+        }
+    }
+
+    /// The trigger is dropped: no save writes its row from here on, and
+    /// the row, if a save wrote one, is deleted.
+    pub(crate) fn retire(&self, catalog: &Catalog) -> Result<()> {
+        let mut row = self.row.lock();
+        let was = std::mem::replace(&mut *row, Row::Retired);
+        match self.locate(catalog, &was)? {
+            Some(at) => catalog.delete_window(at),
+            None => Ok(()),
+        }
     }
 
     #[cfg(test)]
     fn len(&self) -> usize {
-        self.ring.lock().stamps.len()
+        self.ring().stamps.len()
     }
 }
 
@@ -125,55 +242,68 @@ mod tests {
     };
     use tman_lang::WindowSpec;
 
+    /// A row handle for windows that are never saved.
+    fn at() -> RecordId {
+        RecordId::from_u64(1 << 16)
+    }
+
     #[test]
     fn fires_at_threshold_and_slides() {
-        let w = WindowState::new(3, 100);
-        assert!(!w.observe(10));
-        assert!(!w.observe(20));
-        assert!(w.observe(30)); // 3 in [−70, 30]
-        assert!(w.observe(40)); // keeps firing while over threshold
-        assert!(!w.observe(200)); // 30 and 40 aged out (<= 200-100)
-        assert!(!w.observe(210));
-        assert!(w.observe(220)); // 200, 210, 220
+        let dirty = DirtyWindows::default();
+        let w = WindowState::new(TriggerId(1), 3, 100);
+        assert!(!w.observe(10, &dirty));
+        assert!(!w.observe(20, &dirty));
+        assert!(w.observe(30, &dirty)); // 3 in [−70, 30]
+        assert!(w.observe(40, &dirty)); // keeps firing while over threshold
+        assert!(!w.observe(200, &dirty)); // 30 and 40 aged out (<= 200-100)
+        assert!(!w.observe(210, &dirty));
+        assert!(w.observe(220, &dirty)); // 200, 210, 220
     }
 
     #[test]
     fn out_of_order_timestamps_clamp_forward() {
-        let w = WindowState::new(2, 100);
-        assert!(!w.observe(1_000));
+        let dirty = DirtyWindows::default();
+        let w = WindowState::new(TriggerId(1), 2, 100);
+        assert!(!w.observe(1_000, &dirty));
         // A late event (ts 5) lands at the clamp edge, inside the window.
-        assert!(w.observe(5));
+        assert!(w.observe(5, &dirty));
         assert_eq!(w.snapshot(), Some(vec![1_000, 1_000]));
     }
 
     #[test]
     fn window_boundary_is_half_open() {
-        let w = WindowState::new(2, 100);
-        assert!(!w.observe(100));
+        let dirty = DirtyWindows::default();
+        let w = WindowState::new(TriggerId(1), 2, 100);
+        assert!(!w.observe(100, &dirty));
         // 200 - 100 = 100: the event at 100 is exactly at the cutoff and
         // is out ((eff-W, eff] is half-open).
-        assert!(!w.observe(200));
-        assert!(w.observe(299));
+        assert!(!w.observe(200, &dirty));
+        assert!(w.observe(299, &dirty));
     }
 
     #[test]
     fn count_of_one_fires_on_every_event_even_at_time_zero() {
-        let w = WindowState::new(1, 100);
-        assert!(w.observe(0), "eff − W saturates to 0: the newest counts");
-        assert!(w.observe(0));
-        assert!(w.observe(5_000));
-        let w = WindowState::new(2, 100);
-        assert!(!w.observe(0));
-        assert!(!w.observe(0), "0 is not later than 0 − W");
-        assert!(!w.observe(1), "nor than 1 − W, saturated");
-        assert!(w.observe(2));
+        let dirty = DirtyWindows::default();
+        let w = WindowState::new(TriggerId(1), 1, 100);
+        assert!(
+            w.observe(0, &dirty),
+            "eff − W saturates to 0: the newest counts"
+        );
+        assert!(w.observe(0, &dirty));
+        assert!(w.observe(5_000, &dirty));
+        let w = WindowState::new(TriggerId(1), 2, 100);
+        assert!(!w.observe(0, &dirty));
+        assert!(!w.observe(0, &dirty), "0 is not later than 0 − W");
+        assert!(!w.observe(1, &dirty), "nor than 1 − W, saturated");
+        assert!(w.observe(2, &dirty));
     }
 
     #[test]
     fn ring_holds_at_most_k_stamps() {
-        let w = WindowState::new(3, u64::MAX);
+        let dirty = DirtyWindows::default();
+        let w = WindowState::new(TriggerId(1), 3, u64::MAX);
         for ts in 1..=10_000 {
-            assert_eq!(w.observe(ts), ts >= 3);
+            assert_eq!(w.observe(ts, &dirty), ts >= 3);
         }
         assert_eq!(w.len(), 3);
         assert_eq!(w.snapshot(), Some(vec![9_998, 9_999, 10_000]));
@@ -181,30 +311,43 @@ mod tests {
 
     #[test]
     fn hydrate_reapplies_clamp_and_cutoff() {
-        let w = WindowState::new(3, 100);
-        w.hydrate(&[100, 200, 200, 240]);
+        let dirty = DirtyWindows::default();
+        let w = WindowState::new(TriggerId(1), 3, 100);
+        w.hydrate(at(), &[100, 200, 200, 240]);
         assert_eq!(w.len(), 3, "the newest K stamps");
         // 200 > 260 − 100: three in the window.
-        assert!(w.observe(260));
+        assert!(w.observe(260, &dirty));
         // A late stamp clamps to 260 against the hydrated ring.
-        assert!(w.observe(5));
+        assert!(w.observe(5, &dirty));
         assert_eq!(w.snapshot(), Some(vec![240, 260, 260]));
         // 260 <= 360 − 100: out.
-        assert!(!w.observe(360));
+        assert!(!w.observe(360, &dirty));
     }
 
     #[test]
     fn snapshot_roundtrips_through_restore() {
-        let w = WindowState::new(2, 1_000);
-        w.observe(500);
-        w.observe(900);
+        let dirty = DirtyWindows::default();
+        let w = WindowState::new(TriggerId(1), 2, 1_000);
+        w.observe(500, &dirty);
+        w.observe(900, &dirty);
+        assert_eq!(dirty.take(), [TriggerId(1)], "listed once a turn dirty");
         let ring = w.snapshot().unwrap();
         assert!(w.snapshot().is_none(), "snapshot clears dirty");
-        let r = WindowState::new(2, 1_000);
-        r.hydrate(&ring);
+        let r = WindowState::new(TriggerId(1), 2, 1_000);
+        r.hydrate(at(), &ring);
         assert!(r.snapshot().is_none(), "a hydrated window is clean");
-        assert!(r.observe(1_400), "900 and 1 400");
-        w.mark_dirty();
+        assert!(r.observe(1_400, &dirty), "900 and 1 400");
+        assert_eq!(
+            dirty.take(),
+            [TriggerId(1)],
+            "the restored window turned dirty"
+        );
+        w.mark_dirty(&dirty);
+        assert_eq!(
+            dirty.take(),
+            [TriggerId(1)],
+            "a failed save is listed again"
+        );
         assert_eq!(w.snapshot(), Some(vec![500, 900]), "a failed save retries");
     }
 
@@ -266,17 +409,18 @@ mod tests {
                 within_ns: s.within_ns,
             };
             eca.set_window(TriggerId(1), &spec).unwrap();
-            let mut w = WindowState::new(s.count, s.within_ns);
+            let dirty = DirtyWindows::default();
+            let mut w = WindowState::new(TriggerId(1), s.count, s.within_ns);
             let mut ts = s.start;
             for (i, &step) in s.steps.iter().cycle().take(s.len).enumerate() {
                 let mut tok = UpdateDescriptor::insert(src, Tuple::new(vec![Value::Int(0)]));
                 tok.ingest_unix_ns = ts;
                 let naive = !eca.match_token(&tok).unwrap().is_empty();
-                prop_assert_eq!(w.observe(ts), naive, "event {} at {}", i, ts);
+                prop_assert_eq!(w.observe(ts, &dirty), naive, "event {} at {}", i, ts);
                 if i % s.restart_every == s.restart_every - 1 {
                     let ring = w.snapshot().expect("an observe dirties the window");
-                    w = WindowState::new(s.count, s.within_ns);
-                    w.hydrate(&ring);
+                    w = WindowState::new(TriggerId(1), s.count, s.within_ns);
+                    w.hydrate(at(), &ring);
                 }
                 ts = ts.saturating_add_signed(step);
             }

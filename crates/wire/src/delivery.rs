@@ -833,7 +833,7 @@ mod tests {
         EventNotification {
             event: event.into(),
             trigger: "t".into(),
-            values: vec![Value::Int(tag)],
+            values: vec![Value::Int(tag)].into(),
             message: None,
             token_seq: origin,
             trace: tman_telemetry::TraceHandle::none(),

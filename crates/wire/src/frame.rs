@@ -548,7 +548,7 @@ pub fn encode_notification_body(n: &EventNotification) -> Result<Vec<u8>> {
     if let Some(o) = n.token_seq {
         put_i64(&mut out, o);
     }
-    Tuple::new(n.values.clone()).encode_into(&mut out);
+    Tuple::new(n.values.to_vec()).encode_into(&mut out);
     Ok(out)
 }
 
@@ -571,7 +571,7 @@ pub fn decode_notification_body(buf: &[u8]) -> Result<EventNotification> {
     Ok(EventNotification {
         event: event.into(),
         trigger: trigger.into(),
-        values: tuple.values().to_vec(),
+        values: tuple.values().iter().cloned().collect(),
         message,
         token_seq,
         // Trace context rides the `Notification` envelope, not the
@@ -616,7 +616,7 @@ mod tests {
         let n = EventNotification {
             event: "Spike".into(),
             trigger: "t9".into(),
-            values: vec![Value::str("AA"), Value::Float(1.5), Value::Null],
+            values: vec![Value::str("AA"), Value::Float(1.5), Value::Null].into(),
             message: Some("hello".into()),
             token_seq: Some(88),
             trace: tman_telemetry::TraceHandle::none(),

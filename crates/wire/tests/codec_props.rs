@@ -439,3 +439,74 @@ fn unknown_source_name_is_rejected_with_an_error_frame() {
     }
     tman.shutdown();
 }
+
+// ----- golden bytes ------------------------------------------------------
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The bytes a notification raised by a rule action takes on the wire and
+/// in the delivery log are pinned: a one-value and a three-value `raise
+/// event`, each as the body the hub hands its live mailbox, as the body it
+/// replays from its log to a subscriber that registers again, and as the
+/// `Notification` frame that carries it.
+#[test]
+fn a_raised_notification_has_pinned_bytes_on_the_wire_and_in_the_log() {
+    // `Matched`, `one`, no message or origin (a volatile queue), one Int.
+    const ONE_BODY: &str = "07004d61746368656403006f6e65000100010100000000000000";
+    const ONE_FRAME: &str = "544d0204320000000100000000000000000000000000000000000000000000\
+        0007004d61746368656403006f6e650001000101000000000000004019f73e";
+    // `Spike`, `three`, a Str, an Int and a Float.
+    const THREE_BODY: &str = "05005370696b650500746872656500030003020000004141010200000000\
+        000000020000000000000840";
+    const THREE_FRAME: &str = "544d020442000000020000000000000000000000000000000000000000\
+        00000005005370696b6505007468726565000300030200000041410102000000000000000200000000\
+        0000084096fc9ab9";
+
+    let tman = TriggerMan::open_memory(Config::default()).unwrap();
+    tman.execute_command("define data source q (sym varchar(8), seq int)")
+        .unwrap();
+    tman.execute_command("create trigger one from q when q.seq = 1 do raise event Matched(q.seq)")
+        .unwrap();
+    tman.execute_command(
+        "create trigger three from q when q.seq = 2 \
+         do raise event Spike(q.sym, q.seq, q.seq * 1.5)",
+    )
+    .unwrap();
+    let hub = tman_wire::DeliveryHub::open(tman.database(), None).unwrap();
+    tman.events().register_sink(hub.clone());
+    let (tx, rx) = tman_sync::channel::unbounded();
+    hub.register("golden", "*", 0, tx).unwrap();
+    let src = tman.source("q").unwrap().id;
+    for seq in [1, 2] {
+        let row = vec![Value::str("AA"), Value::Int(seq)];
+        tman.push_token(tman_common::UpdateDescriptor::insert(
+            src,
+            tman.tuple_for("q", row).unwrap(),
+        ))
+        .unwrap();
+    }
+    tman.run_until_quiescent().unwrap();
+    assert!(tman.last_error().is_none(), "{:?}", tman.last_error());
+
+    let live: Vec<_> = rx.try_iter().collect();
+    let (tx, _rx) = tman_sync::channel::unbounded();
+    let replayed = hub.register("golden", "*", 0, tx).unwrap().replay;
+    assert_eq!(live.len(), 2);
+    assert_eq!(replayed.len(), 2);
+    for (at, (body, frame)) in [(ONE_BODY, ONE_FRAME), (THREE_BODY, THREE_FRAME)]
+        .into_iter()
+        .enumerate()
+    {
+        assert_eq!(hex(&live[at].body), body, "live body {at}");
+        assert_eq!(hex(&replayed[at].body), body, "replayed body {at}");
+        let f = Frame::Notification {
+            seq: live[at].seq,
+            body: Cow::Borrowed(&live[at].body),
+            trace_id: 0,
+            fire_unix_ns: 0,
+        };
+        assert_eq!(hex(&frame_to_vec(&f).unwrap()), frame, "frame {at}");
+    }
+}

@@ -76,12 +76,12 @@ fn retained_by<R>(f: impl FnOnce() -> R) -> (R, i64, i64) {
 }
 
 /// Bytes a resident description may cost, its share of the cache's map
-/// and ring included.
-const BYTES: f64 = 512.0;
+/// and ring included (350.1 when it was seven blocks; 254.1 since).
+const BYTES: f64 = 270.0;
 /// Heap blocks a resident description may hold.
-const BLOCKS: f64 = 8.0;
-/// `size_of::<CompiledTrigger>()` may be at most this.
-const SIZE: usize = 192;
+const BLOCKS: f64 = 3.0;
+/// `size_of::<CompiledTrigger>()` may be at most this (136 measured).
+const SIZE: usize = 144;
 
 /// Bytes a trigger whose description is not resident may cost.
 const TRIGGER_BYTES: f64 = 380.0;
@@ -168,13 +168,13 @@ fn a_resident_description_stays_within_its_budget() {
     );
     // What is left of a `raise event` trigger over one source, a block
     // each: the `Arc<CompiledTrigger>` (its counts and the description:
-    // id, name, set flag, enabled and reference marks, variables, `on`
-    // clause, condition, action), the name, the variable list (the
-    // source's `Arc` and no alias of its own), the event name and its
-    // lower-cased routing key, the argument list, and the argument's
-    // column display name (`q.seq`) — seven. No source text, no network,
-    // no slot beside the description. The bytes add the cache's map entry
-    // and ring slot, at the tables' load factor.
+    // id, name, set flag, enabled and reference marks, the variable list
+    // inline — the source's `Arc` and no alias of its own — `on` clause,
+    // condition, and the action with its one argument inline as (slot,
+    // column) ordinals), the name and the event name — three. No routing
+    // key, no argument display name, no source text, no network, no slot
+    // beside the description. The bytes add the cache's map entry and
+    // ring slot, at the tables' load factor.
     assert!(
         blocks <= BLOCKS,
         "{blocks:.2} blocks a resident description, budget {BLOCKS}"
