@@ -15,10 +15,14 @@
 //!   workload and property test draws from.
 //! * [`SmallSlice`] — an owned slice that keeps one element inline, for
 //!   lists that are nearly always of length one.
+//! * [`Name`] — a trigger or event name, inline up to 22 bytes.
+//! * [`IdTable`] — state kept by trigger id in pages, looked up by index.
 
 mod error;
 pub mod fxhash;
 mod ids;
+mod idtable;
+mod name;
 pub mod rng;
 mod schema;
 mod small;
@@ -28,6 +32,8 @@ mod value;
 
 pub use error::{Result, TmanError};
 pub use ids::{DataSourceId, ExprId, NodeId, SignatureId, TriggerId, TriggerSetId};
+pub use idtable::IdTable;
+pub use name::Name;
 pub use schema::{Column, Schema};
 pub use small::SmallSlice;
 pub use token::{EventKind, TokenOp, UpdateDescriptor};

@@ -57,8 +57,14 @@ impl Tuple {
 
     /// Serialize into `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.values.len() as u16).to_le_bytes());
-        for v in self.values.iter() {
+        Tuple::encode_values(&self.values, out);
+    }
+
+    /// Serialize `values` into `out` as a tuple of them, without building
+    /// one.
+    pub fn encode_values(values: &[Value], out: &mut Vec<u8>) {
+        out.extend_from_slice(&(values.len() as u16).to_le_bytes());
+        for v in values {
             encode_value(v, out);
         }
     }

@@ -10,8 +10,7 @@ use crate::compile::{ActionArg, CompiledAction, CompiledTrigger};
 use crate::events::{EventNotification, Outbox};
 use crate::metrics::{ACTION_EXEC_SQL, ACTION_NOTIFY, ACTION_RAISE_EVENT};
 use crate::TriggerMan;
-use std::sync::{Arc, OnceLock};
-use tman_common::{Result, SmallSlice, TmanError, TokenOp, Tuple, UpdateDescriptor, Value};
+use tman_common::{Name, Result, SmallSlice, TmanError, TokenOp, Tuple, UpdateDescriptor, Value};
 use tman_expr::Env;
 use tman_lang::{Expr, Literal, SelectCols, SqlStmt};
 use tman_telemetry::SpanKind;
@@ -63,9 +62,7 @@ pub(crate) fn run_action(
         CompiledAction::Notify(template) => {
             system.telemetry.actions_by_kind[ACTION_NOTIFY].bump();
             let msg = substitute_text(template, trigger, bindings, old_of_event_var);
-            static NOTIFY: OnceLock<Arc<str>> = OnceLock::new();
-            let event = NOTIFY.get_or_init(|| "notify".into());
-            (event.clone(), SmallSlice::default(), Some(msg))
+            (Name::from("notify"), SmallSlice::default(), Some(msg))
         }
     };
     outbox.push(

@@ -14,17 +14,20 @@
 //! loses no data; stored-memory join networks (TREAT/Rete/Gator) are
 //! re-primed from base tables on reload.
 //!
-//! The map holds each description's `Arc<CompiledTrigger>`, and the clock's
-//! reference mark is a field of the description, so a resident trigger is
-//! one allocation of its own plus what its fields point to.
+//! The table holds each description's `Arc<CompiledTrigger>` in a slot of
+//! an [`IdTable`] page, found by the trigger id's index and not by a hash
+//! probe, and the clock's reference mark is a field of the description, so
+//! a resident trigger is one allocation of its own plus what its fields
+//! point to.
 //!
 //! Concurrency: pinning happens once per predicate match, which §6 runs
 //! from many driver threads at once — so a hit writes nothing that two
-//! triggers share. It is the map's read lock, the lookup, a clone of the
-//! description's `Arc` and a store to its reference mark when the mark is
-//! clear (a hot trigger's mark is set, so its line stays shared). A trigger
-//! is *pinned* while anyone but the cache holds its `Arc`: the pin is the
-//! clone, the unpin is its drop, and there is no second count to keep.
+//! triggers share. It is the table's read lock, the indexed load, a clone
+//! of the description's `Arc` and a store to its reference mark when the
+//! mark is clear (a hot trigger's mark is set, so its line stays shared).
+//! A trigger is *pinned* while anyone but the cache holds its `Arc`: the
+//! pin is the clone, the unpin is its drop, and there is no second count
+//! to keep.
 //!
 //! Replacement is a clock: a hand walks the resident triggers in a ring,
 //! passes a pinned one, clears a set mark (the second chance a recent hit
@@ -36,17 +39,16 @@
 use crate::compile::CompiledTrigger;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use tman_common::fxhash::FxHashMap;
-use tman_common::{Result, TriggerId};
+use tman_common::{IdTable, Result, TriggerId};
 use tman_sync::RwLock;
 use tman_telemetry::{Counter, Registry};
 
 /// The resident descriptions, and the ring of their ids the clock hand
-/// walks. A description's map entry carries its place in the ring, so a
-/// hit reads one map entry and nothing of the ring.
+/// walks. A description's slot carries its place in the ring, so a hit
+/// reads one slot and nothing of the ring.
 #[derive(Default)]
 struct Resident {
-    triggers: FxHashMap<TriggerId, (Arc<CompiledTrigger>, usize)>,
+    triggers: IdTable<(Arc<CompiledTrigger>, usize)>,
     ring: Vec<TriggerId>,
     hand: usize,
 }
@@ -56,8 +58,8 @@ impl Resident {
     /// ring's last id moves into its place.
     fn take(&mut self, pos: usize) {
         let gone = self.ring.swap_remove(pos);
-        self.triggers.remove(&gone);
-        if let Some(moved) = self.ring.get(pos) {
+        self.triggers.remove(gone);
+        if let Some(&moved) = self.ring.get(pos) {
             self.triggers.get_mut(moved).expect("in the ring").1 = pos;
         }
     }
@@ -66,7 +68,7 @@ impl Resident {
 /// The units the cache's cost tests count.
 #[derive(Clone, Copy)]
 enum Work {
-    /// The map write-locked.
+    /// The table write-locked.
     WriteLock,
     /// A resident trigger the clock hand looked at.
     TriggerPassed,
@@ -193,7 +195,7 @@ impl TriggerCache {
         self.stats.pins.bump();
         {
             let resident = self.resident.read();
-            if let Some((trigger, _)) = resident.triggers.get(&id) {
+            if let Some((trigger, _)) = resident.triggers.get(id) {
                 self.stats.hits.bump();
                 let trigger = trigger.clone();
                 if !trigger.referenced.load(Ordering::Relaxed) {
@@ -208,7 +210,7 @@ impl TriggerCache {
     }
 
     /// Read what a fire of each resident trigger of `ids` will read — its
-    /// map entry and [`CompiledTrigger::touch`]'s blocks — under one read
+    /// slot and [`CompiledTrigger::touch`]'s blocks — under one read
     /// lock, ahead of pinning them: the lookups are independent, so their
     /// cache misses overlap instead of each waiting for the one before
     /// (group prefetching, Chen et al., ICDE 2004). Nothing is pinned,
@@ -218,7 +220,7 @@ impl TriggerCache {
         let resident = self.resident.read();
         let mut folded = 0u64;
         for id in ids {
-            if let Some((trigger, _)) = resident.triggers.get(&id) {
+            if let Some((trigger, _)) = resident.triggers.get(id) {
                 folded = folded.wrapping_add(trigger.touch());
             }
         }
@@ -239,7 +241,7 @@ impl TriggerCache {
         tick(Work::WriteLock);
         let mut resident = self.resident.write();
         let id = trigger.id;
-        let trigger = match resident.triggers.get(&id) {
+        let trigger = match resident.triggers.get(id) {
             Some((resident, _)) => resident.clone(),
             None => {
                 let pos = resident.ring.len();
@@ -255,14 +257,14 @@ impl TriggerCache {
     /// Look up without loading (tests / stats).
     pub fn peek(&self, id: TriggerId) -> Option<Arc<CompiledTrigger>> {
         let resident = self.resident.read();
-        resident.triggers.get(&id).map(|(t, _)| t.clone())
+        resident.triggers.get(id).map(|(t, _)| t.clone())
     }
 
     /// Drop a trigger from the cache (after `drop trigger`).
     pub fn remove(&self, id: TriggerId) {
         tick(Work::WriteLock);
         let mut resident = self.resident.write();
-        if let Some(&(_, pos)) = resident.triggers.get(&id) {
+        if let Some(&(_, pos)) = resident.triggers.get(id) {
             resident.take(pos);
         }
     }
@@ -279,7 +281,8 @@ impl TriggerCache {
                 resident.hand = 0;
             }
             tick(Work::TriggerPassed);
-            let (trigger, _) = &resident.triggers[&resident.ring[resident.hand]];
+            let at = resident.ring[resident.hand];
+            let (trigger, _) = resident.triggers.get(at).expect("in the ring");
             // Nobody can pin under the write lock: a count of one is the
             // cache's own and stays one.
             let pinned = Arc::strong_count(trigger) > 1;
@@ -391,9 +394,9 @@ mod tests {
         // All pins released: the cache's own is the only hold left.
         let resident = cache.resident.read();
         assert_eq!(resident.ring.len(), 32);
-        for (pos, id) in resident.ring.iter().enumerate() {
-            let (trigger, at) = &resident.triggers[id];
-            assert_eq!((trigger.id, *at), (*id, pos));
+        for (pos, &id) in resident.ring.iter().enumerate() {
+            let (trigger, at) = resident.triggers.get(id).unwrap();
+            assert_eq!((trigger.id, *at), (id, pos));
             assert_eq!(Arc::strong_count(trigger), 1);
         }
     }
@@ -439,9 +442,10 @@ mod tests {
             );
             let marks = || {
                 let resident = cache.resident.read();
-                let set =
-                    |t: &&(Arc<CompiledTrigger>, usize)| t.0.referenced.load(Ordering::Relaxed);
-                resident.triggers.values().filter(set).count() as u64
+                let set = |(_, t): &(TriggerId, &(Arc<CompiledTrigger>, usize))| {
+                    t.0.referenced.load(Ordering::Relaxed)
+                };
+                resident.triggers.iter().filter(set).count() as u64
             };
             assert_eq!(marks(), marked);
 
@@ -493,8 +497,8 @@ mod tests {
             let resident = cache.resident.read();
             let mut marks: Vec<(u64, bool)> = resident
                 .triggers
-                .values()
-                .map(|(t, _)| (t.id.raw(), t.referenced.load(Ordering::Relaxed)))
+                .iter()
+                .map(|(_, (t, _))| (t.id.raw(), t.referenced.load(Ordering::Relaxed)))
                 .collect();
             marks.sort_unstable();
             (

@@ -456,19 +456,24 @@ impl Catalog {
 
     // ----- windowed-threshold state -------------------------------------------
 
-    /// Write a trigger's persisted window: its ring, exactly, as
-    /// [`STAMP_DIGITS`] lowercase hex digits per timestamp, oldest first,
-    /// into the row at `at`, or into a new row when `at` is `None`.
+    /// Write a trigger's persisted window: its ring, exactly, as 16
+    /// lowercase hex digits per timestamp, oldest first, into one string
+    /// sized for them, into the row at `at`, or into a new row when `at`
+    /// is `None`.
     /// Returns where the row is now; nothing is scanned. The ring is
     /// persisted at durability barriers, not per event, so recovery
     /// restores it as of the last barrier.
-    pub(crate) fn save_window(
+    pub fn save_window(
         &self,
         id: TriggerId,
         at: Option<RecordId>,
         ring: &[u64],
     ) -> Result<RecordId> {
-        let encoded: String = ring.iter().map(|t| format!("{t:016x}")).collect();
+        use std::fmt::Write;
+        let mut encoded = String::with_capacity(ring.len() * STAMP_DIGITS);
+        for t in ring {
+            write!(encoded, "{t:016x}").expect("a String takes every write");
+        }
         let vals = vec![Value::Int(id.raw() as i64), Value::str(encoded)];
         match at {
             Some(at) => Ok(self.window_state.update(at, vals)?.1),
@@ -602,6 +607,25 @@ mod tests {
         assert_eq!(sigs.len(), 1);
         assert_eq!(sigs[0].4, 500);
         assert_eq!(sigs[0].5, "mem_index");
+    }
+
+    /// A ring's row text is its stamps as 16 lowercase hex digits each,
+    /// oldest first, and reads back as the same stamps.
+    #[test]
+    fn a_window_row_holds_pinned_text() {
+        let db = Database::open_memory(256);
+        let cat = Catalog::open(&db).unwrap();
+        let ring = [1, 0xabc, u64::MAX];
+        let at = cat.save_window(TriggerId(3), None, &ring).unwrap();
+        let row = cat.window_state.get(at).unwrap();
+        let text = row.get(1).as_str().unwrap();
+        assert_eq!(
+            text,
+            "0000000000000001\
+             0000000000000abc\
+             ffffffffffffffff"
+        );
+        assert_eq!(decode_ring(text), Some(ring.to_vec()));
     }
 
     #[test]

@@ -15,17 +15,19 @@
 //! [`Compiled`]), no routing key (the event bus lower-cases an event name
 //! once a stretch), and the rare parts — an `on` clause, an `execSQL`
 //! statement, an argument that is not a column — behind a box each. The
-//! variable list and a `raise event`'s arguments are [`SmallSlice`]s, so
-//! a one-variable `raise event` trigger with one column argument is three
-//! heap blocks: the description, its name and its event name. DESIGN.md's
-//! decision records "A cached trigger is what its fire path reads" and "A
-//! description is three blocks" have the sizes.
+//! variable list and a `raise event`'s arguments are [`SmallSlice`]s and
+//! the trigger's and the event's names are [`Name`]s, inline up to 22
+//! bytes, so a one-variable `raise event` trigger with one column argument
+//! is one heap block: the description. DESIGN.md's decision records "A
+//! cached trigger is what its fire path reads", "A description is three
+//! blocks" and "Names are inline; trigger state is paged by id" have the
+//! sizes.
 
 use crate::catalog::MAX_WINDOW_COUNT;
 use crate::source::SourceInfo;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use tman_common::{EventKind, Result, SmallSlice, TmanError, TriggerId, TriggerSetId, Tuple};
+use tman_common::{EventKind, Name, Result, SmallSlice, TmanError, TriggerId, TriggerSetId, Tuple};
 use tman_expr::cnf::{remap_var, to_cnf, Cnf, ConditionGraph, Conjunct};
 use tman_expr::BindCtx;
 use tman_expr::{Env, Scalar};
@@ -56,8 +58,8 @@ pub enum CompiledAction {
     /// `raise event` — name plus arguments read from the action
     /// environment (`num_vars` NEW slots then `num_vars` OLD slots).
     RaiseEvent {
-        /// Event name, shared into every notification the action raises.
-        name: Arc<str>,
+        /// Event name, copied into every notification the action raises.
+        name: Name,
         /// Arguments, in order.
         args: SmallSlice<ActionArg>,
     },
@@ -123,8 +125,8 @@ pub enum Condition {
 pub struct CompiledTrigger {
     /// Trigger id.
     pub id: TriggerId,
-    /// Trigger name, shared into every notification the trigger raises.
-    pub name: Arc<str>,
+    /// Trigger name, copied into every notification the trigger raises.
+    pub name: Name,
     /// The owning set's enabled flag. [`compile_trigger`] leaves a
     /// detached flag that is always on; the engine swaps in the set's own,
     /// so `disable trigger set` reaches every cached trigger at once.
@@ -486,21 +488,21 @@ impl CompiledTrigger {
     }
 
     /// Read one byte of each block a fire of this trigger reads — the
-    /// description's flags (its variables and a `raise event`'s arguments
-    /// are inline beside them), the trigger name's buffer and the action's
-    /// text (a `raise event`'s name, a `notify`'s template) — and fold them
-    /// into the result, so that a caller who touches a batch of triggers
-    /// ahead of firing them has their cache misses overlap
-    /// ([`crate::cache::TriggerCache::warm`]). Writes nothing.
+    /// description's flags (its variables, a `raise event`'s arguments and
+    /// both names up to 22 bytes are inline beside them), a longer name's
+    /// buffer and a `notify`'s template — and fold them into the result,
+    /// so that a caller who touches a batch of triggers ahead of firing
+    /// them has their cache misses overlap
+    /// ([`crate::cache::TriggerCache::warm`]). Reads bytes, writes nothing.
     pub(crate) fn touch(&self) -> u64 {
-        let first = |s: &str| u64::from(s.as_bytes().first().copied().unwrap_or(0));
+        let first = |s: &[u8]| u64::from(s.first().copied().unwrap_or(0));
         let flags = u64::from(self.enabled.load(std::sync::atomic::Ordering::Relaxed));
         let action = match &self.action {
-            CompiledAction::RaiseEvent { name, .. } => first(name),
-            CompiledAction::Notify(template) => first(template),
+            CompiledAction::RaiseEvent { name, .. } => first(name.as_bytes()),
+            CompiledAction::Notify(template) => first(template.as_bytes()),
             CompiledAction::ExecSql(_) => 0,
         };
-        flags + first(&self.name) + action
+        flags + first(self.name.as_bytes()) + action
     }
 }
 

@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use tman_common::fxhash::FxHashMap;
 use tman_common::{
-    DataSourceId, ExprId, NodeId, Result, Schema, TmanError, TriggerId, TriggerSetId, Value,
+    DataSourceId, ExprId, Name, NodeId, Result, Schema, TmanError, TriggerId, TriggerSetId, Value,
 };
 use tman_expr::{decompose_disjunction, generalize_selection, Cnf, IndexPlan, SelectionSignature};
 use tman_lang::WindowSpec;
@@ -84,8 +84,8 @@ pub(crate) struct Ddl {
     /// Trigger sets by lower-cased name. Sets are few: the one lookup by
     /// id (a dropped trigger leaving its set) walks the values.
     sets: FxHashMap<String, SetEntry>,
-    /// Triggers by lower-cased name.
-    triggers: FxHashMap<String, TriggerEntry>,
+    /// Triggers by lower-cased name, inline up to 22 bytes.
+    triggers: FxHashMap<Name, TriggerEntry>,
     /// The last id issued of each kind (the catalog's "default" set is 1).
     last_trigger: u64,
     last_source: u32,
@@ -180,7 +180,7 @@ impl TriggerMan {
                 id: row.id,
                 row: at,
             };
-            ddl.triggers.insert(row.name.to_lowercase(), entry);
+            ddl.triggers.insert(row.name.to_lowercase().into(), entry);
             if let Some(set) = ddl.sets.values_mut().find(|s| s.id == row.set) {
                 set.members += 1;
             }
@@ -454,7 +454,7 @@ impl TriggerMan {
     ) -> Result<CommandOutput> {
         let mut ddl = self.ddl.lock();
         let name = stmt.name.to_lowercase();
-        if ddl.triggers.contains_key(&name) {
+        if ddl.triggers.contains_key(name.as_str()) {
             return Err(TmanError::AlreadyExists(format!("trigger '{}'", stmt.name)));
         }
         let set_name = stmt.set.as_deref().unwrap_or("default");
@@ -511,7 +511,7 @@ impl TriggerMan {
                 return Err(e);
             }
         };
-        ddl.triggers.insert(name, TriggerEntry { id, row });
+        ddl.triggers.insert(name.into(), TriggerEntry { id, row });
         if let Some(set) = ddl.sets.get_mut(&*set_key) {
             set.members += 1;
         }
@@ -523,7 +523,7 @@ impl TriggerMan {
         let mut ddl = self.ddl.lock();
         let TriggerEntry { id, row } = ddl
             .triggers
-            .remove(&name.to_lowercase())
+            .remove(name.to_lowercase().as_str())
             .ok_or_else(|| TmanError::NotFound(format!("trigger '{name}'")))?;
         let window = self.unregister(&ddl, id)?;
         let set = self.catalog.delete_trigger(row)?.set;
@@ -593,7 +593,7 @@ impl TriggerMan {
         let mut ddl = self.ddl.lock();
         let entry = ddl
             .triggers
-            .get_mut(&name.to_lowercase())
+            .get_mut(name.to_lowercase().as_str())
             .ok_or_else(|| TmanError::NotFound(format!("trigger '{name}'")))?;
         entry.row = self.catalog.set_trigger_enabled(entry.row, enabled)?;
         if let Some(t) = self.cache.peek(entry.id) {
@@ -619,7 +619,13 @@ impl TriggerMan {
 
     /// Trigger names currently defined.
     pub fn trigger_names(&self) -> Vec<String> {
-        let mut out: Vec<String> = self.ddl.lock().triggers.keys().cloned().collect();
+        let mut out: Vec<String> = self
+            .ddl
+            .lock()
+            .triggers
+            .keys()
+            .map(|k| k.to_string())
+            .collect();
         out.sort();
         out
     }

@@ -30,7 +30,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use tman_common::fxhash::FxHashMap;
-use tman_common::{SmallSlice, Value};
+use tman_common::{Name, SmallSlice, Value};
 use tman_sync::channel::{unbounded, Receiver, SendError, Sender};
 use tman_sync::RwLock;
 use tman_telemetry::trace::{now_ns, ROOT_SPAN};
@@ -45,10 +45,11 @@ use tman_telemetry::{Counter, Histogram, Registry, SpanKind, TraceHandle};
 #[derive(Debug, Clone)]
 pub struct EventNotification {
     /// Event name (`raise event Name(...)`), or `"notify"` for `do notify`
-    /// messages. Shared with the compiled trigger: a fire copies no name.
-    pub event: Arc<str>,
-    /// Name of the trigger whose action raised it (shared likewise).
-    pub trigger: Arc<str>,
+    /// messages. Copied from the compiled trigger: inline up to 22 bytes,
+    /// so a fire touches no block the trigger or another fire holds.
+    pub event: Name,
+    /// Name of the trigger whose action raised it (copied likewise).
+    pub trigger: Name,
     /// Evaluated event arguments: inline when there is one, so a fire
     /// allocates none.
     pub values: SmallSlice<Value>,
@@ -368,9 +369,7 @@ impl EventBus {
                 let rest = run.as_slice();
                 let Some(first) = rest.first() else { break };
                 let event = &first.note.event;
-                let same =
-                    |p: &&Pending| Arc::ptr_eq(&p.note.event, event) || p.note.event == *event;
-                let k = rest.iter().take_while(same).count();
+                let k = rest.iter().take_while(|p| p.note.event == *event).count();
                 let stretch = &rest[..k];
                 let named = routes.by_event.get(route_key(event, &mut key));
                 let subs = || named.into_iter().flatten().chain(&routes.all);
@@ -487,7 +486,7 @@ mod tests {
         bus.publish(note("b"));
         assert_eq!(
             rx.iter().take(2).map(|n| n.event).collect::<Vec<_>>(),
-            vec!["a".into(), "b".into()]
+            ["a", "b"]
         );
         // The bus registered its counter, so both the bus getter and the
         // exposition see the deliveries.

@@ -13,7 +13,8 @@ use tman_common::{Result, TmanError};
 pub(crate) enum Token<'a> {
     /// Identifier or keyword (keywords are recognized case-insensitively by
     /// the parser, not the lexer, since TriggerMan identifiers may collide
-    /// with keywords in other positions).
+    /// with keywords in other positions). A quoted identifier (`"..."`)
+    /// is the text between its quotes.
     Ident(&'a str),
     /// Integer literal.
     Int(i64),
@@ -167,6 +168,24 @@ pub(crate) fn tokenize(input: &str) -> Result<Vec<Token<'_>>> {
                 let (literal, end) = string_literal(input, i)?;
                 out.push(Token::Str(literal));
                 i = end;
+            }
+            b'"' => {
+                // A quoted identifier: any characters but `"`, kept as
+                // written, so a name may be non-ASCII.
+                let start = i + 1;
+                let Some(len) = input[start..].find('"') else {
+                    return Err(TmanError::Parse(format!(
+                        "unterminated quoted identifier at offset {}",
+                        b.len()
+                    )));
+                };
+                if len == 0 {
+                    return Err(TmanError::Parse(format!(
+                        "empty quoted identifier at offset {i}"
+                    )));
+                }
+                out.push(Token::Ident(&input[start..start + len]));
+                i = start + len + 1;
             }
             b'0'..=b'9' | b'.' => {
                 let start = i;
@@ -372,6 +391,16 @@ mod tests {
         };
         assert_eq!(name, "t1");
         assert!(std::ptr::eq(name.as_ptr(), input[15..].as_ptr()));
+    }
+
+    #[test]
+    fn a_quoted_identifier_is_its_text() {
+        let toks = tokenize("raise event \"Überwachung_Ölpreis\"(x)").unwrap();
+        assert_eq!(toks[2], Token::Ident("Überwachung_Ölpreis"));
+        assert_eq!(toks[3], Token::LParen);
+        let msg = |text: &str| tokenize(text).unwrap_err().to_string();
+        assert!(msg("a \"b").contains("unterminated quoted identifier at offset 4"));
+        assert!(msg("a \"\" b").contains("empty quoted identifier at offset 2"));
     }
 
     #[test]

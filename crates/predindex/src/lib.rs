@@ -51,8 +51,8 @@ use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use tman_common::fxhash::FxHashMap;
 use tman_common::{
-    DataSourceId, DataType, EventKind, ExprId, NodeId, Result, Schema, SignatureId, TokenOp,
-    TriggerId, Tuple, UpdateDescriptor, Value,
+    DataSourceId, DataType, EventKind, ExprId, IdTable, NodeId, Result, Schema, SignatureId,
+    TokenOp, TriggerId, Tuple, UpdateDescriptor, Value,
 };
 use tman_expr::Env;
 use tman_expr::{IndexPlan, SelectionSignature, SignatureKey};
@@ -592,8 +592,8 @@ impl DataSourceIndex {
 /// chained per trigger through one arena.
 #[derive(Default)]
 struct Directory {
-    /// Trigger → its first record in `records`.
-    heads: FxHashMap<TriggerId, u32>,
+    /// Trigger → its first record in `records`, paged by trigger id.
+    heads: IdTable<u32>,
     records: Vec<Record>,
     /// First record of the free chain.
     free: Option<u32>,
@@ -623,7 +623,7 @@ impl Directory {
         let record = Record {
             locator,
             class: id,
-            next: self.heads.get(&trigger).copied().unwrap_or(END),
+            next: self.heads.get(trigger).copied().unwrap_or(END),
         };
         let at = match self.free {
             Some(at) => {
@@ -644,7 +644,7 @@ impl Directory {
     /// locator.
     fn take(&mut self, trigger: TriggerId) -> Vec<(Arc<SignatureRuntime>, u64)> {
         let mut out = Vec::new();
-        let mut next = self.heads.remove(&trigger).unwrap_or(END);
+        let mut next = self.heads.remove(trigger).unwrap_or(END);
         while next != END {
             let freed = Record {
                 locator: 0,
@@ -660,11 +660,9 @@ impl Directory {
         out
     }
 
-    /// Heap bytes held: the capacity of the map and of the arenas.
+    /// Heap bytes held: the heads' pages and the arenas' capacity.
     fn memory_bytes(&self) -> usize {
-        // A hashbrown table of capacity c has 8c/7 buckets of one pair and
-        // one control byte each.
-        self.heads.capacity() * 8 / 7 * (std::mem::size_of::<(TriggerId, u32)>() + 1)
+        self.heads.memory_bytes()
             + self.records.capacity() * std::mem::size_of::<Record>()
             + self.classes.capacity() * std::mem::size_of::<Option<Arc<SignatureRuntime>>>()
     }

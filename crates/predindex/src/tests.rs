@@ -779,7 +779,7 @@ fn org_switches_under_concurrent_probe_insert_remove() {
     let recorded = || {
         let directory = ix.directory.lock();
         let mut n = 0;
-        for &head in directory.heads.values() {
+        for (_, &head) in directory.heads.iter() {
             let mut at = head;
             while at != END {
                 n += 1;
@@ -792,7 +792,7 @@ fn org_switches_under_concurrent_probe_insert_remove() {
     let mut walked = 0;
     rt.for_each_entry(&mut |_| walked += 1).unwrap();
     assert_eq!(walked, rt.len());
-    let known: Vec<TriggerId> = ix.directory.lock().heads.keys().copied().collect();
+    let known: Vec<TriggerId> = ix.directory.lock().heads.iter().map(|(t, _)| t).collect();
     let removed: usize = known.iter().map(|&t| ix.remove_trigger(t).unwrap()).sum();
     assert_eq!(removed, walked);
     assert_eq!((ix.num_entries(), recorded()), (0, 0));
@@ -919,10 +919,14 @@ fn a_held_set_stalls_only_its_own_probes_and_removals() {
 /// (its structure, the cells and the rows) is at most 96 bytes an entry at
 /// 1 k and at 64 k entries, for each shape of the `select_hot` mix. Keys,
 /// bounds and constants are all distinct, so no entry shares a group with
-/// another. The removal directory, one record an entry and one map entry a
-/// trigger, comes on top and is printed beside.
+/// another. The removal directory, one record an entry and one head slot a
+/// trigger in a page of trigger ids, comes on top: at most
+/// [`DIRECTORY_BYTES`] an entry at 1 k and 64 k entries, and at 64 k after
+/// 64 k triggers were created and dropped before them (51.2 B while the
+/// heads were a hash map).
 #[test]
 fn an_entry_costs_a_row_of_its_class() {
+    const DIRECTORY_BYTES: f64 = 26.0;
     let schema = emp_schema();
     let sig = |cond: &str| analyze(cond, EventKind::Insert).0;
     fn name(t: u64) -> Value {
@@ -962,27 +966,42 @@ fn an_entry_costs_a_row_of_its_class() {
             .iter()
             .map(|(cond, consts)| (sig(cond), consts))
             .collect();
-        for n in [1_000u64, 64_000] {
+        for (n, dropped) in [(1_000u64, 0u64), (64_000, 0), (64_000, 64_000)] {
             let ix = PredicateIndex::new(IndexConfig::default());
-            for t in 0..n {
+            let add = |t: u64| {
                 for (arm, (sig, consts)) in arms.iter().enumerate() {
                     let expr = ExprId((2 * t + arm as u64) | tagged);
                     let (trigger, node) = (TriggerId(t), NodeId(0));
                     ix.add_predicate(EMP, &schema, sig.clone(), consts(t), expr, trigger, node)
                         .unwrap();
                 }
+            };
+            for t in 0..dropped {
+                add(t);
             }
+            for t in 0..dropped {
+                assert_eq!(ix.remove_trigger(TriggerId(t)).unwrap(), arms.len());
+            }
+            (dropped..dropped + n).for_each(add);
             let entries = ix.num_entries();
             assert_eq!(entries, n as usize * arms.len());
             let classes: usize = ix.all_signatures().iter().map(|c| c.memory_bytes()).sum();
             let per_entry = classes as f64 / entries as f64;
             let directory = (ix.memory_bytes() - classes) as f64 / entries as f64;
             println!(
-                "{shape}, {entries} entries: {per_entry:.1} B an entry, directory {directory:.1}"
+                "{shape}, {entries} entries after {dropped} dropped: {per_entry:.1} B an entry, \
+                 directory {directory:.1}"
+            );
+            // A class keeps the room its dropped entries took; the
+            // directory gives its pages back.
+            assert!(
+                dropped > 0 || per_entry <= 96.0,
+                "{shape}, {entries} entries: {per_entry:.1} B an entry"
             );
             assert!(
-                per_entry <= 96.0,
-                "{shape}, {entries} entries: {per_entry:.1} B an entry"
+                directory <= DIRECTORY_BYTES,
+                "{shape}, {entries} entries after {dropped} dropped: directory {directory:.1} B \
+                 an entry"
             );
         }
     }

@@ -40,7 +40,7 @@
 
 use crate::crc::crc32;
 use std::borrow::Cow;
-use tman_common::{Result, TmanError, Tuple};
+use tman_common::{Name, Result, TmanError, Tuple};
 use triggerman::EventNotification;
 
 /// Frame magic: "TM".
@@ -284,10 +284,13 @@ impl<'a> Cursor<'a> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
     fn str(&mut self) -> Result<String> {
+        self.str_ref().map(str::to_string)
+    }
+    /// A string in place, for a caller that keeps it in a form of its own.
+    fn str_ref(&mut self) -> Result<&'a str> {
         let n = self.u16()? as usize;
         let raw = self.take(n)?;
-        String::from_utf8(raw.to_vec())
-            .map_err(|_| TmanError::Corrupt("wire string is not UTF-8".into()))
+        std::str::from_utf8(raw).map_err(|_| TmanError::Corrupt("wire string is not UTF-8".into()))
     }
     fn done(&self) -> Result<()> {
         if self.pos != self.buf.len() {
@@ -548,15 +551,15 @@ pub fn encode_notification_body(n: &EventNotification) -> Result<Vec<u8>> {
     if let Some(o) = n.token_seq {
         put_i64(&mut out, o);
     }
-    Tuple::new(n.values.to_vec()).encode_into(&mut out);
+    Tuple::encode_values(&n.values, &mut out);
     Ok(out)
 }
 
 /// Inverse of [`encode_notification_body`].
 pub fn decode_notification_body(buf: &[u8]) -> Result<EventNotification> {
     let mut c = Cursor::new(buf);
-    let event = c.str()?;
-    let trigger = c.str()?;
+    let event = Name::from(c.str_ref()?);
+    let trigger = Name::from(c.str_ref()?);
     let flags = c.u8()?;
     let message = if flags & 1 != 0 { Some(c.str()?) } else { None };
     let token_seq = if flags & 2 != 0 { Some(c.i64()?) } else { None };
@@ -569,8 +572,8 @@ pub fn decode_notification_body(buf: &[u8]) -> Result<EventNotification> {
         ));
     }
     Ok(EventNotification {
-        event: event.into(),
-        trigger: trigger.into(),
+        event,
+        trigger,
         values: tuple.values().iter().cloned().collect(),
         message,
         token_seq,

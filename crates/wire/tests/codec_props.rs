@@ -510,3 +510,85 @@ fn a_raised_notification_has_pinned_bytes_on_the_wire_and_in_the_log() {
         assert_eq!(hex(&frame_to_vec(&f).unwrap()), frame, "frame {at}");
     }
 }
+
+/// Names longer than 22 bytes are shared, not inline. A trigger with a
+/// 40-byte name raising a 40-byte, mixed-case, non-ASCII event fires, is
+/// routed by the event name lower-cased, crosses the `Notification` frame
+/// and the delivery log byte for byte, and fires again after its file
+/// store is reopened.
+#[test]
+fn long_non_ascii_names_fire_route_and_cross_the_wire_whole() {
+    const TRIGGER: &str = "trigger_with_a_name_forty_bytes_long_xyz";
+    const EVENT: &str = "Überwachung_Ölpreis_Änderung_Börse_X";
+    assert_eq!((TRIGGER.len(), EVENT.len()), (40, 40));
+    let path = std::env::temp_dir().join(format!("tman_long_names_{}.db", std::process::id()));
+    let cleanup = || {
+        let mut wal = path.as_os_str().to_owned();
+        wal.push(".wal");
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(std::path::PathBuf::from(wal));
+    };
+    cleanup();
+    // One token through `tman`, received by a subscriber to the event
+    // name upper-cased.
+    let fire = |tman: &Arc<TriggerMan>, seq: i64| {
+        let rx = tman.subscribe(&EVENT.to_uppercase());
+        let src = tman.source("q").unwrap().id;
+        let row = tman.tuple_for("q", vec![Value::Int(seq)]).unwrap();
+        tman.push_token(tman_common::UpdateDescriptor::insert(src, row))
+            .unwrap();
+        tman.run_until_quiescent().unwrap();
+        assert!(tman.last_error().is_none(), "{:?}", tman.last_error());
+        let mut got: Vec<_> = rx.try_iter().collect();
+        assert_eq!(got.len(), 1, "one fire of token {seq}");
+        let note = got.pop().unwrap();
+        assert_eq!((&*note.event, &*note.trigger), (EVENT, TRIGGER));
+        assert_eq!(note.values, [Value::Int(seq)]);
+        note
+    };
+
+    let tman = TriggerMan::open_file(&path, Config::default()).unwrap();
+    tman.execute_command("define data source q (seq int)")
+        .unwrap();
+    tman.execute_command(&format!(
+        "create trigger {TRIGGER} from q when q.seq > 0 do raise event \"{EVENT}\"(q.seq)"
+    ))
+    .unwrap();
+    let hub = tman_wire::DeliveryHub::open(tman.database(), None).unwrap();
+    tman.events().register_sink(hub.clone());
+    let (tx, rx) = tman_sync::channel::unbounded();
+    hub.register("long", "*", 0, tx).unwrap();
+    let note = fire(&tman, 1);
+
+    let body = tman_wire::encode_notification_body(&note).unwrap();
+    assert_eq!(tman_wire::decode_notification_body(&body).unwrap(), note);
+    let live: Vec<_> = rx.try_iter().collect();
+    let (tx, _rx) = tman_sync::channel::unbounded();
+    let replayed = hub.register("long", "*", 0, tx).unwrap().replay;
+    assert_eq!((live.len(), replayed.len()), (1, 1));
+    assert_eq!(live[0].body, body, "live body");
+    assert_eq!(replayed[0].body, body, "replayed body");
+    let frame = Frame::Notification {
+        seq: live[0].seq,
+        body: Cow::Borrowed(&body),
+        trace_id: 0,
+        fire_unix_ns: 0,
+    };
+    let bytes = frame_to_vec(&frame).unwrap();
+    let (decoded, used) = decode_frame(&bytes).unwrap().unwrap();
+    assert_eq!((decoded, used), (frame, bytes.len()));
+    tman.checkpoint().unwrap();
+    tman.shutdown();
+    drop((tman, hub));
+
+    let tman = TriggerMan::open_file(&path, Config::default()).unwrap();
+    let again = fire(&tman, 2);
+    assert_eq!(
+        tman_wire::encode_notification_body(&again).unwrap()[..2 + 40 + 2 + 40],
+        body[..2 + 40 + 2 + 40],
+        "the names' bytes after the reopen"
+    );
+    tman.shutdown();
+    drop(tman);
+    cleanup();
+}

@@ -38,7 +38,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 use tman_common::rng::SplitMix64;
-use tman_common::{Tuple, UpdateDescriptor, Value};
+use tman_common::{Name, TriggerId, Tuple, UpdateDescriptor, Value};
+use triggerman::catalog::{Catalog, MAX_WINDOW_COUNT};
 use triggerman::{Config, EventBus, EventNotification, Outbox, Registry, TriggerMan};
 
 struct Counting;
@@ -441,12 +442,12 @@ fn a_drop_storm_allocates_nothing_per_drop() {
 }
 
 /// A notification's values are inline when there is one: a one-value
-/// notification over names it shares holds no heap block of its own, and
-/// a three-value one holds one (its boxed slice). Both reach a subscriber
+/// notification over inline names holds no heap block of its own, and a
+/// three-value one holds one (its boxed slice). Both reach a subscriber
 /// equal to what was published.
 #[test]
 fn a_one_value_notification_holds_no_heap_block() {
-    let (event, trigger): (Arc<str>, Arc<str>) = ("Matched".into(), "t1".into());
+    let (event, trigger) = (Name::from("Matched"), Name::from("t1"));
     let note = |values: &[Value]| EventNotification {
         event: event.clone(),
         trigger: trigger.clone(),
@@ -470,4 +471,31 @@ fn a_one_value_notification_holds_no_heap_block() {
     let got: Vec<EventNotification> = rx.try_iter().collect();
     assert_eq!(got, [one, three]);
     assert_eq!(got[1].values, three_values);
+}
+
+/// A window's ring is written into one pre-sized string: re-saving a full
+/// ring of `MAX_WINDOW_COUNT` = 4 095 stamps, as an ack barrier rewrites
+/// its row, makes at most [`WINDOW_SAVE_BUDGET`] allocations — the row's
+/// pages', none a stamp's — where a string a stamp made it 4 152.
+#[test]
+fn saving_a_full_window_ring_allocates_a_constant_number_of_blocks() {
+    const WINDOW_SAVE_BUDGET: u64 = 64;
+    let tman = TriggerMan::open_memory(Config::default()).unwrap();
+    let catalog = Catalog::open(tman.database()).unwrap();
+    let resave = |id: u64, stamps: u64| {
+        let ring: Vec<u64> = (0..stamps).map(|i| u64::MAX - i).collect();
+        let at = catalog.save_window(TriggerId(id), None, &ring).unwrap();
+        let (saved, n) = allocations_in(|| catalog.save_window(TriggerId(id), Some(at), &ring));
+        saved.unwrap();
+        n
+    };
+    let one = resave(1, 1);
+    let full = resave(2, MAX_WINDOW_COUNT);
+    println!(
+        "re-saving a window ring: {one} allocations for 1 stamp, {full} for {MAX_WINDOW_COUNT}"
+    );
+    assert!(
+        full <= WINDOW_SAVE_BUDGET,
+        "{full} allocations re-saving a full ring, budget {WINDOW_SAVE_BUDGET}"
+    );
 }

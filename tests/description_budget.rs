@@ -13,7 +13,7 @@
 //! cache of one. Everything else the creates leave behind — catalog rows,
 //! predicate-index entries, signatures — is the same in both, so the
 //! difference is what the cache holds: each resident description, its
-//! share of the cache's map and ring, and nothing else.
+//! share of the cache's table pages and ring, and nothing else.
 //!
 //! The run under a cache of one is a budget of its own: what a trigger
 //! costs while its description is not resident — its index entry, its
@@ -75,18 +75,23 @@ fn retained_by<R>(f: impl FnOnce() -> R) -> (R, i64, i64) {
     (r, bytes, blocks)
 }
 
-/// Bytes a resident description may cost, its share of the cache's map
-/// and ring included (350.1 when it was seven blocks; 254.1 since).
-const BYTES: f64 = 270.0;
-/// Heap blocks a resident description may hold.
-const BLOCKS: f64 = 3.0;
-/// `size_of::<CompiledTrigger>()` may be at most this (136 measured).
-const SIZE: usize = 144;
+/// Bytes a resident description may cost, its share of the cache's table
+/// and ring included (350.1 when it was seven blocks, 254.1 when it was
+/// three; 197.1 since).
+const BYTES: f64 = 210.0;
+/// Heap blocks a resident description may hold: its own, and a share of
+/// the cache table's pages (1.004 measured).
+const BLOCKS: f64 = 1.02;
+/// `size_of::<CompiledTrigger>()` may be at most this (152 measured: two
+/// 24-byte inline names where two 16-byte `Arc<str>`s made it 136).
+const SIZE: usize = 152;
 
-/// Bytes a trigger whose description is not resident may cost.
-const TRIGGER_BYTES: f64 = 380.0;
-/// Heap blocks such a trigger may hold.
-const TRIGGER_BLOCKS: f64 = 1.2;
+/// Bytes a trigger whose description is not resident may cost (336.5
+/// measured).
+const TRIGGER_BYTES: f64 = 350.0;
+/// Heap blocks such a trigger may hold: shares of pages, none its own
+/// (1.08 while its DDL name was a block of its own; 0.084 since).
+const TRIGGER_BLOCKS: f64 = 0.1;
 
 const TRIGGERS: u32 = 20_000;
 const SEED: u64 = 21;
@@ -166,15 +171,15 @@ fn a_resident_description_stays_within_its_budget() {
          {bytes:.1} B in {blocks:.2} blocks a resident description",
         all.0, all.1, one.0, one.1
     );
-    // What is left of a `raise event` trigger over one source, a block
-    // each: the `Arc<CompiledTrigger>` (its counts and the description:
-    // id, name, set flag, enabled and reference marks, the variable list
-    // inline — the source's `Arc` and no alias of its own — `on` clause,
-    // condition, and the action with its one argument inline as (slot,
-    // column) ordinals), the name and the event name — three. No routing
-    // key, no argument display name, no source text, no network, no slot
-    // beside the description. The bytes add the cache's map entry and
-    // ring slot, at the tables' load factor.
+    // What is left of a `raise event` trigger over one source is one
+    // block: the `Arc<CompiledTrigger>` (its counts and the description:
+    // id, the name inline, set flag, enabled and reference marks, the
+    // variable list inline — the source's `Arc` and no alias of its own —
+    // `on` clause, condition, and the action with its event name and its
+    // one argument inline as (slot, column) ordinals). No name block, no
+    // routing key, no argument display name, no source text, no network.
+    // The bytes and the fraction of a block add the cache's table slot, in
+    // pages of trigger ids, and its ring slot.
     assert!(
         blocks <= BLOCKS,
         "{blocks:.2} blocks a resident description, budget {BLOCKS}"
@@ -200,12 +205,12 @@ fn a_trigger_without_its_description_stays_within_its_budget() {
         blocks as f64 / f64::from(TRIGGERS),
     );
     println!(
-        "{TRIGGERS} triggers under a cache of one: {bytes:.1} B in {blocks:.2} blocks a trigger"
+        "{TRIGGERS} triggers under a cache of one: {bytes:.1} B in {blocks:.3} blocks a trigger"
     );
     // A trigger's index entry is a cell of its class and a directory
-    // record, its constants a row: no block of its own. What is left a
-    // block each is the DDL name map's lower-cased key; the catalog row
-    // lives in pages, each held once.
+    // record, its constants a row, its directory head a slot in a page of
+    // trigger ids, and the DDL name map's lower-cased key is inline: no
+    // block of its own. The catalog row lives in pages, each held once.
     assert!(
         blocks <= TRIGGER_BLOCKS,
         "{blocks:.2} blocks a trigger, budget {TRIGGER_BLOCKS}"
